@@ -87,7 +87,6 @@ from .scattering import (
 )
 from .stochastic import (
     EstimateReport,
-    EventRecord,
     ObservationBudget,
     averaged_detector_params,
     contextual_estimate,
@@ -96,7 +95,6 @@ from .stochastic import (
     raised_cosine_pdf,
     sample_events,
     sample_events_fluctuating,
-    sample_events_sharded,
 )
 
 __version__ = "0.1.0"

@@ -398,6 +398,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "montecarlo":
             if args.n < 1:
                 raise ConfigError("--n must be at least 1")
+            if not 0 <= args.seed < 2**64:
+                raise ConfigError("--seed must be a 64-bit unsigned integer in [0, 2**64)")
             _write_output(run_montecarlo(config, args.n, args.seed), args.out)
         elif args.command == "povm":
             _write_output(run_povm(config), args.out)

@@ -53,12 +53,15 @@ SWEEPABLE_PARAMETERS = ("gamma", "phi_d", "phi_s", "delta_s1", "sigma")
 
 
 def evaluate_number(text: str) -> float:
-    """Evaluate a pi-literal arithmetic expression to a float."""
+    """Evaluate a pi-literal arithmetic expression to a finite float."""
     try:
         tree = ast.parse(text.strip(), mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse number {text!r}: {exc.msg}") from None
-    return _eval_node(tree.body, text)
+    value = _eval_node(tree.body, text)
+    if not math.isfinite(value):
+        raise ConfigError(f"number {text!r} is not finite")
+    return value
 
 
 def _eval_node(node: ast.AST, text: str) -> float:

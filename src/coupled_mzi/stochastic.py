@@ -1,40 +1,35 @@
 """Coupling fluctuations, drain-event sampling, and estimator statistics.
 
+A sampled event sequence is a ``uint8`` array of category codes
+``2 d + s`` over the row-major joint drain table: 0 = (D1,S1),
+1 = (D1,S2), 2 = (D2,S1), 3 = (D2,S2).
+
 Random numbers come from numpy's Philox counter-based generator
 (``philox4x64``), keyed directly by the caller's 64-bit seed, so event
-streams are bit-reproducible across platforms and can be sliced exactly:
-the generator consumes one 64-bit word per uniform double and
-``Philox.advance(k)`` skips ``4 k`` words.  Sharded sampling therefore
-splits the stream at word offsets divisible by 4 and reproduces the
-single-stream result for any shard count.
+streams are bit-reproducible across platforms and can be read from any
+position: the generator consumes one 64-bit word per uniform double and
+``Philox.advance(k)`` skips ``4 k`` words.  The samplers stream their
+uniforms in fixed-size chunks, each read at its exact word offset, so the
+codes are the same for any chunk size.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import AmbiguousMeasurementError
 from .measurement import DIVERGENCE_THRESHOLD, ContextualValues
-from .params import CouplingModel, DetectorDrain, DetectorParams, InterferometerConfig, SystemDrain
+from .params import CouplingModel, DetectorParams, InterferometerConfig
 from .scattering import JointStatistics, joint_probability_table
 
 RNG_ALGORITHM = "philox4x64"
 
-_DET_BY_CODE = (DetectorDrain.D1, DetectorDrain.D2)
-_SYS_BY_CODE = (SystemDrain.S1, SystemDrain.S2)
-
-
-class EventRecord(NamedTuple):
-    """One recorded pair of drain absorptions."""
-
-    detector_drain: DetectorDrain
-    system_drain: SystemDrain
-    sequence_index: int
+_CHUNK = 1 << 16  # events per streaming chunk; bounds the samplers' working memory
 
 
 @dataclass(frozen=True)
@@ -106,18 +101,38 @@ def raised_cosine_pdf(gamma_prime: float, model: CouplingModel) -> float:
     return (1.0 + math.cos(math.pi * y / model.sigma)) / (2.0 * model.sigma)
 
 
+# Taylor coefficients of (s - sin s) / s^3 in powers of s^2
+_S_MINUS_SIN = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(8))
+
+
 def _raised_cosine_ppf(u: np.ndarray, model: CouplingModel) -> np.ndarray:
-    """Inverse CDF via vectorized bisection (exact to ~1e-15)."""
-    sigma = model.sigma
-    lo = np.full_like(u, -sigma)
-    hi = np.full_like(u, sigma)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        cdf = (mid + sigma) / (2.0 * sigma) + np.sin(math.pi * mid / sigma) / (2.0 * math.pi)
-        below = cdf < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return model.gamma + 0.5 * (lo + hi)
+    """Inverse CDF by safeguarded Newton iteration on the closed-form CDF.
+
+    With ``t = pi (g' - gamma) / sigma`` the CDF is ``(t + pi + sin t) / 2 pi``.
+    From the nearer support edge, ``s = pi - |t|`` solves the increasing,
+    convex ``s - sin s = b = 2 pi min(u, 1 - u)`` (a Taylor series below 1
+    avoids cancellation, so precision holds up to the edges).  The cube-root
+    start ``c (1 + c^2 / 60)``, ``c = (6 b)^(1/3)``, is a lower bound and
+    ``(pi + b) / 2`` an upper one; three clipped Newton steps reach 2 ulp,
+    with bisection where the slope ``1 - cos s`` (the PDF) vanishes.
+    """
+    b = 2.0 * math.pi * np.minimum(u, 1.0 - u)
+    c = np.cbrt(6.0 * b)
+    s = lo = c * (1.0 + c * c / 60.0)
+    hi = np.minimum(0.5 * (math.pi + b), math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            f = s - np.sin(s)
+            small = s < 1.0
+            near = s[small]
+            f[small] = near**3 * np.polynomial.polynomial.polyval(near * near, _S_MINUS_SIN)
+            f -= b
+            lo = np.where(f < 0.0, s, lo)
+            hi = np.where(f < 0.0, hi, s)
+            step = s - f / (2.0 * np.sin(0.5 * s) ** 2)
+            s = np.where(np.isfinite(step), np.clip(step, lo, hi), 0.5 * (lo + hi))
+    t = np.where(u < 0.5, s - math.pi, math.pi - s)
+    return model.gamma + model.sigma * t / math.pi
 
 
 def damping_eta(sigma: float) -> float:
@@ -153,16 +168,6 @@ def averaged_detector_params(p: DetectorParams, model: CouplingModel) -> Detecto
     )
 
 
-def _uniform_block(seed: int, offset: int, count: int) -> np.ndarray:
-    """Uniform doubles ``offset .. offset+count`` of the seed's Philox stream."""
-    if offset % 4:
-        raise ValueError("stream offset must be a multiple of 4 words")
-    bit_gen = Philox(key=seed)
-    if offset:
-        bit_gen.advance(offset // 4)
-    return Generator(bit_gen).random(count)
-
-
 def _validate_seed(seed: int) -> int:
     seed = int(seed)
     if not (0 <= seed < 2**64):
@@ -170,58 +175,56 @@ def _validate_seed(seed: int) -> int:
     return seed
 
 
-def _events_from_codes(codes: np.ndarray, first_index: int = 0) -> list[EventRecord]:
-    det_codes = (codes // 2).tolist()
-    sys_codes = (codes % 2).tolist()
-    return [
-        EventRecord(_DET_BY_CODE[d], _SYS_BY_CODE[s], first_index + i)
-        for i, (d, s) in enumerate(zip(det_codes, sys_codes))
-    ]
+def _stream(seed: int, offset: int) -> Generator:
+    """Generator positioned at word ``offset`` of the seed's Philox stream."""
+    rng = Generator(Philox(key=seed).advance(offset // 4))
+    rng.random(offset % 4)
+    return rng
 
 
-def _codes_from_uniforms(uniforms: np.ndarray, flat_probs: np.ndarray) -> np.ndarray:
-    edges = np.cumsum(flat_probs)
-    codes = np.searchsorted(edges, uniforms, side="right")
-    return np.minimum(codes, 3)
+def _categories(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Codes by the right-side rule ``edge[k-1] <= u < edge[k]``.
+
+    ``probs`` is one flat joint table ``(4,)`` or one per uniform ``(m, 4)``;
+    ``edge`` is its cumulative sum.  A ``u`` at or past the last edge (which
+    rounding can leave below 1) goes to the last category of nonzero
+    probability, so no zero-probability category is ever returned.
+    """
+    edges = np.cumsum(probs, axis=-1)
+    codes = np.zeros(u.shape, dtype=np.uint8)
+    for k in range(4):
+        codes += edges[..., k] <= u
+    last = 3 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
+    return np.minimum(codes, np.asarray(last, dtype=np.uint8))
 
 
-def sample_events(stats: JointStatistics, n: int, seed: int) -> list[EventRecord]:
-    """``n`` i.i.d. draws from the 4-category joint drain distribution.
+def _sample_codes(n: int, seed: int, blocks: int, tables: Callable[..., np.ndarray]) -> np.ndarray:
+    """``n`` codes streamed in chunks of ``_CHUNK`` events.
 
-    Category order is the row-major flattening ``(D1,S1), (D1,S2),
-    (D2,S1), (D2,S2)``; each event consumes exactly one uniform double,
-    and the full sequence is a pure function of ``seed``.
+    Block ``j`` of ``blocks`` consecutive ``n``-uniform blocks starts at word
+    ``j n``; ``tables`` maps a chunk of every block but the last to joint
+    tables, and the last block picks the categories.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     seed = _validate_seed(seed)
-    uniforms = _uniform_block(seed, 0, n)
-    codes = _codes_from_uniforms(uniforms, stats.joint.ravel())
-    return _events_from_codes(codes)
+    streams = [_stream(seed, j * n) for j in range(blocks)]
+    codes = np.empty(n, dtype=np.uint8)
+    for start in range(0, n, _CHUNK):
+        count = min(_CHUNK, n - start)
+        *u_model, u_cat = (rng.random(count) for rng in streams)
+        codes[start:start + count] = _categories(u_cat, tables(*u_model))
+    return codes
 
 
-def sample_events_sharded(
-    stats: JointStatistics, n: int, seed: int, n_shards: int
-) -> list[EventRecord]:
-    """Shard-parallel form of :func:`sample_events`.
+def sample_events(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
+    """``n`` i.i.d. draws from the 4-category joint drain distribution.
 
-    Splits the event index range into contiguous shards whose stream
-    offsets are multiples of 4 words, so the merged result is identical to
-    the single-stream sample for every shard count.
+    Returns ``uint8`` codes ``2 d + s``; event ``i`` uses uniform double
+    ``i`` of the seed's stream, so the sequence is a pure function of ``seed``.
     """
-    if n_shards < 1:
-        raise ValueError("n_shards must be at least 1")
-    seed = _validate_seed(seed)
-    cuts = sorted({0, n} | {min(n, 4 * round(i * n / n_shards / 4.0)) for i in range(1, n_shards)})
     flat = stats.joint.ravel()
-    events: list[EventRecord] = []
-    for start, stop in zip(cuts[:-1], cuts[1:]):
-        if stop == start:
-            continue
-        uniforms = _uniform_block(seed, start, stop - start)
-        codes = _codes_from_uniforms(uniforms, flat)
-        events.extend(_events_from_codes(codes, first_index=start))
-    return events
+    return _sample_codes(n, seed, 1, lambda: flat)
 
 
 def sample_events_fluctuating(
@@ -230,37 +233,28 @@ def sample_events_fluctuating(
     model: CouplingModel,
     n: int,
     seed: int,
-) -> list[EventRecord]:
+) -> np.ndarray:
     """Validation-mode sampler that draws a coupling phase per event.
 
     Each event draws its own coupling phase from the raised-cosine
     distribution (point mass at ``gamma`` when ``sigma = 0``), replaces it
     by zero for unpaired emissions (probability ``1 - pair_probability``),
     and then samples the drain pair from the exact joint distribution at
-    that phase.  The stream consumes three uniform blocks of length ``n``
-    (phase, pairing, category) regardless of the model, so results are a
-    pure function of ``(seed, n)``.
+    that phase, as a ``uint8`` code ``2 d + s``.  The stream consumes three
+    uniform blocks of length ``n`` (phase, pairing, category) regardless of
+    the model, so results are a pure function of ``(seed, n)``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    seed = _validate_seed(seed)
-    rng = Generator(Philox(key=seed))
-    u_phase = rng.random(n)
-    u_pair = rng.random(n)
-    u_cat = rng.random(n)
-    if model.sigma > 0.0:
-        gammas = _raised_cosine_ppf(u_phase, model)
-    else:
-        gammas = np.full(n, model.gamma)
-    gammas = np.where(u_pair < model.pair_probability, gammas, 0.0)
-    tables = joint_probability_table(det, sys, gammas).reshape(n, 4)
-    edges = np.cumsum(tables, axis=1)
-    codes = np.minimum((u_cat[:, None] > edges).sum(axis=1), 3)
-    return _events_from_codes(codes)
+
+    def tables(u_phase: np.ndarray, u_pair: np.ndarray) -> np.ndarray:
+        gammas = _raised_cosine_ppf(u_phase, model) if model.sigma > 0.0 else model.gamma
+        gammas = np.where(u_pair < model.pair_probability, gammas, 0.0)
+        return joint_probability_table(det, sys, gammas).reshape(-1, 4)
+
+    return _sample_codes(n, seed, 3, tables)
 
 
 def contextual_estimate(
-    events: Sequence[EventRecord],
+    codes: np.ndarray,
     cv: ContextualValues,
     probabilities: tuple[float, float] | None = None,
     seed: int = 0,
@@ -269,8 +263,9 @@ def contextual_estimate(
 
     Parameters
     ----------
-    events : sequence of EventRecord
-        Recorded drain absorptions; only the detector drain enters.
+    codes : ndarray of uint8
+        Recorded drain absorptions as codes ``2 d + s``; only the detector
+        drain ``d`` enters.
     cv : ContextualValues
         Finite drain weights from :func:`~coupled_mzi.measurement.contextual_values`.
     probabilities : (P_D1, P_D2), optional
@@ -282,30 +277,32 @@ def contextual_estimate(
     Returns
     -------
     EstimateReport
-        With ``predicted_mse = (a1^2 P1 + a2^2 P2 - mean^2) / n`` and the
+        Each event's value is ``a1`` or ``a2``: with ``n2`` events in D2 and
+        ``n1 = n - n2``, the estimate is ``(a1 n1 + a2 n2) / n`` and the
+        sample variance ``n1 n2 (a2 - a1)^2 / (n (n - 1))``.  Also
+        ``predicted_mse = (a1^2 P1 + a2^2 P2 - mean^2) / n`` and the
         state-free bound ``(a1^2 + a2^2) / n``.
     """
-    n = len(events)
+    n = int(np.size(codes))
     if n == 0:
         raise ValueError("event list is empty")
-    if not (math.isfinite(cv.alpha_d1) and math.isfinite(cv.alpha_d2)):
+    a1, a2 = cv.alpha_d1, cv.alpha_d2
+    if not (math.isfinite(a1) and math.isfinite(a2)):
         raise AmbiguousMeasurementError(math.nan, math.nan, DIVERGENCE_THRESHOLD)
-    is_d2 = np.fromiter(
-        (ev.detector_drain is DetectorDrain.D2 for ev in events), dtype=bool, count=n
-    )
-    values = np.where(is_d2, cv.alpha_d2, cv.alpha_d1)
-    estimate = float(values.mean())
-    empirical = float(values.var(ddof=1) / n) if n > 1 else 0.0
+    n2 = int(np.count_nonzero(np.asarray(codes) >= 2))
+    n1 = n - n2
+    estimate = (a1 * n1 + a2 * n2) / n
+    empirical = n1 * n2 / (n * (n - 1)) * (a2 - a1) ** 2 / n if n > 1 else 0.0
     if probabilities is None:
-        p2 = float(is_d2.mean())
+        p2 = n2 / n
         p1 = 1.0 - p2
     else:
         p1, p2 = probabilities
         if abs(p1 + p2 - 1.0) > 1e-9:
             raise ValueError("drain probabilities must sum to 1")
-    mean_true = cv.alpha_d1 * p1 + cv.alpha_d2 * p2
-    predicted = max(0.0, (cv.alpha_d1**2 * p1 + cv.alpha_d2**2 * p2 - mean_true**2) / n)
-    upper = (cv.alpha_d1**2 + cv.alpha_d2**2) / n
+    mean_true = a1 * p1 + a2 * p2
+    predicted = max(0.0, (a1**2 * p1 + a2**2 * p2 - mean_true**2) / n)
+    upper = (a1**2 + a2**2) / n
     return EstimateReport(
         estimate=estimate,
         n=n,

@@ -52,6 +52,18 @@ class TestValidateConfig:
         assert code == 0
         assert out.startswith("ok")
 
+    @pytest.mark.parametrize("command", [
+        ["validate-config"],
+        ["scan", "--sweep", "gamma:0:pi:3", "--quantities", "P_D1"],
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "nan.conf"
+        path.write_text(MINIMAL.replace("system.phi = 0", "system.phi = 1e999 - 1e999"),
+                        encoding="utf-8")
+        code, _, err = run_cli([*command, "--config", str(path)], capsys)
+        assert code == 2
+        assert "not finite" in err
+
     def test_invalid(self, tmp_path, capsys):
         path = tmp_path / "bad.conf"
         path.write_text(MINIMAL + "detector.qpc1.theta = 0.1\n", encoding="utf-8")
@@ -243,6 +255,16 @@ class TestMontecarlo:
         )
         assert code == 3
         assert "ambiguous" in err.lower()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_is_config_error(self, config_path, capsys, seed):
+        code, out, err = run_cli(
+            ["montecarlo", "--config", config_path, "--n", "10", f"--seed={seed}"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err
 
     def test_fluctuating_coupling_runs(self, tmp_path, capsys):
         text = WEAK_VALUE_CONFIG + "coupling.sigma = pi/4\n"

@@ -33,7 +33,9 @@ class TestNumberEvaluation:
     def test_expressions(self, text, value):
         assert evaluate_number(text) == pytest.approx(value, rel=1e-15)
 
-    @pytest.mark.parametrize("bad", ["two", "pi**2", "__import__('os')", "1/0", "sin(1)"])
+    @pytest.mark.parametrize(
+        "bad", ["two", "pi**2", "__import__('os')", "1/0", "sin(1)", "1e999", "1e999 - 1e999"]
+    )
     def test_rejected_expressions(self, bad):
         with pytest.raises(ConfigError):
             evaluate_number(bad)
@@ -86,6 +88,11 @@ class TestLoadConfig:
     def test_parse_error_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             load_config_text("detector.qpc1.T = 0.5\nnot a pair\n")
+
+    def test_non_finite_value_reports_line(self):
+        text = MINIMAL.replace("system.phi = 0", "system.phi = 1e999 - 1e999")
+        with pytest.raises(ConfigError, match="line 8.*not finite"):
+            load_config_text(text)
 
     def test_qpc_phases(self):
         text = MINIMAL + "detector.qpc2.chi = pi/8\ndetector.qpc2.xi = -pi/8\n"

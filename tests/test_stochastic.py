@@ -1,13 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 from scipy.integrate import quad
 
 from coupled_mzi import (
     ContextualValues,
     CouplingModel,
-    EventRecord,
     ObservableCoefficients,
     ObservationBudget,
     averaged_detector_params,
@@ -16,14 +19,15 @@ from coupled_mzi import (
     damping_eta,
     detector_params,
     joint_amplitudes,
+    joint_probability_table,
     joint_statistics,
     observation_time,
     raised_cosine_pdf,
     sample_events,
     sample_events_fluctuating,
-    sample_events_sharded,
 )
-from coupled_mzi.params import DetectorDrain, SystemDrain
+from coupled_mzi import stochastic
+from coupled_mzi.params import DetectorDrain
 from conftest import balanced_mzi
 
 OBS = ObservableCoefficients()
@@ -54,6 +58,38 @@ class TestRaisedCosine:
     def test_degenerate_width_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             raised_cosine_pdf(1.0, CouplingModel(gamma=1.0, sigma=0.0))
+
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0, math.pi])
+    def test_newton_ppf_matches_bisection(self, sigma):
+        model = CouplingModel(gamma=1.3, sigma=sigma)
+        u = np.concatenate([np.linspace(0.0, 1.0, 10_001), [1e-300, 1.0 - 2.0**-53]])
+        # The bisection evaluates the CDF with an absolute error of ~1e-16,
+        # which moves its root by ~1e-16 / pdf: by up to ~5e-6 sigma within
+        # 1e-5 of a support edge.  There the root is s = (12 pi v)^(1/3) in
+        # s = pi - |t|, v = min(u, 1 - u), to a relative s^2 / 60 < 1e-11.
+        v = np.minimum(u, 1.0 - u)
+        edge = v < 1e-5
+        expected = bisection_ppf(u, model)
+        s = np.cbrt(12.0 * math.pi * v[edge])
+        expected[edge] = model.gamma + np.sign(u[edge] - 0.5) * sigma * (1.0 - s / math.pi)
+        assert edge.sum() == 4
+        got = stochastic._raised_cosine_ppf(u, model)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * sigma
+        assert np.all(np.diff(got[:10_001]) >= 0.0)
+
+
+def bisection_ppf(u: np.ndarray, model: CouplingModel) -> np.ndarray:
+    """The 60-step vectorized bisection the sampler used before its Newton solver."""
+    sigma = model.sigma
+    lo = np.full_like(u, -sigma)
+    hi = np.full_like(u, sigma)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        cdf = (mid + sigma) / (2.0 * sigma) + np.sin(math.pi * mid / sigma) / (2.0 * math.pi)
+        below = cdf < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return model.gamma + 0.5 * (lo + hi)
 
 
 class TestDampingEta:
@@ -156,6 +192,55 @@ def quarter_stats():
     return det, sysm, joint_statistics(joint_amplitudes(det, sysm, math.pi / 2))
 
 
+def d2_fraction(codes):
+    return float(np.count_nonzero(codes >= 2)) / codes.size
+
+
+def digest(codes):
+    return hashlib.sha256(codes.tobytes()).hexdigest()
+
+
+FLUCTUATING = CouplingModel(gamma=1.1, sigma=2.0, pair_probability=0.7)
+
+
+class TestCategoryRule:
+    ROWS = np.array([
+        [0.0, 0.5, 0.5, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.25, 0.0, 0.75, 0.0],
+        [0.7, 0.2, 0.1, 0.0],  # cumulative sum ends at 1 - 2**-53
+        [0.1, 0.2, 0.3, 0.4],
+    ])
+
+    def planted(self, probs):
+        edges = np.cumsum(probs)
+        below = np.nextafter(edges, 0.0)
+        return np.unique(np.clip(np.concatenate([[0.0, 1.0 - 2.0**-53], edges, below]), 0.0, 1.0 - 2.0**-53))
+
+    def test_never_returns_zero_probability(self):
+        assert np.cumsum(self.ROWS[4])[-1] == 1.0 - 2.0**-53
+        for probs in self.ROWS:
+            u = self.planted(probs)
+            single = stochastic._categories(u, probs)
+            per_row = stochastic._categories(u, np.tile(probs, (u.size, 1)))
+            assert single.dtype == per_row.dtype == np.uint8
+            assert np.array_equal(single, per_row)
+            assert np.all(probs[single] > 0.0)
+
+    def test_right_side_rule(self):
+        probs = self.ROWS[5]
+        edges = np.cumsum(probs)
+        u = np.concatenate([[0.0], edges[:3], np.nextafter(edges[:3], 0.0)])
+        got = stochastic._categories(u, probs)
+        assert got.tolist() == [0, 1, 2, 3, 0, 1, 2]
+
+    def test_mixed_rows(self):
+        u = np.full(len(self.ROWS), 1.0 - 2.0**-53)
+        got = stochastic._categories(u, self.ROWS)
+        assert got.tolist() == [2, 3, 0, 2, 2, 3]
+
+
 class TestSampleEvents:
     def test_deterministic_distribution(self):
         q_open_stats = joint_statistics(
@@ -166,44 +251,57 @@ class TestSampleEvents:
             )
         )
         # D1 is dark here; all mass sits on D2 rows
-        events = sample_events(q_open_stats, 500, seed=7)
-        assert all(ev.detector_drain is DetectorDrain.D2 for ev in events)
+        codes = sample_events(q_open_stats, 500, seed=7)
+        assert np.all(codes >= 2)
 
     def test_seed_reproducibility(self):
         _, _, stats = quarter_stats()
         a = sample_events(stats, 1000, seed=123)
         b = sample_events(stats, 1000, seed=123)
-        assert a == b
+        assert np.array_equal(a, b)
         c = sample_events(stats, 1000, seed=124)
-        assert a != c
+        assert not np.array_equal(a, c)
 
     def test_sequence_indices(self):
+        # event i is element i of one code array
         _, _, stats = quarter_stats()
-        events = sample_events(stats, 50, seed=5)
-        assert [ev.sequence_index for ev in events] == list(range(50))
+        codes = sample_events(stats, 50, seed=5)
+        assert codes.shape == (50,)
+        assert codes.dtype == np.uint8
+        assert codes.max() <= 3
 
     def test_uniform_frequencies_within_binomial_bounds(self):
         stats = joint_statistics(joint_amplitudes(balanced_mzi(0.0), balanced_mzi(0.0), math.pi))
         assert np.allclose(stats.joint, 0.25, atol=1e-12)
         n = 1_000_000
-        events = sample_events(stats, n, seed=20240817)
-        counts = np.zeros((2, 2))
-        for ev in events:
-            counts[ev.detector_drain.value, ev.system_drain.value] += 1
+        codes = sample_events(stats, n, seed=20240817)
+        counts = np.bincount(codes, minlength=4).reshape(2, 2)
         sigma = math.sqrt(n * 0.25 * 0.75)
         assert np.max(np.abs(counts - n * 0.25)) < 5 * sigma
 
-    @pytest.mark.parametrize("n_shards", [1, 2, 3, 5, 8])
-    def test_shard_invariance(self, n_shards):
+    def test_matches_single_block_stream_layout(self):
+        # event i is decided by uniform double i of the seed's Philox stream
+        _, _, stats = quarter_stats()
+        uniforms = Generator(Philox(key=99)).random(10_001)
+        expected = stochastic._categories(uniforms, stats.joint.ravel())
+        codes = sample_events(stats, 10_001, seed=99)
+        assert np.array_equal(codes, expected)
+        # codes drawn before the array-native sampler, over the same inputs
+        assert digest(codes) == "1255a1d0a41a04873477c9f647a338d4331ec1651c127170453086e6fa5c1cd5"
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 5, 4096])
+    def test_chunk_size_invariance(self, chunk, monkeypatch):
         _, _, stats = quarter_stats()
         canonical = sample_events(stats, 10_001, seed=99)
-        sharded = sample_events_sharded(stats, 10_001, seed=99, n_shards=n_shards)
-        assert canonical == sharded
+        monkeypatch.setattr(stochastic, "_CHUNK", chunk)
+        assert np.array_equal(sample_events(stats, 10_001, seed=99), canonical)
 
     def test_seed_validation(self):
         _, _, stats = quarter_stats()
         with pytest.raises(ValueError):
             sample_events(stats, 10, seed=-1)
+        with pytest.raises(ValueError):
+            sample_events(stats, 10, seed=2**64)
         with pytest.raises(ValueError):
             sample_events(stats, 0, seed=1)
 
@@ -212,8 +310,8 @@ class TestFluctuatingSampler:
     def test_matches_plain_sampler_statistics_at_zero_width(self):
         det, sysm, stats = quarter_stats()
         model = CouplingModel(gamma=math.pi / 2)
-        events = sample_events_fluctuating(det, sysm, model, 200_000, seed=31)
-        freq_d1 = np.mean([ev.detector_drain is DetectorDrain.D1 for ev in events])
+        codes = sample_events_fluctuating(det, sysm, model, 200_000, seed=31)
+        freq_d1 = 1.0 - d2_fraction(codes)
         assert freq_d1 == pytest.approx(stats.p_detector(DetectorDrain.D1), abs=0.005)
 
     def test_sampled_marginal_matches_exact_average(self):
@@ -229,26 +327,71 @@ class TestFluctuatingSampler:
         gamma_bar = damped.Gamma
         delta_bar = math.cos(det.tuning_phase) - gamma_bar
         p1 = 0.5 * (damped.beta_plus - damped.visibility * (delta_bar + sysm.qpc1.delta * gamma_bar))
-        events = sample_events_fluctuating(det, sysm, model, 400_000, seed=77)
-        freq = np.mean([ev.detector_drain is DetectorDrain.D1 for ev in events])
+        codes = sample_events_fluctuating(det, sysm, model, 400_000, seed=77)
+        freq = 1.0 - d2_fraction(codes)
         assert freq == pytest.approx(p1, abs=0.004)
 
     def test_unpaired_emission_behaves_like_zero_coupling(self):
         det = balanced_mzi(0.0)
         sysm = balanced_mzi(0.0)
         model = CouplingModel(gamma=math.pi, pair_probability=0.0)
-        events = sample_events_fluctuating(det, sysm, model, 50_000, seed=13)
+        codes = sample_events_fluctuating(det, sysm, model, 50_000, seed=13)
         # at gamma=0 with these tunings D1 is completely dark
-        assert all(ev.detector_drain is DetectorDrain.D2 for ev in events)
+        assert np.all(codes >= 2)
+
+    def test_matches_three_block_stream_layout(self):
+        # phase, pairing and category uniforms are consecutive n-blocks
+        det, sysm, _ = quarter_stats()
+        n = 10_001
+        u_phase, u_pair, u_cat = Generator(Philox(key=99)).random(3 * n).reshape(3, n)
+        gammas = np.where(u_pair < FLUCTUATING.pair_probability,
+                          bisection_ppf(u_phase, FLUCTUATING), 0.0)
+        tables = joint_probability_table(det, sysm, gammas).reshape(n, 4)
+        expected = stochastic._categories(u_cat, tables)
+        codes = sample_events_fluctuating(det, sysm, FLUCTUATING, n, seed=99)
+        assert codes.dtype == np.uint8
+        assert np.array_equal(codes, expected)
+        # codes drawn before the array-native sampler, over the same inputs
+        assert digest(codes) == "54b6269ca28eb66596129dc8138cd222c5f25e7f0d814630f48d4c24c6e7d3be"
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 5, 4096])
+    def test_chunk_size_invariance(self, chunk, monkeypatch):
+        det, sysm, _ = quarter_stats()
+        canonical = sample_events_fluctuating(det, sysm, FLUCTUATING, 10_001, seed=99)
+        monkeypatch.setattr(stochastic, "_CHUNK", chunk)
+        chunked = sample_events_fluctuating(det, sysm, FLUCTUATING, 10_001, seed=99)
+        assert np.array_equal(chunked, canonical)
 
 
 class TestContextualEstimate:
     def test_single_drain_events(self):
         cv = ContextualValues(-1.0, 1.0, OBS)
-        events = [EventRecord(DetectorDrain.D2, SystemDrain.S1, i) for i in range(8)]
-        report = contextual_estimate(events, cv)
+        report = contextual_estimate(np.full(8, 2, dtype=np.uint8), cv)
         assert report.estimate == 1.0
         assert report.empirical_variance == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        codes=st.lists(st.integers(0, 3), min_size=1, max_size=3000),
+        a1=st.floats(-1e3, 1e3),
+        a2=st.floats(-1e3, 1e3),
+    )
+    def test_counts_match_per_event_values(self, codes, a1, a2):
+        # numpy's two-pass variance loses relative precision when the two
+        # values nearly coincide, so the oracle is kept where it holds
+        scale = max(abs(a1), abs(a2), 1e-300)
+        separated = abs(a2 - a1) >= 1e-3 * scale
+        codes = np.array(codes, dtype=np.uint8)
+        n = codes.size
+        values = np.where(codes >= 2, a2, a1)
+        report = contextual_estimate(codes, ContextualValues(a1, a2, OBS))
+        assert report.n == n
+        assert abs(report.estimate - values.mean()) <= 1e-12 * scale
+        if n == 1:
+            assert report.empirical_variance == 0.0
+        elif separated:
+            expected = values.var(ddof=1) / n
+            assert report.empirical_variance == pytest.approx(expected, rel=1e-12, abs=1e-24 * scale**2)
 
     def test_estimate_converges_to_path_bias(self):
         det, sysm, stats = quarter_stats()
@@ -296,13 +439,13 @@ class TestContextualEstimate:
             p1 = rng.uniform(0, 1)
             a1, a2 = rng.uniform(-5, 5, size=2)
             cv = ContextualValues(a1, a2, OBS)
-            events = [EventRecord(DetectorDrain.D1, SystemDrain.S1, 0)]
+            events = np.zeros(1, dtype=np.uint8)
             report = contextual_estimate(events, cv, probabilities=(p1, 1 - p1))
             assert report.predicted_mse <= report.mse_upper_bound + 1e-15
 
     def test_empty_events_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            contextual_estimate([], ContextualValues(-1.0, 1.0, OBS))
+            contextual_estimate(np.empty(0, dtype=np.uint8), ContextualValues(-1.0, 1.0, OBS))
 
     def test_unbiasedness_over_seeded_runs(self):
         det, sysm, stats = quarter_stats()
