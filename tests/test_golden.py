@@ -1,0 +1,212 @@
+"""CLI output against golden CSVs.
+
+Each case in ``golden/cases.json`` is one CLI invocation (config paths
+relative to the repository root) with its exit code and, on success, its
+output in ``golden/<name>.csv``.  Headers, row counts, ``inf-ambiguous``
+tokens and exit codes must match exactly.  Numbers must agree within
+``1e-12 * scale``: ``max(1, |alpha|) / min(1, |V Gamma|)`` for ``alpha_*``
+and ``cond_avg_*``, ``1 / P(Y)`` for a conditional ``P(X|Y)``, the
+prefactor ``2 e^3 V / h`` for noise power, ``max(1, |value|)`` for sweep
+columns and name/value rows, and 1 for the other probabilities.
+
+The goldens were captured from the per-point implementation of ``scan``
+and ``erasure``.  Regenerate them only for an intended change of answers:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import json
+import math
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from coupled_mzi import (
+    AmbiguousMeasurementError,
+    averaged_detector_params,
+    contextual_values,
+    detector_params,
+    joint_probability_table,
+    load_config,
+    qpc_from_transmission,
+)
+from coupled_mzi.cli import main
+from coupled_mzi.scattering import ELEMENTARY_CHARGE, PLANCK_CONSTANT
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MANIFEST = GOLDEN / "cases.json"
+TOKEN = "inf-ambiguous"
+
+OWN_CONFIG = "tests/golden/unbalanced.conf"
+GROUPS = {
+    "marginals": "P_D1,P_D2,P_S1,P_S2",
+    "joint": "P_D1S1,P_D1S2,P_D2S1,P_D2S2",
+    "conditionals": "P_D1_given_S1,P_D2_given_S1,P_D1_given_S2,P_D2_given_S2,"
+                    "P_S1_given_D1,P_S2_given_D1,P_S1_given_D2,P_S2_given_D2",
+    "measurement": "alpha_D1,alpha_D2,cond_avg_S1,cond_avg_S2",
+    "scalars": "concurrence,eta",
+    "noise": "S_D1S1,S_D1S2,S_D2S1,S_D2S2",
+}
+RANGES = {"gamma": "0:2*pi", "phi_d": "-pi:pi", "phi_s": "0:2*pi", "delta_s1": "-1:1"}
+
+
+def cases() -> dict[str, list[str]]:
+    """Every golden invocation by name: the README recipes (Monte Carlo
+    excepted: its bytes are pinned by digests in ``test_stochastic``), one
+    21-point scan per quantity group and sweep parameter on the test's own
+    config, and its erasure, povm and interaction-phase output."""
+    ambiguous = "configs/ambiguous_measurement.conf"
+    strong = "configs/strong_measurement.conf"
+    out = {
+        "readme_alpha_gamma": ["scan", "--config", ambiguous, "--sweep", "gamma:0:2*pi:201",
+                               "--quantities", "alpha_D1,alpha_D2"],
+        "readme_p_d1_phi_d": ["scan", "--config", strong, "--sweep", "phi_d:0:2*pi:201",
+                              "--quantities", "P_D1"],
+        "readme_delta_s1": ["scan", "--config", strong, "--sweep", "delta_s1:-1:1:81",
+                            "--quantities", "P_D1,P_D1S1,concurrence"],
+        "readme_erasure": ["erasure", "--config", "configs/erasure.conf",
+                           "--sweep", "phi_s:0:2*pi:201"],
+        "readme_cond_avg_gamma": ["scan", "--config", strong, "--sweep", "gamma:0.05:pi:64",
+                                  "--quantities", "cond_avg_S1,cond_avg_S2"],
+        "readme_eta_sigma": ["scan", "--config", ambiguous, "--sweep", "sigma:0:pi:101",
+                             "--quantities", "eta"],
+    }
+    for group, names in GROUPS.items():
+        for parameter, bounds in RANGES.items():
+            out[f"{group}_{parameter}"] = ["scan", "--config", OWN_CONFIG, "--sweep",
+                                           f"{parameter}:{bounds}:21", "--quantities", names]
+    out["eta_sigma"] = ["scan", "--config", OWN_CONFIG, "--sweep", "sigma:0:pi:21",
+                        "--quantities", "eta"]
+    out["erasure"] = ["erasure", "--config", OWN_CONFIG, "--sweep", "phi_s:-pi:pi:21"]
+    out["erasure_descending"] = ["erasure", "--config", OWN_CONFIG, "--sweep", "phi_s:pi:-1:21"]
+    out["povm"] = ["povm", "--config", OWN_CONFIG]
+    out["interaction_phase"] = ["interaction-phase", "--config", OWN_CONFIG]
+    return out
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one invocation, config paths made absolute."""
+    argv = [str(ROOT / a) if prev == "--config" else a for prev, a in zip([""] + argv, argv)]
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, buffer.getvalue()
+
+
+def capture() -> None:
+    manifest = {}
+    for name, argv in cases().items():
+        code, out = run(argv)
+        manifest[name] = {"argv": argv, "exit": code}
+        if code == 0:
+            (GOLDEN / f"{name}.csv").write_text(out, encoding="utf-8", newline="")
+    MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+
+
+# ----------------------------------------------------------------- scales
+
+
+def _point(config, parameter: str, value: float):
+    """The experiment at one sweep value."""
+    if parameter in ("gamma", "sigma"):
+        return replace(config, coupling=replace(config.coupling, **{parameter: value}))
+    if parameter == "phi_d":
+        return replace(config, detector=replace(config.detector, tuning_phase=value))
+    if parameter == "phi_s":
+        return replace(config, system=replace(config.system, tuning_phase=value))
+    q = config.system.qpc1
+    qpc1 = qpc_from_transmission((1.0 + value) / 2.0, chi=q.chi, xi=q.xi)
+    return replace(config, system=replace(config.system, qpc1=qpc1))
+
+
+def _alpha_scale(point, damped: bool) -> float:
+    p = detector_params(point.detector, point.coupling.gamma)
+    if damped:
+        p = averaged_detector_params(p, point.coupling)
+    try:
+        cv = contextual_values(point.observable, p)
+    except AmbiguousMeasurementError:
+        return math.inf
+    return max(1.0, abs(cv.alpha_d1), abs(cv.alpha_d2)) / min(1.0, abs(p.visibility * p.Gamma))
+
+
+def scale(name: str, point) -> float:
+    """Tolerance scale of column ``name`` at one experiment point."""
+    if name.startswith("alpha_"):
+        return _alpha_scale(point, damped=True)
+    if name.startswith("cond_avg_"):
+        return _alpha_scale(point, damped=False)
+    if "_given_" in name:
+        table = joint_probability_table(point.detector, point.system, point.coupling.gamma)
+        drain = name[-2:]
+        marginal = table.sum(axis=1 if drain[0] == "D" else 0)[int(drain[1]) - 1]
+        return 1.0 / marginal
+    if name.startswith("S_D"):
+        return 2.0 * ELEMENTARY_CHARGE**3 * point.bias.bias_voltage / PLANCK_CONSTANT
+    return 1.0
+
+
+# ------------------------------------------------------------------ tests
+
+
+def _manifest() -> dict:
+    return json.loads(MANIFEST.read_text(encoding="utf-8"))
+
+
+def _read(text: str) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(text)))
+
+
+def _compare(where: str, got: str, want: str, tolerance: float) -> None:
+    if TOKEN in (got, want):
+        assert got == want, f"{where}: {got!r}, expected {want!r}"
+        return
+    assert abs(float(got) - float(want)) <= tolerance, (
+        f"{where}: {got} differs from {want} by more than {tolerance:.3g}")
+
+
+@pytest.mark.parametrize("name", sorted(cases()))
+def test_matches_golden(name):
+    case = _manifest()[name]
+    argv = case["argv"]
+    code, out = run(argv)
+    assert code == case["exit"]
+    if code != 0:
+        return
+    got, want = _read(out), _read((GOLDEN / f"{name}.csv").read_text(encoding="utf-8"))
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    config = load_config(str(ROOT / argv[argv.index("--config") + 1]))
+    if want[0] == ["quantity", "value"]:
+        for (key, value), (want_key, want_value) in zip(got[1:], want[1:]):
+            assert key == want_key
+            s = _alpha_scale(config, True) if key.startswith("alpha_") else \
+                max(1.0, abs(float(want_value)))
+            _compare(key, value, want_value, 1e-12 * s)
+        return
+    parameter = want[0][0]
+    for i, (row, want_row) in enumerate(zip(got[1:], want[1:])):
+        assert len(row) == len(want_row)
+        value = float(want_row[0])
+        _compare(f"row {i} {parameter}", row[0], want_row[0], 1e-12 * max(1.0, abs(value)))
+        point = _point(config, parameter, value)
+        for column, cell, want_cell in zip(want[0][1:], row[1:], want_row[1:]):
+            _compare(f"row {i} {column}", cell, want_cell, 1e-12 * scale(column, point))
+
+
+def test_manifest_lists_every_case():
+    assert sorted(_manifest()) == sorted(cases())
+    for name, argv in cases().items():
+        assert _manifest()[name]["argv"] == argv
+
+
+if __name__ == "__main__":
+    sys.exit(capture())
