@@ -79,6 +79,7 @@ from .scattering import (
     average_current,
     concurrence,
     cross_noise_power,
+    joint_amplitude_table,
     joint_amplitudes,
     joint_probability_table,
     joint_statistics,

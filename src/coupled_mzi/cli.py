@@ -23,12 +23,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
-from dataclasses import replace
+from collections.abc import Callable
+from functools import cached_property
 
 import numpy as np
 
-from .conditioning import conditional_table, conditioned_average
+from .conditioning import _conditioned_average, _post_select
 from .config import ExperimentConfig, ScanSpec, evaluate_number, load_config
 from .errors import (
     AmbiguousMeasurementError,
@@ -37,22 +39,27 @@ from .errors import (
     PostSelectionImpossibleError,
 )
 from .interaction import coupling_phase, dynamical_phase
-from .measurement import contextual_values, measurement_operators, povm_pair
-from .params import (
-    DetectorDrain,
-    InterferometerConfig,
-    SystemDrain,
-    detector_params,
-    qpc_from_transmission,
+from .measurement import (
+    DIVERGENCE_THRESHOLD,
+    _weights,
+    contextual_values,
+    measurement_operators,
+    povm_pair,
 )
+from .params import DetectorDrain, SystemDrain, _epsilon, _fringe_terms, detector_params
 from .scattering import (
     ELEMENTARY_CHARGE,
-    cross_noise_power,
+    _check_joint,
+    _check_low_bias_regime,
+    _concurrence,
+    _noise_table,
+    _probabilities,
+    joint_amplitude_table,
     joint_amplitudes,
     joint_statistics,
 )
-from .scattering import concurrence as concurrence_scalar
 from .stochastic import (
+    _eta,
     averaged_detector_params,
     contextual_estimate,
     damping_eta,
@@ -63,146 +70,164 @@ from .stochastic import (
 
 AMBIGUOUS_TOKEN = "inf-ambiguous"
 
-_JOINT = {"P_D1S1": (0, 0), "P_D1S2": (0, 1), "P_D2S1": (1, 0), "P_D2S2": (1, 1)}
-_COND_D_GIVEN_S = {
-    "P_D1_given_S1": (0, 0), "P_D2_given_S1": (1, 0),
-    "P_D1_given_S2": (0, 1), "P_D2_given_S2": (1, 1),
-}
-_COND_S_GIVEN_D = {
-    "P_S1_given_D1": (0, 0), "P_S2_given_D1": (0, 1),
-    "P_S1_given_D2": (1, 0), "P_S2_given_D2": (1, 1),
-}
-_NOISE = {"S_D1S1": (0, 0), "S_D1S2": (0, 1), "S_D2S1": (1, 0), "S_D2S2": (1, 1)}
-
-QUANTITIES = (
-    "P_D1", "P_D2", "P_S1", "P_S2",
-    *(_JOINT), *(_COND_D_GIVEN_S), *(_COND_S_GIVEN_D),
-    "alpha_D1", "alpha_D2", "cond_avg_S1", "cond_avg_S2",
-    "concurrence", "eta", *(_NOISE),
-)
-
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _evaluate_quantities(config: ExperimentConfig, names: tuple[str, ...]) -> dict[str, str]:
-    """One row of requested quantities for a fixed configuration.
+def _cells(values: np.ndarray) -> list[str]:
+    """17-digit cells of one column; NaN is the ``inf-ambiguous`` token."""
+    return [AMBIGUOUS_TOKEN if math.isnan(x) else format(x, ".17g") for x in values.tolist()]
 
-    Probability, conditional, noise, and conditioned-average columns are
-    evaluated through the exact pipeline at the mean coupling phase; the
-    ``alpha`` columns apply the fluctuation damping of the coupling model,
-    and ``eta`` reports the damping factor itself.
+
+def _csv(header: list[str], rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+class _Grid:
+    """One experiment over a whole sweep grid: broadcast arrays of the five
+    sweepable parameters (``t_s1 = (1 + delta_s1) / 2`` is ``None`` unless
+    swept) and the statistics derived from them.  ``required`` collects,
+    per drain, where a column divides by that drain's marginal."""
+
+    def __init__(self, config: ExperimentConfig, parameter: str, grid: np.ndarray):
+        self.config, self.required = config, {}
+        det, system, coupling = config.detector, config.system, config.coupling
+        values = {"gamma": coupling.gamma, "phi_d": det.tuning_phase,
+                  "phi_s": system.tuning_phase, "sigma": coupling.sigma, parameter: grid}
+        self.gamma, self.phi_d, self.phi_s, self.sigma = (
+            np.broadcast_to(values[k], grid.shape) for k in ("gamma", "phi_d", "phi_s", "sigma")
+        )
+        self.t_s1 = (1.0 + grid) / 2.0 if parameter == "delta_s1" else None
+
+    @cached_property
+    def joint(self) -> np.ndarray:
+        det, system = self.config.detector, self.config.system
+        c = joint_amplitude_table(det, system, self.gamma, self.phi_d, self.phi_s, self.t_s1)
+        joint = _probabilities(c)
+        _check_joint(joint)
+        return joint
+
+    def marginal(self, drain: DetectorDrain | SystemDrain) -> np.ndarray:
+        return self.joint.sum(axis=-1 if isinstance(drain, DetectorDrain) else -2)[:, drain.value]
+
+    def given(self, drain: DetectorDrain | SystemDrain, where=True) -> np.ndarray:
+        """The marginal a column divides by, required above 1e-12 ``where``."""
+        self.required[drain] = self.required.get(drain, False) | where
+        return self.marginal(drain)
+
+    def alphas(self, damped: bool) -> list[np.ndarray]:
+        """Contextual values, NaN where ``|V Gamma|`` is at the divergence threshold."""
+        det = self.config.detector
+        terms = _fringe_terms(det.qpc1, det.qpc2, self.phi_d, self.gamma, 1.0)
+        terms = terms._make(np.broadcast_arrays(*terms))  # divide as arrays where V = 0
+        if damped:
+            eta_prime = self.config.coupling.pair_probability * _eta(self.sigma)
+            terms = terms._replace(Gamma=eta_prime * terms.Gamma)
+        ambiguous = np.abs(terms.visibility * terms.Gamma) <= DIVERGENCE_THRESHOLD
+        return [np.where(ambiguous, np.nan, w) for w in _weights(self.config.observable, terms)]
+
+    def conditioned(self, s: SystemDrain) -> np.ndarray:
+        # ambiguity first: an inf-ambiguous point needs no post-selection
+        alpha_d1, alpha_d2 = self.alphas(damped=False)
+        p_s = self.given(s, where=~np.isnan(alpha_d1))
+        return _conditioned_average(alpha_d1, alpha_d2, self.joint, p_s, s.value)
+
+    @cached_property
+    def noise(self) -> np.ndarray:
+        _check_low_bias_regime(self.config.bias)
+        joint = self.joint
+        return _noise_table(joint, joint.sum(axis=-1), joint.sum(axis=-2), self.config.bias)
+
+    def concurrence(self) -> np.ndarray:
+        q1, t = self.config.system.qpc1, self.t_s1
+        epsilon_s1 = q1.epsilon if t is None else _epsilon(t, 1.0 - t)
+        return _concurrence(self.config.detector.qpc1.epsilon, epsilon_s1, self.gamma)
+
+
+_D, _S = tuple(DetectorDrain), tuple(SystemDrain)
+_PAIRS = tuple((d, s) for d in _D for s in _S)
+
+_QUANTITIES: dict[str, Callable[[_Grid], np.ndarray]] = {
+    **{f"P_{x.name}": (lambda g, x=x: g.marginal(x)) for x in (*_D, *_S)},
+    **{f"P_{d.name}{s.name}": (lambda g, d=d, s=s: g.joint[:, d.value, s.value])
+       for d, s in _PAIRS},
+    **{f"P_{d.name}_given_{s.name}": (lambda g, d=d, s=s: g.joint[:, d.value, s.value] / g.given(s))
+       for s in _S for d in _D},
+    **{f"P_{s.name}_given_{d.name}": (lambda g, d=d, s=s: g.joint[:, d.value, s.value] / g.given(d))
+       for d, s in _PAIRS},
+    **{f"alpha_{d.name}": (lambda g, d=d: g.alphas(damped=True)[d.value]) for d in _D},
+    **{f"cond_avg_{s.name}": (lambda g, s=s: g.conditioned(s)) for s in _S},
+    "concurrence": _Grid.concurrence,
+    "eta": lambda g: _eta(g.sigma),
+    **{f"S_{d.name}{s.name}": (lambda g, d=d, s=s: g.noise[:, d.value, s.value])
+       for d, s in _PAIRS},
+}
+"""Scan columns by name.  Probability, conditional, noise and
+conditioned-average columns come from the exact pipeline at the mean
+coupling phase; the ``alpha`` columns apply the fluctuation damping of the
+coupling model, and ``eta`` reports the damping factor itself."""
+
+QUANTITIES = tuple(_QUANTITIES)
+
+# exact domains, as CouplingModel and qpc_from_transmission enforce them
+_DOMAINS = {"gamma": (0.0, 2.0 * math.pi), "sigma": (0.0, math.pi), "delta_s1": (-1.0, 1.0)}
+
+
+def _evaluate(config: ExperimentConfig, parameter: str, grid: np.ndarray,
+              names: tuple[str, ...]) -> str:
+    """CSV of the named quantities over a grid of one sweep parameter.
+
+    Every marginal a column divides by must exceed 1e-12 wherever that
+    column is defined.
     """
-    det, system, coupling = config.detector, config.system, config.coupling
-    gamma = coupling.gamma
-    out: dict[str, str] = {}
-    need = set(names)
-
-    needs_stats = need & ({"P_D1", "P_D2", "P_S1", "P_S2"} | set(_JOINT) | set(_NOISE)
-                          | set(_COND_D_GIVEN_S) | set(_COND_S_GIVEN_D))
-    stats = joint_statistics(joint_amplitudes(det, system, gamma)) if needs_stats else None
-
-    if stats is not None:
-        for name, drain in (("P_D1", DetectorDrain.D1), ("P_D2", DetectorDrain.D2)):
-            if name in need:
-                out[name] = _fmt(stats.p_detector(drain))
-        for name, drain in (("P_S1", SystemDrain.S1), ("P_S2", SystemDrain.S2)):
-            if name in need:
-                out[name] = _fmt(stats.p_system(drain))
-        for name, (i, j) in _JOINT.items():
-            if name in need:
-                out[name] = _fmt(stats.joint[i, j])
-        if need & (set(_COND_D_GIVEN_S) | set(_COND_S_GIVEN_D)):
-            table = conditional_table(stats)
-            for name, (i, j) in _COND_D_GIVEN_S.items():
-                if name in need:
-                    out[name] = _fmt(table.p_detector_given_system[i, j])
-            for name, (i, j) in _COND_S_GIVEN_D.items():
-                if name in need:
-                    out[name] = _fmt(table.p_system_given_detector[i, j])
-        if need & set(_NOISE):
-            if config.bias is None:
-                raise ConfigError("noise quantities need a bias section in the config")
-            for name, (i, j) in _NOISE.items():
-                if name in need:
-                    value = cross_noise_power(
-                        stats, DetectorDrain(i), SystemDrain(j), config.bias
-                    )
-                    out[name] = _fmt(value)
-
-    if need & {"alpha_D1", "alpha_D2"}:
-        damped = averaged_detector_params(detector_params(det, gamma), coupling)
-        try:
-            cv = contextual_values(config.observable, damped)
-            alpha = {"alpha_D1": _fmt(cv.alpha_d1), "alpha_D2": _fmt(cv.alpha_d2)}
-        except AmbiguousMeasurementError:
-            alpha = {"alpha_D1": AMBIGUOUS_TOKEN, "alpha_D2": AMBIGUOUS_TOKEN}
-        for name in ("alpha_D1", "alpha_D2"):
-            if name in need:
-                out[name] = alpha[name]
-
-    for name, drain in (("cond_avg_S1", SystemDrain.S1), ("cond_avg_S2", SystemDrain.S2)):
-        if name in need:
-            try:
-                avg = conditioned_average(det, system, gamma, drain, config.observable)
-                out[name] = _fmt(avg.value)
-            except AmbiguousMeasurementError:
-                out[name] = AMBIGUOUS_TOKEN
-
-    if "concurrence" in need:
-        out["concurrence"] = _fmt(concurrence_scalar(det.qpc1, system.qpc1, gamma))
-    if "eta" in need:
-        out["eta"] = _fmt(damping_eta(coupling.sigma))
-    return out
+    if any(name.startswith("S_") for name in names) and config.bias is None:
+        raise ConfigError("noise quantities need a bias section in the config")
+    g = _Grid(config, parameter, grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        columns = [_QUANTITIES[name](g) for name in names]
+    _post_select({
+        drain: np.where(g.required[drain], g.marginal(drain), np.inf)
+        for drain in (*_D, *_S) if drain in g.required
+    })
+    return _csv([parameter, *names], zip(*map(_cells, [grid, *columns])))
 
 
-def _apply_sweep(config: ExperimentConfig, parameter: str, value: float) -> ExperimentConfig:
-    if parameter == "gamma":
-        return replace(config, coupling=replace(config.coupling, gamma=value))
-    if parameter == "sigma":
-        return replace(config, coupling=replace(config.coupling, sigma=value))
-    if parameter == "phi_d":
-        return replace(config, detector=replace(config.detector, tuning_phase=value))
-    if parameter == "phi_s":
-        return replace(config, system=replace(config.system, tuning_phase=value))
-    if parameter == "delta_s1":
-        qpc1 = config.system.qpc1
-        swapped = qpc_from_transmission((1.0 + value) / 2.0, chi=qpc1.chi, xi=qpc1.xi)
-        return replace(config, system=replace(config.system, qpc1=swapped))
-    raise ConfigError(f"unknown sweep parameter {parameter!r}")
-
-
-def _validate_grid(spec: ScanSpec) -> None:
-    bounds = {"gamma": (0.0, 2.0 * np.pi), "sigma": (0.0, np.pi), "delta_s1": (-1.0, 1.0)}
-    if spec.parameter in bounds:
-        lo, hi = bounds[spec.parameter]
-        if spec.minimum < lo - 1e-12 or spec.maximum > hi + 1e-12:
-            raise ConfigError(
-                f"sweep range [{spec.minimum}, {spec.maximum}] outside the valid "
-                f"domain [{lo}, {hi}] of {spec.parameter}"
-            )
+def _grid(minimum: float, maximum: float, count: int) -> np.ndarray:
+    grid = np.linspace(minimum, maximum, count)
+    # clamp endpoint rounding so domain-validated values stay in range
+    grid[0], grid[-1] = minimum, maximum
+    return grid
 
 
 def run_scan(spec: ScanSpec) -> str:
     """CSV document for a one-parameter scan; rows follow grid order."""
     for name in spec.quantities:
-        if name not in QUANTITIES:
+        if name not in _QUANTITIES:
             raise ConfigError(
                 f"unknown quantity {name!r}; choose from {', '.join(QUANTITIES)}"
             )
-    _validate_grid(spec)
-    grid = np.linspace(spec.minimum, spec.maximum, spec.count)
-    # clamp endpoint rounding so domain-validated values stay in range
-    grid[0], grid[-1] = spec.minimum, spec.maximum
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([spec.parameter, *spec.quantities])
-    for value in grid:
-        point = _apply_sweep(spec.config, spec.parameter, float(value))
-        row = _evaluate_quantities(point, spec.quantities)
-        writer.writerow([_fmt(value), *(row[name] for name in spec.quantities)])
-    return buffer.getvalue()
+    lo, hi = _DOMAINS.get(spec.parameter, (-math.inf, math.inf))
+    if spec.minimum < lo or spec.maximum > hi:
+        raise ConfigError(
+            f"sweep range [{spec.minimum}, {spec.maximum}] outside the valid "
+            f"domain [{lo}, {hi}] of {spec.parameter}"
+        )
+    grid = _grid(spec.minimum, spec.maximum, spec.count)
+    return _evaluate(spec.config, spec.parameter, grid, spec.quantities)
+
+
+def run_erasure(config: ExperimentConfig, minimum: float, maximum: float, count: int) -> str:
+    """CSV of unconditioned and conditional system fringes over phi_s.
+
+    The bounds may come in either order.
+    """
+    grid = _grid(minimum, maximum, count)
+    return _evaluate(config, "phi_s", grid, ("P_S1", "P_S1_given_D1", "P_S1_given_D2"))
 
 
 def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
@@ -240,11 +265,7 @@ def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
             _fmt(observation_time(cv, config.budget)),
             _fmt((cv.alpha_d1**2 + cv.alpha_d2**2) / config.budget.target_rms**2),
         ]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerow(row)
-    return buffer.getvalue()
+    return _csv(header, [row])
 
 
 def run_povm(config: ExperimentConfig) -> str:
@@ -272,31 +293,7 @@ def run_povm(config: ExperimentConfig) -> str:
         rows += [("alpha_D1", _fmt(cv.alpha_d1)), ("alpha_D2", _fmt(cv.alpha_d2))]
     except AmbiguousMeasurementError:
         rows += [("alpha_D1", AMBIGUOUS_TOKEN), ("alpha_D2", AMBIGUOUS_TOKEN)]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["quantity", "value"])
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def run_erasure(config: ExperimentConfig, minimum: float, maximum: float, count: int) -> str:
-    """CSV of unconditioned and conditional system fringes over phi_s."""
-    det, system, coupling = config.detector, config.system, config.coupling
-    grid = np.linspace(minimum, maximum, count)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["phi_s", "P_S1", "P_S1_given_D1", "P_S1_given_D2"])
-    for phi_s in grid:
-        swept = InterferometerConfig(system.qpc1, system.qpc2, float(phi_s))
-        stats = joint_statistics(joint_amplitudes(det, swept, coupling.gamma))
-        table = conditional_table(stats)
-        writer.writerow([
-            _fmt(phi_s),
-            _fmt(stats.p_system(SystemDrain.S1)),
-            _fmt(table.p_system_given_detector[0, 0]),
-            _fmt(table.p_system_given_detector[1, 0]),
-        ])
-    return buffer.getvalue()
+    return _csv(["quantity", "value"], rows)
 
 
 def run_interaction_phase(config: ExperimentConfig) -> str:
@@ -315,11 +312,7 @@ def run_interaction_phase(config: ExperimentConfig) -> str:
             ("dynamical_phase_single", _fmt(single)),
             ("dynamical_phase_pair", _fmt(2.0 * single)),
         ]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["quantity", "value"])
-    writer.writerows(rows)
-    return buffer.getvalue()
+    return _csv(["quantity", "value"], rows)
 
 
 def _parse_sweep_flag(text: str) -> tuple[str, float, float, int]:

@@ -27,7 +27,14 @@ from .params import (
     joint_interference_params,
     system_params,
 )
-from .scattering import JointStatistics, joint_amplitudes, joint_statistics
+from .scattering import (
+    JointStatistics,
+    _check_joint,
+    _probabilities,
+    joint_amplitude_table,
+    joint_amplitudes,
+    joint_statistics,
+)
 
 _MARGINAL_THRESHOLD = 1e-12
 
@@ -63,6 +70,21 @@ class ConditionalTable:
         object.__setattr__(self, "p_system_given_detector", ps_d)
 
 
+def _post_select(marginals: dict) -> None:
+    """Require every marginal, a scalar or an array over a grid (``inf``
+    where unchecked) keyed by drain in checking order, to exceed 1e-12;
+    the error names the first failing drain at the first failing point."""
+    drains = list(marginals)
+    if not drains:
+        return
+    p = np.stack(np.broadcast_arrays(*(np.atleast_1d(marginals[d]) for d in drains)), axis=-1)
+    vanishing = p <= _MARGINAL_THRESHOLD
+    if vanishing.any():
+        point = int(np.argmax(vanishing.any(axis=-1)))
+        k = int(np.argmax(vanishing[point]))
+        raise PostSelectionImpossibleError(drains[k].name, float(p[point, k]))
+
+
 def conditional_table(stats: JointStatistics) -> ConditionalTable:
     """Both conditional probability tables from joint statistics.
 
@@ -72,12 +94,8 @@ def conditional_table(stats: JointStatistics) -> ConditionalTable:
         If any drain marginal is numerically zero (below 1e-12), naming
         the offending drain.
     """
-    for d in DetectorDrain:
-        if stats.p_detector(d) <= _MARGINAL_THRESHOLD:
-            raise PostSelectionImpossibleError(d.name, stats.p_detector(d))
-    for s in SystemDrain:
-        if stats.p_system(s) <= _MARGINAL_THRESHOLD:
-            raise PostSelectionImpossibleError(s.name, stats.p_system(s))
+    _post_select({d: stats.p_detector(d) for d in DetectorDrain}
+                 | {s: stats.p_system(s) for s in SystemDrain})
     return ConditionalTable(
         p_detector_given_system=stats.joint / stats.system_marginals[np.newaxis, :],
         p_system_given_detector=stats.joint / stats.detector_marginals[:, np.newaxis],
@@ -93,23 +111,24 @@ def erasure_curve(
 ) -> list[tuple[float, float]]:
     """Conditional probability ``P(S1 | condition)`` along a system-phase sweep.
 
-    ``sys`` provides the system QPCs; its tuning phase is replaced by each
-    sweep value in turn.  At strong coupling with fully visible
-    interferometers the recovered fringe has visibility ``|sin(phi_d)|``
-    and sits a quarter period away from the uncoupled fringe; the
-    unconditioned ``P(S1)`` stays flat.  Points are returned in input
-    order (each point is independent of the others).
+    ``sys`` provides the system QPCs; the sweep replaces its tuning phase.
+    At strong coupling with fully visible interferometers the recovered
+    fringe has visibility ``|sin(phi_d)|`` and sits a quarter period away
+    from the uncoupled fringe; the unconditioned ``P(S1)`` stays flat.
+    Points are returned in input order.
     """
-    out = []
-    for phi_s in phi_s_values:
-        swept = InterferometerConfig(sys.qpc1, sys.qpc2, float(phi_s))
-        stats = joint_statistics(joint_amplitudes(det, swept, gamma))
-        p_d = stats.p_detector(condition)
-        if p_d <= _MARGINAL_THRESHOLD:
-            raise PostSelectionImpossibleError(condition.name, p_d)
-        p_s1_given = stats.joint[condition.value, SystemDrain.S1.value] / p_d
-        out.append((float(phi_s), float(p_s1_given)))
-    return out
+    phi_s = np.asarray(phi_s_values, dtype=float).ravel()
+    joint = _probabilities(joint_amplitude_table(det, sys, gamma, phi_s=phi_s))
+    _check_joint(joint)
+    p_d = joint[:, condition.value, :].sum(axis=-1)
+    _post_select({condition: p_d})
+    p_s1_given = joint[:, condition.value, SystemDrain.S1.value] / p_d
+    return list(zip(phi_s.tolist(), p_s1_given.tolist()))
+
+
+def _conditioned_average(alpha_d1, alpha_d2, joint, p_s, s: int):
+    """``sum_D alpha_D P(D | S)`` for system drain index ``s``; arrays broadcast."""
+    return alpha_d1 * (joint[..., 0, s] / p_s) + alpha_d2 * (joint[..., 1, s] / p_s)
 
 
 def xi_joint_interference(det: InterferometerConfig, sys: InterferometerConfig, gamma: float) -> float:
@@ -140,17 +159,10 @@ def xi_joint_interference(det: InterferometerConfig, sys: InterferometerConfig, 
 
 @dataclass(frozen=True)
 class ConditionedAverage:
-    """Which-path average conditioned on one system drain.
-
-    ``components`` packs ``(delta1_s, delta2_s, V_s, P_S)`` for the
-    closed-form cross-check; ``xi_over_gamma`` is the joint-interference
-    ratio actually entering that form.
-    """
+    """Which-path average conditioned on one system drain."""
 
     value: float
     post_selection: SystemDrain
-    xi_over_gamma: float
-    components: tuple[float, float, float, float]
 
 
 def conditioned_average(
@@ -163,8 +175,9 @@ def conditioned_average(
     """Conditioned average ``sum_D alpha_D P(D | condition)``.
 
     Computed through the full scattering pipeline; the closed form with
-    the joint-interference term agrees to 1e-10.  The value may lie
-    outside [-1, 1] but never outside the contextual values.
+    the joint-interference term (:func:`xi_joint_interference`) agrees to
+    1e-10.  The value may lie outside [-1, 1] but never outside the
+    contextual values.
 
     Raises
     ------
@@ -178,19 +191,9 @@ def conditioned_average(
     cv = contextual_values(obs, detector_params(det, gamma))
     stats = joint_statistics(joint_amplitudes(det, sys, gamma))
     p_s = stats.p_system(condition)
-    if p_s <= _MARGINAL_THRESHOLD:
-        raise PostSelectionImpossibleError(condition.name, p_s)
-    p_d_given_s = stats.joint[:, condition.value] / p_s
-    value = float(cv.alpha_d1 * p_d_given_s[0] + cv.alpha_d2 * p_d_given_s[1])
-    dp = detector_params(det, gamma)
-    xi_over_gamma = xi_joint_interference(det, sys, gamma) / dp.Gamma
-    sp = system_params(sys, gamma)
-    return ConditionedAverage(
-        value=value,
-        post_selection=condition,
-        xi_over_gamma=xi_over_gamma,
-        components=(sys.qpc1.delta, sys.qpc2.delta, sp.visibility, p_s),
-    )
+    _post_select({condition: p_s})
+    value = _conditioned_average(cv.alpha_d1, cv.alpha_d2, stats.joint, p_s, condition.value)
+    return ConditionedAverage(value=float(value), post_selection=condition)
 
 
 @dataclass(frozen=True)
@@ -206,6 +209,19 @@ class WeakValueResult:
         return complex(self.real_part, self.imag_part)
 
 
+def _zero_coupling(sys: InterferometerConfig, condition: SystemDrain):
+    """``(t, delta1_s + t delta2_s, V_s, 1 + t (delta1_s delta2_s - V_s cos(phi_s)))``
+    with ``t = +1`` for S1 and -1 for S2; the last term, twice the
+    post-selection probability, must not vanish."""
+    t = 1.0 if condition is SystemDrain.S1 else -1.0
+    d1, d2 = sys.qpc1.delta, sys.qpc2.delta
+    v = sys.qpc1.epsilon * sys.qpc2.epsilon
+    denom = 1.0 + t * d1 * d2 - t * v * math.cos(sys.tuning_phase)
+    if abs(denom) <= _MARGINAL_THRESHOLD:
+        raise PostSelectionImpossibleError(condition.name, denom / 2.0)
+    return t, d1 + t * d2, v, denom
+
+
 def weak_value(sys: InterferometerConfig, condition: SystemDrain) -> WeakValueResult:
     """Weak value of the which-path operator for one post-selection drain.
 
@@ -215,21 +231,9 @@ def weak_value(sys: InterferometerConfig, condition: SystemDrain) -> WeakValueRe
     denominator.  The real part can exceed the eigenvalue range
     (anomalous amplification near a nearly-orthogonal post-selection).
     """
-    d1, d2 = sys.qpc1.delta, sys.qpc2.delta
-    v = sys.qpc1.epsilon * sys.qpc2.epsilon
-    cos_phi = math.cos(sys.tuning_phase)
-    sin_phi = math.sin(sys.tuning_phase)
-    beta_plus = 1.0 + d1 * d2
-    beta_minus = 1.0 - d1 * d2
-    if condition is SystemDrain.S1:
-        denom = beta_plus - v * cos_phi
-        if abs(denom) <= _MARGINAL_THRESHOLD:
-            raise PostSelectionImpossibleError(condition.name, denom / 2.0)
-        return WeakValueResult((d1 + d2) / denom, -v * sin_phi / denom, condition)
-    denom = beta_minus + v * cos_phi
-    if abs(denom) <= _MARGINAL_THRESHOLD:
-        raise PostSelectionImpossibleError(condition.name, denom / 2.0)
-    return WeakValueResult((d1 - d2) / denom, v * sin_phi / denom, condition)
+    t, numerator, v, denom = _zero_coupling(sys, condition)
+    imag = -t * v * math.sin(sys.tuning_phase) / denom
+    return WeakValueResult(numerator / denom, imag, condition)
 
 
 def semiweak_value(sys: InterferometerConfig, n: int, condition: SystemDrain) -> float:
@@ -240,16 +244,6 @@ def semiweak_value(sys: InterferometerConfig, n: int, condition: SystemDrain) ->
     cos(phi_s))`` for S1 and the sign-flipped counterpart for S2.  At
     ``V_s = 0`` it coincides with the weak value.
     """
-    d1, d2 = sys.qpc1.delta, sys.qpc2.delta
-    v = sys.qpc1.epsilon * sys.qpc2.epsilon
-    cos_phi = math.cos(sys.tuning_phase)
     sign = -1.0 if n % 2 else 1.0
-    if condition is SystemDrain.S1:
-        denom = 1.0 + d1 * d2 - v * cos_phi
-        if abs(denom) <= _MARGINAL_THRESHOLD:
-            raise PostSelectionImpossibleError(condition.name, denom / 2.0)
-        return (d1 + d2 - sign * v * cos_phi) / denom
-    denom = 1.0 - d1 * d2 + v * cos_phi
-    if abs(denom) <= _MARGINAL_THRESHOLD:
-        raise PostSelectionImpossibleError(condition.name, denom / 2.0)
-    return (d1 - d2 + sign * v * cos_phi) / denom
+    t, numerator, v, denom = _zero_coupling(sys, condition)
+    return (numerator - t * sign * v * math.cos(sys.tuning_phase)) / denom

@@ -23,6 +23,7 @@ from .params import (
     ObservableCoefficients,
     detector_params,
 )
+from .scattering import _detector_amplitudes, _first_qpc_state
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -42,9 +43,7 @@ def reduced_system_state(sys: InterferometerConfig) -> np.ndarray:
 
     Returns the normalized vector ``(e^{i phi_s} t1, r1)`` on ``(L^s, U^s)``.
     """
-    t1 = math.sqrt(sys.qpc1.transmission)
-    r1 = 1j * math.sqrt(sys.qpc1.reflection)
-    return np.array([np.exp(1j * sys.tuning_phase) * t1, r1])
+    return _first_qpc_state(sys.qpc1.transmission, sys.qpc1.reflection, sys.tuning_phase)
 
 
 def detector_drain_amplitudes(det: InterferometerConfig, gamma: float) -> np.ndarray:
@@ -53,21 +52,7 @@ def detector_drain_amplitudes(det: InterferometerConfig, gamma: float) -> np.nda
     ``C[D, U^s]`` differs from ``C[D, L^s]`` only by the extra coupling
     phase ``gamma`` on the transmitted detector path.
     """
-    t1 = math.sqrt(det.qpc1.transmission)
-    r1 = 1j * math.sqrt(det.qpc1.reflection)
-    t2 = math.sqrt(det.qpc2.transmission)
-    r2 = 1j * math.sqrt(det.qpc2.reflection)
-    phi = det.tuning_phase
-    chi2 = cmath.exp(1j * det.qpc2.chi)
-    xi2 = cmath.exp(1j * det.qpc2.xi)
-    e_phi = cmath.exp(1j * phi)
-    e_phig = cmath.exp(1j * (phi + gamma))
-    return np.array(
-        [
-            [chi2 * (t1 * t2 * e_phi + r1 * r2), chi2 * (t1 * t2 * e_phig + r1 * r2)],
-            [xi2 * (t1 * r2 * e_phi + r1 * t2), xi2 * (t1 * r2 * e_phig + r1 * t2)],
-        ]
-    )
+    return _detector_amplitudes(det, det.tuning_phase, gamma)
 
 
 @dataclass(frozen=True)
@@ -204,10 +189,15 @@ def contextual_values(
     v, g = p.visibility, p.Gamma
     if abs(v * g) <= threshold:
         raise AmbiguousMeasurementError(v, g, threshold)
-    return ContextualValues(
-        alpha_d1=obs.a0 - (obs.a3 / g) * (p.beta_minus / v + p.Delta),
-        alpha_d2=obs.a0 + (obs.a3 / g) * (p.beta_plus / v - p.Delta),
-        observable=obs,
+    return ContextualValues(*_weights(obs, p), observable=obs)
+
+
+def _weights(obs: ObservableCoefficients, p) -> tuple:
+    """``(alpha_D1, alpha_D2)`` of a fringe bundle whose fields may be
+    arrays; no divergence check."""
+    return (
+        obs.a0 - (obs.a3 / p.Gamma) * (p.beta_minus / p.visibility + p.Delta),
+        obs.a0 + (obs.a3 / p.Gamma) * (p.beta_plus / p.visibility - p.Delta),
     )
 
 

@@ -23,7 +23,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+
+import numpy as np
 
 IDENTITY_TOL = 1e-12
 """Absolute tolerance for closed-form identities evaluated in doubles."""
@@ -78,6 +81,11 @@ class QpcSetting:
             raise ValueError("theta inconsistent with transmission")
 
 
+def _epsilon(transmission, reflection):
+    """Wave-like interference weight ``2 sqrt(T R)``; arrays broadcast."""
+    return 2.0 * np.sqrt(transmission * reflection)
+
+
 def qpc_from_transmission(transmission: float, chi: float = 0.0, xi: float = 0.0) -> QpcSetting:
     """Build a QPC setting from its transmission probability.
 
@@ -100,7 +108,7 @@ def qpc_from_transmission(transmission: float, chi: float = 0.0, xi: float = 0.0
         transmission=transmission,
         reflection=reflection,
         delta=transmission - reflection,
-        epsilon=2.0 * math.sqrt(transmission * reflection),
+        epsilon=float(_epsilon(transmission, reflection)),
         theta=math.acos(math.sqrt(transmission)),
         chi=chi,
         xi=xi,
@@ -226,6 +234,31 @@ class ObservableCoefficients:
     a3: float = 1.0
 
 
+def _coupling_term(gamma, phase):
+    """``sin(gamma/2) sin(gamma/2 + phase)``; arrays broadcast, and an extra
+    axis of phases shares one ``sin(gamma/2)``."""
+    half = gamma / 2.0
+    return np.sin(half) * np.sin(half + phase)
+
+
+# The fields of FringeParams, unvalidated and possibly arrays over a grid.
+_FringeTerms = namedtuple("_FringeTerms", "beta_plus beta_minus visibility Gamma Delta")
+
+
+def _fringe_terms(qpc1: QpcSetting, qpc2: QpcSetting, phi, gamma, sign: float) -> _FringeTerms:
+    """Fringe bundle with ``Gamma = sin(gamma/2) sin(gamma/2 + sign*phi)``:
+    ``sign`` is +1 for a detector and -1 for a system; arrays broadcast."""
+    big_gamma = _coupling_term(gamma, sign * phi)
+    background = qpc1.delta * qpc2.delta
+    visibility = qpc1.epsilon * qpc2.epsilon
+    return _FringeTerms(1.0 + background, 1.0 - background, visibility, big_gamma,
+                        np.cos(phi) - big_gamma)
+
+
+def _fringe_params(cls, ifm: InterferometerConfig, gamma: float, sign: float):
+    return cls(*map(float, _fringe_terms(ifm.qpc1, ifm.qpc2, ifm.tuning_phase, gamma, sign)))
+
+
 def detector_params(det: InterferometerConfig, gamma: float) -> DetectorParams:
     """Closed-form detector parameter bundle for coupling phase ``gamma``.
 
@@ -236,31 +269,13 @@ def detector_params(det: InterferometerConfig, gamma: float) -> DetectorParams:
     ``Gamma = sin(gamma/2) sin(gamma/2 + phi)`` and
     ``Delta = cos(phi) - Gamma``.
     """
-    q1, q2 = det.qpc1, det.qpc2
-    phi = det.tuning_phase
-    big_gamma = math.sin(gamma / 2.0) * math.sin(gamma / 2.0 + phi)
-    return DetectorParams(
-        beta_plus=1.0 + q1.delta * q2.delta,
-        beta_minus=1.0 - q1.delta * q2.delta,
-        visibility=q1.epsilon * q2.epsilon,
-        Gamma=big_gamma,
-        Delta=math.cos(phi) - big_gamma,
-    )
+    return _fringe_params(DetectorParams, det, gamma, 1.0)
 
 
 def system_params(sys: InterferometerConfig, gamma: float) -> SystemParams:
     """Closed-form system parameter bundle; note the flipped phase sign
     ``Gamma = sin(gamma/2) sin(gamma/2 - phi)``."""
-    q1, q2 = sys.qpc1, sys.qpc2
-    phi = sys.tuning_phase
-    big_gamma = math.sin(gamma / 2.0) * math.sin(gamma / 2.0 - phi)
-    return SystemParams(
-        beta_plus=1.0 + q1.delta * q2.delta,
-        beta_minus=1.0 - q1.delta * q2.delta,
-        visibility=q1.epsilon * q2.epsilon,
-        Gamma=big_gamma,
-        Delta=math.cos(phi) - big_gamma,
-    )
+    return _fringe_params(SystemParams, sys, gamma, -1.0)
 
 
 def joint_interference_params(phi_d: float, phi_s: float, gamma: float) -> JointInterferenceParams:
@@ -273,7 +288,7 @@ def joint_interference_params(phi_d: float, phi_s: float, gamma: float) -> Joint
     ``Delta_ds = -sin(phi_d) sin(phi_s)``.
     """
     phi_ds = phi_d - phi_s
-    big_gamma = math.sin(gamma / 2.0) * math.sin(gamma / 2.0 + phi_ds)
+    big_gamma = float(_coupling_term(gamma, phi_ds))
     return JointInterferenceParams(
         Delta_ds=math.cos(phi_d) * math.cos(phi_s) - big_gamma,
         Gamma_ds=big_gamma,

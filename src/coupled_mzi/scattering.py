@@ -8,6 +8,13 @@ Basis conventions (fixed; tests match terms against them):
 * ``JointAmplitudes`` is a 2x2 complex table indexed ``[detector drain,
   system drain]`` with drain order ``(D1, D2)`` x ``(S1, S2)``.
 
+All amplitudes come from one single-interferometer pair: the state
+``(t1 e^{i phi}, r1)`` after a first QPC, scattered as ``state @
+qpc_unitary(qpc2)``.  The joint table is ``c = C_d(gamma) diag(psi_s) U_s``:
+detector drain amplitudes per system arm, the system's first-QPC state and
+its second QPC.  :func:`joint_probability_table` is an independent closed
+form for the same statistics and shares no code with the amplitudes.
+
 The first-QPC scattering phases enter only through the composite tuning
 phases, so the amplitudes below carry bare ``t1``/``r1`` moduli; the
 second-QPC phases ``chi2``/``xi2`` are kept explicitly (they cancel in
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DetectorDrain, InterferometerConfig, QpcSetting, SystemDrain
+from .params import DetectorDrain, InterferometerConfig, QpcSetting, SystemDrain, _coupling_term
 
 # Exact SI values (2019 redefinition).
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
@@ -33,6 +40,7 @@ BOLTZMANN_CONSTANT = 1.380649e-23  # J / K
 ARM_BASIS = ("LdLs", "UdUs", "UdLs", "LdUs")
 
 _NORMALIZATION_GATE = 1e-9
+_COUPLED_ARM = np.array([0.0, 1.0])  # coupling phase per system arm (L, U), in units of gamma
 
 
 def qpc_unitary(q: QpcSetting) -> np.ndarray:
@@ -47,6 +55,42 @@ def qpc_unitary(q: QpcSetting) -> np.ndarray:
     ec = np.exp(1j * q.chi)
     ex = np.exp(1j * q.xi)
     return np.array([[ec * t, ex * r], [ec * r, ex * t]])
+
+
+def _first_qpc_state(transmission, reflection, phase) -> np.ndarray:
+    """State ``(t1 e^{i phase}, r1)`` on ``(L, U)``, shape ``broadcast + (2,)``;
+    ``reflection`` has the shape of ``transmission``."""
+    t = np.sqrt(transmission) * np.exp(1j * phase)
+    state = np.empty(t.shape + (2,), dtype=complex)
+    state[..., 0] = t
+    state[..., 1] = 1j * np.sqrt(reflection)
+    return state
+
+
+def _detector_amplitudes(det: InterferometerConfig, phi, gamma) -> np.ndarray:
+    """Detector drain amplitudes ``C[..., drain, system arm]`` for tuning
+    phase ``phi``; the system's upper arm adds ``gamma`` on the transmitted
+    detector path.  ``phi`` and ``gamma`` broadcast."""
+    phases = np.asarray(phi)[..., np.newaxis] + np.asarray(gamma)[..., np.newaxis] * _COUPLED_ARM
+    states = _first_qpc_state(det.qpc1.transmission, det.qpc1.reflection, phases)
+    return (states @ qpc_unitary(det.qpc2)).swapaxes(-1, -2)
+
+
+def joint_amplitude_table(det: InterferometerConfig, sys: InterferometerConfig, gamma,
+                          phi_d=None, phi_s=None, t_s1=None) -> np.ndarray:
+    """Joint drain amplitudes ``c[..., detector drain, system drain]``.
+
+    ``c = C_d(gamma) diag(psi_s) U_s``.  ``gamma`` broadcasts with optional
+    overrides of the tuning phases and of the system's first-QPC
+    transmission (reflection ``1 - t_s1``); ``None`` keeps the config value.
+    """
+    phi_d = det.tuning_phase if phi_d is None else phi_d
+    phi_s = sys.tuning_phase if phi_s is None else phi_s
+    q1 = sys.qpc1
+    t_s1, r_s1 = (q1.transmission, q1.reflection) if t_s1 is None else (t_s1, 1.0 - t_s1)
+    system = _first_qpc_state(t_s1, r_s1, phi_s)
+    detector = _detector_amplitudes(det, phi_d, gamma)
+    return (detector * system[..., np.newaxis, :]) @ qpc_unitary(sys.qpc2)
 
 
 @dataclass(frozen=True)
@@ -74,21 +118,15 @@ def arm_state(det: InterferometerConfig, sys: InterferometerConfig, gamma: float
     phase ``gamma``; the tuning phases enter as ``e^{i phi}`` on the
     lower-arm (transmitted) amplitudes.
     """
-    t1d = math.sqrt(det.qpc1.transmission)
-    r1d = 1j * math.sqrt(det.qpc1.reflection)
-    t1s = math.sqrt(sys.qpc1.transmission)
-    r1s = 1j * math.sqrt(sys.qpc1.reflection)
-    phi_d, phi_s = det.tuning_phase, sys.tuning_phase
-    return ArmState(
-        np.array(
-            [
-                t1d * t1s * np.exp(1j * (phi_d + phi_s)),
-                r1d * r1s,
-                r1d * t1s * np.exp(1j * phi_s),
-                t1d * r1s * np.exp(1j * (phi_d + gamma)),
-            ]
-        )
-    )
+    phases = det.tuning_phase + gamma * _COUPLED_ARM
+    detector = _first_qpc_state(det.qpc1.transmission, det.qpc1.reflection, phases)
+    system = _first_qpc_state(sys.qpc1.transmission, sys.qpc1.reflection, sys.tuning_phase)
+    joint = detector * system[:, np.newaxis]  # [system arm, detector arm]
+    return ArmState(joint[[0, 1, 0, 1], [0, 1, 1, 0]])
+
+
+def _concurrence(epsilon_d1, epsilon_s1, gamma):
+    return epsilon_d1 * epsilon_s1 * np.abs(np.sin(gamma / 2.0))
 
 
 def concurrence(det_qpc1: QpcSetting, sys_qpc1: QpcSetting, gamma: float) -> float:
@@ -97,7 +135,7 @@ def concurrence(det_qpc1: QpcSetting, sys_qpc1: QpcSetting, gamma: float) -> flo
     Closed form ``epsilon1_d * epsilon1_s * |sin(gamma/2)|``: maximal for
     balanced first QPCs at ``gamma = pi``, vanishing as ``gamma -> 0``.
     """
-    return det_qpc1.epsilon * sys_qpc1.epsilon * abs(math.sin(gamma / 2.0))
+    return float(_concurrence(det_qpc1.epsilon, sys_qpc1.epsilon, gamma))
 
 
 @dataclass(frozen=True)
@@ -119,20 +157,16 @@ class JointAmplitudes:
 
 
 def joint_amplitudes(det: InterferometerConfig, sys: InterferometerConfig, gamma: float) -> JointAmplitudes:
-    """Scatter the arm state through both second QPCs into the drain basis.
+    """Drain-basis amplitude table at one point of :func:`joint_amplitude_table`."""
+    return JointAmplitudes(joint_amplitude_table(det, sys, gamma))
 
-    Each entry is the four-term sum over joint arm occupations, including
-    the second-QPC phases ``chi2``/``xi2`` of both interferometers.
-    """
-    arms = arm_state(det, sys, gamma).amplitudes
-    u_d = qpc_unitary(det.qpc2)
-    u_s = qpc_unitary(sys.qpc2)
-    # occupation index -> (detector arm, system arm); rows of u map arm -> drain
-    occupations = ((0, 0), (1, 1), (1, 0), (0, 1))
-    c = np.zeros((2, 2), dtype=complex)
-    for amp, (darm, sarm) in zip(arms, occupations):
-        c += amp * np.outer(u_d[darm, :], u_s[sarm, :])
-    return JointAmplitudes(c)
+
+def _check_joint(joint: np.ndarray) -> None:
+    """Range and sum checks of joint tables ``(..., 2, 2)``, whole stack at once."""
+    if not (joint.min() >= -1e-12 and joint.max() <= 1.0 + 1e-12):
+        raise ValueError("joint probabilities outside [0, 1]")
+    if not np.abs(joint.sum(axis=(-2, -1)) - 1.0).max() <= 1e-12:
+        raise ValueError("joint probabilities do not sum to 1")
 
 
 @dataclass(frozen=True)
@@ -149,10 +183,7 @@ class JointStatistics:
         sys_m = np.asarray(self.system_marginals, dtype=float)
         if joint.shape != (2, 2):
             raise ValueError("joint table must be 2x2")
-        if np.any(joint < -1e-12) or np.any(joint > 1.0 + 1e-12):
-            raise ValueError("joint probabilities outside [0, 1]")
-        if abs(joint.sum() - 1.0) > 1e-12:
-            raise ValueError("joint probabilities do not sum to 1")
+        _check_joint(joint)
         if np.max(np.abs(joint.sum(axis=1) - det_m)) > 1e-12:
             raise ValueError("detector marginals inconsistent with joint table")
         if np.max(np.abs(joint.sum(axis=0) - sys_m)) > 1e-12:
@@ -173,22 +204,26 @@ class JointStatistics:
         return float(self.system_marginals[s.value])
 
 
+def _probabilities(c: np.ndarray) -> np.ndarray:
+    """Joint tables ``|c|^2 / sum |c|^2`` of amplitude tables ``(..., 2, 2)``,
+    each of which must be normalized to 1 within 1e-9."""
+    joint = np.abs(c) ** 2
+    total = joint.sum(axis=(-2, -1), keepdims=True)
+    residual = np.abs(total - 1.0)
+    if not residual.max() <= _NORMALIZATION_GATE:
+        worst = float(total.flat[np.argmax(~(residual <= _NORMALIZATION_GATE))])
+        raise ValueError(f"joint amplitudes not normalized: sum |c|^2 = {worst!r}")
+    joint /= total  # remove the residual rounding so identities hold at 1e-12
+    return joint
+
+
 def joint_statistics(amps: JointAmplitudes) -> JointStatistics:
     """Probabilities ``|c|^2`` with marginals from row and column sums.
 
     Raises ``ValueError`` if the amplitude normalization is off by more
     than 1e-9 (the production pipeline keeps it at the 1e-12 level).
     """
-    total = amps.norm_squared
-    if abs(total - 1.0) > _NORMALIZATION_GATE:
-        raise ValueError(f"joint amplitudes not normalized: sum |c|^2 = {total!r}")
-    joint = np.abs(amps.c) ** 2
-    joint = joint / total  # remove the residual rounding so identities hold at 1e-12
-    return JointStatistics(
-        joint=joint,
-        detector_marginals=joint.sum(axis=1),
-        system_marginals=joint.sum(axis=0),
-    )
+    return _statistics(_probabilities(amps.c))
 
 
 def joint_statistics_closed_form(
@@ -198,12 +233,12 @@ def joint_statistics_closed_form(
 
     Independent of the amplitude pipeline; the two must agree to 1e-12.
     """
-    table = joint_probability_table(det, sys, gamma)
-    return JointStatistics(
-        joint=table,
-        detector_marginals=table.sum(axis=1),
-        system_marginals=table.sum(axis=0),
-    )
+    return _statistics(joint_probability_table(det, sys, gamma))
+
+
+def _statistics(joint: np.ndarray) -> JointStatistics:
+    """A 2x2 joint table with marginals from its row and column sums."""
+    return JointStatistics(joint, joint.sum(axis=1), joint.sum(axis=0))
 
 
 def joint_probability_table(
@@ -211,10 +246,11 @@ def joint_probability_table(
 ) -> np.ndarray:
     """Closed-form joint probability table; ``gamma`` may be an ndarray.
 
-    For array input the result has shape ``gamma.shape + (2, 2)``.
+    For array input the result has shape ``gamma.shape + (2, 2)``.  The
+    coupling terms of the detector, the system and the joint interference
+    share one ``sin(gamma/2)``.
     """
     gamma = np.asarray(gamma, dtype=float)
-    half = gamma / 2.0
     phi_d, phi_s = det.tuning_phase, sys.tuning_phase
     d1d, d2d = det.qpc1.delta, det.qpc2.delta
     d1s, d2s = sys.qpc1.delta, sys.qpc2.delta
@@ -222,12 +258,11 @@ def joint_probability_table(
     bsp, bsm = 1.0 + d1s * d2s, 1.0 - d1s * d2s
     vd = det.qpc1.epsilon * det.qpc2.epsilon
     vs = sys.qpc1.epsilon * sys.qpc2.epsilon
-    gd = np.sin(half) * np.sin(half + phi_d)
-    gs = np.sin(half) * np.sin(half - phi_s)
-    gds = np.sin(half) * np.sin(half + phi_d - phi_s)
-    dd = np.cos(phi_d) - gd
-    ds = np.cos(phi_s) - gs
-    dds = np.cos(phi_d) * np.cos(phi_s) - gds
+    phases = np.array([phi_d, -phi_s, phi_d - phi_s]).reshape((3,) + (1,) * gamma.ndim)
+    gd, gs, gds = _coupling_term(gamma, phases)
+    dd = math.cos(phi_d) - gd
+    ds = math.cos(phi_s) - gs
+    dds = math.cos(phi_d) * math.cos(phi_s) - gds
     det_plus = dd * bsp + gd * (d1s + d2s)
     det_minus = dd * bsm + gd * (d1s - d2s)
     sys_plus = ds * bdp - gs * (d1d + d2d)
@@ -285,7 +320,14 @@ def cross_noise_power(
     statistics and for deterministic marginals.
     """
     _check_low_bias_regime(bias)
-    covariance = stats.p_joint(d, s) - stats.p_detector(d) * stats.p_system(s)
+    noise = _noise_table(stats.joint, stats.detector_marginals, stats.system_marginals, bias)
+    return float(noise[d.value, s.value])
+
+
+def _noise_table(joint, p_detector, p_system, bias: PhysicalBias):
+    """Cross-noise powers ``S[..., d, s]`` of joint tables ``(..., 2, 2)`` with
+    marginals ``(..., 2)``; callers check the bias regime."""
+    covariance = joint - p_detector[..., :, np.newaxis] * p_system[..., np.newaxis, :]
     return 2.0 * ELEMENTARY_CHARGE**3 * bias.bias_voltage / PLANCK_CONSTANT * covariance
 
 
@@ -302,6 +344,7 @@ __all__ = [
     "average_current",
     "concurrence",
     "cross_noise_power",
+    "joint_amplitude_table",
     "joint_amplitudes",
     "joint_probability_table",
     "joint_statistics",

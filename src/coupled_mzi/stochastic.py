@@ -143,11 +143,20 @@ def damping_eta(sigma: float) -> float:
     """
     if not (0.0 <= sigma <= math.pi):
         raise ValueError(f"sigma {sigma} outside [0, pi]")
-    if sigma == 0.0:
-        return 1.0
-    if sigma == math.pi:
-        return 0.5
-    return (math.pi**2 / (math.pi**2 - sigma**2)) * (math.sin(sigma) / sigma)
+    return float(_eta(sigma))
+
+
+def _eta(sigma):
+    """:func:`damping_eta` without the domain check, for a float or an ndarray.
+
+    At the removable singularities the closed form is evaluated at a
+    stand-in 1 and replaced by the limits; masks are multiplied in, not
+    selected, so a float stays a plain scalar computation.
+    """
+    inside = (sigma > 0.0) & (sigma < math.pi)
+    s = sigma * inside + (1.0 - inside)
+    eta = (math.pi**2 / (math.pi**2 - s * s)) * (np.sin(s) / s)
+    return eta * inside + (sigma == 0.0) + 0.5 * (sigma == math.pi)
 
 
 def averaged_detector_params(p: DetectorParams, model: CouplingModel) -> DetectorParams:

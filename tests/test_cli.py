@@ -1,11 +1,15 @@
 import csv
 import io
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coupled_mzi.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MINIMAL = """
 detector.qpc1.T = 0.5
@@ -100,6 +104,20 @@ class TestScan:
         mid = by_gamma[min(by_gamma, key=lambda g: abs(g - math.pi))]
         assert mid[1] == "inf-ambiguous"
 
+    def test_zero_visibility_is_ambiguous(self, tmp_path, capsys):
+        # a closed detector QPC leaves no interference: V = 0 at every point
+        path = tmp_path / "closed.conf"
+        path.write_text(MINIMAL.replace("detector.qpc1.T = 0.5", "detector.qpc1.T = 1"),
+                        encoding="utf-8")
+        code, out, _ = run_cli(
+            ["scan", "--config", str(path), "--sweep", "gamma:0:pi:5",
+             "--quantities", "alpha_D1,cond_avg_S2"],
+            capsys,
+        )
+        assert code == 0
+        _, rows = read_csv(out)
+        assert {cell for row in rows for cell in row[1:]} == {"inf-ambiguous"}
+
     def test_erasure_quantities_via_scan(self, config_path, capsys):
         code, out, _ = run_cli(
             [
@@ -167,10 +185,16 @@ class TestScan:
         )
         assert code == 2
 
-    def test_sweep_domain_checked(self, config_path, capsys):
+    @pytest.mark.parametrize("sweep", [
+        "gamma:-1:1:3",
+        # just outside the exact domains that the coupling model and the QPCs enforce
+        "gamma:-1e-13:1:3",
+        "delta_s1:-1.0000000000001:0:3",
+        "sigma:0:3.1415926535898:3",
+    ])
+    def test_sweep_domain_checked(self, config_path, capsys, sweep):
         code, _, err = run_cli(
-            ["scan", "--config", config_path, "--sweep", "gamma:-1:1:3",
-             "--quantities", "P_D1"],
+            ["scan", "--config", config_path, "--sweep", sweep, "--quantities", "P_D1"],
             capsys,
         )
         assert code == 2
@@ -190,6 +214,34 @@ class TestScan:
         )
         assert code == 4
         assert "D1" in err
+
+    @pytest.mark.parametrize("command, code", [
+        (["erasure", "--sweep", "phi_s:0:pi:3"], 0),
+        (["scan", "--sweep", "phi_s:0:pi:3", "--quantities", "P_S1_given_D1"], 0),
+        (["scan", "--sweep", "phi_s:0:pi:3", "--quantities", "P_D1_given_S1"], 4),
+    ])
+    def test_conditions_only_on_the_divisor_marginal(self, tmp_path, capsys, command, code):
+        # without coupling, P_S1 = 0 at phi_s = 0 while both detector drains stay lit
+        path = tmp_path / "uncoupled.conf"
+        text = (CONFIGS / "erasure.conf").read_text(encoding="utf-8")
+        path.write_text(text.replace("coupling.gamma = pi", "coupling.gamma = 0"), encoding="utf-8")
+        exit_code, out, err = run_cli([*command, "--config", str(path)], capsys)
+        assert exit_code == code
+        if code == 4:
+            assert "S1" in err and out == ""
+        else:
+            assert len(read_csv(out)[1]) == 3
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.conf")), ids=lambda p: p.name)
+    def test_shipped_configs_inside_low_bias_regime(self, path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, _ = run_cli(
+                ["scan", "--config", str(path), "--sweep", "gamma:0:pi:3",
+                 "--quantities", "S_D1S1"],
+                capsys,
+            )
+        assert code == 0
 
     def test_byte_identical_reruns(self, config_path, tmp_path, capsys):
         out1 = tmp_path / "a.csv"

@@ -1,0 +1,89 @@
+"""Property tests of the amplitude pipeline against the independent closed form."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from coupled_mzi import (
+    AmbiguousMeasurementError,
+    InterferometerConfig,
+    ObservableCoefficients,
+    PostSelectionImpossibleError,
+    conditioned_average,
+    contextual_values,
+    detector_params,
+    joint_amplitude_table,
+    joint_amplitudes,
+    joint_probability_table,
+    qpc_from_transmission,
+)
+from coupled_mzi.params import SystemDrain
+
+TWO_PI = 2.0 * math.pi
+transmissions = st.floats(0.0, 1.0)
+angles = st.floats(-TWO_PI, TWO_PI)
+couplings = st.floats(0.0, TWO_PI)
+
+
+@st.composite
+def interferometers(draw):
+    q1 = qpc_from_transmission(draw(transmissions), chi=draw(angles), xi=draw(angles))
+    q2 = qpc_from_transmission(draw(transmissions), chi=draw(angles), xi=draw(angles))
+    return InterferometerConfig(q1, q2, draw(angles))
+
+
+@st.composite
+def sweep_points(draw):
+    """1 to 8 points of (gamma, phi_d, phi_s, T of the system's first QPC)."""
+    n = draw(st.integers(1, 8))
+    return [tuple(draw(s) for s in (couplings, angles, angles, transmissions)) for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(det=interferometers(), sysm=interferometers(), gamma=couplings)
+def test_scalar_amplitude_table_matches_closed_form(det, sysm, gamma):
+    c = joint_amplitude_table(det, sysm, gamma)
+    assert c.shape == (2, 2)
+    assert np.array_equal(c, joint_amplitudes(det, sysm, gamma).c)
+    assert np.max(np.abs(np.abs(c) ** 2 - joint_probability_table(det, sysm, gamma))) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(det=interferometers(), sysm=interferometers(), points=sweep_points())
+def test_array_amplitude_table_matches_closed_form(det, sysm, points):
+    gamma, phi_d, phi_s, t_s1 = (np.array(column) for column in zip(*points))
+    c = joint_amplitude_table(det, sysm, gamma, phi_d=phi_d, phi_s=phi_s, t_s1=t_s1)
+    assert c.shape == (len(points), 2, 2)
+    for i, (g, pd, ps, t) in enumerate(points):
+        q1 = sysm.qpc1
+        point_sys = InterferometerConfig(qpc_from_transmission(t, q1.chi, q1.xi), sysm.qpc2, ps)
+        point_det = InterferometerConfig(det.qpc1, det.qpc2, pd)
+        closed = joint_probability_table(point_det, point_sys, g)
+        assert np.max(np.abs(np.abs(c[i]) ** 2 - closed)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(det=interferometers(), sysm=interferometers(), gamma=couplings,
+       condition=st.sampled_from(SystemDrain))
+def test_conditioned_average_between_contextual_values(det, sysm, gamma, condition):
+    try:
+        cv = contextual_values(ObservableCoefficients(), detector_params(det, gamma))
+        value = conditioned_average(det, sysm, gamma, condition).value
+    except (AmbiguousMeasurementError, PostSelectionImpossibleError):
+        assume(False)
+    low, high = sorted((cv.alpha_d1, cv.alpha_d2))
+    slack = 1e-12 * max(abs(low), abs(high))
+    assert low - slack <= value <= high + slack
+
+
+def test_gamma_array_broadcasts_against_config_phases():
+    det = InterferometerConfig(qpc_from_transmission(0.3), qpc_from_transmission(0.6), 0.4)
+    sysm = InterferometerConfig(qpc_from_transmission(0.8), qpc_from_transmission(0.45), -1.1)
+    gammas = np.linspace(0.0, TWO_PI, 7)
+    c = joint_amplitude_table(det, sysm, gammas)
+    assert c.shape == (7, 2, 2)
+    expected = joint_probability_table(det, sysm, gammas)
+    assert np.abs(c) ** 2 == pytest.approx(expected, abs=1e-12)
