@@ -4,36 +4,28 @@ Grammar
 -------
 One ``key = value`` pair per line; ``#`` starts a comment; blank lines are
 ignored.  Keys are dotted section paths (``detector.qpc1.T``).  Values are
-arithmetic expressions over numeric literals and the constant ``pi`` using
-``+ - * / ()`` (e.g. ``pi/2``, ``3*pi/4``, ``10e-6``), evaluated at parse
-time.
+arithmetic expressions over integer and decimal literals and the constant
+``pi`` using unary ``+ -``, binary ``+ - * /`` and parentheses (e.g.
+``pi/2``, ``3*pi/4``, ``10e-6``), evaluated at parse time to a finite
+float.  Nothing else is a number: ``True``, ``None``, names and calls are
+rejected, as are division by zero, results outside the float range and
+expressions nested too deeply for the parser.
 
 Sections and keys
 -----------------
-``detector`` / ``system``: ``qpc1`` and ``qpc2`` each take exactly one of
-``T`` or ``theta`` plus optional phases ``chi`` and ``xi`` (default 0);
-``phi`` is the interferometer's composite tuning phase (required).
-
-``coupling``: ``gamma`` (required), ``sigma`` (default 0),
-``pair_probability`` (default 1).
-
-``observable``: ``a0`` (default 0), ``a3`` (default 1).
-
-``bias`` (optional section): ``voltage`` (V), ``fermi_energy`` (eV),
-``temperature`` (K), all required when the section appears.
-
-``geometry`` (optional): ``interaction_length``, ``channel_separation``,
-``screening_length``, ``speed``, and exactly one of ``coulomb_constant``
-or ``target_gamma``.
-
-``budget`` (optional): ``path_length``, ``fermi_velocity``,
-``target_rms``, optional ``tau_m``.
+The table ``_SECTIONS`` lists every section with its constructor, every
+key with its default (or ``_REQUIRED``) and each exactly-one-of group
+(``T``/``theta``, ``coulomb_constant``/``target_gamma``); README.md
+explains each key.  The loader builds the sections in the table's order
+and reports the first fault it meets; the constructors check the domains.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -42,48 +34,48 @@ from .params import (
     CouplingModel,
     InterferometerConfig,
     ObservableCoefficients,
-    QpcSetting,
     qpc_from_angle,
     qpc_from_transmission,
 )
 from .scattering import PhysicalBias
 from .stochastic import ObservationBudget
 
-SWEEPABLE_PARAMETERS = ("gamma", "phi_d", "phi_s", "delta_s1", "sigma")
+# sweepable parameter -> exact domain, as CouplingModel and
+# qpc_from_transmission enforce it
+SWEEP_DOMAINS = {"gamma": (0.0, 2.0 * math.pi), "phi_d": (-math.inf, math.inf),
+                 "phi_s": (-math.inf, math.inf), "delta_s1": (-1.0, 1.0), "sigma": (0.0, math.pi)}
+
+_OPERATORS = {ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Add: operator.add,
+              ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 def evaluate_number(text: str) -> float:
     """Evaluate a pi-literal arithmetic expression to a finite float."""
     try:
-        tree = ast.parse(text.strip(), mode="eval")
+        value = _eval_node(ast.parse(text.strip(), mode="eval").body, text)
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse number {text!r}: {exc.msg}") from None
-    value = _eval_node(tree.body, text)
+    except ZeroDivisionError:
+        raise ConfigError(f"division by zero in {text!r}") from None
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    except (RecursionError, MemoryError):  # the parser's and the evaluator's depth limits
+        raise ConfigError(f"expression {text!r} is nested too deeply") from None
     if not math.isfinite(value):
         raise ConfigError(f"number {text!r} is not finite")
     return value
 
 
 def _eval_node(node: ast.AST, text: str) -> float:
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         return float(node.value)
     if isinstance(node, ast.Name) and node.id == "pi":
         return math.pi
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        value = _eval_node(node.operand, text)
-        return -value if isinstance(node.op, ast.USub) else value
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
+        return _OPERATORS[type(node.op)](_eval_node(node.operand, text))
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
         left = _eval_node(node.left, text)
-        right = _eval_node(node.right, text)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if right == 0.0:
-            raise ConfigError(f"division by zero in {text!r}")
-        return left / right
+        return _OPERATORS[type(node.op)](left, _eval_node(node.right, text))
     raise ConfigError(f"unsupported expression in {text!r} (allowed: numbers, pi, + - * /)")
 
 
@@ -112,15 +104,110 @@ class ScanSpec:
     quantities: tuple[str, ...]
 
     def __post_init__(self):
-        if self.parameter not in SWEEPABLE_PARAMETERS:
+        if self.parameter not in SWEEP_DOMAINS:
             raise ConfigError(
                 f"unknown sweep parameter {self.parameter!r}; "
-                f"choose from {', '.join(SWEEPABLE_PARAMETERS)}"
+                f"choose from {', '.join(SWEEP_DOMAINS)}"
             )
         if self.count < 2:
             raise ConfigError("sweep needs at least 2 grid points")
         if not self.minimum < self.maximum:
             raise ConfigError("sweep minimum must be below maximum")
+        lo, hi = SWEEP_DOMAINS[self.parameter]
+        if self.minimum < lo or self.maximum > hi:
+            raise ConfigError(
+                f"sweep range [{self.minimum}, {self.maximum}] outside the valid "
+                f"domain [{lo}, {hi}] of {self.parameter}"
+            )
+
+
+_REQUIRED = object()
+
+# config key -> constructor argument, where the two differ
+_ARGUMENTS = {"T": "transmission", "phi": "tuning_phase", "voltage": "bias_voltage",
+              "interaction_length": "copropagation_length", "speed": "propagation_speed"}
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """How the keys under one dotted prefix build one object.
+
+    ``keys`` maps each key to its default: a value, ``_REQUIRED``, or the
+    entry that builds the argument from the key's own prefix.  ``build`` is
+    the constructor or, for a group of keys of which exactly one must
+    appear, maps each key of the group to the constructor it selects.  A
+    value the constructor rejects is reported under ``blame``; an
+    ``optional`` section is built only when a key under its prefix appears.
+    """
+
+    build: Callable | dict[str, Callable]
+    keys: dict[str, object]
+    blame: str = "{path}"
+    optional: bool = False
+
+
+_QPC = _Entry({"T": qpc_from_transmission, "theta": qpc_from_angle}, {"chi": 0.0, "xi": 0.0},
+              blame="{path}.{choice}")
+_INTERFEROMETER = _Entry(InterferometerConfig, {"qpc1": _QPC, "qpc2": _QPC, "phi": _REQUIRED})
+_SECTIONS = {
+    "detector": _INTERFEROMETER,
+    "system": _INTERFEROMETER,
+    "coupling": _Entry(CouplingModel, {"gamma": _REQUIRED, "sigma": 0.0, "pair_probability": 1.0}),
+    "observable": _Entry(ObservableCoefficients, {"a0": 0.0, "a3": 1.0}),
+    "bias": _Entry(
+        PhysicalBias,
+        dict.fromkeys(["voltage", "fermi_energy", "temperature"], _REQUIRED),
+        optional=True,
+    ),
+    "geometry": _Entry(
+        {"coulomb_constant": InteractionGeometry, "target_gamma": geometry_for_phase},
+        dict.fromkeys(["interaction_length", "channel_separation", "screening_length", "speed"],
+                      _REQUIRED),
+        optional=True,
+    ),
+    "budget": _Entry(
+        ObservationBudget,
+        dict.fromkeys(["path_length", "fermi_velocity", "target_rms"], _REQUIRED) | {"tau_m": None},
+        optional=True,
+    ),
+}
+
+
+def _known_keys(path: str, entry: _Entry) -> set[str]:
+    one_of = entry.build if isinstance(entry.build, dict) else {}
+    return {f"{path}.{key}" for key in one_of}.union(*(
+        _known_keys(f"{path}.{key}", default) if isinstance(default, _Entry) else {f"{path}.{key}"}
+        for key, default in entry.keys.items()
+    ))
+
+
+_KNOWN = frozenset().union(*(_known_keys(name, entry) for name, entry in _SECTIONS.items()))
+
+
+def _build(pairs: dict[str, tuple[float, int]], path: str, entry: _Entry):
+    build, choice, kwargs = entry.build, None, {}
+    if isinstance(build, dict):
+        given = [key for key in build if f"{path}.{key}" in pairs]
+        if len(given) != 1:
+            raise ConfigError(f"{path}: specify exactly one of {' or '.join(build)}")
+        choice = given[0]
+        build = build[choice]
+        kwargs[_ARGUMENTS.get(choice, choice)] = pairs[f"{path}.{choice}"][0]
+    for key, default in entry.keys.items():
+        name = f"{path}.{key}"
+        if isinstance(default, _Entry):
+            value = _build(pairs, name, default)
+        elif name in pairs:
+            value = pairs[name][0]
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key {name}")
+        else:
+            value = default
+        kwargs[_ARGUMENTS.get(key, key)] = value
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{entry.blame.format(path=path, choice=choice)}: {exc}") from None
 
 
 def _parse_pairs(text: str) -> dict[str, tuple[float, int]]:
@@ -145,158 +232,19 @@ def _parse_pairs(text: str) -> dict[str, tuple[float, int]]:
     return pairs
 
 
-class _Section:
-    """Typed accessor over one dotted-key section; tracks consumed keys."""
-
-    def __init__(self, pairs: dict[str, tuple[float, int]], prefix: str):
-        self.pairs = pairs
-        self.prefix = prefix
-        self.used: set[str] = set()
-
-    def get(self, name: str) -> float | None:
-        key = f"{self.prefix}.{name}"
-        self.used.add(key)
-        entry = self.pairs.get(key)
-        return None if entry is None else entry[0]
-
-    def require(self, name: str) -> float:
-        value = self.get(name)
-        if value is None:
-            raise ConfigError(f"missing required key {self.prefix}.{name}")
-        return value
-
-    def present(self) -> bool:
-        return any(k.startswith(self.prefix + ".") for k in self.pairs)
-
-
-def _build_qpc(section: _Section, name: str) -> QpcSetting:
-    sub = _Section(section.pairs, f"{section.prefix}.{name}")
-    transmission = sub.get("T")
-    theta = sub.get("theta")
-    chi = sub.get("chi")
-    xi = sub.get("xi")
-    chi = 0.0 if chi is None else chi
-    xi = 0.0 if xi is None else xi
-    section.used |= sub.used
-    path = sub.prefix
-    if (transmission is None) == (theta is None):
-        raise ConfigError(f"{path}: specify exactly one of T or theta")
-    try:
-        if transmission is not None:
-            return qpc_from_transmission(transmission, chi=chi, xi=xi)
-        return qpc_from_angle(theta, chi=chi, xi=xi)
-    except ValueError as exc:
-        field = "T" if transmission is not None else "theta"
-        raise ConfigError(f"{path}.{field}: {exc}") from None
-
-
-def _build_interferometer(pairs, prefix: str) -> tuple[InterferometerConfig, set[str]]:
-    section = _Section(pairs, prefix)
-    qpc1 = _build_qpc(section, "qpc1")
-    qpc2 = _build_qpc(section, "qpc2")
-    phi = section.require("phi")
-    return InterferometerConfig(qpc1=qpc1, qpc2=qpc2, tuning_phase=phi), section.used
-
-
 def load_config_text(text: str) -> ExperimentConfig:
     """Parse and validate a configuration from its text content."""
     pairs = _parse_pairs(text)
-    used: set[str] = set()
-
-    detector, u = _build_interferometer(pairs, "detector")
-    used |= u
-    system, u = _build_interferometer(pairs, "system")
-    used |= u
-
-    def _default(value: float | None, fallback: float) -> float:
-        return fallback if value is None else value
-
-    coupling_sec = _Section(pairs, "coupling")
-    try:
-        coupling = CouplingModel(
-            gamma=coupling_sec.require("gamma"),
-            sigma=_default(coupling_sec.get("sigma"), 0.0),
-            pair_probability=_default(coupling_sec.get("pair_probability"), 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"coupling: {exc}") from None
-    used |= coupling_sec.used
-
-    obs_sec = _Section(pairs, "observable")
-    observable = ObservableCoefficients(
-        a0=_default(obs_sec.get("a0"), 0.0),
-        a3=_default(obs_sec.get("a3"), 1.0),
-    )
-    used |= obs_sec.used
-
-    bias = None
-    bias_sec = _Section(pairs, "bias")
-    if bias_sec.present():
-        try:
-            bias = PhysicalBias(
-                bias_voltage=bias_sec.require("voltage"),
-                fermi_energy=bias_sec.require("fermi_energy"),
-                temperature=bias_sec.require("temperature"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bias: {exc}") from None
-    used |= bias_sec.used
-
-    geometry = None
-    geom_sec = _Section(pairs, "geometry")
-    if geom_sec.present():
-        alpha = geom_sec.get("coulomb_constant")
-        target = geom_sec.get("target_gamma")
-        if (alpha is None) == (target is None):
-            raise ConfigError("geometry: specify exactly one of coulomb_constant or target_gamma")
-        try:
-            if alpha is not None:
-                geometry = InteractionGeometry(
-                    copropagation_length=geom_sec.require("interaction_length"),
-                    channel_separation=geom_sec.require("channel_separation"),
-                    screening_length=geom_sec.require("screening_length"),
-                    propagation_speed=geom_sec.require("speed"),
-                    coulomb_constant=alpha,
-                )
-            else:
-                geometry = geometry_for_phase(
-                    target_gamma=target,
-                    copropagation_length=geom_sec.require("interaction_length"),
-                    channel_separation=geom_sec.require("channel_separation"),
-                    screening_length=geom_sec.require("screening_length"),
-                    propagation_speed=geom_sec.require("speed"),
-                )
-        except ValueError as exc:
-            raise ConfigError(f"geometry: {exc}") from None
-    used |= geom_sec.used
-
-    budget = None
-    budget_sec = _Section(pairs, "budget")
-    if budget_sec.present():
-        try:
-            budget = ObservationBudget(
-                path_length=budget_sec.require("path_length"),
-                fermi_velocity=budget_sec.require("fermi_velocity"),
-                target_rms=budget_sec.require("target_rms"),
-                tau_m=budget_sec.get("tau_m"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"budget: {exc}") from None
-    used |= budget_sec.used
-
-    unknown = sorted(set(pairs) - used)
+    present = {key.partition(".")[0] for key in pairs if "." in key}
+    sections = {
+        name: _build(pairs, name, entry)
+        for name, entry in _SECTIONS.items()
+        if not entry.optional or name in present
+    }
+    unknown = sorted(set(pairs) - _KNOWN)
     if unknown:
-        lineno = pairs[unknown[0]][1]
-        raise ConfigError(f"line {lineno}: unknown key {unknown[0]!r}")
-    return ExperimentConfig(
-        detector=detector,
-        system=system,
-        coupling=coupling,
-        observable=observable,
-        bias=bias,
-        geometry=geometry,
-        budget=budget,
-    )
+        raise ConfigError(f"line {pairs[unknown[0]][1]}: unknown key {unknown[0]!r}")
+    return ExperimentConfig(**sections)
 
 
 def load_config(path: str) -> ExperimentConfig:

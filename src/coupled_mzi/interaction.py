@@ -30,7 +30,7 @@ class InteractionGeometry:
 
     ``copropagation_length`` may be zero (no interaction region); the
     remaining lengths, the speed, and the interaction constant must be
-    strictly positive.
+    strictly positive, and the coupling phase they give must be finite.
     """
 
     copropagation_length: float  # m
@@ -45,6 +45,12 @@ class InteractionGeometry:
         for name in ("channel_separation", "screening_length", "propagation_speed", "coulomb_constant"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        try:
+            phase = coupling_phase(self)
+        except ZeroDivisionError:  # hbar * channel_separation underflows to zero
+            phase = math.nan
+        if not math.isfinite(phase):
+            raise ValueError("coupling phase is not a finite number")
 
 
 def coupling_phase(geom: InteractionGeometry) -> float:
@@ -127,14 +133,19 @@ def geometry_for_phase(
         raise ValueError("target phase must be positive")
     if copropagation_length <= 0:
         raise ValueError("target phase requires a positive interaction length")
-    alpha = (
-        target_gamma
-        * HBAR
-        * channel_separation
-        * propagation_speed
-        * math.exp(channel_separation / screening_length)
-        / (ELEMENTARY_CHARGE**2 * 2.0 * copropagation_length)
-    )
+    if screening_length <= 0:
+        raise ValueError("screening_length must be positive")
+    try:
+        alpha = (
+            target_gamma
+            * HBAR
+            * channel_separation
+            * propagation_speed
+            * math.exp(channel_separation / screening_length)
+            / (ELEMENTARY_CHARGE**2 * 2.0 * copropagation_length)
+        )
+    except OverflowError:
+        raise ValueError("exp(channel_separation / screening_length) overflows") from None
     return InteractionGeometry(
         copropagation_length=copropagation_length,
         channel_separation=channel_separation,

@@ -280,7 +280,8 @@ def joint_probability_table(
 @dataclass(frozen=True)
 class PhysicalBias:
     """Source bias point; temperature and Fermi energy are recorded for
-    regime validation only (the low-bias current formula needs just V)."""
+    regime validation only (the low-bias current formula needs just V).
+    Voltage and Fermi energy must be positive, temperature non-negative."""
 
     bias_voltage: float  # volts
     fermi_energy: float  # electronvolts
@@ -289,6 +290,10 @@ class PhysicalBias:
     def __post_init__(self):
         if self.bias_voltage <= 0.0:
             raise ValueError("bias voltage must be positive")
+        if self.fermi_energy <= 0.0:
+            raise ValueError("Fermi energy must be positive")
+        if self.temperature < 0.0:
+            raise ValueError("temperature must be non-negative")
 
 
 def _check_low_bias_regime(bias: PhysicalBias) -> None:

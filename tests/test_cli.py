@@ -10,6 +10,7 @@ import pytest
 from coupled_mzi.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "unbalanced.conf"
 
 MINIMAL = """
 detector.qpc1.T = 0.5
@@ -43,6 +44,17 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def edited_golden(tmp_path, edits):
+    """Path of a copy of the golden config with each ``old -> new`` edit applied."""
+    text = GOLDEN_CONFIG.read_text(encoding="utf-8")
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "edited.conf"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
 
 
 def read_csv(text):
@@ -199,6 +211,16 @@ class TestScan:
         )
         assert code == 2
         assert "domain" in err
+
+    def test_sweep_bound_beyond_float_range(self, config_path, capsys):
+        code, out, err = run_cli(
+            ["scan", "--config", config_path, "--sweep", f"phi_d:0:{'9' * 400}:3",
+             "--quantities", "P_D1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
 
     def test_post_selection_impossible_exit_code(self, tmp_path, capsys):
         # deterministic lower system path with an unambiguous strong
@@ -401,3 +423,38 @@ class TestInteractionPhase:
         code, _, err = run_cli(["interaction-phase", "--config", config_path], capsys)
         assert code == 2
         assert "geometry" in err
+
+    @pytest.mark.parametrize("section, edits", [
+        pytest.param("geometry", {"screening_length = 100e-9": "screening_length = 0.04e-9"},
+                     id="exp-overflow"),
+        pytest.param("geometry", {"separation = 50e-9": "separation = 1e300",
+                                  "screening_length = 100e-9": "screening_length = 1e-300"},
+                     id="infinite-constant"),
+        pytest.param("geometry", {"separation = 50e-9": "separation = 1e-300",
+                                  "target_gamma = 2.2": "coulomb_constant = 1e300"},
+                     id="zero-denominator"),
+        pytest.param("bias", {"fermi_energy = 10e-3": "fermi_energy = -10e-3"},
+                     id="negative-fermi-energy"),
+        pytest.param("bias", {"temperature = 0.02": "temperature = -0.02"},
+                     id="negative-temperature"),
+    ])
+    @pytest.mark.parametrize("command", ["validate-config", "interaction-phase"])
+    def test_out_of_domain_is_config_error(self, tmp_path, capsys, section, edits, command):
+        path = edited_golden(tmp_path, edits)
+        code, out, err = run_cli([command, "--config", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"config error: {section}:" in err
+
+    @pytest.mark.parametrize("edits", [
+        pytest.param({"speed = 1e5": "speed = 1e-300"}, id="zero-denominator"),
+        pytest.param({"interaction_length = 5e-6": "interaction_length = 1e300"}, id="overflow"),
+    ])
+    def test_non_finite_dynamical_phase_is_config_error(self, tmp_path, capsys, edits):
+        # a vanishing coulomb constant keeps the coupling phase finite
+        path = edited_golden(tmp_path, {"target_gamma = 2.2": "coulomb_constant = 1e-300", **edits})
+        assert run_cli(["validate-config", "--config", path], capsys)[0] == 0
+        code, out, err = run_cli(["interaction-phase", "--config", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert "dynamical phase" in err

@@ -1,8 +1,24 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from coupled_mzi import ConfigError, evaluate_number, load_config, load_config_text
+from coupled_mzi import ConfigError, coupling_phase, evaluate_number, load_config, load_config_text
+from coupled_mzi.config import _KNOWN
+
+ROOT = Path(__file__).resolve().parents[1]
+SEED_TEXTS = [
+    path.read_text(encoding="utf-8")
+    for path in [*sorted((ROOT / "configs").glob("*.conf")), ROOT / "tests/golden/unbalanced.conf"]
+]
+GOLDEN = SEED_TEXTS[-1]
+README_BLOCK = re.search(
+    r"## Configuration format.*?```ini\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
+    re.DOTALL,
+).group(1)
 
 MINIMAL = """
 # minimal symmetric configuration
@@ -34,7 +50,12 @@ class TestNumberEvaluation:
         assert evaluate_number(text) == pytest.approx(value, rel=1e-15)
 
     @pytest.mark.parametrize(
-        "bad", ["two", "pi**2", "__import__('os')", "1/0", "sin(1)", "1e999", "1e999 - 1e999"]
+        "bad", ["two", "pi**2", "__import__('os')", "1/0", "sin(1)", "1e999", "1e999 - 1e999",
+                pytest.param("9" * 400, id="400-digit-integer"),
+                pytest.param("9" * 400 + "/3", id="400-digit-integer-divided"),
+                pytest.param("-" * 3000 + "1", id="3000-unary-minus"),
+                pytest.param("+".join(["1"] * 3000), id="3000-term-sum"),
+                "True", "False"]
     )
     def test_rejected_expressions(self, bad):
         with pytest.raises(ConfigError):
@@ -156,3 +177,81 @@ class TestLoadConfig:
         path.write_text(MINIMAL, encoding="utf-8")
         config = load_config(str(path))
         assert config.detector.qpc1.transmission == 0.5
+
+
+class TestReadmeExample:
+    def test_loads(self):
+        config = load_config_text(README_BLOCK)
+        assert config.bias is not None and config.geometry is not None and config.budget is not None
+
+    def test_names_every_key(self):
+        for key in sorted(_KNOWN):
+            # system.* and qpc2.* have the shape of detector.* and qpc1.*, which the block spells out
+            key = key.replace("system.", "detector.").replace(".qpc2.", ".qpc1.")
+            assert key in README_BLOCK
+
+
+PARTNERS = {"T": "theta", "theta": "T", "coulomb_constant": "target_gamma",
+            "target_gamma": "coulomb_constant"}
+dotted_names = st.lists(
+    st.sampled_from(["detector", "system", "qpc1", "bias", "geometry", "T", "phi", "x", ""]),
+    min_size=1, max_size=4,
+).map(".".join)
+value_texts = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.integers(1, 400).map(lambda digits: "9" * digits),
+    st.integers(-(10**400), 10**400).map(str),
+    st.builds(lambda sign, depth: sign * depth + "1", st.sampled_from("-+"), st.integers(1, 3000)),
+    st.builds(lambda op, terms: op.join("1" * terms), st.sampled_from("+-*/"), st.integers(1, 3000)),
+    st.sampled_from(["True", "False", "None", "pi/0", "1e999", "2*pi", "-0.0", "1j", "sin(1)"]),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped or golden config with up to four lines dropped, duplicated,
+    renamed, swapped to the other key of a one-of group or given a new value."""
+    lines = draw(st.sampled_from(SEED_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        key, _, value = lines[i].partition("=")
+        head, _, last = key.strip().rpartition(".")
+        mutation = draw(st.sampled_from(["drop", "duplicate", "rename", "swap", "value"]))
+        if mutation == "drop":
+            del lines[i]
+        elif mutation == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif mutation == "rename":
+            lines[i] = f"{draw(st.one_of(st.sampled_from(sorted(_KNOWN)), dotted_names))} ={value}"
+        elif mutation == "swap" and last in PARTNERS:
+            lines[i] = f"{head}.{PARTNERS[last]} ={value}"
+        elif mutation == "value":
+            lines[i] = f"{key}= {draw(value_texts)}"
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=mutated_configs())
+@example(text=GOLDEN.replace("detector.phi = 0.9", "detector.phi = " + "9" * 400))
+@example(text=GOLDEN.replace("coupling.gamma = 2.2", "coupling.gamma = " + "9" * 400 + "/3"))
+@example(text=GOLDEN.replace("system.phi = -1.3", "system.phi = " + "-" * 3000 + "1"))
+@example(text=GOLDEN.replace("observable.a0 = 0.25", "observable.a0 = " + "+".join(["1"] * 3000)))
+@example(text=GOLDEN.replace("coupling.sigma = 0.5", "coupling.sigma = True"))
+@example(text=GOLDEN.replace("screening_length = 100e-9", "screening_length = 0.04e-9"))
+@example(text=GOLDEN.replace("screening_length = 100e-9", "screening_length = 0"))
+@example(text=GOLDEN.replace("separation = 50e-9", "separation = 1e300")
+         .replace("screening_length = 100e-9", "screening_length = 1e-300"))
+@example(text=GOLDEN.replace("separation = 50e-9", "separation = 1e-300")
+         .replace("target_gamma = 2.2", "coulomb_constant = 1e300"))
+@example(text=GOLDEN.replace("fermi_energy = 10e-3", "fermi_energy = -10e-3"))
+@example(text=GOLDEN.replace("temperature = 0.02", "temperature = -0.02"))
+def test_config_text_loads_or_raises_config_error(text):
+    try:
+        config = load_config_text(text)
+    except ConfigError:
+        return
+    if config.bias is not None:
+        assert config.bias.fermi_energy > 0.0 and config.bias.temperature >= 0.0
+    if config.geometry is not None:
+        assert math.isfinite(coupling_phase(config.geometry))

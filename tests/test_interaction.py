@@ -73,6 +73,14 @@ class TestCouplingPhase:
         with pytest.raises(ValueError):
             InteractionGeometry(1e-6, 1e-9, 1e-7, 0.0, 1.0)
 
+    @pytest.mark.parametrize("separation, screening, constant", [
+        (1e-300, 100e-9, 1e300),  # hbar * d underflows to zero
+        (1e300, 1e-300, math.inf),  # inf * exp(-inf)
+    ])
+    def test_rejects_non_finite_phase(self, separation, screening, constant):
+        with pytest.raises(ValueError, match="coupling phase"):
+            InteractionGeometry(5e-6, separation, screening, 1e5, constant)
+
 
 class TestPositionPhase:
     def test_matches_coupling_phase_at_region_end(self):
@@ -175,3 +183,8 @@ class TestGeometryForPhase:
             geometry_for_phase(-1.0, 5e-6, 50e-9, 100e-9, 1e5)
         with pytest.raises(ValueError):
             geometry_for_phase(1.0, 0.0, 50e-9, 100e-9, 1e5)
+
+    @pytest.mark.parametrize("separation, screening", [(50e-9, 0.04e-9), (1e300, 1e-300), (50e-9, 0.0)])
+    def test_rejects_unrealizable_geometry(self, separation, screening):
+        with pytest.raises(ValueError):
+            geometry_for_phase(2.2, 5e-6, separation, screening, 1e5)

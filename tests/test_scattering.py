@@ -253,6 +253,12 @@ class TestCurrentsAndNoise:
         with pytest.raises(ValueError):
             average_current(1.5, BIAS)
 
+    @pytest.mark.parametrize("fermi_energy, temperature", [(0.0, 0.01), (-10e-3, 0.01), (10e-3, -0.02)])
+    def test_bias_domain(self, fermi_energy, temperature):
+        with pytest.raises(ValueError):
+            PhysicalBias(bias_voltage=10e-6, fermi_energy=fermi_energy, temperature=temperature)
+        PhysicalBias(bias_voltage=10e-6, fermi_energy=10e-3, temperature=0.0)
+
     def test_regime_warning(self):
         hot = PhysicalBias(bias_voltage=10e-6, fermi_energy=10e-3, temperature=4.0)
         with pytest.warns(UserWarning, match="low-bias"):
