@@ -24,7 +24,6 @@ from .errors import (
     AmbiguousMeasurementError,
     ConfigError,
     CoupledMziError,
-    InternalConsistencyError,
     PostSelectionImpossibleError,
 )
 from .interaction import (

@@ -49,7 +49,6 @@ from .measurement import (
 from .params import DetectorDrain, SystemDrain, _epsilon, _fringe_terms, detector_params
 from .scattering import (
     ELEMENTARY_CHARGE,
-    _check_joint,
     _check_low_bias_regime,
     _concurrence,
     _noise_table,
@@ -107,10 +106,8 @@ class _Grid:
     @cached_property
     def joint(self) -> np.ndarray:
         det, system = self.config.detector, self.config.system
-        c = joint_amplitude_table(det, system, self.gamma, self.phi_d, self.phi_s, self.t_s1)
-        joint = _probabilities(c)
-        _check_joint(joint)
-        return joint
+        return _probabilities(
+            joint_amplitude_table(det, system, self.gamma, self.phi_d, self.phi_s, self.t_s1))
 
     def marginal(self, drain: DetectorDrain | SystemDrain) -> np.ndarray:
         return self.joint.sum(axis=-1 if isinstance(drain, DetectorDrain) else -2)[:, drain.value]
@@ -251,11 +248,12 @@ def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
            _fmt(report.empirical_variance), _fmt(report.predicted_mse),
            _fmt(report.mse_upper_bound), report.rng_algorithm]
     if config.budget is not None:
+        bound = (observation_time(cv, config.budget),
+                 (cv.alpha_d1**2 + cv.alpha_d2**2) / config.budget.target_rms**2)
+        if not all(map(math.isfinite, bound)):
+            raise ConfigError("budget: the observation time is not a finite number")
         header += ["observation_time_s", "required_events"]
-        row += [
-            _fmt(observation_time(cv, config.budget)),
-            _fmt((cv.alpha_d1**2 + cv.alpha_d2**2) / config.budget.target_rms**2),
-        ]
+        row += [_fmt(x) for x in bound]
     return _csv(header, [row])
 
 
@@ -274,10 +272,10 @@ def run_povm(config: ExperimentConfig) -> str:
         ("eta", _fmt(damping_eta(coupling.sigma))),
         ("eta_prime", _fmt(coupling.pair_probability * damping_eta(coupling.sigma))),
         ("Gamma_damped", _fmt(damped.Gamma)),
-        ("E_D1_LL", _fmt(povm.e_d1[0, 0].real)),
-        ("E_D1_UU", _fmt(povm.e_d1[1, 1].real)),
-        ("E_D2_LL", _fmt(povm.e_d2[0, 0].real)),
-        ("E_D2_UU", _fmt(povm.e_d2[1, 1].real)),
+        ("E_D1_LL", _fmt(povm.diag_d1[0])),
+        ("E_D1_UU", _fmt(povm.diag_d1[1])),
+        ("E_D2_LL", _fmt(povm.diag_d2[0])),
+        ("E_D2_UU", _fmt(povm.diag_d2[1])),
     ]
     try:
         cv = contextual_values(config.observable, damped)

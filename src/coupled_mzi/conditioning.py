@@ -29,7 +29,6 @@ from .params import (
 )
 from .scattering import (
     JointStatistics,
-    _check_joint,
     _probabilities,
     joint_amplitude_table,
     joint_amplitudes,
@@ -119,7 +118,6 @@ def erasure_curve(
     """
     phi_s = np.asarray(phi_s_values, dtype=float).ravel()
     joint = _probabilities(joint_amplitude_table(det, sys, gamma, phi_s=phi_s))
-    _check_joint(joint)
     p_d = joint[:, condition.value, :].sum(axis=-1)
     _post_select({condition: p_d})
     p_s1_given = joint[:, condition.value, SystemDrain.S1.value] / p_d

@@ -44,9 +44,5 @@ class PostSelectionImpossibleError(CoupledMziError):
         )
 
 
-class InternalConsistencyError(CoupledMziError):
-    """A computed object violates a structural identity beyond tolerance."""
-
-
 class ConfigError(CoupledMziError):
     """Configuration file cannot be parsed or fails validation."""

@@ -128,7 +128,11 @@ def geometry_for_phase(
     screening_length: float,
     propagation_speed: float,
 ) -> InteractionGeometry:
-    """Geometry whose interaction constant realizes a target coupling phase."""
+    """Geometry whose interaction constant realizes a target coupling phase.
+
+    Raises ``ValueError`` when the solved constant does not reproduce the
+    target within 1e-9 relative, e.g. when it underflows.
+    """
     if target_gamma <= 0:
         raise ValueError("target phase must be positive")
     if copropagation_length <= 0:
@@ -146,10 +150,17 @@ def geometry_for_phase(
         )
     except OverflowError:
         raise ValueError("exp(channel_separation / screening_length) overflows") from None
-    return InteractionGeometry(
+    geom = InteractionGeometry(
         copropagation_length=copropagation_length,
         channel_separation=channel_separation,
         screening_length=screening_length,
         propagation_speed=propagation_speed,
         coulomb_constant=alpha,
     )
+    realized = coupling_phase(geom)
+    if not abs(realized - target_gamma) <= 1e-9 * target_gamma:
+        raise ValueError(
+            f"coulomb_constant {alpha!r} gives coupling phase {realized!r}, "
+            f"not the target {target_gamma!r}"
+        )
+    return geom

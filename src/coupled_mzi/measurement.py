@@ -5,7 +5,10 @@ The system path space is two-dimensional with basis order ``(L^s, U^s)``;
 eigenvalue +1).  The detector drains realize a generalized measurement of
 observables inside the span of ``(identity, sigma_z)``; components along
 ``sigma_x``/``sigma_y`` cannot be constructed from these drains and inputs
-with such components are rejected rather than approximated.
+with such components are rejected rather than approximated.  The
+measurement operators and POVM elements are diagonal in this basis and are
+held as their diagonals ``(X[L, L], X[U, U])``; their 2x2 matrices are
+built on access.
 """
 
 from __future__ import annotations
@@ -55,28 +58,44 @@ def detector_drain_amplitudes(det: InterferometerConfig, gamma: float) -> np.nda
     return _detector_amplitudes(det, det.tuning_phase, gamma)
 
 
+def _freeze(obj, kind) -> None:
+    """Store both diagonals of ``obj`` as ``(L^s, U^s)`` pairs of ``kind``."""
+    for name in ("diag_d1", "diag_d2"):
+        lower, upper = getattr(obj, name)
+        object.__setattr__(obj, name, (kind(lower), kind(upper)))
+
+
+def _squared_moduli(diagonal: tuple[complex, complex]) -> tuple[float, float]:
+    return tuple(x.real**2 + x.imag**2 for x in diagonal)
+
+
+def _complete(e_d1, e_d2) -> bool:
+    """``E_D1 + E_D2 = identity`` to 1e-12 entrywise; false for NaN or inf."""
+    return all(abs(a + b - 1.0) <= 1e-12 for a, b in zip(e_d1, e_d2))
+
+
 @dataclass(frozen=True)
 class MeasurementOperators:
-    """Diagonal Kraus operators for absorption at the two detector drains.
+    """Kraus operators for absorption at the two detector drains.
 
     ``M_D1^dagger M_D1 + M_D2^dagger M_D2 = identity`` to 1e-12.
     """
 
-    m_d1: np.ndarray
-    m_d2: np.ndarray
+    diag_d1: tuple[complex, complex]
+    diag_d2: tuple[complex, complex]
 
     def __post_init__(self):
-        for name in ("m_d1", "m_d2"):
-            m = np.array(getattr(self, name), dtype=complex)
-            if m.shape != (2, 2):
-                raise ValueError(f"{name} must be 2x2")
-            if abs(m[0, 1]) > 1e-12 or abs(m[1, 0]) > 1e-12:
-                raise ValueError(f"{name} must be diagonal in the path basis")
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
-        total = self.m_d1.conj().T @ self.m_d1 + self.m_d2.conj().T @ self.m_d2
-        if np.max(np.abs(total - SIGMA_0)) > 1e-12:
+        _freeze(self, complex)
+        if not _complete(_squared_moduli(self.diag_d1), _squared_moduli(self.diag_d2)):
             raise ValueError("measurement operators violate completeness")
+
+    @property
+    def m_d1(self) -> np.ndarray:
+        return np.diag(self.diag_d1)
+
+    @property
+    def m_d2(self) -> np.ndarray:
+        return np.diag(self.diag_d2)
 
 
 def measurement_operators(det: InterferometerConfig, gamma: float) -> MeasurementOperators:
@@ -86,49 +105,42 @@ def measurement_operators(det: InterferometerConfig, gamma: float) -> Measuremen
     completely ambiguous measurement); ``gamma = pi`` perturbs the system
     maximally.
     """
-    c = detector_drain_amplitudes(det, gamma)
-    return MeasurementOperators(m_d1=np.diag(c[0]), m_d2=np.diag(c[1]))
+    return MeasurementOperators(*detector_drain_amplitudes(det, gamma).tolist())
 
 
 @dataclass(frozen=True)
 class PovmPair:
-    """Probability operators of the two detector drains.
+    """Probability operators of the two detector drains: positive
+    semidefinite and summing to the identity, both to 1e-12."""
 
-    Each element is Hermitian, positive semidefinite, diagonal in the path
-    basis, and the pair sums to the identity.
-    """
-
-    e_d1: np.ndarray
-    e_d2: np.ndarray
+    diag_d1: tuple[float, float]
+    diag_d2: tuple[float, float]
 
     def __post_init__(self):
-        for name in ("e_d1", "e_d2"):
-            e = np.array(getattr(self, name), dtype=complex)
-            if e.shape != (2, 2):
-                raise ValueError(f"{name} must be 2x2")
-            if np.max(np.abs(e - e.conj().T)) > 1e-12:
-                raise ValueError(f"{name} is not Hermitian")
-            if abs(e[0, 1]) > 1e-12:
-                raise ValueError(f"{name} is not diagonal in the path basis")
-            if min(e[0, 0].real, e[1, 1].real) < -1e-12:
-                raise ValueError(f"{name} is not positive semidefinite")
-            e.setflags(write=False)
-            object.__setattr__(self, name, e)
-        if np.max(np.abs(self.e_d1 + self.e_d2 - SIGMA_0)) > 1e-12:
+        _freeze(self, float)
+        if not min(*self.diag_d1, *self.diag_d2) >= -1e-12:
+            raise ValueError("POVM elements are not positive semidefinite")
+        if not _complete(self.diag_d1, self.diag_d2):
             raise ValueError("POVM elements do not sum to the identity")
+
+    @property
+    def e_d1(self) -> np.ndarray:
+        return np.diag(self.diag_d1)
+
+    @property
+    def e_d2(self) -> np.ndarray:
+        return np.diag(self.diag_d2)
 
 
 def povm_pair(m: MeasurementOperators) -> PovmPair:
-    """POVM ``E_D = M_D^dagger M_D`` for the two drains."""
-    return PovmPair(e_d1=m.m_d1.conj().T @ m.m_d1, e_d2=m.m_d2.conj().T @ m.m_d2)
+    """POVM ``E_D = M_D^dagger M_D``, the squared moduli of the diagonals."""
+    return PovmPair(_squared_moduli(m.diag_d1), _squared_moduli(m.diag_d2))
 
 
 def povm_expectation(povm: PovmPair, state: np.ndarray) -> tuple[float, float]:
-    """Drain probabilities ``<state| E_D |state>`` under a system state."""
-    state = np.asarray(state, dtype=complex)
-    p1 = float(np.real(state.conj() @ povm.e_d1 @ state))
-    p2 = float(np.real(state.conj() @ povm.e_d2 @ state))
-    return p1, p2
+    """Drain probabilities ``<state| E_D |state> = E_D . |state|^2``."""
+    weights = np.abs(np.asarray(state, dtype=complex)) ** 2
+    return float(np.dot(povm.diag_d1, weights)), float(np.dot(povm.diag_d2, weights))
 
 
 def decompose_observable(a: np.ndarray) -> np.ndarray:
@@ -273,10 +285,6 @@ def efficient_factorization(det: InterferometerConfig, gamma: float) -> Efficien
     )
 
 
-def _projector_upper() -> np.ndarray:
-    return np.diag([0.0, 1.0]).astype(complex)
-
-
 def limit_contextual_values(
     regime: str, gamma: float, phi_d: float, n: int | None = None
 ) -> tuple[ContextualValues, PovmPair]:
@@ -299,7 +307,6 @@ def limit_contextual_values(
     the exact values vanishes as O(gamma) and O(gamma^2) respectively.
     """
     obs = ObservableCoefficients()
-    proj_u = _projector_upper()
     if regime == "strong":
         if abs(gamma - math.pi) > 1e-9:
             raise ValueError("strong regime requires gamma = pi")
@@ -307,9 +314,8 @@ def limit_contextual_values(
         if abs(cos_phi) <= DIVERGENCE_THRESHOLD:
             raise AmbiguousMeasurementError(1.0, cos_phi, DIVERGENCE_THRESHOLD)
         cv = ContextualValues(-1.0 / cos_phi, 1.0 / cos_phi, obs)
-        e_d1 = 0.5 * (SIGMA_0 - SIGMA_3 * cos_phi)
-        e_d2 = 0.5 * (SIGMA_0 + SIGMA_3 * cos_phi)
-        return cv, PovmPair(e_d1=e_d1, e_d2=e_d2)
+        low, high = 0.5 * (1.0 - cos_phi), 0.5 * (1.0 + cos_phi)
+        return cv, PovmPair((low, high), (high, low))
     if regime == "weak":
         if n is not None:
             raise ValueError("n is only meaningful for the semiweak regime")
@@ -324,9 +330,8 @@ def limit_contextual_values(
             1.0 + (2.0 / gamma) * (1.0 - cos_phi) / sin_phi,
             obs,
         )
-        e_d1 = 0.5 * (1.0 - cos_phi) * SIGMA_0 + (gamma / 2.0) * sin_phi * proj_u
-        e_d2 = 0.5 * (1.0 + cos_phi) * SIGMA_0 - (gamma / 2.0) * sin_phi * proj_u
-        return cv, PovmPair(e_d1=e_d1, e_d2=e_d2)
+        low, high, shift = 0.5 * (1.0 - cos_phi), 0.5 * (1.0 + cos_phi), (gamma / 2.0) * sin_phi
+        return cv, PovmPair((low, low + shift), (high, high - shift))
     if regime == "semiweak":
         if n is None:
             raise ValueError("semiweak regime requires the integer n with phi_d = n pi")
@@ -338,7 +343,6 @@ def limit_contextual_values(
         s2 = math.sin(gamma / 2.0) ** 2
         c2 = math.cos(gamma / 2.0) ** 2
         cv = ContextualValues(-(sign + c2) / s2, (sign - c2) / s2, obs)
-        e_d1 = 0.5 * (1.0 - sign) * SIGMA_0 + sign * s2 * proj_u
-        e_d2 = 0.5 * (1.0 + sign) * SIGMA_0 - sign * s2 * proj_u
-        return cv, PovmPair(e_d1=e_d1, e_d2=e_d2)
+        low, high = 0.5 * (1.0 - sign), 0.5 * (1.0 + sign)
+        return cv, PovmPair((low, low + sign * s2), (high, high - sign * s2))
     raise ValueError(f"unknown regime {regime!r}")

@@ -161,47 +161,39 @@ def joint_amplitudes(det: InterferometerConfig, sys: InterferometerConfig, gamma
     return JointAmplitudes(joint_amplitude_table(det, sys, gamma))
 
 
-def _check_joint(joint: np.ndarray) -> None:
-    """Range and sum checks of joint tables ``(..., 2, 2)``, whole stack at once."""
-    if not (joint.min() >= -1e-12 and joint.max() <= 1.0 + 1e-12):
-        raise ValueError("joint probabilities outside [0, 1]")
-    if not np.abs(joint.sum(axis=(-2, -1)) - 1.0).max() <= 1e-12:
-        raise ValueError("joint probabilities do not sum to 1")
-
-
 @dataclass(frozen=True)
 class JointStatistics:
-    """Joint drain probabilities with detector and system marginals."""
+    """Joint drain probabilities ``joint[detector drain, system drain]``;
+    the detector and system marginals are its row and column sums."""
 
     joint: np.ndarray
-    detector_marginals: np.ndarray
-    system_marginals: np.ndarray
 
     def __post_init__(self):
-        joint = np.asarray(self.joint, dtype=float)
-        det_m = np.asarray(self.detector_marginals, dtype=float)
-        sys_m = np.asarray(self.system_marginals, dtype=float)
-        if joint.shape != (2, 2):
-            raise ValueError("joint table must be 2x2")
-        _check_joint(joint)
-        if np.max(np.abs(joint.sum(axis=1) - det_m)) > 1e-12:
-            raise ValueError("detector marginals inconsistent with joint table")
-        if np.max(np.abs(joint.sum(axis=0) - sys_m)) > 1e-12:
-            raise ValueError("system marginals inconsistent with joint table")
-        for arr in (joint, det_m, sys_m):
-            arr.setflags(write=False)
+        joint = np.array(self.joint, dtype=float)
+        values = joint.ravel().tolist()
+        if not (min(values) >= -1e-12 and max(values) <= 1.0 + 1e-12):
+            raise ValueError("joint probabilities outside [0, 1]")
+        if not abs(sum(values) - 1.0) <= 1e-12:
+            raise ValueError("joint probabilities do not sum to 1")
+        joint.setflags(write=False)
         object.__setattr__(self, "joint", joint)
-        object.__setattr__(self, "detector_marginals", det_m)
-        object.__setattr__(self, "system_marginals", sys_m)
+
+    @property
+    def detector_marginals(self) -> np.ndarray:
+        return self.joint.sum(axis=1)
+
+    @property
+    def system_marginals(self) -> np.ndarray:
+        return self.joint.sum(axis=0)
 
     def p_joint(self, d: DetectorDrain, s: SystemDrain) -> float:
         return float(self.joint[d.value, s.value])
 
     def p_detector(self, d: DetectorDrain) -> float:
-        return float(self.detector_marginals[d.value])
+        return float(self.joint[d.value].sum())
 
     def p_system(self, s: SystemDrain) -> float:
-        return float(self.system_marginals[s.value])
+        return float(self.joint[:, s.value].sum())
 
 
 def _probabilities(c: np.ndarray) -> np.ndarray:
@@ -223,7 +215,7 @@ def joint_statistics(amps: JointAmplitudes) -> JointStatistics:
     Raises ``ValueError`` if the amplitude normalization is off by more
     than 1e-9 (the production pipeline keeps it at the 1e-12 level).
     """
-    return _statistics(_probabilities(amps.c))
+    return JointStatistics(_probabilities(amps.c))
 
 
 def joint_statistics_closed_form(
@@ -233,12 +225,7 @@ def joint_statistics_closed_form(
 
     Independent of the amplitude pipeline; the two must agree to 1e-12.
     """
-    return _statistics(joint_probability_table(det, sys, gamma))
-
-
-def _statistics(joint: np.ndarray) -> JointStatistics:
-    """A 2x2 joint table with marginals from its row and column sums."""
-    return JointStatistics(joint, joint.sum(axis=1), joint.sum(axis=0))
+    return JointStatistics(joint_probability_table(det, sys, gamma))
 
 
 def joint_probability_table(

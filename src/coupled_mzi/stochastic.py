@@ -63,7 +63,9 @@ class ObservationBudget:
     """Observation-time budgeting inputs.
 
     ``tau_m`` is the mean time per detector absorption; when omitted it
-    defaults to the time of flight ``path_length / fermi_velocity``.
+    defaults to the time of flight ``path_length / fermi_velocity``.  The
+    time per unit of ``alpha_D1^2 + alpha_D2^2``, ``tau_m / target_rms^2``,
+    must be a finite number.
     """
 
     path_length: float
@@ -76,6 +78,11 @@ class ObservationBudget:
             raise ValueError("budget parameters must be positive")
         if self.tau_m is not None and self.tau_m <= 0:
             raise ValueError("tau_m must be positive when given")
+        rms_squared = self.target_rms * self.target_rms
+        if not (0.0 < rms_squared < math.inf
+                and math.isfinite(self.mean_absorption_time / rms_squared)):
+            raise ValueError("the observation time per unit alpha^2, tau_m / target_rms^2, "
+                             "is not a finite number")
 
     @property
     def mean_absorption_time(self) -> float:

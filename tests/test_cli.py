@@ -308,6 +308,27 @@ class TestMontecarlo:
         time_s = float(rows[0][header.index("observation_time_s")])
         assert time_s == pytest.approx(200.0 * 1e-10, rel=1e-12)
 
+    @pytest.mark.parametrize("edits", [
+        pytest.param({"target_rms = 0.1": "target_rms = 1e-300"}, id="rms-squared-underflows"),
+        pytest.param({"path_length = 1e-5": "path_length = 1e300",
+                      "fermi_velocity = 1e5": "fermi_velocity = 1e-300"}, id="infinite-tau"),
+        pytest.param({"target_rms = 0.1": "target_rms = 1e-100\nobservable.a3 = 1e100"},
+                     id="alpha-squared-overflows-time"),
+    ])
+    def test_non_finite_observation_time_is_config_error(self, tmp_path, capsys, edits):
+        text = (CONFIGS / "strong_measurement.conf").read_text(encoding="utf-8")
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "budget.conf"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(
+            ["montecarlo", "--config", str(path), "--n", "10", "--seed", "1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "config error: budget:" in err
+
     def test_deterministic_given_seed(self, tmp_path, capsys):
         path = tmp_path / "exp.conf"
         path.write_text(MINIMAL.replace("coupling.gamma = pi", "coupling.gamma = pi/2"),
@@ -418,6 +439,22 @@ class TestInteractionPhase:
         assert float(rows["dynamical_phase_pair"]) == pytest.approx(
             2.0 * float(rows["dynamical_phase_single"]), rel=1e-12
         )
+
+    def test_unrealized_target_phase_is_config_error(self, tmp_path, capsys):
+        # the solved constant underflows: the geometry would give coupling phase 0
+        text = MINIMAL + (
+            "geometry.interaction_length = 1e300\n"
+            "geometry.channel_separation = 50e-9\n"
+            "geometry.screening_length = 100e-9\n"
+            "geometry.speed = 1e5\n"
+            "geometry.target_gamma = 2.2\n"
+        )
+        path = tmp_path / "geom.conf"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["interaction-phase", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "config error: geometry:" in err
 
     def test_requires_geometry(self, config_path, capsys):
         code, _, err = run_cli(["interaction-phase", "--config", config_path], capsys)

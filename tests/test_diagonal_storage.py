@@ -1,0 +1,87 @@
+"""Measurement operators, POVM and joint statistics hold only their
+independent numbers, and their public constructors reject bad input."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from coupled_mzi import (
+    JointStatistics,
+    MeasurementOperators,
+    PovmPair,
+    joint_amplitudes,
+    joint_statistics,
+    measurement_operators,
+    povm_pair,
+)
+from conftest import random_mzi
+
+NAN, INF = math.nan, math.inf
+
+
+def test_fields_are_the_independent_numbers():
+    assert [f.name for f in dataclasses.fields(MeasurementOperators)] == ["diag_d1", "diag_d2"]
+    assert [f.name for f in dataclasses.fields(PovmPair)] == ["diag_d1", "diag_d2"]
+    assert [f.name for f in dataclasses.fields(JointStatistics)] == ["joint"]
+
+
+def test_matrix_views_carry_the_diagonals(rng):
+    for _ in range(50):
+        det, sysm = random_mzi(rng), random_mzi(rng)
+        gamma = rng.uniform(0, 2 * math.pi)
+        m = measurement_operators(det, gamma)
+        povm = povm_pair(m)
+        for diagonal, matrix in ((m.diag_d1, m.m_d1), (m.diag_d2, m.m_d2),
+                                 (povm.diag_d1, povm.e_d1), (povm.diag_d2, povm.e_d2)):
+            assert np.array_equal(matrix, np.diag(diagonal))
+        assert np.abs(np.subtract(povm.diag_d1, np.abs(m.diag_d1) ** 2)).max() <= 1e-15
+        stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
+        assert np.array_equal(stats.detector_marginals, stats.joint.sum(axis=1))
+        assert np.array_equal(stats.system_marginals, stats.joint.sum(axis=0))
+
+
+def test_views_cannot_be_reassigned():
+    m = MeasurementOperators((0.6, 0.8j), (0.8, 0.6))
+    with pytest.raises(AttributeError):
+        m.m_d1 = np.eye(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.diag_d1 = (1.0, 1.0)
+
+
+@pytest.mark.parametrize("d1, d2", [
+    pytest.param((NAN, NAN), (NAN, NAN), id="nan"),
+    pytest.param((0.6, NAN), (0.8, 1.0), id="one-nan"),
+    pytest.param((INF, 0.0), (0.0, 1.0), id="inf"),
+    pytest.param((0.6, 0.6), (0.6, 0.6), id="incomplete"),
+    pytest.param((0.6, 0.0, 0.0), (0.8, 1.0, 1.0), id="three-paths"),
+])
+def test_measurement_operators_reject(d1, d2):
+    with pytest.raises(ValueError):
+        MeasurementOperators(d1, d2)
+
+
+@pytest.mark.parametrize("e1, e2", [
+    pytest.param((NAN, NAN), (NAN, NAN), id="nan"),
+    pytest.param((0.5, NAN), (0.5, 0.5), id="one-nan"),
+    pytest.param((INF, 0.5), (0.5, 0.5), id="inf"),
+    pytest.param((INF, 0.5), (-INF, 0.5), id="opposite-infs"),
+    pytest.param((0.3, 0.5), (0.3, 0.5), id="incomplete"),
+    pytest.param((-0.1, 0.5), (1.1, 0.5), id="negative"),
+])
+def test_povm_pair_rejects(e1, e2):
+    with pytest.raises(ValueError):
+        PovmPair(e1, e2)
+
+
+@pytest.mark.parametrize("joint", [
+    pytest.param([[NAN, 0.0], [0.0, 1.0]], id="nan"),
+    pytest.param([[0.0, 0.0], [NAN, 1.0]], id="nan-not-first"),
+    pytest.param([[INF, 0.0], [0.0, 1.0]], id="inf"),
+    pytest.param([[0.25, 0.25], [0.25, 0.2]], id="incomplete"),
+    pytest.param([[-0.1, 0.35], [0.25, 0.5]], id="negative"),
+])
+def test_joint_statistics_rejects(joint):
+    with pytest.raises(ValueError):
+        JointStatistics(np.array(joint))

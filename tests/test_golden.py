@@ -17,6 +17,7 @@ and ``erasure``.  Regenerate them only for an intended change of answers:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -109,6 +110,14 @@ def capture() -> None:
         if code == 0:
             (GOLDEN / f"{name}.csv").write_text(out, encoding="utf-8", newline="")
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+
+
+def recapture(argv: list[str] | None = None) -> None:
+    """Command line of this file: no options; ``-h`` prints the recipe above
+    and writes nothing, any argument exits 2, a bare run calls :func:`capture`."""
+    argparse.ArgumentParser(prog="tests/test_golden.py", description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
+    capture()
 
 
 # ----------------------------------------------------------------- scales
@@ -208,5 +217,18 @@ def test_manifest_lists_every_case():
         assert _manifest()[name]["argv"] == argv
 
 
+def test_help_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    monkeypatch.setitem(globals(), "MANIFEST", tmp_path / "cases.json")
+    with pytest.raises(SystemExit) as exit_info:
+        recapture(["--help"])
+    assert exit_info.value.code == 0
+    assert "python tests/test_golden.py" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        recapture(["--force"])
+    assert exit_info.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 if __name__ == "__main__":
-    sys.exit(capture())
+    sys.exit(recapture())

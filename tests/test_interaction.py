@@ -184,6 +184,11 @@ class TestGeometryForPhase:
         with pytest.raises(ValueError):
             geometry_for_phase(1.0, 0.0, 50e-9, 100e-9, 1e5)
 
+    def test_rejects_constant_that_misses_the_target(self):
+        # the solved constant is 3.7e-299, so alpha * e^2 underflows and the phase is 0
+        with pytest.raises(ValueError, match="not the target"):
+            geometry_for_phase(2.2, 1e300, 50e-9, 100e-9, 1e5)
+
     @pytest.mark.parametrize("separation, screening", [(50e-9, 0.04e-9), (1e300, 1e-300), (50e-9, 0.0)])
     def test_rejects_unrealizable_geometry(self, separation, screening):
         with pytest.raises(ValueError):

@@ -18,14 +18,21 @@ from coupled_mzi import (
     joint_amplitude_table,
     joint_amplitudes,
     joint_probability_table,
+    joint_statistics,
+    measurement_operators,
+    povm_expectation,
+    povm_pair,
     qpc_from_transmission,
+    reduced_system_state,
 )
+from coupled_mzi.measurement import SIGMA_0, SIGMA_3
 from coupled_mzi.params import SystemDrain
 
 TWO_PI = 2.0 * math.pi
 transmissions = st.floats(0.0, 1.0)
 angles = st.floats(-TWO_PI, TWO_PI)
 couplings = st.floats(0.0, TWO_PI)
+observables = st.builds(ObservableCoefficients, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
 
 
 @st.composite
@@ -87,3 +94,34 @@ def test_gamma_array_broadcasts_against_config_phases():
     assert c.shape == (7, 2, 2)
     expected = joint_probability_table(det, sysm, gammas)
     assert np.abs(c) ** 2 == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(det=interferometers(), gamma=couplings)
+def test_povm_complete_and_positive(det, gamma):
+    povm = povm_pair(measurement_operators(det, gamma))
+    assert np.max(np.abs(povm.e_d1 + povm.e_d2 - SIGMA_0)) <= 1e-12
+    for element in (povm.e_d1, povm.e_d2):
+        assert np.min(np.diag(element).real) >= -1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(det=interferometers(), gamma=couplings, obs=observables)
+def test_contextual_values_reconstruct_observable(det, gamma, obs):
+    try:
+        cv = contextual_values(obs, detector_params(det, gamma))
+    except AmbiguousMeasurementError:
+        assume(False)
+    povm = povm_pair(measurement_operators(det, gamma))
+    residual = cv.alpha_d1 * povm.e_d1 + cv.alpha_d2 * povm.e_d2 - (obs.a0 * SIGMA_0 + obs.a3 * SIGMA_3)
+    scale = max(1.0, abs(cv.alpha_d1), abs(cv.alpha_d2))
+    assert np.max(np.abs(residual)) <= 1e-10 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(det=interferometers(), sysm=interferometers(), gamma=couplings)
+def test_povm_expectation_matches_amplitude_marginals(det, sysm, gamma):
+    povm = povm_pair(measurement_operators(det, gamma))
+    expected = joint_statistics(joint_amplitudes(det, sysm, gamma)).detector_marginals
+    got = povm_expectation(povm, reduced_system_state(sysm))
+    assert np.max(np.abs(np.array(got) - expected)) <= 1e-12
