@@ -89,6 +89,7 @@ from .stochastic import (
     EstimateReport,
     ObservationBudget,
     averaged_detector_params,
+    averaged_joint_table,
     contextual_estimate,
     damping_eta,
     observation_time,

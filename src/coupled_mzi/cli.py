@@ -26,7 +26,7 @@ import io
 import math
 import sys
 from collections.abc import Callable
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .measurement import (
 from .params import DetectorDrain, SystemDrain, _epsilon, _fringe_terms, detector_params
 from .scattering import (
     ELEMENTARY_CHARGE,
+    JointStatistics,
     _check_low_bias_regime,
     _concurrence,
     _noise_table,
@@ -58,13 +59,14 @@ from .scattering import (
     joint_statistics,
 )
 from .stochastic import (
+    _averaged_correlation,
     _eta,
     averaged_detector_params,
+    averaged_joint_table,
     contextual_estimate,
     damping_eta,
     observation_time,
     sample_events,
-    sample_events_fluctuating,
 )
 
 AMBIGUOUS_TOKEN = "inf-ambiguous"
@@ -123,8 +125,9 @@ class _Grid:
         terms = _fringe_terms(det.qpc1, det.qpc2, self.phi_d, self.gamma, 1.0)
         terms = terms._make(np.broadcast_arrays(*terms))  # divide as arrays where V = 0
         if damped:
-            eta_prime = self.config.coupling.pair_probability * _eta(self.sigma)
-            terms = terms._replace(Gamma=eta_prime * terms.Gamma)
+            big_gamma, delta = _averaged_correlation(
+                terms.Gamma, terms.Delta, self.sigma, self.config.coupling.pair_probability)
+            terms = terms._replace(Gamma=big_gamma, Delta=delta)
         ambiguous = np.abs(terms.visibility * terms.Gamma) <= DIVERGENCE_THRESHOLD
         return [np.where(ambiguous, np.nan, w) for w in _weights(self.config.observable, terms)]
 
@@ -166,8 +169,8 @@ _QUANTITIES: dict[str, Callable[[_Grid], np.ndarray]] = {
 }
 """Scan columns by name.  Probability, conditional, noise and
 conditioned-average columns come from the exact pipeline at the mean
-coupling phase; the ``alpha`` columns apply the fluctuation damping of the
-coupling model, and ``eta`` reports the damping factor itself."""
+coupling phase; the ``alpha`` columns invert the drain probabilities
+averaged over the coupling model, and ``eta`` reports its damping factor."""
 
 QUANTITIES = tuple(_QUANTITIES)
 
@@ -221,35 +224,35 @@ def run_erasure(config: ExperimentConfig, minimum: float, maximum: float, count:
 def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
     """CSV report of one seeded estimator run.
 
-    Events are sampled from the exact joint distribution; with a
-    fluctuating coupling (``sigma > 0`` or ``pair_probability < 1``) the
-    sampler draws a coupling phase per event and the contextual values
-    apply the damping compensation.  When the config carries a budget
-    section the report includes the observation-time bound.
+    Events are drawn from the exact joint drain distribution with
+    :func:`sample_events`.  With a fluctuating coupling (``sigma > 0`` or
+    ``pair_probability < 1``) that is the fluctuation-averaged table, and the
+    contextual values invert its averaged drain probabilities.  The exact
+    detector marginals give the predicted MSE.  When the config carries a
+    budget section the report includes the observation-time bound.  A report
+    that is not finite exits as a configuration error.
     """
     det, system, coupling = config.detector, config.system, config.coupling
-    fluctuating = coupling.sigma > 0.0 or coupling.pair_probability < 1.0
     damped = averaged_detector_params(detector_params(det, coupling.gamma), coupling)
     cv = contextual_values(config.observable, damped)
-    if fluctuating:
-        events = sample_events_fluctuating(det, system, coupling, n, seed)
-        probabilities = None
+    if coupling.sigma > 0.0 or coupling.pair_probability < 1.0:
+        stats = JointStatistics(averaged_joint_table(det, system, coupling))
     else:
         stats = joint_statistics(joint_amplitudes(det, system, coupling.gamma))
-        events = sample_events(stats, n, seed)
-        probabilities = (
-            stats.p_detector(DetectorDrain.D1),
-            stats.p_detector(DetectorDrain.D2),
-        )
+    events = sample_events(stats, n, seed)
+    probabilities = (stats.p_detector(DetectorDrain.D1), stats.p_detector(DetectorDrain.D2))
     report = contextual_estimate(events, cv, probabilities=probabilities, seed=seed)
+    values = (report.estimate, report.empirical_variance, report.predicted_mse,
+              report.mse_upper_bound)
+    if not all(map(math.isfinite, values)):
+        raise ConfigError("observable: the estimator report is not a finite number")
     header = ["seed", "n", "estimate", "empirical_variance", "predicted_mse",
               "mse_upper_bound", "rng_algorithm"]
-    row = [str(report.seed), str(report.n), _fmt(report.estimate),
-           _fmt(report.empirical_variance), _fmt(report.predicted_mse),
-           _fmt(report.mse_upper_bound), report.rng_algorithm]
+    row = [str(report.seed), str(report.n), *map(_fmt, values), report.rng_algorithm]
     if config.budget is not None:
+        rms = config.budget.target_rms
         bound = (observation_time(cv, config.budget),
-                 (cv.alpha_d1**2 + cv.alpha_d2**2) / config.budget.target_rms**2)
+                 (cv.alpha_d1 * cv.alpha_d1 + cv.alpha_d2 * cv.alpha_d2) / (rms * rms))
         if not all(map(math.isfinite, bound)):
             raise ConfigError("budget: the observation time is not a finite number")
         header += ["observation_time_s", "required_events"]
@@ -272,6 +275,7 @@ def run_povm(config: ExperimentConfig) -> str:
         ("eta", _fmt(damping_eta(coupling.sigma))),
         ("eta_prime", _fmt(coupling.pair_probability * damping_eta(coupling.sigma))),
         ("Gamma_damped", _fmt(damped.Gamma)),
+        ("Delta_damped", _fmt(damped.Delta)),
         ("E_D1_LL", _fmt(povm.diag_d1[0])),
         ("E_D1_UU", _fmt(povm.diag_d1[1])),
         ("E_D2_LL", _fmt(povm.diag_d2[0])),
@@ -329,7 +333,9 @@ def _write_output(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="coupled-mzi",
         description="Coupled electronic Mach-Zehnder interferometer simulator",

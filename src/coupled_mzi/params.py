@@ -172,9 +172,9 @@ class FringeParams:
     of the two drains, ``visibility`` the wave-like fringe visibility,
     ``Gamma`` the coupling-induced part of the interference (the
     correlation strength with the partner channel), and ``Delta`` the
-    remaining coupling-independent interference.  For parameters built
-    from an unaveraged coupling, ``Delta + Gamma = cos(phi)``; fluctuation
-    averaging rescales ``Gamma`` and breaks that identity on purpose.
+    remaining coupling-independent interference.  ``Delta + Gamma =
+    cos(phi)``, also for a bundle averaged over coupling fluctuations: the
+    averaging moves interference from ``Gamma`` into ``Delta``.
     """
 
     beta_plus: float
@@ -235,8 +235,7 @@ class ObservableCoefficients:
 
 
 def _coupling_term(gamma, phase):
-    """``sin(gamma/2) sin(gamma/2 + phase)``; arrays broadcast, and an extra
-    axis of phases shares one ``sin(gamma/2)``."""
+    """``sin(gamma/2) sin(gamma/2 + phase)``; arrays broadcast."""
     half = gamma / 2.0
     return np.sin(half) * np.sin(half + phase)
 

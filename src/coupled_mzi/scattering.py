@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DetectorDrain, InterferometerConfig, QpcSetting, SystemDrain, _coupling_term
+from .params import DetectorDrain, InterferometerConfig, QpcSetting, SystemDrain
 
 # Exact SI values (2019 redefinition).
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
@@ -231,37 +231,63 @@ def joint_statistics_closed_form(
 def joint_probability_table(
     det: InterferometerConfig, sys: InterferometerConfig, gamma
 ) -> np.ndarray:
-    """Closed-form joint probability table; ``gamma`` may be an ndarray.
+    """Closed-form joint probability table ``A + B cos(gamma) + C sin(gamma)``
+    with the constant tables of :func:`_harmonic_tables`; ``gamma`` may be an
+    ndarray, and the result then has shape ``gamma.shape + (2, 2)``."""
+    return _harmonic(_harmonic_tables(det, sys), np.asarray(gamma, dtype=float))
 
-    For array input the result has shape ``gamma.shape + (2, 2)``.  The
-    coupling terms of the detector, the system and the joint interference
-    share one ``sin(gamma/2)``.
+
+def _harmonic(tables: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """``A + B cos(gamma) + C sin(gamma)`` of ``tables = (A, B, C)``, each of
+    shape ``s``, at couplings ``gamma``: shape ``gamma.shape + s``.
+
+    The sums run with the couplings on the last axis, so every array
+    operation has a long inner loop; the result is a view with that axis
+    moved to the front.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    phi_d, phi_s = det.tuning_phase, sys.tuning_phase
+    a, b, c = (t[..., np.newaxis] for t in tables)
+    out = a + b * np.cos(gamma).ravel() + c * np.sin(gamma).ravel()
+    return np.moveaxis(out, -1, 0).reshape(gamma.shape + tables.shape[1:])
+
+
+def _harmonic_tables(det: InterferometerConfig, sys: InterferometerConfig) -> np.ndarray:
+    """Constant tables ``(A, B, C)``, shape ``(3, 2, 2)``, of the joint
+    probability table ``P(g) = A + B cos g + C sin g`` at coupling ``g``.
+
+    The table is affine in the coupling terms ``sin(g/2) sin(g/2 + phase)``
+    of the detector (``phase = phi_d``), the system (``-phi_s``) and the
+    joint interference (``phi_d - phi_s``), and each term is
+    ``(cos phase - cos g cos phase + sin g sin phase) / 2``.  Evaluating the
+    closed form at the terms' three harmonic parts, with the constant part
+    of the table kept in ``A`` only, gives the three tables at once.
+    """
+    cos_d, cos_s = math.cos(det.tuning_phase), math.cos(sys.tuning_phase)
     d1d, d2d = det.qpc1.delta, det.qpc2.delta
     d1s, d2s = sys.qpc1.delta, sys.qpc2.delta
     bdp, bdm = 1.0 + d1d * d2d, 1.0 - d1d * d2d
     bsp, bsm = 1.0 + d1s * d2s, 1.0 - d1s * d2s
     vd = det.qpc1.epsilon * det.qpc2.epsilon
     vs = sys.qpc1.epsilon * sys.qpc2.epsilon
-    phases = np.array([phi_d, -phi_s, phi_d - phi_s]).reshape((3,) + (1,) * gamma.ndim)
-    gd, gs, gds = _coupling_term(gamma, phases)
-    dd = math.cos(phi_d) - gd
-    ds = math.cos(phi_s) - gs
-    dds = math.cos(phi_d) * math.cos(phi_s) - gds
-    det_plus = dd * bsp + gd * (d1s + d2s)
-    det_minus = dd * bsm + gd * (d1s - d2s)
-    sys_plus = ds * bdp - gs * (d1d + d2d)
-    sys_minus = ds * bdm - gs * (d1d - d2d)
-    p11 = 0.25 * (bdp * bsp + vd * vs * dds - vd * det_plus - vs * sys_plus)
-    p12 = 0.25 * (bdp * bsm - vd * vs * dds - vd * det_minus + vs * sys_plus)
-    p21 = 0.25 * (bdm * bsp - vd * vs * dds + vd * det_plus - vs * sys_minus)
-    p22 = 0.25 * (bdm * bsm + vd * vs * dds + vd * det_minus + vs * sys_minus)
-    table = np.stack(
-        [np.stack([p11, p12], axis=-1), np.stack([p21, p22], axis=-1)], axis=-2
-    )
-    return table
+
+    def table(unit: float, gd: float, gs: float, gds: float) -> list[list[float]]:
+        # the closed form at coupling terms gd, gs, gds, its coupling-free part times unit
+        dd = unit * cos_d - gd
+        ds = unit * cos_s - gs
+        dds = unit * (cos_d * cos_s) - gds
+        det_plus = dd * bsp + gd * (d1s + d2s)
+        det_minus = dd * bsm + gd * (d1s - d2s)
+        sys_plus = ds * bdp - gs * (d1d + d2d)
+        sys_minus = ds * bdm - gs * (d1d - d2d)
+        return [[0.25 * (unit * (bdp * bsp) + vd * vs * dds - vd * det_plus - vs * sys_plus),
+                 0.25 * (unit * (bdp * bsm) - vd * vs * dds - vd * det_minus + vs * sys_plus)],
+                [0.25 * (unit * (bdm * bsp) - vd * vs * dds + vd * det_plus - vs * sys_minus),
+                 0.25 * (unit * (bdm * bsm) + vd * vs * dds + vd * det_minus + vs * sys_minus)]]
+
+    phases = (det.tuning_phase, -sys.tuning_phase, det.tuning_phase - sys.tuning_phase)
+    half_cos = [math.cos(x) / 2.0 for x in phases]
+    half_sin = [math.sin(x) / 2.0 for x in phases]
+    return np.array([table(1.0, *half_cos), table(0.0, *(-x for x in half_cos)),
+                     table(0.0, *half_sin)])
 
 
 @dataclass(frozen=True)

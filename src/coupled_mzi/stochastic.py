@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -25,7 +25,7 @@ from numpy.random import Generator, Philox
 from .errors import AmbiguousMeasurementError
 from .measurement import DIVERGENCE_THRESHOLD, ContextualValues
 from .params import CouplingModel, DetectorParams, InterferometerConfig
-from .scattering import JointStatistics, joint_probability_table
+from .scattering import JointStatistics, _harmonic, _harmonic_tables
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -166,22 +166,49 @@ def _eta(sigma):
     return eta * inside + (sigma == 0.0) + 0.5 * (sigma == math.pi)
 
 
-def averaged_detector_params(p: DetectorParams, model: CouplingModel) -> DetectorParams:
-    """Detector parameters under coupling fluctuations and unpaired emission.
+def _averaged_correlation(big_gamma, delta, sigma, pair_probability):
+    """``(Gamma_bar, Delta_bar)``: a fringe bundle's correlation terms averaged
+    over the coupling model; arrays broadcast.
 
-    Rescales the correlation strength by the net inefficiency
-    ``eta' = pair_probability * eta(sigma)`` and leaves every other field
-    unchanged; downstream contextual values pick up the compensating
-    ``1/eta'`` amplification.
+    ``Gamma = sin(g/2) sin(g/2 + phi) = (cos phi - cos(g + phi)) / 2`` and the
+    raised cosine damps ``cos(g + phi)`` by ``eta(sigma)``, while an unpaired
+    emission has ``Gamma = 0``.  So ``Gamma_bar = p (eta Gamma + (1 - eta)
+    cos(phi) / 2)`` with ``cos(phi) = Delta + Gamma``, and ``Delta_bar``
+    keeps ``Delta_bar + Gamma_bar = cos(phi)``.  At ``sigma = 0, p = 1`` both
+    come back unchanged, bit for bit.
     """
-    eta_prime = model.pair_probability * damping_eta(model.sigma)
-    return DetectorParams(
-        beta_plus=p.beta_plus,
-        beta_minus=p.beta_minus,
-        visibility=p.visibility,
-        Gamma=eta_prime * p.Gamma,
-        Delta=p.Delta,
-    )
+    eta = _eta(sigma)
+    gamma_bar = pair_probability * (eta * big_gamma + (1.0 - eta) * (delta + big_gamma) / 2.0)
+    return gamma_bar, delta + (big_gamma - gamma_bar)
+
+
+def averaged_detector_params(p: DetectorParams, model: CouplingModel) -> DetectorParams:
+    """Detector parameters averaged over coupling fluctuations and unpaired
+    emission, the exact average of the drain probabilities.
+
+    Only ``Gamma`` and ``Delta`` change (see :func:`_averaged_correlation`);
+    contextual values built from the result invert the averaged drain
+    probabilities, with the ``1/Gamma_bar`` amplification of an inefficient
+    measurement.
+    """
+    big_gamma, delta = _averaged_correlation(p.Gamma, p.Delta, model.sigma, model.pair_probability)
+    return replace(p, Gamma=float(big_gamma), Delta=float(delta))
+
+
+def averaged_joint_table(
+    det: InterferometerConfig, sys: InterferometerConfig, model: CouplingModel
+) -> np.ndarray:
+    """Joint drain table ``(2, 2)`` averaged over the coupling model.
+
+    With ``P(g) = A + B cos g + C sin g`` and the raised cosine giving
+    ``E[cos g'] = eta cos gamma``, ``E[sin g'] = eta sin gamma``, the average
+    is ``p (A + eta (B cos gamma + C sin gamma)) + (1 - p) (A + B)``: the
+    unpaired emissions see ``g = 0``.
+    """
+    a, b, c = _harmonic_tables(det, sys)
+    eta, p = _eta(model.sigma), model.pair_probability
+    paired = a + eta * (b * math.cos(model.gamma) + c * math.sin(model.gamma))
+    return p * paired + (1.0 - p) * (a + b)
 
 
 def _validate_seed(seed: int) -> int:
@@ -202,14 +229,16 @@ def _categories(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Codes by the right-side rule ``edge[k-1] <= u < edge[k]``.
 
     ``probs`` is one flat joint table ``(4,)`` or one per uniform ``(m, 4)``;
-    ``edge`` is its cumulative sum.  A ``u`` at or past the last edge (which
-    rounding can leave below 1) goes to the last category of nonzero
-    probability, so no zero-probability category is ever returned.
+    ``edge`` is its cumulative sum, accumulated one column at a time.  A
+    ``u`` at or past the last edge (which rounding can leave below 1) goes
+    to the last category of nonzero probability, so no zero-probability
+    category is ever returned.
     """
-    edges = np.cumsum(probs, axis=-1)
     codes = np.zeros(u.shape, dtype=np.uint8)
+    edge = 0.0
     for k in range(4):
-        codes += edges[..., k] <= u
+        edge = edge + probs[..., k]
+        codes += edge <= u
     last = 3 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
     return np.minimum(codes, np.asarray(last, dtype=np.uint8))
 
@@ -259,12 +288,16 @@ def sample_events_fluctuating(
     that phase, as a ``uint8`` code ``2 d + s``.  The stream consumes three
     uniform blocks of length ``n`` (phase, pairing, category) regardless of
     the model, so results are a pure function of ``(seed, n)``.
+
+    Events are i.i.d., so their distribution is :func:`averaged_joint_table`,
+    which ``montecarlo`` samples with :func:`sample_events` at plain-sampler
+    cost; this sampler is the reference that table is tested against.
     """
+    harmonic = _harmonic_tables(det, sys).reshape(3, 4)
 
     def tables(u_phase: np.ndarray, u_pair: np.ndarray) -> np.ndarray:
         gammas = _raised_cosine_ppf(u_phase, model) if model.sigma > 0.0 else model.gamma
-        gammas = np.where(u_pair < model.pair_probability, gammas, 0.0)
-        return joint_probability_table(det, sys, gammas).reshape(-1, 4)
+        return _harmonic(harmonic, np.where(u_pair < model.pair_probability, gammas, 0.0))
 
     return _sample_codes(n, seed, 3, tables)
 
@@ -308,7 +341,8 @@ def contextual_estimate(
     n2 = int(np.count_nonzero(np.asarray(codes) >= 2))
     n1 = n - n2
     estimate = (a1 * n1 + a2 * n2) / n
-    empirical = n1 * n2 / (n * (n - 1)) * (a2 - a1) ** 2 / n if n > 1 else 0.0
+    spread = a2 - a1  # products, not powers: an overflow is inf, not OverflowError
+    empirical = n1 * n2 / (n * (n - 1)) * (spread * spread) / n if n > 1 else 0.0
     if probabilities is None:
         p2 = n2 / n
         p1 = 1.0 - p2
@@ -317,8 +351,8 @@ def contextual_estimate(
         if abs(p1 + p2 - 1.0) > 1e-9:
             raise ValueError("drain probabilities must sum to 1")
     mean_true = a1 * p1 + a2 * p2
-    predicted = max(0.0, (a1**2 * p1 + a2**2 * p2 - mean_true**2) / n)
-    upper = (a1**2 + a2**2) / n
+    predicted = max(0.0, (a1 * a1 * p1 + a2 * a2 * p2 - mean_true * mean_true) / n)
+    upper = (a1 * a1 + a2 * a2) / n
     return EstimateReport(
         estimate=estimate,
         n=n,
@@ -339,6 +373,6 @@ def observation_time(cv: ContextualValues, budget: ObservationBudget) -> float:
     """
     return (
         budget.mean_absorption_time
-        * (cv.alpha_d1**2 + cv.alpha_d2**2)
-        / budget.target_rms**2
+        * (cv.alpha_d1 * cv.alpha_d1 + cv.alpha_d2 * cv.alpha_d2)
+        / (budget.target_rms * budget.target_rms)
     )

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coupled_mzi import cli
 from coupled_mzi.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -372,6 +373,65 @@ class TestMontecarlo:
         assert code == 0
         header, rows = read_csv(out)
         assert rows[0][header.index("rng_algorithm")] == "philox4x64"
+
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("edits", [
+        pytest.param({"coupling.sigma": "0.5"}, id="sigma-0.5"),
+        pytest.param({"coupling.sigma": "2"}, id="sigma-2"),
+        pytest.param({"coupling.sigma": "2", "coupling.pair_probability": "0.7"},
+                     id="sigma-2-p-0.7"),
+        pytest.param({"detector.phi": "0.7", "coupling.sigma": "1.5",
+                      "coupling.pair_probability": "0.8"}, id="phi_d-0.7-sigma-1.5-p-0.8"),
+    ])
+    def test_fluctuating_estimate_is_unbiased(self, tmp_path, capsys, edits, seed):
+        # the ambiguous config at delta_s1 = 0.6; predicted_mse is the exact
+        # MSE of the averaged drain probabilities
+        edits = {"system.qpc1.T": "0.8", **edits}
+        lines = [line for line in (CONFIGS / "ambiguous_measurement.conf").read_text(
+            encoding="utf-8").splitlines() if line.split(" = ")[0] not in edits]
+        path = tmp_path / "fluct.conf"
+        path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in edits.items()]) + "\n",
+                        encoding="utf-8")
+        code, out, _ = run_cli(
+            ["montecarlo", "--config", str(path), "--n", "400000", "--seed", str(seed)], capsys
+        )
+        assert code == 0
+        header, rows = read_csv(out)
+        row = {name: float(value) for name, value in zip(header, rows[0])
+               if name in ("estimate", "empirical_variance", "predicted_mse")}
+        assert abs(row["estimate"] - 0.6) <= 5.0 * math.sqrt(row["predicted_mse"])
+        assert row["empirical_variance"] == pytest.approx(row["predicted_mse"], rel=0.05)
+
+    @pytest.mark.parametrize("budget", [True, False], ids=["with-budget", "without-budget"])
+    def test_non_finite_report_is_config_error(self, tmp_path, capsys, budget):
+        # alpha = +-1e200: the squares overflow to inf instead of raising
+        text = (CONFIGS / "strong_measurement.conf").read_text(encoding="utf-8")
+        if not budget:
+            text = "\n".join(line for line in text.splitlines() if not line.startswith("budget."))
+        path = tmp_path / "huge.conf"
+        path.write_text(text + "\nobservable.a3 = 1e200\n", encoding="utf-8")
+        code, out, err = run_cli(
+            ["montecarlo", "--config", str(path), "--n", "100", "--seed", "1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "config error: observable: the estimator report is not a finite number" in err
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_usage_error_then_valid_call(self, config_path, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["montecarlo", "--config", config_path, "--n", "ten"])
+            assert exit_info.value.code == 2
+            assert "invalid int value: 'ten'" in capsys.readouterr().err
+            code, out, _ = run_cli(["validate-config", "--config", config_path], capsys)
+            assert code == 0
+            assert out.startswith("ok")
 
 
 class TestPovm:

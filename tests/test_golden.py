@@ -10,7 +10,11 @@ prefactor ``2 e^3 V / h`` for noise power, ``max(1, |value|)`` for sweep
 columns and name/value rows, and 1 for the other probabilities.
 
 The goldens were captured from the per-point implementation of ``scan``
-and ``erasure``.  Regenerate them only for an intended change of answers:
+and ``erasure``; the four ``measurement_*`` scans and ``povm`` were
+captured again, from the array pipeline, when their ``alpha`` and damped
+rows became the exact fluctuation average.  Regenerate them only for an
+intended change of answers, and restore the files whose answers did not
+change (a bare recapture also rewrites last digits elsewhere):
 
     PYTHONPATH=src python tests/test_golden.py
 """

@@ -13,12 +13,15 @@ from coupled_mzi import (
     average_current,
     concurrence,
     cross_noise_power,
+    joint_amplitude_table,
     joint_amplitudes,
+    joint_probability_table,
     joint_statistics,
     joint_statistics_closed_form,
     qpc_from_transmission,
     qpc_unitary,
 )
+from coupled_mzi import scattering
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from conftest import balanced_mzi, random_mzi
 
@@ -236,6 +239,35 @@ class TestJointStatistics:
 
 
 BIAS = PhysicalBias(bias_voltage=10e-6, fermi_energy=10e-3, temperature=0.01)
+
+
+class TestHarmonicForm:
+    def test_tables_from_three_amplitude_points(self, rng):
+        # P(0) = A + B, P(pi) = A - B and P(pi/2) = A + C on the amplitude pipeline
+        for _ in range(200):
+            det, sysm = random_mzi(rng), random_mzi(rng)
+            p0, p_half, p_pi = np.abs(joint_amplitude_table(
+                det, sysm, np.array([0.0, math.pi / 2, math.pi]))) ** 2
+            a, b, c = scattering._harmonic_tables(det, sysm)
+            assert np.max(np.abs(a - (p0 + p_pi) / 2)) <= 1e-12
+            assert np.max(np.abs(b - (p0 - p_pi) / 2)) <= 1e-12
+            assert np.max(np.abs(c - (p_half - (p0 + p_pi) / 2))) <= 1e-12
+            assert (a.sum(), b.sum(), c.sum()) == (
+                pytest.approx(1.0, abs=1e-12), pytest.approx(0.0, abs=1e-12),
+                pytest.approx(0.0, abs=1e-12))
+
+    def test_closed_form_is_the_harmonic_form(self, rng):
+        for _ in range(200):
+            det, sysm = random_mzi(rng), random_mzi(rng)
+            gammas = rng.uniform(-2 * math.pi, 4 * math.pi, 64)
+            a, b, c = scattering._harmonic_tables(det, sysm)
+            cos, sin = np.cos(gammas)[:, None, None], np.sin(gammas)[:, None, None]
+            closed = joint_probability_table(det, sysm, gammas)
+            assert closed.shape == (64, 2, 2)
+            assert np.max(np.abs(closed - (a + b * cos + c * sin))) <= 1e-12
+            amplitudes = np.abs(joint_amplitude_table(det, sysm, gammas)) ** 2
+            assert np.max(np.abs(closed - amplitudes)) <= 1e-12
+            assert joint_probability_table(det, sysm, gammas[0]).shape == (2, 2)
 
 
 class TestCurrentsAndNoise:

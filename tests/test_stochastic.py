@@ -9,26 +9,32 @@ from numpy.random import Generator, Philox
 from scipy.integrate import quad
 
 from coupled_mzi import (
+    AmbiguousMeasurementError,
     ContextualValues,
     CouplingModel,
+    JointStatistics,
     ObservableCoefficients,
     ObservationBudget,
     averaged_detector_params,
+    averaged_joint_table,
     contextual_estimate,
     contextual_values,
     damping_eta,
+    detector_drain_probabilities,
     detector_params,
     joint_amplitudes,
     joint_probability_table,
     joint_statistics,
+    measurement_operators,
     observation_time,
+    povm_pair,
     raised_cosine_pdf,
     sample_events,
     sample_events_fluctuating,
 )
 from coupled_mzi import stochastic
 from coupled_mzi.params import DetectorDrain
-from conftest import balanced_mzi
+from conftest import balanced_mzi, random_mzi
 
 OBS = ObservableCoefficients()
 
@@ -154,10 +160,16 @@ class TestAveragedDetectorParams:
         assert averaged == p
 
     def test_pair_probability_scales_gamma(self):
-        p = detector_params(balanced_mzi(0.7), 1.1)
-        averaged = averaged_detector_params(p, CouplingModel(gamma=1.1, pair_probability=0.5))
+        # unpaired emissions see no coupling: Gamma(0) = 0, Delta(0) = cos(phi_d)
+        det = balanced_mzi(0.7)
+        model = CouplingModel(gamma=1.1, pair_probability=0.5)
+        p = detector_params(det, 1.1)
+        averaged = averaged_detector_params(p, model)
+        assert averaged.Gamma == pytest.approx(
+            fluctuation_average(lambda g: detector_params(det, g).Gamma, model), abs=1e-15)
         assert averaged.Gamma == pytest.approx(0.5 * p.Gamma, abs=1e-15)
-        assert averaged.Delta == p.Delta
+        assert averaged.Delta == pytest.approx(
+            fluctuation_average(lambda g: detector_params(det, g).Delta, model), abs=1e-15)
         assert averaged.visibility == p.visibility
 
     def test_width_damps_gamma_with_quadrature_oracle(self):
@@ -179,11 +191,128 @@ class TestAveragedDetectorParams:
         assert averaged.Gamma == pytest.approx(expected, abs=1e-10)
 
     def test_amplifies_contextual_values(self):
-        p = detector_params(balanced_mzi(0.0), math.pi)
-        damped = averaged_detector_params(p, CouplingModel(gamma=math.pi, pair_probability=0.5))
+        # the averaged POVM is diag(0, 1/2) at D1 and diag(1, 1/2) at D2, so
+        # sigma_z = alpha_D1 E_D1 + alpha_D2 E_D2 needs (-3, 1)
+        det = balanced_mzi(0.0)
+        model = CouplingModel(gamma=math.pi, pair_probability=0.5)
+        damped = averaged_detector_params(detector_params(det, math.pi), model)
         cv = contextual_values(OBS, damped)
-        assert cv.alpha_d1 == pytest.approx(-2.0, abs=1e-12)
-        assert cv.alpha_d2 == pytest.approx(2.0, abs=1e-12)
+        expected = povm_oracle_weights(det, model, OBS)
+        assert cv.alpha_d1 == pytest.approx(expected[0], abs=1e-12)
+        assert cv.alpha_d2 == pytest.approx(expected[1], abs=1e-12)
+        assert expected == (pytest.approx(-3.0, abs=1e-12), pytest.approx(1.0, abs=1e-12))
+
+
+def fluctuation_average(f, model: CouplingModel) -> float:
+    """Oracle: ``E[f(g')]`` over the coupling model by quadrature.  Paired
+    emissions draw ``g'`` from the raised cosine (a point mass at ``gamma``
+    when ``sigma = 0``), unpaired ones have ``g' = 0``."""
+    if model.sigma > 0.0:
+        paired, _ = quad(lambda g: raised_cosine_pdf(g, model) * f(g),
+                         model.gamma - model.sigma, model.gamma + model.sigma,
+                         limit=200, epsabs=1e-15, epsrel=1e-13)
+    else:
+        paired = f(model.gamma)
+    return model.pair_probability * paired + (1.0 - model.pair_probability) * f(0.0)
+
+
+def povm_oracle_weights(det, model: CouplingModel, obs: ObservableCoefficients):
+    """Oracle: drain weights solving ``alpha_1 E_D1 + alpha_2 E_D2 = a0 + a3
+    sigma_z`` on the POVM diagonals averaged by quadrature."""
+    diagonals = [[fluctuation_average(
+        lambda g, d=d, k=k: getattr(povm_pair(measurement_operators(det, g)), d)[k], model)
+        for d in ("diag_d1", "diag_d2")] for k in (0, 1)]
+    a1, a2 = np.linalg.solve(diagonals, [obs.a0 + obs.a3, obs.a0 - obs.a3])
+    return float(a1), float(a2)
+
+
+def averaged_table_oracle(det, sysm, model: CouplingModel) -> np.ndarray:
+    """Oracle: the amplitude pipeline's joint table averaged by quadrature."""
+    return np.array([[fluctuation_average(
+        lambda g, d=d, s=s: joint_statistics(joint_amplitudes(det, sysm, g)).joint[d, s], model)
+        for s in (0, 1)] for d in (0, 1)])
+
+
+# generic tunings, widths and pair probabilities, the edges sigma = pi and p = 0 included
+ORACLE_MODELS = [
+    CouplingModel(gamma=1.1, sigma=2.0, pair_probability=0.7),
+    CouplingModel(gamma=2.2, sigma=0.5, pair_probability=0.9),
+    CouplingModel(gamma=0.3, sigma=math.pi, pair_probability=0.6),
+    CouplingModel(gamma=4.0, sigma=1.3, pair_probability=0.0),
+    CouplingModel(gamma=5.9, sigma=math.pi, pair_probability=1.0),
+    CouplingModel(gamma=3.5, sigma=0.0, pair_probability=0.35),
+]
+
+
+class TestAveragedJointTable:
+    @pytest.mark.parametrize("model", ORACLE_MODELS)
+    def test_matches_quadrature(self, model, rng):
+        for _ in range(3):
+            det, sysm = random_mzi(rng), random_mzi(rng)
+            table = averaged_joint_table(det, sysm, model)
+            assert table.shape == (2, 2)
+            assert np.max(np.abs(table - averaged_table_oracle(det, sysm, model))) <= 1e-12
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS)
+    def test_bundle_matches_quadrature(self, model, rng):
+        for _ in range(3):
+            det, sysm = random_mzi(rng), random_mzi(rng)
+            averaged = averaged_detector_params(detector_params(det, model.gamma), model)
+            for field in ("Gamma", "Delta"):
+                expected = fluctuation_average(
+                    lambda g: getattr(detector_params(det, g), field), model)
+                assert getattr(averaged, field) == pytest.approx(expected, abs=1e-12)
+            # the bundle's drain probabilities are the averaged table's marginals
+            marginals = averaged_joint_table(det, sysm, model).sum(axis=1)
+            assert detector_drain_probabilities(averaged, sysm.qpc1.delta) == (
+                pytest.approx(marginals[0], abs=1e-12), pytest.approx(marginals[1], abs=1e-12))
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS)
+    def test_weights_invert_the_averaged_povm(self, model, rng):
+        obs = ObservableCoefficients(a0=0.25, a3=1.5)
+        for _ in range(3):
+            det = random_mzi(rng)
+            averaged = averaged_detector_params(detector_params(det, model.gamma), model)
+            if model.pair_probability == 0.0:  # no pair, no which-path information
+                assert abs(averaged.Gamma) <= 1e-15
+                with pytest.raises(AmbiguousMeasurementError):
+                    contextual_values(obs, averaged)
+                continue
+            cv = contextual_values(obs, averaged)
+            # the weights carry a relative rounding error ~ eps / |V Gamma_bar|
+            scale = max(1.0, abs(cv.alpha_d1), abs(cv.alpha_d2))
+            scale /= min(1.0, abs(averaged.visibility * averaged.Gamma))
+            expected = povm_oracle_weights(det, model, obs)
+            assert cv.alpha_d1 == pytest.approx(expected[0], abs=1e-12 * scale)
+            assert cv.alpha_d2 == pytest.approx(expected[1], abs=1e-12 * scale)
+
+    def test_reduces_to_the_closed_form_without_fluctuations(self, rng):
+        for _ in range(20):
+            det, sysm = random_mzi(rng), random_mzi(rng)
+            model = CouplingModel(gamma=rng.uniform(0.0, 2 * math.pi))
+            expected = joint_probability_table(det, sysm, model.gamma)
+            assert np.max(np.abs(averaged_joint_table(det, sysm, model) - expected)) <= 1e-15
+
+    def test_dark_drain_stays_dark(self):
+        # D1 is dark at zero coupling; its averaged entries round to about
+        # -3e-17 and 0, and no sampled event falls there
+        model = CouplingModel(gamma=math.pi, sigma=1.0, pair_probability=0.0)
+        table = averaged_joint_table(balanced_mzi(0.0), balanced_mzi(0.3), model)
+        assert np.max(np.abs(table[0])) <= 1e-15
+        codes = sample_events(JointStatistics(table), 50_000, seed=13)
+        assert np.all(codes >= 2)
+
+    @pytest.mark.parametrize("seed", [101, 202, 303])
+    def test_per_event_sampler_frequencies(self, seed):
+        # i.i.d. events: the per-event sampler's four category frequencies
+        # are those of the averaged table, within 5 binomial standard errors
+        det, sysm, _ = quarter_stats()
+        n = 1_000_000
+        codes = sample_events_fluctuating(det, sysm, FLUCTUATING, n, seed=seed)
+        expected = averaged_joint_table(det, sysm, FLUCTUATING).ravel()
+        frequencies = np.bincount(codes, minlength=4) / n
+        standard_errors = np.sqrt(expected * (1.0 - expected) / n)
+        assert np.all(np.abs(frequencies - expected) <= 5.0 * standard_errors)
 
 
 def quarter_stats():
@@ -315,18 +444,13 @@ class TestFluctuatingSampler:
         assert freq_d1 == pytest.approx(stats.p_detector(DetectorDrain.D1), abs=0.005)
 
     def test_sampled_marginal_matches_exact_average(self):
-        # the exactly averaged probability operators keep the lower-path
-        # entry fixed and damp only the coupling-sensitive interference:
-        # Gamma_bar = eta' Gamma at cos(phi_d) = 0 and Delta_bar follows
-        # from Delta_bar + Gamma_bar = cos(phi_d)
+        # the averaged bundle's drain probability is the sampled marginal
         gamma, sigma = 1.1, 2.0
         det = balanced_mzi(math.pi / 2)
         sysm = balanced_mzi(0.4)
         model = CouplingModel(gamma=gamma, sigma=sigma)
         damped = averaged_detector_params(detector_params(det, gamma), model)
-        gamma_bar = damped.Gamma
-        delta_bar = math.cos(det.tuning_phase) - gamma_bar
-        p1 = 0.5 * (damped.beta_plus - damped.visibility * (delta_bar + sysm.qpc1.delta * gamma_bar))
+        p1, _ = detector_drain_probabilities(damped, sysm.qpc1.delta)
         codes = sample_events_fluctuating(det, sysm, model, 400_000, seed=77)
         freq = 1.0 - d2_fraction(codes)
         assert freq == pytest.approx(p1, abs=0.004)
