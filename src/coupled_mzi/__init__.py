@@ -63,6 +63,7 @@ from .params import (
     QpcSetting,
     SystemDrain,
     SystemParams,
+    damping_eta,
     detector_params,
     joint_interference_params,
     qpc_from_angle,
@@ -91,7 +92,6 @@ from .stochastic import (
     averaged_detector_params,
     averaged_joint_table,
     contextual_estimate,
-    damping_eta,
     observation_time,
     raised_cosine_pdf,
     sample_events,

@@ -26,6 +26,7 @@ import io
 import math
 import sys
 from collections.abc import Callable
+from dataclasses import replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -46,25 +47,22 @@ from .measurement import (
     measurement_operators,
     povm_pair,
 )
-from .params import DetectorDrain, SystemDrain, _epsilon, _fringe_terms, detector_params
+from .params import DetectorDrain, SystemDrain, damping_eta, detector_params, qpc_from_transmission
 from .scattering import (
     ELEMENTARY_CHARGE,
     JointStatistics,
     _check_low_bias_regime,
-    _concurrence,
     _noise_table,
     _probabilities,
+    concurrence,
     joint_amplitude_table,
     joint_amplitudes,
     joint_statistics,
 )
 from .stochastic import (
-    _averaged_correlation,
-    _eta,
     averaged_detector_params,
     averaged_joint_table,
     contextual_estimate,
-    damping_eta,
     observation_time,
     sample_events,
 )
@@ -90,26 +88,30 @@ def _csv(header: list[str], rows) -> str:
 
 
 class _Grid:
-    """One experiment over a whole sweep grid: broadcast arrays of the five
-    sweepable parameters (``t_s1 = (1 + delta_s1) / 2`` is ``None`` unless
-    swept) and the statistics derived from them.  ``required`` collects,
-    per drain, where a column divides by that drain's marginal."""
+    """One experiment over a whole sweep grid: the config with the swept
+    field set to the grid, built as one point of a sweep is, and the other
+    sweepable fields broadcast to the grid's shape; plus the statistics
+    derived from it.  ``required`` collects, per drain, where a column
+    divides by that drain's marginal."""
 
     def __init__(self, config: ExperimentConfig, parameter: str, grid: np.ndarray):
         self.config, self.required = config, {}
         det, system, coupling = config.detector, config.system, config.coupling
         values = {"gamma": coupling.gamma, "phi_d": det.tuning_phase,
                   "phi_s": system.tuning_phase, "sigma": coupling.sigma, parameter: grid}
-        self.gamma, self.phi_d, self.phi_s, self.sigma = (
+        gamma, phi_d, phi_s, sigma = (
             np.broadcast_to(values[k], grid.shape) for k in ("gamma", "phi_d", "phi_s", "sigma")
         )
-        self.t_s1 = (1.0 + grid) / 2.0 if parameter == "delta_s1" else None
+        qpc1 = system.qpc1
+        if parameter == "delta_s1":
+            qpc1 = qpc_from_transmission((1.0 + grid) / 2.0, chi=qpc1.chi, xi=qpc1.xi)
+        self.det = replace(det, tuning_phase=phi_d)
+        self.sys = replace(system, qpc1=qpc1, tuning_phase=phi_s)
+        self.coupling = replace(coupling, gamma=gamma, sigma=sigma)
 
     @cached_property
     def joint(self) -> np.ndarray:
-        det, system = self.config.detector, self.config.system
-        return _probabilities(
-            joint_amplitude_table(det, system, self.gamma, self.phi_d, self.phi_s, self.t_s1))
+        return _probabilities(joint_amplitude_table(self.det, self.sys, self.coupling.gamma))
 
     def marginal(self, drain: DetectorDrain | SystemDrain) -> np.ndarray:
         return self.joint.sum(axis=-1 if isinstance(drain, DetectorDrain) else -2)[:, drain.value]
@@ -121,15 +123,13 @@ class _Grid:
 
     def alphas(self, damped: bool) -> list[np.ndarray]:
         """Contextual values, NaN where ``|V Gamma|`` is at the divergence threshold."""
-        det = self.config.detector
-        terms = _fringe_terms(det.qpc1, det.qpc2, self.phi_d, self.gamma, 1.0)
-        terms = terms._make(np.broadcast_arrays(*terms))  # divide as arrays where V = 0
+        p = detector_params(self.det, self.coupling.gamma)
         if damped:
-            big_gamma, delta = _averaged_correlation(
-                terms.Gamma, terms.Delta, self.sigma, self.config.coupling.pair_probability)
-            terms = terms._replace(Gamma=big_gamma, Delta=delta)
-        ambiguous = np.abs(terms.visibility * terms.Gamma) <= DIVERGENCE_THRESHOLD
-        return [np.where(ambiguous, np.nan, w) for w in _weights(self.config.observable, terms)]
+            p = averaged_detector_params(p, self.coupling)
+        # divide by an array: a V = 0 point gives inf, not ZeroDivisionError
+        p = replace(p, visibility=np.broadcast_to(p.visibility, p.Gamma.shape))
+        ambiguous = np.abs(p.visibility * p.Gamma) <= DIVERGENCE_THRESHOLD
+        return [np.where(ambiguous, np.nan, w) for w in _weights(self.config.observable, p)]
 
     def conditioned(self, s: SystemDrain) -> np.ndarray:
         # ambiguity first: an inf-ambiguous point needs no post-selection
@@ -142,11 +142,6 @@ class _Grid:
         _check_low_bias_regime(self.config.bias)
         joint = self.joint
         return _noise_table(joint, joint.sum(axis=-1), joint.sum(axis=-2), self.config.bias)
-
-    def concurrence(self) -> np.ndarray:
-        q1, t = self.config.system.qpc1, self.t_s1
-        epsilon_s1 = q1.epsilon if t is None else _epsilon(t, 1.0 - t)
-        return _concurrence(self.config.detector.qpc1.epsilon, epsilon_s1, self.gamma)
 
 
 _D, _S = tuple(DetectorDrain), tuple(SystemDrain)
@@ -162,8 +157,8 @@ _QUANTITIES: dict[str, Callable[[_Grid], np.ndarray]] = {
        for d, s in _PAIRS},
     **{f"alpha_{d.name}": (lambda g, d=d: g.alphas(damped=True)[d.value]) for d in _D},
     **{f"cond_avg_{s.name}": (lambda g, s=s: g.conditioned(s)) for s in _S},
-    "concurrence": _Grid.concurrence,
-    "eta": lambda g: _eta(g.sigma),
+    "concurrence": lambda g: concurrence(g.det.qpc1, g.sys.qpc1, g.coupling.gamma),
+    "eta": lambda g: damping_eta(g.coupling.sigma),
     **{f"S_{d.name}{s.name}": (lambda g, d=d, s=s: g.noise[:, d.value, s.value])
        for d, s in _PAIRS},
 }
@@ -195,9 +190,12 @@ def _evaluate(config: ExperimentConfig, parameter: str, grid: np.ndarray,
 
 
 def _grid(minimum: float, maximum: float, count: int) -> np.ndarray:
-    grid = np.linspace(minimum, maximum, count)
+    with np.errstate(over="ignore", invalid="ignore"):  # MAX - MIN may overflow
+        grid = np.linspace(minimum, maximum, count)
     # clamp endpoint rounding so domain-validated values stay in range
     grid[0], grid[-1] = minimum, maximum
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"sweep from {minimum} to {maximum} has points that are not finite")
     return grid
 
 
@@ -417,6 +415,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except CoupledMziError as exc:  # other semantic failures map to config error
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a sweep count or --n too large to allocate
+        print(f"config error: the request does not fit in memory: {exc}", file=sys.stderr)
         return 2
 
 

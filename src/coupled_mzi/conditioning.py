@@ -12,7 +12,7 @@ are always bounded by the contextual values themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,7 +117,7 @@ def erasure_curve(
     Points are returned in input order.
     """
     phi_s = np.asarray(phi_s_values, dtype=float).ravel()
-    joint = _probabilities(joint_amplitude_table(det, sys, gamma, phi_s=phi_s))
+    joint = _probabilities(joint_amplitude_table(det, replace(sys, tuning_phase=phi_s), gamma))
     p_d = joint[:, condition.value, :].sum(axis=-1)
     _post_select({condition: p_d})
     p_s1_given = joint[:, condition.value, SystemDrain.S1.value] / p_d

@@ -26,7 +26,7 @@ from .params import (
     ObservableCoefficients,
     detector_params,
 )
-from .scattering import _detector_amplitudes, _first_qpc_state
+from .scattering import detector_drain_amplitudes, reduced_system_state  # noqa: F401 (re-exported)
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -39,23 +39,6 @@ DIVERGENCE_THRESHOLD = 1e-9
 treated as divergent and :class:`AmbiguousMeasurementError` is raised."""
 
 _EFFICIENCY_TOL = 1e-9
-
-
-def reduced_system_state(sys: InterferometerConfig) -> np.ndarray:
-    """System state after its first QPC, absent any coupling.
-
-    Returns the normalized vector ``(e^{i phi_s} t1, r1)`` on ``(L^s, U^s)``.
-    """
-    return _first_qpc_state(sys.qpc1.transmission, sys.qpc1.reflection, sys.tuning_phase)
-
-
-def detector_drain_amplitudes(det: InterferometerConfig, gamma: float) -> np.ndarray:
-    """Detector scattering amplitudes ``C[drain, system arm]``.
-
-    ``C[D, U^s]`` differs from ``C[D, L^s]`` only by the extra coupling
-    phase ``gamma`` on the transmitted detector path.
-    """
-    return _detector_amplitudes(det, det.tuning_phase, gamma)
 
 
 def _freeze(obj, kind) -> None:
@@ -169,15 +152,8 @@ class ContextualValues:
     alpha_d2: float
     observable: ObservableCoefficients
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha_d1, self.alpha_d2])
 
-
-def contextual_values(
-    obs: ObservableCoefficients,
-    p: DetectorParams,
-    threshold: float = DIVERGENCE_THRESHOLD,
-) -> ContextualValues:
+def contextual_values(obs: ObservableCoefficients, p: DetectorParams) -> ContextualValues:
     """Unique drain weights reconstructing ``a0 + a3 sigma_z`` on average.
 
     ``alpha_D1 = a0 - (a3/Gamma)(beta_minus/V + Delta)`` and
@@ -188,12 +164,12 @@ def contextual_values(
     Raises
     ------
     AmbiguousMeasurementError
-        When ``|V * Gamma| <= threshold``; the measurement carries no
-        which-path information and the weights would diverge.
+        When ``|V * Gamma| <= DIVERGENCE_THRESHOLD``; the measurement carries
+        no which-path information and the weights would diverge.
     """
     v, g = p.visibility, p.Gamma
-    if abs(v * g) <= threshold:
-        raise AmbiguousMeasurementError(v, g, threshold)
+    if abs(v * g) <= DIVERGENCE_THRESHOLD:
+        raise AmbiguousMeasurementError(v, g, DIVERGENCE_THRESHOLD)
     return ContextualValues(*_weights(obs, p), observable=obs)
 
 

@@ -1,8 +1,10 @@
-"""Scalar parameterizations of QPCs, interferometers, and coupling.
+"""Parameterizations of QPCs, interferometers, and coupling.
 
 All angles are radians; there is no degree support anywhere in the package.
 Every type here is an immutable value and every operation is a pure
-function, so unrestricted concurrent use is safe.
+function, so unrestricted concurrent use is safe.  A field that may be an
+array holds one value per sweep point: the functions broadcast, every check
+holds at every point, and scalar inputs give Python floats.
 
 Conventions
 -----------
@@ -23,13 +25,30 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 IDENTITY_TOL = 1e-12
 """Absolute tolerance for closed-form identities evaluated in doubles."""
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _require(ok, message: str, value=None) -> None:
+    """Raise ``ValueError(message.format(value))`` unless ``ok`` holds at
+    every point; every comparison with NaN is false, so NaN fails.
+
+    A scalar ``True`` (Python's and numpy's are singletons) returns at once:
+    ``np.all`` of a scalar costs more than a whole scalar constructor.
+    """
+    if ok is not True and ok is not np.True_ and not np.all(ok):
+        raise ValueError(message.format(value))
+
+
+def _plain(x):
+    """A numpy result made a Python float when it is a scalar; arrays pass."""
+    return x if x.ndim else float(x)
 
 
 class DetectorDrain(enum.Enum):
@@ -53,6 +72,7 @@ class QpcSetting:
     ``chi`` and ``xi`` are the scattering phases of the two outgoing rows;
     for the first QPC of an interferometer their difference is part of the
     composite tuning phase and they are carried here for bookkeeping only.
+    Every field may be an array (one contact per sweep point).
     """
 
     transmission: float
@@ -64,34 +84,27 @@ class QpcSetting:
     xi: float = 0.0
 
     def __post_init__(self):
-        T, R = self.transmission, self.reflection
-        if not (0.0 <= T <= 1.0):
-            raise ValueError(f"transmission {T} outside [0, 1]")
-        if abs(T + R - 1.0) > IDENTITY_TOL:
-            raise ValueError(f"T + R = {T + R} != 1")
-        if abs(self.delta - (T - R)) > IDENTITY_TOL:
-            raise ValueError("delta inconsistent with T - R")
-        if abs(self.epsilon - 2.0 * math.sqrt(max(T * R, 0.0))) > IDENTITY_TOL:
-            raise ValueError("epsilon inconsistent with 2 sqrt(T R)")
-        if abs(self.delta**2 + self.epsilon**2 - 1.0) > IDENTITY_TOL:
-            raise ValueError("delta^2 + epsilon^2 != 1")
-        if not (0.0 <= self.theta <= math.pi / 2 + IDENTITY_TOL):
-            raise ValueError(f"balance angle {self.theta} outside [0, pi/2]")
-        if abs(math.cos(self.theta) ** 2 - T) > IDENTITY_TOL:
-            raise ValueError("theta inconsistent with transmission")
+        T, R, theta = self.transmission, self.reflection, self.theta
+        _require((0.0 <= T) & (T <= 1.0), "transmission {} outside [0, 1]", T)
+        _require(abs(T + R - 1.0) <= IDENTITY_TOL, "T + R = {} != 1", T + R)
+        _require(abs(self.delta - (T - R)) <= IDENTITY_TOL, "delta inconsistent with T - R")
+        product = T * R
+        product = product * (product > 0.0)  # a rounding-negative product counts as 0
+        _require(abs(self.epsilon - 2.0 * product**0.5) <= IDENTITY_TOL,
+                 "epsilon inconsistent with 2 sqrt(T R)")
+        _require(abs(self.delta**2 + self.epsilon**2 - 1.0) <= IDENTITY_TOL,
+                 "delta^2 + epsilon^2 != 1")
+        _require((0.0 <= theta) & (theta <= math.pi / 2 + IDENTITY_TOL),
+                 "balance angle {} outside [0, pi/2]", theta)
+        _require(abs(np.cos(theta) ** 2 - T) <= IDENTITY_TOL, "theta inconsistent with transmission")
 
 
-def _epsilon(transmission, reflection):
-    """Wave-like interference weight ``2 sqrt(T R)``; arrays broadcast."""
-    return 2.0 * np.sqrt(transmission * reflection)
-
-
-def qpc_from_transmission(transmission: float, chi: float = 0.0, xi: float = 0.0) -> QpcSetting:
+def qpc_from_transmission(transmission, chi: float = 0.0, xi: float = 0.0) -> QpcSetting:
     """Build a QPC setting from its transmission probability.
 
     Parameters
     ----------
-    transmission : float
+    transmission : float or ndarray
         Probability in [0, 1] for an excitation to pass the contact.
     chi, xi : float
         Scattering phases of the two output rows, radians.
@@ -101,24 +114,19 @@ def qpc_from_transmission(transmission: float, chi: float = 0.0, xi: float = 0.0
     QpcSetting with all derived balance parameters populated; ``epsilon``
     uses the non-negative root.
     """
-    if not (0.0 <= transmission <= 1.0):
-        raise ValueError(f"transmission {transmission} outside [0, 1]")
+    _require((0.0 <= transmission) & (transmission <= 1.0),
+             "transmission {} outside [0, 1]", transmission)
     reflection = 1.0 - transmission
-    return QpcSetting(
-        transmission=transmission,
-        reflection=reflection,
-        delta=transmission - reflection,
-        epsilon=float(_epsilon(transmission, reflection)),
-        theta=math.acos(math.sqrt(transmission)),
-        chi=chi,
-        xi=xi,
-    )
+    # epsilon keeps np.sqrt's bits; no output reads theta's last bit, and
+    # ``** 0.5`` spares a float a ufunc call (an array still gets np.sqrt)
+    return QpcSetting(transmission, reflection, transmission - reflection,
+                      _plain(2.0 * np.sqrt(transmission * reflection)),
+                      _plain(np.arccos(transmission**0.5)), chi, xi)
 
 
 def qpc_from_angle(theta: float, chi: float = 0.0, xi: float = 0.0) -> QpcSetting:
     """Build a QPC setting from its balance angle in [0, pi/2]."""
-    if not (0.0 <= theta <= math.pi / 2):
-        raise ValueError(f"balance angle {theta} outside [0, pi/2]")
+    _require((0.0 <= theta) & (theta <= math.pi / 2), "balance angle {} outside [0, pi/2]", theta)
     c = math.cos(theta)
     s = math.sin(theta)
     return QpcSetting(
@@ -148,7 +156,8 @@ class CouplingModel:
     ``gamma`` is the mean coupling phase; ``sigma`` the raised-cosine
     half-width (0 means deterministic coupling); ``pair_probability`` the
     likelihood that the source emits a proper excitation pair (unpaired
-    emission behaves like a zero coupling phase).
+    emission behaves like a zero coupling phase).  ``gamma`` and ``sigma``
+    may be arrays.
     """
 
     gamma: float
@@ -156,12 +165,27 @@ class CouplingModel:
     pair_probability: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.gamma <= 2.0 * math.pi):
-            raise ValueError(f"coupling phase {self.gamma} outside [0, 2*pi]")
-        if not (0.0 <= self.sigma <= math.pi):
-            raise ValueError(f"fluctuation half-width {self.sigma} outside [0, pi]")
-        if not (0.0 <= self.pair_probability <= 1.0):
-            raise ValueError(f"pair probability {self.pair_probability} outside [0, 1]")
+        g, s, p = self.gamma, self.sigma, self.pair_probability
+        # one check for all three: each helper call costs a fifth of the constructor
+        _require((0.0 <= g) & (g <= _TWO_PI) & (0.0 <= s) & (s <= math.pi) & (0.0 <= p) & (p <= 1.0),
+                 "coupling phase {0.gamma}, fluctuation half-width {0.sigma} and pair probability "
+                 "{0.pair_probability} not all inside [0, 2*pi], [0, pi] and [0, 1]", self)
+
+
+def damping_eta(sigma):
+    """Fluctuation damping factor ``(pi^2 / (pi^2 - sigma^2)) sin(sigma)/sigma``.
+
+    Defined by continuity at the removable singularities: 1 at
+    ``sigma = 0`` and 1/2 at ``sigma = pi``.  Domain is [0, pi]; ``sigma``
+    may be an array.  At the singularities the closed form is evaluated at
+    a stand-in 1 and replaced by the limits; masks are multiplied in, not
+    selected, so a float stays a plain scalar computation.
+    """
+    _require((0.0 <= sigma) & (sigma <= math.pi), "sigma {} outside [0, pi]", sigma)
+    inside = (sigma > 0.0) & (sigma < math.pi)
+    s = sigma * inside + (1.0 - inside)
+    eta = (math.pi**2 / (math.pi**2 - s * s)) * (np.sin(s) / s)
+    return _plain(eta * inside + (sigma == 0.0) + 0.5 * (sigma == math.pi))
 
 
 @dataclass(frozen=True)
@@ -174,7 +198,8 @@ class FringeParams:
     correlation strength with the partner channel), and ``Delta`` the
     remaining coupling-independent interference.  ``Delta + Gamma =
     cos(phi)``, also for a bundle averaged over coupling fluctuations: the
-    averaging moves interference from ``Gamma`` into ``Delta``.
+    averaging moves interference from ``Gamma`` into ``Delta``.  Every
+    field may be an array; the fields broadcast together.
     """
 
     beta_plus: float
@@ -184,16 +209,13 @@ class FringeParams:
     Delta: float
 
     def __post_init__(self):
-        if abs((self.beta_plus + self.beta_minus) / 2.0 - 1.0) > IDENTITY_TOL:
-            raise ValueError("(beta_plus + beta_minus)/2 != 1")
-        if not (-IDENTITY_TOL <= self.beta_plus <= 2.0 + IDENTITY_TOL):
-            raise ValueError(f"beta_plus {self.beta_plus} outside [0, 2]")
-        if not (-IDENTITY_TOL <= self.visibility <= 1.0 + IDENTITY_TOL):
-            raise ValueError(f"visibility {self.visibility} outside [0, 1]")
-        if abs(self.Gamma) > 1.0 + IDENTITY_TOL:
-            raise ValueError(f"Gamma {self.Gamma} outside [-1, 1]")
-        if abs(self.Delta) > 1.0 + IDENTITY_TOL:
-            raise ValueError(f"Delta {self.Delta} outside [-1, 1]")
+        bp, v, g, d = self.beta_plus, self.visibility, self.Gamma, self.Delta
+        _require(abs((bp + self.beta_minus) / 2.0 - 1.0) <= IDENTITY_TOL,
+                 "(beta_plus + beta_minus)/2 != 1")
+        _require((-IDENTITY_TOL <= bp) & (bp <= 2.0 + IDENTITY_TOL), "beta_plus {} outside [0, 2]", bp)
+        _require((-IDENTITY_TOL <= v) & (v <= 1.0 + IDENTITY_TOL), "visibility {} outside [0, 1]", v)
+        _require(abs(g) <= 1.0 + IDENTITY_TOL, "Gamma {} outside [-1, 1]", g)
+        _require(abs(d) <= 1.0 + IDENTITY_TOL, "Delta {} outside [-1, 1]", d)
 
 
 class DetectorParams(FringeParams):
@@ -216,10 +238,8 @@ class JointInterferenceParams:
     phi_ds: float
 
     def __post_init__(self):
-        if abs(self.Gamma_ds) > 1.0 + IDENTITY_TOL:
-            raise ValueError(f"Gamma_ds {self.Gamma_ds} outside [-1, 1]")
-        if abs(self.Delta_ds) > 1.0 + IDENTITY_TOL:
-            raise ValueError(f"Delta_ds {self.Delta_ds} outside [-1, 1]")
+        _require(abs(self.Gamma_ds) <= 1.0 + IDENTITY_TOL, "Gamma_ds {} outside [-1, 1]", self.Gamma_ds)
+        _require(abs(self.Delta_ds) <= 1.0 + IDENTITY_TOL, "Delta_ds {} outside [-1, 1]", self.Delta_ds)
 
 
 @dataclass(frozen=True)
@@ -240,25 +260,14 @@ def _coupling_term(gamma, phase):
     return np.sin(half) * np.sin(half + phase)
 
 
-# The fields of FringeParams, unvalidated and possibly arrays over a grid.
-_FringeTerms = namedtuple("_FringeTerms", "beta_plus beta_minus visibility Gamma Delta")
+def _bundle(cls, ifm: InterferometerConfig, big_gamma):
+    """Fringe bundle of ``ifm`` with coupling-induced interference ``big_gamma``."""
+    background = ifm.qpc1.delta * ifm.qpc2.delta
+    return cls(1.0 + background, 1.0 - background, ifm.qpc1.epsilon * ifm.qpc2.epsilon,
+               _plain(big_gamma), _plain(np.cos(ifm.tuning_phase) - big_gamma))
 
 
-def _fringe_terms(qpc1: QpcSetting, qpc2: QpcSetting, phi, gamma, sign: float) -> _FringeTerms:
-    """Fringe bundle with ``Gamma = sin(gamma/2) sin(gamma/2 + sign*phi)``:
-    ``sign`` is +1 for a detector and -1 for a system; arrays broadcast."""
-    big_gamma = _coupling_term(gamma, sign * phi)
-    background = qpc1.delta * qpc2.delta
-    visibility = qpc1.epsilon * qpc2.epsilon
-    return _FringeTerms(1.0 + background, 1.0 - background, visibility, big_gamma,
-                        np.cos(phi) - big_gamma)
-
-
-def _fringe_params(cls, ifm: InterferometerConfig, gamma: float, sign: float):
-    return cls(*map(float, _fringe_terms(ifm.qpc1, ifm.qpc2, ifm.tuning_phase, gamma, sign)))
-
-
-def detector_params(det: InterferometerConfig, gamma: float) -> DetectorParams:
+def detector_params(det: InterferometerConfig, gamma) -> DetectorParams:
     """Closed-form detector parameter bundle for coupling phase ``gamma``.
 
     Returns
@@ -266,15 +275,16 @@ def detector_params(det: InterferometerConfig, gamma: float) -> DetectorParams:
     DetectorParams with ``beta_(+/-) = 1 +/- delta1*delta2``,
     ``visibility = epsilon1*epsilon2``,
     ``Gamma = sin(gamma/2) sin(gamma/2 + phi)`` and
-    ``Delta = cos(phi) - Gamma``.
+    ``Delta = cos(phi) - Gamma``.  ``gamma`` and the fields of ``det`` may
+    be arrays.
     """
-    return _fringe_params(DetectorParams, det, gamma, 1.0)
+    return _bundle(DetectorParams, det, _coupling_term(gamma, det.tuning_phase))
 
 
-def system_params(sys: InterferometerConfig, gamma: float) -> SystemParams:
+def system_params(sys: InterferometerConfig, gamma) -> SystemParams:
     """Closed-form system parameter bundle; note the flipped phase sign
     ``Gamma = sin(gamma/2) sin(gamma/2 - phi)``."""
-    return _fringe_params(SystemParams, sys, gamma, -1.0)
+    return _bundle(SystemParams, sys, _coupling_term(gamma, -sys.tuning_phase))
 
 
 def joint_interference_params(phi_d: float, phi_s: float, gamma: float) -> JointInterferenceParams:

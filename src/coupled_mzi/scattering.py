@@ -11,9 +11,12 @@ Basis conventions (fixed; tests match terms against them):
 All amplitudes come from one single-interferometer pair: the state
 ``(t1 e^{i phi}, r1)`` after a first QPC, scattered as ``state @
 qpc_unitary(qpc2)``.  The joint table is ``c = C_d(gamma) diag(psi_s) U_s``:
-detector drain amplitudes per system arm, the system's first-QPC state and
-its second QPC.  :func:`joint_probability_table` is an independent closed
-form for the same statistics and shares no code with the amplitudes.
+the detector drain amplitudes per system arm, the system's first-QPC state
+(:func:`detector_drain_amplitudes`, :func:`reduced_system_state`) and its
+second QPC.  A sweep is one experiment with an array-valued field: the
+coupling phase, the tuning phases and the system's first QPC broadcast.
+:func:`joint_probability_table` is an independent closed form for the same
+statistics on scalar configs and shares no code with the amplitudes.
 
 The first-QPC scattering phases enter only through the composite tuning
 phases, so the amplitudes below carry bare ``t1``/``r1`` moduli; the
@@ -67,30 +70,37 @@ def _first_qpc_state(transmission, reflection, phase) -> np.ndarray:
     return state
 
 
-def _detector_amplitudes(det: InterferometerConfig, phi, gamma) -> np.ndarray:
-    """Detector drain amplitudes ``C[..., drain, system arm]`` for tuning
-    phase ``phi``; the system's upper arm adds ``gamma`` on the transmitted
-    detector path.  ``phi`` and ``gamma`` broadcast."""
-    phases = np.asarray(phi)[..., np.newaxis] + np.asarray(gamma)[..., np.newaxis] * _COUPLED_ARM
+def reduced_system_state(sys: InterferometerConfig) -> np.ndarray:
+    """System state after its first QPC, absent any coupling.
+
+    Returns the normalized vector ``(e^{i phi_s} t1, r1)`` on ``(L^s, U^s)``.
+    """
+    return _first_qpc_state(sys.qpc1.transmission, sys.qpc1.reflection, sys.tuning_phase)
+
+
+def detector_drain_amplitudes(det: InterferometerConfig, gamma) -> np.ndarray:
+    """Detector scattering amplitudes ``C[..., drain, system arm]``.
+
+    ``C[D, U^s]`` differs from ``C[D, L^s]`` only by the extra coupling
+    phase ``gamma`` on the transmitted detector path.
+    """
+    coupled = np.asarray(gamma)[..., np.newaxis] * _COUPLED_ARM
+    phases = np.asarray(det.tuning_phase)[..., np.newaxis] + coupled
     states = _first_qpc_state(det.qpc1.transmission, det.qpc1.reflection, phases)
     return (states @ qpc_unitary(det.qpc2)).swapaxes(-1, -2)
 
 
-def joint_amplitude_table(det: InterferometerConfig, sys: InterferometerConfig, gamma,
-                          phi_d=None, phi_s=None, t_s1=None) -> np.ndarray:
+def joint_amplitude_table(det: InterferometerConfig, sys: InterferometerConfig, gamma) -> np.ndarray:
     """Joint drain amplitudes ``c[..., detector drain, system drain]``.
 
-    ``c = C_d(gamma) diag(psi_s) U_s``.  ``gamma`` broadcasts with optional
-    overrides of the tuning phases and of the system's first-QPC
-    transmission (reflection ``1 - t_s1``); ``None`` keeps the config value.
+    ``c = C_d(gamma) diag(psi_s) U_s``: :func:`detector_drain_amplitudes`
+    weighted by :func:`reduced_system_state` and scattered by the system's
+    second QPC.  ``gamma``, the tuning phases and the system's first QPC may
+    be arrays and broadcast together; the detector's QPCs and the system's
+    second QPC are scalars.
     """
-    phi_d = det.tuning_phase if phi_d is None else phi_d
-    phi_s = sys.tuning_phase if phi_s is None else phi_s
-    q1 = sys.qpc1
-    t_s1, r_s1 = (q1.transmission, q1.reflection) if t_s1 is None else (t_s1, 1.0 - t_s1)
-    system = _first_qpc_state(t_s1, r_s1, phi_s)
-    detector = _detector_amplitudes(det, phi_d, gamma)
-    return (detector * system[..., np.newaxis, :]) @ qpc_unitary(sys.qpc2)
+    system = reduced_system_state(sys)[..., np.newaxis, :]
+    return (detector_drain_amplitudes(det, gamma) * system) @ qpc_unitary(sys.qpc2)
 
 
 @dataclass(frozen=True)
@@ -125,17 +135,14 @@ def arm_state(det: InterferometerConfig, sys: InterferometerConfig, gamma: float
     return ArmState(joint[[0, 1, 0, 1], [0, 1, 1, 0]])
 
 
-def _concurrence(epsilon_d1, epsilon_s1, gamma):
-    return epsilon_d1 * epsilon_s1 * np.abs(np.sin(gamma / 2.0))
-
-
-def concurrence(det_qpc1: QpcSetting, sys_qpc1: QpcSetting, gamma: float) -> float:
+def concurrence(det_qpc1: QpcSetting, sys_qpc1: QpcSetting, gamma):
     """Entanglement of the joint two-path state.
 
     Closed form ``epsilon1_d * epsilon1_s * |sin(gamma/2)|``: maximal for
     balanced first QPCs at ``gamma = pi``, vanishing as ``gamma -> 0``.
+    ``gamma`` and the contacts' fields may be arrays.
     """
-    return float(_concurrence(det_qpc1.epsilon, sys_qpc1.epsilon, gamma))
+    return det_qpc1.epsilon * sys_qpc1.epsilon * np.abs(np.sin(gamma / 2.0))
 
 
 @dataclass(frozen=True)
@@ -185,9 +192,6 @@ class JointStatistics:
     @property
     def system_marginals(self) -> np.ndarray:
         return self.joint.sum(axis=0)
-
-    def p_joint(self, d: DetectorDrain, s: SystemDrain) -> float:
-        return float(self.joint[d.value, s.value])
 
     def p_detector(self, d: DetectorDrain) -> float:
         return float(self.joint[d.value].sum())
@@ -362,10 +366,12 @@ __all__ = [
     "average_current",
     "concurrence",
     "cross_noise_power",
+    "detector_drain_amplitudes",
     "joint_amplitude_table",
     "joint_amplitudes",
     "joint_probability_table",
     "joint_statistics",
     "joint_statistics_closed_form",
     "qpc_unitary",
+    "reduced_system_state",
 ]

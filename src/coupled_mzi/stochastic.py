@@ -24,7 +24,7 @@ from numpy.random import Generator, Philox
 
 from .errors import AmbiguousMeasurementError
 from .measurement import DIVERGENCE_THRESHOLD, ContextualValues
-from .params import CouplingModel, DetectorParams, InterferometerConfig
+from .params import CouplingModel, DetectorParams, InterferometerConfig, damping_eta
 from .scattering import JointStatistics, _harmonic, _harmonic_tables
 
 RNG_ALGORITHM = "philox4x64"
@@ -142,57 +142,24 @@ def _raised_cosine_ppf(u: np.ndarray, model: CouplingModel) -> np.ndarray:
     return model.gamma + model.sigma * t / math.pi
 
 
-def damping_eta(sigma: float) -> float:
-    """Fluctuation damping factor ``(pi^2 / (pi^2 - sigma^2)) sin(sigma)/sigma``.
-
-    Defined by continuity at the removable singularities: 1 at
-    ``sigma = 0`` and 1/2 at ``sigma = pi``.  Domain is [0, pi].
-    """
-    if not (0.0 <= sigma <= math.pi):
-        raise ValueError(f"sigma {sigma} outside [0, pi]")
-    return float(_eta(sigma))
-
-
-def _eta(sigma):
-    """:func:`damping_eta` without the domain check, for a float or an ndarray.
-
-    At the removable singularities the closed form is evaluated at a
-    stand-in 1 and replaced by the limits; masks are multiplied in, not
-    selected, so a float stays a plain scalar computation.
-    """
-    inside = (sigma > 0.0) & (sigma < math.pi)
-    s = sigma * inside + (1.0 - inside)
-    eta = (math.pi**2 / (math.pi**2 - s * s)) * (np.sin(s) / s)
-    return eta * inside + (sigma == 0.0) + 0.5 * (sigma == math.pi)
-
-
-def _averaged_correlation(big_gamma, delta, sigma, pair_probability):
-    """``(Gamma_bar, Delta_bar)``: a fringe bundle's correlation terms averaged
-    over the coupling model; arrays broadcast.
-
-    ``Gamma = sin(g/2) sin(g/2 + phi) = (cos phi - cos(g + phi)) / 2`` and the
-    raised cosine damps ``cos(g + phi)`` by ``eta(sigma)``, while an unpaired
-    emission has ``Gamma = 0``.  So ``Gamma_bar = p (eta Gamma + (1 - eta)
-    cos(phi) / 2)`` with ``cos(phi) = Delta + Gamma``, and ``Delta_bar``
-    keeps ``Delta_bar + Gamma_bar = cos(phi)``.  At ``sigma = 0, p = 1`` both
-    come back unchanged, bit for bit.
-    """
-    eta = _eta(sigma)
-    gamma_bar = pair_probability * (eta * big_gamma + (1.0 - eta) * (delta + big_gamma) / 2.0)
-    return gamma_bar, delta + (big_gamma - gamma_bar)
-
-
 def averaged_detector_params(p: DetectorParams, model: CouplingModel) -> DetectorParams:
     """Detector parameters averaged over coupling fluctuations and unpaired
     emission, the exact average of the drain probabilities.
 
-    Only ``Gamma`` and ``Delta`` change (see :func:`_averaged_correlation`);
-    contextual values built from the result invert the averaged drain
-    probabilities, with the ``1/Gamma_bar`` amplification of an inefficient
-    measurement.
+    Only ``Gamma`` and ``Delta`` change.  ``Gamma = sin(g/2) sin(g/2 + phi)
+    = (cos phi - cos(g + phi)) / 2`` and the raised cosine damps
+    ``cos(g + phi)`` by ``eta(sigma)``, while an unpaired emission has
+    ``Gamma = 0``.  So ``Gamma_bar = p (eta Gamma + (1 - eta) cos(phi) / 2)``
+    with ``cos(phi) = Delta + Gamma``, and ``Delta_bar`` keeps ``Delta_bar +
+    Gamma_bar = cos(phi)``.  At ``sigma = 0, p = 1`` both come back
+    unchanged, bit for bit.  Contextual values built from the result invert
+    the averaged drain probabilities, with the ``1/Gamma_bar`` amplification
+    of an inefficient measurement.  The fields of ``p`` and ``model`` may be
+    arrays.
     """
-    big_gamma, delta = _averaged_correlation(p.Gamma, p.Delta, model.sigma, model.pair_probability)
-    return replace(p, Gamma=float(big_gamma), Delta=float(delta))
+    eta = damping_eta(model.sigma)
+    gamma_bar = model.pair_probability * (eta * p.Gamma + (1.0 - eta) * (p.Delta + p.Gamma) / 2.0)
+    return replace(p, Gamma=gamma_bar, Delta=p.Delta + (p.Gamma - gamma_bar))
 
 
 def averaged_joint_table(
@@ -206,7 +173,7 @@ def averaged_joint_table(
     unpaired emissions see ``g = 0``.
     """
     a, b, c = _harmonic_tables(det, sys)
-    eta, p = _eta(model.sigma), model.pair_probability
+    eta, p = damping_eta(model.sigma), model.pair_probability
     paired = a + eta * (b * math.cos(model.gamma) + c * math.sin(model.gamma))
     return p * paired + (1.0 - p) * (a + b)
 

@@ -1,14 +1,20 @@
+import contextlib
 import csv
 import io
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_config import GOLDEN, mutated_configs
 
 from coupled_mzi import cli
 from coupled_mzi.cli import main
+from coupled_mzi.config import SWEEP_DOMAINS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "unbalanced.conf"
@@ -555,3 +561,91 @@ class TestInteractionPhase:
         assert code == 2
         assert out == ""
         assert "dynamical phase" in err
+
+
+UNALLOCATABLE = str(10**18)  # fails inside malloc at once; no count that really allocates
+
+
+@pytest.mark.parametrize("command", [
+    ["scan", "--sweep", f"gamma:0:1:{UNALLOCATABLE}", "--quantities", "P_D1"],
+    ["erasure", "--sweep", f"phi_s:0:1:{UNALLOCATABLE}"],
+    ["montecarlo", "--n", UNALLOCATABLE],
+], ids=["scan", "erasure", "montecarlo"])
+def test_unallocatable_size_is_config_error(capsys, command):
+    code, out, err = run_cli([*command, "--config", str(GOLDEN_CONFIG)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and "memory" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["scan", "--sweep", "phi_d:-1e308:1e308:3", "--quantities", "P_D1"],
+    ["scan", "--sweep", "phi_s:-1e308:1e308:3", "--quantities", "P_D1"],
+    ["erasure", "--sweep", "phi_s:1e308:-1e308:3"],
+], ids=["scan-phi_d", "scan-phi_s", "erasure"])
+def test_overflowing_sweep_span_is_config_error(config_path, capsys, command):
+    code, out, err = run_cli([*command, "--config", config_path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "config error: sweep from {} to {} has points that are not finite\n".format(
+        *(float(x) for x in command[2].split(":")[1:3]))
+
+
+STRONG = (CONFIGS / "strong_measurement.conf").read_text(encoding="utf-8")
+bound_texts = st.one_of(
+    st.floats(-7.0, 7.0).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "pi", "2*pi", "-pi", "1e308", "-1e308"]),
+)
+
+
+@st.composite
+def invocations(draw):
+    """A subcommand and its flags, without ``--config``."""
+    command = draw(st.sampled_from(
+        ["scan", "erasure", "montecarlo", "povm", "interaction-phase", "validate-config"]))
+    if command in ("scan", "erasure"):
+        name = "phi_s" if command == "erasure" else draw(st.sampled_from(sorted(SWEEP_DOMAINS)))
+        sweep = f"{name}:{draw(bound_texts)}:{draw(bound_texts)}:{draw(st.integers(2, 64))}"
+        argv = [command, "--sweep", sweep]
+        if command == "scan":
+            names = st.lists(st.sampled_from(cli.QUANTITIES), min_size=1, max_size=6, unique=True)
+            argv += ["--quantities", ",".join(draw(names))]
+        return argv
+    if command == "montecarlo":
+        return [command, "--n", str(draw(st.integers(1, 2000))),
+                "--seed", str(draw(st.integers(0, 2**64 - 1)))]
+    return [command]
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=mutated_configs(), argv=invocations())
+@example(text=GOLDEN, argv=["scan", "--sweep", f"gamma:0:1:{UNALLOCATABLE}", "--quantities", "P_D1"])
+@example(text=GOLDEN, argv=["erasure", "--sweep", f"phi_s:0:1:{UNALLOCATABLE}"])
+@example(text=GOLDEN, argv=["montecarlo", "--n", UNALLOCATABLE, "--seed", "0"])
+@example(text=GOLDEN, argv=["scan", "--sweep", "phi_d:-1e308:1e308:3", "--quantities", "P_D1"])
+@example(text=GOLDEN, argv=["scan", "--sweep", "phi_s:-1e308:1e308:3", "--quantities", "P_D1"])
+@example(text=GOLDEN, argv=["erasure", "--sweep", "phi_s:1e308:-1e308:3"])
+@example(text=STRONG.replace("target_rms = 0.1", "target_rms = 1e-300"),
+         argv=["montecarlo", "--n", "100", "--seed", "1"])
+@example(text=STRONG.replace("path_length = 1e-5", "path_length = 1e300")
+         .replace("fermi_velocity = 1e5", "fermi_velocity = 1e-300"),
+         argv=["montecarlo", "--n", "100", "--seed", "1"])
+@example(text=GOLDEN.replace("interaction_length = 5e-6", "interaction_length = 1e300"),
+         argv=["interaction-phase"])
+@example(text=STRONG + "\nobservable.a3 = 1e200\n", argv=["montecarlo", "--n", "100", "--seed", "1"])
+def test_every_input_ends_in_a_documented_exit_code(text, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.conf"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], "--config", str(path), *argv[1:]])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and argv[0] != "validate-config":
+        header, *rows = csv.reader(io.StringIO(out.getvalue()))
+        for row in rows:
+            for column, cell in zip(header, row):
+                if column not in ("quantity", "rng_algorithm"):
+                    assert cell == "inf-ambiguous" or math.isfinite(float(cell)), (column, cell)

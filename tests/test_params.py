@@ -7,6 +7,7 @@ from coupled_mzi import (
     CouplingModel,
     DetectorParams,
     InterferometerConfig,
+    damping_eta,
     detector_params,
     joint_interference_params,
     qpc_from_angle,
@@ -192,3 +193,27 @@ def test_interferometer_config_holds_fields():
     mzi = InterferometerConfig(q1, q2, 1.25)
     assert mzi.qpc1 is q1 and mzi.qpc2 is q2
     assert mzi.tuning_phase == 1.25
+
+
+class TestArrayFields:
+    @pytest.mark.parametrize("field", ["beta_plus", "beta_minus", "visibility", "Gamma", "Delta"])
+    def test_nan_fails_every_bundle_check(self, field):
+        fields = dict(beta_plus=1.0, beta_minus=1.0, visibility=0.5, Gamma=0.25, Delta=0.5)
+        with pytest.raises(ValueError):
+            DetectorParams(**{**fields, field: math.nan})
+
+    def test_every_point_is_checked(self):
+        model = CouplingModel(gamma=np.array([0.0, 1.0, 2 * math.pi]),
+                              sigma=np.array([0.0, math.pi, 1.0]))
+        assert model.gamma.shape == (3,)
+        for bad in (dict(gamma=np.array([1.0, 7.0])), dict(gamma=1.0, sigma=np.array([0.5, math.nan]))):
+            with pytest.raises(ValueError):
+                CouplingModel(**bad)
+        with pytest.raises(ValueError, match="transmission"):
+            qpc_from_transmission(np.array([0.2, 1.5]))
+
+    def test_scalar_inputs_give_python_floats(self):
+        q = qpc_from_transmission(0.3)
+        p = detector_params(InterferometerConfig(q, q, 0.4), 1.1)
+        values = [q.epsilon, q.theta, damping_eta(0.5), *(getattr(p, f) for f in ("Gamma", "Delta"))]
+        assert all(type(x) is float for x in values)

@@ -1,33 +1,42 @@
 """Property tests of the amplitude pipeline against the independent closed form."""
 
 import math
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_golden import _point
 
 from coupled_mzi import (
     AmbiguousMeasurementError,
     InterferometerConfig,
     ObservableCoefficients,
     PostSelectionImpossibleError,
+    averaged_detector_params,
+    concurrence,
     conditioned_average,
     contextual_values,
+    damping_eta,
     detector_params,
     joint_amplitude_table,
     joint_amplitudes,
     joint_probability_table,
     joint_statistics,
+    load_config,
     measurement_operators,
     povm_expectation,
     povm_pair,
     qpc_from_transmission,
     reduced_system_state,
 )
+from coupled_mzi.cli import _Grid
 from coupled_mzi.measurement import SIGMA_0, SIGMA_3
 from coupled_mzi.params import SystemDrain
 
+GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "unbalanced.conf"
 TWO_PI = 2.0 * math.pi
 transmissions = st.floats(0.0, 1.0)
 angles = st.floats(-TWO_PI, TWO_PI)
@@ -62,7 +71,10 @@ def test_scalar_amplitude_table_matches_closed_form(det, sysm, gamma):
 @given(det=interferometers(), sysm=interferometers(), points=sweep_points())
 def test_array_amplitude_table_matches_closed_form(det, sysm, points):
     gamma, phi_d, phi_s, t_s1 = (np.array(column) for column in zip(*points))
-    c = joint_amplitude_table(det, sysm, gamma, phi_d=phi_d, phi_s=phi_s, t_s1=t_s1)
+    q1 = sysm.qpc1
+    array_det = InterferometerConfig(det.qpc1, det.qpc2, phi_d)
+    array_sys = InterferometerConfig(qpc_from_transmission(t_s1, q1.chi, q1.xi), sysm.qpc2, phi_s)
+    c = joint_amplitude_table(array_det, array_sys, gamma)
     assert c.shape == (len(points), 2, 2)
     for i, (g, pd, ps, t) in enumerate(points):
         q1 = sysm.qpc1
@@ -125,3 +137,35 @@ def test_povm_expectation_matches_amplitude_marginals(det, sysm, gamma):
     expected = joint_statistics(joint_amplitudes(det, sysm, gamma)).detector_marginals
     got = povm_expectation(povm, reduced_system_state(sysm))
     assert np.max(np.abs(np.array(got) - expected)) <= 1e-12
+
+
+SWEEP_RANGES = {"gamma": (0.0, TWO_PI), "phi_d": (-math.pi, math.pi), "phi_s": (0.0, TWO_PI),
+                "delta_s1": (-1.0, 1.0), "sigma": (0.0, math.pi)}
+
+
+def _public_values(det, sysm, coupling) -> dict:
+    """Every public function of the contract, as a list of arrays or scalars."""
+    raw = detector_params(det, coupling.gamma)
+    return {
+        "joint_amplitude_table": [joint_amplitude_table(det, sysm, coupling.gamma)],
+        "detector_params": astuple(raw),
+        "averaged_detector_params": astuple(averaged_detector_params(raw, coupling)),
+        "concurrence": [concurrence(det.qpc1, sysm.qpc1, coupling.gamma)],
+        "damping_eta": [damping_eta(coupling.sigma)],
+    }
+
+
+@pytest.mark.parametrize("parameter", sorted(SWEEP_RANGES))
+def test_array_experiment_matches_scalar_points(parameter):
+    """A sweep is the config with the swept field an array: every public
+    function gives, point for point, what the scalar experiment gives."""
+    config = load_config(str(GOLDEN_CONFIG))
+    grid = np.linspace(*SWEEP_RANGES[parameter], 13)
+    g = _Grid(config, parameter, grid)
+    arrays = _public_values(g.det, g.sys, g.coupling)
+    for i, value in enumerate(grid.tolist()):
+        point = _point(config, parameter, value)
+        for name, scalars in _public_values(point.detector, point.system, point.coupling).items():
+            for array, scalar in zip(arrays[name], scalars, strict=True):
+                got = array[i] if np.ndim(array) else array  # a scalar holds at every point
+                assert np.max(np.abs(got - scalar)) <= 1e-15, (name, value)
