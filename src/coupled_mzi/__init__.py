@@ -79,11 +79,9 @@ from .scattering import (
     average_current,
     concurrence,
     cross_noise_power,
-    joint_amplitude_table,
     joint_amplitudes,
     joint_probability_table,
     joint_statistics,
-    joint_statistics_closed_form,
     qpc_unitary,
 )
 from .stochastic import (

@@ -51,11 +51,8 @@ from .params import DetectorDrain, SystemDrain, damping_eta, detector_params, qp
 from .scattering import (
     ELEMENTARY_CHARGE,
     JointStatistics,
-    _check_low_bias_regime,
-    _noise_table,
-    _probabilities,
     concurrence,
-    joint_amplitude_table,
+    cross_noise_power,
     joint_amplitudes,
     joint_statistics,
 )
@@ -110,38 +107,44 @@ class _Grid:
         self.coupling = replace(coupling, gamma=gamma, sigma=sigma)
 
     @cached_property
-    def joint(self) -> np.ndarray:
-        return _probabilities(joint_amplitude_table(self.det, self.sys, self.coupling.gamma))
+    def stats(self) -> JointStatistics:
+        return joint_statistics(joint_amplitudes(self.det, self.sys, self.coupling.gamma))
 
     def marginal(self, drain: DetectorDrain | SystemDrain) -> np.ndarray:
-        return self.joint.sum(axis=-1 if isinstance(drain, DetectorDrain) else -2)[:, drain.value]
+        return (self.stats.p_detector if isinstance(drain, DetectorDrain) else self.stats.p_system)(drain)
 
     def given(self, drain: DetectorDrain | SystemDrain, where=True) -> np.ndarray:
         """The marginal a column divides by, required above 1e-12 ``where``."""
         self.required[drain] = self.required.get(drain, False) | where
         return self.marginal(drain)
 
-    def alphas(self, damped: bool) -> list[np.ndarray]:
-        """Contextual values, NaN where ``|V Gamma|`` is at the divergence threshold."""
-        p = detector_params(self.det, self.coupling.gamma)
-        if damped:
-            p = averaged_detector_params(p, self.coupling)
-        # divide by an array: a V = 0 point gives inf, not ZeroDivisionError
-        p = replace(p, visibility=np.broadcast_to(p.visibility, p.Gamma.shape))
-        ambiguous = np.abs(p.visibility * p.Gamma) <= DIVERGENCE_THRESHOLD
-        return [np.where(ambiguous, np.nan, w) for w in _weights(self.config.observable, p)]
+    @cached_property
+    def raw(self):
+        """The detector bundle at the mean coupling phase."""
+        return detector_params(self.det, self.coupling.gamma)
+
+    @cached_property
+    def alphas(self) -> list[np.ndarray]:
+        """Contextual values of the fluctuation-averaged detector bundle."""
+        return _alphas(self.config.observable, averaged_detector_params(self.raw, self.coupling))
+
+    @cached_property
+    def raw_alphas(self) -> list[np.ndarray]:
+        return _alphas(self.config.observable, self.raw)
 
     def conditioned(self, s: SystemDrain) -> np.ndarray:
         # ambiguity first: an inf-ambiguous point needs no post-selection
-        alpha_d1, alpha_d2 = self.alphas(damped=False)
+        alpha_d1, alpha_d2 = self.raw_alphas
         p_s = self.given(s, where=~np.isnan(alpha_d1))
-        return _conditioned_average(alpha_d1, alpha_d2, self.joint, p_s, s.value)
+        return _conditioned_average(alpha_d1, alpha_d2, self.stats.joint, p_s, s.value)
 
-    @cached_property
-    def noise(self) -> np.ndarray:
-        _check_low_bias_regime(self.config.bias)
-        joint = self.joint
-        return _noise_table(joint, joint.sum(axis=-1), joint.sum(axis=-2), self.config.bias)
+
+def _alphas(observable, p) -> list[np.ndarray]:
+    """Contextual values, NaN where ``|V Gamma|`` is at the divergence threshold."""
+    # divide by an array: a V = 0 point gives inf, not ZeroDivisionError
+    p = replace(p, visibility=np.broadcast_to(p.visibility, p.Gamma.shape))
+    ambiguous = np.abs(p.visibility * p.Gamma) <= DIVERGENCE_THRESHOLD
+    return [np.where(ambiguous, np.nan, w) for w in _weights(observable, p)]
 
 
 _D, _S = tuple(DetectorDrain), tuple(SystemDrain)
@@ -149,17 +152,17 @@ _PAIRS = tuple((d, s) for d in _D for s in _S)
 
 _QUANTITIES: dict[str, Callable[[_Grid], np.ndarray]] = {
     **{f"P_{x.name}": (lambda g, x=x: g.marginal(x)) for x in (*_D, *_S)},
-    **{f"P_{d.name}{s.name}": (lambda g, d=d, s=s: g.joint[:, d.value, s.value])
+    **{f"P_{d.name}{s.name}": (lambda g, d=d, s=s: g.stats.joint[:, d.value, s.value])
        for d, s in _PAIRS},
-    **{f"P_{d.name}_given_{s.name}": (lambda g, d=d, s=s: g.joint[:, d.value, s.value] / g.given(s))
-       for s in _S for d in _D},
-    **{f"P_{s.name}_given_{d.name}": (lambda g, d=d, s=s: g.joint[:, d.value, s.value] / g.given(d))
-       for d, s in _PAIRS},
-    **{f"alpha_{d.name}": (lambda g, d=d: g.alphas(damped=True)[d.value]) for d in _D},
+    **{f"P_{d.name}_given_{s.name}":
+       (lambda g, d=d, s=s: g.stats.joint[:, d.value, s.value] / g.given(s)) for s in _S for d in _D},
+    **{f"P_{s.name}_given_{d.name}":
+       (lambda g, d=d, s=s: g.stats.joint[:, d.value, s.value] / g.given(d)) for d, s in _PAIRS},
+    **{f"alpha_{d.name}": (lambda g, d=d: g.alphas[d.value]) for d in _D},
     **{f"cond_avg_{s.name}": (lambda g, s=s: g.conditioned(s)) for s in _S},
     "concurrence": lambda g: concurrence(g.det.qpc1, g.sys.qpc1, g.coupling.gamma),
     "eta": lambda g: damping_eta(g.coupling.sigma),
-    **{f"S_{d.name}{s.name}": (lambda g, d=d, s=s: g.noise[:, d.value, s.value])
+    **{f"S_{d.name}{s.name}": (lambda g, d=d, s=s: cross_noise_power(g.stats, d, s, g.config.bias))
        for d, s in _PAIRS},
 }
 """Scan columns by name.  Probability, conditional, noise and

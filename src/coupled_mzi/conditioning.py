@@ -27,13 +27,7 @@ from .params import (
     joint_interference_params,
     system_params,
 )
-from .scattering import (
-    JointStatistics,
-    _probabilities,
-    joint_amplitude_table,
-    joint_amplitudes,
-    joint_statistics,
-)
+from .scattering import JointStatistics, joint_amplitudes, joint_statistics
 
 _MARGINAL_THRESHOLD = 1e-12
 
@@ -59,9 +53,9 @@ class ConditionalTable:
             raise ValueError("conditional probabilities outside [0, 1]")
         if np.any(ps_d < -1e-12) or np.any(ps_d > 1 + 1e-12):
             raise ValueError("conditional probabilities outside [0, 1]")
-        if np.max(np.abs(pd_s.sum(axis=0) - 1.0)) > 1e-12:
+        if not np.max(np.abs(pd_s.sum(axis=0) - 1.0)) <= 1e-12:
             raise ValueError("P(D|S) columns must sum to 1")
-        if np.max(np.abs(ps_d.sum(axis=1) - 1.0)) > 1e-12:
+        if not np.max(np.abs(ps_d.sum(axis=1) - 1.0)) <= 1e-12:
             raise ValueError("P(S|D) rows must sum to 1")
         pd_s.setflags(write=False)
         ps_d.setflags(write=False)
@@ -117,10 +111,10 @@ def erasure_curve(
     Points are returned in input order.
     """
     phi_s = np.asarray(phi_s_values, dtype=float).ravel()
-    joint = _probabilities(joint_amplitude_table(det, replace(sys, tuning_phase=phi_s), gamma))
-    p_d = joint[:, condition.value, :].sum(axis=-1)
+    stats = joint_statistics(joint_amplitudes(det, replace(sys, tuning_phase=phi_s), gamma))
+    p_d = stats.p_detector(condition)
     _post_select({condition: p_d})
-    p_s1_given = joint[:, condition.value, SystemDrain.S1.value] / p_d
+    p_s1_given = stats.joint[:, condition.value, SystemDrain.S1.value] / p_d
     return list(zip(phi_s.tolist(), p_s1_given.tolist()))
 
 

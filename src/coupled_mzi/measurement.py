@@ -135,7 +135,7 @@ def decompose_observable(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.shape != (2, 2):
         raise ValueError("observable must be a 2x2 matrix")
-    if np.max(np.abs(a - a.conj().T)) > 1e-9:
+    if not np.max(np.abs(a - a.conj().T)) <= 1e-9:
         raise ValueError("observable is not Hermitian")
     return np.array([np.real(np.trace(a @ s)) / 2.0 for s in PAULI_BASIS])
 
@@ -188,7 +188,7 @@ def reconstruct_average(cv: ContextualValues, p_d1: float, p_d2: float) -> float
     With drain probabilities from the scattering pipeline this equals
     ``a0 + a3 * delta1_s`` exactly.
     """
-    if abs(p_d1 + p_d2 - 1.0) > 1e-9:
+    if not abs(p_d1 + p_d2 - 1.0) <= 1e-9:
         raise ValueError("drain probabilities must sum to 1")
     return cv.alpha_d1 * p_d1 + cv.alpha_d2 * p_d2
 
@@ -284,7 +284,7 @@ def limit_contextual_values(
     """
     obs = ObservableCoefficients()
     if regime == "strong":
-        if abs(gamma - math.pi) > 1e-9:
+        if not abs(gamma - math.pi) <= 1e-9:
             raise ValueError("strong regime requires gamma = pi")
         cos_phi = math.cos(phi_d)
         if abs(cos_phi) <= DIVERGENCE_THRESHOLD:
@@ -311,7 +311,7 @@ def limit_contextual_values(
     if regime == "semiweak":
         if n is None:
             raise ValueError("semiweak regime requires the integer n with phi_d = n pi")
-        if abs(phi_d - n * math.pi) > 1e-9:
+        if not abs(phi_d - n * math.pi) <= 1e-9:
             raise ValueError(f"semiweak regime requires phi_d = n*pi, got {phi_d!r}")
         if gamma == 0.0:
             raise ValueError("semiweak regime forms require gamma > 0")

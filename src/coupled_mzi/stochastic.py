@@ -235,7 +235,7 @@ def sample_events(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
     Returns ``uint8`` codes ``2 d + s``; event ``i`` uses uniform double
     ``i`` of the seed's stream, so the sequence is a pure function of ``seed``.
     """
-    flat = stats.joint.ravel()
+    flat = stats.joint.reshape(4)  # one table: a stack of them raises ValueError here
     return _sample_codes(n, seed, 1, lambda: flat)
 
 
@@ -315,7 +315,7 @@ def contextual_estimate(
         p1 = 1.0 - p2
     else:
         p1, p2 = probabilities
-        if abs(p1 + p2 - 1.0) > 1e-9:
+        if not abs(p1 + p2 - 1.0) <= 1e-9:
             raise ValueError("drain probabilities must sum to 1")
     mean_true = a1 * p1 + a2 * p2
     predicted = max(0.0, (a1 * a1 * p1 + a2 * a2 * p2 - mean_true * mean_true) / n)

@@ -14,6 +14,7 @@ from coupled_mzi import (
     InteractionGeometry,
     InterferometerConfig,
     JointAmplitudes,
+    JointStatistics,
     ObservableCoefficients,
     ObservationBudget,
     conditioned_average,
@@ -24,8 +25,8 @@ from coupled_mzi import (
     detector_params,
     efficient_factorization,
     joint_amplitudes,
+    joint_probability_table,
     joint_statistics,
-    joint_statistics_closed_form,
     measurement_operators,
     observation_time,
     position_phase,
@@ -84,7 +85,7 @@ def test_criterion_02_closed_form_probability_match():
         det, sysm = random_mzi(rng), random_mzi(rng)
         gamma = rng.uniform(0.0, 2.0 * math.pi)
         pipeline = joint_statistics(joint_amplitudes(det, sysm, gamma))
-        closed = joint_statistics_closed_form(det, sysm, gamma)
+        closed = JointStatistics(joint_probability_table(det, sysm, gamma))
         worst = max(
             worst,
             float(np.max(np.abs(pipeline.joint - closed.joint))),

@@ -100,6 +100,16 @@ class TestValidateConfig:
 
 
 class TestScan:
+    def test_grid_builds_the_detector_bundle_once(self, monkeypatch, capsys):
+        argv = ["scan", "--config", str(CONFIGS / "strong_measurement.conf"),
+                "--sweep", "gamma:0.1:3:11",
+                "--quantities", "alpha_D1,alpha_D2,cond_avg_S1,cond_avg_S2"]
+        expected = run_cli(argv, capsys)
+        calls, original = [], cli.detector_params
+        monkeypatch.setattr(cli, "detector_params", lambda *a: calls.append(a) or original(*a))
+        assert run_cli(argv, capsys) == expected
+        assert expected[0] == 0 and len(calls) == 1
+
     def test_gamma_sweep_contextual_values(self, config_path, capsys):
         code, out, _ = run_cli(
             [

@@ -81,6 +81,8 @@ def test_povm_pair_rejects(e1, e2):
     pytest.param([[INF, 0.0], [0.0, 1.0]], id="inf"),
     pytest.param([[0.25, 0.25], [0.25, 0.2]], id="incomplete"),
     pytest.param([[-0.1, 0.35], [0.25, 0.5]], id="negative"),
+    pytest.param([[[0.25] * 2] * 2, [[0.25] * 2] * 2, [[0.25, 0.25], [0.25, NAN]]],
+                 id="stack-one-bad"),
 ])
 def test_joint_statistics_rejects(joint):
     with pytest.raises(ValueError):

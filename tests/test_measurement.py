@@ -5,8 +5,11 @@ import pytest
 
 from coupled_mzi import (
     AmbiguousMeasurementError,
+    ConditionalTable,
+    ContextualValues,
     InterferometerConfig,
     ObservableCoefficients,
+    contextual_estimate,
     contextual_values,
     decompose_observable,
     detector_drain_probabilities,
@@ -365,3 +368,25 @@ class TestLimitForms:
     def test_unknown_regime(self):
         with pytest.raises(ValueError, match="regime"):
             limit_contextual_values("medium", 1.0, 1.0)
+
+
+NAN, INF = math.nan, math.inf
+CV = ContextualValues(-2.0, 2.0, ObservableCoefficients())
+CODES = np.array([0, 2, 3], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: contextual_estimate(CODES, CV, probabilities=(NAN, NAN)), id="estimate-nan"),
+    pytest.param(lambda: contextual_estimate(CODES, CV, probabilities=(INF, -INF)),
+                 id="estimate-opposite-infs"),
+    pytest.param(lambda: reconstruct_average(CV, NAN, NAN), id="reconstruct-nan"),
+    pytest.param(lambda: limit_contextual_values("strong", NAN, 0.3), id="strong-nan-gamma"),
+    pytest.param(lambda: limit_contextual_values("semiweak", 0.1, NAN, n=0), id="semiweak-nan-phi"),
+    pytest.param(lambda: decompose_observable(np.array([[1.0, NAN], [NAN, 0.0]])), id="observable-nan"),
+    pytest.param(lambda: ConditionalTable(np.full((2, 2), NAN), np.full((2, 2), NAN)),
+                 id="conditional-nan"),
+])
+def test_guards_reject_nan(call):
+    """Every tolerance guard is written ``not abs(...) <= tol``: NaN fails it."""
+    with pytest.raises(ValueError):
+        call()

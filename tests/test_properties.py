@@ -1,7 +1,7 @@
 """Property tests of the amplitude pipeline against the independent closed form."""
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +19,9 @@ from coupled_mzi import (
     concurrence,
     conditioned_average,
     contextual_values,
+    cross_noise_power,
     damping_eta,
     detector_params,
-    joint_amplitude_table,
     joint_amplitudes,
     joint_probability_table,
     joint_statistics,
@@ -34,7 +34,8 @@ from coupled_mzi import (
 )
 from coupled_mzi.cli import _Grid
 from coupled_mzi.measurement import SIGMA_0, SIGMA_3
-from coupled_mzi.params import SystemDrain
+from coupled_mzi.params import DetectorDrain, SystemDrain
+from coupled_mzi.scattering import ELEMENTARY_CHARGE, PLANCK_CONSTANT
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "unbalanced.conf"
 TWO_PI = 2.0 * math.pi
@@ -61,7 +62,7 @@ def sweep_points(draw):
 @settings(max_examples=200, deadline=None)
 @given(det=interferometers(), sysm=interferometers(), gamma=couplings)
 def test_scalar_amplitude_table_matches_closed_form(det, sysm, gamma):
-    c = joint_amplitude_table(det, sysm, gamma)
+    c = joint_amplitudes(det, sysm, gamma).c
     assert c.shape == (2, 2)
     assert np.array_equal(c, joint_amplitudes(det, sysm, gamma).c)
     assert np.max(np.abs(np.abs(c) ** 2 - joint_probability_table(det, sysm, gamma))) <= 1e-12
@@ -74,7 +75,7 @@ def test_array_amplitude_table_matches_closed_form(det, sysm, points):
     q1 = sysm.qpc1
     array_det = InterferometerConfig(det.qpc1, det.qpc2, phi_d)
     array_sys = InterferometerConfig(qpc_from_transmission(t_s1, q1.chi, q1.xi), sysm.qpc2, phi_s)
-    c = joint_amplitude_table(array_det, array_sys, gamma)
+    c = joint_amplitudes(array_det, array_sys, gamma).c
     assert c.shape == (len(points), 2, 2)
     for i, (g, pd, ps, t) in enumerate(points):
         q1 = sysm.qpc1
@@ -82,6 +83,19 @@ def test_array_amplitude_table_matches_closed_form(det, sysm, points):
         point_det = InterferometerConfig(det.qpc1, det.qpc2, pd)
         closed = joint_probability_table(point_det, point_sys, g)
         assert np.max(np.abs(np.abs(c[i]) ** 2 - closed)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(det=interferometers(), sysm=interferometers(), gamma=couplings,
+       t_d1=st.lists(transmissions, min_size=1, max_size=8))
+def test_array_detector_first_qpc_matches_scalar_points(det, sysm, gamma, t_d1):
+    q1 = det.qpc1
+    array_det = replace(det, qpc1=qpc_from_transmission(np.array(t_d1), q1.chi, q1.xi))
+    c = joint_amplitudes(array_det, sysm, gamma).c
+    assert c.shape == (len(t_d1), 2, 2)
+    for i, t in enumerate(t_d1):
+        point_det = replace(det, qpc1=qpc_from_transmission(t, q1.chi, q1.xi))
+        assert np.max(np.abs(c[i] - joint_amplitudes(point_det, sysm, gamma).c)) <= 1e-15
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,7 +116,7 @@ def test_gamma_array_broadcasts_against_config_phases():
     det = InterferometerConfig(qpc_from_transmission(0.3), qpc_from_transmission(0.6), 0.4)
     sysm = InterferometerConfig(qpc_from_transmission(0.8), qpc_from_transmission(0.45), -1.1)
     gammas = np.linspace(0.0, TWO_PI, 7)
-    c = joint_amplitude_table(det, sysm, gammas)
+    c = joint_amplitudes(det, sysm, gammas).c
     assert c.shape == (7, 2, 2)
     expected = joint_probability_table(det, sysm, gammas)
     assert np.abs(c) ** 2 == pytest.approx(expected, abs=1e-12)
@@ -143,11 +157,19 @@ SWEEP_RANGES = {"gamma": (0.0, TWO_PI), "phi_d": (-math.pi, math.pi), "phi_s": (
                 "delta_s1": (-1.0, 1.0), "sigma": (0.0, math.pi)}
 
 
-def _public_values(det, sysm, coupling) -> dict:
-    """Every public function of the contract, as a list of arrays or scalars."""
+def _public_values(det, sysm, coupling, bias) -> dict:
+    """Every public function of the contract, as a list of arrays or scalars;
+    noise powers in units of ``2 e^3 V / h``."""
     raw = detector_params(det, coupling.gamma)
+    amps = joint_amplitudes(det, sysm, coupling.gamma)
+    stats = joint_statistics(amps)
+    noise_unit = 2.0 * ELEMENTARY_CHARGE**3 * bias.bias_voltage / PLANCK_CONSTANT
     return {
-        "joint_amplitude_table": [joint_amplitude_table(det, sysm, coupling.gamma)],
+        "joint_amplitudes": [amps.c],
+        "joint_statistics": [stats.joint, *map(stats.p_detector, DetectorDrain),
+                             *map(stats.p_system, SystemDrain)],
+        "cross_noise_power": [cross_noise_power(stats, d, s, bias) / noise_unit
+                              for d in DetectorDrain for s in SystemDrain],
         "detector_params": astuple(raw),
         "averaged_detector_params": astuple(averaged_detector_params(raw, coupling)),
         "concurrence": [concurrence(det.qpc1, sysm.qpc1, coupling.gamma)],
@@ -162,10 +184,11 @@ def test_array_experiment_matches_scalar_points(parameter):
     config = load_config(str(GOLDEN_CONFIG))
     grid = np.linspace(*SWEEP_RANGES[parameter], 13)
     g = _Grid(config, parameter, grid)
-    arrays = _public_values(g.det, g.sys, g.coupling)
+    arrays = _public_values(g.det, g.sys, g.coupling, config.bias)
     for i, value in enumerate(grid.tolist()):
         point = _point(config, parameter, value)
-        for name, scalars in _public_values(point.detector, point.system, point.coupling).items():
+        scalar_values = _public_values(point.detector, point.system, point.coupling, point.bias)
+        for name, scalars in scalar_values.items():
             for array, scalar in zip(arrays[name], scalars, strict=True):
                 got = array[i] if np.ndim(array) else array  # a scalar holds at every point
                 assert np.max(np.abs(got - scalar)) <= 1e-15, (name, value)

@@ -8,16 +8,15 @@ from coupled_mzi import (
     ArmState,
     InterferometerConfig,
     JointAmplitudes,
+    JointStatistics,
     PhysicalBias,
     arm_state,
     average_current,
     concurrence,
     cross_noise_power,
-    joint_amplitude_table,
     joint_amplitudes,
     joint_probability_table,
     joint_statistics,
-    joint_statistics_closed_form,
     qpc_from_transmission,
     qpc_unitary,
 )
@@ -167,7 +166,7 @@ class TestJointStatistics:
         det = balanced_mzi(0.0)
         sysm = balanced_mzi(0.0)
         stats = joint_statistics(joint_amplitudes(det, sysm, math.pi))
-        closed = joint_statistics_closed_form(det, sysm, math.pi)
+        closed = JointStatistics(joint_probability_table(det, sysm, math.pi))
         assert np.max(np.abs(stats.joint - closed.joint)) < 1e-12
 
     def test_dark_port(self):
@@ -195,7 +194,7 @@ class TestJointStatistics:
             det, sysm = random_mzi(rng), random_mzi(rng)
             gamma = rng.uniform(0, 2 * math.pi)
             stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
-            closed = joint_statistics_closed_form(det, sysm, gamma)
+            closed = JointStatistics(joint_probability_table(det, sysm, gamma))
             assert np.max(np.abs(stats.joint - closed.joint)) < 1e-12
             assert np.max(np.abs(stats.detector_marginals - closed.detector_marginals)) < 1e-12
             assert np.max(np.abs(stats.system_marginals - closed.system_marginals)) < 1e-12
@@ -246,8 +245,8 @@ class TestHarmonicForm:
         # P(0) = A + B, P(pi) = A - B and P(pi/2) = A + C on the amplitude pipeline
         for _ in range(200):
             det, sysm = random_mzi(rng), random_mzi(rng)
-            p0, p_half, p_pi = np.abs(joint_amplitude_table(
-                det, sysm, np.array([0.0, math.pi / 2, math.pi]))) ** 2
+            p0, p_half, p_pi = np.abs(joint_amplitudes(
+                det, sysm, np.array([0.0, math.pi / 2, math.pi])).c) ** 2
             a, b, c = scattering._harmonic_tables(det, sysm)
             assert np.max(np.abs(a - (p0 + p_pi) / 2)) <= 1e-12
             assert np.max(np.abs(b - (p0 - p_pi) / 2)) <= 1e-12
@@ -265,7 +264,7 @@ class TestHarmonicForm:
             closed = joint_probability_table(det, sysm, gammas)
             assert closed.shape == (64, 2, 2)
             assert np.max(np.abs(closed - (a + b * cos + c * sin))) <= 1e-12
-            amplitudes = np.abs(joint_amplitude_table(det, sysm, gammas)) ** 2
+            amplitudes = np.abs(joint_amplitudes(det, sysm, gammas).c) ** 2
             assert np.max(np.abs(closed - amplitudes)) <= 1e-12
             assert joint_probability_table(det, sysm, gammas[0]).shape == (2, 2)
 

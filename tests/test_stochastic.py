@@ -425,6 +425,10 @@ class TestSampleEvents:
         monkeypatch.setattr(stochastic, "_CHUNK", chunk)
         assert np.array_equal(sample_events(stats, 10_001, seed=99), canonical)
 
+    def test_stack_of_tables_rejected(self):
+        with pytest.raises(ValueError):
+            sample_events(JointStatistics(np.full((3, 2, 2), 0.25)), 10, seed=1)
+
     def test_seed_validation(self):
         _, _, stats = quarter_stats()
         with pytest.raises(ValueError):
