@@ -10,8 +10,6 @@ budgets; a CLI reproduces parameter sweeps as CSV.
 
 from .conditioning import (
     ConditionalTable,
-    ConditionedAverage,
-    WeakValueResult,
     conditional_table,
     conditioned_average,
     erasure_curve,
@@ -42,7 +40,6 @@ from .measurement import (
     PovmPair,
     contextual_values,
     decompose_observable,
-    detector_drain_amplitudes,
     detector_drain_probabilities,
     efficient_factorization,
     limit_contextual_values,
@@ -50,7 +47,6 @@ from .measurement import (
     povm_expectation,
     povm_pair,
     reconstruct_average,
-    reduced_system_state,
     system_drain_probabilities,
 )
 from .params import (
@@ -79,10 +75,12 @@ from .scattering import (
     average_current,
     concurrence,
     cross_noise_power,
+    detector_drain_amplitudes,
     joint_amplitudes,
     joint_probability_table,
     joint_statistics,
     qpc_unitary,
+    reduced_system_state,
 )
 from .stochastic import (
     EstimateReport,

@@ -32,7 +32,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .conditioning import _conditioned_average, _post_select
-from .config import ExperimentConfig, ScanSpec, evaluate_number, load_config
+from .config import ExperimentConfig, ScanSpec, check_sweep_domain, evaluate_number, load_config
 from .errors import (
     AmbiguousMeasurementError,
     ConfigError,
@@ -57,6 +57,7 @@ from .scattering import (
     joint_statistics,
 )
 from .stochastic import (
+    RNG_ALGORITHM,
     averaged_detector_params,
     averaged_joint_table,
     contextual_estimate,
@@ -193,12 +194,9 @@ def _evaluate(config: ExperimentConfig, parameter: str, grid: np.ndarray,
 
 
 def _grid(minimum: float, maximum: float, count: int) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):  # MAX - MIN may overflow
-        grid = np.linspace(minimum, maximum, count)
+    grid = np.linspace(minimum, maximum, count)
     # clamp endpoint rounding so domain-validated values stay in range
     grid[0], grid[-1] = minimum, maximum
-    if not np.isfinite(grid).all():
-        raise ConfigError(f"sweep from {minimum} to {maximum} has points that are not finite")
     return grid
 
 
@@ -216,8 +214,9 @@ def run_scan(spec: ScanSpec) -> str:
 def run_erasure(config: ExperimentConfig, minimum: float, maximum: float, count: int) -> str:
     """CSV of unconditioned and conditional system fringes over phi_s.
 
-    The bounds may come in either order.
+    The bounds may come in either order; both must lie in the phi_s domain.
     """
+    check_sweep_domain("phi_s", min(minimum, maximum), max(minimum, maximum))
     grid = _grid(minimum, maximum, count)
     return _evaluate(config, "phi_s", grid, ("P_S1", "P_S1_given_D1", "P_S1_given_D2"))
 
@@ -242,14 +241,14 @@ def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
         stats = joint_statistics(joint_amplitudes(det, system, coupling.gamma))
     events = sample_events(stats, n, seed)
     probabilities = (stats.p_detector(DetectorDrain.D1), stats.p_detector(DetectorDrain.D2))
-    report = contextual_estimate(events, cv, probabilities=probabilities, seed=seed)
+    report = contextual_estimate(events, cv, probabilities=probabilities)
     values = (report.estimate, report.empirical_variance, report.predicted_mse,
               report.mse_upper_bound)
     if not all(map(math.isfinite, values)):
         raise ConfigError("observable: the estimator report is not a finite number")
     header = ["seed", "n", "estimate", "empirical_variance", "predicted_mse",
               "mse_upper_bound", "rng_algorithm"]
-    row = [str(report.seed), str(report.n), *map(_fmt, values), report.rng_algorithm]
+    row = [str(seed), str(report.n), *map(_fmt, values), RNG_ALGORITHM]
     if config.budget is not None:
         rms = config.budget.target_rms
         bound = (observation_time(cv, config.budget),

@@ -149,21 +149,13 @@ def xi_joint_interference(det: InterferometerConfig, sys: InterferometerConfig, 
     return jp.Delta_ds - dp.Delta * sp.Delta + correction
 
 
-@dataclass(frozen=True)
-class ConditionedAverage:
-    """Which-path average conditioned on one system drain."""
-
-    value: float
-    post_selection: SystemDrain
-
-
 def conditioned_average(
     det: InterferometerConfig,
     sys: InterferometerConfig,
     gamma: float,
     condition: SystemDrain,
     obs: ObservableCoefficients = ObservableCoefficients(),
-) -> ConditionedAverage:
+) -> float:
     """Conditioned average ``sum_D alpha_D P(D | condition)``.
 
     Computed through the full scattering pipeline; the closed form with
@@ -184,21 +176,7 @@ def conditioned_average(
     stats = joint_statistics(joint_amplitudes(det, sys, gamma))
     p_s = stats.p_system(condition)
     _post_select({condition: p_s})
-    value = _conditioned_average(cv.alpha_d1, cv.alpha_d2, stats.joint, p_s, condition.value)
-    return ConditionedAverage(value=float(value), post_selection=condition)
-
-
-@dataclass(frozen=True)
-class WeakValueResult:
-    """Zero-coupling limit of a conditioned average (detector-independent)."""
-
-    real_part: float
-    imag_part: float
-    drain: SystemDrain
-
-    @property
-    def complex_value(self) -> complex:
-        return complex(self.real_part, self.imag_part)
+    return float(_conditioned_average(cv.alpha_d1, cv.alpha_d2, stats.joint, p_s, condition.value))
 
 
 def _zero_coupling(sys: InterferometerConfig, condition: SystemDrain):
@@ -214,8 +192,11 @@ def _zero_coupling(sys: InterferometerConfig, condition: SystemDrain):
     return t, d1 + t * d2, v, denom
 
 
-def weak_value(sys: InterferometerConfig, condition: SystemDrain) -> WeakValueResult:
+def weak_value(sys: InterferometerConfig, condition: SystemDrain) -> complex:
     """Weak value of the which-path operator for one post-selection drain.
+
+    It is the zero-coupling limit of the conditioned average and does not
+    depend on the detector.
 
     For S1: ``(delta1_s + delta2_s - i V_s sin(phi_s)) / (beta_plus - V_s
     cos(phi_s))``; for S2 the signs of ``delta2_s``, the interference
@@ -224,8 +205,7 @@ def weak_value(sys: InterferometerConfig, condition: SystemDrain) -> WeakValueRe
     (anomalous amplification near a nearly-orthogonal post-selection).
     """
     t, numerator, v, denom = _zero_coupling(sys, condition)
-    imag = -t * v * math.sin(sys.tuning_phase) / denom
-    return WeakValueResult(numerator / denom, imag, condition)
+    return complex(numerator / denom, -t * v * math.sin(sys.tuning_phase) / denom)
 
 
 def semiweak_value(sys: InterferometerConfig, n: int, condition: SystemDrain) -> float:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .interaction import InteractionGeometry, geometry_for_phase
 from .params import (
+    MAX_TUNING_PHASE,
     CouplingModel,
     InterferometerConfig,
     ObservableCoefficients,
@@ -40,10 +41,11 @@ from .params import (
 from .scattering import PhysicalBias
 from .stochastic import ObservationBudget
 
-# sweepable parameter -> exact domain, as CouplingModel and
-# qpc_from_transmission enforce it
-SWEEP_DOMAINS = {"gamma": (0.0, 2.0 * math.pi), "phi_d": (-math.inf, math.inf),
-                 "phi_s": (-math.inf, math.inf), "delta_s1": (-1.0, 1.0), "sigma": (0.0, math.pi)}
+# sweepable parameter -> exact domain, as CouplingModel, InterferometerConfig
+# and qpc_from_transmission enforce it
+SWEEP_DOMAINS = {"gamma": (0.0, 2.0 * math.pi), "phi_d": (-MAX_TUNING_PHASE, MAX_TUNING_PHASE),
+                 "phi_s": (-MAX_TUNING_PHASE, MAX_TUNING_PHASE), "delta_s1": (-1.0, 1.0),
+                 "sigma": (0.0, math.pi)}
 
 _OPERATORS = {ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Add: operator.add,
               ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
@@ -113,12 +115,16 @@ class ScanSpec:
             raise ConfigError("sweep needs at least 2 grid points")
         if not self.minimum < self.maximum:
             raise ConfigError("sweep minimum must be below maximum")
-        lo, hi = SWEEP_DOMAINS[self.parameter]
-        if self.minimum < lo or self.maximum > hi:
-            raise ConfigError(
-                f"sweep range [{self.minimum}, {self.maximum}] outside the valid "
-                f"domain [{lo}, {hi}] of {self.parameter}"
-            )
+        check_sweep_domain(self.parameter, self.minimum, self.maximum)
+
+
+def check_sweep_domain(parameter: str, minimum: float, maximum: float) -> None:
+    """Raise ``ConfigError`` unless ``[minimum, maximum]`` lies in the
+    domain of the sweepable ``parameter``."""
+    lo, hi = SWEEP_DOMAINS[parameter]
+    if minimum < lo or maximum > hi:
+        raise ConfigError(f"sweep range [{minimum}, {maximum}] outside the valid "
+                          f"domain [{lo}, {hi}] of {parameter}")
 
 
 _REQUIRED = object()

@@ -26,7 +26,7 @@ from .params import (
     ObservableCoefficients,
     detector_params,
 )
-from .scattering import detector_drain_amplitudes, reduced_system_state  # noqa: F401 (re-exported)
+from .scattering import detector_drain_amplitudes
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -144,13 +144,13 @@ def decompose_observable(a: np.ndarray) -> np.ndarray:
 class ContextualValues:
     """Generalized eigenvalues assigned to the two detector drains.
 
-    Satisfies ``alpha_d1 E_D1 + alpha_d2 E_D2 = a0 identity + a3 sigma_z``
-    as a matrix identity whenever construction succeeds.
+    Built by :func:`contextual_values`, they satisfy ``alpha_d1 E_D1 +
+    alpha_d2 E_D2 = a0 identity + a3 sigma_z`` as a matrix identity for the
+    observable they were built for.
     """
 
     alpha_d1: float
     alpha_d2: float
-    observable: ObservableCoefficients
 
 
 def contextual_values(obs: ObservableCoefficients, p: DetectorParams) -> ContextualValues:
@@ -170,7 +170,7 @@ def contextual_values(obs: ObservableCoefficients, p: DetectorParams) -> Context
     v, g = p.visibility, p.Gamma
     if abs(v * g) <= DIVERGENCE_THRESHOLD:
         raise AmbiguousMeasurementError(v, g, DIVERGENCE_THRESHOLD)
-    return ContextualValues(*_weights(obs, p), observable=obs)
+    return ContextualValues(*_weights(obs, p))
 
 
 def _weights(obs: ObservableCoefficients, p) -> tuple:
@@ -282,14 +282,13 @@ def limit_contextual_values(
     and semi-weak expressions are first-order forms whose error against
     the exact values vanishes as O(gamma) and O(gamma^2) respectively.
     """
-    obs = ObservableCoefficients()
     if regime == "strong":
         if not abs(gamma - math.pi) <= 1e-9:
             raise ValueError("strong regime requires gamma = pi")
         cos_phi = math.cos(phi_d)
         if abs(cos_phi) <= DIVERGENCE_THRESHOLD:
             raise AmbiguousMeasurementError(1.0, cos_phi, DIVERGENCE_THRESHOLD)
-        cv = ContextualValues(-1.0 / cos_phi, 1.0 / cos_phi, obs)
+        cv = ContextualValues(-1.0 / cos_phi, 1.0 / cos_phi)
         low, high = 0.5 * (1.0 - cos_phi), 0.5 * (1.0 + cos_phi)
         return cv, PovmPair((low, high), (high, low))
     if regime == "weak":
@@ -301,11 +300,8 @@ def limit_contextual_values(
         if gamma == 0.0:
             raise ValueError("weak regime forms require gamma > 0")
         cos_phi = math.cos(phi_d)
-        cv = ContextualValues(
-            1.0 - (2.0 / gamma) * (1.0 + cos_phi) / sin_phi,
-            1.0 + (2.0 / gamma) * (1.0 - cos_phi) / sin_phi,
-            obs,
-        )
+        cv = ContextualValues(1.0 - (2.0 / gamma) * (1.0 + cos_phi) / sin_phi,
+                              1.0 + (2.0 / gamma) * (1.0 - cos_phi) / sin_phi)
         low, high, shift = 0.5 * (1.0 - cos_phi), 0.5 * (1.0 + cos_phi), (gamma / 2.0) * sin_phi
         return cv, PovmPair((low, low + shift), (high, high - shift))
     if regime == "semiweak":
@@ -318,7 +314,7 @@ def limit_contextual_values(
         sign = -1.0 if n % 2 else 1.0
         s2 = math.sin(gamma / 2.0) ** 2
         c2 = math.cos(gamma / 2.0) ** 2
-        cv = ContextualValues(-(sign + c2) / s2, (sign - c2) / s2, obs)
+        cv = ContextualValues(-(sign + c2) / s2, (sign - c2) / s2)
         low, high = 0.5 * (1.0 - sign), 0.5 * (1.0 + sign)
         return cv, PovmPair((low, low + sign * s2), (high, high - sign * s2))
     raise ValueError(f"unknown regime {regime!r}")

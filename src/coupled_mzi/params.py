@@ -8,29 +8,38 @@ holds at every point, and scalar inputs give Python floats.
 
 Conventions
 -----------
-A quantum point contact (QPC) with transmission ``T`` and reflection
-``R = 1 - T`` carries the complementary balance parameters
+A quantum point contact (QPC) is given by its transmission ``T`` and
+reflection ``R = 1 - T`` (plus two scattering phases); it derives the
+complementary balance parameters
 
     delta = T - R           (particle-like path bias, in [-1, 1])
     epsilon = 2 sqrt(T R)   (wave-like interference weight, in [0, 1])
 
-related through a balance angle ``theta`` in [0, pi/2] by ``T = cos^2
-theta`` and ``R = sin^2 theta``.  An interferometer is two QPCs plus a
-single composite tuning phase ``phi``; the Aharonov-Bohm, kinetic, and
-first-QPC scattering-phase contributions only ever enter through their
-sum, so the constituents are not tracked separately.
+and the balance angle ``theta`` in [0, pi/2] with ``T = cos^2 theta`` and
+``R = sin^2 theta``.  ``QpcSetting`` takes ``T``, ``R`` and the phases as
+inputs and derives ``delta``, ``epsilon`` and ``theta`` once.  An
+interferometer is two QPCs plus a single composite tuning phase ``phi``;
+the Aharonov-Bohm, kinetic, and first-QPC scattering-phase contributions
+only ever enter through their sum, so the constituents are not tracked
+separately.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 IDENTITY_TOL = 1e-12
 """Absolute tolerance for closed-form identities evaluated in doubles."""
+
+MAX_TUNING_PHASE = 2.0**30
+"""Largest magnitude of a tuning phase, radians.  ``gamma/2 + phi`` rounds
+by up to half an ulp of ``phi``; below this bound that moves the fringe
+parameters by less than 1e-14, so ``|Delta| <= 1`` holds within
+``IDENTITY_TOL`` at any coupling."""
 
 _TWO_PI = 2.0 * math.pi
 
@@ -69,34 +78,31 @@ class SystemDrain(enum.Enum):
 class QpcSetting:
     """One quantum point contact: probabilities, balance parameters, phases.
 
-    ``chi`` and ``xi`` are the scattering phases of the two outgoing rows;
-    for the first QPC of an interferometer their difference is part of the
-    composite tuning phase and they are carried here for bookkeeping only.
+    The inputs are ``transmission``, ``reflection`` and the scattering
+    phases ``chi`` and ``xi`` of the two outgoing rows; for the first QPC
+    of an interferometer their difference is part of the composite tuning
+    phase and they are carried here for bookkeeping only.  ``delta``,
+    ``epsilon`` and ``theta`` are derived once from ``T`` and ``R``.
     Every field may be an array (one contact per sweep point).
     """
 
     transmission: float
     reflection: float
-    delta: float
-    epsilon: float
-    theta: float
     chi: float = 0.0
     xi: float = 0.0
+    delta: float = field(init=False)
+    epsilon: float = field(init=False)
+    theta: float = field(init=False)
 
     def __post_init__(self):
-        T, R, theta = self.transmission, self.reflection, self.theta
-        _require((0.0 <= T) & (T <= 1.0), "transmission {} outside [0, 1]", T)
-        _require(abs(T + R - 1.0) <= IDENTITY_TOL, "T + R = {} != 1", T + R)
-        _require(abs(self.delta - (T - R)) <= IDENTITY_TOL, "delta inconsistent with T - R")
-        product = T * R
-        product = product * (product > 0.0)  # a rounding-negative product counts as 0
-        _require(abs(self.epsilon - 2.0 * product**0.5) <= IDENTITY_TOL,
-                 "epsilon inconsistent with 2 sqrt(T R)")
-        _require(abs(self.delta**2 + self.epsilon**2 - 1.0) <= IDENTITY_TOL,
-                 "delta^2 + epsilon^2 != 1")
-        _require((0.0 <= theta) & (theta <= math.pi / 2 + IDENTITY_TOL),
-                 "balance angle {} outside [0, pi/2]", theta)
-        _require(abs(np.cos(theta) ** 2 - T) <= IDENTITY_TOL, "theta inconsistent with transmission")
+        T, R = self.transmission, self.reflection
+        _require((0.0 <= T) & (T <= 1.0) & (R >= 0.0) & (abs(T + R - 1.0) <= IDENTITY_TOL),
+                 "transmission {0.transmission} and reflection {0.reflection} are not "
+                 "probabilities in [0, 1] with T + R = 1", self)
+        object.__setattr__(self, "delta", T - R)
+        object.__setattr__(self, "epsilon", _plain(2.0 * np.sqrt(T * R)))
+        # arctan2 of the two amplitudes keeps full precision at both edges
+        object.__setattr__(self, "theta", _plain(np.arctan2(np.sqrt(R), np.sqrt(T))))
 
 
 def qpc_from_transmission(transmission, chi: float = 0.0, xi: float = 0.0) -> QpcSetting:
@@ -114,39 +120,29 @@ def qpc_from_transmission(transmission, chi: float = 0.0, xi: float = 0.0) -> Qp
     QpcSetting with all derived balance parameters populated; ``epsilon``
     uses the non-negative root.
     """
-    _require((0.0 <= transmission) & (transmission <= 1.0),
-             "transmission {} outside [0, 1]", transmission)
-    reflection = 1.0 - transmission
-    # epsilon keeps np.sqrt's bits; no output reads theta's last bit, and
-    # ``** 0.5`` spares a float a ufunc call (an array still gets np.sqrt)
-    return QpcSetting(transmission, reflection, transmission - reflection,
-                      _plain(2.0 * np.sqrt(transmission * reflection)),
-                      _plain(np.arccos(transmission**0.5)), chi, xi)
+    return QpcSetting(transmission, 1.0 - transmission, chi, xi)
 
 
-def qpc_from_angle(theta: float, chi: float = 0.0, xi: float = 0.0) -> QpcSetting:
-    """Build a QPC setting from its balance angle in [0, pi/2]."""
+def qpc_from_angle(theta, chi: float = 0.0, xi: float = 0.0) -> QpcSetting:
+    """Build a QPC setting from its balance angle in [0, pi/2]; ``theta``
+    may be an array."""
     _require((0.0 <= theta) & (theta <= math.pi / 2), "balance angle {} outside [0, pi/2]", theta)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return QpcSetting(
-        transmission=c * c,
-        reflection=s * s,
-        delta=c * c - s * s,
-        epsilon=abs(2.0 * s * c),
-        theta=theta,
-        chi=chi,
-        xi=xi,
-    )
+    c, s = _plain(np.cos(theta)), _plain(np.sin(theta))
+    return QpcSetting(c * c, s * s, chi, xi)
 
 
 @dataclass(frozen=True)
 class InterferometerConfig:
-    """Two QPCs plus the composite tuning phase of one interferometer."""
+    """Two QPCs plus the composite tuning phase of one interferometer; the
+    phase, which may be an array, lies within ``MAX_TUNING_PHASE`` of 0."""
 
     qpc1: QpcSetting
     qpc2: QpcSetting
     tuning_phase: float
+
+    def __post_init__(self):
+        _require(abs(self.tuning_phase) <= MAX_TUNING_PHASE,
+                 "tuning phase {} outside [-2**30, 2**30] rad", self.tuning_phase)
 
 
 @dataclass(frozen=True)
@@ -235,7 +231,6 @@ class JointInterferenceParams:
 
     Delta_ds: float
     Gamma_ds: float
-    phi_ds: float
 
     def __post_init__(self):
         _require(abs(self.Gamma_ds) <= 1.0 + IDENTITY_TOL, "Gamma_ds {} outside [-1, 1]", self.Gamma_ds)
@@ -296,10 +291,5 @@ def joint_interference_params(phi_d: float, phi_s: float, gamma: float) -> Joint
     ``gamma = pi`` it is maximally coupled,
     ``Delta_ds = -sin(phi_d) sin(phi_s)``.
     """
-    phi_ds = phi_d - phi_s
-    big_gamma = float(_coupling_term(gamma, phi_ds))
-    return JointInterferenceParams(
-        Delta_ds=math.cos(phi_d) * math.cos(phi_s) - big_gamma,
-        Gamma_ds=big_gamma,
-        phi_ds=phi_ds,
-    )
+    big_gamma = float(_coupling_term(gamma, phi_d - phi_s))
+    return JointInterferenceParams(math.cos(phi_d) * math.cos(phi_s) - big_gamma, big_gamma)

@@ -30,6 +30,7 @@ throughout; it is provably unobservable.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,9 +59,16 @@ def qpc_unitary(q: QpcSetting) -> np.ndarray:
     """
     t = math.sqrt(q.transmission)
     r = 1j * math.sqrt(q.reflection)
-    ec = np.exp(1j * q.chi)
-    ex = np.exp(1j * q.xi)
+    ec = cmath.exp(1j * q.chi)
+    ex = cmath.exp(1j * q.xi)
     return np.array([[ec * t, ex * r], [ec * r, ex * t]])
+
+
+def _scatter(states: np.ndarray, q: QpcSetting) -> np.ndarray:
+    """``states @ qpc_unitary(q)`` for a stack of row states, as one
+    ``(n, 2) @ (2, 2)`` product: one BLAS call for the whole stack, not one
+    per 2x2 table, with the same bits."""
+    return (states.reshape(-1, 2) @ qpc_unitary(q)).reshape(states.shape)
 
 
 def _first_qpc_state(transmission, reflection, phase) -> np.ndarray:
@@ -91,7 +99,7 @@ def detector_drain_amplitudes(det: InterferometerConfig, gamma) -> np.ndarray:
     arm, q1 = (..., np.newaxis), det.qpc1
     phases = np.asarray(det.tuning_phase)[arm] + np.asarray(gamma)[arm] * _COUPLED_ARM
     states = _first_qpc_state(np.asarray(q1.transmission)[arm], np.asarray(q1.reflection)[arm], phases)
-    return (states @ qpc_unitary(det.qpc2)).swapaxes(-1, -2)
+    return _scatter(states, det.qpc2).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -164,8 +172,7 @@ def joint_amplitudes(det: InterferometerConfig, sys: InterferometerConfig, gamma
     arrays and broadcast together; the second QPCs are scalars.
     """
     rows = detector_drain_amplitudes(det, gamma) * reduced_system_state(sys)[..., np.newaxis, :]
-    # one BLAS call for the whole stack, not one per table: the same bits in a tenth of the time
-    return JointAmplitudes((rows.reshape(-1, 2) @ qpc_unitary(sys.qpc2)).reshape(rows.shape))
+    return JointAmplitudes(_scatter(rows, sys.qpc2))
 
 
 @dataclass(frozen=True)
@@ -179,6 +186,8 @@ class JointStatistics:
 
     def __post_init__(self):
         joint = np.array(self.joint, dtype=float)
+        if joint.shape[-2:] != (2, 2):
+            raise ValueError("joint probabilities need 2x2 tables")
         # extrema, not elementwise masks: cheaper on one table, and NaN fails
         if not (joint.min() >= -1e-12 and joint.max() <= 1.0 + 1e-12):
             raise ValueError("joint probabilities outside [0, 1]")

@@ -48,8 +48,6 @@ class EstimateReport:
     empirical_variance: float
     predicted_mse: float
     mse_upper_bound: float
-    seed: int
-    rng_algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self):
         if self.n < 1:
@@ -178,13 +176,6 @@ def averaged_joint_table(
     return p * paired + (1.0 - p) * (a + b)
 
 
-def _validate_seed(seed: int) -> int:
-    seed = int(seed)
-    if not (0 <= seed < 2**64):
-        raise ValueError("seed must be a 64-bit unsigned integer")
-    return seed
-
-
 def _stream(seed: int, offset: int) -> Generator:
     """Generator positioned at word ``offset`` of the seed's Philox stream."""
     rng = Generator(Philox(key=seed).advance(offset // 4))
@@ -219,7 +210,9 @@ def _sample_codes(n: int, seed: int, blocks: int, tables: Callable[..., np.ndarr
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    seed = _validate_seed(seed)
+    seed = int(seed)
+    if not (0 <= seed < 2**64):
+        raise ValueError("seed must be a 64-bit unsigned integer")
     streams = [_stream(seed, j * n) for j in range(blocks)]
     codes = np.empty(n, dtype=np.uint8)
     for start in range(0, n, _CHUNK):
@@ -273,7 +266,6 @@ def contextual_estimate(
     codes: np.ndarray,
     cv: ContextualValues,
     probabilities: tuple[float, float] | None = None,
-    seed: int = 0,
 ) -> EstimateReport:
     """Unbiased which-path estimate: the mean contextual value per event.
 
@@ -287,8 +279,6 @@ def contextual_estimate(
     probabilities : (P_D1, P_D2), optional
         Exact detector drain probabilities for the predicted mean squared
         error; empirical frequencies are used when omitted.
-    seed : int
-        Recorded verbatim in the report for provenance.
 
     Returns
     -------
@@ -320,14 +310,7 @@ def contextual_estimate(
     mean_true = a1 * p1 + a2 * p2
     predicted = max(0.0, (a1 * a1 * p1 + a2 * a2 * p2 - mean_true * mean_true) / n)
     upper = (a1 * a1 + a2 * a2) / n
-    return EstimateReport(
-        estimate=estimate,
-        n=n,
-        empirical_variance=empirical,
-        predicted_mse=predicted,
-        mse_upper_bound=upper,
-        seed=_validate_seed(seed),
-    )
+    return EstimateReport(estimate, n, empirical, predicted, upper)
 
 
 def observation_time(cv: ContextualValues, budget: ObservationBudget) -> float:

@@ -141,10 +141,10 @@ def test_criterion_04_strong_coupling_limits():
 def test_criterion_05_weak_semiweak_competition():
     sysm = InterferometerConfig(qpc_from_transmission(0.8), qpc_from_transmission(0.5), 0.0)
     gamma = 1e-4
-    weak_limit = weak_value(sysm, SystemDrain.S1).real_part
+    weak_limit = weak_value(sysm, SystemDrain.S1).real
     semi_limit = semiweak_value(sysm, 0, SystemDrain.S1)
-    weak_avg = conditioned_average(balanced_mzi(math.pi / 2), sysm, gamma, SystemDrain.S1).value
-    semi_avg = conditioned_average(balanced_mzi(0.0), sysm, gamma, SystemDrain.S1).value
+    weak_avg = conditioned_average(balanced_mzi(math.pi / 2), sysm, gamma, SystemDrain.S1)
+    semi_avg = conditioned_average(balanced_mzi(0.0), sysm, gamma, SystemDrain.S1)
     err_weak = abs(weak_avg - 3.0)
     err_semi = abs(semi_avg - (-1.0))
     ok = (
@@ -246,7 +246,7 @@ def test_criterion_09_estimator_statistics():
     predicted = None
     for seed in range(runs):
         events = sample_events(stats, n, seed=900_000 + seed)
-        rep = contextual_estimate(events, cv, probabilities=probs, seed=seed)
+        rep = contextual_estimate(events, cv, probabilities=probs)
         estimates.append(rep.estimate)
         predicted = rep.predicted_mse
     grand_bias = abs(float(np.mean(estimates)) - truth)
@@ -265,7 +265,7 @@ def test_criterion_09_estimator_statistics():
         rms.append(math.sqrt(np.mean(sq)))
     slope = float(np.polyfit(np.log(sizes), np.log(rms), 1)[0])
 
-    strong_cv = ContextualValues(-1.0, 1.0, OBS)
+    strong_cv = ContextualValues(-1.0, 1.0)
     budget = ObservationBudget(path_length=1e-5, fermi_velocity=1e5, target_rms=0.1)
     bound = observation_time(strong_cv, budget)
     bound_ok = math.isclose(bound, 2.0 * budget.mean_absorption_time / 0.1**2, rel_tol=1e-12)

@@ -597,11 +597,29 @@ def test_overflowing_sweep_span_is_config_error(config_path, capsys, command):
     code, out, err = run_cli([*command, "--config", config_path], capsys)
     assert code == 2
     assert out == ""
-    assert err == "config error: sweep from {} to {} has points that are not finite\n".format(
-        *(float(x) for x in command[2].split(":")[1:3]))
+    name, *bounds = command[2].split(":")[:3]
+    lo, hi = sorted(map(float, bounds))
+    assert err == (f"config error: sweep range [{lo}, {hi}] outside the valid domain "
+                   f"[{-2.0**30}, {2.0**30}] of {name}\n")
 
 
 STRONG = (CONFIGS / "strong_measurement.conf").read_text(encoding="utf-8")
+HUGE_PHASE = STRONG.replace("detector.phi = 0", "detector.phi = 5.916551538170299e+16")
+
+
+@pytest.mark.parametrize("text, command", [
+    (HUGE_PHASE, ["povm"]),
+    (STRONG, ["scan", "--sweep", "phi_d:5.9e16:5.92e16:5", "--quantities", "alpha_D1"]),
+    (STRONG, ["erasure", "--sweep", "phi_s:5.92e16:5.9e16:5"]),
+], ids=["config-phi", "scan-phi_d", "erasure-phi_s"])
+def test_tuning_phase_beyond_its_domain_is_config_error(tmp_path, capsys, text, command):
+    # beyond 2**30 rad the rounding of gamma/2 + phi pushes |Delta| past 1
+    path = tmp_path / "phase.conf"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli([*command, "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and "outside" in err
 bound_texts = st.one_of(
     st.floats(-7.0, 7.0).map(repr),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -644,6 +662,7 @@ def invocations(draw):
 @example(text=GOLDEN.replace("interaction_length = 5e-6", "interaction_length = 1e300"),
          argv=["interaction-phase"])
 @example(text=STRONG + "\nobservable.a3 = 1e200\n", argv=["montecarlo", "--n", "100", "--seed", "1"])
+@example(text=HUGE_PHASE, argv=["povm"])
 def test_every_input_ends_in_a_documented_exit_code(text, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "drawn.conf"

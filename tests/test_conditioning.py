@@ -213,8 +213,8 @@ class TestConditionedAverage:
         for gamma in (0.3, 1.0, math.pi):
             det = balanced_mzi(0.4)
             for s in SystemDrain:
-                assert conditioned_average(det, lower, gamma, s).value == pytest.approx(1.0, abs=1e-10)
-                assert conditioned_average(det, upper, gamma, s).value == pytest.approx(-1.0, abs=1e-10)
+                assert conditioned_average(det, lower, gamma, s) == pytest.approx(1.0, abs=1e-10)
+                assert conditioned_average(det, upper, gamma, s) == pytest.approx(-1.0, abs=1e-10)
 
     def test_strong_unambiguous_detector_independent(self, rng):
         for _ in range(50):
@@ -223,9 +223,9 @@ class TestConditionedAverage:
             d1, d2 = sysm.qpc1.delta, sysm.qpc2.delta
             avg1 = conditioned_average(det, sysm, math.pi, SystemDrain.S1)
             avg2 = conditioned_average(det, sysm, math.pi, SystemDrain.S2)
-            assert avg1.value == pytest.approx((d1 + d2) / (1 + d1 * d2), abs=1e-10)
-            assert avg2.value == pytest.approx((d1 - d2) / (1 - d1 * d2), abs=1e-10)
-            assert -1.0 - 1e-12 <= avg1.value <= 1.0 + 1e-12
+            assert avg1 == pytest.approx((d1 + d2) / (1 + d1 * d2), abs=1e-10)
+            assert avg2 == pytest.approx((d1 - d2) / (1 - d1 * d2), abs=1e-10)
+            assert -1.0 - 1e-12 <= avg1 <= 1.0 + 1e-12
 
     def test_strong_coupling_closed_form_with_erasure_term(self, rng):
         for _ in range(50):
@@ -242,15 +242,15 @@ class TestConditionedAverage:
             expected = (d1 + d2) / sp.beta_plus + (
                 sp.visibility / sp.beta_plus
             ) * math.tan(phi_d) * math.sin(phi_s)
-            assert avg.value == pytest.approx(expected, abs=1e-10)
+            assert avg == pytest.approx(expected, abs=1e-10)
 
     def test_near_ambiguous_erasure_divergence(self):
         det = balanced_mzi(math.pi / 2 - 0.01)
         sysm = balanced_mzi(math.pi / 2)
         avg = conditioned_average(det, sysm, math.pi, SystemDrain.S1)
-        assert abs(avg.value) > 50.0
+        assert abs(avg) > 50.0
         cv = contextual_values(OBS, detector_params(det, math.pi))
-        assert abs(avg.value) <= max(abs(cv.alpha_d1), abs(cv.alpha_d2)) + 1e-9
+        assert abs(avg) <= max(abs(cv.alpha_d1), abs(cv.alpha_d2)) + 1e-9
 
     def test_consistency_relation(self, rng):
         checked = 0
@@ -265,7 +265,7 @@ class TestConditionedAverage:
             if stats.system_marginals.min() < 1e-6:
                 continue
             total = sum(
-                conditioned_average(det, sysm, gamma, s).value * stats.p_system(s)
+                conditioned_average(det, sysm, gamma, s) * stats.p_system(s)
                 for s in SystemDrain
             )
             cv = contextual_values(OBS, dp)
@@ -288,7 +288,7 @@ class TestConditionedAverage:
             cv = contextual_values(OBS, dp)
             lo, hi = sorted((cv.alpha_d1, cv.alpha_d2))
             for s in SystemDrain:
-                value = conditioned_average(det, sysm, gamma, s).value
+                value = conditioned_average(det, sysm, gamma, s)
                 assert lo - 1e-9 <= value <= hi + 1e-9
             checked += 1
 
@@ -299,7 +299,7 @@ class TestConditionedAverage:
         shifted = conditioned_average(
             det, sysm, 1.3, SystemDrain.S1, ObservableCoefficients(a0=0.5, a3=2.0)
         )
-        assert shifted.value == pytest.approx(0.5 + 2.0 * base.value, abs=1e-10)
+        assert shifted == pytest.approx(0.5 + 2.0 * base, abs=1e-10)
 
     def test_impossible_post_selection(self):
         det = balanced_mzi(0.4)
@@ -321,18 +321,18 @@ class TestConditionedAverage:
 class TestWeakValue:
     def test_anomalous_amplification(self):
         wv = weak_value(SYSTEM_06, SystemDrain.S1)
-        assert wv.real_part == pytest.approx(3.0, abs=1e-12)
-        assert wv.imag_part == pytest.approx(0.0, abs=1e-12)
+        assert wv.real == pytest.approx(3.0, abs=1e-12)
+        assert wv.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_complementary_drain(self):
         wv = weak_value(SYSTEM_06, SystemDrain.S2)
-        assert wv.real_part == pytest.approx(0.6 / 1.8, abs=1e-12)
+        assert wv.real == pytest.approx(0.6 / 1.8, abs=1e-12)
 
     def test_symmetric_state_gives_zero(self):
         wv = weak_value(make_system(0.5, 0.5, 0.9), SystemDrain.S1)
-        assert wv.real_part == pytest.approx(0.0, abs=1e-12)
+        assert wv.real == pytest.approx(0.0, abs=1e-12)
         wv = weak_value(make_system(0.5, 0.5, 0.9), SystemDrain.S2)
-        assert wv.real_part == pytest.approx(0.0, abs=1e-12)
+        assert wv.real == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_bra_ket_oracle(self, rng):
         sz = np.diag([1.0, -1.0]).astype(complex)
@@ -351,14 +351,14 @@ class TestWeakValue:
                     continue
                 oracle = (row @ (sz @ psi)) / overlap
                 wv = weak_value(sysm, drain)
-                assert wv.real_part == pytest.approx(oracle.real, abs=1e-10)
-                assert wv.imag_part == pytest.approx(oracle.imag, abs=1e-10)
+                assert wv.real == pytest.approx(oracle.real, abs=1e-10)
+                assert wv.imag == pytest.approx(oracle.imag, abs=1e-10)
 
     def test_weak_coupling_oracle(self):
         avg = conditioned_average(balanced_mzi(math.pi / 2), SYSTEM_06, 1e-4, SystemDrain.S1)
-        assert avg.value == pytest.approx(3.0, abs=1e-2)
+        assert avg == pytest.approx(3.0, abs=1e-2)
         avg = conditioned_average(balanced_mzi(math.pi / 2), SYSTEM_06, 1e-4, SystemDrain.S2)
-        assert avg.value == pytest.approx(weak_value(SYSTEM_06, SystemDrain.S2).real_part, abs=1e-2)
+        assert avg == pytest.approx(weak_value(SYSTEM_06, SystemDrain.S2).real, abs=1e-2)
 
     def test_vanishing_overlap_rejected(self):
         with pytest.raises(PostSelectionImpossibleError):
@@ -372,7 +372,7 @@ class TestSemiWeakValue:
     def test_reduces_to_weak_value_without_interference(self):
         sysm = make_system(1.0, 0.7, 0.4)  # V_s = 0
         for s in SystemDrain:
-            assert semiweak_value(sysm, 0, s) == pytest.approx(weak_value(sysm, s).real_part, abs=1e-12)
+            assert semiweak_value(sysm, 0, s) == pytest.approx(weak_value(sysm, s).real, abs=1e-12)
 
     def test_parity_flips_interference_sign(self):
         even = semiweak_value(SYSTEM_06, 0, SystemDrain.S1)
@@ -382,9 +382,9 @@ class TestSemiWeakValue:
 
     def test_weak_coupling_oracle_even_parity(self):
         avg = conditioned_average(balanced_mzi(0.0), SYSTEM_06, 1e-4, SystemDrain.S1)
-        assert avg.value == pytest.approx(-1.0, abs=1e-2)
+        assert avg == pytest.approx(-1.0, abs=1e-2)
         avg = conditioned_average(balanced_mzi(0.0), SYSTEM_06, 1e-4, SystemDrain.S2)
-        assert avg.value == pytest.approx(semiweak_value(SYSTEM_06, 0, SystemDrain.S2), abs=1e-2)
+        assert avg == pytest.approx(semiweak_value(SYSTEM_06, 0, SystemDrain.S2), abs=1e-2)
 
 
 class TestWeakLimitCompetition:
@@ -396,10 +396,10 @@ class TestWeakLimitCompetition:
     SYSTEM_EXTREMUM = make_system(0.9, 0.5, 0.0)
 
     def test_weak_branch_first_order(self):
-        wv = weak_value(self.SYSTEM_GENERIC, SystemDrain.S1).real_part
+        wv = weak_value(self.SYSTEM_GENERIC, SystemDrain.S1).real
         gammas = np.array([0.1, 0.05, 0.025])
         errors = [
-            abs(conditioned_average(balanced_mzi(math.pi / 2), self.SYSTEM_GENERIC, g, SystemDrain.S1).value - wv)
+            abs(conditioned_average(balanced_mzi(math.pi / 2), self.SYSTEM_GENERIC, g, SystemDrain.S1) - wv)
             for g in gammas
         ]
         slope = np.polyfit(np.log(gammas), np.log(errors), 1)[0]
@@ -409,7 +409,7 @@ class TestWeakLimitCompetition:
         sw = semiweak_value(self.SYSTEM_EXTREMUM, 0, SystemDrain.S1)
         gammas = np.array([0.1, 0.05, 0.025])
         errors = [
-            abs(conditioned_average(balanced_mzi(0.0), self.SYSTEM_EXTREMUM, g, SystemDrain.S1).value - sw)
+            abs(conditioned_average(balanced_mzi(0.0), self.SYSTEM_EXTREMUM, g, SystemDrain.S1) - sw)
             for g in gammas
         ]
         slope = np.polyfit(np.log(gammas), np.log(errors), 1)[0]
@@ -417,6 +417,6 @@ class TestWeakLimitCompetition:
 
     def test_limits_differ_for_generic_system(self):
         for sysm in (self.SYSTEM_GENERIC, self.SYSTEM_EXTREMUM):
-            wv = weak_value(sysm, SystemDrain.S1).real_part
+            wv = weak_value(sysm, SystemDrain.S1).real
             sw = semiweak_value(sysm, 0, SystemDrain.S1)
             assert abs(wv - sw) > 0.1

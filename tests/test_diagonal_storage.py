@@ -1,5 +1,6 @@
-"""Measurement operators, POVM and joint statistics hold only their
-independent numbers, and their public constructors reject bad input."""
+"""Exported value types hold only their independent numbers, and the
+measurement operators, POVM and joint statistics reject bad input at their
+public constructors."""
 
 import dataclasses
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import coupled_mzi
 from coupled_mzi import (
     JointStatistics,
     MeasurementOperators,
@@ -21,10 +23,46 @@ from conftest import random_mzi
 NAN, INF = math.nan, math.inf
 
 
+INIT_FIELDS = {
+    "ArmState": ("amplitudes",),
+    "ConditionalTable": ("p_detector_given_system", "p_system_given_detector"),
+    "ContextualValues": ("alpha_d1", "alpha_d2"),
+    "CouplingModel": ("gamma", "sigma", "pair_probability"),
+    "DetectorParams": ("beta_plus", "beta_minus", "visibility", "Gamma", "Delta"),
+    "EfficientFactorization": ("disturbance_unitary", "root_d1", "root_d2", "dropped_phases"),
+    "EstimateReport": ("estimate", "n", "empirical_variance", "predicted_mse", "mse_upper_bound"),
+    "ExperimentConfig": ("detector", "system", "coupling", "observable", "bias", "geometry",
+                         "budget"),
+    "InteractionGeometry": ("copropagation_length", "channel_separation", "screening_length",
+                            "propagation_speed", "coulomb_constant"),
+    "InterferometerConfig": ("qpc1", "qpc2", "tuning_phase"),
+    "JointAmplitudes": ("c",),
+    "JointInterferenceParams": ("Delta_ds", "Gamma_ds"),
+    "JointStatistics": ("joint",),
+    "MeasurementOperators": ("diag_d1", "diag_d2"),
+    "ObservableCoefficients": ("a0", "a3"),
+    "ObservationBudget": ("path_length", "fermi_velocity", "target_rms", "tau_m"),
+    "PhysicalBias": ("bias_voltage", "fermi_energy", "temperature"),
+    "PovmPair": ("diag_d1", "diag_d2"),
+    "QpcSetting": ("transmission", "reflection", "chi", "xi"),
+    "ScanSpec": ("parameter", "minimum", "maximum", "count", "config", "quantities"),
+    "SystemParams": ("beta_plus", "beta_minus", "visibility", "Gamma", "Delta"),
+}
+"""Constructor fields of every dataclass the package exports: the
+independent inputs, and results that a caller reads."""
+
+DERIVED_FIELDS = {"QpcSetting": ("delta", "epsilon", "theta")}
+"""Fields computed once at construction rather than passed in."""
+
+
 def test_fields_are_the_independent_numbers():
-    assert [f.name for f in dataclasses.fields(MeasurementOperators)] == ["diag_d1", "diag_d2"]
-    assert [f.name for f in dataclasses.fields(PovmPair)] == ["diag_d1", "diag_d2"]
-    assert [f.name for f in dataclasses.fields(JointStatistics)] == ["joint"]
+    exported = {name: value for name, value in vars(coupled_mzi).items()
+                if isinstance(value, type) and dataclasses.is_dataclass(value)}
+    assert {name: tuple(f.name for f in dataclasses.fields(cls) if f.init)
+            for name, cls in exported.items()} == INIT_FIELDS
+    derived = {name: tuple(f.name for f in dataclasses.fields(cls) if not f.init)
+               for name, cls in exported.items()}
+    assert {name: fields for name, fields in derived.items() if fields} == DERIVED_FIELDS
 
 
 def test_matrix_views_carry_the_diagonals(rng):
@@ -83,6 +121,8 @@ def test_povm_pair_rejects(e1, e2):
     pytest.param([[-0.1, 0.35], [0.25, 0.5]], id="negative"),
     pytest.param([[[0.25] * 2] * 2, [[0.25] * 2] * 2, [[0.25, 0.25], [0.25, NAN]]],
                  id="stack-one-bad"),
+    pytest.param(np.full((3, 3), 1 / 9), id="three-by-three"),
+    pytest.param(1.0, id="zero-d"),
 ])
 def test_joint_statistics_rejects(joint):
     with pytest.raises(ValueError):

@@ -371,7 +371,7 @@ class TestLimitForms:
 
 
 NAN, INF = math.nan, math.inf
-CV = ContextualValues(-2.0, 2.0, ObservableCoefficients())
+CV = ContextualValues(-2.0, 2.0)
 CODES = np.array([0, 2, 3], dtype=np.uint8)
 
 

@@ -29,6 +29,7 @@ from coupled_mzi import (
     measurement_operators,
     povm_expectation,
     povm_pair,
+    qpc_from_angle,
     qpc_from_transmission,
     reduced_system_state,
 )
@@ -99,12 +100,30 @@ def test_array_detector_first_qpc_matches_scalar_points(det, sysm, gamma, t_d1):
 
 
 @settings(max_examples=200, deadline=None)
+@given(thetas=st.lists(st.floats(0.0, math.pi / 2), min_size=1, max_size=8))
+def test_angle_path_matches_transmission_path(thetas):
+    fields = ("transmission", "reflection", "delta", "epsilon", "theta")
+    array = qpc_from_angle(np.array(thetas))
+    for i, theta in enumerate(thetas):
+        a = qpc_from_angle(theta)
+        assert [getattr(a, f) for f in fields] == [getattr(array, f)[i] for f in fields]
+        if theta >= 1e-150:
+            assert abs(a.theta - theta) <= math.ulp(theta)
+        t = qpc_from_transmission(math.cos(theta) ** 2)
+        assert abs(a.delta - t.delta) <= 1e-15
+        # below pi/4 the transmission path takes R = 1 - T from a T already
+        # rounded by ~1e-16, which moves epsilon = 2 sqrt(T R) by ~1e-16 / epsilon
+        gap = abs(a.epsilon - t.epsilon)
+        assert gap <= 1e-15 or (theta < math.pi / 4 and gap * a.epsilon <= 1e-15 and gap <= 3e-8)
+
+
+@settings(max_examples=200, deadline=None)
 @given(det=interferometers(), sysm=interferometers(), gamma=couplings,
        condition=st.sampled_from(SystemDrain))
 def test_conditioned_average_between_contextual_values(det, sysm, gamma, condition):
     try:
         cv = contextual_values(ObservableCoefficients(), detector_params(det, gamma))
-        value = conditioned_average(det, sysm, gamma, condition).value
+        value = conditioned_average(det, sysm, gamma, condition)
     except (AmbiguousMeasurementError, PostSelectionImpossibleError):
         assume(False)
     low, high = sorted((cv.alpha_d1, cv.alpha_d2))
