@@ -91,7 +91,6 @@ from .stochastic import (
     observation_time,
     raised_cosine_pdf,
     sample_events,
-    sample_events_fluctuating,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ complementary balance parameters
 
 and the balance angle ``theta`` in [0, pi/2] with ``T = cos^2 theta`` and
 ``R = sin^2 theta``.  ``QpcSetting`` takes ``T``, ``R`` and the phases as
-inputs and derives ``delta``, ``epsilon`` and ``theta`` once.  An
+inputs, derives ``delta`` and ``epsilon`` once and ``theta`` on access.  An
 interferometer is two QPCs plus a single composite tuning phase ``phi``;
 the Aharonov-Bohm, kinetic, and first-QPC scattering-phase contributions
 only ever enter through their sum, so the constituents are not tracked
@@ -42,6 +42,7 @@ parameters by less than 1e-14, so ``|Delta| <= 1`` holds within
 ``IDENTITY_TOL`` at any coupling."""
 
 _TWO_PI = 2.0 * math.pi
+_PI_LOW = 1.2246467991473532e-16  # pi - math.pi, rounded
 
 
 def _require(ok, message: str, value=None) -> None:
@@ -81,8 +82,8 @@ class QpcSetting:
     The inputs are ``transmission``, ``reflection`` and the scattering
     phases ``chi`` and ``xi`` of the two outgoing rows; for the first QPC
     of an interferometer their difference is part of the composite tuning
-    phase and they are carried here for bookkeeping only.  ``delta``,
-    ``epsilon`` and ``theta`` are derived once from ``T`` and ``R``.
+    phase and they are carried here for bookkeeping only.  ``delta`` and
+    ``epsilon`` are derived once from ``T`` and ``R``, ``theta`` on access.
     Every field may be an array (one contact per sweep point).
     """
 
@@ -92,7 +93,6 @@ class QpcSetting:
     xi: float = 0.0
     delta: float = field(init=False)
     epsilon: float = field(init=False)
-    theta: float = field(init=False)
 
     def __post_init__(self):
         T, R = self.transmission, self.reflection
@@ -101,8 +101,11 @@ class QpcSetting:
                  "probabilities in [0, 1] with T + R = 1", self)
         object.__setattr__(self, "delta", T - R)
         object.__setattr__(self, "epsilon", _plain(2.0 * np.sqrt(T * R)))
-        # arctan2 of the two amplitudes keeps full precision at both edges
-        object.__setattr__(self, "theta", _plain(np.arctan2(np.sqrt(R), np.sqrt(T))))
+
+    @property
+    def theta(self):
+        """Balance angle in [0, pi/2]; ``arctan2`` keeps both edges exact."""
+        return _plain(np.arctan2(np.sqrt(self.reflection), np.sqrt(self.transmission)))
 
 
 def qpc_from_transmission(transmission, chi: float = 0.0, xi: float = 0.0) -> QpcSetting:
@@ -180,7 +183,12 @@ def damping_eta(sigma):
     _require((0.0 <= sigma) & (sigma <= math.pi), "sigma {} outside [0, pi]", sigma)
     inside = (sigma > 0.0) & (sigma < math.pi)
     s = sigma * inside + (1.0 - inside)
-    eta = (math.pi**2 / (math.pi**2 - s * s)) * (np.sin(s) / s)
+    # within 2**-6 of pi, pi^2 - s^2 cancels down to the rounding of math.pi;
+    # there take (pi - s)(pi + s), adding the part of pi below math.pi to the
+    # exact math.pi - s.  Farther out the plain difference keeps its bits.
+    near = s > math.pi - 2.0**-6
+    denominator = near * ((math.pi - s + _PI_LOW) * (math.pi + s)) + (1 - near) * (math.pi**2 - s * s)
+    eta = (math.pi**2 / denominator) * (np.sin(s) / s)
     return _plain(eta * inside + (sigma == 0.0) + 0.5 * (sigma == math.pi))
 
 

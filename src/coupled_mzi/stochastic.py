@@ -6,17 +6,16 @@ A sampled event sequence is a ``uint8`` array of category codes
 
 Random numbers come from numpy's Philox counter-based generator
 (``philox4x64``), keyed directly by the caller's 64-bit seed, so event
-streams are bit-reproducible across platforms and can be read from any
-position: the generator consumes one 64-bit word per uniform double and
-``Philox.advance(k)`` skips ``4 k`` words.  The samplers stream their
-uniforms in fixed-size chunks, each read at its exact word offset, so the
-codes are the same for any chunk size.
+streams are bit-reproducible across platforms.  The sampler draws its
+uniforms in fixed-size chunks from one generator; event ``i`` always takes
+uniform ``i``, so the codes are the same for any chunk size.  A fluctuating
+coupling enters only through the table it samples: the exact average
+:func:`averaged_joint_table`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,11 +24,11 @@ from numpy.random import Generator, Philox
 from .errors import AmbiguousMeasurementError
 from .measurement import DIVERGENCE_THRESHOLD, ContextualValues
 from .params import CouplingModel, DetectorParams, InterferometerConfig, damping_eta
-from .scattering import JointStatistics, _harmonic, _harmonic_tables
+from .scattering import JointStatistics, _harmonic_tables
 
 RNG_ALGORITHM = "philox4x64"
 
-_CHUNK = 1 << 16  # events per streaming chunk; bounds the samplers' working memory
+_CHUNK = 1 << 16  # events per streaming chunk; bounds the sampler's working memory
 
 
 @dataclass(frozen=True)
@@ -106,40 +105,6 @@ def raised_cosine_pdf(gamma_prime: float, model: CouplingModel) -> float:
     return (1.0 + math.cos(math.pi * y / model.sigma)) / (2.0 * model.sigma)
 
 
-# Taylor coefficients of (s - sin s) / s^3 in powers of s^2
-_S_MINUS_SIN = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(8))
-
-
-def _raised_cosine_ppf(u: np.ndarray, model: CouplingModel) -> np.ndarray:
-    """Inverse CDF by safeguarded Newton iteration on the closed-form CDF.
-
-    With ``t = pi (g' - gamma) / sigma`` the CDF is ``(t + pi + sin t) / 2 pi``.
-    From the nearer support edge, ``s = pi - |t|`` solves the increasing,
-    convex ``s - sin s = b = 2 pi min(u, 1 - u)`` (a Taylor series below 1
-    avoids cancellation, so precision holds up to the edges).  The cube-root
-    start ``c (1 + c^2 / 60)``, ``c = (6 b)^(1/3)``, is a lower bound and
-    ``(pi + b) / 2`` an upper one; three clipped Newton steps reach 2 ulp,
-    with bisection where the slope ``1 - cos s`` (the PDF) vanishes.
-    """
-    b = 2.0 * math.pi * np.minimum(u, 1.0 - u)
-    c = np.cbrt(6.0 * b)
-    s = lo = c * (1.0 + c * c / 60.0)
-    hi = np.minimum(0.5 * (math.pi + b), math.pi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(3):
-            f = s - np.sin(s)
-            small = s < 1.0
-            near = s[small]
-            f[small] = near**3 * np.polynomial.polynomial.polyval(near * near, _S_MINUS_SIN)
-            f -= b
-            lo = np.where(f < 0.0, s, lo)
-            hi = np.where(f < 0.0, hi, s)
-            step = s - f / (2.0 * np.sin(0.5 * s) ** 2)
-            s = np.where(np.isfinite(step), np.clip(step, lo, hi), 0.5 * (lo + hi))
-    t = np.where(u < 0.5, s - math.pi, math.pi - s)
-    return model.gamma + model.sigma * t / math.pi
-
-
 def averaged_detector_params(p: DetectorParams, model: CouplingModel) -> DetectorParams:
     """Detector parameters averaged over coupling fluctuations and unpaired
     emission, the exact average of the drain probabilities.
@@ -176,13 +141,6 @@ def averaged_joint_table(
     return p * paired + (1.0 - p) * (a + b)
 
 
-def _stream(seed: int, offset: int) -> Generator:
-    """Generator positioned at word ``offset`` of the seed's Philox stream."""
-    rng = Generator(Philox(key=seed).advance(offset // 4))
-    rng.random(offset % 4)
-    return rng
-
-
 def _categories(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Codes by the right-side rule ``edge[k-1] <= u < edge[k]``.
 
@@ -201,27 +159,6 @@ def _categories(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.minimum(codes, np.asarray(last, dtype=np.uint8))
 
 
-def _sample_codes(n: int, seed: int, blocks: int, tables: Callable[..., np.ndarray]) -> np.ndarray:
-    """``n`` codes streamed in chunks of ``_CHUNK`` events.
-
-    Block ``j`` of ``blocks`` consecutive ``n``-uniform blocks starts at word
-    ``j n``; ``tables`` maps a chunk of every block but the last to joint
-    tables, and the last block picks the categories.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    seed = int(seed)
-    if not (0 <= seed < 2**64):
-        raise ValueError("seed must be a 64-bit unsigned integer")
-    streams = [_stream(seed, j * n) for j in range(blocks)]
-    codes = np.empty(n, dtype=np.uint8)
-    for start in range(0, n, _CHUNK):
-        count = min(_CHUNK, n - start)
-        *u_model, u_cat = (rng.random(count) for rng in streams)
-        codes[start:start + count] = _categories(u_cat, tables(*u_model))
-    return codes
-
-
 def sample_events(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
     """``n`` i.i.d. draws from the 4-category joint drain distribution.
 
@@ -229,37 +166,17 @@ def sample_events(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
     ``i`` of the seed's stream, so the sequence is a pure function of ``seed``.
     """
     flat = stats.joint.reshape(4)  # one table: a stack of them raises ValueError here
-    return _sample_codes(n, seed, 1, lambda: flat)
-
-
-def sample_events_fluctuating(
-    det: InterferometerConfig,
-    sys: InterferometerConfig,
-    model: CouplingModel,
-    n: int,
-    seed: int,
-) -> np.ndarray:
-    """Validation-mode sampler that draws a coupling phase per event.
-
-    Each event draws its own coupling phase from the raised-cosine
-    distribution (point mass at ``gamma`` when ``sigma = 0``), replaces it
-    by zero for unpaired emissions (probability ``1 - pair_probability``),
-    and then samples the drain pair from the exact joint distribution at
-    that phase, as a ``uint8`` code ``2 d + s``.  The stream consumes three
-    uniform blocks of length ``n`` (phase, pairing, category) regardless of
-    the model, so results are a pure function of ``(seed, n)``.
-
-    Events are i.i.d., so their distribution is :func:`averaged_joint_table`,
-    which ``montecarlo`` samples with :func:`sample_events` at plain-sampler
-    cost; this sampler is the reference that table is tested against.
-    """
-    harmonic = _harmonic_tables(det, sys).reshape(3, 4)
-
-    def tables(u_phase: np.ndarray, u_pair: np.ndarray) -> np.ndarray:
-        gammas = _raised_cosine_ppf(u_phase, model) if model.sigma > 0.0 else model.gamma
-        return _harmonic(harmonic, np.where(u_pair < model.pair_probability, gammas, 0.0))
-
-    return _sample_codes(n, seed, 3, tables)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    seed = int(seed)
+    if not (0 <= seed < 2**64):
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    rng = Generator(Philox(key=seed))
+    codes = np.empty(n, dtype=np.uint8)
+    for start in range(0, n, _CHUNK):
+        count = min(_CHUNK, n - start)
+        codes[start:start + count] = _categories(rng.random(count), flat)
+    return codes
 
 
 def contextual_estimate(

@@ -9,6 +9,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from coupled_mzi import (
+    AmbiguousMeasurementError,
     ContextualValues,
     CouplingModel,
     InteractionGeometry,
@@ -334,3 +335,68 @@ def test_criterion_11_efficient_factorization():
             )
     report(11, "efficient-detection factorization", worst < 1e-12,
            f"max reconstruction residual {worst:.3e} over {len(phis) * len(gammas)} grid points")
+
+
+def test_criterion_12_complementarity():
+    # the amplification alpha_D1^2 + alpha_D2^2 is least at the maximally
+    # wave-like (balanced) detector, where it is 2 (1 + Delta^2) / Gamma^2
+    rng = np.random.default_rng(112)
+    grid = np.linspace(0.02, 0.98, 49)
+    qpcs = [qpc_from_transmission(float(t)) for t in grid]
+    centre = int(np.flatnonzero(grid == 0.5)[0])
+    worst = 0.0
+    argmin_ok = True
+    points = 0
+    while points < 8:
+        gamma, phi_d = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-math.pi, math.pi)
+        balanced = detector_params(balanced_mzi(phi_d), gamma)
+        if abs(balanced.Gamma) <= 0.05:
+            continue
+        amplification = np.full((grid.size, grid.size), math.inf)
+        for i, q1 in enumerate(qpcs):
+            for j, q2 in enumerate(qpcs):
+                try:
+                    cv = contextual_values(
+                        OBS, detector_params(InterferometerConfig(q1, q2, phi_d), gamma))
+                except AmbiguousMeasurementError:
+                    continue
+                amplification[i, j] = cv.alpha_d1**2 + cv.alpha_d2**2
+        least = amplification[centre, centre]
+        argmin_ok &= bool(np.all(amplification >= least))
+        expected = 2.0 * (1.0 + balanced.Delta**2) / balanced.Gamma**2
+        worst = max(worst, abs(least / expected - 1.0))
+        points += 1
+    report(12, "complementarity: the balanced detector amplifies least", argmin_ok and worst < 1e-12,
+           f"minimum at T_d1 = T_d2 = 1/2 on a 49x49 grid for {points} (gamma, phi_d): "
+           f"{argmin_ok}; |value / (2 (1 + Delta^2) / Gamma^2) - 1| = {worst:.3e}")
+
+
+def test_criterion_13_erasure_follows_ambiguity():
+    # the conditional fringe P(S1 | D) over phi_s has amplitude
+    # epsilon_2^s sqrt(w_L w_U) / (w_L + w_U), w_k = rho_kk E_D,kk: full
+    # erasure exactly when drain D is fully ambiguous
+    rng = np.random.default_rng(113)
+    worst = 0.0
+    largest = 0.0
+    for _ in range(500):
+        det, sysm = random_mzi(rng), random_mzi(rng)
+        gamma = rng.uniform(0.0, 2.0 * math.pi)
+        povm = povm_pair(measurement_operators(det, gamma))
+        rho = np.array([1.0 + sysm.qpc1.delta, 1.0 - sysm.qpc1.delta]) / 2.0
+        fringe = []
+        for phi_s in (0.0, math.pi / 2, math.pi):
+            stats = joint_statistics(
+                joint_amplitudes(det, InterferometerConfig(sysm.qpc1, sysm.qpc2, phi_s), gamma))
+            fringe.append(stats.joint[:, 0] / stats.detector_marginals)
+        at_0, at_half_pi, at_pi = fringe
+        mean = (at_0 + at_pi) / 2.0
+        amplitude = np.hypot(at_0 - mean, at_half_pi - mean)
+        for d, diag in enumerate((povm.diag_d1, povm.diag_d2)):
+            w = rho * np.array(diag)
+            expected = sysm.qpc2.epsilon * math.sqrt(w[0] * w[1]) / (w[0] + w[1])
+            worst = max(worst, abs(amplitude[d] - expected))
+            largest = max(largest, amplitude[d] / (sysm.qpc2.epsilon / 2.0))
+    ok = worst < 1e-12 and largest <= 1.0 + 1e-12
+    report(13, "erasure follows measurement ambiguity", ok,
+           f"max |fringe amplitude - eps_2^s sqrt(w_L w_U) / (w_L + w_U)| = {worst:.3e} "
+           f"over 500 configs; largest amplitude / (eps_2^s / 2) = {largest:.6f}")

@@ -51,7 +51,7 @@ INIT_FIELDS = {
 """Constructor fields of every dataclass the package exports: the
 independent inputs, and results that a caller reads."""
 
-DERIVED_FIELDS = {"QpcSetting": ("delta", "epsilon", "theta")}
+DERIVED_FIELDS = {"QpcSetting": ("delta", "epsilon")}
 """Fields computed once at construction rather than passed in."""
 
 

@@ -10,7 +10,6 @@ ALLOWED_PRIVATE_IMPORTS = {
     ("cli", "conditioning", "_post_select"),
     ("cli", "measurement", "_weights"),
     ("scattering", "params", "_plain"),
-    ("stochastic", "scattering", "_harmonic"),
     ("stochastic", "scattering", "_harmonic_tables"),
 }
 """``(importer, module, name)`` of every private name one package module

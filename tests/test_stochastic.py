@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy.integrate import quad
@@ -12,6 +12,7 @@ from coupled_mzi import (
     AmbiguousMeasurementError,
     ContextualValues,
     CouplingModel,
+    InterferometerConfig,
     JointStatistics,
     ObservableCoefficients,
     ObservationBudget,
@@ -28,9 +29,9 @@ from coupled_mzi import (
     measurement_operators,
     observation_time,
     povm_pair,
+    qpc_from_transmission,
     raised_cosine_pdf,
     sample_events,
-    sample_events_fluctuating,
 )
 from coupled_mzi import stochastic
 from coupled_mzi.params import DetectorDrain
@@ -65,39 +66,6 @@ class TestRaisedCosine:
         with pytest.raises(ValueError, match="degenerate"):
             raised_cosine_pdf(1.0, CouplingModel(gamma=1.0, sigma=0.0))
 
-    @pytest.mark.parametrize("sigma", [1e-3, 1.0, math.pi])
-    def test_newton_ppf_matches_bisection(self, sigma):
-        model = CouplingModel(gamma=1.3, sigma=sigma)
-        u = np.concatenate([np.linspace(0.0, 1.0, 10_001), [1e-300, 1.0 - 2.0**-53]])
-        # The bisection evaluates the CDF with an absolute error of ~1e-16,
-        # which moves its root by ~1e-16 / pdf: by up to ~5e-6 sigma within
-        # 1e-5 of a support edge.  There the root is s = (12 pi v)^(1/3) in
-        # s = pi - |t|, v = min(u, 1 - u), to a relative s^2 / 60 < 1e-11.
-        v = np.minimum(u, 1.0 - u)
-        edge = v < 1e-5
-        expected = bisection_ppf(u, model)
-        s = np.cbrt(12.0 * math.pi * v[edge])
-        expected[edge] = model.gamma + np.sign(u[edge] - 0.5) * sigma * (1.0 - s / math.pi)
-        assert edge.sum() == 4
-        got = stochastic._raised_cosine_ppf(u, model)
-        assert np.max(np.abs(got - expected)) <= 1e-12 * sigma
-        assert np.all(np.diff(got[:10_001]) >= 0.0)
-
-
-def bisection_ppf(u: np.ndarray, model: CouplingModel) -> np.ndarray:
-    """The 60-step vectorized bisection the sampler used before its Newton solver."""
-    sigma = model.sigma
-    lo = np.full_like(u, -sigma)
-    hi = np.full_like(u, sigma)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        cdf = (mid + sigma) / (2.0 * sigma) + np.sin(math.pi * mid / sigma) / (2.0 * math.pi)
-        below = cdf < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return model.gamma + 0.5 * (lo + hi)
-
-
 class TestDampingEta:
     def test_limits(self):
         assert damping_eta(0.0) == 1.0
@@ -118,6 +86,13 @@ class TestDampingEta:
             limit=400,
         )
         assert damping_eta(sigma) == pytest.approx(expected, abs=1e-8)
+
+    @pytest.mark.parametrize("gap", [2.0**-51, 1e-12, 1e-9, 1e-6, 1e-3])
+    def test_near_pi_to_full_precision(self, gap):
+        # eta = E[cos(g' - gamma)], here with gamma = 0
+        sigma = math.pi - gap
+        expected = fluctuation_average(math.cos, CouplingModel(gamma=0.0, sigma=sigma))
+        assert damping_eta(sigma) == pytest.approx(expected, abs=1e-15)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -205,12 +180,14 @@ class TestAveragedDetectorParams:
 
 def fluctuation_average(f, model: CouplingModel) -> float:
     """Oracle: ``E[f(g')]`` over the coupling model by quadrature.  Paired
-    emissions draw ``g'`` from the raised cosine (a point mass at ``gamma``
-    when ``sigma = 0``), unpaired ones have ``g' = 0``."""
+    emissions draw ``g' = gamma + sigma t`` from the raised cosine, with
+    ``t`` of density ``(1 + cos pi t) / 2`` on ``[-1, 1]`` (a point mass at
+    ``gamma`` when ``sigma = 0``), unpaired ones have ``g' = 0``.  In ``t``
+    the support stays resolved in doubles however small ``sigma`` is."""
     if model.sigma > 0.0:
-        paired, _ = quad(lambda g: raised_cosine_pdf(g, model) * f(g),
-                         model.gamma - model.sigma, model.gamma + model.sigma,
-                         limit=200, epsabs=1e-15, epsrel=1e-13)
+        paired, _ = quad(lambda t: (1.0 + math.cos(math.pi * t)) / 2.0
+                         * f(model.gamma + model.sigma * t),
+                         -1.0, 1.0, limit=200, epsabs=1e-15, epsrel=1e-13)
     else:
         paired = f(model.gamma)
     return model.pair_probability * paired + (1.0 - model.pair_probability) * f(0.0)
@@ -231,6 +208,11 @@ def averaged_table_oracle(det, sysm, model: CouplingModel) -> np.ndarray:
     return np.array([[fluctuation_average(
         lambda g, d=d, s=s: joint_statistics(joint_amplitudes(det, sysm, g)).joint[d, s], model)
         for s in (0, 1)] for d in (0, 1)])
+
+
+PHASES = st.floats(-2 * math.pi, 2 * math.pi)
+QPCS = st.builds(qpc_from_transmission, st.floats(0.0, 1.0), PHASES, PHASES)
+MZIS = st.builds(InterferometerConfig, QPCS, QPCS, PHASES)
 
 
 # generic tunings, widths and pair probabilities, the edges sigma = pi and p = 0 included
@@ -302,17 +284,17 @@ class TestAveragedJointTable:
         codes = sample_events(JointStatistics(table), 50_000, seed=13)
         assert np.all(codes >= 2)
 
-    @pytest.mark.parametrize("seed", [101, 202, 303])
-    def test_per_event_sampler_frequencies(self, seed):
-        # i.i.d. events: the per-event sampler's four category frequencies
-        # are those of the averaged table, within 5 binomial standard errors
-        det, sysm, _ = quarter_stats()
-        n = 1_000_000
-        codes = sample_events_fluctuating(det, sysm, FLUCTUATING, n, seed=seed)
-        expected = averaged_joint_table(det, sysm, FLUCTUATING).ravel()
-        frequencies = np.bincount(codes, minlength=4) / n
-        standard_errors = np.sqrt(expected * (1.0 - expected) / n)
-        assert np.all(np.abs(frequencies - expected) <= 5.0 * standard_errors)
+    @settings(max_examples=100, deadline=None)
+    @given(det=MZIS, sysm=MZIS, gamma=st.floats(0.0, 2 * math.pi),
+           sigma=st.floats(0.0, math.pi), p=st.floats(0.0, 1.0))
+    @example(det=balanced_mzi(0.7), sysm=balanced_mzi(-0.4), gamma=2.0, sigma=math.pi, p=0.8)
+    @example(det=balanced_mzi(0.7), sysm=balanced_mzi(-0.4), gamma=2.0, sigma=1.0, p=0.0)
+    def test_matches_the_averaged_closed_form(self, det, sysm, gamma, sigma, p):
+        model = CouplingModel(gamma=gamma, sigma=sigma, pair_probability=p)
+        expected = [[fluctuation_average(
+            lambda g, d=d, s=s: joint_probability_table(det, sysm, g)[d, s], model)
+            for s in (0, 1)] for d in (0, 1)]
+        assert np.max(np.abs(averaged_joint_table(det, sysm, model) - expected)) <= 1e-12
 
 
 def quarter_stats():
@@ -321,15 +303,8 @@ def quarter_stats():
     return det, sysm, joint_statistics(joint_amplitudes(det, sysm, math.pi / 2))
 
 
-def d2_fraction(codes):
-    return float(np.count_nonzero(codes >= 2)) / codes.size
-
-
 def digest(codes):
     return hashlib.sha256(codes.tobytes()).hexdigest()
-
-
-FLUCTUATING = CouplingModel(gamma=1.1, sigma=2.0, pair_probability=0.7)
 
 
 class TestCategoryRule:
@@ -437,58 +412,6 @@ class TestSampleEvents:
             sample_events(stats, 10, seed=2**64)
         with pytest.raises(ValueError):
             sample_events(stats, 0, seed=1)
-
-
-class TestFluctuatingSampler:
-    def test_matches_plain_sampler_statistics_at_zero_width(self):
-        det, sysm, stats = quarter_stats()
-        model = CouplingModel(gamma=math.pi / 2)
-        codes = sample_events_fluctuating(det, sysm, model, 200_000, seed=31)
-        freq_d1 = 1.0 - d2_fraction(codes)
-        assert freq_d1 == pytest.approx(stats.p_detector(DetectorDrain.D1), abs=0.005)
-
-    def test_sampled_marginal_matches_exact_average(self):
-        # the averaged bundle's drain probability is the sampled marginal
-        gamma, sigma = 1.1, 2.0
-        det = balanced_mzi(math.pi / 2)
-        sysm = balanced_mzi(0.4)
-        model = CouplingModel(gamma=gamma, sigma=sigma)
-        damped = averaged_detector_params(detector_params(det, gamma), model)
-        p1, _ = detector_drain_probabilities(damped, sysm.qpc1.delta)
-        codes = sample_events_fluctuating(det, sysm, model, 400_000, seed=77)
-        freq = 1.0 - d2_fraction(codes)
-        assert freq == pytest.approx(p1, abs=0.004)
-
-    def test_unpaired_emission_behaves_like_zero_coupling(self):
-        det = balanced_mzi(0.0)
-        sysm = balanced_mzi(0.0)
-        model = CouplingModel(gamma=math.pi, pair_probability=0.0)
-        codes = sample_events_fluctuating(det, sysm, model, 50_000, seed=13)
-        # at gamma=0 with these tunings D1 is completely dark
-        assert np.all(codes >= 2)
-
-    def test_matches_three_block_stream_layout(self):
-        # phase, pairing and category uniforms are consecutive n-blocks
-        det, sysm, _ = quarter_stats()
-        n = 10_001
-        u_phase, u_pair, u_cat = Generator(Philox(key=99)).random(3 * n).reshape(3, n)
-        gammas = np.where(u_pair < FLUCTUATING.pair_probability,
-                          bisection_ppf(u_phase, FLUCTUATING), 0.0)
-        tables = joint_probability_table(det, sysm, gammas).reshape(n, 4)
-        expected = stochastic._categories(u_cat, tables)
-        codes = sample_events_fluctuating(det, sysm, FLUCTUATING, n, seed=99)
-        assert codes.dtype == np.uint8
-        assert np.array_equal(codes, expected)
-        # codes drawn before the array-native sampler, over the same inputs
-        assert digest(codes) == "54b6269ca28eb66596129dc8138cd222c5f25e7f0d814630f48d4c24c6e7d3be"
-
-    @pytest.mark.parametrize("chunk", [1, 3, 4, 5, 4096])
-    def test_chunk_size_invariance(self, chunk, monkeypatch):
-        det, sysm, _ = quarter_stats()
-        canonical = sample_events_fluctuating(det, sysm, FLUCTUATING, 10_001, seed=99)
-        monkeypatch.setattr(stochastic, "_CHUNK", chunk)
-        chunked = sample_events_fluctuating(det, sysm, FLUCTUATING, 10_001, seed=99)
-        assert np.array_equal(chunked, canonical)
 
 
 class TestContextualEstimate:
