@@ -14,15 +14,14 @@ Exit codes: 0 success, 2 configuration error, 3 ambiguous measurement
 
 All numeric output uses 17 significant digits so doubles round-trip
 exactly; reruns with identical inputs produce byte-identical files.
-Divergent contextual values appear as the literal token
-``inf-ambiguous``, never as floating infinities.
+Divergent contextual values print as ``inf-ambiguous``, never as
+infinities.  No header or cell ever needs CSV quoting (names, ``%.17g``
+numbers, ``inf``, ``inf-ambiguous``), so rows are plain comma joins.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
 from collections.abc import Callable
@@ -72,17 +71,18 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _cells(values: np.ndarray) -> list[str]:
-    """17-digit cells of one column; NaN is the ``inf-ambiguous`` token."""
-    return [AMBIGUOUS_TOKEN if math.isnan(x) else format(x, ".17g") for x in values.tolist()]
-
-
 def _csv(header: list[str], rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    return "".join(",".join(row) + "\n" for row in (header, *rows))
+
+
+def _table_csv(header: list[str], table: np.ndarray) -> str:
+    """CSV of an ``(n, k)`` float table, one ``%.17g`` row template per row.
+    NaN of either sign prints ``nan``, which no other cell contains."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    body = "".join(map(row.__mod__, map(tuple, table.tolist())))
+    if np.isnan(table).any():
+        body = body.replace("nan", AMBIGUOUS_TOKEN)
+    return ",".join(header) + "\n" + body
 
 
 class _Grid:
@@ -190,7 +190,7 @@ def _evaluate(config: ExperimentConfig, parameter: str, grid: np.ndarray,
         drain: np.where(g.required[drain], g.marginal(drain), np.inf)
         for drain in (*_D, *_S) if drain in g.required
     })
-    return _csv([parameter, *names], zip(*map(_cells, [grid, *columns])))
+    return _table_csv([parameter, *names], np.column_stack([grid, *columns]))
 
 
 def _grid(minimum: float, maximum: float, count: int) -> np.ndarray:
@@ -266,21 +266,15 @@ def run_povm(config: ExperimentConfig) -> str:
     raw = detector_params(det, coupling.gamma)
     damped = averaged_detector_params(raw, coupling)
     povm = povm_pair(measurement_operators(det, coupling.gamma))
-    rows: list[tuple[str, str]] = [
-        ("beta_plus", _fmt(raw.beta_plus)),
-        ("beta_minus", _fmt(raw.beta_minus)),
-        ("visibility", _fmt(raw.visibility)),
-        ("Gamma", _fmt(raw.Gamma)),
-        ("Delta", _fmt(raw.Delta)),
-        ("eta", _fmt(damping_eta(coupling.sigma))),
-        ("eta_prime", _fmt(coupling.pair_probability * damping_eta(coupling.sigma))),
-        ("Gamma_damped", _fmt(damped.Gamma)),
-        ("Delta_damped", _fmt(damped.Delta)),
-        ("E_D1_LL", _fmt(povm.diag_d1[0])),
-        ("E_D1_UU", _fmt(povm.diag_d1[1])),
-        ("E_D2_LL", _fmt(povm.diag_d2[0])),
-        ("E_D2_UU", _fmt(povm.diag_d2[1])),
-    ]
+    eta = damping_eta(coupling.sigma)
+    rows = [(name, _fmt(value)) for name, value in [
+        ("beta_plus", raw.beta_plus), ("beta_minus", raw.beta_minus),
+        ("visibility", raw.visibility), ("Gamma", raw.Gamma), ("Delta", raw.Delta),
+        ("eta", eta), ("eta_prime", coupling.pair_probability * eta),
+        ("Gamma_damped", damped.Gamma), ("Delta_damped", damped.Delta),
+        ("E_D1_LL", povm.diag_d1[0]), ("E_D1_UU", povm.diag_d1[1]),
+        ("E_D2_LL", povm.diag_d2[0]), ("E_D2_UU", povm.diag_d2[1]),
+    ]]
     try:
         cv = contextual_values(config.observable, damped)
         rows += [("alpha_D1", _fmt(cv.alpha_d1)), ("alpha_D2", _fmt(cv.alpha_d2))]
@@ -329,8 +323,11 @@ def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out_path}: {exc}") from None
 
 
 @cache

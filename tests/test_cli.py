@@ -603,6 +603,20 @@ def test_overflowing_sweep_span_is_config_error(config_path, capsys, command):
                    f"[{-2.0**30}, {2.0**30}] of {name}\n")
 
 
+@pytest.mark.parametrize("command, target", [
+    (["scan", "--sweep", "gamma:0:1:3", "--quantities", "P_D1"], "missing/x.csv"),
+    (["povm"], "."),
+], ids=["missing-directory", "directory"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, command, target):
+    out_path = tmp_path / target
+    code, out, err = run_cli(
+        [*command, "--config", str(CONFIGS / "erasure.conf"), "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: cannot write output {out_path}: ")
+    assert not (tmp_path / "missing").exists()
+
+
 STRONG = (CONFIGS / "strong_measurement.conf").read_text(encoding="utf-8")
 HUGE_PHASE = STRONG.replace("detector.phi = 0", "detector.phi = 5.916551538170299e+16")
 

@@ -243,6 +243,24 @@ def test_manifest_lists_every_case():
         assert _manifest()[name]["argv"] == argv
 
 
+MONTECARLO = {
+    "montecarlo_budget": ["montecarlo", "--config", "configs/strong_measurement.conf",
+                          "--n", "1000", "--seed", "7"],
+    "montecarlo_no_budget": ["montecarlo", "--config", OWN_CONFIG, "--n", "1000", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(cases()), *MONTECARLO])
+def test_no_cell_needs_quoting(name):
+    """Every output is plain comma joins: reading it as CSV and joining the
+    rows back gives the same bytes, so no cell was ever quoted."""
+    code, text = run(MONTECARLO[name] if name in MONTECARLO else _manifest()[name]["argv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(text)))
+    assert len({len(row) for row in rows}) == 1
+    assert text == "".join(",".join(row) + "\n" for row in rows)
+
+
 def test_help_writes_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
     monkeypatch.setitem(globals(), "MANIFEST", tmp_path / "cases.json")

@@ -1,13 +1,17 @@
-"""Property tests of the amplitude pipeline against the independent closed form."""
+"""Property tests of the amplitude pipeline against the independent closed form,
+and of the CLI grid writer against its per-cell rule."""
 
 import math
+import struct
+import sys
 from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from test_golden import _point
 
 from coupled_mzi import (
@@ -33,7 +37,7 @@ from coupled_mzi import (
     qpc_from_transmission,
     reduced_system_state,
 )
-from coupled_mzi.cli import _Grid
+from coupled_mzi.cli import _Grid, _table_csv
 from coupled_mzi.measurement import SIGMA_0, SIGMA_3
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from coupled_mzi.scattering import ELEMENTARY_CHARGE, PLANCK_CONSTANT
@@ -211,3 +215,33 @@ def test_array_experiment_matches_scalar_points(parameter):
             for array, scalar in zip(arrays[name], scalars, strict=True):
                 got = array[i] if np.ndim(array) else array  # a scalar holds at every point
                 assert np.max(np.abs(got - scalar)) <= 1e-15, (name, value)
+
+
+def _bits(word: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", word))[0]
+
+
+EDGE_CELLS = [
+    math.nan, -math.nan, _bits(0x7FF8000000000001), _bits(0xFFF800000000BEEF),
+    _bits(0x7FF0000000000001), _bits(0xFFF4000000000000),  # NaN payloads, quiet and signalling
+    math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+    -2.225073858507201e-308, sys.float_info.min, sys.float_info.max, -sys.float_info.max,
+]
+grid_tables = hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 50), st.integers(1, 12)),
+    elements=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_CELLS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=grid_tables)
+@example(table=np.array([EDGE_CELLS]))
+@example(table=np.array(EDGE_CELLS)[:, None])
+def test_grid_writer_matches_per_cell_rule(table):
+    """The row-template grid writer gives the bytes of the per-cell rule:
+    ``inf-ambiguous`` for a NaN of any sign or payload, else ``.17g``."""
+    header = [f"c{i}" for i in range(table.shape[1])]
+    cells = [["inf-ambiguous" if math.isnan(x) else format(x, ".17g") for x in row]
+             for row in table.tolist()]
+    expected = "\n".join(",".join(row) for row in [header, *cells]) + "\n"
+    assert _table_csv(header, table) == expected
