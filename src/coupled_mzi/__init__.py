@@ -67,11 +67,9 @@ from .params import (
     system_params,
 )
 from .scattering import (
-    ArmState,
     JointAmplitudes,
     JointStatistics,
     PhysicalBias,
-    arm_state,
     average_current,
     concurrence,
     cross_noise_power,

@@ -26,12 +26,19 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import replace
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
 from .conditioning import _conditioned_average, _post_select
-from .config import ExperimentConfig, ScanSpec, check_sweep_domain, evaluate_number, load_config
+from .config import (
+    ExperimentConfig,
+    ScanSpec,
+    check_sweep_domain,
+    evaluate_number,
+    load_config,
+    swept,
+)
 from .errors import (
     AmbiguousMeasurementError,
     ConfigError,
@@ -46,7 +53,7 @@ from .measurement import (
     measurement_operators,
     povm_pair,
 )
-from .params import DetectorDrain, SystemDrain, damping_eta, detector_params, qpc_from_transmission
+from .params import DetectorDrain, SystemDrain, damping_eta, detector_params
 from .scattering import (
     ELEMENTARY_CHARGE,
     JointStatistics,
@@ -88,24 +95,16 @@ def _table_csv(header: list[str], table: np.ndarray) -> str:
 class _Grid:
     """One experiment over a whole sweep grid: the config with the swept
     field set to the grid, built as one point of a sweep is, and the other
-    sweepable fields broadcast to the grid's shape; plus the statistics
-    derived from it.  ``required`` collects, per drain, where a column
-    divides by that drain's marginal."""
+    sweepable phases and widths broadcast to the grid's shape; plus the
+    statistics derived from it.  ``required`` collects, per drain, where a
+    column divides by that drain's marginal."""
 
     def __init__(self, config: ExperimentConfig, parameter: str, grid: np.ndarray):
         self.config, self.required = config, {}
-        det, system, coupling = config.detector, config.system, config.coupling
-        values = {"gamma": coupling.gamma, "phi_d": det.tuning_phase,
-                  "phi_s": system.tuning_phase, "sigma": coupling.sigma, parameter: grid}
-        gamma, phi_d, phi_s, sigma = (
-            np.broadcast_to(values[k], grid.shape) for k in ("gamma", "phi_d", "phi_s", "sigma")
-        )
-        qpc1 = system.qpc1
-        if parameter == "delta_s1":
-            qpc1 = qpc_from_transmission((1.0 + grid) / 2.0, chi=qpc1.chi, xi=qpc1.xi)
-        self.det = replace(det, tuning_phase=phi_d)
-        self.sys = replace(system, qpc1=qpc1, tuning_phase=phi_s)
-        self.coupling = replace(coupling, gamma=gamma, sigma=sigma)
+        at, full = swept(config, parameter, grid), partial(np.broadcast_to, shape=grid.shape)
+        self.det = replace(at.detector, tuning_phase=full(at.detector.tuning_phase))
+        self.sys = replace(at.system, tuning_phase=full(at.system.tuning_phase))
+        self.coupling = replace(at.coupling, gamma=full(at.coupling.gamma), sigma=full(at.coupling.sigma))
 
     @cached_property
     def stats(self) -> JointStatistics:

@@ -26,7 +26,7 @@ import ast
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .interaction import InteractionGeometry, geometry_for_phase
@@ -41,11 +41,16 @@ from .params import (
 from .scattering import PhysicalBias
 from .stochastic import ObservationBudget
 
-# sweepable parameter -> exact domain, as CouplingModel, InterferometerConfig
-# and qpc_from_transmission enforce it
-SWEEP_DOMAINS = {"gamma": (0.0, 2.0 * math.pi), "phi_d": (-MAX_TUNING_PHASE, MAX_TUNING_PHASE),
-                 "phi_s": (-MAX_TUNING_PHASE, MAX_TUNING_PHASE), "delta_s1": (-1.0, 1.0),
-                 "sigma": (0.0, math.pi)}
+# sweep name -> (exact domain, as the constructors enforce it; config section and
+# field it sets; the field's value at sweep value x given its base value, if not x)
+SWEEPS = {
+    "gamma": ((0.0, 2.0 * math.pi), "coupling", "gamma", None),
+    "phi_d": ((-MAX_TUNING_PHASE, MAX_TUNING_PHASE), "detector", "tuning_phase", None),
+    "phi_s": ((-MAX_TUNING_PHASE, MAX_TUNING_PHASE), "system", "tuning_phase", None),
+    "delta_s1": ((-1.0, 1.0), "system", "qpc1",
+                 lambda x, q: qpc_from_transmission((1.0 + x) / 2.0, chi=q.chi, xi=q.xi)),
+    "sigma": ((0.0, math.pi), "coupling", "sigma", None),
+}
 
 _OPERATORS = {ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Add: operator.add,
               ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
@@ -106,10 +111,10 @@ class ScanSpec:
     quantities: tuple[str, ...]
 
     def __post_init__(self):
-        if self.parameter not in SWEEP_DOMAINS:
+        if self.parameter not in SWEEPS:
             raise ConfigError(
                 f"unknown sweep parameter {self.parameter!r}; "
-                f"choose from {', '.join(SWEEP_DOMAINS)}"
+                f"choose from {', '.join(SWEEPS)}"
             )
         if self.count < 2:
             raise ConfigError("sweep needs at least 2 grid points")
@@ -121,10 +126,18 @@ class ScanSpec:
 def check_sweep_domain(parameter: str, minimum: float, maximum: float) -> None:
     """Raise ``ConfigError`` unless ``[minimum, maximum]`` lies in the
     domain of the sweepable ``parameter``."""
-    lo, hi = SWEEP_DOMAINS[parameter]
+    lo, hi = SWEEPS[parameter][0]
     if minimum < lo or maximum > hi:
         raise ConfigError(f"sweep range [{minimum}, {maximum}] outside the valid "
                           f"domain [{lo}, {hi}] of {parameter}")
+
+
+def swept(config: ExperimentConfig, parameter: str, values) -> ExperimentConfig:
+    """``config`` with the field that ``parameter`` sweeps at ``values``, a point or an array."""
+    _, section, name, value_at = SWEEPS[parameter]
+    part = getattr(config, section)
+    value = values if value_at is None else value_at(values, getattr(part, name))
+    return replace(config, **{section: replace(part, **{name: value})})
 
 
 _REQUIRED = object()
@@ -258,6 +271,6 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return load_config_text(text)

@@ -41,27 +41,46 @@ treated as divergent and :class:`AmbiguousMeasurementError` is raised."""
 _EFFICIENCY_TOL = 1e-9
 
 
+def _all(ok) -> bool:
+    """``ok`` at every point; a Python bool (one table) returns at once."""
+    return ok if ok is True or ok is False else bool(np.all(ok))
+
+
 def _freeze(obj, kind) -> None:
-    """Store both diagonals of ``obj`` as ``(L^s, U^s)`` pairs of ``kind``."""
+    """Store both diagonals of ``obj`` as ``(L^s, U^s)`` pairs: ``kind`` for
+    one table, read-only arrays of ``kind`` and of one shape for a stack."""
     for name in ("diag_d1", "diag_d2"):
         lower, upper = getattr(obj, name)
-        object.__setattr__(obj, name, (kind(lower), kind(upper)))
+        if isinstance(lower, np.ndarray) or isinstance(upper, np.ndarray):
+            lower, upper = (np.array(x, dtype=kind) for x in np.broadcast_arrays(lower, upper))
+            lower.flags.writeable = upper.flags.writeable = False
+        else:
+            lower, upper = kind(lower), kind(upper)
+        object.__setattr__(obj, name, (lower, upper))
 
 
-def _squared_moduli(diagonal: tuple[complex, complex]) -> tuple[float, float]:
-    return tuple(x.real**2 + x.imag**2 for x in diagonal)
+def _squared_moduli(diagonal):
+    # Python's ** on floats is C pow, and so is np.float_power, so a stack keeps
+    # one table's bits; numpy's ** multiplies, which differs in the last bit for
+    # about 1e-3 of the moduli.  On one table Python's ** is the cheaper.
+    return tuple(x.real**2 + x.imag**2 if isinstance(x, complex)
+                 else np.float_power(x.real, 2) + np.float_power(x.imag, 2) for x in diagonal)
 
 
 def _complete(e_d1, e_d2) -> bool:
     """``E_D1 + E_D2 = identity`` to 1e-12 entrywise; false for NaN or inf."""
-    return all(abs(a + b - 1.0) <= 1e-12 for a, b in zip(e_d1, e_d2))
+    return all(_all(abs(a + b - 1.0) <= 1e-12) for a, b in zip(e_d1, e_d2))
+
+
+def _matrices(diagonal) -> np.ndarray:
+    """Diagonal 2x2 matrices, shape ``stack + (2, 2)``, of a diagonal pair."""
+    return np.stack(diagonal, axis=-1)[..., np.newaxis] * np.eye(2)
 
 
 @dataclass(frozen=True)
 class MeasurementOperators:
-    """Kraus operators for absorption at the two detector drains.
-
-    ``M_D1^dagger M_D1 + M_D2^dagger M_D2 = identity`` to 1e-12.
+    """Kraus operators for absorption at the two detector drains, one pair
+    or a stack: ``M_D1^dagger M_D1 + M_D2^dagger M_D2 = identity`` to 1e-12.
     """
 
     diag_d1: tuple[complex, complex]
@@ -74,45 +93,46 @@ class MeasurementOperators:
 
     @property
     def m_d1(self) -> np.ndarray:
-        return np.diag(self.diag_d1)
+        return _matrices(self.diag_d1)
 
     @property
     def m_d2(self) -> np.ndarray:
-        return np.diag(self.diag_d2)
+        return _matrices(self.diag_d2)
 
 
-def measurement_operators(det: InterferometerConfig, gamma: float) -> MeasurementOperators:
+def measurement_operators(det: InterferometerConfig, gamma) -> MeasurementOperators:
     """Measurement operators ``M_D = diag(C[D, L^s], C[D, U^s])``.
 
     At ``gamma = 0`` both operators are proportional to the identity (a
     completely ambiguous measurement); ``gamma = pi`` perturbs the system
-    maximally.
+    maximally.  ``gamma`` and every field of ``det`` may be arrays.
     """
-    return MeasurementOperators(*detector_drain_amplitudes(det, gamma).tolist())
+    c = detector_drain_amplitudes(det, gamma)
+    return MeasurementOperators(*c.transpose(-2, -1, *range(c.ndim - 2)))
 
 
 @dataclass(frozen=True)
 class PovmPair:
-    """Probability operators of the two detector drains: positive
-    semidefinite and summing to the identity, both to 1e-12."""
+    """Probability operators of the two detector drains, one pair or a
+    stack: positive semidefinite and summing to the identity, both to 1e-12."""
 
     diag_d1: tuple[float, float]
     diag_d2: tuple[float, float]
 
     def __post_init__(self):
         _freeze(self, float)
-        if not min(*self.diag_d1, *self.diag_d2) >= -1e-12:
+        if not all(_all(x >= -1e-12) for x in (*self.diag_d1, *self.diag_d2)):
             raise ValueError("POVM elements are not positive semidefinite")
         if not _complete(self.diag_d1, self.diag_d2):
             raise ValueError("POVM elements do not sum to the identity")
 
     @property
     def e_d1(self) -> np.ndarray:
-        return np.diag(self.diag_d1)
+        return _matrices(self.diag_d1)
 
     @property
     def e_d2(self) -> np.ndarray:
-        return np.diag(self.diag_d2)
+        return _matrices(self.diag_d2)
 
 
 def povm_pair(m: MeasurementOperators) -> PovmPair:
@@ -120,10 +140,14 @@ def povm_pair(m: MeasurementOperators) -> PovmPair:
     return PovmPair(_squared_moduli(m.diag_d1), _squared_moduli(m.diag_d2))
 
 
-def povm_expectation(povm: PovmPair, state: np.ndarray) -> tuple[float, float]:
-    """Drain probabilities ``<state| E_D |state> = E_D . |state|^2``."""
+def povm_expectation(povm: PovmPair, state: np.ndarray) -> tuple:
+    """Drain probabilities ``<state| E_D |state> = E_D . |state|^2``; a stack
+    of POVMs and a stack of states ``(..., 2)`` broadcast together."""
     weights = np.abs(np.asarray(state, dtype=complex)) ** 2
-    return float(np.dot(povm.diag_d1, weights)), float(np.dot(povm.diag_d2, weights))
+    drains = (povm.diag_d1, povm.diag_d2)
+    if weights.ndim == 1 and not isinstance(povm.diag_d1[0], np.ndarray):  # vecdot has np.dot's bits
+        return tuple(np.vecdot(drains, weights).tolist())
+    return tuple(np.vecdot(np.stack(diagonal, axis=-1), weights) for diagonal in drains)
 
 
 def decompose_observable(a: np.ndarray) -> np.ndarray:
@@ -159,16 +183,21 @@ def contextual_values(obs: ObservableCoefficients, p: DetectorParams) -> Context
     ``alpha_D1 = a0 - (a3/Gamma)(beta_minus/V + Delta)`` and
     ``alpha_D2 = a0 + (a3/Gamma)(beta_plus/V - Delta)``: imperfect
     correlation (|Gamma| < 1) or inefficiency (V < 1) amplify the weights,
-    and ``beta_(+/-)`` counterbalance the drain background bias.
+    and ``beta_(+/-)`` counterbalance the drain background bias.  The
+    fields of ``p`` may be arrays.
 
     Raises
     ------
     AmbiguousMeasurementError
-        When ``|V * Gamma| <= DIVERGENCE_THRESHOLD``; the measurement carries
-        no which-path information and the weights would diverge.
+        When ``|V * Gamma| <= DIVERGENCE_THRESHOLD`` at any point, the first
+        of which it reports; the measurement carries no which-path
+        information and the weights would diverge.
     """
     v, g = p.visibility, p.Gamma
-    if abs(v * g) <= DIVERGENCE_THRESHOLD:
+    informative = abs(v * g) > DIVERGENCE_THRESHOLD
+    if not _all(informative):
+        point = np.argmin(informative)  # the first ambiguous point of a stack
+        v, g = (float(np.broadcast_to(x, np.shape(informative)).flat[point]) for x in (v, g))
         raise AmbiguousMeasurementError(v, g, DIVERGENCE_THRESHOLD)
     return ContextualValues(*_weights(obs, p))
 
@@ -182,13 +211,13 @@ def _weights(obs: ObservableCoefficients, p) -> tuple:
     )
 
 
-def reconstruct_average(cv: ContextualValues, p_d1: float, p_d2: float) -> float:
-    """Observable average ``alpha_D1 P_D1 + alpha_D2 P_D2``.
+def reconstruct_average(cv: ContextualValues, p_d1, p_d2):
+    """Observable average ``alpha_D1 P_D1 + alpha_D2 P_D2``, per point for arrays.
 
     With drain probabilities from the scattering pipeline this equals
     ``a0 + a3 * delta1_s`` exactly.
     """
-    if not abs(p_d1 + p_d2 - 1.0) <= 1e-9:
+    if not _all(abs(p_d1 + p_d2 - 1.0) <= 1e-9):
         raise ValueError("drain probabilities must sum to 1")
     return cv.alpha_d1 * p_d1 + cv.alpha_d2 * p_d2
 
@@ -223,12 +252,8 @@ class EfficientFactorization:
 
     def reconstruct(self) -> tuple[np.ndarray, np.ndarray]:
         """Measurement operators rebuilt from the factors."""
-        ph1 = cmath.exp(1j * self.dropped_phases[0])
-        ph2 = cmath.exp(1j * self.dropped_phases[1])
-        return (
-            ph1 * self.disturbance_unitary @ self.root_d1,
-            ph2 * self.disturbance_unitary @ self.root_d2,
-        )
+        return tuple(cmath.exp(1j * phase) * self.disturbance_unitary @ root
+                     for phase, root in zip(self.dropped_phases, (self.root_d1, self.root_d2)))
 
 
 def efficient_factorization(det: InterferometerConfig, gamma: float) -> EfficientFactorization:

@@ -1,25 +1,20 @@
 """Exact two-excitation scattering: amplitudes, probabilities, currents, noise.
 
-Basis conventions (fixed; tests match terms against them):
-
-* ``ArmState`` amplitudes live on ``(L^d L^s, U^d U^s, U^d L^s, L^d U^s)``,
-  the joint occupations of the lower/upper arms of detector and system
-  just before the second pair of QPCs.
-* ``JointAmplitudes`` and ``JointStatistics`` hold 2x2 tables indexed
-  ``[..., detector drain, system drain]`` with drain order ``(D1, D2)`` x
-  ``(S1, S2)``; leading axes, if any, are sweep axes.
+Basis convention (fixed; tests match terms against it): ``JointAmplitudes``
+and ``JointStatistics`` hold 2x2 tables indexed ``[..., detector drain,
+system drain]`` with drain order ``(D1, D2)`` x ``(S1, S2)``; leading axes,
+if any, are sweep axes.
 
 All amplitudes come from one single-interferometer pair: the state
 ``(t1 e^{i phi}, r1)`` after a first QPC, scattered as ``state @
 qpc_unitary(qpc2)``.  The joint table is ``c = C_d(gamma) diag(psi_s) U_s``:
 the detector drain amplitudes per system arm, the system's first-QPC state
 (:func:`detector_drain_amplitudes`, :func:`reduced_system_state`) and its
-second QPC.  A sweep is one experiment with an array-valued field: the
-coupling phase, the tuning phases and both first QPCs broadcast, and
-:func:`joint_amplitudes`, :func:`joint_statistics` and
-:func:`cross_noise_power` act on the whole stack of tables at once.
-:func:`joint_probability_table` is an independent closed form for the same
-statistics on scalar configs and shares no code with the amplitudes.
+second QPC.  A sweep is one experiment with array-valued fields: ``gamma``
+and every field of both interferometers, second QPCs included, broadcast
+together through every function here.  :func:`joint_probability_table` is
+an independent closed form for the same statistics and shares no code with
+the amplitudes.
 
 The first-QPC scattering phases enter only through the composite tuning
 phases, so the amplitudes below carry bare ``t1``/``r1`` moduli; the
@@ -30,8 +25,6 @@ throughout; it is provably unobservable.
 
 from __future__ import annotations
 
-import cmath
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -44,31 +37,39 @@ ELEMENTARY_CHARGE = 1.602176634e-19  # C
 PLANCK_CONSTANT = 6.62607015e-34  # J s
 BOLTZMANN_CONSTANT = 1.380649e-23  # J / K
 
-ARM_BASIS = ("LdLs", "UdUs", "UdLs", "LdUs")
-
 _NORMALIZATION_GATE = 1e-9
 _COUPLED_ARM = np.array([0.0, 1.0])  # coupling phase per system arm (L, U), in units of gamma
 
 
 def qpc_unitary(q: QpcSetting) -> np.ndarray:
-    """2x2 unitary scattering matrix of one QPC.
+    """Unitary scattering matrix of one QPC, shape ``broadcast + (2, 2)``.
 
-    Rows are input arms, columns output arms, entries
-    ``[[e^{i chi} t, e^{i xi} r], [e^{i chi} r, e^{i xi} t]]`` with
-    ``t = sqrt(T)`` and ``r = i sqrt(R)``.
+    Rows are input arms, columns output arms, entries ``[[e^{i chi} t, e^{i xi} r],
+    [e^{i chi} r, e^{i xi} t]]`` with ``t = sqrt(T)`` and ``r = i sqrt(R)``.  Every
+    field of ``q`` may be an array; one contact is built unstacked, to stay cheap.
     """
-    t = math.sqrt(q.transmission)
-    r = 1j * math.sqrt(q.reflection)
-    ec = cmath.exp(1j * q.chi)
-    ex = cmath.exp(1j * q.xi)
-    return np.array([[ec * t, ex * r], [ec * r, ex * t]])
+    t, r = np.sqrt(q.transmission), 1j * np.sqrt(q.reflection)
+    ec, ex = np.exp(1j * q.chi), np.exp(1j * q.xi)
+    u = ((ec * t, ex * r), (ec * r, ex * t))
+    if isinstance(u[0][0], complex) and isinstance(u[0][1], complex):  # numpy scalars, not arrays
+        return np.array(u)
+    entries = np.broadcast_arrays(*u[0], *u[1])
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
 
 
 def _scatter(states: np.ndarray, q: QpcSetting) -> np.ndarray:
-    """``states @ qpc_unitary(q)`` for a stack of row states, as one
-    ``(n, 2) @ (2, 2)`` product: one BLAS call for the whole stack, not one
-    per 2x2 table, with the same bits."""
-    return (states.reshape(-1, 2) @ qpc_unitary(q)).reshape(states.shape)
+    """``states @ qpc_unitary(q)`` for a stack of row states.
+
+    One contact scatters the whole stack as one ``(n, 2) @ (2, 2)`` BLAS
+    call; only a stacked contact takes the stacked product ``states @ u``,
+    which gives, point for point, the one-contact call's bits.  For 1001
+    tables the stacked product took 449 µs against 35 µs for the one BLAS
+    call; an elementwise product took 68 µs, and neither had its bits.
+    """
+    u = qpc_unitary(q)
+    if u.ndim == 2:
+        return (states.reshape(-1, 2) @ u).reshape(states.shape)
+    return states @ u
 
 
 def _first_qpc_state(transmission, reflection, phase) -> np.ndarray:
@@ -93,45 +94,13 @@ def detector_drain_amplitudes(det: InterferometerConfig, gamma) -> np.ndarray:
     """Detector scattering amplitudes ``C[..., drain, system arm]``.
 
     ``C[D, U^s]`` differs from ``C[D, L^s]`` only by the extra coupling
-    phase ``gamma`` on the transmitted detector path.  Every input but the
-    second QPC may be an array; each gets a trailing system-arm axis.
+    phase ``gamma`` on the transmitted detector path.  Every input may be an
+    array; all but the second QPC get a trailing system-arm axis.
     """
     arm, q1 = (..., np.newaxis), det.qpc1
     phases = np.asarray(det.tuning_phase)[arm] + np.asarray(gamma)[arm] * _COUPLED_ARM
     states = _first_qpc_state(np.asarray(q1.transmission)[arm], np.asarray(q1.reflection)[arm], phases)
     return _scatter(states, det.qpc2).swapaxes(-1, -2)
-
-
-@dataclass(frozen=True)
-class ArmState:
-    """Joint two-path state on the basis ``ARM_BASIS``."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (4,) or not np.all(np.isfinite(amps.real) & np.isfinite(amps.imag)):
-            raise ValueError("arm state needs 4 finite complex amplitudes")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-
-def arm_state(det: InterferometerConfig, sys: InterferometerConfig, gamma: float) -> ArmState:
-    """Joint state after the first QPCs and the coupling region.
-
-    The ``L^d U^s`` co-occupation amplitude carries the extra coupling
-    phase ``gamma``; the tuning phases enter as ``e^{i phi}`` on the
-    lower-arm (transmitted) amplitudes.
-    """
-    phases = det.tuning_phase + gamma * _COUPLED_ARM
-    detector = _first_qpc_state(det.qpc1.transmission, det.qpc1.reflection, phases)
-    system = _first_qpc_state(sys.qpc1.transmission, sys.qpc1.reflection, sys.tuning_phase)
-    joint = detector * system[:, np.newaxis]  # [system arm, detector arm]
-    return ArmState(joint[[0, 1, 0, 1], [0, 1, 1, 0]])
 
 
 def concurrence(det_qpc1: QpcSetting, sys_qpc1: QpcSetting, gamma):
@@ -168,8 +137,8 @@ def joint_amplitudes(det: InterferometerConfig, sys: InterferometerConfig, gamma
 
     ``c = C_d(gamma) diag(psi_s) U_s``: :func:`detector_drain_amplitudes`
     weighted by :func:`reduced_system_state` and scattered by the system's
-    second QPC.  ``gamma``, the tuning phases and both first QPCs may be
-    arrays and broadcast together; the second QPCs are scalars.
+    second QPC.  ``gamma`` and every field of both interferometers may be
+    arrays and broadcast together.
     """
     rows = detector_drain_amplitudes(det, gamma) * reduced_system_state(sys)[..., np.newaxis, :]
     return JointAmplitudes(_scatter(rows, sys.qpc2))
@@ -231,37 +200,28 @@ def joint_statistics(amps: JointAmplitudes) -> JointStatistics:
 def joint_probability_table(
     det: InterferometerConfig, sys: InterferometerConfig, gamma
 ) -> np.ndarray:
-    """Closed-form joint probability table ``A + B cos(gamma) + C sin(gamma)``
-    with the constant tables of :func:`_harmonic_tables`; ``gamma`` may be an
-    ndarray, and the result then has shape ``gamma.shape + (2, 2)``."""
-    return _harmonic(_harmonic_tables(det, sys), np.asarray(gamma, dtype=float))
-
-
-def _harmonic(tables: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """``A + B cos(gamma) + C sin(gamma)`` of ``tables = (A, B, C)``, each of
-    shape ``s``, at couplings ``gamma``: shape ``gamma.shape + s``.
-
-    The sums run with the couplings on the last axis, so every array
-    operation has a long inner loop; the result is a view with that axis
-    moved to the front.
-    """
-    a, b, c = (t[..., np.newaxis] for t in tables)
-    out = a + b * np.cos(gamma).ravel() + c * np.sin(gamma).ravel()
-    return np.moveaxis(out, -1, 0).reshape(gamma.shape + tables.shape[1:])
+    """Closed-form joint probability table ``A + B cos(gamma) + C sin(gamma)``,
+    shape ``broadcast + (2, 2)``, with the constant tables of
+    :func:`_harmonic_tables`; ``gamma`` and every config field may be arrays."""
+    a, b, c = _harmonic_tables(det, sys)
+    gamma = np.asarray(gamma, dtype=float)[..., np.newaxis, np.newaxis]
+    return a + b * np.cos(gamma) + c * np.sin(gamma)
 
 
 def _harmonic_tables(det: InterferometerConfig, sys: InterferometerConfig) -> np.ndarray:
-    """Constant tables ``(A, B, C)``, shape ``(3, 2, 2)``, of the joint
-    probability table ``P(g) = A + B cos g + C sin g`` at coupling ``g``.
+    """Constant tables ``(A, B, C)``, shape ``(3,) + broadcast + (2, 2)``, of
+    the joint probability table ``P(g) = A + B cos g + C sin g`` at coupling
+    ``g``; every field of both interferometers may be an array.
 
     The table is affine in the coupling terms ``sin(g/2) sin(g/2 + phase)``
     of the detector (``phase = phi_d``), the system (``-phi_s``) and the
     joint interference (``phi_d - phi_s``), and each term is
     ``(cos phase - cos g cos phase + sin g sin phase) / 2``.  Evaluating the
     closed form at the terms' three harmonic parts, with the constant part
-    of the table kept in ``A`` only, gives the three tables at once.
+    of the table kept in ``A`` only, gives the three tables at once.  One
+    scalar config keeps Python floats throughout.
     """
-    cos_d, cos_s = math.cos(det.tuning_phase), math.cos(sys.tuning_phase)
+    cos_d, cos_s = _plain(np.cos(det.tuning_phase)), _plain(np.cos(sys.tuning_phase))
     d1d, d2d = det.qpc1.delta, det.qpc2.delta
     d1s, d2s = sys.qpc1.delta, sys.qpc2.delta
     bdp, bdm = 1.0 + d1d * d2d, 1.0 - d1d * d2d
@@ -269,7 +229,7 @@ def _harmonic_tables(det: InterferometerConfig, sys: InterferometerConfig) -> np
     vd = det.qpc1.epsilon * det.qpc2.epsilon
     vs = sys.qpc1.epsilon * sys.qpc2.epsilon
 
-    def table(unit: float, gd: float, gs: float, gds: float) -> list[list[float]]:
+    def table(unit: float, gd, gs, gds) -> list:
         # the closed form at coupling terms gd, gs, gds, its coupling-free part times unit
         dd = unit * cos_d - gd
         ds = unit * cos_s - gs
@@ -284,10 +244,11 @@ def _harmonic_tables(det: InterferometerConfig, sys: InterferometerConfig) -> np
                  0.25 * (unit * (bdm * bsm) + vd * vs * dds + vd * det_minus + vs * sys_minus)]]
 
     phases = (det.tuning_phase, -sys.tuning_phase, det.tuning_phase - sys.tuning_phase)
-    half_cos = [math.cos(x) / 2.0 for x in phases]
-    half_sin = [math.sin(x) / 2.0 for x in phases]
-    return np.array([table(1.0, *half_cos), table(0.0, *(-x for x in half_cos)),
-                     table(0.0, *half_sin)])
+    half_cos = [_plain(np.cos(x)) / 2.0 for x in phases]
+    half_sin = [_plain(np.sin(x)) / 2.0 for x in phases]
+    tables = np.array([table(1.0, *half_cos), table(0.0, *(-x for x in half_cos)),
+                       table(0.0, *half_sin)])
+    return tables.transpose(0, *range(3, tables.ndim), 1, 2)  # sweep axes before the table's
 
 
 @dataclass(frozen=True)
@@ -341,15 +302,12 @@ def cross_noise_power(stats: JointStatistics, d: DetectorDrain, s: SystemDrain, 
 
 
 __all__ = [
-    "ARM_BASIS",
-    "ArmState",
     "BOLTZMANN_CONSTANT",
     "ELEMENTARY_CHARGE",
     "JointAmplitudes",
     "JointStatistics",
     "PLANCK_CONSTANT",
     "PhysicalBias",
-    "arm_state",
     "average_current",
     "concurrence",
     "cross_noise_power",

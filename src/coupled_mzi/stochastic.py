@@ -128,7 +128,8 @@ def averaged_detector_params(p: DetectorParams, model: CouplingModel) -> Detecto
 def averaged_joint_table(
     det: InterferometerConfig, sys: InterferometerConfig, model: CouplingModel
 ) -> np.ndarray:
-    """Joint drain table ``(2, 2)`` averaged over the coupling model.
+    """Joint drain table ``broadcast + (2, 2)`` averaged over the coupling
+    model; every field of the interferometers and of ``model`` may be an array.
 
     With ``P(g) = A + B cos g + C sin g`` and the raised cosine giving
     ``E[cos g'] = eta cos gamma``, ``E[sin g'] = eta sin gamma``, the average
@@ -136,8 +137,10 @@ def averaged_joint_table(
     unpaired emissions see ``g = 0``.
     """
     a, b, c = _harmonic_tables(det, sys)
-    eta, p = damping_eta(model.sigma), model.pair_probability
-    paired = a + eta * (b * math.cos(model.gamma) + c * math.sin(model.gamma))
+    fields = (np.cos(model.gamma), np.sin(model.gamma), damping_eta(model.sigma), model.pair_probability)
+    # arrays get table axes; scalars stay scalars, which keeps one table cheap
+    cos_g, sin_g, eta, p = (x[..., None, None] if isinstance(x, np.ndarray) else x for x in fields)
+    paired = a + eta * (b * cos_g + c * sin_g)
     return p * paired + (1.0 - p) * (a + b)
 
 

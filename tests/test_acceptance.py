@@ -45,7 +45,7 @@ from coupled_mzi import (
 from coupled_mzi.measurement import SIGMA_3
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from coupled_mzi.scattering import concurrence
-from conftest import balanced_mzi, random_mzi
+from conftest import balanced_mzi, random_mzi, random_stack, stacked_experiment
 
 OBS = ObservableCoefficients()
 
@@ -56,68 +56,53 @@ def report(criterion: int, label: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion} ({label}) failed: {detail}"
 
 
-def brute_force_concurrence(amplitudes: np.ndarray) -> float:
-    a_ll, a_uu, a_ul, a_lu = amplitudes
-    return float(2.0 * abs(a_ll * a_uu - a_lu * a_ul))
+def brute_force_concurrence(c: np.ndarray) -> np.ndarray:
+    """Two-qubit pure-state concurrence ``2 |c00 c11 - c01 c10|`` of joint
+    drain amplitude tables; the second QPCs are local unitaries, which leave
+    it unchanged."""
+    return 2.0 * np.abs(c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0])
 
 
 def test_criterion_01_dual_pipeline_equality():
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(10_000):
-        det, sysm = random_mzi(rng), random_mzi(rng)
-        gamma = rng.uniform(0.0, 2.0 * math.pi)
-        stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
-        povm = povm_pair(measurement_operators(det, gamma))
-        p1, p2 = povm_expectation(povm, reduced_system_state(sysm))
-        worst = max(
-            worst,
-            abs(stats.p_detector(DetectorDrain.D1) - p1),
-            abs(stats.p_detector(DetectorDrain.D2) - p2),
-        )
+    det, sysm, gamma = stacked_experiment(random_stack(np.random.default_rng(101), 10_000))
+    stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
+    povm = povm_pair(measurement_operators(det, gamma))
+    p1, p2 = povm_expectation(povm, reduced_system_state(sysm))
+    worst = float(max(np.max(np.abs(stats.p_detector(DetectorDrain.D1) - p1)),
+                      np.max(np.abs(stats.p_detector(DetectorDrain.D2) - p2))))
     report(1, "dual-pipeline drain probability equality", worst < 1e-12,
            f"max |amplitude - POVM| = {worst:.3e} over 10^4 configs")
 
 
 def test_criterion_02_closed_form_probability_match():
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(10_000):
-        det, sysm = random_mzi(rng), random_mzi(rng)
-        gamma = rng.uniform(0.0, 2.0 * math.pi)
-        pipeline = joint_statistics(joint_amplitudes(det, sysm, gamma))
-        closed = JointStatistics(joint_probability_table(det, sysm, gamma))
-        worst = max(
-            worst,
-            float(np.max(np.abs(pipeline.joint - closed.joint))),
-            float(np.max(np.abs(pipeline.detector_marginals - closed.detector_marginals))),
-            float(np.max(np.abs(pipeline.system_marginals - closed.system_marginals))),
-        )
+    det, sysm, gamma = stacked_experiment(random_stack(np.random.default_rng(102), 10_000))
+    pipeline = joint_statistics(joint_amplitudes(det, sysm, gamma))
+    closed = JointStatistics(joint_probability_table(det, sysm, gamma))
+    worst = float(max(
+        np.max(np.abs(pipeline.joint - closed.joint)),
+        np.max(np.abs(pipeline.detector_marginals - closed.detector_marginals)),
+        np.max(np.abs(pipeline.system_marginals - closed.system_marginals)),
+    ))
     report(2, "explicit closed-form probability match", worst < 1e-12,
            f"max |pipeline - closed form| = {worst:.3e} over 10^4 configs")
 
 
 def test_criterion_03_contextual_value_identity():
-    rng = np.random.default_rng(103)
-    worst_matrix = 0.0
-    worst_average = 0.0
-    tested = 0
-    for _ in range(10_000):
-        det, sysm = random_mzi(rng), random_mzi(rng)
-        gamma = rng.uniform(0.0, 2.0 * math.pi)
-        p = detector_params(det, gamma)
-        if abs(p.visibility * p.Gamma) <= 1e-9:
-            continue
-        cv = contextual_values(OBS, p)
-        povm = povm_pair(measurement_operators(det, gamma))
-        residual = np.max(np.abs(cv.alpha_d1 * povm.e_d1 + cv.alpha_d2 * povm.e_d2 - SIGMA_3))
-        worst_matrix = max(worst_matrix, float(residual))
-        stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
-        value = reconstruct_average(
-            cv, stats.p_detector(DetectorDrain.D1), stats.p_detector(DetectorDrain.D2)
-        )
-        worst_average = max(worst_average, abs(value - sysm.qpc1.delta))
-        tested += 1
+    draws = random_stack(np.random.default_rng(103), 10_000)
+    det, _, gamma = stacked_experiment(draws)
+    p = detector_params(det, gamma)
+    det, sysm, gamma = stacked_experiment(draws[np.abs(p.visibility * p.Gamma) > 1e-9])
+    p = detector_params(det, gamma)
+    cv = contextual_values(OBS, p)
+    povm = povm_pair(measurement_operators(det, gamma))
+    alpha_d1, alpha_d2 = (a[:, np.newaxis, np.newaxis] for a in (cv.alpha_d1, cv.alpha_d2))
+    worst_matrix = float(np.max(np.abs(alpha_d1 * povm.e_d1 + alpha_d2 * povm.e_d2 - SIGMA_3)))
+    stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
+    value = reconstruct_average(
+        cv, stats.p_detector(DetectorDrain.D1), stats.p_detector(DetectorDrain.D2)
+    )
+    worst_average = float(np.max(np.abs(value - sysm.qpc1.delta)))
+    tested = gamma.size
     ok = worst_matrix < 1e-10 and worst_average < 1e-10 and tested > 9000
     report(3, "contextual-value operator identity and average", ok,
            f"matrix residual {worst_matrix:.3e}, average residual {worst_average:.3e}, "
@@ -189,16 +174,11 @@ def test_criterion_06_quantum_erasure_visibility():
 
 
 def test_criterion_07_concurrence_oracle():
-    rng = np.random.default_rng(107)
-    worst = 0.0
-    for _ in range(1000):
-        det, sysm = random_mzi(rng, t_lo=0.0, t_hi=1.0), random_mzi(rng, t_lo=0.0, t_hi=1.0)
-        gamma = rng.uniform(0.0, 2.0 * math.pi)
-        from coupled_mzi import arm_state
-
-        closed = concurrence(det.qpc1, sysm.qpc1, gamma)
-        brute = brute_force_concurrence(arm_state(det, sysm, gamma).amplitudes)
-        worst = max(worst, abs(closed - brute))
+    draws = random_stack(np.random.default_rng(107), 1000, t_lo=0.0, t_hi=1.0)
+    det, sysm, gamma = stacked_experiment(draws)
+    closed = concurrence(det.qpc1, sysm.qpc1, gamma)
+    brute = brute_force_concurrence(joint_amplitudes(det, sysm, gamma).c)
+    worst = float(np.max(np.abs(closed - brute)))
     q = qpc_from_transmission(0.5)
     maximal = concurrence(q, q, math.pi)
     ok = worst < 1e-10 and maximal == 1.0

@@ -14,7 +14,7 @@ from test_config import GOLDEN, mutated_configs
 
 from coupled_mzi import cli
 from coupled_mzi.cli import main
-from coupled_mzi.config import SWEEP_DOMAINS
+from coupled_mzi.config import SWEEPS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "unbalanced.conf"
@@ -617,6 +617,15 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, command, target):
     assert not (tmp_path / "missing").exists()
 
 
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.conf"
+    path.write_bytes(b"detector.qpc1.T = 0.5\xff\n")
+    code, out, err = run_cli(["validate-config", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: cannot read config {path}: 'utf-8' codec can't decode")
+
+
 STRONG = (CONFIGS / "strong_measurement.conf").read_text(encoding="utf-8")
 HUGE_PHASE = STRONG.replace("detector.phi = 0", "detector.phi = 5.916551538170299e+16")
 
@@ -647,7 +656,7 @@ def invocations(draw):
     command = draw(st.sampled_from(
         ["scan", "erasure", "montecarlo", "povm", "interaction-phase", "validate-config"]))
     if command in ("scan", "erasure"):
-        name = "phi_s" if command == "erasure" else draw(st.sampled_from(sorted(SWEEP_DOMAINS)))
+        name = "phi_s" if command == "erasure" else draw(st.sampled_from(sorted(SWEEPS)))
         sweep = f"{name}:{draw(bound_texts)}:{draw(bound_texts)}:{draw(st.integers(2, 64))}"
         argv = [command, "--sweep", sweep]
         if command == "scan":

@@ -24,7 +24,6 @@ NAN, INF = math.nan, math.inf
 
 
 INIT_FIELDS = {
-    "ArmState": ("amplitudes",),
     "ConditionalTable": ("p_detector_given_system", "p_system_given_detector"),
     "ContextualValues": ("alpha_d1", "alpha_d2"),
     "CouplingModel": ("gamma", "sigma", "pair_probability"),
@@ -71,6 +70,9 @@ def test_matrix_views_carry_the_diagonals(rng):
         gamma = rng.uniform(0, 2 * math.pi)
         m = measurement_operators(det, gamma)
         povm = povm_pair(m)
+        # one table keeps Python numbers; only a stack holds arrays
+        assert {type(x) for x in (*m.diag_d1, *m.diag_d2)} == {complex}
+        assert {type(x) for x in (*povm.diag_d1, *povm.diag_d2)} == {float}
         for diagonal, matrix in ((m.diag_d1, m.m_d1), (m.diag_d2, m.m_d2),
                                  (povm.diag_d1, povm.e_d1), (povm.diag_d2, povm.e_d2)):
             assert np.array_equal(matrix, np.diag(diagonal))

@@ -29,7 +29,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -41,9 +40,9 @@ from coupled_mzi import (
     detector_params,
     joint_probability_table,
     load_config,
-    qpc_from_transmission,
 )
 from coupled_mzi.cli import main
+from coupled_mzi.config import swept
 from coupled_mzi.scattering import ELEMENTARY_CHARGE, PLANCK_CONSTANT
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -132,19 +131,6 @@ def recapture(argv: list[str] | None = None) -> None:
 # ----------------------------------------------------------------- scales
 
 
-def _point(config, parameter: str, value: float):
-    """The experiment at one sweep value."""
-    if parameter in ("gamma", "sigma"):
-        return replace(config, coupling=replace(config.coupling, **{parameter: value}))
-    if parameter == "phi_d":
-        return replace(config, detector=replace(config.detector, tuning_phase=value))
-    if parameter == "phi_s":
-        return replace(config, system=replace(config.system, tuning_phase=value))
-    q = config.system.qpc1
-    qpc1 = qpc_from_transmission((1.0 + value) / 2.0, chi=q.chi, xi=q.xi)
-    return replace(config, system=replace(config.system, qpc1=qpc1))
-
-
 def _alpha_scale(point, damped: bool) -> float:
     p = detector_params(point.detector, point.coupling.gamma)
     if damped:
@@ -220,7 +206,7 @@ def difference(argv: list[str], code: int, out: str, want_code: int, golden: Pat
             return f"row {i} has {len(row)} cells, expected {len(want_row)}"
         value = float(want_row[0])
         problem = _compare(f"row {i} {parameter}", row[0], want_row[0], 1e-12 * max(1.0, abs(value)))
-        point = _point(config, parameter, value)
+        point = swept(config, parameter, value)
         for column, cell, want_cell in zip(want[0][1:], row[1:], want_row[1:]):
             problem = problem or _compare(f"row {i} {column}", cell, want_cell,
                                           1e-12 * scale(column, point))

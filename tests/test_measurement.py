@@ -200,6 +200,17 @@ class TestContextualValues:
         assert excinfo.value.visibility == 0.0
 
 
+    def test_stack_matches_points_and_reports_its_first_ambiguous_point(self):
+        gammas = np.array([math.pi, math.pi / 2, 1.0])
+        stack = contextual_values(OBS, detector_params(balanced_mzi(0.3), gammas))
+        for i, gamma in enumerate(gammas.tolist()):
+            point = contextual_values(OBS, detector_params(balanced_mzi(0.3), gamma))
+            assert (stack.alpha_d1[i], stack.alpha_d2[i]) == (point.alpha_d1, point.alpha_d2)
+        with pytest.raises(AmbiguousMeasurementError) as excinfo:
+            contextual_values(OBS, detector_params(balanced_mzi(0.3), np.array([math.pi, 0.0, 0.0])))
+        assert (excinfo.value.visibility, excinfo.value.correlation) == (1.0, 0.0)
+
+
 class TestReconstructAverage:
     def test_strong_point(self):
         cv = contextual_values(OBS, detector_params(balanced_mzi(0.0), math.pi))

@@ -12,14 +12,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from test_golden import _point
 
 from coupled_mzi import (
     AmbiguousMeasurementError,
+    CouplingModel,
     InterferometerConfig,
     ObservableCoefficients,
     PostSelectionImpossibleError,
     averaged_detector_params,
+    averaged_joint_table,
     concurrence,
     conditioned_average,
     contextual_values,
@@ -38,9 +39,11 @@ from coupled_mzi import (
     reduced_system_state,
 )
 from coupled_mzi.cli import _Grid, _table_csv
+from coupled_mzi.config import swept
 from coupled_mzi.measurement import SIGMA_0, SIGMA_3
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from coupled_mzi.scattering import ELEMENTARY_CHARGE, PLANCK_CONSTANT
+from conftest import mzi
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "unbalanced.conf"
 TWO_PI = 2.0 * math.pi
@@ -88,6 +91,46 @@ def test_array_amplitude_table_matches_closed_form(det, sysm, points):
         point_det = InterferometerConfig(det.qpc1, det.qpc2, pd)
         closed = joint_probability_table(point_det, point_sys, g)
         assert np.max(np.abs(np.abs(c[i]) ** 2 - closed)) <= 1e-12
+
+
+# one experiment: both QPCs of both interferometers as (T, chi, xi), the tuning
+# phases, and gamma, sigma and the pair probability of the coupling model
+experiment_fields = st.tuples(*2 * [transmissions, angles, angles, transmissions, angles, angles, angles],
+                              couplings, st.floats(0.0, math.pi), st.floats(0.0, 1.0))
+
+
+def _experiment(fields):
+    """Detector, system and coupling model of a point or, with array fields, a stack."""
+    return mzi(*fields[:7]), mzi(*fields[7:14]), CouplingModel(*fields[14:])
+
+
+def _stack_values(det, sysm, model) -> dict:
+    amps = joint_amplitudes(det, sysm, model.gamma)
+    m = measurement_operators(det, model.gamma)
+    povm = povm_pair(m)
+    return {
+        "joint_amplitudes": amps.c,
+        "joint_statistics": joint_statistics(amps).joint,
+        "measurement_operators": np.moveaxis([m.diag_d1, m.diag_d2], (0, 1), (-2, -1)),
+        "povm_pair": np.moveaxis([povm.diag_d1, povm.diag_d2], (0, 1), (-2, -1)),
+        "povm_expectation": np.moveaxis(povm_expectation(povm, reduced_system_state(sysm)), 0, -1),
+        "joint_probability_table": joint_probability_table(det, sysm, model.gamma),
+        "averaged_joint_table": averaged_joint_table(det, sysm, model),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(experiment_fields, min_size=1, max_size=8))
+# a POVM modulus whose C pow square and multiplied square differ in the last bit
+@example(points=[(0.0, 0.0, 0.0, 3.282977360150768e-123, 0.0, 1.0593358918616982, 0.0) + (0.0,) * 10])
+def test_stacked_experiment_matches_scalar_points_bit_for_bit(points):
+    """Every field an array: one stacked evaluation gives, point for point,
+    the bits of the scalar calls."""
+    stacked = _stack_values(*_experiment([np.array(column) for column in zip(*points)]))
+    for i, fields in enumerate(points):
+        for name, value in _stack_values(*_experiment(fields)).items():
+            assert stacked[name].shape == (len(points), *value.shape), name
+            assert np.array_equal(stacked[name][i], value), (name, fields)
 
 
 @settings(max_examples=100, deadline=None)
@@ -209,7 +252,7 @@ def test_array_experiment_matches_scalar_points(parameter):
     g = _Grid(config, parameter, grid)
     arrays = _public_values(g.det, g.sys, g.coupling, config.bias)
     for i, value in enumerate(grid.tolist()):
-        point = _point(config, parameter, value)
+        point = swept(config, parameter, value)
         scalar_values = _public_values(point.detector, point.system, point.coupling, point.bias)
         for name, scalars in scalar_values.items():
             for array, scalar in zip(arrays[name], scalars, strict=True):

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from coupled_mzi import (
-    ArmState,
     InterferometerConfig,
     JointAmplitudes,
     JointStatistics,
     PhysicalBias,
-    arm_state,
     average_current,
     concurrence,
     cross_noise_power,
@@ -49,15 +47,10 @@ def explicit_drain_amplitudes(det, sysm, gamma):
     return np.array([[c11, c12], [c21, c22]])
 
 
-def brute_force_concurrence(state: ArmState) -> float:
-    """Two-qubit pure-state concurrence 2 |a00 a11 - a01 a10|.
-
-    The arm basis is (LdLs, UdUs, UdLs, LdUs); reorder into the product
-    basis (LL, LU, UL, UU) before applying the formula.
-    """
-    a = state.amplitudes
-    a_ll, a_uu, a_ul, a_lu = a[0], a[1], a[2], a[3]
-    return float(2.0 * abs(a_ll * a_uu - a_lu * a_ul))
+def amplitude_concurrence(amps) -> np.ndarray:
+    """Concurrence ``2 |det c|`` of the joint drain amplitudes: the second
+    QPCs act as local unitaries, which leave the concurrence unchanged."""
+    return 2.0 * np.abs(np.linalg.det(amps.c))
 
 
 class TestQpcUnitary:
@@ -75,31 +68,6 @@ class TestQpcUnitary:
             q = qpc_from_transmission(rng.uniform(0, 1), chi=rng.uniform(0, 7), xi=rng.uniform(0, 7))
             u = qpc_unitary(q)
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
-
-
-class TestArmState:
-    def test_deterministic_paths(self):
-        q_open = qpc_from_transmission(1.0)
-        det = InterferometerConfig(q_open, qpc_from_transmission(0.5), 0.0)
-        sysm = InterferometerConfig(q_open, qpc_from_transmission(0.5), 0.0)
-        amps = arm_state(det, sysm, 1.3).amplitudes
-        assert abs(amps[0]) == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(amps[1:], 0.0)
-
-    def test_balanced_equal_moduli(self):
-        amps = arm_state(balanced_mzi(0.0), balanced_mzi(0.0), 0.0).amplitudes
-        assert np.allclose(np.abs(amps), 0.5, atol=1e-15)
-
-    def test_coupling_phase_on_ld_us(self):
-        # at gamma = pi the Ld Us amplitude flips sign relative to gamma = 0
-        amps = arm_state(balanced_mzi(0.0), balanced_mzi(0.0), math.pi).amplitudes
-        assert amps[3] == pytest.approx(-0.5 * 1j, abs=1e-15)
-        assert amps[0] == pytest.approx(0.5, abs=1e-15)
-
-    def test_normalized_random(self, rng):
-        for _ in range(200):
-            state = arm_state(random_mzi(rng), random_mzi(rng), rng.uniform(0, 2 * math.pi))
-            assert state.norm_squared == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConcurrence:
@@ -123,7 +91,7 @@ class TestConcurrence:
             det, sysm = random_mzi(rng), random_mzi(rng)
             gamma = rng.uniform(0, 2 * math.pi)
             closed = concurrence(det.qpc1, sysm.qpc1, gamma)
-            brute = brute_force_concurrence(arm_state(det, sysm, gamma))
+            brute = amplitude_concurrence(joint_amplitudes(det, sysm, gamma))
             assert closed == pytest.approx(brute, abs=1e-10)
 
 
