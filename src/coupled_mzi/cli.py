@@ -94,16 +94,15 @@ def _table_csv(header: list[str], table: np.ndarray) -> str:
 
 class _Grid:
     """One experiment over a whole sweep grid: the config with the swept
-    field set to the grid, built as one point of a sweep is, and the other
-    sweepable phases and widths broadcast to the grid's shape; plus the
-    statistics derived from it.  ``required`` collects, per drain, where a
-    column divides by that drain's marginal."""
+    field set to the grid, built as one point of a sweep is, and the
+    coupling phase and width broadcast to the grid's shape, which every
+    column then has; plus the statistics derived from it.  ``required``
+    collects, per drain, where a column divides by that drain's marginal."""
 
     def __init__(self, config: ExperimentConfig, parameter: str, grid: np.ndarray):
         self.config, self.required = config, {}
         at, full = swept(config, parameter, grid), partial(np.broadcast_to, shape=grid.shape)
-        self.det = replace(at.detector, tuning_phase=full(at.detector.tuning_phase))
-        self.sys = replace(at.system, tuning_phase=full(at.system.tuning_phase))
+        self.det, self.sys = at.detector, at.system
         self.coupling = replace(at.coupling, gamma=full(at.coupling.gamma), sigma=full(at.coupling.sigma))
 
     @cached_property

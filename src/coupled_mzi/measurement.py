@@ -43,7 +43,7 @@ _EFFICIENCY_TOL = 1e-9
 
 def _all(ok) -> bool:
     """``ok`` at every point; a Python bool (one table) returns at once."""
-    return ok if ok is True or ok is False else bool(np.all(ok))
+    return ok if ok is True or ok is False else bool(ok.all())
 
 
 def _freeze(obj, kind) -> None:
@@ -59,12 +59,11 @@ def _freeze(obj, kind) -> None:
         object.__setattr__(obj, name, (lower, upper))
 
 
-def _squared_moduli(diagonal):
-    # Python's ** on floats is C pow, and so is np.float_power, so a stack keeps
-    # one table's bits; numpy's ** multiplies, which differs in the last bit for
-    # about 1e-3 of the moduli.  On one table Python's ** is the cheaper.
-    return tuple(x.real**2 + x.imag**2 if isinstance(x, complex)
-                 else np.float_power(x.real, 2) + np.float_power(x.imag, 2) for x in diagonal)
+def _squared_moduli(diagonal) -> tuple:
+    # C pow, as Python's ** on floats: numpy's ** multiplies, which differs in
+    # the last bit for about 1e-3 of the moduli
+    z = np.asarray(diagonal)
+    return tuple(np.float_power(z.real, 2) + np.float_power(z.imag, 2))
 
 
 def _complete(e_d1, e_d2) -> bool:
@@ -144,10 +143,8 @@ def povm_expectation(povm: PovmPair, state: np.ndarray) -> tuple:
     """Drain probabilities ``<state| E_D |state> = E_D . |state|^2``; a stack
     of POVMs and a stack of states ``(..., 2)`` broadcast together."""
     weights = np.abs(np.asarray(state, dtype=complex)) ** 2
-    drains = (povm.diag_d1, povm.diag_d2)
-    if weights.ndim == 1 and not isinstance(povm.diag_d1[0], np.ndarray):  # vecdot has np.dot's bits
-        return tuple(np.vecdot(drains, weights).tolist())
-    return tuple(np.vecdot(np.stack(diagonal, axis=-1), weights) for diagonal in drains)
+    # axis 0 of the diagonals is the drain, axis 1 the path: vecdot has np.dot's bits
+    return tuple(np.vecdot(np.asarray((povm.diag_d1, povm.diag_d2)), weights, axes=[(1,), (-1,), ()]))
 
 
 def decompose_observable(a: np.ndarray) -> np.ndarray:
@@ -252,8 +249,12 @@ class EfficientFactorization:
 
     def reconstruct(self) -> tuple[np.ndarray, np.ndarray]:
         """Measurement operators rebuilt from the factors."""
-        return tuple(cmath.exp(1j * phase) * self.disturbance_unitary @ root
-                     for phase, root in zip(self.dropped_phases, (self.root_d1, self.root_d2)))
+        ph1 = cmath.exp(1j * self.dropped_phases[0])
+        ph2 = cmath.exp(1j * self.dropped_phases[1])
+        return (
+            ph1 * self.disturbance_unitary @ self.root_d1,
+            ph2 * self.disturbance_unitary @ self.root_d2,
+        )
 
 
 def efficient_factorization(det: InterferometerConfig, gamma: float) -> EfficientFactorization:

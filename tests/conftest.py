@@ -37,6 +37,12 @@ def stacked_experiment(draws: np.ndarray) -> tuple[InterferometerConfig, Interfe
     return mzi(*columns[:7]), mzi(*columns[7:14]), columns[14]
 
 
+def amplitude_concurrence(c: np.ndarray) -> np.ndarray:
+    """Concurrence ``2 |det c|`` of joint drain amplitude tables ``c``: the
+    second QPCs act as local unitaries, which leave the concurrence unchanged."""
+    return 2.0 * np.abs(np.linalg.det(c))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

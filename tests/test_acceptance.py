@@ -45,7 +45,7 @@ from coupled_mzi import (
 from coupled_mzi.measurement import SIGMA_3
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from coupled_mzi.scattering import concurrence
-from conftest import balanced_mzi, random_mzi, random_stack, stacked_experiment
+from conftest import amplitude_concurrence, balanced_mzi, random_mzi, random_stack, stacked_experiment
 
 OBS = ObservableCoefficients()
 
@@ -54,13 +54,6 @@ def report(criterion: int, label: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[acceptance {criterion:02d}] {label}: {status} ({detail})")
     assert ok, f"criterion {criterion} ({label}) failed: {detail}"
-
-
-def brute_force_concurrence(c: np.ndarray) -> np.ndarray:
-    """Two-qubit pure-state concurrence ``2 |c00 c11 - c01 c10|`` of joint
-    drain amplitude tables; the second QPCs are local unitaries, which leave
-    it unchanged."""
-    return 2.0 * np.abs(c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0])
 
 
 def test_criterion_01_dual_pipeline_equality():
@@ -177,7 +170,7 @@ def test_criterion_07_concurrence_oracle():
     draws = random_stack(np.random.default_rng(107), 1000, t_lo=0.0, t_hi=1.0)
     det, sysm, gamma = stacked_experiment(draws)
     closed = concurrence(det.qpc1, sysm.qpc1, gamma)
-    brute = brute_force_concurrence(joint_amplitudes(det, sysm, gamma).c)
+    brute = amplitude_concurrence(joint_amplitudes(det, sysm, gamma).c)
     worst = float(np.max(np.abs(closed - brute)))
     q = qpc_from_transmission(0.5)
     maximal = concurrence(q, q, math.pi)

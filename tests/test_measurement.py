@@ -8,6 +8,7 @@ from coupled_mzi import (
     ConditionalTable,
     ContextualValues,
     InterferometerConfig,
+    MeasurementOperators,
     ObservableCoefficients,
     contextual_estimate,
     contextual_values,
@@ -101,6 +102,13 @@ class TestPovm:
         for phi in (0.0, math.pi / 4, 3 * math.pi / 4, math.pi):
             povm = povm_pair(measurement_operators(balanced_mzi(phi), math.pi))
             assert np.max(np.abs(povm.e_d1 - 0.5 * (SIGMA_0 - SIGMA_3 * math.cos(phi)))) < 1e-12
+
+    def test_squares_with_c_pow(self):
+        """Each modulus is squared with C pow, as Python's ``**`` does, which
+        keeps the digits of the ``povm`` rows; a product differs here."""
+        x = 0.42672114373024106
+        povm = povm_pair(MeasurementOperators((x, 1.0), (math.sqrt(1.0 - x * x), 0.0)))
+        assert povm.diag_d1[0] == x**2 != x * x
 
     def test_subspace_restriction(self, rng):
         for _ in range(200):

@@ -20,7 +20,7 @@ from coupled_mzi import (
 )
 from coupled_mzi import scattering
 from coupled_mzi.params import DetectorDrain, SystemDrain
-from conftest import balanced_mzi, random_mzi
+from conftest import amplitude_concurrence, balanced_mzi, random_mzi
 
 
 def explicit_drain_amplitudes(det, sysm, gamma):
@@ -45,12 +45,6 @@ def explicit_drain_amplitudes(det, sysm, gamma):
     c22 = xi2d * xi2s * (r1d * t2d * r1s * t2s + t1d * r2d * r1s * t2s * eg
                          + r1d * t2d * t1s * r2s * es + t1d * r2d * t1s * r2s * eds)
     return np.array([[c11, c12], [c21, c22]])
-
-
-def amplitude_concurrence(amps) -> np.ndarray:
-    """Concurrence ``2 |det c|`` of the joint drain amplitudes: the second
-    QPCs act as local unitaries, which leave the concurrence unchanged."""
-    return 2.0 * np.abs(np.linalg.det(amps.c))
 
 
 class TestQpcUnitary:
@@ -91,7 +85,7 @@ class TestConcurrence:
             det, sysm = random_mzi(rng), random_mzi(rng)
             gamma = rng.uniform(0, 2 * math.pi)
             closed = concurrence(det.qpc1, sysm.qpc1, gamma)
-            brute = amplitude_concurrence(joint_amplitudes(det, sysm, gamma))
+            brute = amplitude_concurrence(joint_amplitudes(det, sysm, gamma).c)
             assert closed == pytest.approx(brute, abs=1e-10)
 
 
