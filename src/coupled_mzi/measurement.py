@@ -264,8 +264,13 @@ def efficient_factorization(det: InterferometerConfig, gamma: float) -> Efficien
     system independently of any information gain; the diagonal roots
     ``diag(sin(phi/2), sin((phi+gamma)/2))`` and ``diag(cos(phi/2),
     cos((phi+gamma)/2))`` perform the partial projection.  Requires both
-    detector QPCs balanced to 1e-9.
+    detector QPCs balanced to 1e-9.  It takes one configuration: ``gamma``
+    and the detector's fields are scalars, and arrays raise ``ValueError``.
     """
+    settings = (gamma, det.tuning_phase, *vars(det.qpc1).values(), *vars(det.qpc2).values())
+    if any(getattr(x, "ndim", 0) for x in settings):
+        raise ValueError("efficient_factorization takes one configuration: "
+                         "gamma and every detector field must be scalars")
     p = detector_params(det, gamma)
     if abs(p.visibility - 1.0) > _EFFICIENCY_TOL:
         raise ValueError(
@@ -300,7 +305,8 @@ def limit_contextual_values(
         pi; ``semiweak`` the small-gamma form exactly at ``phi_d = n pi``
         (pass the integer ``n``), where one drain stays projective.
     gamma, phi_d : float
-        Coupling phase and detector tuning phase, radians.
+        Coupling phase and detector tuning phase, radians: one
+        configuration, so arrays raise ``ValueError``.
 
     Returns
     -------
@@ -308,6 +314,9 @@ def limit_contextual_values(
     and semi-weak expressions are first-order forms whose error against
     the exact values vanishes as O(gamma) and O(gamma^2) respectively.
     """
+    if getattr(gamma, "ndim", 0) or getattr(phi_d, "ndim", 0):
+        raise ValueError("limit_contextual_values takes one configuration: "
+                         "gamma and phi_d must be scalars")
     if regime == "strong":
         if not abs(gamma - math.pi) <= 1e-9:
             raise ValueError("strong regime requires gamma = pi")

@@ -282,9 +282,10 @@ def _check_low_bias_regime(bias: PhysicalBias) -> None:
         )
 
 
-def average_current(probability: float, bias: PhysicalBias) -> float:
-    """Low-bias average drain current ``(e^2 V / h) * P`` in amperes."""
-    if not (0.0 <= probability <= 1.0):
+def average_current(probability, bias: PhysicalBias):
+    """Low-bias average drain current ``(e^2 V / h) * P`` in amperes;
+    ``probability`` may be an array."""
+    if not np.all((0.0 <= probability) & (probability <= 1.0)):
         raise ValueError(f"probability {probability} outside [0, 1]")
     _check_low_bias_regime(bias)
     return ELEMENTARY_CHARGE**2 * bias.bias_voltage / PLANCK_CONSTANT * probability

@@ -147,19 +147,19 @@ def averaged_joint_table(
 def _categories(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Codes by the right-side rule ``edge[k-1] <= u < edge[k]``.
 
-    ``probs`` is one flat joint table ``(4,)`` or one per uniform ``(m, 4)``;
-    ``edge`` is its cumulative sum, accumulated one column at a time.  A
-    ``u`` at or past the last edge (which rounding can leave below 1) goes
-    to the last category of nonzero probability, so no zero-probability
-    category is ever returned.
+    ``probs`` is one flat joint table ``(4,)``; ``edge`` is its cumulative
+    sum, accumulated one entry at a time, and only the three inner edges are
+    compared.  A ``u`` past them goes to the last category of nonzero
+    probability, also when rounding leaves the last edge below 1, so no
+    zero-probability category is ever returned.
     """
     codes = np.zeros(u.shape, dtype=np.uint8)
     edge = 0.0
-    for k in range(4):
-        edge = edge + probs[..., k]
+    for p in probs[:3].tolist():
+        edge = edge + p
         codes += edge <= u
-    last = 3 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
-    return np.minimum(codes, np.asarray(last, dtype=np.uint8))
+    last = 3 - int(np.argmax(probs[::-1] > 0.0))  # a Python int keeps the codes uint8
+    return np.minimum(codes, last)
 
 
 def sample_events(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
@@ -168,13 +168,15 @@ def sample_events(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
     Returns ``uint8`` codes ``2 d + s``; event ``i`` uses uniform double
     ``i`` of the seed's stream, so the sequence is a pure function of ``seed``.
     """
-    flat = stats.joint.reshape(4)  # one table: a stack of them raises ValueError here
+    if stats.joint.shape != (2, 2):
+        raise ValueError("sample_events draws from one joint table, "
+                         f"got a stack of shape {stats.joint.shape}")
     if n < 1:
         raise ValueError("n must be at least 1")
     seed = int(seed)
     if not (0 <= seed < 2**64):
         raise ValueError("seed must be a 64-bit unsigned integer")
-    rng = Generator(Philox(key=seed))
+    rng, flat = Generator(Philox(key=seed)), stats.joint.ravel()
     codes = np.empty(n, dtype=np.uint8)
     for start in range(0, n, _CHUNK):
         count = min(_CHUNK, n - start)

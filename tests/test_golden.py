@@ -83,6 +83,9 @@ def cases() -> dict[str, list[str]]:
                                   "--quantities", "cond_avg_S1,cond_avg_S2"],
         "readme_eta_sigma": ["scan", "--config", ambiguous, "--sweep", "sigma:0:pi:101",
                              "--quantities", "eta"],
+        "readme_erasure_ambiguous": ["erasure", "--config", ambiguous, "--sweep", "phi_s:0:2*pi:201"],
+        "readme_povm_strong": ["povm", "--config", strong],
+        "readme_povm_unbalanced_detector": ["povm", "--config", "configs/unbalanced_detector.conf"],
     }
     for group, names in GROUPS.items():
         for parameter, bounds in RANGES.items():

@@ -319,6 +319,10 @@ class TestEfficientFactorization:
         with pytest.raises(ValueError, match="visibility"):
             efficient_factorization(det, 1.0)
 
+    def test_one_configuration(self):
+        with pytest.raises(ValueError, match="one configuration"):
+            efficient_factorization(balanced_mzi(0.0), np.array([1.0, 2.0]))
+
 
 class TestLimitForms:
     def test_strong_values(self):
@@ -387,6 +391,11 @@ class TestLimitForms:
     def test_unknown_regime(self):
         with pytest.raises(ValueError, match="regime"):
             limit_contextual_values("medium", 1.0, 1.0)
+
+    @pytest.mark.parametrize("gamma, phi_d", [(np.array([0.1, 0.2]), 0.3), (0.1, np.array([0.3, 0.4]))])
+    def test_one_configuration(self, gamma, phi_d):
+        with pytest.raises(ValueError, match="one configuration"):
+            limit_contextual_values("weak", gamma, phi_d)
 
 
 NAN, INF = math.nan, math.inf

@@ -5,6 +5,8 @@ import math
 import struct
 import sys
 from dataclasses import astuple, replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,8 @@ from coupled_mzi import (
     qpc_from_transmission,
     reduced_system_state,
 )
-from coupled_mzi.cli import _Grid, _table_csv
+from coupled_mzi import cli
+from coupled_mzi.cli import _MAX_EXPONENT, _VECTOR_CELLS, _Grid, _table_csv, _vector_rows
 from coupled_mzi.config import swept
 from coupled_mzi.measurement import SIGMA_0, SIGMA_3
 from coupled_mzi.params import DetectorDrain, SystemDrain
@@ -280,6 +283,7 @@ grid_tables = hnp.arrays(
 @given(table=grid_tables)
 @example(table=np.array([EDGE_CELLS]))
 @example(table=np.array(EDGE_CELLS)[:, None])
+@example(table=np.tile(EDGE_CELLS + [0.1, -2.5e-5, 123.456, 1e17, 9.999999999999999e98], (16, 1)))
 def test_grid_writer_matches_per_cell_rule(table):
     """The row-template grid writer gives the bytes of the per-cell rule:
     ``inf-ambiguous`` for a NaN of any sign or payload, else ``.17g``."""
@@ -288,3 +292,80 @@ def test_grid_writer_matches_per_cell_rule(table):
              for row in table.tolist()]
     expected = "\n".join(",".join(row) for row in [header, *cells]) + "\n"
     assert _table_csv(header, table) == expected
+
+
+def _per_cell_rows(table: np.ndarray) -> str:
+    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in table.tolist())
+
+
+# values spread over the decades of the vector writer, either sign
+decades = st.builds(lambda m, k: m * 10.0**k,
+                    st.floats(-10.0, 10.0), st.integers(-_MAX_EXPONENT, _MAX_EXPONENT))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 20), st.integers(1, 8)),
+    elements=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_CELLS) | decades,
+))
+@example(table=np.array([EDGE_CELLS]))
+def test_vector_writer_matches_per_cell_rule(table):
+    """The vector writer, called at any table size, gives ``"%.17g" % x``."""
+    assert _vector_rows(table) == _per_cell_rows(table)
+
+
+def _powers_of_ten() -> list[float]:
+    """``10.0**k``, the double nearest to ``10**k``, and the neighbours of both,
+    for every exponent of the vector writer."""
+    cells = set()
+    for k in range(-_MAX_EXPONENT, _MAX_EXPONENT + 1):
+        for x in (10.0**k, float(f"1e{k}")):
+            cells.update((x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)))
+    return sorted(cells)
+
+
+def _ties() -> list[float]:
+    """Doubles whose exact decimal has 18 significant digits, the last a 5:
+    odd multiples of ``2**(k - 17)`` in the decade ``[10**k, 10**(k+1))``."""
+    cells = []
+    for k in range(-8, 16):
+        lowest = math.ceil(Fraction(10) ** k * 2 ** (17 - k))
+        highest = math.ceil(Fraction(10) ** (k + 1) * 2 ** (17 - k)) - 1
+        for m in {lowest, lowest + 1, lowest + 2, lowest + 3, (lowest + highest) // 2,
+                  (lowest + highest) // 2 + 1, highest - 1, highest}:
+            if m % 2 and lowest <= m <= highest and m < 2**53:
+                cells.append(math.ldexp(m, k - 17))
+    return cells
+
+
+def test_vector_writer_at_powers_of_ten_ties_and_carries():
+    """Cells next to a decade boundary, exact ties and roundings that carry
+    into the next decade print as the per-cell rule does."""
+    ties = _ties()
+    assert {math.floor(math.log10(x)) for x in ties} == set(range(-8, 16))
+    for x in ties:
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, x
+    # each is the double nearest to 10**k, below it and within half a unit
+    # of the 17th digit, so its 17 digits round up to the next decade
+    carries = [1e-79, 1e-78, 1e-73, 1e-70, 1e-14, 1e98]
+    for x in carries:
+        assert Fraction(x) < Fraction(10) ** round(math.log10(x)) and "%.17g" % x == f"{x:g}"
+    table = _boundary_table(_powers_of_ten() + ties + carries)
+    assert table.size >= _VECTOR_CELLS
+    assert _vector_rows(table) == _per_cell_rows(table)
+    assert _table_csv(["c"] * 8, table).split("\n", 1)[1] == _per_cell_rows(table)
+
+
+def _boundary_table(cells: list[float]) -> np.ndarray:
+    cells = np.concatenate([cells, np.negative(cells)])
+    return np.resize(cells, (-(-cells.size // 8), 8))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_vector_writer_joins_blocks_of_rows(block, monkeypatch):
+    """A table of many blocks, one narrower than a row included, gives the
+    bytes of one block."""
+    table = _boundary_table(_powers_of_ten()[::10] + [math.nan, 0.0, 1e300])
+    monkeypatch.setattr(cli, "_VECTOR_BLOCK", block)
+    assert _vector_rows(table) == _per_cell_rows(table)

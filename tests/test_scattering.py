@@ -245,6 +245,14 @@ class TestCurrentsAndNoise:
     def test_probability_range(self):
         with pytest.raises(ValueError):
             average_current(1.5, BIAS)
+        with pytest.raises(ValueError):
+            average_current(np.array([0.5, math.nan]), BIAS)
+
+    def test_array_probability_broadcasts(self):
+        probabilities = np.array([0.2, 0.5])
+        currents = average_current(probabilities, BIAS)
+        assert currents.shape == (2,)
+        assert currents.tolist() == [average_current(0.2, BIAS), average_current(0.5, BIAS)]
 
     @pytest.mark.parametrize("fermi_energy, temperature", [(0.0, 0.01), (-10e-3, 0.01), (10e-3, -0.02)])
     def test_bias_domain(self, fermi_energy, temperature):

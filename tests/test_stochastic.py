@@ -324,13 +324,13 @@ class TestCategoryRule:
 
     def test_never_returns_zero_probability(self):
         assert np.cumsum(self.ROWS[4])[-1] == 1.0 - 2.0**-53
-        for probs in self.ROWS:
+        for probs, last in zip(self.ROWS, [2, 3, 0, 2, 2, 3]):
             u = self.planted(probs)
-            single = stochastic._categories(u, probs)
-            per_row = stochastic._categories(u, np.tile(probs, (u.size, 1)))
-            assert single.dtype == per_row.dtype == np.uint8
-            assert np.array_equal(single, per_row)
-            assert np.all(probs[single] > 0.0)
+            codes = stochastic._categories(u, probs)
+            assert codes.dtype == np.uint8
+            assert np.all(probs[codes] > 0.0)
+            # the largest uniform goes to the last category of nonzero probability
+            assert codes[u == 1.0 - 2.0**-53].tolist() == [last]
 
     def test_right_side_rule(self):
         probs = self.ROWS[5]
@@ -338,11 +338,6 @@ class TestCategoryRule:
         u = np.concatenate([[0.0], edges[:3], np.nextafter(edges[:3], 0.0)])
         got = stochastic._categories(u, probs)
         assert got.tolist() == [0, 1, 2, 3, 0, 1, 2]
-
-    def test_mixed_rows(self):
-        u = np.full(len(self.ROWS), 1.0 - 2.0**-53)
-        got = stochastic._categories(u, self.ROWS)
-        assert got.tolist() == [2, 3, 0, 2, 2, 3]
 
 
 class TestSampleEvents:
@@ -401,7 +396,7 @@ class TestSampleEvents:
         assert np.array_equal(sample_events(stats, 10_001, seed=99), canonical)
 
     def test_stack_of_tables_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"one joint table, got a stack of shape \(3, 2, 2\)"):
             sample_events(JointStatistics(np.full((3, 2, 2), 0.25)), 10, seed=1)
 
     def test_seed_validation(self):
