@@ -3,16 +3,15 @@
 One chiral interferometer acts as a generalized which-path detector for a
 second one through a tunable interaction phase.  The package computes the
 exact joint scattering statistics, the induced POVM and its contextual
-values, conditioned averages including weak and semi-weak values, quantum
-erasure curves, fluctuation-damped measurements, and estimator error
-budgets; a CLI reproduces parameter sweeps as CSV.
+values, conditioned averages including weak and semi-weak values,
+fluctuation-damped measurements, and estimator error budgets; a CLI
+reproduces parameter sweeps and quantum-erasure fringes as CSV.
 """
 
 from .conditioning import (
-    ConditionalTable,
-    conditional_table,
     conditioned_average,
-    erasure_curve,
+    post_selected_average,
+    require_post_selection,
     semiweak_value,
     weak_value,
     xi_joint_interference,
@@ -39,15 +38,12 @@ from .measurement import (
     MeasurementOperators,
     PovmPair,
     contextual_values,
-    decompose_observable,
-    detector_drain_probabilities,
     efficient_factorization,
     limit_contextual_values,
     measurement_operators,
     povm_expectation,
     povm_pair,
     reconstruct_average,
-    system_drain_probabilities,
 )
 from .params import (
     CouplingModel,

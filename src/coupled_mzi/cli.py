@@ -30,7 +30,7 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 
-from .conditioning import _conditioned_average, _post_select
+from .conditioning import post_selected_average, require_post_selection
 from .config import (
     ExperimentConfig,
     ScanSpec,
@@ -48,6 +48,7 @@ from .errors import (
 from .interaction import coupling_phase, dynamical_phase
 from .measurement import (
     DIVERGENCE_THRESHOLD,
+    ContextualValues,
     _weights,
     contextual_values,
     measurement_operators,
@@ -293,9 +294,9 @@ class _Grid:
 
     def conditioned(self, s: SystemDrain) -> np.ndarray:
         # ambiguity first: an inf-ambiguous point needs no post-selection
-        alpha_d1, alpha_d2 = self.raw_alphas
-        p_s = self.given(s, where=~np.isnan(alpha_d1))
-        return _conditioned_average(alpha_d1, alpha_d2, self.stats.joint, p_s, s.value)
+        cv = ContextualValues(*self.raw_alphas)
+        self.given(s, where=~np.isnan(cv.alpha_d1))
+        return post_selected_average(cv, self.stats, s)
 
 
 def _alphas(observable, p) -> list[np.ndarray]:
@@ -344,7 +345,7 @@ def _evaluate(config: ExperimentConfig, parameter: str, grid: np.ndarray,
     g = _Grid(config, parameter, grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         columns = [_QUANTITIES[name](g) for name in names]
-    _post_select({
+    require_post_selection({
         drain: np.where(g.required[drain], g.marginal(drain), np.inf)
         for drain in (*_D, *_S) if drain in g.required
     })

@@ -1,4 +1,4 @@
-"""Conditional statistics: erasure curves, conditioned averages, weak values.
+"""Conditional statistics: post-selection, conditioned averages, weak values.
 
 Conditioned which-path averages are computed by weighting conditional
 detector probabilities with the contextual values,
@@ -7,19 +7,19 @@ truth here, and the closed-form joint-interference term below is verified
 against it rather than the other way around.  Conditioned averages may
 leave the eigenvalue range [-1, 1] (a quantum-interference signature) but
 are always bounded by the contextual values themselves.
+
+Every function takes one configuration or a stack: ``gamma`` and every
+field of the configurations may be arrays, which broadcast together, and
+one configuration gives Python numbers.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .errors import AmbiguousMeasurementError, PostSelectionImpossibleError
-from .measurement import DIVERGENCE_THRESHOLD, contextual_values
+from .measurement import DIVERGENCE_THRESHOLD, ContextualValues, contextual_values
 from .params import (
-    DetectorDrain,
     InterferometerConfig,
     ObservableCoefficients,
     SystemDrain,
@@ -32,41 +32,18 @@ from .scattering import JointStatistics, joint_amplitudes, joint_statistics
 _MARGINAL_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
-class ConditionalTable:
-    """Conditional drain probabilities in both directions.
-
-    ``p_detector_given_system[d, s] = P(D_d | S_s)`` and
-    ``p_system_given_detector[d, s] = P(S_s | D_d)``; each conditional
-    distribution sums to 1.
-    """
-
-    p_detector_given_system: np.ndarray
-    p_system_given_detector: np.ndarray
-
-    def __post_init__(self):
-        pd_s = np.asarray(self.p_detector_given_system, dtype=float)
-        ps_d = np.asarray(self.p_system_given_detector, dtype=float)
-        if pd_s.shape != (2, 2) or ps_d.shape != (2, 2):
-            raise ValueError("conditional tables must be 2x2")
-        if np.any(pd_s < -1e-12) or np.any(pd_s > 1 + 1e-12):
-            raise ValueError("conditional probabilities outside [0, 1]")
-        if np.any(ps_d < -1e-12) or np.any(ps_d > 1 + 1e-12):
-            raise ValueError("conditional probabilities outside [0, 1]")
-        if not np.max(np.abs(pd_s.sum(axis=0) - 1.0)) <= 1e-12:
-            raise ValueError("P(D|S) columns must sum to 1")
-        if not np.max(np.abs(ps_d.sum(axis=1) - 1.0)) <= 1e-12:
-            raise ValueError("P(S|D) rows must sum to 1")
-        pd_s.setflags(write=False)
-        ps_d.setflags(write=False)
-        object.__setattr__(self, "p_detector_given_system", pd_s)
-        object.__setattr__(self, "p_system_given_detector", ps_d)
+def _number(x, kind=float):
+    """``x`` made a Python ``kind`` when it is a scalar; arrays pass."""
+    return x if np.ndim(x) else kind(x)
 
 
-def _post_select(marginals: dict) -> None:
+def require_post_selection(marginals: dict) -> None:
     """Require every marginal, a scalar or an array over a grid (``inf``
-    where unchecked) keyed by drain in checking order, to exceed 1e-12;
-    the error names the first failing drain at the first failing point."""
+    where unchecked) keyed by drain in checking order, to exceed 1e-12.
+
+    Raises :class:`PostSelectionImpossibleError` naming the first failing
+    drain at the first failing point.
+    """
     drains = list(marginals)
     if not drains:
         return
@@ -78,52 +55,16 @@ def _post_select(marginals: dict) -> None:
         raise PostSelectionImpossibleError(drains[k].name, float(p[point, k]))
 
 
-def conditional_table(stats: JointStatistics) -> ConditionalTable:
-    """Both conditional probability tables from joint statistics.
-
-    Raises
-    ------
-    PostSelectionImpossibleError
-        If any drain marginal is numerically zero (below 1e-12), naming
-        the offending drain.
-    """
-    _post_select({d: stats.p_detector(d) for d in DetectorDrain}
-                 | {s: stats.p_system(s) for s in SystemDrain})
-    return ConditionalTable(
-        p_detector_given_system=stats.joint / stats.system_marginals[np.newaxis, :],
-        p_system_given_detector=stats.joint / stats.detector_marginals[:, np.newaxis],
-    )
+def post_selected_average(cv: ContextualValues, stats: JointStatistics, condition: SystemDrain):
+    """``sum_D alpha_D P(D | condition)``: the contextual values averaged
+    over the detector drains, given the system drain.  The contextual values
+    and the joint tables may be stacks; the post-selection is not checked
+    (see :func:`require_post_selection`)."""
+    joint, p_s, s = stats.joint, stats.p_system(condition), condition.value
+    return cv.alpha_d1 * (joint[..., 0, s] / p_s) + cv.alpha_d2 * (joint[..., 1, s] / p_s)
 
 
-def erasure_curve(
-    det: InterferometerConfig,
-    sys: InterferometerConfig,
-    phi_s_values,
-    gamma: float,
-    condition: DetectorDrain,
-) -> list[tuple[float, float]]:
-    """Conditional probability ``P(S1 | condition)`` along a system-phase sweep.
-
-    ``sys`` provides the system QPCs; the sweep replaces its tuning phase.
-    At strong coupling with fully visible interferometers the recovered
-    fringe has visibility ``|sin(phi_d)|`` and sits a quarter period away
-    from the uncoupled fringe; the unconditioned ``P(S1)`` stays flat.
-    Points are returned in input order.
-    """
-    phi_s = np.asarray(phi_s_values, dtype=float).ravel()
-    stats = joint_statistics(joint_amplitudes(det, replace(sys, tuning_phase=phi_s), gamma))
-    p_d = stats.p_detector(condition)
-    _post_select({condition: p_d})
-    p_s1_given = stats.joint[:, condition.value, SystemDrain.S1.value] / p_d
-    return list(zip(phi_s.tolist(), p_s1_given.tolist()))
-
-
-def _conditioned_average(alpha_d1, alpha_d2, joint, p_s, s: int):
-    """``sum_D alpha_D P(D | S)`` for system drain index ``s``; arrays broadcast."""
-    return alpha_d1 * (joint[..., 0, s] / p_s) + alpha_d2 * (joint[..., 1, s] / p_s)
-
-
-def xi_joint_interference(det: InterferometerConfig, sys: InterferometerConfig, gamma: float) -> float:
+def xi_joint_interference(det: InterferometerConfig, sys: InterferometerConfig, gamma):
     """Joint-interference contribution to the conditioned averages.
 
     Closed form ``Xi = Delta_ds - Delta_d Delta_s + Gamma_s (delta1_d
@@ -134,28 +75,31 @@ def xi_joint_interference(det: InterferometerConfig, sys: InterferometerConfig, 
     ``Gamma_d sin(gamma/2) cot(gamma/2 + phi_d) cos(gamma/2 - phi_s)``
     away from the cotangent poles.
 
-    Raises :class:`AmbiguousMeasurementError` when the detector carries no
-    interference (V_d at or below the divergence threshold); the term only
-    enters averages that are undefined there anyway.
+    Raises :class:`AmbiguousMeasurementError`, for the first such point,
+    when the detector carries no interference (V_d at or below the
+    divergence threshold); the term only enters averages that are undefined
+    there anyway.
     """
     dp = detector_params(det, gamma)
     sp = system_params(sys, gamma)
     jp = joint_interference_params(det.tuning_phase, sys.tuning_phase, gamma)
-    if dp.visibility <= DIVERGENCE_THRESHOLD:
-        raise AmbiguousMeasurementError(dp.visibility, dp.Gamma, DIVERGENCE_THRESHOLD)
+    v, g = np.broadcast_arrays(dp.visibility, dp.Gamma)
+    dark = np.flatnonzero(v <= DIVERGENCE_THRESHOLD)
+    if dark.size:
+        raise AmbiguousMeasurementError(float(v.flat[dark[0]]), float(g.flat[dark[0]]), DIVERGENCE_THRESHOLD)
     d1d, d2d = det.qpc1.delta, det.qpc2.delta
     eps1d = det.qpc1.epsilon
-    correction = sp.Gamma * (d1d * dp.Delta + d2d * eps1d**2 / dp.visibility)
+    correction = sp.Gamma * (d1d * dp.Delta + d2d * (eps1d * eps1d) / dp.visibility)
     return jp.Delta_ds - dp.Delta * sp.Delta + correction
 
 
 def conditioned_average(
     det: InterferometerConfig,
     sys: InterferometerConfig,
-    gamma: float,
+    gamma,
     condition: SystemDrain,
     obs: ObservableCoefficients = ObservableCoefficients(),
-) -> float:
+):
     """Conditioned average ``sum_D alpha_D P(D | condition)``.
 
     Computed through the full scattering pipeline; the closed form with
@@ -174,48 +118,56 @@ def conditioned_average(
     # the post-selection, and scans map it to a sentinel rather than a failure
     cv = contextual_values(obs, detector_params(det, gamma))
     stats = joint_statistics(joint_amplitudes(det, sys, gamma))
-    p_s = stats.p_system(condition)
-    _post_select({condition: p_s})
-    return float(_conditioned_average(cv.alpha_d1, cv.alpha_d2, stats.joint, p_s, condition.value))
+    require_post_selection({condition: stats.p_system(condition)})
+    return _number(post_selected_average(cv, stats, condition))
 
 
 def _zero_coupling(sys: InterferometerConfig, condition: SystemDrain):
     """``(t, delta1_s + t delta2_s, V_s, 1 + t (delta1_s delta2_s - V_s cos(phi_s)))``
-    with ``t = +1`` for S1 and -1 for S2; the last term, twice the
-    post-selection probability, must not vanish."""
+    with ``t = +1`` for S1 and -1 for S2; the last term is twice the
+    post-selection probability, which :func:`require_post_selection` checks."""
     t = 1.0 if condition is SystemDrain.S1 else -1.0
     d1, d2 = sys.qpc1.delta, sys.qpc2.delta
     v = sys.qpc1.epsilon * sys.qpc2.epsilon
-    denom = 1.0 + t * d1 * d2 - t * v * math.cos(sys.tuning_phase)
-    if abs(denom) <= _MARGINAL_THRESHOLD:
-        raise PostSelectionImpossibleError(condition.name, denom / 2.0)
+    denom = 1.0 + t * d1 * d2 - t * v * np.cos(sys.tuning_phase)
+    require_post_selection({condition: denom / 2.0})
     return t, d1 + t * d2, v, denom
 
 
-def weak_value(sys: InterferometerConfig, condition: SystemDrain) -> complex:
-    """Weak value of the which-path operator for one post-selection drain.
-
-    It is the zero-coupling limit of the conditioned average and does not
-    depend on the detector.
+def weak_value(sys: InterferometerConfig, condition: SystemDrain):
+    """Weak value ``A_w`` of the which-path operator for one post-selection drain.
 
     For S1: ``(delta1_s + delta2_s - i V_s sin(phi_s)) / (beta_plus - V_s
     cos(phi_s))``; for S2 the signs of ``delta2_s``, the interference
     terms, and the imaginary part flip, with ``beta_minus`` in the
     denominator.  The real part can exceed the eigenvalue range
     (anomalous amplification near a nearly-orthogonal post-selection).
+
+    ``Re A_w`` is the zero-coupling limit of the conditioned average only
+    when ``kappa_d = delta1_d cot(phi_d) + delta2_d epsilon1_d^2 / (V_d
+    sin(phi_d))`` vanishes, for example for a balanced detector; otherwise
+    the limit depends on the detector.  With detector ``T = (0.7, 0.5)`` at
+    ``phi_d = 1.0`` and system ``T = (0.7, 0.4)`` at ``phi_s = 1.1``, the
+    conditioned average on S1 at ``gamma = 1e-5`` is 0.791047 against
+    ``Re A_w = 0.390113``, and 0.390114 with a balanced detector.
     """
     t, numerator, v, denom = _zero_coupling(sys, condition)
-    return complex(numerator / denom, -t * v * math.sin(sys.tuning_phase) / denom)
+    return _number(numerator / denom + 1j * (-t * v * np.sin(sys.tuning_phase) / denom), complex)
 
 
-def semiweak_value(sys: InterferometerConfig, n: int, condition: SystemDrain) -> float:
+def semiweak_value(sys: InterferometerConfig, n, condition: SystemDrain):
     """Zero-coupling conditioned average at the critical tunings ``phi_d = n pi``.
 
     Unlike the weak value, system interference survives in the numerator:
     ``(delta1_s + delta2_s - (-1)^n V_s cos(phi_s)) / (beta_plus - V_s
     cos(phi_s))`` for S1 and the sign-flipped counterpart for S2.  At
     ``V_s = 0`` it coincides with the weak value.
+
+    For a balanced detector at odd ``n`` this form disagrees with the
+    pipeline: for system ``T = (0.8, 0.5)`` at ``phi_s = 0`` and
+    ``phi_d = pi`` it gives 7.0 on S1, where the conditioned average tends
+    to -1 (-0.999998 at ``gamma = 1e-3``), the ``n = 0`` value.
     """
-    sign = -1.0 if n % 2 else 1.0
+    sign = 1.0 - 2.0 * (n % 2)
     t, numerator, v, denom = _zero_coupling(sys, condition)
-    return (numerator - t * sign * v * math.cos(sys.tuning_phase)) / denom
+    return _number((numerator - t * sign * v * np.cos(sys.tuning_phase)) / denom)

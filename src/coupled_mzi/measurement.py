@@ -147,20 +147,6 @@ def povm_expectation(povm: PovmPair, state: np.ndarray) -> tuple:
     return tuple(np.vecdot(np.asarray((povm.diag_d1, povm.diag_d2)), weights, axes=[(1,), (-1,), ()]))
 
 
-def decompose_observable(a: np.ndarray) -> np.ndarray:
-    """Components ``a_mu = Tr[A sigma_mu] / 2`` of a Hermitian 2x2 operator.
-
-    The reconstruction ``sum_mu a_mu sigma_mu`` reproduces the input to
-    1e-12; non-Hermitian input beyond 1e-9 is rejected.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (2, 2):
-        raise ValueError("observable must be a 2x2 matrix")
-    if not np.max(np.abs(a - a.conj().T)) <= 1e-9:
-        raise ValueError("observable is not Hermitian")
-    return np.array([np.real(np.trace(a @ s)) / 2.0 for s in PAULI_BASIS])
-
-
 @dataclass(frozen=True)
 class ContextualValues:
     """Generalized eigenvalues assigned to the two detector drains.
@@ -217,20 +203,6 @@ def reconstruct_average(cv: ContextualValues, p_d1, p_d2):
     if not _all(abs(p_d1 + p_d2 - 1.0) <= 1e-9):
         raise ValueError("drain probabilities must sum to 1")
     return cv.alpha_d1 * p_d1 + cv.alpha_d2 * p_d2
-
-
-def detector_drain_probabilities(p: DetectorParams, delta_s1: float) -> tuple[float, float]:
-    """Closed-form detector drain probabilities for system path bias
-    ``delta_s1``: ``P_D1 = (beta_plus - V (Delta + delta_s1 Gamma)) / 2``."""
-    shift = p.visibility * (p.Delta + delta_s1 * p.Gamma)
-    return 0.5 * (p.beta_plus - shift), 0.5 * (p.beta_minus + shift)
-
-
-def system_drain_probabilities(p, delta_d1: float) -> tuple[float, float]:
-    """Closed-form system drain probabilities for detector path bias
-    ``delta_d1``: ``P_S1 = (beta_plus - V (Delta - delta_d1 Gamma)) / 2``."""
-    shift = p.visibility * (p.Delta - delta_d1 * p.Gamma)
-    return 0.5 * (p.beta_plus - shift), 0.5 * (p.beta_minus + shift)
 
 
 @dataclass(frozen=True)

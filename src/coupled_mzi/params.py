@@ -290,14 +290,14 @@ def system_params(sys: InterferometerConfig, gamma) -> SystemParams:
     return _bundle(SystemParams, sys, _coupling_term(gamma, -sys.tuning_phase))
 
 
-def joint_interference_params(phi_d: float, phi_s: float, gamma: float) -> JointInterferenceParams:
+def joint_interference_params(phi_d, phi_s, gamma) -> JointInterferenceParams:
     """Joint interference bundle for tuning phases ``phi_d``, ``phi_s``.
 
     ``Gamma_ds = sin(gamma/2) sin(gamma/2 + phi_d - phi_s)`` is the
     coupling-dependent part; at ``gamma = 0`` the joint interference
     reduces to the decoupled product ``cos(phi_d) cos(phi_s)`` and at
     ``gamma = pi`` it is maximally coupled,
-    ``Delta_ds = -sin(phi_d) sin(phi_s)``.
+    ``Delta_ds = -sin(phi_d) sin(phi_s)``.  The arguments may be arrays.
     """
-    big_gamma = float(_coupling_term(gamma, phi_d - phi_s))
-    return JointInterferenceParams(math.cos(phi_d) * math.cos(phi_s) - big_gamma, big_gamma)
+    big_gamma = _coupling_term(gamma, phi_d - phi_s)
+    return JointInterferenceParams(_plain(np.cos(phi_d) * np.cos(phi_s) - big_gamma), _plain(big_gamma))

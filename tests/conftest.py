@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coupled_mzi import InterferometerConfig, qpc_from_transmission
+from coupled_mzi.measurement import PAULI_BASIS
 
 
 def balanced_mzi(phi: float) -> InterferometerConfig:
@@ -41,6 +42,34 @@ def amplitude_concurrence(c: np.ndarray) -> np.ndarray:
     """Concurrence ``2 |det c|`` of joint drain amplitude tables ``c``: the
     second QPCs act as local unitaries, which leave the concurrence unchanged."""
     return 2.0 * np.abs(np.linalg.det(c))
+
+
+def decompose_observable(a: np.ndarray) -> np.ndarray:
+    """Components ``a_mu = Tr[A sigma_mu] / 2`` of a Hermitian 2x2 operator.
+
+    The reconstruction ``sum_mu a_mu sigma_mu`` reproduces the input to
+    1e-12; non-Hermitian input beyond 1e-9 is rejected.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (2, 2):
+        raise ValueError("observable must be a 2x2 matrix")
+    if not np.max(np.abs(a - a.conj().T)) <= 1e-9:
+        raise ValueError("observable is not Hermitian")
+    return np.array([np.real(np.trace(a @ s)) / 2.0 for s in PAULI_BASIS])
+
+
+def detector_drain_probabilities(p, delta_s1: float) -> tuple[float, float]:
+    """Closed-form detector drain probabilities of the bundle ``p`` for system
+    path bias ``delta_s1``: ``P_D1 = (beta_plus - V (Delta + delta_s1 Gamma)) / 2``."""
+    shift = p.visibility * (p.Delta + delta_s1 * p.Gamma)
+    return 0.5 * (p.beta_plus - shift), 0.5 * (p.beta_minus + shift)
+
+
+def system_drain_probabilities(p, delta_d1: float) -> tuple[float, float]:
+    """Closed-form system drain probabilities of the bundle ``p`` for detector
+    path bias ``delta_d1``: ``P_S1 = (beta_plus - V (Delta - delta_d1 Gamma)) / 2``."""
+    shift = p.visibility * (p.Delta - delta_d1 * p.Gamma)
+    return 0.5 * (p.beta_plus - shift), 0.5 * (p.beta_minus + shift)
 
 
 @pytest.fixture

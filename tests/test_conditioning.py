@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 
 from coupled_mzi import (
     AmbiguousMeasurementError,
+    CouplingModel,
+    ExperimentConfig,
     InterferometerConfig,
     PostSelectionImpossibleError,
-    conditional_table,
+    ScanSpec,
     conditioned_average,
     contextual_values,
     detector_params,
-    erasure_curve,
     joint_amplitudes,
     joint_statistics,
     qpc_from_transmission,
@@ -20,6 +22,7 @@ from coupled_mzi import (
     weak_value,
     xi_joint_interference,
 )
+from coupled_mzi.cli import run_erasure, run_scan
 from coupled_mzi.params import DetectorDrain, ObservableCoefficients, SystemDrain
 from conftest import balanced_mzi, random_mzi
 
@@ -34,51 +37,74 @@ def make_system(t1: float, t2: float, phi: float) -> InterferometerConfig:
 SYSTEM_06 = make_system(0.8, 0.5, 0.0)
 
 
+def scan_columns(det, sysm, gamma, sweep, quantities):
+    """The ``scan`` table of ``quantities`` over ``sweep = (parameter, lo, hi,
+    count)``, one column per quantity after the swept one."""
+    config = ExperimentConfig(det, sysm, CouplingModel(gamma), OBS)
+    return read_table(run_scan(ScanSpec(*sweep, config, tuple(quantities))))
+
+
+def read_table(text):
+    return np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+
+
+P_D_GIVEN_S = tuple(f"P_{d.name}_given_{s.name}" for s in SystemDrain for d in DetectorDrain)
+P_S_GIVEN_D = tuple(f"P_{s.name}_given_{d.name}" for d in DetectorDrain for s in SystemDrain)
+
+
 class TestConditionalTable:
+    """The conditional tables as the ``P_*_given_*`` scan columns."""
+
+    PHI_S_SWEEP = ("phi_s", 0.0, 2 * math.pi, 9)
+
     def test_product_state_independence(self, rng):
         for _ in range(50):
             det, sysm = random_mzi(rng, t_lo=0.2, t_hi=0.8), random_mzi(rng, t_lo=0.2, t_hi=0.8)
-            stats = joint_statistics(joint_amplitudes(det, sysm, 0.0))
-            table = conditional_table(stats)
-            for s in SystemDrain:
-                assert table.p_detector_given_system[0, s.value] == pytest.approx(
-                    stats.p_detector(DetectorDrain.D1), abs=1e-12
-                )
+            table = scan_columns(det, sysm, 0.0, self.PHI_S_SWEEP, ("P_D1", "P_D1_given_S1", "P_D1_given_S2"))
+            for column in (2, 3):
+                assert table[:, column] == pytest.approx(table[:, 1], abs=1e-12)
 
     def test_dark_port_correlation(self):
         # deterministic upper system path: the dark port clicks with certainty,
         # so P(D1|S) = 1 for both system drains while D2 never fires at all
         sysm = make_system(0.0, 0.5, 0.0)
-        stats = joint_statistics(joint_amplitudes(balanced_mzi(0.0), sysm, math.pi))
-        for s in SystemDrain:
-            ratio = stats.joint[0, s.value] / stats.p_system(s)
-            assert ratio == pytest.approx(1.0, abs=1e-12)
+        table = scan_columns(balanced_mzi(0.0), sysm, math.pi, self.PHI_S_SWEEP, ("P_D1_given_S1", "P_D1_given_S2"))
+        assert table[:, 1:] == pytest.approx(1.0, abs=1e-12)
         # the full table is undefined in the other direction: D2 is dark
         with pytest.raises(PostSelectionImpossibleError) as excinfo:
-            conditional_table(stats)
+            scan_columns(balanced_mzi(0.0), sysm, math.pi, self.PHI_S_SWEEP, P_D_GIVEN_S + P_S_GIVEN_D)
         assert excinfo.value.drain == "D2"
 
     def test_columns_normalized_random(self, rng):
-        for _ in range(200):
+        marginals = ("P_D1", "P_D2", "P_S1", "P_S2")
+        for _ in range(40):
             det, sysm = random_mzi(rng, t_lo=0.15, t_hi=0.85), random_mzi(rng, t_lo=0.15, t_hi=0.85)
-            gamma = rng.uniform(0.3, 2 * math.pi - 0.3)
-            stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
-            if min(stats.detector_marginals.min(), stats.system_marginals.min()) < 1e-6:
-                continue
-            table = conditional_table(stats)
-            assert np.allclose(table.p_detector_given_system.sum(axis=0), 1.0, atol=1e-12)
-            assert np.allclose(table.p_system_given_detector.sum(axis=1), 1.0, atol=1e-12)
+            sweep = ("gamma", 0.3, 2 * math.pi - 0.3, 5)
+            table = scan_columns(det, sysm, 1.0, sweep, marginals + P_D_GIVEN_S + P_S_GIVEN_D)
+            table = table[table[:, 1:5].min(axis=1) >= 1e-6]
+            # P(D1|S) + P(D2|S) per system drain; P(S1|D) + P(S2|D) per detector drain
+            for first in (5, 7, 9, 11):
+                assert table[:, first] + table[:, first + 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_marginal_raises(self):
         # balanced detector at zero tuning and coupling: D1 is a perfect dark port
-        stats = joint_statistics(joint_amplitudes(balanced_mzi(0.0), balanced_mzi(0.7), 0.0))
         with pytest.raises(PostSelectionImpossibleError) as excinfo:
-            conditional_table(stats)
+            scan_columns(balanced_mzi(0.0), balanced_mzi(0.7), 0.0, self.PHI_S_SWEEP, P_D_GIVEN_S + P_S_GIVEN_D)
         assert excinfo.value.drain == "D1"
 
 
 class TestErasure:
+    """Erasure fringes as the ``erasure`` command computes them."""
+
     PHI_GRID = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+
+    @classmethod
+    def erasure(cls, det, sysm=balanced_mzi(0.0)):
+        """Columns ``phi_s, P_S1, P_S1_given_D1, P_S1_given_D2`` on ``PHI_GRID``."""
+        config = ExperimentConfig(det, sysm, CouplingModel(math.pi), OBS)
+        table = read_table(run_erasure(config, 0.0, cls.PHI_GRID[-1], len(cls.PHI_GRID)))
+        assert table[:, 0] == pytest.approx(cls.PHI_GRID, abs=1e-15)
+        return table.T
 
     @staticmethod
     def fringe_fit(values):
@@ -90,51 +116,32 @@ class TestErasure:
         return mean, cos_amp, sin_amp
 
     def test_unambiguous_measurement_gives_flat_conditionals(self):
-        det = balanced_mzi(0.0)
-        sysm = balanced_mzi(0.0)
-        curve = erasure_curve(det, sysm, self.PHI_GRID, math.pi, DetectorDrain.D2)
-        values = np.array([p for _, p in curve])
+        _, _, _, values = self.erasure(balanced_mzi(0.0))
         assert values.max() - values.min() < 1e-12
 
     def test_maximally_ambiguous_measurement_recovers_full_fringe(self):
-        det = balanced_mzi(math.pi / 2)
-        sysm = balanced_mzi(0.0)
-        curve = erasure_curve(det, sysm, self.PHI_GRID, math.pi, DetectorDrain.D1)
-        mean, cos_amp, sin_amp = self.fringe_fit(np.array([p for _, p in curve]))
+        _, _, values, _ = self.erasure(balanced_mzi(math.pi / 2))
+        mean, cos_amp, sin_amp = self.fringe_fit(values)
         visibility = math.hypot(cos_amp, sin_amp) / mean
         assert visibility == pytest.approx(1.0, abs=1e-12)
 
     def test_visibility_tracks_detector_tuning_with_quarter_shift(self):
-        sysm = balanced_mzi(0.0)
         for phi_d in np.linspace(0.1, math.pi - 0.1, 7):
-            curve = erasure_curve(balanced_mzi(phi_d), sysm, self.PHI_GRID, math.pi, DetectorDrain.D1)
-            mean, cos_amp, sin_amp = self.fringe_fit(np.array([p for _, p in curve]))
+            _, _, values, _ = self.erasure(balanced_mzi(phi_d))
+            mean, cos_amp, sin_amp = self.fringe_fit(values)
             assert math.hypot(cos_amp, sin_amp) / mean == pytest.approx(abs(math.sin(phi_d)), abs=1e-12)
             # the fringe rides on sin(phi_s): pure quarter-period shift
             assert abs(cos_amp) < 1e-12
 
     def test_unconditioned_interference_destroyed_at_strong_coupling(self):
-        det = balanced_mzi(math.pi / 2)
-        probs = []
-        for phi_s in self.PHI_GRID:
-            sysm = balanced_mzi(float(phi_s))
-            stats = joint_statistics(joint_amplitudes(det, sysm, math.pi))
-            probs.append(stats.p_system(SystemDrain.S1))
-        probs = np.array(probs)
+        _, probs, _, _ = self.erasure(balanced_mzi(math.pi / 2))
         assert probs.max() - probs.min() < 1e-12
 
     def test_complementary_fringes_cancel_unconditioned(self):
-        det = balanced_mzi(1.1)
-        sysm = balanced_mzi(0.0)
-        for phi_s in np.linspace(0, 2 * math.pi, 17):
-            swept = InterferometerConfig(sysm.qpc1, sysm.qpc2, float(phi_s))
-            stats = joint_statistics(joint_amplitudes(det, swept, math.pi))
-            table = conditional_table(stats)
-            recombined = (
-                table.p_system_given_detector[0, 0] * stats.p_detector(DetectorDrain.D1)
-                + table.p_system_given_detector[1, 0] * stats.p_detector(DetectorDrain.D2)
-            )
-            assert recombined == pytest.approx(stats.p_system(SystemDrain.S1), abs=1e-12)
+        names = ("P_S1_given_D1", "P_D1", "P_S1_given_D2", "P_D2", "P_S1")
+        table = scan_columns(balanced_mzi(1.1), balanced_mzi(0.0), math.pi, ("phi_s", 0.0, 2 * math.pi, 17), names)
+        _, s1_given_d1, p_d1, s1_given_d2, p_d2, p_s1 = table.T
+        assert s1_given_d1 * p_d1 + s1_given_d2 * p_d2 == pytest.approx(p_s1, abs=1e-12)
 
 
 class TestXiJointInterference:
@@ -357,12 +364,25 @@ class TestWeakValue:
     def test_weak_coupling_oracle(self):
         avg = conditioned_average(balanced_mzi(math.pi / 2), SYSTEM_06, 1e-4, SystemDrain.S1)
         assert avg == pytest.approx(3.0, abs=1e-2)
-        avg = conditioned_average(balanced_mzi(math.pi / 2), SYSTEM_06, 1e-4, SystemDrain.S2)
-        assert avg == pytest.approx(weak_value(SYSTEM_06, SystemDrain.S2).real, abs=1e-2)
+        # a balanced detector away from phi_d = pi/2 has the weak value as its limit too
+        for phi_d, sysm in ((math.pi / 2, SYSTEM_06), (1.0, make_system(0.7, 0.4, 1.1))):
+            for s in SystemDrain:
+                avg = conditioned_average(balanced_mzi(phi_d), sysm, 1e-4, s)
+                assert avg == pytest.approx(weak_value(sysm, s).real, abs=1e-2)
 
     def test_vanishing_overlap_rejected(self):
         with pytest.raises(PostSelectionImpossibleError):
             weak_value(balanced_mzi(0.0), SystemDrain.S1)
+
+    def test_post_selection_threshold_is_the_pipelines(self):
+        # P_S1 = (1 - cos(phi_s)) / 2 = 8.0e-13, at or below the 1e-12 every
+        # conditioned quantity requires of its post-selection marginal
+        sysm = balanced_mzi(1.79e-6)
+        for call in (lambda: weak_value(sysm, SystemDrain.S1), lambda: semiweak_value(sysm, 0, SystemDrain.S1)):
+            with pytest.raises(PostSelectionImpossibleError) as excinfo:
+                call()
+            assert excinfo.value.drain == "S1"
+            assert excinfo.value.probability == pytest.approx(8.0e-13, rel=2e-2)
 
 
 class TestSemiWeakValue:

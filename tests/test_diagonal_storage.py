@@ -24,7 +24,6 @@ NAN, INF = math.nan, math.inf
 
 
 INIT_FIELDS = {
-    "ConditionalTable": ("p_detector_given_system", "p_system_given_detector"),
     "ContextualValues": ("alpha_d1", "alpha_d2"),
     "CouplingModel": ("gamma", "sigma", "pair_probability"),
     "DetectorParams": ("beta_plus", "beta_minus", "visibility", "Gamma", "Delta"),

@@ -6,8 +6,6 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coupled_mzi"
 
 ALLOWED_PRIVATE_IMPORTS = {
-    ("cli", "conditioning", "_conditioned_average"),
-    ("cli", "conditioning", "_post_select"),
     ("cli", "measurement", "_weights"),
     ("scattering", "params", "_plain"),
     ("stochastic", "scattering", "_harmonic_tables"),

@@ -5,15 +5,12 @@ import pytest
 
 from coupled_mzi import (
     AmbiguousMeasurementError,
-    ConditionalTable,
     ContextualValues,
     InterferometerConfig,
     MeasurementOperators,
     ObservableCoefficients,
     contextual_estimate,
     contextual_values,
-    decompose_observable,
-    detector_drain_probabilities,
     detector_params,
     efficient_factorization,
     joint_amplitudes,
@@ -25,12 +22,17 @@ from coupled_mzi import (
     qpc_from_transmission,
     reconstruct_average,
     reduced_system_state,
-    system_drain_probabilities,
     system_params,
 )
 from coupled_mzi.measurement import PAULI_BASIS, SIGMA_0, SIGMA_3
 from coupled_mzi.params import DetectorDrain, SystemDrain
-from conftest import balanced_mzi, random_mzi
+from conftest import (
+    balanced_mzi,
+    decompose_observable,
+    detector_drain_probabilities,
+    random_mzi,
+    system_drain_probabilities,
+)
 
 
 def solve_contextual_values_linear_system(povm, obs):
@@ -411,8 +413,6 @@ CODES = np.array([0, 2, 3], dtype=np.uint8)
     pytest.param(lambda: limit_contextual_values("strong", NAN, 0.3), id="strong-nan-gamma"),
     pytest.param(lambda: limit_contextual_values("semiweak", 0.1, NAN, n=0), id="semiweak-nan-phi"),
     pytest.param(lambda: decompose_observable(np.array([[1.0, NAN], [NAN, 0.0]])), id="observable-nan"),
-    pytest.param(lambda: ConditionalTable(np.full((2, 2), NAN), np.full((2, 2), NAN)),
-                 id="conditional-nan"),
 ])
 def test_guards_reject_nan(call):
     """Every tolerance guard is written ``not abs(...) <= tol``: NaN fails it."""

@@ -30,6 +30,7 @@ from coupled_mzi import (
     damping_eta,
     detector_params,
     joint_amplitudes,
+    joint_interference_params,
     joint_probability_table,
     joint_statistics,
     load_config,
@@ -39,6 +40,9 @@ from coupled_mzi import (
     qpc_from_angle,
     qpc_from_transmission,
     reduced_system_state,
+    semiweak_value,
+    weak_value,
+    xi_joint_interference,
 )
 from coupled_mzi import cli
 from coupled_mzi.cli import _MAX_EXPONENT, _VECTOR_CELLS, _Grid, _table_csv, _vector_rows
@@ -134,6 +138,58 @@ def test_stacked_experiment_matches_scalar_points_bit_for_bit(points):
         for name, value in _stack_values(*_experiment(fields)).items():
             assert stacked[name].shape == (len(points), *value.shape), name
             assert np.array_equal(stacked[name][i], value), (name, fields)
+
+
+def _conditioning_calls(det, sysm, gamma, condition, n) -> dict:
+    """Every broadcasting conditioning function, as a call that returns a
+    list of its values and the Python type of one configuration's values."""
+    return {
+        "conditioned_average": (lambda: [conditioned_average(det, sysm, gamma, condition)], float),
+        "xi_joint_interference": (lambda: [xi_joint_interference(det, sysm, gamma)], float),
+        "weak_value": (lambda: [weak_value(sysm, condition)], complex),
+        "semiweak_value": (lambda: [semiweak_value(sysm, n, condition)], float),
+        "joint_interference_params": (lambda: list(astuple(joint_interference_params(
+            det.tuning_phase, sysm.tuning_phase, gamma))), float),
+    }
+
+
+def _conditioning_stack(points, name, condition):
+    """The values of the conditioning function ``name`` on a stack of ``(fields, n)``."""
+    fields, n = zip(*points)
+    det, sysm, model = _experiment([np.array(column) for column in zip(*fields)])
+    return _conditioning_calls(det, sysm, model.gamma, condition, np.array(n))[name][0]()
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.tuples(experiment_fields, st.integers(-3, 3)), min_size=1, max_size=8),
+       condition=st.sampled_from(SystemDrain))
+# a detector epsilon whose C pow square and multiplied square differ in the last bit
+@example(points=[((0.6655874415571335, 0.0, 0.0, 0.3, 0.0, 0.0, 1.0, 0.6, 0.0, 0.0, 0.4, 0.0, 0.0, 0.5,
+                   2.0, 0.0, 1.0), 0)], condition=SystemDrain.S1)
+def test_stacked_conditioning_matches_scalar_points_bit_for_bit(points, condition):
+    """A stack of the points where a conditioning function is defined gives,
+    point for point, the bits of the scalar calls, which return Python
+    numbers; a stack that holds a point where the function raises raises."""
+    kept, errors = {}, {}
+    for fields, n in points:
+        det, sysm, model = _experiment(fields)
+        for name, (call, kind) in _conditioning_calls(det, sysm, model.gamma, condition, n).items():
+            try:
+                values = call()
+            except (AmbiguousMeasurementError, PostSelectionImpossibleError) as exc:
+                errors.setdefault(name, set()).add(type(exc))
+                continue
+            assert {type(x) for x in values} == {kind}, name
+            kept.setdefault(name, []).append(((fields, n), values))
+    for name, raised in errors.items():
+        with pytest.raises(tuple(raised)):
+            _conditioning_stack(points, name, condition)
+    for name, rows in kept.items():
+        stacked = _conditioning_stack([point for point, _ in rows], name, condition)
+        for i, (point, values) in enumerate(rows):
+            for got, want in zip(stacked, values, strict=True):
+                assert got.shape == (len(rows),), name
+                assert np.array_equal(got[i], want), (name, point)
 
 
 @settings(max_examples=100, deadline=None)

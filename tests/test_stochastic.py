@@ -21,7 +21,6 @@ from coupled_mzi import (
     contextual_estimate,
     contextual_values,
     damping_eta,
-    detector_drain_probabilities,
     detector_params,
     joint_amplitudes,
     joint_probability_table,
@@ -35,7 +34,7 @@ from coupled_mzi import (
 )
 from coupled_mzi import stochastic
 from coupled_mzi.params import DetectorDrain
-from conftest import balanced_mzi, random_mzi
+from conftest import balanced_mzi, detector_drain_probabilities, random_mzi
 
 OBS = ObservableCoefficients()
 
