@@ -70,6 +70,7 @@ from .scattering import (
     concurrence,
     cross_noise_power,
     detector_drain_amplitudes,
+    fringe_probability_table,
     joint_amplitudes,
     joint_probability_table,
     joint_statistics,

@@ -383,21 +383,19 @@ def run_erasure(config: ExperimentConfig, minimum: float, maximum: float, count:
 def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
     """CSV report of one seeded estimator run.
 
-    Events are drawn from the exact joint drain distribution with
-    :func:`sample_events`.  With a fluctuating coupling (``sigma > 0`` or
-    ``pair_probability < 1``) that is the fluctuation-averaged table, and the
-    contextual values invert its averaged drain probabilities.  The exact
-    detector marginals give the predicted MSE.  When the config carries a
-    budget section the report includes the observation-time bound.  A report
-    that is not finite exits as a configuration error.
+    Events are drawn with :func:`sample_events` from one table, the exact
+    joint drain distribution averaged over the coupling model
+    (:func:`averaged_joint_table`; without fluctuations, the closed-form
+    table at ``gamma``).  The contextual values invert its averaged drain
+    probabilities, and its detector marginals give the predicted MSE.  When
+    the config carries a budget section the report includes the
+    observation-time bound.  A report that is not finite exits as a
+    configuration error.
     """
-    det, system, coupling = config.detector, config.system, config.coupling
+    det, coupling = config.detector, config.coupling
     damped = averaged_detector_params(detector_params(det, coupling.gamma), coupling)
     cv = contextual_values(config.observable, damped)
-    if coupling.sigma > 0.0 or coupling.pair_probability < 1.0:
-        stats = JointStatistics(averaged_joint_table(det, system, coupling))
-    else:
-        stats = joint_statistics(joint_amplitudes(det, system, coupling.gamma))
+    stats = JointStatistics(averaged_joint_table(det, config.system, coupling))
     events = sample_events(stats, n, seed)
     probabilities = (stats.p_detector(DetectorDrain.D1), stats.p_detector(DetectorDrain.D2))
     report = contextual_estimate(events, cv, probabilities=probabilities)

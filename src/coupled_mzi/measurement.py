@@ -28,12 +28,6 @@ from .params import (
 )
 from .scattering import detector_drain_amplitudes
 
-SIGMA_0 = np.eye(2, dtype=complex)
-SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI_BASIS = (SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3)
-
 DIVERGENCE_THRESHOLD = 1e-9
 """Below this value of |visibility * Gamma| the contextual values are
 treated as divergent and :class:`AmbiguousMeasurementError` is raised."""

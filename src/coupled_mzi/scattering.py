@@ -12,9 +12,11 @@ the detector drain amplitudes per system arm, the system's first-QPC state
 (:func:`detector_drain_amplitudes`, :func:`reduced_system_state`) and its
 second QPC.  A sweep is one experiment with array-valued fields: ``gamma``
 and every field of both interferometers, second QPCs included, broadcast
-together through every function here.  :func:`joint_probability_table` is
-an independent closed form for the same statistics and shares no code with
-the amplitudes.
+together through every function here.  :func:`fringe_probability_table`
+is an independent closed form for the same statistics, written through the
+fringe bundles of :mod:`~coupled_mzi.params`, and shares no code with the
+amplitudes; :func:`joint_probability_table` evaluates it at one coupling
+phase.
 
 The first-QPC scattering phases enter only through the composite tuning
 phases, so the amplitudes below carry bare ``t1``/``r1`` moduli; the
@@ -30,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DetectorDrain, InterferometerConfig, QpcSetting, SystemDrain, _plain
+from .params import (DetectorDrain, DetectorParams, InterferometerConfig, JointInterferenceParams, QpcSetting,
+                     SystemDrain, SystemParams, _plain, detector_params, joint_interference_params,
+                     system_params)
 
 # Exact SI values (2019 redefinition).
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
@@ -197,58 +201,36 @@ def joint_statistics(amps: JointAmplitudes) -> JointStatistics:
     return JointStatistics(joint)
 
 
-def joint_probability_table(
-    det: InterferometerConfig, sys: InterferometerConfig, gamma
-) -> np.ndarray:
-    """Closed-form joint probability table ``A + B cos(gamma) + C sin(gamma)``,
-    shape ``broadcast + (2, 2)``, with the constant tables of
-    :func:`_harmonic_tables`; ``gamma`` and every config field may be arrays."""
-    a, b, c = _harmonic_tables(det, sys)
-    gamma = np.asarray(gamma, dtype=float)[..., np.newaxis, np.newaxis]
-    return a + b * np.cos(gamma) + c * np.sin(gamma)
-
-
-def _harmonic_tables(det: InterferometerConfig, sys: InterferometerConfig) -> np.ndarray:
-    """Constant tables ``(A, B, C)``, shape ``(3,) + broadcast + (2, 2)``, of
-    the joint probability table ``P(g) = A + B cos g + C sin g`` at coupling
-    ``g``; every field of both interferometers may be an array.
-
-    The table is affine in the coupling terms ``sin(g/2) sin(g/2 + phase)``
-    of the detector (``phase = phi_d``), the system (``-phi_s``) and the
-    joint interference (``phi_d - phi_s``), and each term is
-    ``(cos phase - cos g cos phase + sin g sin phase) / 2``.  Evaluating the
-    closed form at the terms' three harmonic parts, with the constant part
-    of the table kept in ``A`` only, gives the three tables at once.  One
-    scalar config keeps Python floats throughout.
+def fringe_probability_table(det: InterferometerConfig, sys: InterferometerConfig, dp: DetectorParams,
+                             sp: SystemParams, jp: JointInterferenceParams) -> np.ndarray:
+    """Closed-form joint drain table ``broadcast + (2, 2)`` from the detector,
+    system and joint bundles ``dp``, ``sp`` and ``jp``; ``det`` and ``sys``
+    give the path biases.  The table is affine in ``Gamma_d``, ``Gamma_s``
+    and ``Delta_ds``, so bundles averaged over a coupling model give the
+    averaged table.  Every field may be an array; one scalar experiment
+    keeps Python floats throughout.
     """
-    cos_d, cos_s = _plain(np.cos(det.tuning_phase)), _plain(np.cos(sys.tuning_phase))
     d1d, d2d = det.qpc1.delta, det.qpc2.delta
     d1s, d2s = sys.qpc1.delta, sys.qpc2.delta
-    bdp, bdm = 1.0 + d1d * d2d, 1.0 - d1d * d2d
-    bsp, bsm = 1.0 + d1s * d2s, 1.0 - d1s * d2s
-    vd = det.qpc1.epsilon * det.qpc2.epsilon
-    vs = sys.qpc1.epsilon * sys.qpc2.epsilon
+    vd, vs = dp.visibility, sp.visibility
+    joint = vd * vs * jp.Delta_ds
+    det_plus = dp.Delta * sp.beta_plus + dp.Gamma * (d1s + d2s)
+    det_minus = dp.Delta * sp.beta_minus + dp.Gamma * (d1s - d2s)
+    sys_plus = sp.Delta * dp.beta_plus - sp.Gamma * (d1d + d2d)
+    sys_minus = sp.Delta * dp.beta_minus - sp.Gamma * (d1d - d2d)
+    table = np.array([
+        [0.25 * (dp.beta_plus * sp.beta_plus + joint - vd * det_plus - vs * sys_plus),
+         0.25 * (dp.beta_plus * sp.beta_minus - joint - vd * det_minus + vs * sys_plus)],
+        [0.25 * (dp.beta_minus * sp.beta_plus - joint + vd * det_plus - vs * sys_minus),
+         0.25 * (dp.beta_minus * sp.beta_minus + joint + vd * det_minus + vs * sys_minus)]])
+    return table.transpose(*range(2, table.ndim), 0, 1)  # sweep axes before the table's
 
-    def table(unit: float, gd, gs, gds) -> list:
-        # the closed form at coupling terms gd, gs, gds, its coupling-free part times unit
-        dd = unit * cos_d - gd
-        ds = unit * cos_s - gs
-        dds = unit * (cos_d * cos_s) - gds
-        det_plus = dd * bsp + gd * (d1s + d2s)
-        det_minus = dd * bsm + gd * (d1s - d2s)
-        sys_plus = ds * bdp - gs * (d1d + d2d)
-        sys_minus = ds * bdm - gs * (d1d - d2d)
-        return [[0.25 * (unit * (bdp * bsp) + vd * vs * dds - vd * det_plus - vs * sys_plus),
-                 0.25 * (unit * (bdp * bsm) - vd * vs * dds - vd * det_minus + vs * sys_plus)],
-                [0.25 * (unit * (bdm * bsp) - vd * vs * dds + vd * det_plus - vs * sys_minus),
-                 0.25 * (unit * (bdm * bsm) + vd * vs * dds + vd * det_minus + vs * sys_minus)]]
 
-    phases = (det.tuning_phase, -sys.tuning_phase, det.tuning_phase - sys.tuning_phase)
-    half_cos = [_plain(np.cos(x)) / 2.0 for x in phases]
-    half_sin = [_plain(np.sin(x)) / 2.0 for x in phases]
-    tables = np.array([table(1.0, *half_cos), table(0.0, *(-x for x in half_cos)),
-                       table(0.0, *half_sin)])
-    return tables.transpose(0, *range(3, tables.ndim), 1, 2)  # sweep axes before the table's
+def joint_probability_table(det: InterferometerConfig, sys: InterferometerConfig, gamma) -> np.ndarray:
+    """:func:`fringe_probability_table` of the bundles at coupling phase
+    ``gamma``, which, like every config field, may be an array."""
+    jp = joint_interference_params(det.tuning_phase, sys.tuning_phase, gamma)
+    return fringe_probability_table(det, sys, detector_params(det, gamma), system_params(sys, gamma), jp)
 
 
 @dataclass(frozen=True)
@@ -313,6 +295,7 @@ __all__ = [
     "concurrence",
     "cross_noise_power",
     "detector_drain_amplitudes",
+    "fringe_probability_table",
     "joint_amplitudes",
     "joint_probability_table",
     "joint_statistics",

@@ -10,7 +10,8 @@ streams are bit-reproducible across platforms.  The sampler draws its
 uniforms in fixed-size chunks from one generator; event ``i`` always takes
 uniform ``i``, so the codes are the same for any chunk size.  A fluctuating
 coupling enters only through the table it samples: the exact average
-:func:`averaged_joint_table`.
+:func:`averaged_joint_table`, which is the closed-form table at the
+fringe bundles averaged over the coupling model.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from numpy.random import Generator, Philox
 
 from .errors import AmbiguousMeasurementError
 from .measurement import DIVERGENCE_THRESHOLD, ContextualValues
-from .params import CouplingModel, DetectorParams, InterferometerConfig, damping_eta
-from .scattering import JointStatistics, _harmonic_tables
+from .params import (CouplingModel, FringeParams, InterferometerConfig, JointInterferenceParams, damping_eta,
+                     detector_params, joint_interference_params, system_params)
+from .scattering import JointStatistics, fringe_probability_table
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -88,40 +90,48 @@ class ObservationBudget:
         return self.path_length / self.fermi_velocity
 
 
-def raised_cosine_pdf(gamma_prime: float, model: CouplingModel) -> float:
+def raised_cosine_pdf(gamma_prime, model: CouplingModel):
     """Density of the raised-cosine coupling distribution.
 
     ``(1/2 sigma)(1 + cos(pi (g' - gamma) / sigma))`` on the compact
-    support ``[gamma - sigma, gamma + sigma]``, zero outside.
+    support ``[gamma - sigma, gamma + sigma]``, zero outside.  Every input
+    may be an array; a scalar gives a Python float.
 
-    Raises ``ValueError`` for ``sigma = 0``: the distribution degenerates
-    to a point mass, which callers should treat as deterministic coupling.
+    Raises ``ValueError`` for ``sigma = 0`` at any point: the distribution
+    degenerates to a point mass, which callers should treat as
+    deterministic coupling.
     """
-    if model.sigma <= 0.0:
+    sigma = model.sigma
+    if np.any(sigma <= 0.0):
         raise ValueError("raised-cosine density undefined at sigma = 0 (degenerate)")
-    y = gamma_prime - model.gamma
-    if abs(y) >= model.sigma:
-        return 0.0
-    return (1.0 + math.cos(math.pi * y / model.sigma)) / (2.0 * model.sigma)
+    y = np.asarray(gamma_prime - model.gamma)
+    # the support is multiplied in: 1 + cos is finite and non-negative
+    density = (abs(y) < sigma) * ((1.0 + np.cos(math.pi * y / sigma)) / (2.0 * sigma))
+    return density if density.ndim else float(density)
 
 
-def averaged_detector_params(p: DetectorParams, model: CouplingModel) -> DetectorParams:
-    """Detector parameters averaged over coupling fluctuations and unpaired
-    emission, the exact average of the drain probabilities.
-
-    Only ``Gamma`` and ``Delta`` change.  ``Gamma = sin(g/2) sin(g/2 + phi)
-    = (cos phi - cos(g + phi)) / 2`` and the raised cosine damps
-    ``cos(g + phi)`` by ``eta(sigma)``, while an unpaired emission has
-    ``Gamma = 0``.  So ``Gamma_bar = p (eta Gamma + (1 - eta) cos(phi) / 2)``
-    with ``cos(phi) = Delta + Gamma``, and ``Delta_bar`` keeps ``Delta_bar +
-    Gamma_bar = cos(phi)``.  At ``sigma = 0, p = 1`` both come back
-    unchanged, bit for bit.  Contextual values built from the result invert
-    the averaged drain probabilities, with the ``1/Gamma_bar`` amplification
-    of an inefficient measurement.  The fields of ``p`` and ``model`` may be
-    arrays.
-    """
+def _averaged_coupling_term(big_gamma, cos_phase, model: CouplingModel):
+    """``Gamma_bar = p (eta Gamma + (1 - eta) cos(phase) / 2)``: a coupling
+    term ``Gamma = sin(g/2) sin(g/2 + phase) = (cos(phase) - cos(g + phase)) / 2``
+    averaged over the coupling model.  The raised cosine damps
+    ``cos(g + phase)`` by ``eta(sigma)``, and an unpaired emission has
+    ``Gamma = 0``.  At ``sigma = 0, p = 1`` this is ``Gamma``, bit for bit."""
     eta = damping_eta(model.sigma)
-    gamma_bar = model.pair_probability * (eta * p.Gamma + (1.0 - eta) * (p.Delta + p.Gamma) / 2.0)
+    return model.pair_probability * (eta * big_gamma + (1.0 - eta) * cos_phase / 2.0)
+
+
+def averaged_detector_params(p: FringeParams, model: CouplingModel) -> FringeParams:
+    """A detector (or system) bundle averaged over coupling fluctuations and
+    unpaired emission, the exact average of its drain probabilities.
+
+    Only ``Gamma`` and ``Delta`` change: ``Gamma`` is averaged with
+    ``cos(phase) = Delta + Gamma``, and ``Delta_bar`` keeps ``Delta_bar +
+    Gamma_bar = cos(phase)``.  Contextual values built from the result
+    invert the averaged drain probabilities, with the ``1/Gamma_bar``
+    amplification of an inefficient measurement.  The fields of ``p`` and
+    ``model`` may be arrays.
+    """
+    gamma_bar = _averaged_coupling_term(p.Gamma, p.Delta + p.Gamma, model)
     return replace(p, Gamma=gamma_bar, Delta=p.Delta + (p.Gamma - gamma_bar))
 
 
@@ -129,19 +139,18 @@ def averaged_joint_table(
     det: InterferometerConfig, sys: InterferometerConfig, model: CouplingModel
 ) -> np.ndarray:
     """Joint drain table ``broadcast + (2, 2)`` averaged over the coupling
-    model; every field of the interferometers and of ``model`` may be an array.
-
-    With ``P(g) = A + B cos g + C sin g`` and the raised cosine giving
-    ``E[cos g'] = eta cos gamma``, ``E[sin g'] = eta sin gamma``, the average
-    is ``p (A + eta (B cos gamma + C sin gamma)) + (1 - p) (A + B)``: the
-    unpaired emissions see ``g = 0``.
+    model: the closed form :func:`~coupled_mzi.scattering.fringe_probability_table`
+    at the averaged detector, system and joint (``phase = phi_d - phi_s``)
+    bundles.  Without fluctuations it is
+    :func:`~coupled_mzi.scattering.joint_probability_table`, bit for bit.
+    Every field of the interferometers and of ``model`` may be an array.
     """
-    a, b, c = _harmonic_tables(det, sys)
-    fields = (np.cos(model.gamma), np.sin(model.gamma), damping_eta(model.sigma), model.pair_probability)
-    # arrays get table axes; scalars stay scalars, which keeps one table cheap
-    cos_g, sin_g, eta, p = (x[..., None, None] if isinstance(x, np.ndarray) else x for x in fields)
-    paired = a + eta * (b * cos_g + c * sin_g)
-    return p * paired + (1.0 - p) * (a + b)
+    gamma = model.gamma
+    jp = joint_interference_params(det.tuning_phase, sys.tuning_phase, gamma)
+    gamma_ds = _averaged_coupling_term(jp.Gamma_ds, np.cos(det.tuning_phase - sys.tuning_phase), model)
+    jp = JointInterferenceParams(jp.Delta_ds + (jp.Gamma_ds - gamma_ds), gamma_ds)
+    return fringe_probability_table(det, sys, averaged_detector_params(detector_params(det, gamma), model),
+                                    averaged_detector_params(system_params(sys, gamma), model), jp)
 
 
 def _categories(u: np.ndarray, probs: np.ndarray) -> np.ndarray:

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from coupled_mzi import InterferometerConfig, qpc_from_transmission
-from coupled_mzi.measurement import PAULI_BASIS
+
+SIGMA_0 = np.eye(2, dtype=complex)
+SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+PAULI_BASIS = (SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3)
+"""The identity and the Pauli matrices in the path basis ``(L^s, U^s)``."""
 
 
 def balanced_mzi(phi: float) -> InterferometerConfig:

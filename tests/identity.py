@@ -5,8 +5,11 @@
 runs every invocation in process against the package under ``ROOT/src``
 (default: the checkout holding this script) and prints one line per
 invocation: the SHA-256 of its stdout, stderr and exit code, then its argv.
+Each ``montecarlo`` invocation gets a second line, ``codes`` before its argv:
+the SHA-256 of the event codes that ``sample_events`` returned in it.
 Two checkouts print the same lines exactly when each invocation gives the
-same bytes and exit code in both, so a ``diff`` of two runs compares them.
+same bytes, exit code and event codes in both, so a ``diff`` of two runs
+compares them.
 
 The set has 574 invocations:
 - the 38 argvs of ``tests/golden/cases.json``;
@@ -68,9 +71,21 @@ if __name__ == "__main__":
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     os.chdir(root)  # config paths in the golden argvs are relative to the root
-    from coupled_mzi.cli import main
+    from coupled_mzi import cli
     from workloads import make_round
 
+    sampled, sample_events = [], cli.sample_events
+
+    def capture(*args, **kwargs):
+        sampled.append(sample_events(*args, **kwargs))
+        return sampled[-1]
+
+    cli.sample_events = capture
     with tempfile.TemporaryDirectory() as tmp:
         for argv in argvs(make_round, Path(tmp)):
-            print(f"{digest(main, argv, tmp)}  {' '.join(argv)}".replace(tmp, "$WORK"))
+            sampled.clear()
+            line = f"{digest(cli.main, argv, tmp)}  {' '.join(argv)}"
+            if argv[0] == "montecarlo":
+                codes = hashlib.sha256(b"".join(c.tobytes() for c in sampled)).hexdigest()
+                line += f"\n{codes}  codes {' '.join(argv)}"
+            print(line.replace(tmp, "$WORK"))

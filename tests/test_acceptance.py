@@ -42,10 +42,16 @@ from coupled_mzi import (
     sequential_phase,
     weak_value,
 )
-from coupled_mzi.measurement import SIGMA_3
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from coupled_mzi.scattering import concurrence
-from conftest import amplitude_concurrence, balanced_mzi, random_mzi, random_stack, stacked_experiment
+from conftest import (
+    SIGMA_3,
+    amplitude_concurrence,
+    balanced_mzi,
+    random_mzi,
+    random_stack,
+    stacked_experiment,
+)
 
 OBS = ObservableCoefficients()
 

@@ -8,7 +8,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coupled_mzi"
 ALLOWED_PRIVATE_IMPORTS = {
     ("cli", "measurement", "_weights"),
     ("scattering", "params", "_plain"),
-    ("stochastic", "scattering", "_harmonic_tables"),
 }
 """``(importer, module, name)`` of every private name one package module
 imports from another."""

@@ -24,9 +24,11 @@ from coupled_mzi import (
     reduced_system_state,
     system_params,
 )
-from coupled_mzi.measurement import PAULI_BASIS, SIGMA_0, SIGMA_3
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from conftest import (
+    PAULI_BASIS,
+    SIGMA_0,
+    SIGMA_3,
     balanced_mzi,
     decompose_observable,
     detector_drain_probabilities,

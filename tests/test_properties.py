@@ -47,10 +47,9 @@ from coupled_mzi import (
 from coupled_mzi import cli
 from coupled_mzi.cli import _MAX_EXPONENT, _VECTOR_CELLS, _Grid, _table_csv, _vector_rows
 from coupled_mzi.config import swept
-from coupled_mzi.measurement import SIGMA_0, SIGMA_3
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from coupled_mzi.scattering import ELEMENTARY_CHARGE, PLANCK_CONSTANT
-from conftest import mzi
+from conftest import SIGMA_0, SIGMA_3, mzi
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "unbalanced.conf"
 TWO_PI = 2.0 * math.pi

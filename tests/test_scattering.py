@@ -18,7 +18,6 @@ from coupled_mzi import (
     qpc_from_transmission,
     qpc_unitary,
 )
-from coupled_mzi import scattering
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from conftest import amplitude_concurrence, balanced_mzi, random_mzi
 
@@ -203,16 +202,24 @@ BIAS = PhysicalBias(bias_voltage=10e-6, fermi_energy=10e-3, temperature=0.01)
 
 
 class TestHarmonicForm:
+    """``P(g) = A + B cos g + C sin g``, with ``A``, ``B`` and ``C`` read from
+    the tables at ``g = 0, pi/2, pi``: ``P(0) = A + B``, ``P(pi) = A - B``
+    and ``P(pi/2) = A + C``."""
+
+    POINTS = np.array([0.0, math.pi / 2, math.pi])
+
+    @staticmethod
+    def harmonics(p0, p_half, p_pi):
+        a = (p0 + p_pi) / 2
+        return a, (p0 - p_pi) / 2, p_half - a
+
     def test_tables_from_three_amplitude_points(self, rng):
-        # P(0) = A + B, P(pi) = A - B and P(pi/2) = A + C on the amplitude pipeline
         for _ in range(200):
             det, sysm = random_mzi(rng), random_mzi(rng)
-            p0, p_half, p_pi = np.abs(joint_amplitudes(
-                det, sysm, np.array([0.0, math.pi / 2, math.pi])).c) ** 2
-            a, b, c = scattering._harmonic_tables(det, sysm)
-            assert np.max(np.abs(a - (p0 + p_pi) / 2)) <= 1e-12
-            assert np.max(np.abs(b - (p0 - p_pi) / 2)) <= 1e-12
-            assert np.max(np.abs(c - (p_half - (p0 + p_pi) / 2))) <= 1e-12
+            a, b, c = self.harmonics(*joint_probability_table(det, sysm, self.POINTS))
+            expected = self.harmonics(*np.abs(joint_amplitudes(det, sysm, self.POINTS).c) ** 2)
+            for closed, amplitude in zip((a, b, c), expected):
+                assert np.max(np.abs(closed - amplitude)) <= 1e-12
             assert (a.sum(), b.sum(), c.sum()) == (
                 pytest.approx(1.0, abs=1e-12), pytest.approx(0.0, abs=1e-12),
                 pytest.approx(0.0, abs=1e-12))
@@ -221,7 +228,7 @@ class TestHarmonicForm:
         for _ in range(200):
             det, sysm = random_mzi(rng), random_mzi(rng)
             gammas = rng.uniform(-2 * math.pi, 4 * math.pi, 64)
-            a, b, c = scattering._harmonic_tables(det, sysm)
+            a, b, c = self.harmonics(*joint_probability_table(det, sysm, self.POINTS))
             cos, sin = np.cos(gammas)[:, None, None], np.sin(gammas)[:, None, None]
             closed = joint_probability_table(det, sysm, gammas)
             assert closed.shape == (64, 2, 2)
