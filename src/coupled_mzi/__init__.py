@@ -80,6 +80,7 @@ from .scattering import (
 from .stochastic import (
     EstimateReport,
     ObservationBudget,
+    averaged_bundles,
     averaged_detector_params,
     averaged_joint_table,
     contextual_estimate,

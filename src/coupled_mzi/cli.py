@@ -60,13 +60,14 @@ from .scattering import (
     JointStatistics,
     concurrence,
     cross_noise_power,
+    fringe_probability_table,
     joint_amplitudes,
     joint_statistics,
 )
 from .stochastic import (
     RNG_ALGORITHM,
+    averaged_bundles,
     averaged_detector_params,
-    averaged_joint_table,
     contextual_estimate,
     observation_time,
     sample_events,
@@ -386,16 +387,17 @@ def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
     Events are drawn with :func:`sample_events` from one table, the exact
     joint drain distribution averaged over the coupling model
     (:func:`averaged_joint_table`; without fluctuations, the closed-form
-    table at ``gamma``).  The contextual values invert its averaged drain
-    probabilities, and its detector marginals give the predicted MSE.  When
-    the config carries a budget section the report includes the
-    observation-time bound.  A report that is not finite exits as a
+    table at ``gamma``).  The table and the contextual values come from
+    one set of :func:`averaged_bundles`, so the contextual values invert
+    the table's drain probabilities, and its detector marginals give the
+    predicted MSE.  When the config carries a budget section the report
+    includes the observation-time bound.  A report that is not finite exits as a
     configuration error.
     """
-    det, coupling = config.detector, config.coupling
-    damped = averaged_detector_params(detector_params(det, coupling.gamma), coupling)
-    cv = contextual_values(config.observable, damped)
-    stats = JointStatistics(averaged_joint_table(det, config.system, coupling))
+    det, system = config.detector, config.system
+    bundles = averaged_bundles(det, system, config.coupling)
+    cv = contextual_values(config.observable, bundles[0])
+    stats = JointStatistics(fringe_probability_table(det, system, *bundles))
     events = sample_events(stats, n, seed)
     probabilities = (stats.p_detector(DetectorDrain.D1), stats.p_detector(DetectorDrain.D2))
     report = contextual_estimate(events, cv, probabilities=probabilities)
@@ -488,47 +490,62 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every call."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and each subcommand's own, by name, built on
+    first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="coupled-mzi",
         description="Coupled electronic Mach-Zehnder interferometer simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def add_common(p, needs_seed=False):
+    def add(name, summary, needs_seed=False):
+        p = commands[name] = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="configuration file path")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         if needs_seed:
             p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
             p.add_argument("--n", type=int, default=10000, help="number of events")
+        return p
 
-    p_scan = sub.add_parser("scan", help="one-parameter sweep to CSV")
-    add_common(p_scan)
+    p_scan = add("scan", "one-parameter sweep to CSV")
     p_scan.add_argument("--sweep", required=True, help="NAME:MIN:MAX:COUNT")
     p_scan.add_argument("--quantities", required=True,
                         help=f"comma-separated subset of: {', '.join(QUANTITIES)}")
+    add("montecarlo", "seeded estimator run to CSV", needs_seed=True)
+    add("povm", "measurement-layer summary to CSV")
+    add("erasure", "conditional fringe sweep to CSV").add_argument(
+        "--sweep", default="phi_s:0:2*pi:101", help="phi_s:MIN:MAX:COUNT")
+    add("interaction-phase", "geometry-derived phases to CSV")
+    commands["validate-config"] = sub.add_parser("validate-config", help="parse and validate a config file")
+    commands["validate-config"].add_argument("--config", required=True)
+    return parser, commands
 
-    p_mc = sub.add_parser("montecarlo", help="seeded estimator run to CSV")
-    add_common(p_mc, needs_seed=True)
 
-    p_povm = sub.add_parser("povm", help="measurement-layer summary to CSV")
-    add_common(p_povm)
+def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser."""
+    return _parsers()[0]
 
-    p_er = sub.add_parser("erasure", help="conditional fringe sweep to CSV")
-    add_common(p_er)
-    p_er.add_argument("--sweep", default="phi_s:0:2*pi:101", help="phi_s:MIN:MAX:COUNT")
 
-    p_ip = sub.add_parser("interaction-phase", help="geometry-derived phases to CSV")
-    add_common(p_ip)
-
-    p_val = sub.add_parser("validate-config", help="parse and validate a config file")
-    p_val.add_argument("--config", required=True)
-    return parser
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, byte for byte.  The top-level
+    parser hands every word after a subcommand's name to that subcommand's
+    parser and rejects the words it leaves over, so an argv that starts with
+    a subcommand's name skips the top-level pass."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         config = load_config(args.config)
         if args.command == "validate-config":

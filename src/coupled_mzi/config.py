@@ -7,17 +7,19 @@ ignored.  Keys are dotted section paths (``detector.qpc1.T``).  Values are
 arithmetic expressions over integer and decimal literals and the constant
 ``pi`` using unary ``+ -``, binary ``+ - * /`` and parentheses (e.g.
 ``pi/2``, ``3*pi/4``, ``10e-6``), evaluated at parse time to a finite
-float.  Nothing else is a number: ``True``, ``None``, names and calls are
-rejected, as are division by zero, results outside the float range and
-expressions nested too deeply for the parser.
+float; a plain decimal literal is read by ``float``, which gives the
+double the parser gives.  Nothing else is a number: ``True``, ``None``,
+names and calls are rejected, as are division by zero, results outside the
+float range and expressions nested too deeply for the parser.
 
 Sections and keys
 -----------------
 The table ``_SECTIONS`` lists every section with its constructor, every
 key with its default (or ``_REQUIRED``) and each exactly-one-of group
 (``T``/``theta``, ``coulomb_constant``/``target_gamma``); README.md
-explains each key.  The loader builds the sections in the table's order
-and reports the first fault it meets; the constructors check the domains.
+explains each key.  The table becomes one build plan per section at
+import; the loader builds the sections in the table's order and reports
+the first fault it meets; the constructors check the domains.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -52,14 +55,27 @@ SWEEPS = {
     "sigma": ((0.0, math.pi), "coupling", "sigma", None),
 }
 
+# A signed decimal literal that the parser reads as one number, which
+# ``float`` reads to the same double: ASCII digits only (``float`` also takes
+# other scripts' digits), no ``_``, and no leading zero on an integer.  Longer
+# texts take the parser, whose integer literals stop at
+# ``sys.get_int_max_str_digits()`` digits, never fewer than 640.
+_LITERAL = re.compile(r"[+-]?(?:0+|[1-9][0-9]*|[0-9]+[eE][+-]?[0-9]+"
+                      r"|(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
+_LITERAL_CHARS = 100
+
 _OPERATORS = {ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Add: operator.add,
               ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 def evaluate_number(text: str) -> float:
     """Evaluate a pi-literal arithmetic expression to a finite float."""
+    source = text.strip()
     try:
-        value = _eval_node(ast.parse(text.strip(), mode="eval").body, text)
+        if len(source) <= _LITERAL_CHARS and _LITERAL.fullmatch(source):
+            value = float(source)  # the correctly rounded double the parser makes too
+        else:
+            value = _eval_node(ast.parse(source, mode="eval").body, text)
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse number {text!r}: {exc.msg}") from None
     except ZeroDivisionError:
@@ -192,41 +208,52 @@ _SECTIONS = {
 }
 
 
-def _known_keys(path: str, entry: _Entry) -> set[str]:
+def _plan(path: str, entry: _Entry) -> tuple[Callable[[dict], object], frozenset[str]]:
+    """``entry`` at ``path`` as a function of the parsed pairs that builds its
+    object and reports the first fault in the table's order, and the keys it
+    reads.  Names, nested entries and messages are resolved here, once."""
     one_of = entry.build if isinstance(entry.build, dict) else {}
-    return {f"{path}.{key}" for key in one_of}.union(*(
-        _known_keys(f"{path}.{key}", default) if isinstance(default, _Entry) else {f"{path}.{key}"}
-        for key, default in entry.keys.items()
-    ))
-
-
-_KNOWN = frozenset().union(*(_known_keys(name, entry) for name, entry in _SECTIONS.items()))
-
-
-def _build(pairs: dict[str, tuple[float, int]], path: str, entry: _Entry):
-    build, choice, kwargs = entry.build, None, {}
-    if isinstance(build, dict):
-        given = [key for key in build if f"{path}.{key}" in pairs]
-        if len(given) != 1:
-            raise ConfigError(f"{path}: specify exactly one of {' or '.join(build)}")
-        choice = given[0]
-        build = build[choice]
-        kwargs[_ARGUMENTS.get(choice, choice)] = pairs[f"{path}.{choice}"][0]
+    choices = [(f"{path}.{key}", _ARGUMENTS.get(key, key), build, entry.blame.format(path=path, choice=key))
+               for key, build in one_of.items()]
+    fault = f"{path}: specify exactly one of {' or '.join(one_of)}"
+    blame = entry.blame.format(path=path, choice=None)
+    fields, keys = [], {name for name, *_ in choices}
     for key, default in entry.keys.items():
-        name = f"{path}.{key}"
+        name, nested = f"{path}.{key}", None
         if isinstance(default, _Entry):
-            value = _build(pairs, name, default)
-        elif name in pairs:
-            value = pairs[name][0]
-        elif default is _REQUIRED:
-            raise ConfigError(f"missing required key {name}")
+            nested, nested_keys = _plan(name, default)
+            keys |= nested_keys
         else:
-            value = default
-        kwargs[_ARGUMENTS.get(key, key)] = value
-    try:
-        return build(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{entry.blame.format(path=path, choice=choice)}: {exc}") from None
+            keys.add(name)
+        fields.append((name, _ARGUMENTS.get(key, key), default, nested))
+
+    def build(pairs: dict[str, tuple[float, int]]):
+        make, why, kwargs = entry.build, blame, {}
+        if choices:
+            given = [choice for choice in choices if choice[0] in pairs]
+            if len(given) != 1:
+                raise ConfigError(fault)
+            name, argument, make, why = given[0]
+            kwargs[argument] = pairs[name][0]
+        for name, argument, default, nested in fields:
+            if nested is not None:
+                kwargs[argument] = nested(pairs)
+            elif name in pairs:
+                kwargs[argument] = pairs[name][0]
+            elif default is _REQUIRED:
+                raise ConfigError(f"missing required key {name}")
+            else:
+                kwargs[argument] = default
+        try:
+            return make(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"{why}: {exc}") from None
+
+    return build, frozenset(keys)
+
+
+_PLANS = {name: _plan(name, entry) for name, entry in _SECTIONS.items()}
+_KNOWN = frozenset().union(*(keys for _, keys in _PLANS.values()))
 
 
 def _parse_pairs(text: str) -> dict[str, tuple[float, int]]:
@@ -255,11 +282,8 @@ def load_config_text(text: str) -> ExperimentConfig:
     """Parse and validate a configuration from its text content."""
     pairs = _parse_pairs(text)
     present = {key.partition(".")[0] for key in pairs if "." in key}
-    sections = {
-        name: _build(pairs, name, entry)
-        for name, entry in _SECTIONS.items()
-        if not entry.optional or name in present
-    }
+    sections = {name: build(pairs) for name, (build, _) in _PLANS.items()
+                if not _SECTIONS[name].optional or name in present}
     unknown = sorted(set(pairs) - _KNOWN)
     if unknown:
         raise ConfigError(f"line {pairs[unknown[0]][1]}: unknown key {unknown[0]!r}")
@@ -269,8 +293,8 @@ def load_config_text(text: str) -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     """Load and validate a configuration file."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return load_config_text(text)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -152,8 +153,8 @@ def joint_amplitudes(det: InterferometerConfig, sys: InterferometerConfig, gamma
 class JointStatistics:
     """Joint drain probabilities ``joint[..., detector drain, system drain]``,
     one table or a stack; the detector and system marginals sum over the
-    last and the second-to-last axis.  Every table lies in [0, 1] and sums
-    to 1 within 1e-12."""
+    last and the second-to-last axis, once per table, and are read-only.
+    Every table lies in [0, 1] and sums to 1 within 1e-12."""
 
     joint: np.ndarray
 
@@ -169,19 +170,24 @@ class JointStatistics:
         joint.setflags(write=False)
         object.__setattr__(self, "joint", joint)
 
-    @property
+    @cached_property
     def detector_marginals(self) -> np.ndarray:
-        return self.joint.sum(axis=-1)
+        return _read_only(self.joint.sum(axis=-1))
 
-    @property
+    @cached_property
     def system_marginals(self) -> np.ndarray:
-        return self.joint.sum(axis=-2)
+        return _read_only(self.joint.sum(axis=-2))
 
     def p_detector(self, d: DetectorDrain):
-        return _plain(self.joint[..., d.value, :].sum(axis=-1))
+        return _plain(self.detector_marginals[..., d.value])
 
     def p_system(self, s: SystemDrain):
-        return _plain(self.joint[..., s.value].sum(axis=-1))
+        return _plain(self.system_marginals[..., s.value])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def joint_statistics(amps: JointAmplitudes) -> JointStatistics:

@@ -21,11 +21,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import AmbiguousMeasurementError
 from .measurement import DIVERGENCE_THRESHOLD, ContextualValues
-from .params import (CouplingModel, FringeParams, InterferometerConfig, JointInterferenceParams, damping_eta,
-                     detector_params, joint_interference_params, system_params)
+from .params import (CouplingModel, DetectorParams, FringeParams, InterferometerConfig, JointInterferenceParams,
+                     SystemParams, damping_eta, detector_params, joint_interference_params, system_params)
 from .scattering import JointStatistics, fringe_probability_table
 
 RNG_ALGORITHM = "philox4x64"
@@ -110,14 +111,18 @@ def raised_cosine_pdf(gamma_prime, model: CouplingModel):
     return density if density.ndim else float(density)
 
 
-def _averaged_coupling_term(big_gamma, cos_phase, model: CouplingModel):
+def _averaged_coupling_term(big_gamma, cos_phase, model: CouplingModel, eta):
     """``Gamma_bar = p (eta Gamma + (1 - eta) cos(phase) / 2)``: a coupling
     term ``Gamma = sin(g/2) sin(g/2 + phase) = (cos(phase) - cos(g + phase)) / 2``
     averaged over the coupling model.  The raised cosine damps
-    ``cos(g + phase)`` by ``eta(sigma)``, and an unpaired emission has
+    ``cos(g + phase)`` by ``eta = eta(sigma)``, and an unpaired emission has
     ``Gamma = 0``.  At ``sigma = 0, p = 1`` this is ``Gamma``, bit for bit."""
-    eta = damping_eta(model.sigma)
     return model.pair_probability * (eta * big_gamma + (1.0 - eta) * cos_phase / 2.0)
+
+
+def _averaged_params(p: FringeParams, model: CouplingModel, eta) -> FringeParams:
+    gamma_bar = _averaged_coupling_term(p.Gamma, p.Delta + p.Gamma, model, eta)
+    return replace(p, Gamma=gamma_bar, Delta=p.Delta + (p.Gamma - gamma_bar))
 
 
 def averaged_detector_params(p: FringeParams, model: CouplingModel) -> FringeParams:
@@ -131,8 +136,23 @@ def averaged_detector_params(p: FringeParams, model: CouplingModel) -> FringePar
     amplification of an inefficient measurement.  The fields of ``p`` and
     ``model`` may be arrays.
     """
-    gamma_bar = _averaged_coupling_term(p.Gamma, p.Delta + p.Gamma, model)
-    return replace(p, Gamma=gamma_bar, Delta=p.Delta + (p.Gamma - gamma_bar))
+    return _averaged_params(p, model, damping_eta(model.sigma))
+
+
+def averaged_bundles(
+    det: InterferometerConfig, sys: InterferometerConfig, model: CouplingModel
+) -> tuple[DetectorParams, SystemParams, JointInterferenceParams]:
+    """The detector, system and joint (``phase = phi_d - phi_s``) bundles
+    averaged over the coupling model, each as :func:`averaged_detector_params`
+    averages a bundle, with ``eta(sigma)`` evaluated once.  Every field of
+    the interferometers and of ``model`` may be an array.
+    """
+    gamma, eta = model.gamma, damping_eta(model.sigma)
+    jp = joint_interference_params(det.tuning_phase, sys.tuning_phase, gamma)
+    gamma_ds = _averaged_coupling_term(jp.Gamma_ds, np.cos(det.tuning_phase - sys.tuning_phase), model, eta)
+    return (_averaged_params(detector_params(det, gamma), model, eta),
+            _averaged_params(system_params(sys, gamma), model, eta),
+            JointInterferenceParams(jp.Delta_ds + (jp.Gamma_ds - gamma_ds), gamma_ds))
 
 
 def averaged_joint_table(
@@ -140,21 +160,16 @@ def averaged_joint_table(
 ) -> np.ndarray:
     """Joint drain table ``broadcast + (2, 2)`` averaged over the coupling
     model: the closed form :func:`~coupled_mzi.scattering.fringe_probability_table`
-    at the averaged detector, system and joint (``phase = phi_d - phi_s``)
-    bundles.  Without fluctuations it is
+    at the :func:`averaged_bundles`.  Without fluctuations it is
     :func:`~coupled_mzi.scattering.joint_probability_table`, bit for bit.
     Every field of the interferometers and of ``model`` may be an array.
     """
-    gamma = model.gamma
-    jp = joint_interference_params(det.tuning_phase, sys.tuning_phase, gamma)
-    gamma_ds = _averaged_coupling_term(jp.Gamma_ds, np.cos(det.tuning_phase - sys.tuning_phase), model)
-    jp = JointInterferenceParams(jp.Delta_ds + (jp.Gamma_ds - gamma_ds), gamma_ds)
-    return fringe_probability_table(det, sys, averaged_detector_params(detector_params(det, gamma), model),
-                                    averaged_detector_params(system_params(sys, gamma), model), jp)
+    return fringe_probability_table(det, sys, *averaged_bundles(det, sys, model))
 
 
-def _categories(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Codes by the right-side rule ``edge[k-1] <= u < edge[k]``.
+def _categories(u: np.ndarray, probs: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Codes by the right-side rule ``edge[k-1] <= u < edge[k]``, written
+    into and returned as ``codes`` (``uint8``, the shape of ``u``).
 
     ``probs`` is one flat joint table ``(4,)``; ``edge`` is its cumulative
     sum, accumulated one entry at a time, and only the three inner edges are
@@ -162,13 +177,29 @@ def _categories(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     probability, also when rounding leaves the last edge below 1, so no
     zero-probability category is ever returned.
     """
-    codes = np.zeros(u.shape, dtype=np.uint8)
+    codes.fill(0)
     edge = 0.0
     for p in probs[:3].tolist():
         edge = edge + p
         codes += edge <= u
     last = 3 - int(np.argmax(probs[::-1] > 0.0))  # a Python int keeps the codes uint8
-    return np.minimum(codes, last)
+    return np.minimum(codes, last, out=codes)
+
+
+class _PhiloxKey(ISeedSequence):
+    """The Philox key ``[seed, 0]`` of a 64-bit seed, as a seed sequence.
+
+    ``Philox`` takes its key from a seed sequence as two 64-bit words, so
+    ``Philox(_PhiloxKey(seed))`` has the state of ``Philox(key=seed)``,
+    without the ``SeedSequence`` that ``Philox(key=seed)`` first draws from
+    OS entropy and then drops.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array([self.seed, 0][:n_words], dtype=dtype)
 
 
 def sample_events(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
@@ -185,11 +216,12 @@ def sample_events(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
     seed = int(seed)
     if not (0 <= seed < 2**64):
         raise ValueError("seed must be a 64-bit unsigned integer")
-    rng, flat = Generator(Philox(key=seed)), stats.joint.ravel()
+    rng, flat = Generator(Philox(_PhiloxKey(seed))), stats.joint.ravel()
     codes = np.empty(n, dtype=np.uint8)
+    uniforms = np.empty(min(n, _CHUNK))  # one buffer, refilled for each chunk
     for start in range(0, n, _CHUNK):
-        count = min(_CHUNK, n - start)
-        codes[start:start + count] = _categories(rng.random(count), flat)
+        u = uniforms[:min(_CHUNK, n - start)]
+        _categories(rng.random(out=u), flat, codes[start:start + len(u)])
     return codes
 
 

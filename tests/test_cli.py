@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_config import GOLDEN, mutated_configs
 
-from coupled_mzi import cli
+from coupled_mzi import cli, conditioning, measurement, params, scattering, stochastic
 from coupled_mzi.cli import main
 from coupled_mzi.config import SWEEPS
 
@@ -293,6 +293,23 @@ class TestScan:
 
 
 class TestMontecarlo:
+    def test_run_builds_the_averaged_bundles_once(self, monkeypatch, capsys):
+        argv = ["montecarlo", "--config", str(GOLDEN_CONFIG), "--n", "1000", "--seed", "3"]
+        expected = run_cli(argv, capsys)
+        calls = {"detector_params": 0, "damping_eta": 0}
+        for name in calls:
+            original = getattr(params, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            for module in (cli, conditioning, measurement, scattering, stochastic):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        assert run_cli(argv, capsys) == expected
+        assert expected[0] == 0 and calls == {"detector_params": 1, "damping_eta": 1}
+
     def test_single_event_is_one_contextual_value(self, tmp_path, capsys):
         path = tmp_path / "exp.conf"
         path.write_text(MINIMAL.replace("coupling.gamma = pi", "coupling.gamma = pi/2"),
@@ -435,9 +452,41 @@ class TestMontecarlo:
         assert "config error: observable: the estimator report is not a finite number" in err
 
 
+def parsed(parse, argv):
+    """stdout, stderr and the exit code or the parsed namespace of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return out.getvalue(), err.getvalue(), result
+
+
 class TestParser:
     def test_built_once(self):
         assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus", "--config", "x.conf"],
+        ["-h"],
+        ["montecarlo", "--config", "x.conf", "--n", "ten"],
+        ["montecarlo", "--config", "x.conf", "--seed=-1"],
+        ["montecarlo", "--config", "x.conf", "stray"],
+        ["validate-config", "--config", "x.conf", "--out", "y.csv"],
+        ["scan", "--sweep", "gamma:0:1:3", "--quantities", "P_D1"],
+        ["montecarlo", "--conf", "x.conf"],
+        ["montecarlo", "-h"],
+        ["povm", "--config", "x.conf", "--", "stray"],
+        ["--", "povm", "--config", "x.conf"],
+        ["erasure", "--config", "x.conf"],
+    ], ids=["empty", "unknown-subcommand", "top-help", "non-integer-n", "negative-seed",
+            "stray-word", "unknown-option", "missing-config", "abbreviated-option",
+            "subcommand-help", "stray-after-dashes", "dashes-first", "defaults"])
+    def test_subcommand_parser_gives_the_top_level_bytes(self, argv):
+        oracle = parsed(cli._build_parser().parse_args, argv)
+        assert parsed(cli._parse_args, argv) == oracle
 
     def test_usage_error_then_valid_call(self, config_path, capsys):
         for _ in range(2):

@@ -1,4 +1,6 @@
+import ast
 import math
+import operator
 import re
 from pathlib import Path
 
@@ -60,6 +62,88 @@ class TestNumberEvaluation:
     def test_rejected_expressions(self, bad):
         with pytest.raises(ConfigError):
             evaluate_number(bad)
+
+
+_OPERATORS = {ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Add: operator.add,
+              ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
+def parser_evaluate_number(text):
+    """Oracle: ``evaluate_number`` as it was before plain literals skipped
+    the parser, every text through ``ast``."""
+    def node_value(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return float(node.value)
+        if isinstance(node, ast.Name) and node.id == "pi":
+            return math.pi
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
+            return _OPERATORS[type(node.op)](node_value(node.operand))
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            left = node_value(node.left)
+            return _OPERATORS[type(node.op)](left, node_value(node.right))
+        raise ConfigError(f"unsupported expression in {text!r} (allowed: numbers, pi, + - * /)")
+
+    try:
+        value = node_value(ast.parse(text.strip(), mode="eval").body)
+    except SyntaxError as exc:
+        raise ConfigError(f"cannot parse number {text!r}: {exc.msg}") from None
+    except ZeroDivisionError:
+        raise ConfigError(f"division by zero in {text!r}") from None
+    except OverflowError:
+        value = math.inf
+    except (RecursionError, MemoryError):
+        raise ConfigError(f"expression {text!r} is nested too deeply") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"number {text!r} is not finite")
+    return value
+
+
+def outcome(evaluate, text):
+    """The double's bits (``-0.0`` apart from ``0.0``) or the error text."""
+    try:
+        return "value", evaluate(text).hex()
+    except ConfigError as exc:
+        return "error", str(exc)
+
+
+DIGITS = st.text("0123456789", max_size=25)
+near_literals = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", " ", "\t", "\u00a0", "\n "]),
+        st.sampled_from(["", "+", "-", "--", "+-", "- "]),
+        st.one_of(DIGITS, st.sampled_from(["007", "00", "1_0", "\u0663", "\uff11", "9" * 400, "1" * 5000])),
+        st.sampled_from(["", ".", "._"]),
+        DIGITS,
+        st.one_of(st.just(""), st.builds("".join, st.tuples(
+            st.sampled_from("eE"), st.sampled_from(["", "+", "-", "_"]), DIGITS))),
+        st.sampled_from(["", " ", "\u3000", "j", "x", "*2"]),
+    ),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=st.one_of(near_literals, st.floats().map(repr), st.integers().map(str),
+                      st.text("0123456789.eE+-_ \u0663\uff11", max_size=12)))
+@example(text="007")  # the parser rejects it, float() reads 7
+@example(text="007.5")
+@example(text="007e1")
+@example(text="00")
+@example(text="1_0")
+@example(text="\u0663")  # re's \d matches both digits, float() reads them
+@example(text="\uff11")
+@example(text="+.5")
+@example(text="-0")
+@example(text="--1")
+@example(text="1e-400")
+@example(text="-1e-400")
+@example(text="1e400")
+@example(text="9" * 400)
+@example(text="1" * 5000)  # beyond the parser's integer digits
+@example(text=" \t0.5 \n")
+@example(text="\u00a0-1.25E+3\u3000")
+def test_plain_literals_read_as_the_parser_reads_them(text):
+    assert outcome(evaluate_number, text) == outcome(parser_evaluate_number, text)
 
 
 class TestLoadConfig:

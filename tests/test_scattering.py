@@ -160,6 +160,23 @@ class TestJointStatistics:
             assert np.max(np.abs(stats.detector_marginals - closed.detector_marginals)) < 1e-12
             assert np.max(np.abs(stats.system_marginals - closed.system_marginals)) < 1e-12
 
+    def test_marginals_are_summed_once_and_read_only(self, rng):
+        tables = rng.dirichlet(np.ones(4), size=(5, 3)).reshape(5, 3, 2, 2)
+        tables[0, 0] = [[-0.0, 0.5], [-0.0, 0.5]]
+        for stats in (JointStatistics(tables), JointStatistics(tables[0, 0]), JointStatistics(tables[2, 1])):
+            assert stats.detector_marginals is stats.detector_marginals
+            assert stats.system_marginals is stats.system_marginals
+            assert not stats.detector_marginals.flags.writeable
+            assert not stats.system_marginals.flags.writeable
+            # the bits of the per-drain sums (numpy sums -0.0 + -0.0 to 0.0); one table gives floats
+            for d in DetectorDrain:
+                old = stats.joint[..., d.value, :].sum(axis=-1)
+                assert np.asarray(stats.p_detector(d)).tobytes() == old.tobytes()
+                assert isinstance(stats.p_detector(d), float) == (old.ndim == 0)
+            for s in SystemDrain:
+                old = stats.joint[..., s.value].sum(axis=-1)
+                assert np.asarray(stats.p_system(s)).tobytes() == old.tobytes()
+
     def test_unnormalized_input_rejected(self):
         bad = JointAmplitudes(np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex))
         with pytest.raises(ValueError, match="not normalized"):

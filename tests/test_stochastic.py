@@ -341,7 +341,7 @@ class TestCategoryRule:
         assert np.cumsum(self.ROWS[4])[-1] == 1.0 - 2.0**-53
         for probs, last in zip(self.ROWS, [2, 3, 0, 2, 2, 3]):
             u = self.planted(probs)
-            codes = stochastic._categories(u, probs)
+            codes = stochastic._categories(u, probs, np.empty(u.shape, np.uint8))
             assert codes.dtype == np.uint8
             assert np.all(probs[codes] > 0.0)
             # the largest uniform goes to the last category of nonzero probability
@@ -351,7 +351,7 @@ class TestCategoryRule:
         probs = self.ROWS[5]
         edges = np.cumsum(probs)
         u = np.concatenate([[0.0], edges[:3], np.nextafter(edges[:3], 0.0)])
-        got = stochastic._categories(u, probs)
+        got = stochastic._categories(u, probs, np.empty(u.shape, np.uint8))
         assert got.tolist() == [0, 1, 2, 3, 0, 1, 2]
 
 
@@ -397,11 +397,18 @@ class TestSampleEvents:
         # event i is decided by uniform double i of the seed's Philox stream
         _, _, stats = quarter_stats()
         uniforms = Generator(Philox(key=99)).random(10_001)
-        expected = stochastic._categories(uniforms, stats.joint.ravel())
+        expected = stochastic._categories(uniforms, stats.joint.ravel(), np.empty(10_001, np.uint8))
         codes = sample_events(stats, 10_001, seed=99)
         assert np.array_equal(codes, expected)
         # codes drawn before the array-native sampler, over the same inputs
         assert digest(codes) == "1255a1d0a41a04873477c9f647a338d4331ec1651c127170453086e6fa5c1cd5"
+
+    @pytest.mark.parametrize("seed", [0, 1, 99, 2**32, 2**63, 2**64 - 1])
+    def test_key_sequence_gives_the_keyed_generator(self, seed):
+        keyed = Philox(key=seed)
+        assert repr(Philox(stochastic._PhiloxKey(seed)).state) == repr(keyed.state)
+        assert np.array_equal(Generator(Philox(stochastic._PhiloxKey(seed))).random(9),
+                              Generator(keyed).random(9))
 
     @pytest.mark.parametrize("chunk", [1, 3, 4, 5, 4096])
     def test_chunk_size_invariance(self, chunk, monkeypatch):
