@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import struct
 import sys
 from collections.abc import Callable
 from dataclasses import replace
@@ -85,44 +86,54 @@ def _csv(header: list[str], rows) -> str:
 
 
 def _table_csv(header: list[str], table: np.ndarray) -> str:
-    """CSV of an ``(n, k)`` float table: each cell is ``"%.17g" % x``.
-    NaN of either sign prints ``nan``, which no other cell contains.
+    """CSV of an ``(n, k)`` float table: each cell is ``"%.17g" % x``, and
+    NaN of either sign prints :data:`AMBIGUOUS_TOKEN`.
 
     Two writers give these bytes.  Tables of at least ``_VECTOR_CELLS``
     cells take the whole-array :func:`_vector_rows`; smaller ones one row
     template per row, which costs less than numpy's per-call overhead there.
     """
     rows = _vector_rows if table.size >= _VECTOR_CELLS else _template_rows
-    body = rows(table)
-    if np.isnan(table).any():
-        body = body.replace("nan", AMBIGUOUS_TOKEN)
-    return ",".join(header) + "\n" + body
+    return ",".join(header) + "\n" + rows(table, AMBIGUOUS_TOKEN)
 
 
-def _template_rows(table: np.ndarray) -> str:
+def _template_rows(table: np.ndarray, nan: str) -> str:
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return "".join(map(row.__mod__, map(tuple, table.tolist())))
+    # "%.17g" writes a NaN of either sign as "nan", which no other cell contains
+    return "".join(map(row.__mod__, map(tuple, table.tolist()))).replace("nan", nan)
 
 
 # The vector writer.  A cell x that is finite, nonzero and within the
 # two-digit exponents prints the 17 digits of ``D = round(|x| 10**(16 - k))``,
 # where ``10**16 <= D < 10**17`` fixes the decimal exponent k.  Each cell is
-# laid out in five little-endian 64-bit words, and NUL bytes are dropped at
-# the end:
-#   word 0     separator, sign, the "0." and zeros of fixed notation below 1,
-#              and D's leading digit in the top byte;
-#   words 1-4  D's other 16 digits, four per word from a lookup table,
-#              trailing zeros as NUL, and the decimal point shifted into one
-#              of them;
-#   word 4     also the exponent "e+05" in its top four bytes.
-# Every other cell (NaN, inf, zero, a magnitude beyond 1e+-98, a rounding
-# near a tie, an integer whose zeros reach the point) takes ``"%.17g" % x``.
-_VECTOR_CELLS = 300  # the crossover with the row template, measured on 2 vCPUs
-_VECTOR_BLOCK = 1 << 14  # cells per block; each cell takes about 250 bytes of buffers
+# laid out in four little-endian 64-bit words, its text in order with NUL
+# bytes in between that are dropped at the end:
+#   word 0     sign, the "0." and zeros of fixed notation below 1, D's leading
+#              digit and the point after it, in the top bytes;
+#   words 1-2  D's other 16 digits, four per half-word, trailing zeros as NUL;
+#   word 3     the exponent "e+05" and the separator after the cell: "," or,
+#              after a row's last cell, "\n".
+# Word 0 is one lookup by the biased exponent e = k + _BIAS, the leading digit
+# and the sign; word 3 one by e and the column.  A point among the digits
+# (fixed notation, 1 <= k <= 15) moves words 1-3 up a byte.  Every other cell
+# (NaN, inf, zero, a magnitude beyond 1e+-98, a rounding near a tie, an
+# integer whose zeros reach the point) takes ``"%.17g" % x``.
+
+# The crossover with the row template.  Each writer was timed alone after a
+# gc.collect(), as the benchmark runs ops, on scan tables of 3, 5 and 9 columns
+# (2 vCPUs, medians of 200): vector/template was 1.27-1.29 at 300 cells,
+# 0.98-1.01 at 400, 0.80-1.00 at 500 and 0.73-0.79 at 600.
+_VECTOR_CELLS = 450
+_VECTOR_BLOCK = 1 << 14  # cells per block; each cell takes about 200 bytes of buffers
 _MAX_EXPONENT = 99  # the widest exponent that fits its four bytes: "e-99"
+_BIAS = _MAX_EXPONENT + 3  # the decade fix-ups move k by at most 3
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into 26-bit halves
 _TIE_MARGIN = 2.0**-20  # roundings this near 1/2 take the per-cell rule (the error is < 2**-47)
+# the bits of 1e-98 and 1e+98, whose order is that of the doubles >= 0
+_TINY, _HUGE = struct.unpack("<2q", struct.pack("<2d", 10.0 ** (1 - _MAX_EXPONENT),
+                                                  10.0 ** (_MAX_EXPONENT - 1)))
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
+_POW10.setflags(write=False)
 _WORD = np.dtype("<u8")
 
 
@@ -134,21 +145,20 @@ def _split(a):
 
 @cache
 def _writer_tables() -> tuple[np.ndarray, ...]:
-    """The vector writer's lookup tables, built on its first call.
+    """The vector writer's lookup tables, built on its first call and
+    read-only, since every call shares them.  With ``e = k + _BIAS``:
 
-    - ``scale[:, k + 102]``: ``10**(16 - k)`` as the double ``hi`` nearest
-      to it, the two halves of ``hi`` and ``lo``, the double nearest to
+    - ``scale[:, e]``: ``10**(16 - k)`` as the double ``hi`` nearest to it,
+      the two halves of ``hi`` and ``lo``, the double nearest to
       ``10**(16 - k) - hi``; each from exact integers;
-    - ``quads[q + 10000 tail]``: the four digits of ``q``, with their
-      trailing zeros NUL when ``tail``;
-    - ``leads[j + 5 sign]``: separator slot, sign and the prefix
-      ``("", "0.", "0.0", "0.00", "0.000")[j]``;
-    - ``exponents[k + 99]``: ``"e%+03d" % k`` in the top four bytes, and 0
-      at the end, for fixed notation.
+    - ``fronts[20 e + 2 digit + negative]``: word 0 of a cell;
+    - ``quads[tail, q]``: the four digits of ``q``, with their trailing
+      zeros NUL when ``tail``;
+    - ``ends[e + (2 _BIAS + 1) last]``: word 3 of a cell, ``last`` in a row.
     """
-    top = _MAX_EXPONENT + 3  # the decade fix-ups move k by at most 3
+    exponents = range(-_BIAS, _BIAS + 1)
     powers = []
-    for n in range(16 - top, 17 + top):
+    for n in range(16 - _BIAS, 17 + _BIAS):
         whole = 10 ** abs(n)
         if n >= 0:
             hi = float(whole)
@@ -167,91 +177,114 @@ def _writer_tables() -> tuple[np.ndarray, ...]:
     for j in (3, 2, 1, 0):
         zeros = zeros & (digits[j] == 0)
         tail[zeros] &= ~(0xFF << 8 * j)
-    quads = np.concatenate([plain, tail]).astype("<u4")
-    prefixes = (b"", b"0.", b"0.0", b"0.00", b"0.000")
-    leads = b"".join((b"\0" + sign + prefix).ljust(8, b"\0") for sign in (b"", b"-") for prefix in prefixes)
-    exponents = b"".join(b"\0" * 4 + b"e%+03d" % k for k in range(-_MAX_EXPONENT, _MAX_EXPONENT + 1))
-    return scale, quads, np.frombuffer(leads, _WORD), np.frombuffer(exponents + b"\0" * 8, _WORD)
+    quads = np.stack([plain, tail]).astype("<u4")
+
+    def front(k, digit, sign):
+        fixed = -4 <= k <= 16
+        prefix = b"0." + b"0" * (-1 - k) if fixed and k < 0 else b""
+        point = b"." if not fixed or k == 0 else b""  # dropped again where no digit follows
+        return (sign + prefix + b"%d" % digit + point).rjust(8, b"\0")
+
+    fronts = b"".join(front(k, digit, sign) for k in exponents for digit in range(10) for sign in (b"", b"-"))
+    ends = b"".join(((b"" if -4 <= k <= 16 else b"e%+03d" % k) + separator).ljust(8, b"\0")
+                    for separator in (b",", b"\n") for k in exponents)
+    tables = (scale, np.frombuffer(fronts, _WORD), quads, np.frombuffer(ends, _WORD))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-def _scaled(a: np.ndarray, k: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer part and fraction of ``a 10**(16 - k)`` for ``a > 0``.
+def _scaled(a: np.ndarray, e: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``D = round(a 10**(16 - k))`` for ``a > 0``, and ``a 10**(16 - k) - D``.
 
-    ``a hi`` is formed exactly, as ``p + e``, by Dekker's product from
-    26-bit halves (no FMA), and ``a lo`` is added rounded.  For a product
-    below ``2**57`` the fraction is then within ``2**-47`` of the exact one.
+    ``a hi`` is formed exactly, as ``p + err``, by Dekker's product from
+    26-bit halves (no FMA), and ``a lo`` is added to ``err`` rounded.  For a
+    product below ``2**57`` the fraction is then within ``2**-47`` of the
+    exact one.  Within the decade ``p >= 10**16 > 2**53`` is an integer; out
+    of it ``D`` only has to fall outside the decade too.
     """
-    hi, hi_high, hi_low, lo = scale[:, k + _MAX_EXPONENT + 3]
+    hi, hi_high, hi_low, lo = scale.take(e, axis=1)
     p = a * hi
     a_high, a_low = _split(a)
-    e = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low + a * lo
-    whole = np.floor(p)
-    e += p - whole  # nonzero only below 2**53, out of the decade
-    carry = np.floor(e)
-    return whole.astype(np.int64) + carry.astype(np.int64), e - carry
+    err = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low + a * lo
+    rounded = np.rint(err)
+    return p.astype(np.int64) + rounded.astype(np.int64), err - rounded
 
 
-def _vector_rows(table: np.ndarray) -> str:
+def _vector_rows(table: np.ndarray, nan: str = "nan") -> str:
     """The bytes of :func:`_template_rows`, from whole-array steps on
     blocks of rows, so the buffers stay a few MB at any table size."""
     step = max(1, _VECTOR_BLOCK // table.shape[1])
-    return "".join(_vector_block(table[i:i + step]) for i in range(0, len(table), step))
+    token = nan.encode("ascii")
+    blocks = (_vector_block(table[i:i + step], token) for i in range(0, len(table), step))
+    return b"".join(blocks).decode("ascii")
 
 
-def _vector_block(table: np.ndarray) -> str:
-    scale, quads, leads, exponents = _writer_tables()
+def _vector_block(table: np.ndarray, nan: bytes) -> bytes:
+    scale, fronts, quads, ends = _writer_tables()
+    rows, cols = table.shape
     x = table.ravel()
     a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log = np.log10(a)
-    vector = (log >= 1 - _MAX_EXPONENT) & (log < _MAX_EXPONENT - 1)  # finite, nonzero, two-digit exponent
-    a[~vector] = 1.0
-    k = np.floor(np.where(vector, log, 0.0)).astype(np.int64)
-    whole, frac = _scaled(a, k, scale)
-    for _ in range(3):  # log10 can land a decade off next to a power of ten
-        drift = (whole >= 10**17).view(np.int8) - (whole < 10**16).view(np.int8)
-        moved = np.flatnonzero(drift)
+    # NaN, inf, zero or a magnitude past two-digit exponents, by the bits of |x|
+    bad = np.flatnonzero(a.view(np.uint64) - _TINY > _HUGE - _TINY)
+    a[bad] = 1.0
+    e = (np.log10(a) + _BIAS).astype(np.int64)  # floor(log10 |x|) + _BIAS, as the sum is positive
+    d, frac = _scaled(a, e, scale)
+    # log10 can land a decade off next to a power of ten, and a rounding can
+    # carry into the next decade: both leave D outside [10**16, 10**17)
+    for _ in range(3):
+        moved = np.flatnonzero((d - 10**16).view(np.uint64) >= 9 * 10**16)
         if not moved.size:
             break
-        k[moved] += drift[moved]
-        whole[moved], frac[moved] = _scaled(a[moved], k[moved], scale)
-    else:
-        vector &= (whole >= 10**16) & (whole < 10**17)
-    vector &= np.abs(frac - 0.5) > _TIE_MARGIN
-    d = whole + (frac > 0.5)
-    carried = np.flatnonzero(d == 10**17)  # rounded up into the next decade
-    d[carried] = 10**16
-    k[carried] += 1
-    fixed = (k >= -4) & (k < 17)  # %g's fixed notation
-    point = np.where(fixed, np.maximum(k, -1), 0)  # the digit the point follows; -1 in "0."
-    fraction = d % _POW10[16 - point] != 0
-    vector &= (point < 1) | (d % _POW10[17 - point] != 0)  # NUL zeros stay after the point
+        e[moved] += np.where(d[moved] < 10**16, -1, 1)
+        d[moved], frac[moved] = _scaled(a[moved], e[moved], scale)
+    per_cell = np.abs(frac) >= 0.5 - _TIE_MARGIN
+    per_cell[bad] = True
+    per_cell[moved] = True  # still outside after three moves
     lead = d // 10**16
     rest = d - lead * 10**16
     high = rest // 10**8
     low = rest - high * 10**8
-    digits = (high // 10**4, high % 10**4, low // 10**4, low % 10**4)
-    tails = (rest % 10**12 == 0, low == 0, digits[3] == 0, True)  # no nonzero digit follows
-    words = np.empty((*table.shape, 5), _WORD)
-    flat = words.reshape(-1, 5)
-    flat[:, 0] = leads[np.where(fixed & (k < 0), -k, 0) + 5 * (x < 0)] | (lead.astype(_WORD) + 48) << 56
-    for i in range(4):
-        flat[:, i + 1] = quads[digits[i] + 10000 * tails[i]]
-    # the point follows digit `point`, so it goes before byte point % 4 of word 1 + point // 4
-    cells = np.flatnonzero(fraction & (point >= 0))
-    at = point[cells]
-    word = flat[cells, 1 + (at >> 2)]
-    shift = (8 * (at & 3)).astype(_WORD)
-    below = (1 << shift) - 1
-    flat[cells, 1 + (at >> 2)] = (word & below) | 46 << shift | (word & ~below) << 8
-    flat[:, 4] |= exponents[np.where(fixed | ~vector, -1, k + _MAX_EXPONENT)]
-    per_cell = np.flatnonzero(~vector)
-    if per_cell.size:
-        text = b"".join((b"\0" + b"%.17g" % v).ljust(40, b"\0") for v in x[per_cell].tolist())
-        flat[per_cell] = np.frombuffer(text, _WORD).reshape(-1, 5)
-    words[:, 1:, 0] |= 44  # "," before each cell but a row's first
-    words[1:, 0, 0] |= 10  # "\n" before each row but the first
-    return words.tobytes().translate(None, b"\0").decode("ascii") + "\n"
+    words = np.empty((x.size, 4), _WORD)
+    halves = words.view("<u4")
+    words[:, 0] = fronts.take(e * 20 + lead * 2 + (x < 0), mode="clip")
+    q0, q2 = high // 10**4, low // 10**4
+    q1, q3 = high - q0 * 10**4, low - q2 * 10**4
+    halves[:, 2] = quads[0].take(q0)
+    halves[:, 3] = quads[0].take(q1)
+    halves[:, 4] = quads[0].take(q2)
+    halves[:, 5] = quads[1].take(q3)  # the last quad's trailing zeros are the number's
+    last = np.where(np.arange(cols) == cols - 1, 2 * _BIAS + 1, 0)
+    words[:, 3] = ends.take((e.reshape(rows, cols) + last).ravel())
+    zeros = np.flatnonzero(q3 == 0)
+    for slot, q in ((4, q2), (3, q1), (2, q0)):  # a zero quad: the one before ends the digits
+        if not zeros.size:
+            break
+        halves[zeros, slot] = quads[1].take(q[zeros])
+        zeros = zeros[q[zeros] == 0]
+    else:  # D = lead 10**16: no point after the leading digit
+        word = words[zeros, 0]
+        words[zeros, 0] = np.where(word >> 56 == 46, word & (1 << 56) - 1, word)
+        # D = 10**16 rounded up from the decade below, which prints 17 digits
+        per_cell[zeros[(lead[zeros] == 1) & (frac[zeros] < 0)]] = True
+    inner = np.flatnonzero((e - (_BIAS + 1)).view(np.uint64) < 16)  # fixed notation, 1 <= k <= 16
+    if inner.size:
+        k, whole = e[inner] - _BIAS, d[inner]
+        per_cell[inner[whole % _POW10[17 - k] == 0]] = True  # NUL zeros would reach the point
+        point = whole % _POW10[16 - k] != 0
+        # the point goes before digit k of words 1-3, the bytes from there move up one
+        at, tail = k[point, None], words.view(np.uint8)[inner[point], 8:]
+        place = np.arange(tail.shape[1])
+        tail = np.take_along_axis(tail, place - (place > at), axis=1)
+        tail[place == at] = 46
+        words.view(np.uint8)[inner[point], 8:] = tail
+    cells = np.flatnonzero(per_cell)
+    if cells.size:
+        text = b"".join(
+            ((b"%.17g" % v if v == v else nan) + (b"\n" if i % cols == cols - 1 else b",")).ljust(32, b"\0")
+            for i, v in zip(cells.tolist(), x[cells].tolist()))
+        words[cells] = np.frombuffer(text, _WORD).reshape(-1, 4)
+    return words.tobytes().translate(None, b"\0")
 
 
 class _Grid:

@@ -329,9 +329,22 @@ EDGE_CELLS = [
     -2.225073858507201e-308, sys.float_info.min, sys.float_info.max, -sys.float_info.max,
 ]
 grid_tables = hnp.arrays(
-    np.float64, st.tuples(st.integers(1, 50), st.integers(1, 12)),
+    # up to twice the crossover, so both writers of _table_csv are drawn
+    np.float64, st.tuples(st.integers(1, 2 * _VECTOR_CELLS // 12), st.integers(1, 12)),
     elements=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_CELLS),
 )
+
+
+def _edge_table(cells: int, columns: int = 1) -> np.ndarray:
+    """``cells`` cells cycling through the edge cases and a few plain values."""
+    values = EDGE_CELLS + [0.1, -2.5e-5, 123.456, 1e17, 9.999999999999999e98]
+    return np.resize(values, (cells // columns, columns))
+
+
+def _per_cell_csv(header: list[str], table: np.ndarray) -> str:
+    cells = [["inf-ambiguous" if math.isnan(x) else format(x, ".17g") for x in row]
+             for row in table.tolist()]
+    return "\n".join(",".join(row) for row in [header, *cells]) + "\n"
 
 
 @settings(max_examples=300, deadline=None)
@@ -339,14 +352,15 @@ grid_tables = hnp.arrays(
 @example(table=np.array([EDGE_CELLS]))
 @example(table=np.array(EDGE_CELLS)[:, None])
 @example(table=np.tile(EDGE_CELLS + [0.1, -2.5e-5, 123.456, 1e17, 9.999999999999999e98], (16, 1)))
+@example(table=_edge_table(_VECTOR_CELLS - 1))  # the row template's largest table
+@example(table=_edge_table(_VECTOR_CELLS))  # the vector writer's smallest
+@example(table=_edge_table(_VECTOR_CELLS, _VECTOR_CELLS))
 def test_grid_writer_matches_per_cell_rule(table):
-    """The row-template grid writer gives the bytes of the per-cell rule:
-    ``inf-ambiguous`` for a NaN of any sign or payload, else ``.17g``."""
+    """Both grid writers, on either side of ``_VECTOR_CELLS``, give the
+    bytes of the per-cell rule: ``inf-ambiguous`` for a NaN of any sign or
+    payload, else ``.17g``."""
     header = [f"c{i}" for i in range(table.shape[1])]
-    cells = [["inf-ambiguous" if math.isnan(x) else format(x, ".17g") for x in row]
-             for row in table.tolist()]
-    expected = "\n".join(",".join(row) for row in [header, *cells]) + "\n"
-    assert _table_csv(header, table) == expected
+    assert _table_csv(header, table) == _per_cell_csv(header, table)
 
 
 def _per_cell_rows(table: np.ndarray) -> str:
@@ -424,3 +438,24 @@ def test_vector_writer_joins_blocks_of_rows(block, monkeypatch):
     table = _boundary_table(_powers_of_ten()[::10] + [math.nan, 0.0, 1e300])
     monkeypatch.setattr(cli, "_VECTOR_BLOCK", block)
     assert _vector_rows(table) == _per_cell_rows(table)
+
+
+@pytest.mark.parametrize("block", [1, 5, 7, 10])
+def test_ambiguous_cells_at_block_and_row_joins(block, monkeypatch):
+    """NaN cells on the first and last cell of every row, and so of every
+    block of rows, print ``inf-ambiguous`` in the vector writer's CSV."""
+    columns = 5
+    table = _boundary_table(_powers_of_ten()[:2 * _VECTOR_CELLS])[:, :columns].copy()
+    table[::2, 0], table[1::2, 0] = math.nan, -math.nan
+    table[::2, -1], table[1::2, -1] = -math.nan, _bits(0x7FF8000000000001)
+    assert table.size >= _VECTOR_CELLS
+    monkeypatch.setattr(cli, "_VECTOR_BLOCK", block)
+    header = [f"c{i}" for i in range(columns)]
+    assert _table_csv(header, table) == _per_cell_csv(header, table)
+
+
+def test_writer_tables_are_read_only():
+    """The vector writer's tables, shared by every call, cannot be written."""
+    for table in (*cli._writer_tables(), cli._POW10):
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
