@@ -14,9 +14,9 @@ Exit codes: 0 success, 2 configuration error, 3 ambiguous measurement
 
 All numeric output uses 17 significant digits so doubles round-trip
 exactly; reruns with identical inputs produce byte-identical files.
-Divergent contextual values print as ``inf-ambiguous``, never as
-infinities.  No header or cell ever needs CSV quoting (names, ``%.17g``
-numbers, ``inf``, ``inf-ambiguous``), so rows are plain comma joins.
+Divergent contextual values print as ``inf-ambiguous``; any other value
+beyond the float range is a configuration error.  No header or cell needs
+CSV quoting (names, ``%.17g`` numbers, ``inf-ambiguous``): rows are comma joins.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def _scaled(a: np.ndarray, e: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray
     return p.astype(np.int64) + rounded.astype(np.int64), err - rounded
 
 
-def _vector_rows(table: np.ndarray, nan: str = "nan") -> str:
+def _vector_rows(table: np.ndarray, nan: str) -> str:
     """The bytes of :func:`_template_rows`, from whole-array steps on
     blocks of rows, so the buffers stay a few MB at any table size."""
     step = max(1, _VECTOR_BLOCK // table.shape[1])
@@ -330,7 +330,9 @@ class _Grid:
         # ambiguity first: an inf-ambiguous point needs no post-selection
         cv = ContextualValues(*self.raw_alphas)
         self.given(s, where=~np.isnan(cv.alpha_d1))
-        return post_selected_average(cv, self.stats, s)
+        average = post_selected_average(cv, self.stats, s)
+        _finite(not np.isinf(average).any())  # a NaN is ambiguous, or has no post-selection (exit 4)
+        return average
 
 
 def _alphas(observable, p) -> list[np.ndarray]:
@@ -338,7 +340,15 @@ def _alphas(observable, p) -> list[np.ndarray]:
     # divide by an array: a V = 0 point gives inf, not ZeroDivisionError
     p = replace(p, visibility=np.broadcast_to(p.visibility, p.Gamma.shape))
     ambiguous = np.abs(p.visibility * p.Gamma) <= DIVERGENCE_THRESHOLD
-    return [np.where(ambiguous, np.nan, w) for w in _weights(observable, p)]
+    weights = _weights(observable, p)
+    _finite((np.isfinite(weights) | ambiguous).all())
+    return [np.where(ambiguous, np.nan, w) for w in weights]
+
+
+def _finite(ok) -> None:
+    """The config error of a contextual value beyond the float range, unless ``ok``."""
+    if not ok:
+        raise ConfigError("observable: a contextual value is not a finite number")
 
 
 _D, _S = tuple(DetectorDrain), tuple(SystemDrain)
@@ -377,7 +387,7 @@ def _evaluate(config: ExperimentConfig, parameter: str, grid: np.ndarray,
     if any(name.startswith("S_") for name in names) and config.bias is None:
         raise ConfigError("noise quantities need a bias section in the config")
     g = _Grid(config, parameter, grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         columns = [_QUANTITIES[name](g) for name in names]
     require_post_selection({
         drain: np.where(g.required[drain], g.marginal(drain), np.inf)
@@ -430,6 +440,7 @@ def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
     det, system = config.detector, config.system
     bundles = averaged_bundles(det, system, config.coupling)
     cv = contextual_values(config.observable, bundles[0])
+    _finite(math.isfinite(cv.alpha_d1) and math.isfinite(cv.alpha_d2))
     stats = JointStatistics(fringe_probability_table(det, system, *bundles))
     events = sample_events(stats, n, seed)
     probabilities = (stats.p_detector(DetectorDrain.D1), stats.p_detector(DetectorDrain.D2))
@@ -469,6 +480,7 @@ def run_povm(config: ExperimentConfig) -> str:
     ]]
     try:
         cv = contextual_values(config.observable, damped)
+        _finite(math.isfinite(cv.alpha_d1) and math.isfinite(cv.alpha_d2))
         rows += [("alpha_D1", _fmt(cv.alpha_d1)), ("alpha_D2", _fmt(cv.alpha_d2))]
     except AmbiguousMeasurementError:
         rows += [("alpha_D1", AMBIGUOUS_TOKEN), ("alpha_D2", AMBIGUOUS_TOKEN)]
@@ -533,20 +545,19 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
 
-    def add(name, summary, needs_seed=False):
+    def add(name, summary):
         p = commands[name] = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="configuration file path")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        if needs_seed:
-            p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-            p.add_argument("--n", type=int, default=10000, help="number of events")
         return p
 
     p_scan = add("scan", "one-parameter sweep to CSV")
     p_scan.add_argument("--sweep", required=True, help="NAME:MIN:MAX:COUNT")
     p_scan.add_argument("--quantities", required=True,
                         help=f"comma-separated subset of: {', '.join(QUANTITIES)}")
-    add("montecarlo", "seeded estimator run to CSV", needs_seed=True)
+    p_montecarlo = add("montecarlo", "seeded estimator run to CSV")
+    p_montecarlo.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+    p_montecarlo.add_argument("--n", type=int, default=10000, help="number of events")
     add("povm", "measurement-layer summary to CSV")
     add("erasure", "conditional fringe sweep to CSV").add_argument(
         "--sweep", default="phi_s:0:2*pi:101", help="phi_s:MIN:MAX:COUNT")
@@ -556,13 +567,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, commands
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser."""
-    return _parsers()[0]
-
-
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``, byte for byte.  The top-level
+    """``_parsers()[0].parse_args(argv)``, byte for byte.  The top-level
     parser hands every word after a subcommand's name to that subcommand's
     parser and rejects the words it leaves over, so an argv that starts with
     a subcommand's name skips the top-level pass."""
@@ -575,6 +581,12 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
     return args
+
+
+# package error -> (stderr label, exit code); an error's nearest listed class
+# decides, and any other package error exits as a configuration error
+_EXITS = {ConfigError: ("config error", 2), AmbiguousMeasurementError: ("ambiguous measurement", 3),
+          PostSelectionImpossibleError: ("post-selection impossible", 4), CoupledMziError: ("error", 2)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -610,18 +622,10 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "interaction-phase":
             _write_output(run_interaction_phase(config), args.out)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except AmbiguousMeasurementError as exc:
-        print(f"ambiguous measurement: {exc}", file=sys.stderr)
-        return 3
-    except PostSelectionImpossibleError as exc:
-        print(f"post-selection impossible: {exc}", file=sys.stderr)
-        return 4
-    except CoupledMziError as exc:  # other semantic failures map to config error
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except CoupledMziError as exc:
+        label, code = next(_EXITS[kind] for kind in type(exc).__mro__ if kind in _EXITS)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     except MemoryError as exc:  # a sweep count or --n too large to allocate
         print(f"config error: the request does not fit in memory: {exc}", file=sys.stderr)
         return 2

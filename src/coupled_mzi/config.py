@@ -45,13 +45,12 @@ from .scattering import PhysicalBias
 from .stochastic import ObservationBudget
 
 # sweep name -> (exact domain, as the constructors enforce it; config section and
-# field it sets; the field's value at sweep value x given its base value, if not x)
+# field it sets; the field's value at sweep value x, if not x)
 SWEEPS = {
     "gamma": ((0.0, 2.0 * math.pi), "coupling", "gamma", None),
     "phi_d": ((-MAX_TUNING_PHASE, MAX_TUNING_PHASE), "detector", "tuning_phase", None),
     "phi_s": ((-MAX_TUNING_PHASE, MAX_TUNING_PHASE), "system", "tuning_phase", None),
-    "delta_s1": ((-1.0, 1.0), "system", "qpc1",
-                 lambda x, q: qpc_from_transmission((1.0 + x) / 2.0, chi=q.chi, xi=q.xi)),
+    "delta_s1": ((-1.0, 1.0), "system", "qpc1", lambda x: qpc_from_transmission((1.0 + x) / 2.0)),
     "sigma": ((0.0, math.pi), "coupling", "sigma", None),
 }
 
@@ -152,7 +151,7 @@ def swept(config: ExperimentConfig, parameter: str, values) -> ExperimentConfig:
     """``config`` with the field that ``parameter`` sweeps at ``values``, a point or an array."""
     _, section, name, value_at = SWEEPS[parameter]
     part = getattr(config, section)
-    value = values if value_at is None else value_at(values, getattr(part, name))
+    value = values if value_at is None else value_at(values)
     return replace(config, **{section: replace(part, **{name: value})})
 
 
@@ -183,7 +182,8 @@ class _Entry:
 
 _QPC = _Entry({"T": qpc_from_transmission, "theta": qpc_from_angle}, {"chi": 0.0, "xi": 0.0},
               blame="{path}.{choice}")
-_INTERFEROMETER = _Entry(InterferometerConfig, {"qpc1": _QPC, "qpc2": _QPC, "phi": _REQUIRED})
+# a first QPC's scattering phases enter only through phi, so it takes none
+_INTERFEROMETER = _Entry(InterferometerConfig, {"qpc1": replace(_QPC, keys={}), "qpc2": _QPC, "phi": _REQUIRED})
 _SECTIONS = {
     "detector": _INTERFEROMETER,
     "system": _INTERFEROMETER,

@@ -80,9 +80,9 @@ class QpcSetting:
     """One quantum point contact: probabilities, balance parameters, phases.
 
     The inputs are ``transmission``, ``reflection`` and the scattering
-    phases ``chi`` and ``xi`` of the two outgoing rows; for the first QPC
-    of an interferometer their difference is part of the composite tuning
-    phase and they are carried here for bookkeeping only.  ``delta`` and
+    phases ``chi`` and ``xi`` of the two outgoing rows; a first QPC's
+    phases enter only through the composite tuning phase, so the amplitudes
+    and the config read them on second QPCs only.  ``delta`` and
     ``epsilon`` are derived once from ``T`` and ``R``, ``theta`` on access.
     Every field may be an array (one contact per sweep point).
     """

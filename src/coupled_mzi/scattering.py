@@ -289,22 +289,3 @@ def cross_noise_power(stats: JointStatistics, d: DetectorDrain, s: SystemDrain, 
     covariance = stats.joint[..., d.value, s.value] - stats.p_detector(d) * stats.p_system(s)
     return _plain(2.0 * ELEMENTARY_CHARGE**3 * bias.bias_voltage / PLANCK_CONSTANT * covariance)
 
-
-__all__ = [
-    "BOLTZMANN_CONSTANT",
-    "ELEMENTARY_CHARGE",
-    "JointAmplitudes",
-    "JointStatistics",
-    "PLANCK_CONSTANT",
-    "PhysicalBias",
-    "average_current",
-    "concurrence",
-    "cross_noise_power",
-    "detector_drain_amplitudes",
-    "fringe_probability_table",
-    "joint_amplitudes",
-    "joint_probability_table",
-    "joint_statistics",
-    "qpc_unitary",
-    "reduced_system_state",
-]

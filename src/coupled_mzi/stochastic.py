@@ -17,14 +17,14 @@ fringe bundles averaged over the coupling model.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import AmbiguousMeasurementError
-from .measurement import DIVERGENCE_THRESHOLD, ContextualValues
+from .measurement import ContextualValues
 from .params import (CouplingModel, DetectorParams, FringeParams, InterferometerConfig, JointInterferenceParams,
                      SystemParams, damping_eta, detector_params, joint_interference_params, system_params)
 from .scattering import JointStatistics, fringe_probability_table
@@ -39,10 +39,9 @@ class EstimateReport:
     """Result of the contextual-value estimator over one event sequence.
 
     ``predicted_mse`` is the contextual-value variance over the event
-    count, evaluated with exact drain probabilities when supplied (the
-    empirical frequencies otherwise); ``empirical_variance`` is the
-    unbiased sample variance of the per-event values divided by ``n``
-    (zero when ``n == 1``).
+    count, evaluated with the exact drain probabilities;
+    ``empirical_variance`` is the unbiased sample variance of the
+    per-event values divided by ``n`` (zero when ``n == 1``).
     """
 
     estimate: float
@@ -213,7 +212,10 @@ def sample_events(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
                          f"got a stack of shape {stats.joint.shape}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    seed = int(seed)
+    try:
+        seed = operator.index(seed)  # integer types only: 1.9 and "7" are no seeds
+    except TypeError:
+        seed = -1  # rejected below
     if not (0 <= seed < 2**64):
         raise ValueError("seed must be a 64-bit unsigned integer")
     rng, flat = Generator(Philox(_PhiloxKey(seed))), stats.joint.ravel()
@@ -228,7 +230,7 @@ def sample_events(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
 def contextual_estimate(
     codes: np.ndarray,
     cv: ContextualValues,
-    probabilities: tuple[float, float] | None = None,
+    probabilities: tuple[float, float],
 ) -> EstimateReport:
     """Unbiased which-path estimate: the mean contextual value per event.
 
@@ -239,9 +241,9 @@ def contextual_estimate(
         drain ``d`` enters.
     cv : ContextualValues
         Finite drain weights from :func:`~coupled_mzi.measurement.contextual_values`.
-    probabilities : (P_D1, P_D2), optional
-        Exact detector drain probabilities for the predicted mean squared
-        error; empirical frequencies are used when omitted.
+    probabilities : (P_D1, P_D2)
+        Exact detector drain probabilities, for the predicted mean squared
+        error.
 
     Returns
     -------
@@ -257,19 +259,15 @@ def contextual_estimate(
         raise ValueError("event list is empty")
     a1, a2 = cv.alpha_d1, cv.alpha_d2
     if not (math.isfinite(a1) and math.isfinite(a2)):
-        raise AmbiguousMeasurementError(math.nan, math.nan, DIVERGENCE_THRESHOLD)
+        raise ValueError("contextual values must be finite numbers")
     n2 = int(np.count_nonzero(np.asarray(codes) >= 2))
     n1 = n - n2
     estimate = (a1 * n1 + a2 * n2) / n
     spread = a2 - a1  # products, not powers: an overflow is inf, not OverflowError
     empirical = n1 * n2 / (n * (n - 1)) * (spread * spread) / n if n > 1 else 0.0
-    if probabilities is None:
-        p2 = n2 / n
-        p1 = 1.0 - p2
-    else:
-        p1, p2 = probabilities
-        if not abs(p1 + p2 - 1.0) <= 1e-9:
-            raise ValueError("drain probabilities must sum to 1")
+    p1, p2 = probabilities
+    if not abs(p1 + p2 - 1.0) <= 1e-9:
+        raise ValueError("drain probabilities must sum to 1")
     mean_true = a1 * p1 + a2 * p2
     predicted = max(0.0, (a1 * a1 * p1 + a2 * a2 * p2 - mean_true * mean_true) / n)
     upper = (a1 * a1 + a2 * a2) / n

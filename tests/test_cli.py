@@ -94,6 +94,16 @@ class TestValidateConfig:
         assert code == 2
         assert "exactly one of T or theta" in err
 
+    @pytest.mark.parametrize("key", ["detector.qpc1.chi", "detector.qpc1.xi", "system.qpc1.chi",
+                                     "system.qpc1.xi"])
+    def test_first_qpc_phase_is_unknown_key(self, tmp_path, capsys, key):
+        # a first QPC's scattering phases enter only through phi
+        path = tmp_path / "phase.conf"
+        path.write_text(MINIMAL + f"{key} = 0.3\n", encoding="utf-8")
+        code, out, err = run_cli(["validate-config", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"config error: line 9: unknown key '{key}'\n"
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(["validate-config", "--config", str(tmp_path / "nope.conf")], capsys)
         assert code == 2
@@ -465,7 +475,7 @@ def parsed(parse, argv):
 
 class TestParser:
     def test_built_once(self):
-        assert cli._build_parser() is cli._build_parser()
+        assert cli._parsers() is cli._parsers()
 
     @pytest.mark.parametrize("argv", [
         [],
@@ -485,7 +495,7 @@ class TestParser:
             "stray-word", "unknown-option", "missing-config", "abbreviated-option",
             "subcommand-help", "stray-after-dashes", "dashes-first", "defaults"])
     def test_subcommand_parser_gives_the_top_level_bytes(self, argv):
-        oracle = parsed(cli._build_parser().parse_args, argv)
+        oracle = parsed(cli._parsers()[0].parse_args, argv)
         assert parsed(cli._parse_args, argv) == oracle
 
     def test_usage_error_then_valid_call(self, config_path, capsys):
@@ -677,6 +687,28 @@ def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
 
 STRONG = (CONFIGS / "strong_measurement.conf").read_text(encoding="utf-8")
 HUGE_PHASE = STRONG.replace("detector.phi = 0", "detector.phi = 5.916551538170299e+16")
+# |V Gamma| = 0.06, far above the divergence threshold: the contextual values overflow
+OVERFLOW = STRONG.replace("coupling.gamma = pi", "coupling.gamma = 0.5") + "\nobservable.a3 = 1e308\n"
+# contextual values of the largest double, whose conditioned average can round past it
+FLOAT_MAX = (STRONG.replace("coupling.gamma = pi", "coupling.gamma = 0.5")
+             + "\nobservable.a0 = 1.7976931348623157e308\nobservable.a3 = 1e-300\n")
+
+
+@pytest.mark.parametrize("text, argv", [
+    (OVERFLOW, ["montecarlo", "--n", "10", "--seed", "0"]),
+    (OVERFLOW, ["povm"]),
+    (OVERFLOW, ["scan", "--sweep", "gamma:0.1:1:3", "--quantities", "alpha_D1,cond_avg_S1"]),
+    (OVERFLOW, ["scan", "--sweep", "gamma:0.1:1:3", "--quantities", "cond_avg_S2"]),
+    (FLOAT_MAX, ["scan", "--sweep", "phi_s:0:6:200", "--quantities", "cond_avg_S1"]),
+], ids=["montecarlo", "povm", "scan", "scan-cond-avg", "scan-average-rounds-past-max"])
+def test_contextual_value_beyond_float_range_is_config_error(tmp_path, capsys, text, argv):
+    path = tmp_path / "overflow.conf"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning either
+        code, out, err = run_cli([argv[0], "--config", str(path), *argv[1:]], capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: observable: a contextual value is not a finite number\n"
 
 
 @pytest.mark.parametrize("text, command", [
@@ -735,6 +767,8 @@ def invocations(draw):
          argv=["interaction-phase"])
 @example(text=STRONG + "\nobservable.a3 = 1e200\n", argv=["montecarlo", "--n", "100", "--seed", "1"])
 @example(text=HUGE_PHASE, argv=["povm"])
+@example(text=OVERFLOW, argv=["povm"])
+@example(text=OVERFLOW, argv=["scan", "--sweep", "gamma:0.1:1:3", "--quantities", "alpha_D1,cond_avg_S1"])
 def test_every_input_ends_in_a_documented_exit_code(text, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "drawn.conf"

@@ -205,6 +205,12 @@ class TestLoadConfig:
         assert config.detector.qpc2.chi == pytest.approx(math.pi / 8)
         assert config.detector.qpc2.xi == pytest.approx(-math.pi / 8)
 
+    def test_first_qpcs_take_no_phases(self):
+        # they enter only through phi; the second QPCs keep theirs
+        assert len(_KNOWN) == 32
+        assert not {f"{side}.qpc1.{phase}" for side in ("detector", "system") for phase in ("chi", "xi")} & _KNOWN
+        assert {"detector.qpc2.chi", "detector.qpc2.xi", "system.qpc2.chi", "system.qpc2.xi"} <= _KNOWN
+
     def test_coupling_range_checked(self):
         text = MINIMAL.replace("coupling.gamma = pi", "coupling.gamma = 7")
         with pytest.raises(ConfigError, match="coupling"):
@@ -270,8 +276,8 @@ class TestReadmeExample:
 
     def test_names_every_key(self):
         for key in sorted(_KNOWN):
-            # system.* and qpc2.* have the shape of detector.* and qpc1.*, which the block spells out
-            key = key.replace("system.", "detector.").replace(".qpc2.", ".qpc1.")
+            # system.* has the shape of detector.*, which the block spells out
+            key = key.replace("system.", "detector.")
             assert key in README_BLOCK
 
 

@@ -380,7 +380,7 @@ decades = st.builds(lambda m, k: m * 10.0**k,
 @example(table=np.array([EDGE_CELLS]))
 def test_vector_writer_matches_per_cell_rule(table):
     """The vector writer, called at any table size, gives ``"%.17g" % x``."""
-    assert _vector_rows(table) == _per_cell_rows(table)
+    assert _vector_rows(table, "nan") == _per_cell_rows(table)
 
 
 def _powers_of_ten() -> list[float]:
@@ -422,7 +422,7 @@ def test_vector_writer_at_powers_of_ten_ties_and_carries():
         assert Fraction(x) < Fraction(10) ** round(math.log10(x)) and "%.17g" % x == f"{x:g}"
     table = _boundary_table(_powers_of_ten() + ties + carries)
     assert table.size >= _VECTOR_CELLS
-    assert _vector_rows(table) == _per_cell_rows(table)
+    assert _vector_rows(table, "nan") == _per_cell_rows(table)
     assert _table_csv(["c"] * 8, table).split("\n", 1)[1] == _per_cell_rows(table)
 
 
@@ -437,7 +437,7 @@ def test_vector_writer_joins_blocks_of_rows(block, monkeypatch):
     bytes of one block."""
     table = _boundary_table(_powers_of_ten()[::10] + [math.nan, 0.0, 1e300])
     monkeypatch.setattr(cli, "_VECTOR_BLOCK", block)
-    assert _vector_rows(table) == _per_cell_rows(table)
+    assert _vector_rows(table, "nan") == _per_cell_rows(table)
 
 
 @pytest.mark.parametrize("block", [1, 5, 7, 10])

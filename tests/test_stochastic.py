@@ -430,11 +430,20 @@ class TestSampleEvents:
         with pytest.raises(ValueError):
             sample_events(stats, 0, seed=1)
 
+    def test_seed_is_an_integer(self):
+        _, _, stats = quarter_stats()
+        for seed in (1.9, "7", np.float64(7.0), np.array(7.5)):
+            with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+                sample_events(stats, 10, seed=seed)
+        codes = sample_events(stats, 1000, seed=7)
+        assert np.array_equal(sample_events(stats, 1000, seed=np.uint64(7)), codes)
+        assert np.array_equal(sample_events(stats, 1000, seed=np.array(7)), codes)
+
 
 class TestContextualEstimate:
     def test_single_drain_events(self):
         cv = ContextualValues(-1.0, 1.0)
-        report = contextual_estimate(np.full(8, 2, dtype=np.uint8), cv)
+        report = contextual_estimate(np.full(8, 2, dtype=np.uint8), cv, probabilities=(0.0, 1.0))
         assert report.estimate == 1.0
         assert report.empirical_variance == 0.0
 
@@ -452,7 +461,7 @@ class TestContextualEstimate:
         codes = np.array(codes, dtype=np.uint8)
         n = codes.size
         values = np.where(codes >= 2, a2, a1)
-        report = contextual_estimate(codes, ContextualValues(a1, a2))
+        report = contextual_estimate(codes, ContextualValues(a1, a2), probabilities=(0.5, 0.5))
         assert report.n == n
         assert abs(report.estimate - values.mean()) <= 1e-12 * scale
         if n == 1:
@@ -494,10 +503,16 @@ class TestContextualEstimate:
     def test_empirical_variance_tracks_prediction(self):
         det, sysm, stats = quarter_stats()
         cv = contextual_values(OBS, detector_params(det, math.pi / 2))
+        probs = (stats.p_detector(DetectorDrain.D1), stats.p_detector(DetectorDrain.D2))
         events = sample_events(stats, 50_000, seed=8)
-        report = contextual_estimate(events, cv)
+        report = contextual_estimate(events, cv, probabilities=probs)
         assert report.empirical_variance == pytest.approx(report.predicted_mse, rel=0.05)
         assert report.predicted_mse <= report.mse_upper_bound
+
+    @pytest.mark.parametrize("cv", [ContextualValues(-math.inf, math.inf), ContextualValues(math.nan, 1.0)])
+    def test_values_beyond_the_float_range_rejected(self, cv):
+        with pytest.raises(ValueError, match="contextual values must be finite numbers"):
+            contextual_estimate(np.array([0, 2], dtype=np.uint8), cv, probabilities=(0.5, 0.5))
 
     def test_upper_bound_dominates_random(self, rng):
         for _ in range(100):
@@ -510,7 +525,7 @@ class TestContextualEstimate:
 
     def test_empty_events_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            contextual_estimate(np.empty(0, dtype=np.uint8), ContextualValues(-1.0, 1.0))
+            contextual_estimate(np.empty(0, dtype=np.uint8), ContextualValues(-1.0, 1.0), (0.5, 0.5))
 
     def test_unbiasedness_over_seeded_runs(self):
         det, sysm, stats = quarter_stats()
