@@ -162,10 +162,16 @@ class JointStatistics:
         joint = np.array(self.joint, dtype=float)
         if joint.shape[-2:] != (2, 2):
             raise ValueError("joint probabilities need 2x2 tables")
-        # extrema, not elementwise masks: cheaper on one table, and NaN fails
-        if not (joint.min() >= -1e-12 and joint.max() <= 1.0 + 1e-12):
+        if joint.ndim == 2:  # one table: four Python floats cost less than numpy's reductions
+            cells = joint.ravel().tolist()
+            in_range = all([-1e-12 <= p <= 1.0 + 1e-12 for p in cells])  # a chained comparison fails on NaN
+            off = abs(sum(cells) - 1.0) if in_range else None  # added in order, as numpy adds them
+        else:  # extrema, not elementwise masks: NaN fails them too
+            in_range = joint.min() >= -1e-12 and joint.max() <= 1.0 + 1e-12
+            off = abs(joint.sum(axis=(-2, -1)) - 1.0).max() if in_range else None
+        if not in_range:
             raise ValueError("joint probabilities outside [0, 1]")
-        if not abs(joint.sum(axis=(-2, -1)) - 1.0).max() <= 1e-12:
+        if not off <= 1e-12:
             raise ValueError("joint probabilities do not sum to 1")
         joint.setflags(write=False)
         object.__setattr__(self, "joint", joint)

@@ -180,9 +180,11 @@ def _categories(u: np.ndarray, probs: np.ndarray, codes: np.ndarray) -> np.ndarr
     edge = 0.0
     for p in probs[:3].tolist():
         edge = edge + p
-        codes += edge <= u
-    last = 3 - int(np.argmax(probs[::-1] > 0.0))  # a Python int keeps the codes uint8
-    return np.minimum(codes, last, out=codes)
+        codes += (edge <= u).view(np.uint8)  # the bools' bytes: no cast per element
+    if not probs[3] > 0.0:  # with P(D2,S2) > 0 the last category is 3 and the clamp a no-op
+        last = 3 - int(np.argmax(probs[::-1] > 0.0))  # a Python int keeps the codes uint8
+        np.minimum(codes, last, out=codes)
+    return codes
 
 
 class _PhiloxKey(ISeedSequence):

@@ -9,7 +9,9 @@ Each ``montecarlo`` invocation gets a second line, ``codes`` before its argv:
 the SHA-256 of the event codes that ``sample_events`` returned in it.
 Two checkouts print the same lines exactly when each invocation gives the
 same bytes, exit code and event codes in both, so a ``diff`` of two runs
-compares them.
+compares them.  ``tests/golden/identity.txt`` holds the lines, and
+``tests/test_identity.py`` checks them in the test suite; a change that moves
+bytes on purpose regenerates the file with the command above.
 
 The set has 574 invocations:
 - the 38 argvs of ``tests/golden/cases.json``;
@@ -19,6 +21,9 @@ The set has 574 invocations:
   each of 6 sweeps (88); ``unbalanced_detector.conf`` has its golden argv;
 - the ``sweep`` decks of seeds 11 and 12 and round 0 of ``montecarlo`` and
   ``montecarlo_fluct`` at seed 21, from ``bench/workloads.py`` (448).
+
+These 448 invocations come from ``bench/workloads.make_round``, so a change
+to how it generates a deck moves 448 of the lines.
 """
 
 import contextlib
@@ -54,17 +59,47 @@ def argvs(make_round, work: Path) -> list[list[str]]:
     return found
 
 
+def _show(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
 def digest(main, argv: list[str], work: str) -> str:
-    """SHA-256 of stdout, stderr and exit code, with ``work`` read as ``$WORK``."""
+    """SHA-256 of stdout, stderr and exit code, with ``work`` read as ``$WORK``.
+    Every warning is written to stderr, also under a test runner that records them."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("always")
+        warnings.showwarning = _show
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the argv
             code = exc.code
     text = f"{out.getvalue()}\0{err.getvalue()}\0{code}".replace(work, "$WORK")
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def lines(cli, make_round, work: Path) -> list[str]:
+    """The set's lines, from the ``cli`` module, with the benchmark rounds'
+    configs written under ``work``; config paths are read from the current
+    directory, the root of the checkout."""
+    sampled, sample_events = [], cli.sample_events
+
+    def capture(*args, **kwargs):
+        sampled.append(sample_events(*args, **kwargs))
+        return sampled[-1]
+
+    found, tmp = [], str(work)
+    cli.sample_events = capture
+    try:
+        for argv in argvs(make_round, work):
+            sampled.clear()
+            found.append(f"{digest(cli.main, argv, tmp)}  {' '.join(argv)}".replace(tmp, "$WORK"))
+            if argv[0] == "montecarlo":
+                codes = hashlib.sha256(b"".join(c.tobytes() for c in sampled)).hexdigest()
+                found.append(f"{codes}  codes {' '.join(argv)}".replace(tmp, "$WORK"))
+    finally:
+        cli.sample_events = sample_events
+    return found
 
 
 if __name__ == "__main__":
@@ -74,18 +109,5 @@ if __name__ == "__main__":
     from coupled_mzi import cli
     from workloads import make_round
 
-    sampled, sample_events = [], cli.sample_events
-
-    def capture(*args, **kwargs):
-        sampled.append(sample_events(*args, **kwargs))
-        return sampled[-1]
-
-    cli.sample_events = capture
     with tempfile.TemporaryDirectory() as tmp:
-        for argv in argvs(make_round, Path(tmp)):
-            sampled.clear()
-            line = f"{digest(cli.main, argv, tmp)}  {' '.join(argv)}"
-            if argv[0] == "montecarlo":
-                codes = hashlib.sha256(b"".join(c.tobytes() for c in sampled)).hexdigest()
-                line += f"\n{codes}  codes {' '.join(argv)}"
-            print(line.replace(tmp, "$WORK"))
+        print("\n".join(lines(cli, make_round, Path(tmp))))

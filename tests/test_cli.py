@@ -473,6 +473,31 @@ def parsed(parse, argv):
     return out.getvalue(), err.getvalue(), result
 
 
+PARSER_VALUES = st.sampled_from(["x.conf", "7", "0", "-1", "1_0", " 7", "", "ten", "2**64", "-", "--",
+                                 "18446744073709551616", "gamma:0:1:3", "P_D1", "-h"]) | st.text(max_size=3)
+
+
+@st.composite
+def parser_argvs(draw):
+    """A subcommand and words drawn around its options: exact flags, their
+    abbreviations, other commands' flags, ``--flag=value``, repeats, stray
+    words and missing required options, with values that argparse reads
+    differently from a plain word."""
+    command = draw(st.sampled_from(sorted(cli._parsers()[1])))
+    own = sorted(cli._parsers()[2][command])
+    flag = st.sampled_from([*own, *(f[:k] for f in own for k in range(3, len(f))), "--seed", "--quantities"])
+    word = st.one_of(
+        st.tuples(flag, PARSER_VALUES).map(list),
+        st.tuples(flag, PARSER_VALUES).map(lambda pair: ["=".join(pair)]),
+        st.one_of(flag, PARSER_VALUES).map(lambda w: [w]),
+    )
+    pairs = [[f, draw(PARSER_VALUES)] for f in own]
+    chosen = draw(st.permutations(pairs) | st.lists(st.sampled_from(pairs), max_size=len(pairs) + 1))
+    extra = draw(st.just([]) | st.lists(word, min_size=1, max_size=2))
+    words = [w for group in draw(st.permutations(chosen + extra)) for w in group]
+    return [command, *words]
+
+
 class TestParser:
     def test_built_once(self):
         assert cli._parsers() is cli._parsers()
@@ -497,6 +522,27 @@ class TestParser:
     def test_subcommand_parser_gives_the_top_level_bytes(self, argv):
         oracle = parsed(cli._parsers()[0].parse_args, argv)
         assert parsed(cli._parse_args, argv) == oracle
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=parser_argvs())
+    @example(argv=["montecarlo", "--config", "x.conf", "--seed", "7", "--n", "1_0"])
+    @example(argv=["montecarlo", "--out", "", "--config", "x.conf", "--n", " 7"])
+    @example(argv=["montecarlo", "--config", "x.conf", "--n", "-1"])
+    @example(argv=["montecarlo", "--config", "x.conf", "--config", "y.conf"])
+    @example(argv=["scan", "--config", "x.conf", "--sweep", "gamma:0:1:3"])
+    @example(argv=["erasure", "--config=x.conf"])
+    def test_plain_argv_path_gives_the_argparse_result(self, argv):
+        oracle = parsed(cli._parsers()[0].parse_args, argv)
+        assert parsed(cli._parse_args, argv) == oracle
+
+    def test_exact_pairs_skip_argparse(self):
+        args = cli._plain_args("montecarlo", ["--n", " 7", "--config", "x.conf"])
+        assert vars(args) == {"command": "montecarlo", "config": "x.conf", "out": None, "seed": 0, "n": 7}
+        assert vars(args) == vars(cli._parsers()[0].parse_args(["montecarlo", "--n", " 7", "--config", "x.conf"]))
+        for words in (["--config", "x.conf", "--n"], ["--config", "-x.conf"], ["--conf", "x.conf"],
+                      ["--config=x.conf"], ["--config", "x", "--config", "y"], ["--n", "7"],
+                      ["--config", "x.conf", "--n", "ten"]):
+            assert cli._plain_args("montecarlo", words) is None, words
 
     def test_usage_error_then_valid_call(self, config_path, capsys):
         for _ in range(2):
@@ -683,6 +729,16 @@ def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"config error: cannot read config {path}: 'utf-8' codec can't decode")
+
+
+def test_config_that_is_a_directory_is_config_error(tmp_path, capsys):
+    # the whole line: a reader that drops the OSError's file name changes it
+    path = tmp_path / "configs"
+    path.mkdir()
+    code, out, err = run_cli(["validate-config", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: cannot read config {path}: [Errno 21] Is a directory: {str(path)!r}\n"
 
 
 STRONG = (CONFIGS / "strong_measurement.conf").read_text(encoding="utf-8")

@@ -177,6 +177,32 @@ class TestJointStatistics:
                 old = stats.joint[..., s.value].sum(axis=-1)
                 assert np.asarray(stats.p_system(s)).tobytes() == old.tobytes()
 
+    @pytest.mark.parametrize("table, error", [
+        ([[math.nan, 0.25], [0.25, 0.5]], "outside [0, 1]"),
+        ([[0.25, 0.25], [0.5, math.nan]], "outside [0, 1]"),
+        ([[math.inf, 0.25], [0.25, 0.5]], "outside [0, 1]"),
+        ([[0.25, -math.inf], [0.25, 0.5]], "outside [0, 1]"),
+        ([[-2e-12, 0.25 + 2e-12], [0.25, 0.5]], "outside [0, 1]"),
+        ([[1.0 + 2e-12, 0.0], [0.0, 0.0]], "outside [0, 1]"),
+        ([[0.25, 0.25], [0.25, 0.25 + 2e-12]], "do not sum to 1"),
+        ([[0.25, 0.25], [0.25, 0.25 - 2e-12]], "do not sum to 1"),
+        ([[-1e-12, 0.25 + 1e-12], [0.25, 0.5]], None),
+        ([[0.25, 0.25], [0.25, 0.25 - 1e-12]], None),
+        # off by 1e-12 less an ulp when added in order, as numpy adds them, and by more in pairs
+        ([[0.19211347190124137, 0.031062451939331732], [0.14293189027803635, 0.6338921858803905]], None),
+    ])
+    def test_one_table_and_a_stack_of_it_give_one_verdict(self, table, error):
+        def verdict(joint):
+            try:
+                JointStatistics(joint)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        one = verdict(np.array(table))
+        assert one == verdict(np.array([table]))
+        assert one == (None if error is None else f"joint probabilities {error}")
+
     def test_unnormalized_input_rejected(self):
         bad = JointAmplitudes(np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex))
         with pytest.raises(ValueError, match="not normalized"):

@@ -410,6 +410,18 @@ class TestSampleEvents:
         assert np.array_equal(Generator(Philox(stochastic._PhiloxKey(seed))).random(9),
                               Generator(keyed).random(9))
 
+    @pytest.mark.parametrize("table, expected", [
+        ([[0.3, 0.2], [0.5, 0.0]], "9af59853eb10b12762bd5e02daf87e9986d50ebf3a6caa95ce02a1783287796b"),
+        ([[0.6, 0.4], [0.0, 0.0]], "8bf36cd6fb75f615483a5a0e3b3e8775cc0fb677c01830947cd3eb41a9c91a41"),
+    ], ids=["P_D2S2-zero", "D2-row-zero"])
+    def test_tables_with_a_zero_last_cell_across_chunks(self, table, expected):
+        # the tables on which the category pass clamps, over three chunks
+        table = np.array(table)
+        codes = sample_events(JointStatistics(table), 2 * stochastic._CHUNK + 3, seed=2026)
+        assert np.all(table.ravel()[codes] > 0.0)
+        # codes drawn while the clamp ran for every table, over the same inputs
+        assert digest(codes) == expected
+
     @pytest.mark.parametrize("chunk", [1, 3, 4, 5, 4096])
     def test_chunk_size_invariance(self, chunk, monkeypatch):
         _, _, stats = quarter_stats()
