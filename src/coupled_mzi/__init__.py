@@ -21,6 +21,7 @@ from .errors import (
     AmbiguousMeasurementError,
     ConfigError,
     CoupledMziError,
+    ObservableRangeError,
     PostSelectionImpossibleError,
 )
 from .interaction import (
@@ -38,6 +39,7 @@ from .measurement import (
     MeasurementOperators,
     PovmPair,
     contextual_values,
+    contextual_values_or_nan,
     efficient_factorization,
     limit_contextual_values,
     measurement_operators,

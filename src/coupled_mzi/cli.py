@@ -47,14 +47,8 @@ from .errors import (
     PostSelectionImpossibleError,
 )
 from .interaction import coupling_phase, dynamical_phase
-from .measurement import (
-    DIVERGENCE_THRESHOLD,
-    ContextualValues,
-    _weights,
-    contextual_values,
-    measurement_operators,
-    povm_pair,
-)
+from .measurement import (ContextualValues, contextual_values, contextual_values_or_nan, measurement_operators,
+                          povm_pair)
 from .params import DetectorDrain, SystemDrain, damping_eta, detector_params
 from .scattering import (
     ELEMENTARY_CHARGE,
@@ -318,37 +312,18 @@ class _Grid:
         return detector_params(self.det, self.coupling.gamma)
 
     @cached_property
-    def alphas(self) -> list[np.ndarray]:
+    def alphas(self) -> ContextualValues:
         """Contextual values of the fluctuation-averaged detector bundle."""
-        return _alphas(self.config.observable, averaged_detector_params(self.raw, self.coupling))
+        return contextual_values_or_nan(self.config.observable, averaged_detector_params(self.raw, self.coupling))
 
     @cached_property
-    def raw_alphas(self) -> list[np.ndarray]:
-        return _alphas(self.config.observable, self.raw)
+    def raw_alphas(self) -> ContextualValues:
+        return contextual_values_or_nan(self.config.observable, self.raw)
 
     def conditioned(self, s: SystemDrain) -> np.ndarray:
         # ambiguity first: an inf-ambiguous point needs no post-selection
-        cv = ContextualValues(*self.raw_alphas)
-        self.given(s, where=~np.isnan(cv.alpha_d1))
-        average = post_selected_average(cv, self.stats, s)
-        _finite(not np.isinf(average).any())  # a NaN is ambiguous, or has no post-selection (exit 4)
-        return average
-
-
-def _alphas(observable, p) -> list[np.ndarray]:
-    """Contextual values, NaN where ``|V Gamma|`` is at the divergence threshold."""
-    # divide by an array: a V = 0 point gives inf, not ZeroDivisionError
-    p = replace(p, visibility=np.broadcast_to(p.visibility, p.Gamma.shape))
-    ambiguous = np.abs(p.visibility * p.Gamma) <= DIVERGENCE_THRESHOLD
-    weights = _weights(observable, p)
-    _finite((np.isfinite(weights) | ambiguous).all())
-    return [np.where(ambiguous, np.nan, w) for w in weights]
-
-
-def _finite(ok) -> None:
-    """The config error of a contextual value beyond the float range, unless ``ok``."""
-    if not ok:
-        raise ConfigError("observable: a contextual value is not a finite number")
+        self.given(s, where=~np.isnan(self.raw_alphas.alpha_d1))
+        return post_selected_average(self.raw_alphas, self.stats, s)
 
 
 _D, _S = tuple(DetectorDrain), tuple(SystemDrain)
@@ -362,7 +337,8 @@ _QUANTITIES: dict[str, Callable[[_Grid], np.ndarray]] = {
        (lambda g, d=d, s=s: g.stats.joint[:, d.value, s.value] / g.given(s)) for s in _S for d in _D},
     **{f"P_{s.name}_given_{d.name}":
        (lambda g, d=d, s=s: g.stats.joint[:, d.value, s.value] / g.given(d)) for d, s in _PAIRS},
-    **{f"alpha_{d.name}": (lambda g, d=d: g.alphas[d.value]) for d in _D},
+    "alpha_D1": lambda g: g.alphas.alpha_d1,
+    "alpha_D2": lambda g: g.alphas.alpha_d2,
     **{f"cond_avg_{s.name}": (lambda g, s=s: g.conditioned(s)) for s in _S},
     "concurrence": lambda g: concurrence(g.det.qpc1, g.sys.qpc1, g.coupling.gamma),
     "eta": lambda g: damping_eta(g.coupling.sigma),
@@ -440,15 +416,12 @@ def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
     det, system = config.detector, config.system
     bundles = averaged_bundles(det, system, config.coupling)
     cv = contextual_values(config.observable, bundles[0])
-    _finite(math.isfinite(cv.alpha_d1) and math.isfinite(cv.alpha_d2))
     stats = JointStatistics(fringe_probability_table(det, system, *bundles))
     events = sample_events(stats, n, seed)
     (p11, p12), (p21, p22) = stats.joint.tolist()  # a row's float sum has numpy's bits
     report = contextual_estimate(events, cv, probabilities=(p11 + p12, p21 + p22))
     values = (report.estimate, report.empirical_variance, report.predicted_mse,
               report.mse_upper_bound)
-    if not all(map(math.isfinite, values)):
-        raise ConfigError("observable: the estimator report is not a finite number")
     header = ["seed", "n", "estimate", "empirical_variance", "predicted_mse",
               "mse_upper_bound", "rng_algorithm"]
     row = [str(seed), str(report.n), *map(_fmt, values), RNG_ALGORITHM]
@@ -480,7 +453,6 @@ def run_povm(config: ExperimentConfig) -> str:
     ]]
     try:
         cv = contextual_values(config.observable, damped)
-        _finite(math.isfinite(cv.alpha_d1) and math.isfinite(cv.alpha_d2))
         rows += [("alpha_D1", _fmt(cv.alpha_d1)), ("alpha_D2", _fmt(cv.alpha_d2))]
     except AmbiguousMeasurementError:
         rows += [("alpha_D1", AMBIGUOUS_TOKEN), ("alpha_D2", AMBIGUOUS_TOKEN)]

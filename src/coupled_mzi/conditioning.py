@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AmbiguousMeasurementError, PostSelectionImpossibleError
+from .errors import AmbiguousMeasurementError, ObservableRangeError, PostSelectionImpossibleError
 from .measurement import DIVERGENCE_THRESHOLD, ContextualValues, contextual_values
 from .params import (
     InterferometerConfig,
@@ -57,11 +57,14 @@ def require_post_selection(marginals: dict) -> None:
 
 def post_selected_average(cv: ContextualValues, stats: JointStatistics, condition: SystemDrain):
     """``sum_D alpha_D P(D | condition)``: the contextual values averaged
-    over the detector drains, given the system drain.  The contextual values
-    and the joint tables may be stacks; the post-selection is not checked
-    (see :func:`require_post_selection`)."""
+    over the detector drains, given the system drain; both may be stacks.
+    The post-selection is not checked (see :func:`require_post_selection`),
+    so NaN passes, but an infinite average raises :class:`ObservableRangeError`."""
     joint, p_s, s = stats.joint, stats.p_system(condition), condition.value
-    return cv.alpha_d1 * (joint[..., 0, s] / p_s) + cv.alpha_d2 * (joint[..., 1, s] / p_s)
+    average = cv.alpha_d1 * (joint[..., 0, s] / p_s) + cv.alpha_d2 * (joint[..., 1, s] / p_s)
+    if np.isinf(average).any():
+        raise ObservableRangeError()
+    return average
 
 
 def xi_joint_interference(det: InterferometerConfig, sys: InterferometerConfig, gamma):

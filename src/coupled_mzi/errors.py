@@ -46,3 +46,10 @@ class PostSelectionImpossibleError(CoupledMziError):
 
 class ConfigError(CoupledMziError):
     """Configuration file cannot be parsed or fails validation."""
+
+
+class ObservableRangeError(ConfigError):
+    """A contextual value, or a figure built from them, is not a finite number."""
+
+    def __init__(self, what: str = "a contextual value"):
+        super().__init__(f"observable: {what} is not a finite number")

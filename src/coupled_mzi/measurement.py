@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AmbiguousMeasurementError
+from .errors import AmbiguousMeasurementError, ObservableRangeError
 from .params import (
     DetectorParams,
     InterferometerConfig,
@@ -169,6 +169,8 @@ def contextual_values(obs: ObservableCoefficients, p: DetectorParams) -> Context
         When ``|V * Gamma| <= DIVERGENCE_THRESHOLD`` at any point, the first
         of which it reports; the measurement carries no which-path
         information and the weights would diverge.
+    ObservableRangeError
+        When every point is informative but a weight is not finite.
     """
     v, g = p.visibility, p.Gamma
     informative = abs(v * g) > DIVERGENCE_THRESHOLD
@@ -179,13 +181,25 @@ def contextual_values(obs: ObservableCoefficients, p: DetectorParams) -> Context
     return ContextualValues(*_weights(obs, p))
 
 
-def _weights(obs: ObservableCoefficients, p) -> tuple:
-    """``(alpha_D1, alpha_D2)`` of a fringe bundle whose fields may be
-    arrays; no divergence check."""
-    return (
-        obs.a0 - (obs.a3 / p.Gamma) * (p.beta_minus / p.visibility + p.Delta),
-        obs.a0 + (obs.a3 / p.Gamma) * (p.beta_plus / p.visibility - p.Delta),
-    )
+def contextual_values_or_nan(obs: ObservableCoefficients, p: DetectorParams) -> ContextualValues:
+    """:func:`contextual_values` at each point of the grid that the fields of
+    ``p`` broadcast to, NaN where the point is ambiguous; out of range raises."""
+    # arrays: a V = 0 point divides to inf, not ZeroDivisionError
+    v, g = np.broadcast_arrays(p.visibility, p.Gamma)
+    ambiguous = abs(v * g) <= DIVERGENCE_THRESHOLD
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        weights = _weights(obs, replace(p, visibility=v, Gamma=g), ambiguous)
+    return ContextualValues(*(np.where(ambiguous, np.nan, w) for w in weights))
+
+
+def _weights(obs: ObservableCoefficients, p, ambiguous=False) -> tuple:
+    """``(alpha_D1, alpha_D2)`` of ``p``, each finite wherever not ``ambiguous``."""
+    a1 = obs.a0 - (obs.a3 / p.Gamma) * (p.beta_minus / p.visibility + p.Delta)
+    a2 = obs.a0 + (obs.a3 / p.Gamma) * (p.beta_plus / p.visibility - p.Delta)
+    # comparisons, not np.isfinite: one configuration stays in Python floats
+    if not _all(((abs(a1) < math.inf) & (abs(a2) < math.inf)) | ambiguous):
+        raise ObservableRangeError()
+    return a1, a2
 
 
 def reconstruct_average(cv: ContextualValues, p_d1, p_d2):

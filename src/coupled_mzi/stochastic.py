@@ -24,6 +24,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from numpy.random.bit_generator import ISeedSequence
 
+from .errors import ObservableRangeError
 from .measurement import ContextualValues
 from .params import (CouplingModel, DetectorParams, FringeParams, InterferometerConfig, JointInterferenceParams,
                      SystemParams, damping_eta, detector_params, joint_interference_params, system_params)
@@ -171,15 +172,15 @@ def _categories(u: np.ndarray, probs: np.ndarray, codes: np.ndarray) -> np.ndarr
     into and returned as ``codes`` (``uint8``, the shape of ``u``).
 
     ``probs`` is one flat joint table ``(4,)``; ``edge`` is its cumulative
-    sum, accumulated one entry at a time, and only the three inner edges are
-    compared.  A ``u`` past them goes to the last category of nonzero
+    sum of ``max(p, 0)``, one entry at a time, and only the three inner edges
+    are compared.  A ``u`` past them goes to the last category of positive
     probability, also when rounding leaves the last edge below 1, so no
-    zero-probability category is ever returned.
+    category of zero or negative (down to -1e-12) probability is returned.
     """
     codes.fill(0)
     edge = 0.0
     for p in probs[:3].tolist():
-        edge = edge + p
+        edge = edge + max(p, 0.0)
         codes += (edge <= u).view(np.uint8)  # the bools' bytes: no cast per element
     if not probs[3] > 0.0:  # with P(D2,S2) > 0 the last category is 3 and the clamp a no-op
         last = 3 - int(np.argmax(probs[::-1] > 0.0))  # a Python int keeps the codes uint8
@@ -253,8 +254,8 @@ def contextual_estimate(
         Each event's value is ``a1`` or ``a2``: with ``n2`` events in D2 and
         ``n1 = n - n2``, the estimate is ``(a1 n1 + a2 n2) / n`` and the
         sample variance ``n1 n2 (a2 - a1)^2 / (n (n - 1))``.  Also
-        ``predicted_mse = (a1^2 P1 + a2^2 P2 - mean^2) / n`` and the
-        state-free bound ``(a1^2 + a2^2) / n``.
+        ``predicted_mse = (a1^2 P1 + a2^2 P2 - mean^2) / n`` and the state-free
+        bound ``(a1^2 + a2^2) / n``; one not finite raises ObservableRangeError.
     """
     n = int(np.size(codes))
     if n == 0:
@@ -273,6 +274,8 @@ def contextual_estimate(
     mean_true = a1 * p1 + a2 * p2
     predicted = max(0.0, (a1 * a1 * p1 + a2 * a2 * p2 - mean_true * mean_true) / n)
     upper = (a1 * a1 + a2 * a2) / n
+    if not all(map(math.isfinite, (estimate, empirical, predicted, upper))):
+        raise ObservableRangeError("the estimator report")
     return EstimateReport(estimate, n, empirical, predicted, upper)
 
 

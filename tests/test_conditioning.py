@@ -6,13 +6,16 @@ import pytest
 
 from coupled_mzi import (
     AmbiguousMeasurementError,
+    ContextualValues,
     CouplingModel,
     ExperimentConfig,
     InterferometerConfig,
+    ObservableRangeError,
     PostSelectionImpossibleError,
     ScanSpec,
     conditioned_average,
     contextual_values,
+    post_selected_average,
     detector_params,
     joint_amplitudes,
     joint_statistics,
@@ -319,6 +322,17 @@ class TestConditionedAverage:
         with pytest.raises(PostSelectionImpossibleError) as excinfo:
             conditioned_average(det, sysm, 2.0, SystemDrain.S2)
         assert excinfo.value.drain == "S2"
+
+    def test_contextual_value_beyond_the_float_range_raises(self):
+        det = balanced_mzi(0.0)
+        with pytest.raises(ObservableRangeError, match="^observable: a contextual value is not a finite number$"):
+            conditioned_average(det, det, 0.5, SystemDrain.S1, ObservableCoefficients(a3=1e308))
+
+    def test_infinite_average_raises_and_nan_passes(self):
+        stats = joint_statistics(joint_amplitudes(balanced_mzi(0.3), SYSTEM_06, 1.0))
+        with pytest.raises(ObservableRangeError):
+            post_selected_average(ContextualValues(math.inf, 0.0), stats, SystemDrain.S1)
+        assert math.isnan(post_selected_average(ContextualValues(math.nan, 0.0), stats, SystemDrain.S1))
 
     def test_ambiguous_measurement_propagates(self):
         with pytest.raises(AmbiguousMeasurementError):

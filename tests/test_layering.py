@@ -6,7 +6,6 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coupled_mzi"
 
 ALLOWED_PRIVATE_IMPORTS = {
-    ("cli", "measurement", "_weights"),
     ("scattering", "params", "_plain"),
 }
 """``(importer, module, name)`` of every private name one package module

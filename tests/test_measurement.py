@@ -9,6 +9,7 @@ from coupled_mzi import (
     InterferometerConfig,
     MeasurementOperators,
     ObservableCoefficients,
+    ObservableRangeError,
     contextual_estimate,
     contextual_values,
     detector_params,
@@ -221,6 +222,16 @@ class TestContextualValues:
         with pytest.raises(AmbiguousMeasurementError) as excinfo:
             contextual_values(OBS, detector_params(balanced_mzi(0.3), np.array([math.pi, 0.0, 0.0])))
         assert (excinfo.value.visibility, excinfo.value.correlation) == (1.0, 0.0)
+
+    def test_value_beyond_the_float_range_raises(self):
+        # |V Gamma| = 0.061 is informative, but a3 / Gamma overflows
+        p = detector_params(balanced_mzi(0.0), 0.5)
+        assert abs(p.visibility * p.Gamma) > 0.06
+        with pytest.raises(ObservableRangeError, match="^observable: a contextual value is not a finite number$"):
+            contextual_values(ObservableCoefficients(a3=1e308), p)
+        # a0 - inf + inf: NaN is no finite number either
+        with pytest.raises(ObservableRangeError):
+            contextual_values(ObservableCoefficients(a0=1.7976931348623157e308, a3=1e308), p)
 
 
 class TestReconstructAverage:

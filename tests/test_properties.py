@@ -20,12 +20,14 @@ from coupled_mzi import (
     CouplingModel,
     InterferometerConfig,
     ObservableCoefficients,
+    ObservableRangeError,
     PostSelectionImpossibleError,
     averaged_detector_params,
     averaged_joint_table,
     concurrence,
     conditioned_average,
     contextual_values,
+    contextual_values_or_nan,
     cross_noise_power,
     damping_eta,
     detector_params,
@@ -47,6 +49,7 @@ from coupled_mzi import (
 from coupled_mzi import cli
 from coupled_mzi.cli import _MAX_EXPONENT, _VECTOR_CELLS, _Grid, _table_csv, _vector_rows
 from coupled_mzi.config import swept
+from coupled_mzi.measurement import DIVERGENCE_THRESHOLD
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from coupled_mzi.scattering import ELEMENTARY_CHARGE, PLANCK_CONSTANT
 from conftest import SIGMA_0, SIGMA_3, mzi
@@ -266,6 +269,42 @@ def test_contextual_values_reconstruct_observable(det, gamma, obs):
     residual = cv.alpha_d1 * povm.e_d1 + cv.alpha_d2 * povm.e_d2 - (obs.a0 * SIGMA_0 + obs.a3 * SIGMA_3)
     scale = max(1.0, abs(cv.alpha_d1), abs(cv.alpha_d2))
     assert np.max(np.abs(residual)) <= 1e-10 * scale
+
+
+huge = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e308, 1e308), st.sampled_from([1e308, -1.7976931348623157e308]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(det=interferometers(), obs=st.builds(ObservableCoefficients, huge, huge),
+       # gamma = 0 and 2 pi leave Gamma (about) 0: ambiguous points on every grid that holds them
+       gammas=st.lists(st.one_of(couplings, st.sampled_from([0.0, TWO_PI])), min_size=1, max_size=8))
+@example(det=mzi(0.5, 0, 0, 0.5, 0, 0, 0.0), obs=ObservableCoefficients(0.0, 1e308), gammas=[0.0, 0.5])
+@example(det=mzi(0.5, 0, 0, 0.5, 0, 0, 0.0), obs=ObservableCoefficients(0.0, 1e308), gammas=[0.0, 1e-6])
+# |V Gamma| is the threshold itself at the first point: ambiguous
+@example(det=mzi(0.5, 0, 0, 0.5, 0, 0, 0.0), obs=ObservableCoefficients(), gammas=[6.324555321390852e-05, 1.0])
+def test_grid_contextual_values_follow_the_pointwise_rule(det, obs, gammas):
+    points = []  # per point: the two values, None where ambiguous, or the range error
+    for gamma in gammas:
+        try:
+            cv = contextual_values(obs, detector_params(det, gamma))
+            points.append((cv.alpha_d1, cv.alpha_d2))
+        except AmbiguousMeasurementError:
+            points.append(None)
+        except ObservableRangeError:
+            points.append(ObservableRangeError)
+    p = detector_params(det, np.array(gammas))
+    assert [x is None for x in points] == (abs(p.visibility * p.Gamma) <= DIVERGENCE_THRESHOLD).tolist()
+    if ObservableRangeError in points:
+        with pytest.raises(ObservableRangeError):
+            contextual_values_or_nan(obs, p)
+        return
+    grid = contextual_values_or_nan(obs, p)
+    for k, x in enumerate(points):
+        got = (grid.alpha_d1[k], grid.alpha_d2[k])
+        assert all(map(math.isnan, got)) if x is None else got == x
+    if None not in points:  # a stack without ambiguous points gives the grid's values
+        stack = contextual_values(obs, p)
+        assert np.array_equal(stack.alpha_d1, grid.alpha_d1) and np.array_equal(stack.alpha_d2, grid.alpha_d2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -15,6 +15,7 @@ from coupled_mzi import (
     InterferometerConfig,
     JointStatistics,
     ObservableCoefficients,
+    ObservableRangeError,
     ObservationBudget,
     averaged_detector_params,
     averaged_joint_table,
@@ -347,6 +348,18 @@ class TestCategoryRule:
             # the largest uniform goes to the last category of nonzero probability
             assert codes[u == 1.0 - 2.0**-53].tolist() == [last]
 
+    def test_negative_cell_is_never_returned(self):
+        # a closed-form table whose (D2,S1) cell rounds below zero; u is the edge after it
+        det = InterferometerConfig(qpc_from_transmission(0.0), qpc_from_transmission(0.6638420095629117), math.pi)
+        sysm = InterferometerConfig(qpc_from_transmission(0.5), qpc_from_transmission(0.5), 0.0)
+        probs = joint_probability_table(det, sysm, 5.0148511216585865).ravel()
+        assert probs.tolist() == [0.0, 0.33615799043708827, -5.551115123125783e-17, 0.6638420095629118]
+        JointStatistics(probs.reshape(2, 2))  # the table check accepts it
+        u = 0.3361579904370882
+        u = np.array([np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)])
+        codes = stochastic._categories(u, probs, np.empty(u.shape, np.uint8))
+        assert codes.tolist() == [1, 1, 3]
+
     def test_right_side_rule(self):
         probs = self.ROWS[5]
         edges = np.cumsum(probs)
@@ -525,6 +538,13 @@ class TestContextualEstimate:
     def test_values_beyond_the_float_range_rejected(self, cv):
         with pytest.raises(ValueError, match="contextual values must be finite numbers"):
             contextual_estimate(np.array([0, 2], dtype=np.uint8), cv, probabilities=(0.5, 0.5))
+
+    def test_report_beyond_the_float_range_raises(self):
+        # finite values whose squares overflow
+        with pytest.raises(ObservableRangeError,
+                           match="^observable: the estimator report is not a finite number$"):
+            contextual_estimate(np.array([0, 2], dtype=np.uint8), ContextualValues(-1e200, 1e200),
+                                probabilities=(0.5, 0.5))
 
     def test_upper_bound_dominates_random(self, rng):
         for _ in range(100):
