@@ -110,8 +110,9 @@ def _template_rows(table: np.ndarray, nan: str) -> str:
 # Word 0 is one lookup by the biased exponent e = k + _BIAS, the leading digit
 # and the sign; word 3 one by e and the column.  A point among the digits
 # (fixed notation, 1 <= k <= 15) moves words 1-3 up a byte.  Every other cell
-# (NaN, inf, zero, a magnitude beyond 1e+-98, a rounding near a tie, an
-# integer whose zeros reach the point) takes ``"%.17g" % x``.
+# (NaN, inf, zero, a magnitude beyond 1e+-98, a rounding near a tie, a D
+# outside the decade, an integer whose zeros reach the point) takes
+# ``"%.17g" % x``.
 
 # The crossover with the row template.  Each writer was timed alone after a
 # gc.collect(), as the benchmark runs ops, on scan tables of 3, 5 and 9 columns
@@ -120,7 +121,7 @@ def _template_rows(table: np.ndarray, nan: str) -> str:
 _VECTOR_CELLS = 450
 _VECTOR_BLOCK = 1 << 14  # cells per block; each cell takes about 200 bytes of buffers
 _MAX_EXPONENT = 99  # the widest exponent that fits its four bytes: "e-99"
-_BIAS = _MAX_EXPONENT + 3  # the decade fix-ups move k by at most 3
+_BIAS = _MAX_EXPONENT + 1  # log10 of a magnitude near 1e-98 can floor a decade low
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into 26-bit halves
 _TIE_MARGIN = 2.0**-20  # roundings this near 1/2 take the per-cell rule (the error is < 2**-47)
 # the bits of 1e-98 and 1e+98, whose order is that of the doubles >= 0
@@ -226,15 +227,8 @@ def _vector_block(table: np.ndarray, nan: bytes) -> bytes:
     d, frac = _scaled(a, e, scale)
     # log10 can land a decade off next to a power of ten, and a rounding can
     # carry into the next decade: both leave D outside [10**16, 10**17)
-    for _ in range(3):
-        moved = np.flatnonzero((d - 10**16).view(np.uint64) >= 9 * 10**16)
-        if not moved.size:
-            break
-        e[moved] += np.where(d[moved] < 10**16, -1, 1)
-        d[moved], frac[moved] = _scaled(a[moved], e[moved], scale)
-    per_cell = np.abs(frac) >= 0.5 - _TIE_MARGIN
+    per_cell = (np.abs(frac) >= 0.5 - _TIE_MARGIN) | ((d - 10**16).view(np.uint64) >= 9 * 10**16)
     per_cell[bad] = True
-    per_cell[moved] = True  # still outside after three moves
     lead = d // 10**16
     rest = d - lead * 10**16
     high = rest // 10**8
@@ -507,21 +501,20 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 @cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
-                        dict[str, dict[str, argparse.Action]]]:
-    """The command-line parser, each subcommand's own parser, and each
-    subcommand's options by flag, as ``add_argument`` returned them; all by
-    subcommand name, built on first use and shared by every call."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The command-line parser and each subcommand's options by flag, as
+    ``add_argument`` returned them, by subcommand name; built on first use
+    and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="coupled-mzi",
         description="Coupled electronic Mach-Zehnder interferometer simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands, options = {}, {}
+    options = {}
 
     def add(name, summary, *arguments):
         """A subcommand whose arguments are (flag, keywords) pairs."""
-        p = commands[name] = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary)
         options[name] = {flag: p.add_argument(flag, **keywords) for flag, keywords in arguments}
 
     common = (("--config", {"required": True, "help": "configuration file path"}),
@@ -537,7 +530,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         ("--sweep", {"default": "phi_s:0:2*pi:101", "help": "phi_s:MIN:MAX:COUNT"}))
     add("interaction-phase", "geometry-derived phases to CSV", *common)
     add("validate-config", "parse and validate a config file", ("--config", {"required": True}))
-    return parser, commands, options
+    return parser, options
 
 
 def _plain_args(command: str, words: list[str]) -> argparse.Namespace | None:
@@ -547,7 +540,7 @@ def _plain_args(command: str, words: list[str]) -> argparse.Namespace | None:
     every typed value converted.  Any other argv gives None and goes to
     argparse.  After a ``gc.collect()``, a ``montecarlo`` argv took about
     35 µs here and 110 µs in argparse (2 vCPUs)."""
-    options = _parsers()[2][command]
+    options = _parsers()[1][command]
     given = dict(zip(words[::2], words[1::2]))
     if len(words) % 2 or len(given) < len(words) // 2 or not given.keys() <= options.keys():
         return None
@@ -570,23 +563,13 @@ def _plain_args(command: str, words: list[str]) -> argparse.Namespace | None:
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """``_parsers()[0].parse_args(argv)``, byte for byte.  An argv of exact
-    option pairs takes :func:`_plain_args`.  Otherwise the top-level parser
-    hands every word after a subcommand's name to that subcommand's parser
-    and rejects the words it leaves over, so an argv that starts with a
-    subcommand's name skips the top-level pass."""
+    """``_parsers()[0].parse_args(argv)``, byte for byte: a subcommand's name
+    followed by exact option pairs takes :func:`_plain_args`, and every
+    other argv, usage errors and ``-h`` included, goes to argparse."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands, _ = _parsers()
-    if not argv or argv[0] not in commands:
-        return parser.parse_args(argv)
-    args = _plain_args(argv[0], argv[1:])
-    if args is not None:
-        return args
-    args, extras = commands[argv[0]].parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    parser, options = _parsers()
+    args = _plain_args(argv[0], argv[1:]) if argv and argv[0] in options else None
+    return parser.parse_args(argv) if args is None else args
 
 
 # package error -> (stderr label, exit code); an error's nearest listed class

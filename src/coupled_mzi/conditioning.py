@@ -59,9 +59,11 @@ def post_selected_average(cv: ContextualValues, stats: JointStatistics, conditio
     """``sum_D alpha_D P(D | condition)``: the contextual values averaged
     over the detector drains, given the system drain; both may be stacks.
     The post-selection is not checked (see :func:`require_post_selection`),
-    so NaN passes, but an infinite average raises :class:`ObservableRangeError`."""
+    so NaN passes, but an infinite average raises :class:`ObservableRangeError`
+    rather than numpy's overflow warning."""
     joint, p_s, s = stats.joint, stats.p_system(condition), condition.value
-    average = cv.alpha_d1 * (joint[..., 0, s] / p_s) + cv.alpha_d2 * (joint[..., 1, s] / p_s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        average = cv.alpha_d1 * (joint[..., 0, s] / p_s) + cv.alpha_d2 * (joint[..., 1, s] / p_s)
     if np.isinf(average).any():
         raise ObservableRangeError()
     return average

@@ -170,7 +170,8 @@ def contextual_values(obs: ObservableCoefficients, p: DetectorParams) -> Context
         of which it reports; the measurement carries no which-path
         information and the weights would diverge.
     ObservableRangeError
-        When every point is informative but a weight is not finite.
+        When every point is informative but a weight is not finite; a
+        stack raises it without numpy's overflow warning.
     """
     v, g = p.visibility, p.Gamma
     informative = abs(v * g) > DIVERGENCE_THRESHOLD
@@ -178,6 +179,8 @@ def contextual_values(obs: ObservableCoefficients, p: DetectorParams) -> Context
         point = np.argmin(informative)  # the first ambiguous point of a stack
         v, g = (float(np.broadcast_to(x, np.shape(informative)).flat[point]) for x in (v, g))
         raise AmbiguousMeasurementError(v, g, DIVERGENCE_THRESHOLD)
+    if isinstance(informative, np.ndarray):  # a stack: the grid's arithmetic, without numpy's warnings
+        return contextual_values_or_nan(obs, p)
     return ContextualValues(*_weights(obs, p))
 
 
@@ -283,7 +286,8 @@ def limit_contextual_values(
         ``strong`` is the gamma = pi limit (requires ``gamma == pi``);
         ``weak`` the small-gamma form at a tuning away from multiples of
         pi; ``semiweak`` the small-gamma form exactly at ``phi_d = n pi``
-        (pass the integer ``n``), where one drain stays projective.
+        (pass the integer ``n``, which no other regime takes), where one
+        drain stays projective.
     gamma, phi_d : float
         Coupling phase and detector tuning phase, radians: one
         configuration, so arrays raise ``ValueError``.
@@ -297,6 +301,8 @@ def limit_contextual_values(
     if getattr(gamma, "ndim", 0) or getattr(phi_d, "ndim", 0):
         raise ValueError("limit_contextual_values takes one configuration: "
                          "gamma and phi_d must be scalars")
+    if n is not None and regime in ("strong", "weak"):
+        raise ValueError("n is only meaningful for the semiweak regime")
     if regime == "strong":
         if not abs(gamma - math.pi) <= 1e-9:
             raise ValueError("strong regime requires gamma = pi")
@@ -307,8 +313,6 @@ def limit_contextual_values(
         low, high = 0.5 * (1.0 - cos_phi), 0.5 * (1.0 + cos_phi)
         return cv, PovmPair((low, high), (high, low))
     if regime == "weak":
-        if n is not None:
-            raise ValueError("n is only meaningful for the semiweak regime")
         sin_phi = math.sin(phi_d)
         if abs(sin_phi) < 1e-9:
             raise ValueError("weak regime requires phi_d away from multiples of pi")

@@ -25,7 +25,7 @@ from numpy.random import Generator, Philox
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ObservableRangeError
-from .measurement import ContextualValues
+from .measurement import ContextualValues, reconstruct_average
 from .params import (CouplingModel, DetectorParams, FringeParams, InterferometerConfig, JointInterferenceParams,
                      SystemParams, damping_eta, detector_params, joint_interference_params, system_params)
 from .scattering import JointStatistics, fringe_probability_table
@@ -171,20 +171,21 @@ def _categories(u: np.ndarray, probs: np.ndarray, codes: np.ndarray) -> np.ndarr
     """Codes by the right-side rule ``edge[k-1] <= u < edge[k]``, written
     into and returned as ``codes`` (``uint8``, the shape of ``u``).
 
-    ``probs`` is one flat joint table ``(4,)``; ``edge`` is its cumulative
-    sum of ``max(p, 0)``, one entry at a time, and only the three inner edges
-    are compared.  A ``u`` past them goes to the last category of positive
-    probability, also when rounding leaves the last edge below 1, so no
-    category of zero or negative (down to -1e-12) probability is returned.
+    ``probs`` is one flat joint table ``(4,)`` with a positive cell; ``edge``
+    is its cumulative sum of ``max(p, 0)``, one entry at a time.  Only the
+    edges below the last category of positive probability are compared, so
+    a ``u`` past them goes to that category, also when rounding leaves the
+    last edge below 1.  A zero or negative (down to -1e-12) cell adds nothing
+    to its edge, so its interval is empty and no such category is returned.
     """
+    cells, last = probs.tolist(), 3
+    while not cells[last] > 0.0:
+        last -= 1
     codes.fill(0)
     edge = 0.0
-    for p in probs[:3].tolist():
+    for p in cells[:last]:
         edge = edge + max(p, 0.0)
         codes += (edge <= u).view(np.uint8)  # the bools' bytes: no cast per element
-    if not probs[3] > 0.0:  # with P(D2,S2) > 0 the last category is 3 and the clamp a no-op
-        last = 3 - int(np.argmax(probs[::-1] > 0.0))  # a Python int keeps the codes uint8
-        np.minimum(codes, last, out=codes)
     return codes
 
 
@@ -246,7 +247,8 @@ def contextual_estimate(
         Finite drain weights from :func:`~coupled_mzi.measurement.contextual_values`.
     probabilities : (P_D1, P_D2)
         Exact detector drain probabilities, for the predicted mean squared
-        error.
+        error; the true mean is their :func:`~coupled_mzi.measurement.reconstruct_average`,
+        which checks that they sum to 1.
 
     Returns
     -------
@@ -269,9 +271,7 @@ def contextual_estimate(
     spread = a2 - a1  # products, not powers: an overflow is inf, not OverflowError
     empirical = n1 * n2 / (n * (n - 1)) * (spread * spread) / n if n > 1 else 0.0
     p1, p2 = probabilities
-    if not abs(p1 + p2 - 1.0) <= 1e-9:
-        raise ValueError("drain probabilities must sum to 1")
-    mean_true = a1 * p1 + a2 * p2
+    mean_true = reconstruct_average(cv, p1, p2)
     predicted = max(0.0, (a1 * a1 * p1 + a2 * a2 * p2 - mean_true * mean_true) / n)
     upper = (a1 * a1 + a2 * a2) / n
     if not all(map(math.isfinite, (estimate, empirical, predicted, upper))):

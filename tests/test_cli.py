@@ -484,7 +484,7 @@ def parser_argvs(draw):
     words and missing required options, with values that argparse reads
     differently from a plain word."""
     command = draw(st.sampled_from(sorted(cli._parsers()[1])))
-    own = sorted(cli._parsers()[2][command])
+    own = sorted(cli._parsers()[1][command])
     flag = st.sampled_from([*own, *(f[:k] for f in own for k in range(3, len(f))), "--seed", "--quantities"])
     word = st.one_of(
         st.tuples(flag, PARSER_VALUES).map(list),

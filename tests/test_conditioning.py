@@ -328,6 +328,13 @@ class TestConditionedAverage:
         with pytest.raises(ObservableRangeError, match="^observable: a contextual value is not a finite number$"):
             conditioned_average(det, det, 0.5, SystemDrain.S1, ObservableCoefficients(a3=1e308))
 
+    def test_stacked_average_beyond_the_float_range_raises_without_a_warning(self):
+        # the system of configs/strong_measurement.conf over phi_s; the drain sum overflows
+        sysm = InterferometerConfig(qpc_from_transmission(0.8), qpc_from_transmission(0.5), np.linspace(0, 6, 200))
+        with pytest.raises(ObservableRangeError, match="^observable: a contextual value is not a finite number$"):
+            conditioned_average(balanced_mzi(0.0), sysm, 0.5, SystemDrain.S1,
+                                ObservableCoefficients(1.7976931348623157e308, 1e-300))
+
     def test_infinite_average_raises_and_nan_passes(self):
         stats = joint_statistics(joint_amplitudes(balanced_mzi(0.3), SYSTEM_06, 1.0))
         with pytest.raises(ObservableRangeError):

@@ -233,6 +233,12 @@ class TestContextualValues:
         with pytest.raises(ObservableRangeError):
             contextual_values(ObservableCoefficients(a0=1.7976931348623157e308, a3=1e308), p)
 
+    def test_stack_beyond_the_float_range_raises_without_a_warning(self):
+        # the suite turns numpy's overflow warning into an error, which would come first
+        p = detector_params(balanced_mzi(0.0), np.array([0.5, 1.0]))
+        with pytest.raises(ObservableRangeError, match="^observable: a contextual value is not a finite number$"):
+            contextual_values(ObservableCoefficients(a3=1e308), p)
+
 
 class TestReconstructAverage:
     def test_strong_point(self):
@@ -402,6 +408,11 @@ class TestLimitForms:
         _, povm = limit_contextual_values("semiweak", gamma, math.pi, n=1)
         exact = povm_pair(measurement_operators(balanced_mzi(math.pi), gamma))
         assert np.max(np.abs(povm.e_d1 - exact.e_d1)) < 1e-12
+
+    @pytest.mark.parametrize("regime, gamma, phi_d", [("strong", math.pi, 0.3), ("weak", 0.1, 0.3)])
+    def test_n_only_in_the_semiweak_regime(self, regime, gamma, phi_d):
+        with pytest.raises(ValueError, match="^n is only meaningful for the semiweak regime$"):
+            limit_contextual_values(regime, gamma, phi_d, n=5)
 
     def test_unknown_regime(self):
         with pytest.raises(ValueError, match="regime"):

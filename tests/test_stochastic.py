@@ -368,6 +368,48 @@ class TestCategoryRule:
         assert got.tolist() == [0, 1, 2, 3, 0, 1, 2]
 
 
+def clamped_categories(u, probs):
+    """The category rule the sampler had before it compared only the edges
+    below the last positive category: edges of ``max(p, 0)`` over the first
+    three cells, then a clamp to the last category of positive probability."""
+    codes = np.zeros(u.shape, np.uint8)
+    edge = 0.0
+    for p in probs[:3].tolist():
+        edge = edge + max(p, 0.0)
+        codes += edge <= u
+    return np.minimum(codes, 3 - int(np.argmax(probs[::-1] > 0.0)))
+
+
+CELLS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e-12, 0.0, exclude_max=True), st.floats(1e-300, 1.0))
+
+
+@st.composite
+def category_tables(draw):
+    """A flat table whose positive cells sum to about 1, with zero cells and
+    cells in ``[-1e-12, 0)`` at any position, the last included."""
+    cells = draw(st.lists(CELLS, min_size=4, max_size=4).filter(lambda c: max(c) > 0.0))
+    total = sum(p for p in cells if p > 0.0)
+    return np.array([p / total if p > 0.0 else p for p in cells])
+
+
+@settings(max_examples=300, deadline=None)
+@given(probs=category_tables(), extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
+@example(probs=np.array([0.0, 0.33615799043708827, -5.551115123125783e-17, 0.6638420095629118]), extra=[])
+@example(probs=np.array([0.5, 0.5, 0.0, -1e-13]), extra=[])
+@example(probs=np.array([0.7, 0.2, 0.1, 0.0]), extra=[])
+def test_category_rule_matches_the_clamped_rule(probs, extra):
+    edges, edge = [], 0.0
+    for p in probs.tolist():
+        edge = edge + max(p, 0.0)
+        edges.append(edge)
+    planted = [[np.nextafter(e, -1.0), e, np.nextafter(e, 2.0)] for e in [0.0, *edges]]
+    u = np.clip(np.array([*np.ravel(planted), *extra]), 0.0, 1.0 - 2.0**-53)
+    codes = stochastic._categories(u, probs, np.empty(u.shape, np.uint8))
+    assert codes.dtype == np.uint8
+    assert np.array_equal(codes, clamped_categories(u, probs))
+    assert np.all(probs[codes] > 0.0)
+
+
 class TestSampleEvents:
     def test_deterministic_distribution(self):
         q_open_stats = joint_statistics(
