@@ -72,7 +72,9 @@ AMBIGUOUS_TOKEN = "inf-ambiguous"
 
 
 def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+    """``"%.17g" % value``, and :data:`AMBIGUOUS_TOKEN` for a NaN."""
+    value = float(value)
+    return format(value, ".17g") if value == value else AMBIGUOUS_TOKEN
 
 
 def _csv(header: list[str], rows) -> str:
@@ -88,18 +90,19 @@ def _table_csv(header: list[str], table: np.ndarray) -> str:
     template per row, which costs less than numpy's per-call overhead there.
     """
     rows = _vector_rows if table.size >= _VECTOR_CELLS else _template_rows
-    return ",".join(header) + "\n" + rows(table, AMBIGUOUS_TOKEN)
+    return ",".join(header) + "\n" + rows(table)
 
 
-def _template_rows(table: np.ndarray, nan: str) -> str:
+def _template_rows(table: np.ndarray) -> str:
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     # "%.17g" writes a NaN of either sign as "nan", which no other cell contains
-    return "".join(map(row.__mod__, map(tuple, table.tolist()))).replace("nan", nan)
+    return "".join(map(row.__mod__, map(tuple, table.tolist()))).replace("nan", AMBIGUOUS_TOKEN)
 
 
 # The vector writer.  A cell x that is finite, nonzero and within the
 # two-digit exponents prints the 17 digits of ``D = round(|x| 10**(16 - k))``,
-# where ``10**16 <= D < 10**17`` fixes the decimal exponent k.  Each cell is
+# with k the decade of x: ``floor(log10 |x|)``, less one where |x| is below
+# the least double >= 10**k.  Each cell is
 # laid out in four little-endian 64-bit words, its text in order with NUL
 # bytes in between that are dropped at the end:
 #   word 0     sign, the "0." and zeros of fixed notation below 1, D's leading
@@ -110,9 +113,9 @@ def _template_rows(table: np.ndarray, nan: str) -> str:
 # Word 0 is one lookup by the biased exponent e = k + _BIAS, the leading digit
 # and the sign; word 3 one by e and the column.  A point among the digits
 # (fixed notation, 1 <= k <= 15) moves words 1-3 up a byte.  Every other cell
-# (NaN, inf, zero, a magnitude beyond 1e+-98, a rounding near a tie, a D
-# outside the decade, an integer whose zeros reach the point) takes
-# ``"%.17g" % x``.
+# (NaN, inf, zero, a magnitude beyond 1e+-98, a rounding near a tie, a
+# rounding that carries into the next decade, an integer whose zeros reach
+# the point) takes ``"%.17g" % x``.
 
 # The crossover with the row template.  Each writer was timed alone after a
 # gc.collect(), as the benchmark runs ops, on scan tables of 3, 5 and 9 columns
@@ -138,6 +141,13 @@ def _split(a):
     return high, a - high
 
 
+def _power_minus(n: int, x: float) -> float:
+    """The double nearest to ``10**n - x``, for either sign of ``n``: a
+    quotient of exact integers, which Python rounds correctly."""
+    num, den = x.as_integer_ratio()
+    return (10 ** max(n, 0) * den - num * 10 ** max(-n, 0)) / (den * 10 ** max(-n, 0))
+
+
 @cache
 def _writer_tables() -> tuple[np.ndarray, ...]:
     """The vector writer's lookup tables, built on its first call and
@@ -145,26 +155,23 @@ def _writer_tables() -> tuple[np.ndarray, ...]:
 
     - ``scale[:, e]``: ``10**(16 - k)`` as the double ``hi`` nearest to it,
       the two halves of ``hi`` and ``lo``, the double nearest to
-      ``10**(16 - k) - hi``; each from exact integers;
+      ``10**(16 - k) - hi``;
+    - ``lower[e]``: the least double ``>= 10**k``, so that ``|x| < lower[e]``
+      exactly when ``|x| < 10**k``;
     - ``fronts[20 e + 2 digit + negative]``: word 0 of a cell;
     - ``quads[tail, q]``: the four digits of ``q``, with their trailing
       zeros NUL when ``tail``;
     - ``ends[e + (2 _BIAS + 1) last]``: word 3 of a cell, ``last`` in a row.
+
+    ``hi``, ``lo`` and ``lower`` come from :func:`_power_minus`: where the
+    double nearest to ``10**k`` is below it, ``lower`` is the next double up.
     """
     exponents = range(-_BIAS, _BIAS + 1)
-    powers = []
-    for n in range(16 - _BIAS, 17 + _BIAS):
-        whole = 10 ** abs(n)
-        if n >= 0:
-            hi = float(whole)
-            lo = float(whole - int(hi))
-        else:
-            hi = 1 / whole
-            num, den = hi.as_integer_ratio()
-            lo = (den - num * whole) / (den * whole)
-        powers.append((hi, lo))
-    hi, lo = np.array(powers[::-1]).T
+    nearest = {n: _power_minus(n, 0.0) for n in range(-_BIAS, 17 + _BIAS)}
+    rest = {n: _power_minus(n, hi) for n, hi in nearest.items()}
+    hi, lo = np.array([(nearest[16 - k], rest[16 - k]) for k in exponents]).T
     scale = np.stack([hi, *_split(hi), lo])
+    lower = np.array([math.nextafter(nearest[k], math.inf) if rest[k] > 0 else nearest[k] for k in exponents])
     q = np.arange(10000, dtype=np.int64)
     digits = (q // 1000, q // 100 % 10, q // 10 % 10, q % 10)
     plain = sum((d + 48) << 8 * j for j, d in enumerate(digits))
@@ -183,20 +190,21 @@ def _writer_tables() -> tuple[np.ndarray, ...]:
     fronts = b"".join(front(k, digit, sign) for k in exponents for digit in range(10) for sign in (b"", b"-"))
     ends = b"".join(((b"" if -4 <= k <= 16 else b"e%+03d" % k) + separator).ljust(8, b"\0")
                     for separator in (b",", b"\n") for k in exponents)
-    tables = (scale, np.frombuffer(fronts, _WORD), quads, np.frombuffer(ends, _WORD))
+    tables = (scale, lower, np.frombuffer(fronts, _WORD), quads, np.frombuffer(ends, _WORD))
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
 def _scaled(a: np.ndarray, e: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``D = round(a 10**(16 - k))`` for ``a > 0``, and ``a 10**(16 - k) - D``.
+    """``D = round(a 10**(16 - k))`` for ``a`` in the decade ``[10**k, 10**(k + 1))``,
+    and ``a 10**(16 - k) - D``.
 
     ``a hi`` is formed exactly, as ``p + err``, by Dekker's product from
-    26-bit halves (no FMA), and ``a lo`` is added to ``err`` rounded.  For a
-    product below ``2**57`` the fraction is then within ``2**-47`` of the
-    exact one.  Within the decade ``p >= 10**16 > 2**53`` is an integer; out
-    of it ``D`` only has to fall outside the decade too.
+    26-bit halves (no FMA), and ``a lo`` is added to ``err`` rounded.  The
+    product is below ``2**57``, so the fraction is then within ``2**-47`` of
+    the exact one, and ``p >= 10**16 > 2**53`` is an integer.  ``D`` leaves
+    the decade only where the rounding carries to ``10**17``.
     """
     hi, hi_high, hi_low, lo = scale.take(e, axis=1)
     p = a * hi
@@ -206,17 +214,18 @@ def _scaled(a: np.ndarray, e: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray
     return p.astype(np.int64) + rounded.astype(np.int64), err - rounded
 
 
-def _vector_rows(table: np.ndarray, nan: str) -> str:
+def _vector_rows(table: np.ndarray) -> str:
     """The bytes of :func:`_template_rows`, from whole-array steps on
     blocks of rows, so the buffers stay a few MB at any table size."""
     step = max(1, _VECTOR_BLOCK // table.shape[1])
-    token = nan.encode("ascii")
-    blocks = (_vector_block(table[i:i + step], token) for i in range(0, len(table), step))
-    return b"".join(blocks).decode("ascii")
+    return b"".join(_vector_block(table[i:i + step]) for i in range(0, len(table), step)).decode("ascii")
 
 
-def _vector_block(table: np.ndarray, nan: bytes) -> bytes:
-    scale, fronts, quads, ends = _writer_tables()
+def _vector_block(table: np.ndarray) -> bytes:
+    """The CSV rows of one block.  A cell's decade k is ``floor(log10 |x|)``,
+    less one where ``|x| < lower[k + _BIAS]``: just below a power of ten
+    ``log10`` rounds up to it."""
+    scale, lower, fronts, quads, ends = _writer_tables()
     rows, cols = table.shape
     x = table.ravel()
     a = np.abs(x)
@@ -224,9 +233,9 @@ def _vector_block(table: np.ndarray, nan: bytes) -> bytes:
     bad = np.flatnonzero(a.view(np.uint64) - _TINY > _HUGE - _TINY)
     a[bad] = 1.0
     e = (np.log10(a) + _BIAS).astype(np.int64)  # floor(log10 |x|) + _BIAS, as the sum is positive
+    e -= a < lower.take(e)
     d, frac = _scaled(a, e, scale)
-    # log10 can land a decade off next to a power of ten, and a rounding can
-    # carry into the next decade: both leave D outside [10**16, 10**17)
+    # a rounding that carries into the next decade leaves D outside [10**16, 10**17)
     per_cell = (np.abs(frac) >= 0.5 - _TIE_MARGIN) | ((d - 10**16).view(np.uint64) >= 9 * 10**16)
     per_cell[bad] = True
     lead = d // 10**16
@@ -253,8 +262,6 @@ def _vector_block(table: np.ndarray, nan: bytes) -> bytes:
     else:  # D = lead 10**16: no point after the leading digit
         word = words[zeros, 0]
         words[zeros, 0] = np.where(word >> 56 == 46, word & (1 << 56) - 1, word)
-        # D = 10**16 rounded up from the decade below, which prints 17 digits
-        per_cell[zeros[(lead[zeros] == 1) & (frac[zeros] < 0)]] = True
     inner = np.flatnonzero((e - (_BIAS + 1)).view(np.uint64) < 16)  # fixed notation, 1 <= k <= 16
     if inner.size:
         k, whole = e[inner] - _BIAS, d[inner]
@@ -268,10 +275,9 @@ def _vector_block(table: np.ndarray, nan: bytes) -> bytes:
         words.view(np.uint8)[inner[point], 8:] = tail
     cells = np.flatnonzero(per_cell)
     if cells.size:
-        text = b"".join(
-            ((b"%.17g" % v if v == v else nan) + (b"\n" if i % cols == cols - 1 else b",")).ljust(32, b"\0")
-            for i, v in zip(cells.tolist(), x[cells].tolist()))
-        words[cells] = np.frombuffer(text, _WORD).reshape(-1, 4)
+        text = "".join((_fmt(v) + ("\n" if i % cols == cols - 1 else ",")).ljust(32, "\0")
+                       for i, v in zip(cells.tolist(), x[cells].tolist()))
+        words[cells] = np.frombuffer(text.encode("ascii"), _WORD).reshape(-1, 4)
     return words.tobytes().translate(None, b"\0")
 
 
@@ -437,6 +443,7 @@ def run_povm(config: ExperimentConfig) -> str:
     damped = averaged_detector_params(raw, coupling)
     povm = povm_pair(measurement_operators(det, coupling.gamma))
     eta = damping_eta(coupling.sigma)
+    cv = contextual_values_or_nan(config.observable, damped)  # NaN where ambiguous
     rows = [(name, _fmt(value)) for name, value in [
         ("beta_plus", raw.beta_plus), ("beta_minus", raw.beta_minus),
         ("visibility", raw.visibility), ("Gamma", raw.Gamma), ("Delta", raw.Delta),
@@ -444,12 +451,8 @@ def run_povm(config: ExperimentConfig) -> str:
         ("Gamma_damped", damped.Gamma), ("Delta_damped", damped.Delta),
         ("E_D1_LL", povm.diag_d1[0]), ("E_D1_UU", povm.diag_d1[1]),
         ("E_D2_LL", povm.diag_d2[0]), ("E_D2_UU", povm.diag_d2[1]),
+        ("alpha_D1", cv.alpha_d1), ("alpha_D2", cv.alpha_d2),
     ]]
-    try:
-        cv = contextual_values(config.observable, damped)
-        rows += [("alpha_D1", _fmt(cv.alpha_d1)), ("alpha_D2", _fmt(cv.alpha_d2))]
-    except AmbiguousMeasurementError:
-        rows += [("alpha_D1", AMBIGUOUS_TOKEN), ("alpha_D2", AMBIGUOUS_TOKEN)]
     return _csv(["quantity", "value"], rows)
 
 

@@ -172,7 +172,12 @@ def semiweak_value(sys: InterferometerConfig, n, condition: SystemDrain):
     pipeline: for system ``T = (0.8, 0.5)`` at ``phi_s = 0`` and
     ``phi_d = pi`` it gives 7.0 on S1, where the conditioned average tends
     to -1 (-0.999998 at ``gamma = 1e-3``), the ``n = 0`` value.
+
+    ``n`` is an integer, or an array of an integer dtype; anything else
+    raises ``ValueError``.
     """
+    if not (isinstance(n, int) or np.asarray(n).dtype.kind in "iu"):
+        raise ValueError(f"semiweak_value requires an integer n, got {n!r}")
     sign = 1.0 - 2.0 * (n % 2)
     t, numerator, v, denom = _zero_coupling(sys, condition)
     return _number((numerator - t * sign * v * np.cos(sys.tuning_phase)) / denom)

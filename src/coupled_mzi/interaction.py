@@ -70,14 +70,12 @@ def position_phase(x1: float, x2: float, geom: InteractionGeometry) -> float:
     interaction distance ``r = sqrt(d^2 + (x2 - x1)^2)``.
     """
     r = math.hypot(geom.channel_separation, x2 - x1)
-    return (
-        geom.coulomb_constant
-        * ELEMENTARY_CHARGE**2
-        / (HBAR * r)
-        * math.exp(-r / geom.screening_length)
-        * (x1 + x2)
-        / geom.propagation_speed
-    )
+    return _coulomb_rate(r, geom) * (x1 + x2) / geom.propagation_speed
+
+
+def _coulomb_rate(r: float, geom: InteractionGeometry) -> float:
+    """The screened-Coulomb phase rate ``(alpha e^2 / (hbar r)) exp(-r/lambda)`` at distance ``r``."""
+    return geom.coulomb_constant * ELEMENTARY_CHARGE**2 / (HBAR * r) * math.exp(-r / geom.screening_length)
 
 
 def wavenumber_shift(separation: float, geom: InteractionGeometry) -> float:
@@ -89,12 +87,7 @@ def wavenumber_shift(separation: float, geom: InteractionGeometry) -> float:
     """
     if separation <= 0:
         raise ValueError("separation must be positive")
-    return (
-        geom.coulomb_constant
-        * ELEMENTARY_CHARGE**2
-        / (HBAR * geom.propagation_speed * separation)
-        * math.exp(-separation / geom.screening_length)
-    )
+    return _coulomb_rate(separation, geom) / geom.propagation_speed
 
 
 def dynamical_phase(fermi_energy: float, length: float, fermi_velocity: float) -> float:

@@ -287,7 +287,8 @@ def limit_contextual_values(
         ``weak`` the small-gamma form at a tuning away from multiples of
         pi; ``semiweak`` the small-gamma form exactly at ``phi_d = n pi``
         (pass the integer ``n``, which no other regime takes), where one
-        drain stays projective.
+        drain stays projective.  ``weak`` and ``semiweak`` require
+        ``gamma > 0``.
     gamma, phi_d : float
         Coupling phase and detector tuning phase, radians: one
         configuration, so arrays raise ``ValueError``.
@@ -316,7 +317,7 @@ def limit_contextual_values(
         sin_phi = math.sin(phi_d)
         if abs(sin_phi) < 1e-9:
             raise ValueError("weak regime requires phi_d away from multiples of pi")
-        if gamma == 0.0:
+        if not gamma > 0.0:
             raise ValueError("weak regime forms require gamma > 0")
         cos_phi = math.cos(phi_d)
         cv = ContextualValues(1.0 - (2.0 / gamma) * (1.0 + cos_phi) / sin_phi,
@@ -324,11 +325,11 @@ def limit_contextual_values(
         low, high, shift = 0.5 * (1.0 - cos_phi), 0.5 * (1.0 + cos_phi), (gamma / 2.0) * sin_phi
         return cv, PovmPair((low, low + shift), (high, high - shift))
     if regime == "semiweak":
-        if n is None:
+        if not isinstance(n, (int, np.integer)):
             raise ValueError("semiweak regime requires the integer n with phi_d = n pi")
         if not abs(phi_d - n * math.pi) <= 1e-9:
             raise ValueError(f"semiweak regime requires phi_d = n*pi, got {phi_d!r}")
-        if gamma == 0.0:
+        if not gamma > 0.0:
             raise ValueError("semiweak regime forms require gamma > 0")
         sign = -1.0 if n % 2 else 1.0
         s2 = math.sin(gamma / 2.0) ** 2

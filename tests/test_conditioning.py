@@ -421,6 +421,11 @@ class TestSemiWeakValue:
         assert even == pytest.approx((0.6 - 0.8) / 0.2, abs=1e-12)
         assert odd == pytest.approx((0.6 + 0.8) / 0.2, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [0.5, 1.0, np.array([0.0, 1.0]), np.array([True])])
+    def test_requires_an_integer_n(self, n):
+        with pytest.raises(ValueError, match="integer n"):
+            semiweak_value(SYSTEM_06, n, SystemDrain.S1)
+
     def test_weak_coupling_oracle_even_parity(self):
         avg = conditioned_average(balanced_mzi(0.0), SYSTEM_06, 1e-4, SystemDrain.S1)
         assert avg == pytest.approx(-1.0, abs=1e-2)

@@ -414,6 +414,20 @@ class TestLimitForms:
         with pytest.raises(ValueError, match="^n is only meaningful for the semiweak regime$"):
             limit_contextual_values(regime, gamma, phi_d, n=5)
 
+    @pytest.mark.parametrize("regime, gamma, phi_d, n", [
+        ("weak", -0.1, 0.3, None), ("weak", math.nan, 0.3, None),
+        ("semiweak", -0.1, 0.0, 0), ("semiweak", math.nan, 0.0, 0),
+    ])
+    def test_weak_forms_require_positive_gamma(self, regime, gamma, phi_d, n):
+        with pytest.raises(ValueError, match="require gamma > 0"):
+            limit_contextual_values(regime, gamma, phi_d, n=n)
+
+    @pytest.mark.parametrize("n", [0.5, 1.0])
+    def test_semiweak_requires_an_integer_n(self, n):
+        # n = 0.5 would put a semiweak tuning at phi_d = pi/2
+        with pytest.raises(ValueError, match="integer n"):
+            limit_contextual_values("semiweak", 0.1, n * math.pi, n=n)
+
     def test_unknown_regime(self):
         with pytest.raises(ValueError, match="regime"):
             limit_contextual_values("medium", 1.0, 1.0)

@@ -403,7 +403,8 @@ def test_grid_writer_matches_per_cell_rule(table):
 
 
 def _per_cell_rows(table: np.ndarray) -> str:
-    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in table.tolist())
+    return "".join(",".join("inf-ambiguous" if x != x else "%.17g" % x for x in row) + "\n"
+                   for row in table.tolist())
 
 
 # values spread over the decades of the vector writer, either sign
@@ -418,8 +419,9 @@ decades = st.builds(lambda m, k: m * 10.0**k,
 ))
 @example(table=np.array([EDGE_CELLS]))
 def test_vector_writer_matches_per_cell_rule(table):
-    """The vector writer, called at any table size, gives ``"%.17g" % x``."""
-    assert _vector_rows(table, "nan") == _per_cell_rows(table)
+    """The vector writer, called at any table size, gives ``"%.17g" % x``,
+    and ``inf-ambiguous`` for a NaN."""
+    assert _vector_rows(table) == _per_cell_rows(table)
 
 
 def _powers_of_ten() -> list[float]:
@@ -461,7 +463,7 @@ def test_vector_writer_at_powers_of_ten_ties_and_carries():
         assert Fraction(x) < Fraction(10) ** round(math.log10(x)) and "%.17g" % x == f"{x:g}"
     table = _boundary_table(_powers_of_ten() + ties + carries)
     assert table.size >= _VECTOR_CELLS
-    assert _vector_rows(table, "nan") == _per_cell_rows(table)
+    assert _vector_rows(table) == _per_cell_rows(table)
     assert _table_csv(["c"] * 8, table).split("\n", 1)[1] == _per_cell_rows(table)
 
 
@@ -470,13 +472,81 @@ def _boundary_table(cells: list[float]) -> np.ndarray:
     return np.resize(cells, (-(-cells.size // 8), 8))
 
 
+def _near_powers_of_ten() -> list[float]:
+    """The double nearest to ``10**k`` and its neighbours up to two ulps away,
+    for ``k`` in ``[-98, 97]``, of both signs."""
+    cells = []
+    for k in range(1 - _MAX_EXPONENT, _MAX_EXPONENT - 1):
+        below = above = float(f"1e{k}")
+        cells.append(below)
+        for _ in range(2):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            cells += [below, above]
+    return cells + [-x for x in cells]
+
+
+def _just_below(x: float) -> bool:
+    """Whether ``|x|`` is within the writer's exponents and below the power
+    of ten nearest to it."""
+    return abs(x) >= _bits(cli._TINY) and Fraction(abs(x)) < Fraction(10) ** round(math.log10(abs(x)))
+
+
+def _carries_or_ties(x: float) -> bool:
+    """Whether the 17 digits of ``x`` round up to a power of ten, or ``x``
+    is a tie of that rounding: 18 significant digits, the last a 5."""
+    digits = Decimal(abs(x)).normalize().as_tuple().digits
+    return ("%.16e" % abs(x)).startswith("1.0000000000000000e") or (len(digits) == 18 and digits[-1] == 5)
+
+
+def test_vector_writer_takes_each_cell_in_its_exact_decade(monkeypatch):
+    """Next to every power of ten, where ``log10`` rounds up to the decade
+    above, the decade the writer scales a cell by is the cell's exact one,
+    and of the cells just below a power of ten only those whose 17 digits
+    round up to it (a rounding that carries) or tie take the per-cell
+    formatter."""
+    cells = _near_powers_of_ten()
+    # log10 gives k for some cells below 10**k: the case the comparison table corrects
+    assert any(math.floor(math.log10(abs(x))) == round(math.log10(abs(x))) for x in cells if _just_below(x))
+    scaled, fmt, decades, formatted = cli._scaled, cli._fmt, [], []
+
+    def recording_scaled(a, e, scale):
+        decades.extend(zip(a.tolist(), (e - cli._BIAS).tolist()))
+        return scaled(a, e, scale)
+
+    def recording_fmt(value):
+        formatted.append(value)
+        return fmt(value)
+
+    monkeypatch.setattr(cli, "_scaled", recording_scaled)
+    monkeypatch.setattr(cli, "_fmt", recording_fmt)
+    table = _boundary_table(cells)
+    assert table.size >= _VECTOR_CELLS
+    assert _table_csv(["c"] * 8, table).split("\n", 1)[1] == _per_cell_rows(table)
+    for a, k in decades:
+        assert Fraction(10) ** k <= Fraction(a) < Fraction(10) ** (k + 1), (a, k)
+    below = [x for x in table.ravel().tolist() if _just_below(x)]
+    per_cell = [x for x in below if _carries_or_ties(x)]
+    assert len(per_cell) < len(below) // 10
+    assert [x for x in formatted if _just_below(x)] == per_cell
+
+
+def test_comparison_table_holds_the_least_double_at_each_power_of_ten():
+    """``lower[k + _BIAS]`` is the least double ``>= 10**k``."""
+    lower = cli._writer_tables()[1]
+    exponents = range(-cli._BIAS, cli._BIAS + 1)
+    assert lower.shape == (len(exponents),)
+    for k, x in zip(exponents, lower.tolist()):
+        power = Fraction(10) ** k
+        assert Fraction(x) >= power > Fraction(math.nextafter(x, 0.0)), k
+
+
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_vector_writer_joins_blocks_of_rows(block, monkeypatch):
     """A table of many blocks, one narrower than a row included, gives the
     bytes of one block."""
     table = _boundary_table(_powers_of_ten()[::10] + [math.nan, 0.0, 1e300])
     monkeypatch.setattr(cli, "_VECTOR_BLOCK", block)
-    assert _vector_rows(table, "nan") == _per_cell_rows(table)
+    assert _vector_rows(table) == _per_cell_rows(table)
 
 
 @pytest.mark.parametrize("block", [1, 5, 7, 10])
