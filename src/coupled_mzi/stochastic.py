@@ -231,6 +231,9 @@ def sample_events(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
     return codes
 
 
+_FLOAT_MIN = np.finfo(float).tiny  # the least positive normal float
+
+
 def contextual_estimate(
     codes: np.ndarray,
     cv: ContextualValues,
@@ -270,6 +273,11 @@ def contextual_estimate(
     estimate = (a1 * n1 + a2 * n2) / n
     spread = a2 - a1  # products, not powers: an overflow is inf, not OverflowError
     empirical = n1 * n2 / (n * (n - 1)) * (spread * spread) / n if n > 1 else 0.0
+    if n > 1 and empirical < _FLOAT_MIN:
+        # below the normal range each product rounds again: square the
+        # spread's mantissa in [0.5, 1) instead, so only the scaling rounds
+        mantissa, exponent = math.frexp(spread)
+        empirical = math.ldexp(n1 * n2 / (n * (n - 1)) * (mantissa * mantissa) / n, 2 * exponent)
     p1, p2 = probabilities
     mean_true = reconstruct_average(cv, p1, p2)
     predicted = max(0.0, (a1 * a1 * p1 + a2 * a2 * p2 - mean_true * mean_true) / n)

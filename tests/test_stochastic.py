@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -520,11 +521,12 @@ class TestContextualEstimate:
         a1=st.floats(-1e3, 1e3),
         a2=st.floats(-1e3, 1e3),
     )
+    @example(codes=[0, 2], a1=0.0, a2=9.480051124763486e-158)  # a variance below the normal range
     def test_counts_match_per_event_values(self, codes, a1, a2):
-        # numpy's two-pass variance loses relative precision when the two
-        # values nearly coincide, so the oracle is kept where it holds
+        # the oracle is the per-event sample variance in exact rationals,
+        # rounded once: numpy's two-pass variance loses relative precision when
+        # the two values nearly coincide or the variance is below the normal range
         scale = max(abs(a1), abs(a2), 1e-300)
-        separated = abs(a2 - a1) >= 1e-3 * scale
         codes = np.array(codes, dtype=np.uint8)
         n = codes.size
         values = np.where(codes >= 2, a2, a1)
@@ -533,8 +535,10 @@ class TestContextualEstimate:
         assert abs(report.estimate - values.mean()) <= 1e-12 * scale
         if n == 1:
             assert report.empirical_variance == 0.0
-        elif separated:
-            expected = values.var(ddof=1) / n
+        else:
+            exact = [Fraction(v) for v in values.tolist()]
+            mean = sum(exact) / n
+            expected = float(sum((v - mean) ** 2 for v in exact) / ((n - 1) * n))
             assert report.empirical_variance == pytest.approx(expected, rel=1e-12, abs=1e-24 * scale**2)
 
     def test_estimate_converges_to_path_bias(self):
