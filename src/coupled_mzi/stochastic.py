@@ -8,10 +8,9 @@ Random numbers come from numpy's Philox counter-based generator
 (``philox4x64``), keyed directly by the caller's 64-bit seed, so event
 streams are bit-reproducible across platforms.  The sampler draws its
 uniforms in fixed-size chunks from one generator; event ``i`` always takes
-uniform ``i``, so the codes are the same for any chunk size.  A fluctuating
-coupling enters only through the table it samples: the exact average
-:func:`averaged_joint_table`, which is the closed-form table at the
-fringe bundles averaged over the coupling model.
+uniform ``i``, so the codes are the same for any chunk size.  Over a fluctuating
+coupling, ``montecarlo`` samples the closed form at :func:`averaged_bundles`,
+and ``scan`` reads :func:`averaged_joint_table`: two routes to the exact average.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .errors import ObservableRangeError
 from .measurement import ContextualValues, reconstruct_average
 from .params import (CouplingModel, DetectorParams, FringeParams, InterferometerConfig, JointInterferenceParams,
                      SystemParams, damping_eta, detector_params, joint_interference_params, system_params)
-from .scattering import JointStatistics, fringe_probability_table
+from .scattering import JointStatistics, joint_amplitudes, joint_statistics
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -159,12 +158,16 @@ def averaged_joint_table(
     det: InterferometerConfig, sys: InterferometerConfig, model: CouplingModel
 ) -> np.ndarray:
     """Joint drain table ``broadcast + (2, 2)`` averaged over the coupling
-    model: the closed form :func:`~coupled_mzi.scattering.fringe_probability_table`
-    at the :func:`averaged_bundles`.  Without fluctuations it is
-    :func:`~coupled_mzi.scattering.joint_probability_table`, bit for bit.
-    Every field of the interferometers and of ``model`` may be an array.
+    model, from the amplitude pipeline's tables ``P(g)``.  A cell is ``A + B cos g
+    + C sin g``, the raised cosine damps the harmonics by ``eta(sigma)``, and an
+    unpaired emission has ``g = 0``: the average is the mixture of non-negative weights
+    ``p eta P(gamma) + p (1 - eta) / 2 P(pi) + (p (1 - eta) / 2 + 1 - p) P(0)``,
+    ``P(gamma)`` bit for bit without fluctuations.  Every field may be an array.
     """
-    return fringe_probability_table(det, sys, *averaged_bundles(det, sys, model))
+    p, eta = (np.expand_dims(x, (-2, -1)) for x in (model.pair_probability, damping_eta(model.sigma)))
+    paired, spread = p * eta, p * (1.0 - eta) / 2.0
+    tables = [joint_statistics(joint_amplitudes(det, sys, g)).joint for g in (model.gamma, math.pi, 0.0)]
+    return paired * tables[0] + spread * tables[1] + (spread + (1.0 - p)) * tables[2]
 
 
 def _categories(u: np.ndarray, probs: np.ndarray, codes: np.ndarray) -> np.ndarray:

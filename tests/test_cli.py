@@ -8,13 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_config import GOLDEN, mutated_configs
 
 from coupled_mzi import cli, conditioning, measurement, params, scattering, stochastic
 from coupled_mzi.cli import main
-from coupled_mzi.config import SWEEPS
+from coupled_mzi.config import SWEEPS, load_config, swept
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "unbalanced.conf"
@@ -300,6 +300,58 @@ class TestScan:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+@st.composite
+def fluctuating_decks(draw):
+    """Config text of a random experiment with a fluctuating coupling:
+    ``sigma`` in (0, pi], ``pair_probability`` in (0, 1], and a drawn observable."""
+    fraction, angle = st.floats(0.01, 0.99), st.floats(-math.pi, math.pi)
+    lines = []
+    for mzi in ("detector", "system"):
+        lines += [f"{mzi}.qpc1.T = {draw(fraction)!r}", f"{mzi}.qpc2.T = {draw(fraction)!r}",
+                  f"{mzi}.qpc2.chi = {draw(angle)!r}", f"{mzi}.qpc2.xi = {draw(angle)!r}",
+                  f"{mzi}.phi = {draw(angle)!r}"]
+    lines += [f"coupling.gamma = {draw(st.floats(0.0, 2 * math.pi))!r}",
+              f"coupling.sigma = {draw(st.floats(0.0, math.pi, exclude_min=True))!r}",
+              f"coupling.pair_probability = {draw(st.floats(0.0, 1.0, exclude_min=True))!r}",
+              f"observable.a0 = {draw(st.floats(-10.0, 10.0))!r}",
+              f"observable.a3 = {draw(st.floats(-10.0, 10.0))!r}"]
+    return "\n".join(lines) + "\n"
+
+
+IDENTITY_SWEEPS = ("gamma:0:2*pi:9", "phi_d:-pi:pi:9", "phi_s:0:2*pi:9", "delta_s1:-1:1:9", "sigma:0:pi:9")
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=fluctuating_decks(), sweep=st.sampled_from(IDENTITY_SWEEPS))
+@example(text=GOLDEN_CONFIG.read_text(encoding="utf-8"), sweep="sigma:0:3:5")
+def test_drain_data_give_the_which_path_average(text, sweep):
+    """``alpha_D1 P_D1 + alpha_D2 P_D2 = a0 + a3 delta_1^s`` in every
+    informative row of one scan, and so does the average of the conditioned
+    averages over the system drains: all columns are one experiment."""
+    names = "alpha_D1,alpha_D2,P_D1,P_D2,P_S1,P_S2,cond_avg_S1,cond_avg_S2"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.conf"
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["scan", "--config", str(path), "--sweep", sweep, "--quantities", names])
+        config = load_config(str(path))
+    assume(code != 4)  # a vanishing post-selection has no conditioned average
+    assert code == 0
+    parameter = sweep.split(":")[0]
+    _, rows = read_csv(out.getvalue())
+    for row in rows:
+        assert (row[1] == "inf-ambiguous") == (row[7] == "inf-ambiguous") == (row[8] == "inf-ambiguous")
+        if row[1] == "inf-ambiguous":
+            continue
+        a1, a2, p_d1, p_d2, p_s1, p_s2, c1, c2 = map(float, row[1:])
+        point = swept(config, parameter, float(row[0]))
+        expected = point.observable.a0 + point.observable.a3 * point.system.qpc1.delta
+        tolerance = 1e-12 * max(1.0, abs(a1), abs(a2))
+        assert a1 * p_d1 + a2 * p_d2 == pytest.approx(expected, abs=tolerance), row
+        assert p_s1 * c1 + p_s2 * c2 == pytest.approx(expected, abs=tolerance), row
 
 
 class TestMontecarlo:

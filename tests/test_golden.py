@@ -4,15 +4,19 @@ Each case in ``golden/cases.json`` is one CLI invocation (config paths
 relative to the repository root) with its exit code and, on success, its
 output in ``golden/<name>.csv``.  Headers, row counts, ``inf-ambiguous``
 tokens and exit codes must match exactly.  Numbers must agree within
-``1e-12 * scale``: ``max(1, |alpha|) / min(1, |V Gamma|)`` for ``alpha_*``
-and ``cond_avg_*``, ``1 / P(Y)`` for a conditional ``P(X|Y)``, the
-prefactor ``2 e^3 V / h`` for noise power, ``max(1, |value|)`` for sweep
-columns and name/value rows, and 1 for the other probabilities.
+``1e-12 * scale``: ``max(1, |alpha|) / min(1, |V Gamma_bar|)`` of the
+damped detector bundle for ``alpha_*`` and ``cond_avg_*``, ``1 / P(Y)`` of
+the coupling-averaged table for a conditional ``P(X|Y)``, the prefactor
+``2 e^3 V / h`` for noise power, ``max(1, |value|)`` for sweep columns and
+name/value rows, and 1 for the other probabilities.
 
 The goldens were captured from the per-point implementation of ``scan``
 and ``erasure``; the four ``measurement_*`` scans and ``povm`` were
 captured again, from the array pipeline, when their ``alpha`` and damped
-rows became the exact fluctuation average.  Regenerate them only for an
+rows became the exact fluctuation average, and every scan of a column
+group that reads the joint table, and both ``erasure`` cases, on the
+fluctuating ``unbalanced.conf`` when those columns began to read the
+coupling-averaged table.  Regenerate them only for an
 intended change of answers.  A recapture rewrites the manifest and only
 the files whose new output the test would reject, judged by the test's own
 comparison, so last-digit drift within the tolerances leaves files alone:
@@ -36,9 +40,9 @@ import pytest
 from coupled_mzi import (
     AmbiguousMeasurementError,
     averaged_detector_params,
+    averaged_joint_table,
     contextual_values,
     detector_params,
-    joint_probability_table,
     load_config,
 )
 from coupled_mzi.cli import main
@@ -134,10 +138,9 @@ def recapture(argv: list[str] | None = None) -> None:
 # ----------------------------------------------------------------- scales
 
 
-def _alpha_scale(point, damped: bool) -> float:
-    p = detector_params(point.detector, point.coupling.gamma)
-    if damped:
-        p = averaged_detector_params(p, point.coupling)
+def _alpha_scale(point) -> float:
+    """``max(1, |alpha|) / min(1, |V Gamma_bar|)`` of the damped detector bundle."""
+    p = averaged_detector_params(detector_params(point.detector, point.coupling.gamma), point.coupling)
     try:
         cv = contextual_values(point.observable, p)
     except AmbiguousMeasurementError:
@@ -147,12 +150,10 @@ def _alpha_scale(point, damped: bool) -> float:
 
 def scale(name: str, point) -> float:
     """Tolerance scale of column ``name`` at one experiment point."""
-    if name.startswith("alpha_"):
-        return _alpha_scale(point, damped=True)
-    if name.startswith("cond_avg_"):
-        return _alpha_scale(point, damped=False)
+    if name.startswith(("alpha_", "cond_avg_")):
+        return _alpha_scale(point)
     if "_given_" in name:
-        table = joint_probability_table(point.detector, point.system, point.coupling.gamma)
+        table = averaged_joint_table(point.detector, point.system, point.coupling)
         drain = name[-2:]
         marginal = table.sum(axis=1 if drain[0] == "D" else 0)[int(drain[1]) - 1]
         return 1.0 / marginal
@@ -197,7 +198,7 @@ def difference(argv: list[str], code: int, out: str, want_code: int, golden: Pat
         for (key, value), (want_key, want_value) in zip(got[1:], want[1:]):
             if key != want_key:
                 return f"row {key!r}, expected {want_key!r}"
-            s = _alpha_scale(config, True) if key.startswith("alpha_") else \
+            s = _alpha_scale(config) if key.startswith("alpha_") else \
                 max(1.0, abs(float(want_value)))
             problem = _compare(key, value, want_value, 1e-12 * s)
             if problem:

@@ -18,12 +18,14 @@ from coupled_mzi import (
     ObservableCoefficients,
     ObservableRangeError,
     ObservationBudget,
+    averaged_bundles,
     averaged_detector_params,
     averaged_joint_table,
     contextual_estimate,
     contextual_values,
     damping_eta,
     detector_params,
+    fringe_probability_table,
     joint_amplitudes,
     joint_probability_table,
     joint_statistics,
@@ -36,7 +38,8 @@ from coupled_mzi import (
 )
 from coupled_mzi import stochastic
 from coupled_mzi.params import DetectorDrain
-from conftest import balanced_mzi, detector_drain_probabilities, random_mzi
+from conftest import (balanced_mzi, detector_drain_probabilities, random_mzi, random_stack,
+                      stacked_experiment)
 
 OBS = ObservableCoefficients()
 
@@ -289,12 +292,34 @@ class TestAveragedJointTable:
     @given(det=MZIS, sysm=MZIS, gamma=st.floats(0.0, 2 * math.pi))
     def test_reduces_to_the_closed_form_without_fluctuations(self, det, sysm, gamma):
         # the table montecarlo samples at sigma = 0, p = 1 is the point table
-        table = averaged_joint_table(det, sysm, CouplingModel(gamma=gamma))
+        table = fringe_probability_table(det, sysm, *averaged_bundles(det, sysm, CouplingModel(gamma=gamma)))
         assert np.array_equal(table, joint_probability_table(det, sysm, gamma))
 
+    @settings(max_examples=200, deadline=None)
+    @given(det=MZIS, sysm=MZIS, gamma=st.floats(0.0, 2 * math.pi))
+    def test_is_the_pipeline_table_without_fluctuations(self, det, sysm, gamma):
+        table = averaged_joint_table(det, sysm, CouplingModel(gamma=gamma))
+        assert np.array_equal(table, joint_statistics(joint_amplitudes(det, sysm, gamma)).joint)
+
+    def test_is_the_pipeline_stack_without_fluctuations(self):
+        det, sysm, gamma = stacked_experiment(random_stack(np.random.default_rng(29), 200, 0.0, 1.0))
+        table = averaged_joint_table(det, sysm, CouplingModel(gamma=gamma))
+        assert table.shape == (200, 2, 2)
+        assert np.array_equal(table, joint_statistics(joint_amplitudes(det, sysm, gamma)).joint)
+
+    @settings(max_examples=200, deadline=None)
+    @given(det=MZIS, sysm=MZIS, gamma=st.floats(0.0, 2 * math.pi),
+           sigma=st.floats(0.0, math.pi), p=st.floats(0.0, 1.0))
+    @example(det=balanced_mzi(0.7), sysm=balanced_mzi(-0.4), gamma=2.0, sigma=math.pi, p=0.8)
+    def test_matches_the_closed_form_at_the_averaged_bundles(self, det, sysm, gamma, sigma, p):
+        # the mixture scan reads and the closed form montecarlo samples are one average
+        model = CouplingModel(gamma=gamma, sigma=sigma, pair_probability=p)
+        closed = fringe_probability_table(det, sysm, *averaged_bundles(det, sysm, model))
+        assert np.max(np.abs(averaged_joint_table(det, sysm, model) - closed)) <= 1e-15
+
     def test_dark_drain_stays_dark(self):
-        # D1 is dark at zero coupling; its averaged entries round to about
-        # -3e-17 and 0, and no sampled event falls there
+        # D1 is dark at zero coupling, the one coupling phase of an unpaired
+        # emission; no sampled event falls there
         model = CouplingModel(gamma=math.pi, sigma=1.0, pair_probability=0.0)
         table = averaged_joint_table(balanced_mzi(0.0), balanced_mzi(0.3), model)
         assert np.max(np.abs(table[0])) <= 1e-15
