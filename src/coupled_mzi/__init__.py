@@ -72,7 +72,6 @@ from .scattering import (
     concurrence,
     cross_noise_power,
     detector_drain_amplitudes,
-    fringe_probability_table,
     joint_amplitudes,
     joint_probability_table,
     joint_statistics,
@@ -82,7 +81,6 @@ from .scattering import (
 from .stochastic import (
     EstimateReport,
     ObservationBudget,
-    averaged_bundles,
     averaged_detector_params,
     averaged_joint_table,
     contextual_estimate,

@@ -50,18 +50,9 @@ from .interaction import coupling_phase, dynamical_phase
 from .measurement import (ContextualValues, contextual_values, contextual_values_or_nan, measurement_operators,
                           povm_pair)
 from .params import DetectorDrain, SystemDrain, damping_eta, detector_params
-from .scattering import (
-    ELEMENTARY_CHARGE,
-    JointStatistics,
-    concurrence,
-    cross_noise_power,
-    fringe_probability_table,
-    joint_amplitudes,
-    joint_statistics,
-)
+from .scattering import ELEMENTARY_CHARGE, JointStatistics, concurrence, cross_noise_power
 from .stochastic import (
     RNG_ALGORITHM,
-    averaged_bundles,
     averaged_detector_params,
     averaged_joint_table,
     contextual_estimate,
@@ -293,15 +284,11 @@ class _Grid:
         self.config, self.required = config, {}
         at, full = swept(config, parameter, grid), partial(np.broadcast_to, shape=grid.shape)
         self.det, self.sys = at.detector, at.system
-        # decided before the broadcast: a deck without fluctuations reads one pipeline table
-        self.fluctuating = np.any(at.coupling.sigma != 0.0) or np.any(at.coupling.pair_probability != 1.0)
         self.coupling = replace(at.coupling, gamma=full(at.coupling.gamma), sigma=full(at.coupling.sigma))
 
     @cached_property
     def stats(self) -> JointStatistics:
-        if self.fluctuating:
-            return JointStatistics(averaged_joint_table(self.det, self.sys, self.coupling))
-        return joint_statistics(joint_amplitudes(self.det, self.sys, self.coupling.gamma))
+        return averaged_joint_table(self.det, self.sys, self.coupling)
 
     def marginal(self, drain: DetectorDrain | SystemDrain) -> np.ndarray:
         return (self.stats.p_detector if isinstance(drain, DetectorDrain) else self.stats.p_system)(drain)
@@ -401,20 +388,17 @@ def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
     """CSV report of one seeded estimator run.
 
     Events are drawn with :func:`sample_events` from the exact joint drain
-    distribution averaged over the coupling model: the closed-form table at
-    the :func:`averaged_bundles`, whose detector bundle gives the contextual
-    values, so that these invert the table's drain probabilities, and its
-    detector marginals give the predicted MSE.  Without fluctuations the
-    table is the closed form at ``gamma``.  When the config carries a budget
-    section the report includes the observation-time bound.  A report that
-    is not finite exits as a configuration error.
+    distribution averaged over the coupling model, :func:`averaged_joint_table`,
+    the table every ``scan`` column reads; its detector marginals give the
+    predicted MSE.  The contextual values come from the averaged detector
+    bundle, as ``scan``'s ``alpha_*`` columns do, so they invert the table's
+    drain probabilities.  When the config carries a budget section the
+    report includes the observation-time bound.  A report that is not finite
+    exits as a configuration error.
     """
-    det, system = config.detector, config.system
-    # the closed form, not the mixture scan reads: sampling averaged_joint_table's three
-    # amplitude tables made fluctuating runs 8-26 % slower at the median
-    bundles = averaged_bundles(det, system, config.coupling)
-    cv = contextual_values(config.observable, bundles[0])
-    stats = JointStatistics(fringe_probability_table(det, system, *bundles))
+    det, coupling = config.detector, config.coupling
+    cv = contextual_values(config.observable, averaged_detector_params(detector_params(det, coupling.gamma), coupling))
+    stats = averaged_joint_table(det, config.system, coupling)
     events = sample_events(stats, n, seed)
     (p11, p12), (p21, p22) = stats.joint.tolist()  # a row's float sum has numpy's bits
     report = contextual_estimate(events, cv, probabilities=(p11 + p12, p21 + p22))

@@ -9,8 +9,8 @@ Random numbers come from numpy's Philox counter-based generator
 streams are bit-reproducible across platforms.  The sampler draws its
 uniforms in fixed-size chunks from one generator; event ``i`` always takes
 uniform ``i``, so the codes are the same for any chunk size.  Over a fluctuating
-coupling, ``montecarlo`` samples the closed form at :func:`averaged_bundles`,
-and ``scan`` reads :func:`averaged_joint_table`: two routes to the exact average.
+coupling, ``montecarlo`` samples :func:`averaged_joint_table`, the exact average
+that every ``scan`` and ``erasure`` column reads.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ObservableRangeError
 from .measurement import ContextualValues, reconstruct_average
-from .params import (CouplingModel, DetectorParams, FringeParams, InterferometerConfig, JointInterferenceParams,
-                     SystemParams, damping_eta, detector_params, joint_interference_params, system_params)
-from .scattering import JointStatistics, joint_amplitudes, joint_statistics
+from .params import CouplingModel, FringeParams, InterferometerConfig, damping_eta
+from .scattering import JointStatistics, joint_amplitudes, joint_probability_table, joint_statistics
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -110,64 +109,58 @@ def raised_cosine_pdf(gamma_prime, model: CouplingModel):
     return density if density.ndim else float(density)
 
 
-def _averaged_coupling_term(big_gamma, cos_phase, model: CouplingModel, eta):
-    """``Gamma_bar = p (eta Gamma + (1 - eta) cos(phase) / 2)``: a coupling
-    term ``Gamma = sin(g/2) sin(g/2 + phase) = (cos(phase) - cos(g + phase)) / 2``
-    averaged over the coupling model.  The raised cosine damps
-    ``cos(g + phase)`` by ``eta = eta(sigma)``, and an unpaired emission has
-    ``Gamma = 0``.  At ``sigma = 0, p = 1`` this is ``Gamma``, bit for bit."""
-    return model.pair_probability * (eta * big_gamma + (1.0 - eta) * cos_phase / 2.0)
-
-
-def _averaged_params(p: FringeParams, model: CouplingModel, eta) -> FringeParams:
-    gamma_bar = _averaged_coupling_term(p.Gamma, p.Delta + p.Gamma, model, eta)
-    return replace(p, Gamma=gamma_bar, Delta=p.Delta + (p.Gamma - gamma_bar))
-
-
 def averaged_detector_params(p: FringeParams, model: CouplingModel) -> FringeParams:
     """A detector (or system) bundle averaged over coupling fluctuations and
     unpaired emission, the exact average of its drain probabilities.
 
-    Only ``Gamma`` and ``Delta`` change: ``Gamma`` is averaged with
-    ``cos(phase) = Delta + Gamma``, and ``Delta_bar`` keeps ``Delta_bar +
-    Gamma_bar = cos(phase)``.  Contextual values built from the result
+    Only ``Gamma`` and ``Delta`` change.  ``Gamma = sin(g/2) sin(g/2 +
+    phase) = (cos(phase) - cos(g + phase)) / 2``, with ``cos(phase) = Delta
+    + Gamma``; the raised cosine damps ``cos(g + phase)`` by ``eta =
+    eta(sigma)`` and an unpaired emission has ``Gamma = 0``, so ``Gamma_bar
+    = p (eta Gamma + (1 - eta) cos(phase) / 2)``, and ``Delta_bar`` keeps
+    ``Delta_bar + Gamma_bar = cos(phase)``.  At ``sigma = 0, p = 1`` the
+    bundle comes back bit for bit.  Contextual values built from the result
     invert the averaged drain probabilities, with the ``1/Gamma_bar``
     amplification of an inefficient measurement.  The fields of ``p`` and
     ``model`` may be arrays.
     """
-    return _averaged_params(p, model, damping_eta(model.sigma))
-
-
-def averaged_bundles(
-    det: InterferometerConfig, sys: InterferometerConfig, model: CouplingModel
-) -> tuple[DetectorParams, SystemParams, JointInterferenceParams]:
-    """The detector, system and joint (``phase = phi_d - phi_s``) bundles
-    averaged over the coupling model, each as :func:`averaged_detector_params`
-    averages a bundle, with ``eta(sigma)`` evaluated once.  Every field of
-    the interferometers and of ``model`` may be an array.
-    """
-    gamma, eta = model.gamma, damping_eta(model.sigma)
-    jp = joint_interference_params(det.tuning_phase, sys.tuning_phase, gamma)
-    gamma_ds = _averaged_coupling_term(jp.Gamma_ds, np.cos(det.tuning_phase - sys.tuning_phase), model, eta)
-    return (_averaged_params(detector_params(det, gamma), model, eta),
-            _averaged_params(system_params(sys, gamma), model, eta),
-            JointInterferenceParams(jp.Delta_ds + (jp.Gamma_ds - gamma_ds), gamma_ds))
+    eta = damping_eta(model.sigma)
+    gamma_bar = model.pair_probability * (eta * p.Gamma + (1.0 - eta) * (p.Delta + p.Gamma) / 2.0)
+    return replace(p, Gamma=gamma_bar, Delta=p.Delta + (p.Gamma - gamma_bar))
 
 
 def averaged_joint_table(
     det: InterferometerConfig, sys: InterferometerConfig, model: CouplingModel
-) -> np.ndarray:
-    """Joint drain table ``broadcast + (2, 2)`` averaged over the coupling
-    model, from the amplitude pipeline's tables ``P(g)``.  A cell is ``A + B cos g
-    + C sin g``, the raised cosine damps the harmonics by ``eta(sigma)``, and an
-    unpaired emission has ``g = 0``: the average is the mixture of non-negative weights
-    ``p eta P(gamma) + p (1 - eta) / 2 P(pi) + (p (1 - eta) / 2 + 1 - p) P(0)``,
-    ``P(gamma)`` bit for bit without fluctuations.  Every field may be an array.
+) -> JointStatistics:
+    """Joint drain statistics, one table or a stack, averaged over the
+    coupling model, from the amplitude pipeline's tables ``P(g)``.
+
+    Where ``sigma = 0`` and ``p = 1`` at every point, this is the one table
+    ``P(gamma)``.  Otherwise a cell is ``A + B cos g + C sin g``, the raised
+    cosine damps the harmonics by ``eta(sigma)``, and an unpaired emission
+    has ``g = 0``: the average is the mixture of non-negative weights ``p eta
+    P(gamma) + p (1 - eta) / 2 P(pi) + (p (1 - eta) / 2 + 1 - p) P(0)``.
+    A model with an array field, as every scan grid has, takes each table
+    from ``joint_statistics(joint_amplitudes(...))``, which checks it, so
+    that a stack gives the bits of its one-point stacks; a scalar model
+    takes them from :func:`joint_probability_table`, and the average is
+    checked once.  Every field may be an array.
     """
-    p, eta = (np.expand_dims(x, (-2, -1)) for x in (model.pair_probability, damping_eta(model.sigma)))
+    gamma, sigma, p = model.gamma, model.sigma, model.pair_probability
+    stack = any([isinstance(x, np.ndarray) for x in (gamma, sigma, p)])
+    fluctuating = (sigma != 0.0) | (p != 1.0)
+    if not (np.any(fluctuating) if stack else fluctuating):
+        if stack:
+            return joint_statistics(joint_amplitudes(det, sys, gamma))
+        return JointStatistics(joint_probability_table(det, sys, gamma))
+    eta = damping_eta(sigma)
+    if stack:  # weights broadcast over each table's cells
+        p, eta = np.expand_dims(p, (-2, -1)), np.expand_dims(eta, (-2, -1))
+        tables = [joint_statistics(joint_amplitudes(det, sys, g)).joint for g in (gamma, math.pi, 0.0)]
+    else:
+        tables = [joint_probability_table(det, sys, g) for g in (gamma, math.pi, 0.0)]
     paired, spread = p * eta, p * (1.0 - eta) / 2.0
-    tables = [joint_statistics(joint_amplitudes(det, sys, g)).joint for g in (model.gamma, math.pi, 0.0)]
-    return paired * tables[0] + spread * tables[1] + (spread + (1.0 - p)) * tables[2]
+    return JointStatistics(paired * tables[0] + spread * tables[1] + (spread + (1.0 - p)) * tables[2])
 
 
 def _categories(u: np.ndarray, probs: np.ndarray, codes: np.ndarray) -> np.ndarray:

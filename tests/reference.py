@@ -1,0 +1,76 @@
+"""Closed forms of the joint drain statistics, independent of the package.
+
+The tests' oracle for the amplitude pipeline (acceptance criterion 02 and
+the closed-form checks).  It reads only the fields of the configs it is
+given (transmissions, reflections, tuning phases) and imports nothing from
+``coupled_mzi``; ``tests/test_layering.py`` checks that.
+
+Each interferometer enters through its fringe bundle: the background
+weights ``beta_(+/-) = 1 +/- delta1 delta2``, the visibility ``V = epsilon1
+epsilon2`` and the coupling term ``Gamma = sin(g/2) sin(g/2 + phase)``, with
+``phase = phi_d`` for the detector and ``-phi_s`` for the system, and
+``Delta = cos(phi) - Gamma``.  The pair enters through ``Delta_ds =
+cos(phi_d) cos(phi_s) - Gamma_ds`` at ``phase = phi_d - phi_s``.
+"""
+
+import math
+
+import numpy as np
+
+_PI_LOW = 1.2246467991473532e-16  # pi - math.pi, rounded; also sin(math.pi)
+
+
+def damping_eta(sigma):
+    """``E[cos(g' - gamma)]`` over the raised cosine of half-width ``sigma``:
+    ``pi^2 sin(sigma) / (sigma (pi - sigma)(pi + sigma))``, 1 at ``sigma = 0``.
+    ``pi - sigma`` is the exact ``math.pi - sigma`` plus the part of pi
+    below ``math.pi``, so the value holds its digits up to ``sigma = pi``."""
+    s = np.asarray(sigma, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = math.pi**2 * np.sin(s) / (s * ((math.pi - s + _PI_LOW) * (math.pi + s)))
+    return np.where(s == 0.0, 1.0, eta)
+
+
+def _balance(q):
+    """``delta = T - R`` and ``epsilon = 2 sqrt(T R)`` of one contact."""
+    return q.transmission - q.reflection, 2.0 * np.sqrt(q.transmission * q.reflection)
+
+
+def closed_form_table(det, sys, gamma, sigma=0.0, pair_probability=1.0) -> np.ndarray:
+    """Joint drain table ``broadcast + (2, 2)``, indexed ``[..., detector
+    drain, system drain]``, at coupling phase ``gamma``; every argument and
+    field may be an array.
+
+    With ``sigma > 0`` or ``pair_probability < 1`` it is the average over
+    the coupling model: the table is affine in the three coupling terms, so
+    each ``Gamma`` becomes ``Gamma_bar = p (eta Gamma + (1 - eta) cos(phase)
+    / 2)`` (the raised cosine damps ``cos(g + phase)`` by ``eta``, and an
+    unpaired emission has ``Gamma = 0``), and ``Delta`` keeps ``Delta +
+    Gamma``.  Without fluctuations ``Gamma_bar`` is ``Gamma``, bit for bit.
+    """
+    eta, p, half = damping_eta(sigma), pair_probability, gamma / 2.0
+
+    def coupling(phase, product):
+        """``(Gamma_bar, Delta_bar)`` of the term at ``phase``, where ``Delta + Gamma = product``."""
+        big = np.sin(half) * np.sin(half + phase)
+        bar = p * (eta * big + (1.0 - eta) * np.cos(phase) / 2.0)
+        return bar, (product - big) + (big - bar)
+
+    pd, ps = det.tuning_phase, sys.tuning_phase
+    (d1d, e1d), (d2d, e2d) = _balance(det.qpc1), _balance(det.qpc2)
+    (d1s, e1s), (d2s, e2s) = _balance(sys.qpc1), _balance(sys.qpc2)
+    bpd, bmd, vd = 1.0 + d1d * d2d, 1.0 - d1d * d2d, e1d * e2d
+    bps, bms, vs = 1.0 + d1s * d2s, 1.0 - d1s * d2s, e1s * e2s
+    gd, dd = coupling(pd, np.cos(pd))
+    gs, ds = coupling(-ps, np.cos(ps))
+    joint = vd * vs * coupling(pd - ps, np.cos(pd) * np.cos(ps))[1]
+    det_plus = dd * bps + gd * (d1s + d2s)
+    det_minus = dd * bms + gd * (d1s - d2s)
+    sys_plus = ds * bpd - gs * (d1d + d2d)
+    sys_minus = ds * bmd - gs * (d1d - d2d)
+    table = np.array([
+        [0.25 * (bpd * bps + joint - vd * det_plus - vs * sys_plus),
+         0.25 * (bpd * bms - joint - vd * det_minus + vs * sys_plus)],
+        [0.25 * (bmd * bps - joint + vd * det_plus - vs * sys_minus),
+         0.25 * (bmd * bms + joint + vd * det_minus + vs * sys_minus)]])
+    return table.transpose(*range(2, table.ndim), 0, 1)  # sweep axes before the table's

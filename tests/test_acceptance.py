@@ -26,7 +26,6 @@ from coupled_mzi import (
     detector_params,
     efficient_factorization,
     joint_amplitudes,
-    joint_probability_table,
     joint_statistics,
     measurement_operators,
     observation_time,
@@ -52,6 +51,7 @@ from conftest import (
     random_stack,
     stacked_experiment,
 )
+from reference import closed_form_table
 
 OBS = ObservableCoefficients()
 
@@ -76,7 +76,7 @@ def test_criterion_01_dual_pipeline_equality():
 def test_criterion_02_closed_form_probability_match():
     det, sysm, gamma = stacked_experiment(random_stack(np.random.default_rng(102), 10_000))
     pipeline = joint_statistics(joint_amplitudes(det, sysm, gamma))
-    closed = JointStatistics(joint_probability_table(det, sysm, gamma))
+    closed = JointStatistics(closed_form_table(det, sysm, gamma))
     worst = float(max(
         np.max(np.abs(pipeline.joint - closed.joint)),
         np.max(np.abs(pipeline.detector_marginals - closed.detector_marginals)),

@@ -355,22 +355,35 @@ def test_drain_data_give_the_which_path_average(text, sweep):
 
 
 class TestMontecarlo:
-    def test_run_builds_the_averaged_bundles_once(self, monkeypatch, capsys):
-        argv = ["montecarlo", "--config", str(GOLDEN_CONFIG), "--n", "1000", "--seed", "3"]
+    @staticmethod
+    def counted_calls(config: Path, capsys) -> dict:
+        """How often one ``montecarlo`` run on ``config`` calls the bundle, the
+        damping factor and the table; counting leaves its output as it was."""
+        argv = ["montecarlo", "--config", str(config), "--n", "1000", "--seed", "3"]
         expected = run_cli(argv, capsys)
-        calls = {"detector_params": 0, "damping_eta": 0}
-        for name in calls:
-            original = getattr(params, name)
+        calls = dict.fromkeys(("detector_params", "damping_eta", "joint_probability_table"), 0)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for name in calls:
+                original = getattr(scattering if name == "joint_probability_table" else params, name)
 
-            def counted(*args, name=name, original=original):
-                calls[name] += 1
-                return original(*args)
+                def counted(*args, name=name, original=original):
+                    calls[name] += 1
+                    return original(*args)
 
-            for module in (cli, conditioning, measurement, scattering, stochastic):
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
-        assert run_cli(argv, capsys) == expected
-        assert expected[0] == 0 and calls == {"detector_params": 1, "damping_eta": 1}
+                for module in (cli, conditioning, measurement, scattering, stochastic):
+                    if getattr(module, name, None) is original:
+                        monkeypatch.setattr(module, name, counted)
+            assert run_cli(argv, capsys) == expected
+        assert expected[0] == 0
+        return calls
+
+    def test_run_builds_the_averaged_bundles_once(self, capsys):
+        # the averaged detector bundle, and the mixture of the tables at gamma, pi and 0
+        assert self.counted_calls(GOLDEN_CONFIG, capsys) == {
+            "detector_params": 1, "damping_eta": 2, "joint_probability_table": 3}
+        # no fluctuations: the table at gamma alone
+        assert self.counted_calls(CONFIGS / "strong_measurement.conf", capsys) == {
+            "detector_params": 1, "damping_eta": 1, "joint_probability_table": 1}
 
     def test_single_event_is_one_contextual_value(self, tmp_path, capsys):
         path = tmp_path / "exp.conf"

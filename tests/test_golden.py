@@ -153,7 +153,7 @@ def scale(name: str, point) -> float:
     if name.startswith(("alpha_", "cond_avg_")):
         return _alpha_scale(point)
     if "_given_" in name:
-        table = averaged_joint_table(point.detector, point.system, point.coupling)
+        table = averaged_joint_table(point.detector, point.system, point.coupling).joint
         drain = name[-2:]
         marginal = table.sum(axis=1 if drain[0] == "D" else 0)[int(drain[1]) - 1]
         return 1.0 / marginal

@@ -1,4 +1,5 @@
-"""Layering of the package: which private names cross module boundaries."""
+"""Layering of the package: which private names cross module boundaries, and
+the independence of the tests' closed-form oracle."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,11 @@ def private_imports() -> set[tuple[str, str, str]]:
 
 def test_private_imports_are_the_allowed_ones():
     assert private_imports() == ALLOWED_PRIVATE_IMPORTS
+
+
+def test_reference_imports_nothing_from_the_package():
+    """The closed forms in ``tests/reference.py`` stay an independent oracle."""
+    tree = ast.parse((Path(__file__).resolve().parent / "reference.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not any(name.partition(".")[0] in ("coupled_mzi", "conftest") for name in imported), imported

@@ -8,6 +8,7 @@ from dataclasses import astuple, replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,13 +47,14 @@ from coupled_mzi import (
     weak_value,
     xi_joint_interference,
 )
-from coupled_mzi import cli
+from coupled_mzi import cli, scattering
 from coupled_mzi.cli import _MAX_EXPONENT, _VECTOR_CELLS, _Grid, _table_csv, _vector_rows
 from coupled_mzi.config import swept
 from coupled_mzi.measurement import DIVERGENCE_THRESHOLD
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from coupled_mzi.scattering import ELEMENTARY_CHARGE, PLANCK_CONSTANT
 from conftest import SIGMA_0, SIGMA_3, mzi
+from reference import closed_form_table
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "unbalanced.conf"
 TWO_PI = 2.0 * math.pi
@@ -82,7 +84,7 @@ def test_scalar_amplitude_table_matches_closed_form(det, sysm, gamma):
     c = joint_amplitudes(det, sysm, gamma).c
     assert c.shape == (2, 2)
     assert np.array_equal(c, joint_amplitudes(det, sysm, gamma).c)
-    assert np.max(np.abs(np.abs(c) ** 2 - joint_probability_table(det, sysm, gamma))) <= 1e-12
+    assert np.max(np.abs(np.abs(c) ** 2 - closed_form_table(det, sysm, gamma))) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -98,8 +100,36 @@ def test_array_amplitude_table_matches_closed_form(det, sysm, points):
         q1 = sysm.qpc1
         point_sys = InterferometerConfig(qpc_from_transmission(t, q1.chi, q1.xi), sysm.qpc2, ps)
         point_det = InterferometerConfig(det.qpc1, det.qpc2, pd)
-        closed = joint_probability_table(point_det, point_sys, g)
+        closed = closed_form_table(point_det, point_sys, g)
         assert np.max(np.abs(np.abs(c[i]) ** 2 - closed)) <= 1e-12
+
+
+# The one-configuration table and the one-point stack of joint_probability_table
+# round the same products in different orders.  Each is within E of the exact
+# cell, so they differ by at most 2 E.  With u = 2**-53, to first order:
+# - an amplitude c sums products of four factors of modulus at most 1, whose
+#   moduli add up to at most 1 (Cauchy-Schwarz on the unit rows and columns);
+# - a factor costs a square root, a sine or cosine (one ulp) and a product: 4u;
+# - each of the three complex steps (scatter, weight, scatter) is a product or a
+#   sum of two, four real products and three sums in any order, FMA or not,
+#   within 4 sqrt(2) u < 6u of the sum of the moduli: |dc| <= 16u + 18u = 34u;
+# - hypot (one ulp) and the square add 5u |c|^2: |dp| <= 68u |c| + 5u |c|^2 <= 73u;
+# - sum |c| <= 2, so the four p and the three additions make |d total| <= 144u;
+# - dividing by the total gives |dp| + p |d total| + u p <= 218u = E.
+ONE_TABLE_BOUND = 2 * 218 * 2.0**-53
+NEAR_DARK = InterferometerConfig(qpc_from_transmission(0.5), qpc_from_transmission(0.5), 1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(det=interferometers(), sysm=interferometers(), gamma=couplings)
+@example(det=NEAR_DARK, sysm=NEAR_DARK, gamma=0.0)  # P(D1, S) near 1e-19
+@example(det=NEAR_DARK, sysm=NEAR_DARK, gamma=math.pi)
+def test_one_configuration_table_matches_the_one_point_stack(det, sysm, gamma):
+    with mock.patch.object(scattering, "joint_amplitudes", side_effect=AssertionError("took the stack path")):
+        table = joint_probability_table(det, sysm, gamma)
+    stack = joint_probability_table(det, sysm, np.array([gamma]))
+    assert table.shape == (2, 2) and stack.shape == (1, 2, 2)
+    assert np.max(np.abs(table - stack[0])) <= ONE_TABLE_BOUND
 
 
 # one experiment: both QPCs of both interferometers as (T, chi, xi), the tuning
@@ -123,8 +153,13 @@ def _stack_values(det, sysm, model) -> dict:
         "measurement_operators": np.moveaxis([m.diag_d1, m.diag_d2], (0, 1), (-2, -1)),
         "povm_pair": np.moveaxis([povm.diag_d1, povm.diag_d2], (0, 1), (-2, -1)),
         "povm_expectation": np.moveaxis(povm_expectation(povm, reduced_system_state(sysm)), 0, -1),
+    }
+
+
+def _table_values(det, sysm, model) -> dict:
+    return {
         "joint_probability_table": joint_probability_table(det, sysm, model.gamma),
-        "averaged_joint_table": averaged_joint_table(det, sysm, model),
+        "averaged_joint_table": averaged_joint_table(det, sysm, model).joint,
     }
 
 
@@ -134,10 +169,14 @@ def _stack_values(det, sysm, model) -> dict:
 @example(points=[(0.0, 0.0, 0.0, 3.282977360150768e-123, 0.0, 1.0593358918616982, 0.0) + (0.0,) * 10])
 def test_stacked_experiment_matches_scalar_points_bit_for_bit(points):
     """Every field an array: one stacked evaluation gives, point for point,
-    the bits of the scalar calls."""
-    stacked = _stack_values(*_experiment([np.array(column) for column in zip(*points)]))
+    the bits of the scalar calls, and for the tables, which take their own
+    path for one configuration of floats, the bits of one-point stacks."""
+    experiment = _experiment([np.array(column) for column in zip(*points)])
+    stacked = {**_stack_values(*experiment), **_table_values(*experiment)}
     for i, fields in enumerate(points):
-        for name, value in _stack_values(*_experiment(fields)).items():
+        one_point = _table_values(*_experiment([np.array([x]) for x in fields]))
+        values = {**_stack_values(*_experiment(fields)), **{name: v[0] for name, v in one_point.items()}}
+        for name, value in values.items():
             assert stacked[name].shape == (len(points), *value.shape), name
             assert np.array_equal(stacked[name][i], value), (name, fields)
 
@@ -245,7 +284,7 @@ def test_gamma_array_broadcasts_against_config_phases():
     gammas = np.linspace(0.0, TWO_PI, 7)
     c = joint_amplitudes(det, sysm, gammas).c
     assert c.shape == (7, 2, 2)
-    expected = joint_probability_table(det, sysm, gammas)
+    expected = closed_form_table(det, sysm, gammas)
     assert np.abs(c) ** 2 == pytest.approx(expected, abs=1e-12)
 
 

@@ -13,13 +13,13 @@ from coupled_mzi import (
     concurrence,
     cross_noise_power,
     joint_amplitudes,
-    joint_probability_table,
     joint_statistics,
     qpc_from_transmission,
     qpc_unitary,
 )
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from conftest import amplitude_concurrence, balanced_mzi, random_mzi
+from reference import closed_form_table
 
 
 def explicit_drain_amplitudes(det, sysm, gamma):
@@ -127,7 +127,7 @@ class TestJointStatistics:
         det = balanced_mzi(0.0)
         sysm = balanced_mzi(0.0)
         stats = joint_statistics(joint_amplitudes(det, sysm, math.pi))
-        closed = JointStatistics(joint_probability_table(det, sysm, math.pi))
+        closed = JointStatistics(closed_form_table(det, sysm, math.pi))
         assert np.max(np.abs(stats.joint - closed.joint)) < 1e-12
 
     def test_dark_port(self):
@@ -155,7 +155,7 @@ class TestJointStatistics:
             det, sysm = random_mzi(rng), random_mzi(rng)
             gamma = rng.uniform(0, 2 * math.pi)
             stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
-            closed = JointStatistics(joint_probability_table(det, sysm, gamma))
+            closed = JointStatistics(closed_form_table(det, sysm, gamma))
             assert np.max(np.abs(stats.joint - closed.joint)) < 1e-12
             assert np.max(np.abs(stats.detector_marginals - closed.detector_marginals)) < 1e-12
             assert np.max(np.abs(stats.system_marginals - closed.system_marginals)) < 1e-12
@@ -259,7 +259,7 @@ class TestHarmonicForm:
     def test_tables_from_three_amplitude_points(self, rng):
         for _ in range(200):
             det, sysm = random_mzi(rng), random_mzi(rng)
-            a, b, c = self.harmonics(*joint_probability_table(det, sysm, self.POINTS))
+            a, b, c = self.harmonics(*closed_form_table(det, sysm, self.POINTS))
             expected = self.harmonics(*np.abs(joint_amplitudes(det, sysm, self.POINTS).c) ** 2)
             for closed, amplitude in zip((a, b, c), expected):
                 assert np.max(np.abs(closed - amplitude)) <= 1e-12
@@ -271,14 +271,14 @@ class TestHarmonicForm:
         for _ in range(200):
             det, sysm = random_mzi(rng), random_mzi(rng)
             gammas = rng.uniform(-2 * math.pi, 4 * math.pi, 64)
-            a, b, c = self.harmonics(*joint_probability_table(det, sysm, self.POINTS))
+            a, b, c = self.harmonics(*closed_form_table(det, sysm, self.POINTS))
             cos, sin = np.cos(gammas)[:, None, None], np.sin(gammas)[:, None, None]
-            closed = joint_probability_table(det, sysm, gammas)
+            closed = closed_form_table(det, sysm, gammas)
             assert closed.shape == (64, 2, 2)
             assert np.max(np.abs(closed - (a + b * cos + c * sin))) <= 1e-12
             amplitudes = np.abs(joint_amplitudes(det, sysm, gammas).c) ** 2
             assert np.max(np.abs(closed - amplitudes)) <= 1e-12
-            assert joint_probability_table(det, sysm, gammas[0]).shape == (2, 2)
+            assert closed_form_table(det, sysm, gammas[0]).shape == (2, 2)
 
 
 class TestCurrentsAndNoise:

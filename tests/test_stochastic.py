@@ -18,14 +18,12 @@ from coupled_mzi import (
     ObservableCoefficients,
     ObservableRangeError,
     ObservationBudget,
-    averaged_bundles,
     averaged_detector_params,
     averaged_joint_table,
     contextual_estimate,
     contextual_values,
     damping_eta,
     detector_params,
-    fringe_probability_table,
     joint_amplitudes,
     joint_probability_table,
     joint_statistics,
@@ -40,6 +38,7 @@ from coupled_mzi import stochastic
 from coupled_mzi.params import DetectorDrain
 from conftest import (balanced_mzi, detector_drain_probabilities, random_mzi, random_stack,
                       stacked_experiment)
+from reference import closed_form_table
 
 OBS = ObservableCoefficients()
 
@@ -251,7 +250,7 @@ class TestAveragedJointTable:
     def test_matches_quadrature(self, model, rng):
         for _ in range(3):
             det, sysm = random_mzi(rng), random_mzi(rng)
-            table = averaged_joint_table(det, sysm, model)
+            table = averaged_joint_table(det, sysm, model).joint
             assert table.shape == (2, 2)
             assert np.max(np.abs(table - averaged_table_oracle(det, sysm, model))) <= 1e-12
 
@@ -265,7 +264,7 @@ class TestAveragedJointTable:
                     lambda g: getattr(detector_params(det, g), field), model)
                 assert getattr(averaged, field) == pytest.approx(expected, abs=1e-12)
             # the bundle's drain probabilities are the averaged table's marginals
-            marginals = averaged_joint_table(det, sysm, model).sum(axis=1)
+            marginals = averaged_joint_table(det, sysm, model).detector_marginals
             assert detector_drain_probabilities(averaged, sysm.qpc1.delta) == (
                 pytest.approx(marginals[0], abs=1e-12), pytest.approx(marginals[1], abs=1e-12))
 
@@ -290,20 +289,14 @@ class TestAveragedJointTable:
 
     @settings(max_examples=200, deadline=None)
     @given(det=MZIS, sysm=MZIS, gamma=st.floats(0.0, 2 * math.pi))
-    def test_reduces_to_the_closed_form_without_fluctuations(self, det, sysm, gamma):
-        # the table montecarlo samples at sigma = 0, p = 1 is the point table
-        table = fringe_probability_table(det, sysm, *averaged_bundles(det, sysm, CouplingModel(gamma=gamma)))
-        assert np.array_equal(table, joint_probability_table(det, sysm, gamma))
-
-    @settings(max_examples=200, deadline=None)
-    @given(det=MZIS, sysm=MZIS, gamma=st.floats(0.0, 2 * math.pi))
     def test_is_the_pipeline_table_without_fluctuations(self, det, sysm, gamma):
-        table = averaged_joint_table(det, sysm, CouplingModel(gamma=gamma))
-        assert np.array_equal(table, joint_statistics(joint_amplitudes(det, sysm, gamma)).joint)
+        # one configuration at sigma = 0, p = 1: the one table montecarlo samples
+        stats = averaged_joint_table(det, sysm, CouplingModel(gamma=gamma))
+        assert np.array_equal(stats.joint, joint_probability_table(det, sysm, gamma))
 
     def test_is_the_pipeline_stack_without_fluctuations(self):
         det, sysm, gamma = stacked_experiment(random_stack(np.random.default_rng(29), 200, 0.0, 1.0))
-        table = averaged_joint_table(det, sysm, CouplingModel(gamma=gamma))
+        table = averaged_joint_table(det, sysm, CouplingModel(gamma=gamma)).joint
         assert table.shape == (200, 2, 2)
         assert np.array_equal(table, joint_statistics(joint_amplitudes(det, sysm, gamma)).joint)
 
@@ -312,18 +305,18 @@ class TestAveragedJointTable:
            sigma=st.floats(0.0, math.pi), p=st.floats(0.0, 1.0))
     @example(det=balanced_mzi(0.7), sysm=balanced_mzi(-0.4), gamma=2.0, sigma=math.pi, p=0.8)
     def test_matches_the_closed_form_at_the_averaged_bundles(self, det, sysm, gamma, sigma, p):
-        # the mixture scan reads and the closed form montecarlo samples are one average
+        # the amplitude mixture and the closed form at the averaged coupling terms are one average
         model = CouplingModel(gamma=gamma, sigma=sigma, pair_probability=p)
-        closed = fringe_probability_table(det, sysm, *averaged_bundles(det, sysm, model))
-        assert np.max(np.abs(averaged_joint_table(det, sysm, model) - closed)) <= 1e-15
+        closed = closed_form_table(det, sysm, gamma, sigma, p)
+        assert np.max(np.abs(averaged_joint_table(det, sysm, model).joint - closed)) <= 1e-15
 
     def test_dark_drain_stays_dark(self):
         # D1 is dark at zero coupling, the one coupling phase of an unpaired
         # emission; no sampled event falls there
         model = CouplingModel(gamma=math.pi, sigma=1.0, pair_probability=0.0)
-        table = averaged_joint_table(balanced_mzi(0.0), balanced_mzi(0.3), model)
-        assert np.max(np.abs(table[0])) <= 1e-15
-        codes = sample_events(JointStatistics(table), 50_000, seed=13)
+        stats = averaged_joint_table(balanced_mzi(0.0), balanced_mzi(0.3), model)
+        assert np.max(np.abs(stats.joint[0])) <= 1e-15
+        codes = sample_events(stats, 50_000, seed=13)
         assert np.all(codes >= 2)
 
     @settings(max_examples=100, deadline=None)
@@ -334,9 +327,9 @@ class TestAveragedJointTable:
     def test_matches_the_averaged_closed_form(self, det, sysm, gamma, sigma, p):
         model = CouplingModel(gamma=gamma, sigma=sigma, pair_probability=p)
         expected = [[fluctuation_average(
-            lambda g, d=d, s=s: joint_probability_table(det, sysm, g)[d, s], model)
+            lambda g, d=d, s=s: closed_form_table(det, sysm, g)[d, s], model)
             for s in (0, 1)] for d in (0, 1)]
-        assert np.max(np.abs(averaged_joint_table(det, sysm, model) - expected)) <= 1e-12
+        assert np.max(np.abs(averaged_joint_table(det, sysm, model).joint - expected)) <= 1e-12
 
 
 def quarter_stats():
@@ -378,7 +371,7 @@ class TestCategoryRule:
         # a closed-form table whose (D2,S1) cell rounds below zero; u is the edge after it
         det = InterferometerConfig(qpc_from_transmission(0.0), qpc_from_transmission(0.6638420095629117), math.pi)
         sysm = InterferometerConfig(qpc_from_transmission(0.5), qpc_from_transmission(0.5), 0.0)
-        probs = joint_probability_table(det, sysm, 5.0148511216585865).ravel()
+        probs = closed_form_table(det, sysm, 5.0148511216585865).ravel()
         assert probs.tolist() == [0.0, 0.33615799043708827, -5.551115123125783e-17, 0.6638420095629118]
         JointStatistics(probs.reshape(2, 2))  # the table check accepts it
         u = 0.3361579904370882
