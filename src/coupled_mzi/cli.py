@@ -94,20 +94,21 @@ def _template_rows(table: np.ndarray) -> str:
 # The vector writer.  A cell x that is finite, nonzero and within the
 # two-digit exponents prints the 17 digits of ``D = round(|x| 10**(16 - k))``,
 # with k the decade of x: ``floor(log10 |x|)``, less one where |x| is below
-# the least double >= 10**k.  Each cell is
-# laid out in four little-endian 64-bit words, its text in order with NUL
-# bytes in between that are dropped at the end:
+# the least double >= 10**k.  Such a cell is laid out in one of two
+# notations, scientific or fixed below ten (-4 <= k <= 0), in four
+# little-endian 64-bit words, its text in order with NUL bytes in between
+# that are dropped at the end:
 #   word 0     sign, the "0." and zeros of fixed notation below 1, D's leading
 #              digit and the point after it, in the top bytes;
 #   words 1-2  D's other 16 digits, four per half-word, trailing zeros as NUL;
 #   word 3     the exponent "e+05" and the separator after the cell: "," or,
 #              after a row's last cell, "\n".
 # Word 0 is one lookup by the biased exponent e = k + _BIAS, the leading digit
-# and the sign; word 3 one by e and the column.  A point among the digits
-# (fixed notation, 1 <= k <= 15) moves words 1-3 up a byte.  Every other cell
-# (NaN, inf, zero, a magnitude beyond 1e+-98, a rounding near a tie, a
-# rounding that carries into the next decade, an integer whose zeros reach
-# the point) takes ``"%.17g" % x``.
+# and the sign; word 3 one by e and the column.  Every other cell (NaN, inf,
+# zero, a magnitude beyond 1e+-98, a rounding near a tie, a rounding that
+# carries into the next decade, and 1 <= k <= 16, where the point falls among
+# the digits) takes ``_CELL``: ``"%.17g" % x`` left-justified in the cell's
+# 32 bytes with spaces, which are dropped with the NULs.
 
 # The crossover with the row template.  Each writer was timed alone after a
 # gc.collect(), as the benchmark runs ops, on scan tables of 3, 5 and 9 columns
@@ -122,9 +123,8 @@ _TIE_MARGIN = 2.0**-20  # roundings this near 1/2 take the per-cell rule (the er
 # the bits of 1e-98 and 1e+98, whose order is that of the doubles >= 0
 _TINY, _HUGE = struct.unpack("<2q", struct.pack("<2d", 10.0 ** (1 - _MAX_EXPONENT),
                                                   10.0 ** (_MAX_EXPONENT - 1)))
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
-_POW10.setflags(write=False)
 _WORD = np.dtype("<u8")
+_CELL = "%-31.17g"  # a per-cell rule's cell, padded to 31 bytes with spaces: 32 with its separator
 
 
 def _split(a):
@@ -173,14 +173,12 @@ def _writer_tables() -> tuple[np.ndarray, ...]:
         tail[zeros] &= ~(0xFF << 8 * j)
     quads = np.stack([plain, tail]).astype("<u4")
 
-    def front(k, digit, sign):
-        fixed = -4 <= k <= 16
-        prefix = b"0." + b"0" * (-1 - k) if fixed and k < 0 else b""
-        point = b"." if not fixed or k == 0 else b""  # dropped again where no digit follows
-        return (sign + prefix + b"%d" % digit + point).rjust(8, b"\0")
+    def front(k, digit, sign):  # the point after the digit is dropped again where no digit follows
+        text = b"0." + b"0" * (-1 - k) + b"%d" % digit if -4 <= k < 0 else b"%d." % digit
+        return (sign + text).rjust(8, b"\0")
 
     fronts = b"".join(front(k, digit, sign) for k in exponents for digit in range(10) for sign in (b"", b"-"))
-    ends = b"".join(((b"" if -4 <= k <= 16 else b"e%+03d" % k) + separator).ljust(8, b"\0")
+    ends = b"".join(((b"" if -4 <= k <= 0 else b"e%+03d" % k) + separator).ljust(8, b"\0")
                     for separator in (b",", b"\n") for k in exponents)
     tables = (scale, lower, np.frombuffer(fronts, _WORD), quads, np.frombuffer(ends, _WORD))
     for table in tables:
@@ -229,6 +227,7 @@ def _vector_block(table: np.ndarray) -> bytes:
     d, frac = _scaled(a, e, scale)
     # a rounding that carries into the next decade leaves D outside [10**16, 10**17)
     per_cell = (np.abs(frac) >= 0.5 - _TIE_MARGIN) | ((d - 10**16).view(np.uint64) >= 9 * 10**16)
+    per_cell |= (e - (_BIAS + 1)).view(np.uint64) < 16  # 1 <= k <= 16: a point among the digits
     per_cell[bad] = True
     lead = d // 10**16
     rest = d - lead * 10**16
@@ -254,23 +253,13 @@ def _vector_block(table: np.ndarray) -> bytes:
     else:  # D = lead 10**16: no point after the leading digit
         word = words[zeros, 0]
         words[zeros, 0] = np.where(word >> 56 == 46, word & (1 << 56) - 1, word)
-    inner = np.flatnonzero((e - (_BIAS + 1)).view(np.uint64) < 16)  # fixed notation, 1 <= k <= 16
-    if inner.size:
-        k, whole = e[inner] - _BIAS, d[inner]
-        per_cell[inner[whole % _POW10[17 - k] == 0]] = True  # NUL zeros would reach the point
-        point = whole % _POW10[16 - k] != 0
-        # the point goes before digit k of words 1-3, the bytes from there move up one
-        at, tail = k[point, None], words.view(np.uint8)[inner[point], 8:]
-        place = np.arange(tail.shape[1])
-        tail = np.take_along_axis(tail, place - (place > at), axis=1)
-        tail[place == at] = 46
-        words.view(np.uint8)[inner[point], 8:] = tail
     cells = np.flatnonzero(per_cell)
     if cells.size:
-        text = "".join((_fmt(v) + ("\n" if i % cols == cols - 1 else ",")).ljust(32, "\0")
-                       for i, v in zip(cells.tolist(), x[cells].tolist()))
+        slots = np.where(cells % cols == cols - 1, _CELL + "\n", _CELL + ",")
+        # "%g" writes a NaN of either sign as "nan": its token takes 10 of the padding spaces
+        text = ("".join(slots.tolist()) % tuple(x[cells].tolist())).replace("nan" + " " * 10, AMBIGUOUS_TOKEN)
         words[cells] = np.frombuffer(text.encode("ascii"), _WORD).reshape(-1, 4)
-    return words.tobytes().translate(None, b"\0")
+    return words.tobytes().translate(None, b"\0 ")
 
 
 class _Grid:

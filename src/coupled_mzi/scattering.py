@@ -222,24 +222,30 @@ def _unitary(q: QpcSetting) -> tuple[tuple[complex, complex], tuple[complex, com
     return (ec * t, ex * r), (ec * r, ex * t)
 
 
+def one_configuration(det: InterferometerConfig, sys: InterferometerConfig, gamma) -> bool:
+    """Whether ``gamma`` and each field the joint table reads are Python floats."""
+    q1d, q2d, q1s, q2s = det.qpc1, det.qpc2, sys.qpc1, sys.qpc2
+    return all([isinstance(x, float) for x in (
+        gamma, det.tuning_phase, sys.tuning_phase, q1d.transmission, q1d.reflection, q1s.transmission, q1s.reflection,
+        q2d.transmission, q2d.reflection, q2d.chi, q2d.xi, q2s.transmission, q2s.reflection, q2s.chi, q2s.xi)])
+
+
 def joint_probability_table(det: InterferometerConfig, sys: InterferometerConfig, gamma) -> np.ndarray:
     """Joint drain table ``broadcast + (2, 2)`` of the amplitude pipeline at
     coupling phase ``gamma``: ``joint_statistics(joint_amplitudes(det, sys,
     gamma)).joint``.  ``gamma`` and every config field may be arrays.
 
-    One configuration, where ``gamma`` and each field the table reads are
-    Python floats, takes the same products in Python ``complex`` arithmetic,
-    with the same checks: finite amplitudes, the normalization gate and the
-    division by the sum.  On ``tests/golden/unbalanced.conf`` it took 54-64
-    µs after a ``gc.collect()`` against numpy's 169-242 µs (medians of 300, 2
-    vCPUs).  It agrees with the one-point stack within a few ulps, not bit
-    for bit, since BLAS orders the complex products its own way.
+    One configuration (:func:`one_configuration`) takes the same products
+    in Python ``complex`` arithmetic, with the same checks: finite
+    amplitudes, the normalization gate and the division by the sum.  On
+    ``tests/golden/unbalanced.conf`` it took 54-64 µs after a
+    ``gc.collect()`` against numpy's 169-242 µs (medians of 300, 2 vCPUs).
+    It agrees with the one-point stack within a few ulps, not bit for bit,
+    since BLAS orders the complex products its own way.
     """
     q1d, q2d, phi_d = det.qpc1, det.qpc2, det.tuning_phase
     q1s, q2s, phi_s = sys.qpc1, sys.qpc2, sys.tuning_phase
-    fields = (gamma, phi_d, phi_s, q1d.transmission, q1d.reflection, q1s.transmission, q1s.reflection,
-              q2d.transmission, q2d.reflection, q2d.chi, q2d.xi, q2s.transmission, q2s.reflection, q2s.chi, q2s.xi)
-    if not all([isinstance(x, float) for x in fields]):
+    if not one_configuration(det, sys, gamma):
         return joint_statistics(joint_amplitudes(det, sys, gamma)).joint
     (u11, u12), (u21, u22) = _unitary(q2d)
     (v11, v12), (v21, v22) = _unitary(q2s)

@@ -26,7 +26,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import ObservableRangeError
 from .measurement import ContextualValues, reconstruct_average
 from .params import CouplingModel, FringeParams, InterferometerConfig, damping_eta
-from .scattering import JointStatistics, joint_amplitudes, joint_probability_table, joint_statistics
+from .scattering import JointStatistics, joint_amplitudes, joint_probability_table, joint_statistics, one_configuration
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -140,14 +140,14 @@ def averaged_joint_table(
     cosine damps the harmonics by ``eta(sigma)``, and an unpaired emission
     has ``g = 0``: the average is the mixture of non-negative weights ``p eta
     P(gamma) + p (1 - eta) / 2 P(pi) + (p (1 - eta) / 2 + 1 - p) P(0)``.
-    A model with an array field, as every scan grid has, takes each table
-    from ``joint_statistics(joint_amplitudes(...))``, which checks it, so
-    that a stack gives the bits of its one-point stacks; a scalar model
-    takes them from :func:`joint_probability_table`, and the average is
-    checked once.  Every field may be an array.
+    A stack (an array in the model or the configs, as every scan grid has)
+    takes each table from ``joint_statistics(joint_amplitudes(...))``, which
+    checks it, so that it gives the bits of its one-point stacks; one
+    configuration of floats takes them from :func:`joint_probability_table`,
+    and the average is checked once.  Every field may be an array.
     """
     gamma, sigma, p = model.gamma, model.sigma, model.pair_probability
-    stack = any([isinstance(x, np.ndarray) for x in (gamma, sigma, p)])
+    stack = isinstance(sigma, np.ndarray) or isinstance(p, np.ndarray) or not one_configuration(det, sys, gamma)
     fluctuating = (sigma != 0.0) | (p != 1.0)
     if not (np.any(fluctuating) if stack else fluctuating):
         if stack:

@@ -457,6 +457,12 @@ decades = st.builds(lambda m, k: m * 10.0**k,
     elements=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_CELLS) | decades,
 ))
 @example(table=np.array([EDGE_CELLS]))
+# the per-cell "%" fallback: NaN of either sign in a row's last column and in another
+@example(table=np.array([[math.nan, -math.nan], [-math.nan, math.nan], [0.5, math.nan]]))
+# zeros, and the decades 1 <= k <= 16 from their ends: 10, 99999999999999.98 and 17-digit integers
+@example(table=np.array([[0.0, -0.0, 10.0, 99999999999999.98, 1e16, 12345678901234568.0, -10.0, -1e16]]))
+@example(table=np.array([[1e-14, -1e98, 0.25]]))  # roundings that carry, beside a cell the words write
+@example(table=np.array([[12.5, math.inf, 0.0], [math.nan, -1e16, 1e300]]))  # every cell per-cell
 def test_vector_writer_matches_per_cell_rule(table):
     """The vector writer, called at any table size, gives ``"%.17g" % x``,
     and ``inf-ambiguous`` for a NaN."""
@@ -487,6 +493,11 @@ def _ties() -> list[float]:
     return cells
 
 
+# each is the double nearest to 10**k, below it and within half a unit of the
+# 17th digit, so its 17 digits round up to the next decade
+CARRIES = [1e-79, 1e-78, 1e-73, 1e-70, 1e-14, 1e98]
+
+
 def test_vector_writer_at_powers_of_ten_ties_and_carries():
     """Cells next to a decade boundary, exact ties and roundings that carry
     into the next decade print as the per-cell rule does."""
@@ -495,12 +506,9 @@ def test_vector_writer_at_powers_of_ten_ties_and_carries():
     for x in ties:
         digits = Decimal(x).as_tuple().digits
         assert len(digits) == 18 and digits[-1] == 5, x
-    # each is the double nearest to 10**k, below it and within half a unit
-    # of the 17th digit, so its 17 digits round up to the next decade
-    carries = [1e-79, 1e-78, 1e-73, 1e-70, 1e-14, 1e98]
-    for x in carries:
+    for x in CARRIES:
         assert Fraction(x) < Fraction(10) ** round(math.log10(x)) and "%.17g" % x == f"{x:g}"
-    table = _boundary_table(_powers_of_ten() + ties + carries)
+    table = _boundary_table(_powers_of_ten() + ties + CARRIES)
     assert table.size >= _VECTOR_CELLS
     assert _vector_rows(table) == _per_cell_rows(table)
     assert _table_csv(["c"] * 8, table).split("\n", 1)[1] == _per_cell_rows(table)
@@ -530,43 +538,62 @@ def _just_below(x: float) -> bool:
     return abs(x) >= _bits(cli._TINY) and Fraction(abs(x)) < Fraction(10) ** round(math.log10(abs(x)))
 
 
-def _carries_or_ties(x: float) -> bool:
-    """Whether the 17 digits of ``x`` round up to a power of ten, or ``x``
-    is a tie of that rounding: 18 significant digits, the last a 5."""
-    digits = Decimal(abs(x)).normalize().as_tuple().digits
-    return ("%.16e" % abs(x)).startswith("1.0000000000000000e") or (len(digits) == 18 and digits[-1] == 5)
+def _exact_decade(a: float) -> int:
+    """``k`` with ``10**k <= a < 10**(k + 1)``, in exact arithmetic."""
+    k = math.floor(math.log10(a))
+    k -= Fraction(a) < Fraction(10) ** k
+    return k + (Fraction(a) >= Fraction(10) ** (k + 1))
+
+
+def _tie_distance(x: float) -> tuple[int, Fraction]:
+    """The 17 digits ``D`` of ``x``, rounded half to even, and how far the
+    exact ``|x| 10**(16 - k)`` is from the nearest tie of that rounding."""
+    scaled = Fraction(abs(x)) * Fraction(10) ** (16 - _exact_decade(abs(x)))
+    return round(scaled), abs(scaled - math.floor(scaled) - Fraction(1, 2))
+
+
+def _takes_the_per_cell_rule(x: float) -> bool:
+    """The writer's per-cell set: NaN, inf, zero, a magnitude beyond 1e+-98,
+    a point among the digits (decades 1 to 16), a rounding that carries into
+    the next decade and one within ``_TIE_MARGIN`` of a tie."""
+    if not _bits(cli._TINY) <= abs(x) <= _bits(cli._HUGE):
+        return True
+    digits, distance = _tie_distance(x)
+    return 1 <= _exact_decade(abs(x)) <= 16 or digits == 10**17 or distance <= cli._TIE_MARGIN
 
 
 def test_vector_writer_takes_each_cell_in_its_exact_decade(monkeypatch):
     """Next to every power of ten, where ``log10`` rounds up to the decade
     above, the decade the writer scales a cell by is the cell's exact one,
-    and of the cells just below a power of ten only those whose 17 digits
-    round up to it (a rounding that carries) or tie take the per-cell
-    formatter."""
+    and the cells that take the per-cell rule are exactly its set: marked
+    by a ``_CELL`` that ends in ``~``, no other cell carries the mark."""
     cells = _near_powers_of_ten()
     # log10 gives k for some cells below 10**k: the case the comparison table corrects
     assert any(math.floor(math.log10(abs(x))) == round(math.log10(abs(x))) for x in cells if _just_below(x))
-    scaled, fmt, decades, formatted = cli._scaled, cli._fmt, [], []
+    cells += EDGE_CELLS + _ties() + CARRIES + [1.5 * 10.0**k for k in range(-99, 100)]
+    scaled, decades = cli._scaled, []
 
     def recording_scaled(a, e, scale):
         decades.extend(zip(a.tolist(), (e - cli._BIAS).tolist()))
         return scaled(a, e, scale)
 
-    def recording_fmt(value):
-        formatted.append(value)
-        return fmt(value)
-
     monkeypatch.setattr(cli, "_scaled", recording_scaled)
-    monkeypatch.setattr(cli, "_fmt", recording_fmt)
+    monkeypatch.setattr(cli, "_CELL", "%-30.17g~")
     table = _boundary_table(cells)
     assert table.size >= _VECTOR_CELLS
-    assert _table_csv(["c"] * 8, table).split("\n", 1)[1] == _per_cell_rows(table)
+    text = _table_csv(["c"] * 8, table).split("\n", 1)[1]
+    assert text.replace("~", "") == _per_cell_rows(table)
     for a, k in decades:
         assert Fraction(10) ** k <= Fraction(a) < Fraction(10) ** (k + 1), (a, k)
-    below = [x for x in table.ravel().tolist() if _just_below(x)]
-    per_cell = [x for x in below if _carries_or_ties(x)]
-    assert len(per_cell) < len(below) // 10
-    assert [x for x in formatted if _just_below(x)] == per_cell
+    values = table.ravel().tolist()
+    # the writer's fraction is within 2**-47 of the exact one, so no cell may sit that near the margin
+    finite = [x for x in values if _bits(cli._TINY) <= abs(x) <= _bits(cli._HUGE)]
+    assert all(abs(_tie_distance(x)[1] - cli._TIE_MARGIN) > 2.0**-46 for x in finite)
+    marked = [cell.endswith("~") for cell in text.replace("\n", ",").split(",")[:-1]]
+    assert marked == [_takes_the_per_cell_rule(x) for x in values]
+    below = [x for x in finite if _just_below(x) and not 1 <= _exact_decade(abs(x)) <= 16]
+    assert 0 < sum(map(_takes_the_per_cell_rule, below)) < len(below) // 10
+    assert 0 < sum(marked) < len(values) // 2
 
 
 def test_comparison_table_holds_the_least_double_at_each_power_of_ten():
@@ -604,6 +631,6 @@ def test_ambiguous_cells_at_block_and_row_joins(block, monkeypatch):
 
 def test_writer_tables_are_read_only():
     """The vector writer's tables, shared by every call, cannot be written."""
-    for table in (*cli._writer_tables(), cli._POW10):
+    for table in cli._writer_tables():
         with pytest.raises(ValueError, match="read-only"):
             table.flat[0] = 0

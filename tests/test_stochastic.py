@@ -245,6 +245,32 @@ ORACLE_MODELS = [
 ]
 
 
+# The mixture and the closed form at the averaged coupling terms are, in
+# exact arithmetic, one average X(eta) of the exact tables at T and 1 - T;
+# each side rounds its own operations and takes its own eta.  With u = 2**-53,
+# to first order, the strategies' phases within 2 pi of 0, gamma in [0, 2 pi],
+# R = fl(1 - T) within u/2 of 1 - T, and sine and cosine within one ulp (2u):
+# - eta: params.damping_eta takes pi^2 - s^2 from math.pi**2 (5.7u below pi^2)
+#   and s*s (9.8u) up to s = pi - 2**-6, where the difference is 0.098 and
+#   eta 0.504: eta (15.5u / 0.098 + 6.6u) <= 86u.  reference.damping_eta's
+#   (pi - s)(pi + s) is within 11u.  dX/deta = p (P(gamma) - (P(pi) + P(0)) / 2)
+#   lies in [-1, 1], so the two etas part the sides by at most 97u.
+# - the mixture: ONE_TABLE_BOUND's E = 218u per table counts |dc| <= 34u; the
+#   rounded phi_d + g (|.| <= 4 pi) adds 12.6u and R's error 4 u/2, so |dc| <=
+#   48.6u and E' = 102.2u + 202.4u + u <= 306u.  P(math.pi) is within 2 |pi -
+#   math.pi| = 2.2u of P(pi), at a weight <= 1/2; the weights' errors sum to
+#   3u, and the three products and two sums add 3u: 314u.
+# - the closed form: d = T - R within 1.5u and epsilon = 2 sqrt(T R) within 2u
+#   give beta 6u, V 5u and d1 +- d2 5u.  The arguments g/2 + phi (|.| <= 3 pi)
+#   add 9.5u, g/2 + (phi_d - phi_s) 28.4u with the rounded difference, so
+#   Gamma is within 14.5u (the joint term's 33.4u) and Gamma_bar, after five
+#   roundings, 19.5u (38.4u).  In Delta_bar Gamma's error cancels: 27.5u
+#   (49.4u, with cos phi_d cos phi_s).  V_d V_s Delta_ds is within 73.4u, each
+#   term Delta_bar beta + Gamma_bar (d1 +- d2) (<= 6) within 123u, and the
+#   cell's sum, whose partial sums reach 4, 6, 12 and 18, within 455.4u / 4 <= 114u.
+MIXTURE_BOUND = (97 + 314 + 114) * 2.0**-53
+
+
 class TestAveragedJointTable:
     @pytest.mark.parametrize("model", ORACLE_MODELS)
     def test_matches_quadrature(self, model, rng):
@@ -300,15 +326,29 @@ class TestAveragedJointTable:
         assert table.shape == (200, 2, 2)
         assert np.array_equal(table, joint_statistics(joint_amplitudes(det, sysm, gamma)).joint)
 
+    def test_checks_a_config_stack_once_under_a_scalar_model(self, monkeypatch):
+        # a sweep of phi_d at one steady coupling phase: one stack of 100
+        # tables, checked once, with the bits of the numpy pipeline's stack
+        det, sysm = balanced_mzi(np.linspace(-math.pi, math.pi, 100)), balanced_mzi(0.3)
+        expected = joint_statistics(joint_amplitudes(det, sysm, 1.0)).joint
+        check, checked = JointStatistics.__post_init__, []
+        monkeypatch.setattr(JointStatistics, "__post_init__", lambda stats: checked.append(check(stats)))
+        table = averaged_joint_table(det, sysm, CouplingModel(gamma=1.0)).joint
+        assert len(checked) == 1
+        assert table.shape == (100, 2, 2) and np.array_equal(table, expected)
+
     @settings(max_examples=200, deadline=None)
     @given(det=MZIS, sysm=MZIS, gamma=st.floats(0.0, 2 * math.pi),
            sigma=st.floats(0.0, math.pi), p=st.floats(0.0, 1.0))
     @example(det=balanced_mzi(0.7), sysm=balanced_mzi(-0.4), gamma=2.0, sigma=math.pi, p=0.8)
+    # sigma just below pi - 2**-6, where damping_eta's plain difference loses most: 2.1e-15 apart
+    @example(det=balanced_mzi(-math.pi), sysm=balanced_mzi(-math.pi), gamma=math.pi,
+             sigma=3.125967652589793, p=1.0)
     def test_matches_the_closed_form_at_the_averaged_bundles(self, det, sysm, gamma, sigma, p):
         # the amplitude mixture and the closed form at the averaged coupling terms are one average
         model = CouplingModel(gamma=gamma, sigma=sigma, pair_probability=p)
         closed = closed_form_table(det, sysm, gamma, sigma, p)
-        assert np.max(np.abs(averaged_joint_table(det, sysm, model).joint - closed)) <= 1e-15
+        assert np.max(np.abs(averaged_joint_table(det, sysm, model).joint - closed)) <= MIXTURE_BOUND
 
     def test_dark_drain_stays_dark(self):
         # D1 is dark at zero coupling, the one coupling phase of an unpaired
