@@ -27,7 +27,7 @@ from .params import (
     joint_interference_params,
     system_params,
 )
-from .scattering import JointStatistics, joint_amplitudes, joint_statistics
+from .scattering import JointStatistics, joint_probability_table
 
 _MARGINAL_THRESHOLD = 1e-12
 
@@ -107,9 +107,10 @@ def conditioned_average(
 ):
     """Conditioned average ``sum_D alpha_D P(D | condition)``.
 
-    Computed through the full scattering pipeline; the closed form with
-    the joint-interference term (:func:`xi_joint_interference`) agrees to
-    1e-10.  The value may lie outside [-1, 1] but never outside the
+    Computed from the amplitude table,
+    :func:`~coupled_mzi.scattering.joint_probability_table`; the closed
+    form with the joint-interference term (:func:`xi_joint_interference`)
+    agrees to 1e-10.  The value may lie outside [-1, 1] but never outside the
     contextual values.
 
     Raises
@@ -122,7 +123,7 @@ def conditioned_average(
     # ambiguity first: a divergent measurement is undefined regardless of
     # the post-selection, and scans map it to a sentinel rather than a failure
     cv = contextual_values(obs, detector_params(det, gamma))
-    stats = joint_statistics(joint_amplitudes(det, sys, gamma))
+    stats = JointStatistics(joint_probability_table(det, sys, gamma))
     require_post_selection({condition: stats.p_system(condition)})
     return _number(post_selected_average(cv, stats, condition))
 

@@ -5,31 +5,27 @@ and ``JointStatistics`` hold 2x2 tables indexed ``[..., detector drain,
 system drain]`` with drain order ``(D1, D2)`` x ``(S1, S2)``; leading axes,
 if any, are sweep axes.
 
-All amplitudes come from one single-interferometer pair: the state
-``(t1 e^{i phi}, r1)`` after a first QPC, scattered as ``state @
-qpc_unitary(qpc2)``.  The joint table is ``c = C_d(gamma) diag(psi_s) U_s``:
-the detector drain amplitudes per system arm, the system's first-QPC state
-(:func:`detector_drain_amplitudes`, :func:`reduced_system_state`) and its
-second QPC.  A sweep is one experiment with array-valued fields: ``gamma``
-and every field of both interferometers, second QPCs included, broadcast
-together through every function here.  :func:`joint_probability_table`
-gives the probability table at a coupling phase; one configuration of
-Python floats takes the same products in Python ``complex`` arithmetic,
-which agrees with the one-point stack within a few ulps.  The closed form
-of the same statistics, through the fringe bundles of
-:mod:`~coupled_mzi.params`, is kept outside the package, as the tests'
-independent oracle.
+Every amplitude comes from one core written once in real arithmetic
+(:func:`_cells`): a complex number is an ``(re, im)`` pair, and the only
+operations are ``+ - * /``, ``sqrt``, ``cos`` and ``sin``, from ``math``
+for a number and numpy for an array.  Float operations never fuse, and
+numpy's float64 ``sqrt``, ``cos`` and ``sin`` give ``math``'s bits, so a
+point, its one-point stack and its place in any stack give the same bits.
+A sweep is one experiment with array-valued fields: ``gamma`` and every
+field of both interferometers broadcast together through every function
+here.  The closed form of the same statistics is kept outside the package,
+as the tests' independent oracle.
 
 The first-QPC scattering phases enter only through the composite tuning
-phases, so the amplitudes below carry bare ``t1``/``r1`` moduli; the
-second-QPC phases ``chi2``/``xi2`` are kept explicitly (they cancel in
-every probability).  The global phase of the joint state is dropped
+phases, so the amplitudes carry bare ``t1``/``r1`` moduli.  The second-QPC
+phases ``chi2``/``xi2`` turn each amplitude by a unit phase: the amplitudes
+carry them, and the probability table leaves them out, since they cancel
+in every probability.  The global phase of the joint state is dropped
 throughout; it is provably unobservable.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -45,7 +41,6 @@ PLANCK_CONSTANT = 6.62607015e-34  # J s
 BOLTZMANN_CONSTANT = 1.380649e-23  # J / K
 
 _NORMALIZATION_GATE = 1e-9
-_COUPLED_ARM = np.array([0.0, 1.0])  # coupling phase per system arm (L, U), in units of gamma
 
 
 def qpc_unitary(q: QpcSetting) -> np.ndarray:
@@ -53,40 +48,76 @@ def qpc_unitary(q: QpcSetting) -> np.ndarray:
 
     Rows are input arms, columns output arms, entries ``[[e^{i chi} t, e^{i xi} r],
     [e^{i chi} r, e^{i xi} t]]`` with ``t = sqrt(T)`` and ``r = i sqrt(R)``.  Every
-    field of ``q`` may be an array; one contact is built unstacked, to stay cheap.
+    field of ``q`` may be an array.
     """
     t, r = np.sqrt(q.transmission), 1j * np.sqrt(q.reflection)
     ec, ex = np.exp(1j * q.chi), np.exp(1j * q.xi)
-    u = ((ec * t, ex * r), (ec * r, ex * t))
-    if isinstance(u[0][0], complex) and isinstance(u[0][1], complex):  # numpy scalars, not arrays
-        return np.array(u)
-    entries = np.broadcast_arrays(*u[0], *u[1])
+    entries = np.broadcast_arrays(ec * t, ex * r, ec * r, ex * t)
     return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
 
 
-def _scatter(states: np.ndarray, q: QpcSetting) -> np.ndarray:
-    """``states @ qpc_unitary(q)`` for a stack of row states.
+def _roots(q: QpcSetting) -> tuple:
+    """``(sqrt(T), sqrt(R))`` of one contact: ``math`` for numbers, numpy for arrays."""
+    f = np if isinstance(q.transmission, np.ndarray) or isinstance(q.reflection, np.ndarray) else math
+    return f.sqrt(q.transmission), f.sqrt(q.reflection)
 
-    One contact scatters the whole stack as one ``(n, 2) @ (2, 2)`` BLAS
-    call; only a stacked contact takes the stacked product ``states @ u``,
-    which gives, point for point, the one-contact call's bits.  For 1001
-    tables the stacked product took 449 µs against 35 µs for the one BLAS
-    call; an elementwise product took 68 µs, and neither had its bits.
+
+def _unit(phase) -> tuple:
+    """``e^{i phase}`` as ``(cos, sin)``: ``math`` for a number, numpy for an array."""
+    f = np if isinstance(phase, np.ndarray) else math
+    return f.cos(phase), f.sin(phase)
+
+
+def _times(z: tuple, w: tuple) -> tuple:
+    """The product of two ``(re, im)`` pairs, four products and two sums."""
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+def _complex(pairs: list) -> np.ndarray:
+    """One complex array ``broadcast + (len(pairs),)`` of ``(re, im)`` pairs."""
+    parts = np.broadcast_arrays(*(x for pair in pairs for x in pair))
+    z = np.empty(parts[0].shape + (len(pairs),), dtype=complex)
+    z.real, z.imag = np.stack(parts[::2], axis=-1), np.stack(parts[1::2], axis=-1)
+    return z
+
+
+def _drain_phases(q: QpcSetting) -> tuple:
+    """``e^{i chi}`` and ``i e^{i xi}``, a second QPC's phases of its two output rows."""
+    (cc, sc), (cx, sx) = _unit(q.chi), _unit(q.xi)
+    return (cc, sc), (-sx, cx)
+
+
+def _rows(det: InterferometerConfig, gamma) -> tuple:
+    """The detector rows without its second QPC's phases, ``(A_L, A_U)`` for
+    D1 and ``(B_L, B_U)`` for D2, each an ``(re, im)`` pair.
+
+    ``A = t1 t2 e^{i phi} - r1 r2`` and ``B = t1 r2 e^{i phi} + r1 t2``, with
+    ``phi = phi_d`` where the system is on its lower arm and ``phi_d + gamma``
+    where it is on its upper arm.
     """
-    u = qpc_unitary(q)
-    if u.ndim == 2:
-        return (states.reshape(-1, 2) @ u).reshape(states.shape)
-    return states @ u
+    (t1, r1), (t2, r2) = _roots(det.qpc1), _roots(det.qpc2)
+    tt, rr, tr, rt = t1 * t2, r1 * r2, t1 * r2, r1 * t2
+    (cl, sl), (cu, su) = _unit(det.tuning_phase), _unit(det.tuning_phase + gamma)
+    return ((tt * cl - rr, tt * sl), (tt * cu - rr, tt * su)), ((tr * cl + rt, tr * sl), (tr * cu + rt, tr * su))
 
 
-def _first_qpc_state(transmission, reflection, phase) -> np.ndarray:
-    """State ``(t1 e^{i phase}, r1)`` on ``(L, U)``, shape ``broadcast + (2,)``;
-    ``reflection`` has the shape of ``transmission``."""
-    t = np.sqrt(transmission) * np.exp(1j * phase)
-    state = np.empty(t.shape + (2,), dtype=complex)
-    state[..., 0] = t
-    state[..., 1] = 1j * np.sqrt(reflection)
-    return state
+def _cells(det: InterferometerConfig, sys: InterferometerConfig, gamma) -> list:
+    """The joint amplitudes ``c[D, S]`` without the second QPCs' unit phases,
+    as ``(re, im)`` pairs in row-major order ``(D1 S1, D1 S2, D2 S1, D2 S2)``.
+
+    With ``X`` the detector row of drain ``D`` (:func:`_rows`), ``c[D, S1] =
+    X_L t_s T_2 e^{i phi_s} - X_U r_s R_2`` and ``c[D, S2] = X_L t_s R_2
+    e^{i phi_s} + X_U r_s T_2``, where ``t_s``, ``r_s`` and ``T_2``, ``R_2``
+    are the square roots of the system's first and second QPC.
+    """
+    (t, r), (t2, r2), (c, s) = _roots(sys.qpc1), _roots(sys.qpc2), _unit(sys.tuning_phase)
+    tt, tr, rr, rt = t * t2, t * r2, r * r2, r * t2
+    to_s1, to_s2 = (tt * c, tt * s), (tr * c, tr * s)
+    cells = []
+    for lower, (upper_re, upper_im) in _rows(det, gamma):
+        (a, b), (e, f) = _times(lower, to_s1), _times(lower, to_s2)
+        cells += [(a - upper_re * rr, b - upper_im * rr), (e + upper_re * rt, f + upper_im * rt)]
+    return cells
 
 
 def reduced_system_state(sys: InterferometerConfig) -> np.ndarray:
@@ -94,20 +125,20 @@ def reduced_system_state(sys: InterferometerConfig) -> np.ndarray:
 
     Returns the normalized vector ``(e^{i phi_s} t1, r1)`` on ``(L^s, U^s)``.
     """
-    return _first_qpc_state(sys.qpc1.transmission, sys.qpc1.reflection, sys.tuning_phase)
+    (t, r), (c, s) = _roots(sys.qpc1), _unit(sys.tuning_phase)
+    return _complex([(t * c, t * s), (0.0, r)])
 
 
 def detector_drain_amplitudes(det: InterferometerConfig, gamma) -> np.ndarray:
     """Detector scattering amplitudes ``C[..., drain, system arm]``.
 
     ``C[D, U^s]`` differs from ``C[D, L^s]`` only by the extra coupling
-    phase ``gamma`` on the transmitted detector path.  Every input may be an
-    array; all but the second QPC get a trailing system-arm axis.
+    phase ``gamma`` on the transmitted detector path: the rows of
+    :func:`_rows` times the second QPC's phases.  Every input may be an array.
     """
-    arm, q1 = (..., np.newaxis), det.qpc1
-    phases = np.asarray(det.tuning_phase)[arm] + np.asarray(gamma)[arm] * _COUPLED_ARM
-    states = _first_qpc_state(np.asarray(q1.transmission)[arm], np.asarray(q1.reflection)[arm], phases)
-    return _scatter(states, det.qpc2).swapaxes(-1, -2)
+    rows, phases = _rows(det, gamma), _drain_phases(det.qpc2)
+    c = _complex([_times(x, phase) for row, phase in zip(rows, phases) for x in row])
+    return c.reshape(c.shape[:-1] + (2, 2))
 
 
 def concurrence(det_qpc1: QpcSetting, sys_qpc1: QpcSetting, gamma):
@@ -142,13 +173,15 @@ class JointAmplitudes:
 def joint_amplitudes(det: InterferometerConfig, sys: InterferometerConfig, gamma) -> JointAmplitudes:
     """Joint drain amplitudes ``c[..., detector drain, system drain]``.
 
-    ``c = C_d(gamma) diag(psi_s) U_s``: :func:`detector_drain_amplitudes`
-    weighted by :func:`reduced_system_state` and scattered by the system's
-    second QPC.  ``gamma`` and every field of both interferometers may be
-    arrays and broadcast together.
+    The cells of :func:`_cells` times the phases of both second QPCs,
+    ``e^{i chi}`` on D1 and S1 and ``i e^{i xi}`` on D2 and S2.  ``gamma``
+    and every field of both interferometers may be arrays and broadcast
+    together.
     """
-    rows = detector_drain_amplitudes(det, gamma) * reduced_system_state(sys)[..., np.newaxis, :]
-    return JointAmplitudes(_scatter(rows, sys.qpc2))
+    (d1, d2), (s1, s2) = _drain_phases(det.qpc2), _drain_phases(sys.qpc2)
+    phases = [_times(d, s) for d in (d1, d2) for s in (s1, s2)]
+    c = _complex([_times(cell, phase) for cell, phase in zip(_cells(det, sys, gamma), phases)])
+    return JointAmplitudes(c.reshape(c.shape[:-1] + (2, 2)))
 
 
 @dataclass(frozen=True)
@@ -215,53 +248,23 @@ def joint_statistics(amps: JointAmplitudes) -> JointStatistics:
     return JointStatistics(joint)
 
 
-def _unitary(q: QpcSetting) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """:func:`qpc_unitary` of one contact, in Python ``complex`` arithmetic."""
-    t, r = math.sqrt(q.transmission), 1j * math.sqrt(q.reflection)
-    ec, ex = cmath.exp(1j * q.chi), cmath.exp(1j * q.xi)
-    return (ec * t, ex * r), (ec * r, ex * t)
-
-
-def one_configuration(det: InterferometerConfig, sys: InterferometerConfig, gamma) -> bool:
-    """Whether ``gamma`` and each field the joint table reads are Python floats."""
-    q1d, q2d, q1s, q2s = det.qpc1, det.qpc2, sys.qpc1, sys.qpc2
-    return all([isinstance(x, float) for x in (
-        gamma, det.tuning_phase, sys.tuning_phase, q1d.transmission, q1d.reflection, q1s.transmission, q1s.reflection,
-        q2d.transmission, q2d.reflection, q2d.chi, q2d.xi, q2s.transmission, q2s.reflection, q2s.chi, q2s.xi)])
-
-
 def joint_probability_table(det: InterferometerConfig, sys: InterferometerConfig, gamma) -> np.ndarray:
-    """Joint drain table ``broadcast + (2, 2)`` of the amplitude pipeline at
-    coupling phase ``gamma``: ``joint_statistics(joint_amplitudes(det, sys,
-    gamma)).joint``.  ``gamma`` and every config field may be arrays.
-
-    One configuration (:func:`one_configuration`) takes the same products
-    in Python ``complex`` arithmetic, with the same checks: finite
-    amplitudes, the normalization gate and the division by the sum.  On
-    ``tests/golden/unbalanced.conf`` it took 54-64 µs after a
-    ``gc.collect()`` against numpy's 169-242 µs (medians of 300, 2 vCPUs).
-    It agrees with the one-point stack within a few ulps, not bit for bit,
-    since BLAS orders the complex products its own way.
+    """Joint drain table ``broadcast + (2, 2)`` at coupling phase ``gamma``:
+    ``|c|^2`` of the cells of :func:`_cells` over their sum, without the
+    second QPCs' unit phases.  ``gamma`` and every config field may be
+    arrays.  Raises ``ValueError`` for cells that are not finite, and if
+    any table's normalization is off by more than 1e-9.
     """
-    q1d, q2d, phi_d = det.qpc1, det.qpc2, det.tuning_phase
-    q1s, q2s, phi_s = sys.qpc1, sys.qpc2, sys.tuning_phase
-    if not one_configuration(det, sys, gamma):
-        return joint_statistics(joint_amplitudes(det, sys, gamma)).joint
-    (u11, u12), (u21, u22) = _unitary(q2d)
-    (v11, v12), (v21, v22) = _unitary(q2s)
-    t, r = math.sqrt(q1d.transmission), 1j * math.sqrt(q1d.reflection)
-    lower, upper = t * cmath.exp(1j * phi_d), t * cmath.exp(1j * (phi_d + gamma))  # gamma on the system's U arm
-    psi_l, psi_u = math.sqrt(q1s.transmission) * cmath.exp(1j * phi_s), 1j * math.sqrt(q1s.reflection)
-    d1l, d1u = (lower * u11 + r * u21) * psi_l, (upper * u11 + r * u21) * psi_u
-    d2l, d2u = (lower * u12 + r * u22) * psi_l, (upper * u12 + r * u22) * psi_u
-    c = (d1l * v11 + d1u * v21, d1l * v12 + d1u * v22, d2l * v11 + d2u * v21, d2l * v12 + d2u * v22)
-    if not all(map(cmath.isfinite, c)):
-        raise ValueError("joint amplitudes need finite 2x2 complex tables")
-    p11, p12, p21, p22 = (a * a for a in map(abs, c))
+    p11, p12, p21, p22 = (re * re + im * im for re, im in _cells(det, sys, gamma))
     total = p11 + p12 + p21 + p22
-    if not abs(total - 1.0) <= _NORMALIZATION_GATE:
-        raise ValueError(f"joint amplitudes not normalized: sum |c|^2 = {total!r}")
-    return np.array([[p11 / total, p12 / total], [p21 / total, p22 / total]])
+    ok = abs(total - 1.0) <= _NORMALIZATION_GATE  # false for NaN and inf
+    if not (ok if ok is True or ok is False else ok.all()):  # a Python bool for one table
+        if not np.all(np.isfinite(total)):
+            raise ValueError("joint amplitudes need finite 2x2 complex tables")
+        worst = float(np.ravel(total)[~np.ravel(ok)][0])
+        raise ValueError(f"joint amplitudes not normalized: sum |c|^2 = {worst!r}")
+    joint = np.array([[p11 / total, p12 / total], [p21 / total, p22 / total]])
+    return joint.transpose(*range(2, joint.ndim), 0, 1)  # sweep axes before the table's
 
 
 @dataclass(frozen=True)

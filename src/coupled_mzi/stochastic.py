@@ -10,7 +10,9 @@ streams are bit-reproducible across platforms.  The sampler draws its
 uniforms in fixed-size chunks from one generator; event ``i`` always takes
 uniform ``i``, so the codes are the same for any chunk size.  Over a fluctuating
 coupling, ``montecarlo`` samples :func:`averaged_joint_table`, the exact average
-that every ``scan`` and ``erasure`` column reads.
+that every ``scan`` and ``erasure`` column reads.  Its tables all come from
+:func:`~coupled_mzi.scattering.joint_probability_table`, so the one table that
+``montecarlo`` samples has the bits of its point in a ``scan`` grid.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import ObservableRangeError
 from .measurement import ContextualValues, reconstruct_average
 from .params import CouplingModel, FringeParams, InterferometerConfig, damping_eta
-from .scattering import JointStatistics, joint_amplitudes, joint_probability_table, joint_statistics, one_configuration
+from .scattering import JointStatistics, joint_probability_table
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -133,32 +135,26 @@ def averaged_joint_table(
     det: InterferometerConfig, sys: InterferometerConfig, model: CouplingModel
 ) -> JointStatistics:
     """Joint drain statistics, one table or a stack, averaged over the
-    coupling model, from the amplitude pipeline's tables ``P(g)``.
+    coupling model, from the tables ``P(g)`` of :func:`joint_probability_table`.
 
     Where ``sigma = 0`` and ``p = 1`` at every point, this is the one table
     ``P(gamma)``.  Otherwise a cell is ``A + B cos g + C sin g``, the raised
     cosine damps the harmonics by ``eta(sigma)``, and an unpaired emission
     has ``g = 0``: the average is the mixture of non-negative weights ``p eta
     P(gamma) + p (1 - eta) / 2 P(pi) + (p (1 - eta) / 2 + 1 - p) P(0)``.
-    A stack (an array in the model or the configs, as every scan grid has)
-    takes each table from ``joint_statistics(joint_amplitudes(...))``, which
-    checks it, so that it gives the bits of its one-point stacks; one
-    configuration of floats takes them from :func:`joint_probability_table`,
-    and the average is checked once.  Every field may be an array.
+    Every table comes from :func:`joint_probability_table`, so a point, its
+    one-point stack and its place in any stack give the same bits; the
+    average is checked once.  Every field may be an array.
     """
     gamma, sigma, p = model.gamma, model.sigma, model.pair_probability
-    stack = isinstance(sigma, np.ndarray) or isinstance(p, np.ndarray) or not one_configuration(det, sys, gamma)
+    stack = isinstance(sigma, np.ndarray) or isinstance(p, np.ndarray)
     fluctuating = (sigma != 0.0) | (p != 1.0)
     if not (np.any(fluctuating) if stack else fluctuating):
-        if stack:
-            return joint_statistics(joint_amplitudes(det, sys, gamma))
         return JointStatistics(joint_probability_table(det, sys, gamma))
     eta = damping_eta(sigma)
     if stack:  # weights broadcast over each table's cells
         p, eta = np.expand_dims(p, (-2, -1)), np.expand_dims(eta, (-2, -1))
-        tables = [joint_statistics(joint_amplitudes(det, sys, g)).joint for g in (gamma, math.pi, 0.0)]
-    else:
-        tables = [joint_probability_table(det, sys, g) for g in (gamma, math.pi, 0.0)]
+    tables = [joint_probability_table(det, sys, g) for g in (gamma, math.pi, 0.0)]
     paired, spread = p * eta, p * (1.0 - eta) / 2.0
     return JointStatistics(paired * tables[0] + spread * tables[1] + (spread + (1.0 - p)) * tables[2])
 

@@ -18,9 +18,10 @@ command above.
 runs the set against ``ROOT`` and against the checkout ``OTHER``, each in a
 subprocess of this script, since the two packages share a name.  It prints
 the counts of moved lines, then each invocation whose output moved, with
-the largest relative difference ``|a - b| / max(|a|, |b|)`` over the
-numeric cells of its stdout and how many other cells, stderr or exit codes
-differ, then each ``montecarlo`` whose event codes moved.
+the largest relative difference ``|a - b| / max(|a|, |b|)`` and the largest
+absolute difference ``|a - b|`` over the numeric cells of its stdout, and how
+many other cells, stderr or exit codes differ, then each ``montecarlo``
+whose event codes moved.
 
 The set has 574 invocations:
 - the 38 argvs of ``tests/golden/cases.json``;
@@ -134,11 +135,12 @@ def _number(cell: str) -> float | None:
 
 def moved(text: str, other: str) -> str:
     """How one invocation's :func:`output` differs from ``other``'s: the
-    largest relative difference over the numeric cells of stdout, and the
-    count of other stdout cells that differ, stderr or exit code."""
+    largest relative and absolute differences over the numeric cells of
+    stdout, and the count of other stdout cells that differ, stderr or exit
+    code."""
     (out, *rest), (other_out, *other_rest) = text.split("\0", 1), other.split("\0", 1)
     rows, other_rows = out.splitlines(), other_out.splitlines()
-    worst, cells = 0.0, abs(len(rows) - len(other_rows))
+    worst, widest, cells = 0.0, 0.0, abs(len(rows) - len(other_rows))
     for row, other_row in zip(rows, other_rows):
         row, other_row = row.split(","), other_row.split(",")
         cells += abs(len(row) - len(other_row))
@@ -149,8 +151,8 @@ def moved(text: str, other: str) -> str:
             if x is None or y is None or not math.isfinite(x - y):
                 cells += 1
             else:
-                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
-    report = f"max rel {worst:.3g}"
+                worst, widest = max(worst, abs(x - y) / max(abs(x), abs(y))), max(widest, abs(x - y))
+    report = f"max rel {worst:.3g}, max abs {widest:.3g}"
     if cells:
         report += f", {cells} other cells"
     if rest != other_rest:

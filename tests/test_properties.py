@@ -8,7 +8,6 @@ from dataclasses import astuple, replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,7 +46,7 @@ from coupled_mzi import (
     weak_value,
     xi_joint_interference,
 )
-from coupled_mzi import cli, scattering
+from coupled_mzi import cli
 from coupled_mzi.cli import _MAX_EXPONENT, _VECTOR_CELLS, _Grid, _table_csv, _vector_rows
 from coupled_mzi.config import swept
 from coupled_mzi.measurement import DIVERGENCE_THRESHOLD
@@ -104,19 +103,6 @@ def test_array_amplitude_table_matches_closed_form(det, sysm, points):
         assert np.max(np.abs(np.abs(c[i]) ** 2 - closed)) <= 1e-12
 
 
-# The one-configuration table and the one-point stack of joint_probability_table
-# round the same products in different orders.  Each is within E of the exact
-# cell, so they differ by at most 2 E.  With u = 2**-53, to first order:
-# - an amplitude c sums products of four factors of modulus at most 1, whose
-#   moduli add up to at most 1 (Cauchy-Schwarz on the unit rows and columns);
-# - a factor costs a square root, a sine or cosine (one ulp) and a product: 4u;
-# - each of the three complex steps (scatter, weight, scatter) is a product or a
-#   sum of two, four real products and three sums in any order, FMA or not,
-#   within 4 sqrt(2) u < 6u of the sum of the moduli: |dc| <= 16u + 18u = 34u;
-# - hypot (one ulp) and the square add 5u |c|^2: |dp| <= 68u |c| + 5u |c|^2 <= 73u;
-# - sum |c| <= 2, so the four p and the three additions make |d total| <= 144u;
-# - dividing by the total gives |dp| + p |d total| + u p <= 218u = E.
-ONE_TABLE_BOUND = 2 * 218 * 2.0**-53
 NEAR_DARK = InterferometerConfig(qpc_from_transmission(0.5), qpc_from_transmission(0.5), 1e-9)
 
 
@@ -125,11 +111,27 @@ NEAR_DARK = InterferometerConfig(qpc_from_transmission(0.5), qpc_from_transmissi
 @example(det=NEAR_DARK, sysm=NEAR_DARK, gamma=0.0)  # P(D1, S) near 1e-19
 @example(det=NEAR_DARK, sysm=NEAR_DARK, gamma=math.pi)
 def test_one_configuration_table_matches_the_one_point_stack(det, sysm, gamma):
-    with mock.patch.object(scattering, "joint_amplitudes", side_effect=AssertionError("took the stack path")):
-        table = joint_probability_table(det, sysm, gamma)
+    table = joint_probability_table(det, sysm, gamma)
     stack = joint_probability_table(det, sysm, np.array([gamma]))
     assert table.shape == (2, 2) and stack.shape == (1, 2, 2)
-    assert np.max(np.abs(table - stack[0])) <= ONE_TABLE_BOUND
+    assert np.array_equal(table, stack[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(det=interferometers(), sysm=interferometers(), gamma=couplings, chi=angles, xi=angles,
+       on_detector=st.booleans())
+def test_table_leaves_out_the_second_qpc_phases(det, sysm, gamma, chi, xi, on_detector):
+    """New ``chi``/``xi`` on either second QPC turn each amplitude by a unit
+    phase, ``e^{i chi}`` on drain 1 and ``e^{i xi}`` on drain 2, and leave
+    every bit of the table."""
+    side = det if on_detector else sysm
+    moved = replace(side, qpc2=replace(side.qpc2, chi=chi, xi=xi))
+    det2, sys2 = (moved, sysm) if on_detector else (det, moved)
+    assert np.array_equal(joint_probability_table(det2, sys2, gamma), joint_probability_table(det, sysm, gamma))
+    turn = np.exp(1j * (np.array([chi, xi]) - [side.qpc2.chi, side.qpc2.xi]))
+    turn = turn[:, np.newaxis] if on_detector else turn[np.newaxis, :]
+    c, c2 = joint_amplitudes(det, sysm, gamma).c, joint_amplitudes(det2, sys2, gamma).c
+    assert np.max(np.abs(c2 - c * turn)) <= 1e-12
 
 
 # one experiment: both QPCs of both interferometers as (T, chi, xi), the tuning
@@ -143,7 +145,7 @@ def _experiment(fields):
     return mzi(*fields[:7]), mzi(*fields[7:14]), CouplingModel(*fields[14:])
 
 
-def _stack_values(det, sysm, model) -> dict:
+def _values(det, sysm, model) -> dict:
     amps = joint_amplitudes(det, sysm, model.gamma)
     m = measurement_operators(det, model.gamma)
     povm = povm_pair(m)
@@ -153,11 +155,6 @@ def _stack_values(det, sysm, model) -> dict:
         "measurement_operators": np.moveaxis([m.diag_d1, m.diag_d2], (0, 1), (-2, -1)),
         "povm_pair": np.moveaxis([povm.diag_d1, povm.diag_d2], (0, 1), (-2, -1)),
         "povm_expectation": np.moveaxis(povm_expectation(povm, reduced_system_state(sysm)), 0, -1),
-    }
-
-
-def _table_values(det, sysm, model) -> dict:
-    return {
         "joint_probability_table": joint_probability_table(det, sysm, model.gamma),
         "averaged_joint_table": averaged_joint_table(det, sysm, model).joint,
     }
@@ -169,16 +166,14 @@ def _table_values(det, sysm, model) -> dict:
 @example(points=[(0.0, 0.0, 0.0, 3.282977360150768e-123, 0.0, 1.0593358918616982, 0.0) + (0.0,) * 10])
 def test_stacked_experiment_matches_scalar_points_bit_for_bit(points):
     """Every field an array: one stacked evaluation gives, point for point,
-    the bits of the scalar calls, and for the tables, which take their own
-    path for one configuration of floats, the bits of one-point stacks."""
-    experiment = _experiment([np.array(column) for column in zip(*points)])
-    stacked = {**_stack_values(*experiment), **_table_values(*experiment)}
+    the bits of the scalar calls and of one-point stacks."""
+    stacked = _values(*_experiment([np.array(column) for column in zip(*points)]))
     for i, fields in enumerate(points):
-        one_point = _table_values(*_experiment([np.array([x]) for x in fields]))
-        values = {**_stack_values(*_experiment(fields)), **{name: v[0] for name, v in one_point.items()}}
-        for name, value in values.items():
+        one_point = _values(*_experiment([np.array([x]) for x in fields]))
+        for name, value in _values(*_experiment(fields)).items():
             assert stacked[name].shape == (len(points), *value.shape), name
             assert np.array_equal(stacked[name][i], value), (name, fields)
+            assert np.array_equal(one_point[name][0], value), (name, fields)
 
 
 def _conditioning_calls(det, sysm, gamma, condition, n) -> dict:

@@ -13,6 +13,7 @@ from coupled_mzi import (
     concurrence,
     cross_noise_power,
     joint_amplitudes,
+    joint_probability_table,
     joint_statistics,
     qpc_from_transmission,
     qpc_unitary,
@@ -239,6 +240,18 @@ class TestJointStatistics:
             shifted = InterferometerConfig(det.qpc1, shifted_qpc, det.tuning_phase)
             stats2 = joint_statistics(joint_amplitudes(shifted, sysm, gamma))
             assert np.max(np.abs(stats.joint - stats2.joint)) < 1e-12
+
+
+class TestJointProbabilityTable:
+    @pytest.mark.parametrize("gamma", [0.4, np.array([0.3, 0.4])], ids=["point", "stack"])
+    def test_rejects_non_finite_and_unnormalized_cells(self, gamma):
+        det = balanced_mzi(0.3)
+        with pytest.raises(ValueError, match="need finite 2x2 complex tables"):
+            joint_probability_table(det, det, gamma * math.nan)
+        leaky = qpc_from_transmission(0.5)
+        object.__setattr__(leaky, "reflection", 0.6)  # past the constructor's check
+        with pytest.raises(ValueError, match=r"not normalized: sum \|c\|\^2 = 1\.1"):
+            joint_probability_table(InterferometerConfig(leaky, det.qpc2, 0.3), det, gamma)
 
 
 BIAS = PhysicalBias(bias_voltage=10e-6, fermi_energy=10e-3, temperature=0.01)

@@ -255,11 +255,18 @@ ORACLE_MODELS = [
 #   eta 0.504: eta (15.5u / 0.098 + 6.6u) <= 86u.  reference.damping_eta's
 #   (pi - s)(pi + s) is within 11u.  dX/deta = p (P(gamma) - (P(pi) + P(0)) / 2)
 #   lies in [-1, 1], so the two etas part the sides by at most 97u.
-# - the mixture: ONE_TABLE_BOUND's E = 218u per table counts |dc| <= 34u; the
-#   rounded phi_d + g (|.| <= 4 pi) adds 12.6u and R's error 4 u/2, so |dc| <=
-#   48.6u and E' = 102.2u + 202.4u + u <= 306u.  P(math.pi) is within 2 |pi -
-#   math.pi| = 2.2u of P(pi), at a weight <= 1/2; the weights' errors sum to
-#   3u, and the three products and two sums add 3u: 314u.
+# - the mixture: per table, with sqrt(T) within u, sqrt(R) within 1.5u and
+#   the rounded phi_d + g (|.| <= 4 pi) within 12.6u, the
+#   detector rows A and B are within 10.2u on the system's lower arm and 22.8u
+#   on its upper arm; the system's factors t_s T_2 e^{i phi_s} and t_s R_2
+#   e^{i phi_s} are within 9.2u of their moduli w, r_s R_2 and r_s T_2 within
+#   4u of theirs, rho.  A cell X_L w - X_U rho, with its complex product
+#   (sqrt(5) u), real products and sums, is within 27.8u (w + rho) + u <= 29u,
+#   since w + rho <= 1.  re*re + im*im adds 2u p: |dp| <= 58u |c| + 2u p; with
+#   sum |c| <= 2 the total is within 121u, and the division gives E = 182u.
+#   P(math.pi) is within 2 |pi - math.pi| = 2.2u of P(pi), at a weight <= 1/2;
+#   the weights' errors sum to 3u, and the three products and two sums add
+#   3u: 190u.
 # - the closed form: d = T - R within 1.5u and epsilon = 2 sqrt(T R) within 2u
 #   give beta 6u, V 5u and d1 +- d2 5u.  The arguments g/2 + phi (|.| <= 3 pi)
 #   add 9.5u, g/2 + (phi_d - phi_s) 28.4u with the rounded difference, so
@@ -268,7 +275,7 @@ ORACLE_MODELS = [
 #   (49.4u, with cos phi_d cos phi_s).  V_d V_s Delta_ds is within 73.4u, each
 #   term Delta_bar beta + Gamma_bar (d1 +- d2) (<= 6) within 123u, and the
 #   cell's sum, whose partial sums reach 4, 6, 12 and 18, within 455.4u / 4 <= 114u.
-MIXTURE_BOUND = (97 + 314 + 114) * 2.0**-53
+MIXTURE_BOUND = (97 + 190 + 114) * 2.0**-53
 
 
 class TestAveragedJointTable:
@@ -324,13 +331,13 @@ class TestAveragedJointTable:
         det, sysm, gamma = stacked_experiment(random_stack(np.random.default_rng(29), 200, 0.0, 1.0))
         table = averaged_joint_table(det, sysm, CouplingModel(gamma=gamma)).joint
         assert table.shape == (200, 2, 2)
-        assert np.array_equal(table, joint_statistics(joint_amplitudes(det, sysm, gamma)).joint)
+        assert np.array_equal(table, joint_probability_table(det, sysm, gamma))
 
     def test_checks_a_config_stack_once_under_a_scalar_model(self, monkeypatch):
         # a sweep of phi_d at one steady coupling phase: one stack of 100
-        # tables, checked once, with the bits of the numpy pipeline's stack
+        # tables, checked once, with the bits of the table's stack
         det, sysm = balanced_mzi(np.linspace(-math.pi, math.pi, 100)), balanced_mzi(0.3)
-        expected = joint_statistics(joint_amplitudes(det, sysm, 1.0)).joint
+        expected = joint_probability_table(det, sysm, 1.0)
         check, checked = JointStatistics.__post_init__, []
         monkeypatch.setattr(JointStatistics, "__post_init__", lambda stats: checked.append(check(stats)))
         table = averaged_joint_table(det, sysm, CouplingModel(gamma=1.0)).joint
