@@ -178,17 +178,14 @@ def damping_eta(sigma):
     ``sigma = 0`` and 1/2 at ``sigma = pi``.  Domain is [0, pi]; ``sigma``
     may be an array.  At the singularities the closed form is evaluated at
     a stand-in 1 and replaced by the limits; masks are multiplied in, not
-    selected, so a float stays a plain scalar computation.
+    selected, so a float stays a plain scalar computation.  ``pi^2 - sigma^2``
+    is ``(pi - sigma)(pi + sigma)``, the part of pi below ``math.pi`` added to
+    ``math.pi - sigma``.
     """
     _require((0.0 <= sigma) & (sigma <= math.pi), "sigma {} outside [0, pi]", sigma)
     inside = (sigma > 0.0) & (sigma < math.pi)
     s = sigma * inside + (1.0 - inside)
-    # within 2**-6 of pi, pi^2 - s^2 cancels down to the rounding of math.pi;
-    # there take (pi - s)(pi + s), adding the part of pi below math.pi to the
-    # exact math.pi - s.  Farther out the plain difference keeps its bits.
-    near = s > math.pi - 2.0**-6
-    denominator = near * ((math.pi - s + _PI_LOW) * (math.pi + s)) + (1 - near) * (math.pi**2 - s * s)
-    eta = (math.pi**2 / denominator) * (np.sin(s) / s)
+    eta = (math.pi**2 / ((math.pi - s + _PI_LOW) * (math.pi + s))) * (np.sin(s) / s)
     return _plain(eta * inside + (sigma == 0.0) + 0.5 * (sigma == math.pi))
 
 

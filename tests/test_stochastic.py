@@ -2,6 +2,7 @@ import hashlib
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -85,6 +86,23 @@ class TestRaisedCosine:
         assert density.shape == (4,) and np.array_equal(density, points)
         assert 0.0 in points and min(points) >= 0.0
 
+# damping_eta(s) = (pi^2 / ((pi - s)(pi + s))) (sin(s) / s).  With u = 2**-53,
+# to first order and relative to eta: math.pi**2 is within 1.7u of pi^2
+# (math.pi is 0.35u below pi, and the square rounds); pi - s is fl(math.pi - s)
+# (u, exact from pi/2 on) plus _PI_LOW (within 0.22u of the least pi - s,
+# 5.7e-16), rounded: 2.3u; pi + s is within 1.35u; the product and the
+# quotient add u each, sin(s) one ulp (2u), and sin(s) / s and the last
+# product u each: 11.35u.  12u leaves room for the second-order terms.
+ETA_BOUND = 12 * 2.0**-53
+
+
+def exact_eta(sigma: float) -> mpmath.mpf:
+    """``pi^2 sin(s) / (s (pi^2 - s^2))`` at the double ``sigma``, to 50 digits."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(sigma)
+        return mpmath.pi**2 * mpmath.sin(s) / (s * (mpmath.pi**2 - s * s))
+
+
 class TestDampingEta:
     def test_limits(self):
         assert damping_eta(0.0) == 1.0
@@ -112,6 +130,18 @@ class TestDampingEta:
         sigma = math.pi - gap
         expected = fluctuation_average(math.cos, CouplingModel(gamma=0.0, sigma=sigma))
         assert damping_eta(sigma) == pytest.approx(expected, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sigma=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True))
+    @example(sigma=3.125967652589793)  # lost 96u to pi^2 - s^2 taken as a plain difference
+    @example(sigma=3.1253464504519144)
+    @example(sigma=math.pi - 2.0**-6)
+    @example(sigma=float(np.nextafter(math.pi, 0.0)))
+    @example(sigma=1e-12)
+    @example(sigma=5e-324)
+    def test_within_its_rounding_bound_of_the_exact_value(self, sigma):
+        exact = exact_eta(sigma)
+        assert abs(damping_eta(sigma) - exact) <= ETA_BOUND * exact
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -250,11 +280,10 @@ ORACLE_MODELS = [
 # each side rounds its own operations and takes its own eta.  With u = 2**-53,
 # to first order, the strategies' phases within 2 pi of 0, gamma in [0, 2 pi],
 # R = fl(1 - T) within u/2 of 1 - T, and sine and cosine within one ulp (2u):
-# - eta: params.damping_eta takes pi^2 - s^2 from math.pi**2 (5.7u below pi^2)
-#   and s*s (9.8u) up to s = pi - 2**-6, where the difference is 0.098 and
-#   eta 0.504: eta (15.5u / 0.098 + 6.6u) <= 86u.  reference.damping_eta's
-#   (pi - s)(pi + s) is within 11u.  dX/deta = p (P(gamma) - (P(pi) + P(0)) / 2)
-#   lies in [-1, 1], so the two etas part the sides by at most 97u.
+# - eta: both damping_etas take (pi - s)(pi + s), in their own order, and
+#   each is within 11.35u (ETA_BOUND's count; reference.damping_eta's differs
+#   only in order).  dX/deta = p (P(gamma) - (P(pi) + P(0)) / 2) lies in
+#   [-1, 1], so the two etas part the sides by at most 23u.
 # - the mixture: per table, with sqrt(T) within u, sqrt(R) within 1.5u and
 #   the rounded phi_d + g (|.| <= 4 pi) within 12.6u, the
 #   detector rows A and B are within 10.2u on the system's lower arm and 22.8u
@@ -275,7 +304,7 @@ ORACLE_MODELS = [
 #   (49.4u, with cos phi_d cos phi_s).  V_d V_s Delta_ds is within 73.4u, each
 #   term Delta_bar beta + Gamma_bar (d1 +- d2) (<= 6) within 123u, and the
 #   cell's sum, whose partial sums reach 4, 6, 12 and 18, within 455.4u / 4 <= 114u.
-MIXTURE_BOUND = (97 + 190 + 114) * 2.0**-53
+MIXTURE_BOUND = (23 + 190 + 114) * 2.0**-53
 
 
 class TestAveragedJointTable:
@@ -348,7 +377,7 @@ class TestAveragedJointTable:
     @given(det=MZIS, sysm=MZIS, gamma=st.floats(0.0, 2 * math.pi),
            sigma=st.floats(0.0, math.pi), p=st.floats(0.0, 1.0))
     @example(det=balanced_mzi(0.7), sysm=balanced_mzi(-0.4), gamma=2.0, sigma=math.pi, p=0.8)
-    # sigma just below pi - 2**-6, where damping_eta's plain difference loses most: 2.1e-15 apart
+    # sigma just below pi - 2**-6, where damping_eta's plain pi^2 - s^2 lost 96u: 2.1e-15 apart
     @example(det=balanced_mzi(-math.pi), sysm=balanced_mzi(-math.pi), gamma=math.pi,
              sigma=3.125967652589793, p=1.0)
     def test_matches_the_closed_form_at_the_averaged_bundles(self, det, sysm, gamma, sigma, p):
