@@ -167,7 +167,7 @@ class JointAmplitudes:
 
     @property
     def norm_squared(self):
-        return _plain(np.sum(np.abs(self.c) ** 2, axis=(-2, -1)))
+        return _plain(np.sum(self.c.real * self.c.real + self.c.imag * self.c.imag, axis=(-2, -1)))
 
 
 def joint_amplitudes(det: InterferometerConfig, sys: InterferometerConfig, gamma) -> JointAmplitudes:
@@ -232,13 +232,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def joint_statistics(amps: JointAmplitudes) -> JointStatistics:
-    """Probabilities ``|c|^2`` of each amplitude table.
+    """Probabilities ``|c|^2 = re * re + im * im`` of each amplitude table.
 
     Raises ``ValueError`` if any table's normalization is off by more than
     1e-9 (the production pipeline keeps it at the 1e-12 level); the tables
     are then divided by their sums so identities hold at 1e-12.
     """
-    joint = np.abs(amps.c) ** 2
+    joint = amps.c.real * amps.c.real + amps.c.imag * amps.c.imag
     total = joint.sum(axis=(-2, -1), keepdims=True)
     residual = np.abs(total - 1.0)
     if not residual.max() <= _NORMALIZATION_GATE:

@@ -162,7 +162,7 @@ def _values(det, sysm, model) -> dict:
 
 @settings(max_examples=100, deadline=None)
 @given(points=st.lists(experiment_fields, min_size=1, max_size=8))
-# a POVM modulus whose C pow square and multiplied square differ in the last bit
+# a POVM modulus whose multiplied square and C pow square differ in the last bit
 @example(points=[(0.0, 0.0, 0.0, 3.282977360150768e-123, 0.0, 1.0593358918616982, 0.0) + (0.0,) * 10])
 def test_stacked_experiment_matches_scalar_points_bit_for_bit(points):
     """Every field an array: one stacked evaluation gives, point for point,
