@@ -112,11 +112,11 @@ def _cells(det: InterferometerConfig, sys: InterferometerConfig, gamma) -> list:
     """
     (t, r), (t2, r2), (c, s) = _roots(sys.qpc1), _roots(sys.qpc2), _unit(sys.tuning_phase)
     tt, tr, rr, rt = t * t2, t * r2, r * r2, r * t2
-    to_s1, to_s2 = (tt * c, tt * s), (tr * c, tr * s)
+    w1, w2, v1, v2 = tt * c, tt * s, tr * c, tr * s  # t_s T_2 e^{i phi_s} and t_s R_2 e^{i phi_s}
     cells = []
-    for lower, (upper_re, upper_im) in _rows(det, gamma):
-        (a, b), (e, f) = _times(lower, to_s1), _times(lower, to_s2)
-        cells += [(a - upper_re * rr, b - upper_im * rr), (e + upper_re * rt, f + upper_im * rt)]
+    for (lr, li), (ur, ui) in _rows(det, gamma):
+        cells += [(lr * w1 - li * w2 - ur * rr, lr * w2 + li * w1 - ui * rr),
+                  (lr * v1 - li * v2 + ur * rt, lr * v2 + li * v1 + ui * rt)]
     return cells
 
 
@@ -255,7 +255,8 @@ def joint_probability_table(det: InterferometerConfig, sys: InterferometerConfig
     arrays.  Raises ``ValueError`` for cells that are not finite, and if
     any table's normalization is off by more than 1e-9.
     """
-    p11, p12, p21, p22 = (re * re + im * im for re, im in _cells(det, sys, gamma))
+    (a, b), (c, d), (e, f), (g, h) = _cells(det, sys, gamma)
+    p11, p12, p21, p22 = a * a + b * b, c * c + d * d, e * e + f * f, g * g + h * h
     total = p11 + p12 + p21 + p22
     ok = abs(total - 1.0) <= _NORMALIZATION_GATE  # false for NaN and inf
     if not (ok if ok is True or ok is False else ok.all()):  # a Python bool for one table
