@@ -285,11 +285,11 @@ ORACLE_MODELS = [
 #   only in order).  dX/deta = p (P(gamma) - (P(pi) + P(0)) / 2) lies in
 #   [-1, 1], so the two etas part the sides by at most 23u.
 # - the mixture: per table, with sqrt(T) within u, sqrt(R) within 1.5u and
-#   the rounded phi_d + g (|.| <= 4 pi) within 12.6u, the
-#   detector rows A and B are within 10.2u on the system's lower arm and 22.8u
-#   on its upper arm; the system's factors t_s T_2 e^{i phi_s} and t_s R_2
-#   e^{i phi_s} are within 9.2u of their moduli w, r_s R_2 and r_s T_2 within
-#   4u of theirs, rho.  A cell X_L w - X_U rho, with its complex product
+#   the rounded phi_d + g (|.| <= 4 pi) within 12.6u, the detector rows A and
+#   B are within 10.2u on the system's lower arm and 22.8u on its upper arm;
+#   the system's factors t_s T_2 e^{i phi_s} and t_s R_2 e^{i phi_s} are
+#   within 9.2u of their moduli w, r_s R_2 and r_s T_2 within 4u of theirs,
+#   rho.  A cell X_L w - X_U rho, with its complex product
 #   (sqrt(5) u), real products and sums, is within 27.8u (w + rho) + u <= 29u,
 #   since w + rho <= 1.  re*re + im*im adds 2u p: |dp| <= 58u |c| + 2u p; with
 #   sum |c| <= 2 the total is within 121u, and the division gives E = 182u.
