@@ -74,8 +74,6 @@ from .scattering import (
     detector_drain_amplitudes,
     joint_amplitudes,
     joint_probability_table,
-    joint_statistics,
-    qpc_unitary,
     reduced_system_state,
 )
 from .stochastic import (
@@ -85,7 +83,6 @@ from .stochastic import (
     averaged_joint_table,
     contextual_estimate,
     observation_time,
-    raised_cosine_pdf,
     sample_events,
 )
 

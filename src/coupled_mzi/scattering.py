@@ -43,19 +43,6 @@ BOLTZMANN_CONSTANT = 1.380649e-23  # J / K
 _NORMALIZATION_GATE = 1e-9
 
 
-def qpc_unitary(q: QpcSetting) -> np.ndarray:
-    """Unitary scattering matrix of one QPC, shape ``broadcast + (2, 2)``.
-
-    Rows are input arms, columns output arms, entries ``[[e^{i chi} t, e^{i xi} r],
-    [e^{i chi} r, e^{i xi} t]]`` with ``t = sqrt(T)`` and ``r = i sqrt(R)``.  Every
-    field of ``q`` may be an array.
-    """
-    t, r = np.sqrt(q.transmission), 1j * np.sqrt(q.reflection)
-    ec, ex = np.exp(1j * q.chi), np.exp(1j * q.xi)
-    entries = np.broadcast_arrays(ec * t, ex * r, ec * r, ex * t)
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
-
-
 def _roots(q: QpcSetting) -> tuple:
     """``(sqrt(T), sqrt(R))`` of one contact: ``math`` for numbers, numpy for arrays."""
     f = np if isinstance(q.transmission, np.ndarray) or isinstance(q.reflection, np.ndarray) else math
@@ -229,23 +216,6 @@ class JointStatistics:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def joint_statistics(amps: JointAmplitudes) -> JointStatistics:
-    """Probabilities ``|c|^2 = re * re + im * im`` of each amplitude table.
-
-    Raises ``ValueError`` if any table's normalization is off by more than
-    1e-9 (the production pipeline keeps it at the 1e-12 level); the tables
-    are then divided by their sums so identities hold at 1e-12.
-    """
-    joint = amps.c.real * amps.c.real + amps.c.imag * amps.c.imag
-    total = joint.sum(axis=(-2, -1), keepdims=True)
-    residual = np.abs(total - 1.0)
-    if not residual.max() <= _NORMALIZATION_GATE:
-        worst = float(total[~(residual <= _NORMALIZATION_GATE)][0])
-        raise ValueError(f"joint amplitudes not normalized: sum |c|^2 = {worst!r}")
-    joint /= total
-    return JointStatistics(joint)
 
 
 def joint_probability_table(det: InterferometerConfig, sys: InterferometerConfig, gamma) -> np.ndarray:

@@ -91,26 +91,6 @@ class ObservationBudget:
         return self.path_length / self.fermi_velocity
 
 
-def raised_cosine_pdf(gamma_prime, model: CouplingModel):
-    """Density of the raised-cosine coupling distribution.
-
-    ``(1/2 sigma)(1 + cos(pi (g' - gamma) / sigma))`` on the compact
-    support ``[gamma - sigma, gamma + sigma]``, zero outside.  Every input
-    may be an array; a scalar gives a Python float.
-
-    Raises ``ValueError`` for ``sigma = 0`` at any point: the distribution
-    degenerates to a point mass, which callers should treat as
-    deterministic coupling.
-    """
-    sigma = model.sigma
-    if np.any(sigma <= 0.0):
-        raise ValueError("raised-cosine density undefined at sigma = 0 (degenerate)")
-    y = np.asarray(gamma_prime - model.gamma)
-    # the support is multiplied in: 1 + cos is finite and non-negative
-    density = (abs(y) < sigma) * ((1.0 + np.cos(math.pi * y / sigma)) / (2.0 * sigma))
-    return density if density.ndim else float(density)
-
-
 def averaged_detector_params(p: FringeParams, model: CouplingModel) -> FringeParams:
     """A detector (or system) bundle averaged over coupling fluctuations and
     unpaired emission, the exact average of its drain probabilities.

@@ -44,6 +44,11 @@ def stacked_experiment(draws: np.ndarray) -> tuple[InterferometerConfig, Interfe
     return mzi(*columns[:7]), mzi(*columns[7:14]), columns[14]
 
 
+def squared_moduli(c: np.ndarray) -> np.ndarray:
+    """``|c|^2 = re * re + im * im`` of each amplitude, without normalizing."""
+    return c.real * c.real + c.imag * c.imag
+
+
 def amplitude_concurrence(c: np.ndarray) -> np.ndarray:
     """Concurrence ``2 |det c|`` of joint drain amplitude tables ``c``: the
     second QPCs act as local unitaries, which leave the concurrence unchanged."""

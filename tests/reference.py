@@ -1,18 +1,22 @@
-"""Closed forms of the joint drain statistics, independent of the package.
+"""Closed forms and the paper's unitary construction, independent of the package.
 
-The tests' oracle for the amplitude pipeline (acceptance criterion 02 and
-the closed-form checks).  It reads only the fields of the configs it is
-given (transmissions, reflections, tuning phases) and imports nothing from
-``coupled_mzi``; ``tests/test_layering.py`` checks that.
+The tests' oracles for the amplitude pipeline: the closed-form joint drain
+table (acceptance criterion 02 and the closed-form checks), the detector's
+transfer matrix as a product of QPC unitaries (the detector rows), and the
+raised-cosine coupling density (the quadrature oracles of the fluctuation
+average).  It reads only the fields of the configs it is given
+(transmissions, reflections, scattering and tuning phases) and imports
+nothing from ``coupled_mzi``; ``tests/test_layering.py`` checks that.
 
-Each interferometer enters through its fringe bundle: the background
-weights ``beta_(+/-) = 1 +/- delta1 delta2``, the visibility ``V = epsilon1
-epsilon2`` and the coupling term ``Gamma = sin(g/2) sin(g/2 + phase)``, with
-``phase = phi_d`` for the detector and ``-phi_s`` for the system, and
-``Delta = cos(phi) - Gamma``.  The pair enters through ``Delta_ds =
-cos(phi_d) cos(phi_s) - Gamma_ds`` at ``phase = phi_d - phi_s``.
+Each interferometer enters the closed form through its fringe bundle: the
+background weights ``beta_(+/-) = 1 +/- delta1 delta2``, the visibility ``V
+= epsilon1 epsilon2`` and the coupling term ``Gamma = sin(g/2) sin(g/2 +
+phase)``, with ``phase = phi_d`` for the detector and ``-phi_s`` for the
+system, and ``Delta = cos(phi) - Gamma``.  The pair enters through
+``Delta_ds = cos(phi_d) cos(phi_s) - Gamma_ds`` at ``phase = phi_d - phi_s``.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -29,6 +33,40 @@ def damping_eta(sigma):
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = math.pi**2 * np.sin(s) / (s * ((math.pi - s + _PI_LOW) * (math.pi + s)))
     return np.where(s == 0.0, 1.0, eta)
+
+
+def qpc_unitary(T, chi, xi) -> np.ndarray:
+    """Scattering matrix of one QPC of transmission ``T``: rows are input
+    arms, columns output arms, ``[[e^{i chi} t, e^{i xi} r], [e^{i chi} r,
+    e^{i xi} t]]`` with ``t = sqrt(T)`` and ``r = i sqrt(1 - T)``."""
+    t, r = math.sqrt(T), 1j * math.sqrt(1.0 - T)
+    a, b = cmath.exp(1j * chi), cmath.exp(1j * xi)
+    return np.array([[a * t, b * r], [a * r, b * t]])
+
+
+def detector_transfer(det, gamma, arm) -> np.ndarray:
+    """The detector's transfer matrix ``U1 diag(e^{i(phi_d + gamma [arm = U])},
+    1) U2`` while the system is on ``arm`` (0 for ``L^s``, 1 for ``U^s``):
+    row 0 is the injected arm, columns the drains ``(D1, D2)``.  The
+    coupling phase falls on the transmitted path, and the first QPC's
+    phases enter through ``phi_d``, so its unitary carries none."""
+    u1 = qpc_unitary(det.qpc1.transmission, 0.0, 0.0)
+    u2 = qpc_unitary(det.qpc2.transmission, det.qpc2.chi, det.qpc2.xi)
+    return u1 @ np.diag([cmath.exp(1j * (det.tuning_phase + gamma * arm)), 1.0]) @ u2
+
+
+def raised_cosine_pdf(g, gamma, sigma):
+    """Density ``(1 + cos(pi (g - gamma) / sigma)) / (2 sigma)`` of the
+    raised-cosine coupling distribution on ``[gamma - sigma, gamma +
+    sigma]``, zero outside.  Every argument may be an array; numbers give a
+    Python float.  Raises ``ValueError`` for ``sigma = 0`` at any point: the
+    distribution is then a point mass, a deterministic coupling."""
+    if np.any(sigma <= 0.0):
+        raise ValueError("raised-cosine density undefined at sigma = 0 (degenerate)")
+    y = np.asarray(g - gamma)
+    # the support is multiplied in: 1 + cos is finite and non-negative
+    density = (abs(y) < sigma) * ((1.0 + np.cos(math.pi * y / sigma)) / (2.0 * sigma))
+    return density if density.ndim else float(density)
 
 
 def _balance(q):

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from coupled_mzi import (
     AmbiguousMeasurementError,
     ContextualValues,
-    CouplingModel,
     InteractionGeometry,
     InterferometerConfig,
     JointAmplitudes,
@@ -26,14 +25,13 @@ from coupled_mzi import (
     detector_params,
     efficient_factorization,
     joint_amplitudes,
-    joint_statistics,
+    joint_probability_table,
     measurement_operators,
     observation_time,
     position_phase,
     povm_expectation,
     povm_pair,
     qpc_from_transmission,
-    raised_cosine_pdf,
     reconstruct_average,
     reduced_system_state,
     sample_events,
@@ -49,9 +47,10 @@ from conftest import (
     balanced_mzi,
     random_mzi,
     random_stack,
+    squared_moduli,
     stacked_experiment,
 )
-from reference import closed_form_table
+from reference import closed_form_table, raised_cosine_pdf
 
 OBS = ObservableCoefficients()
 
@@ -64,7 +63,7 @@ def report(criterion: int, label: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_dual_pipeline_equality():
     det, sysm, gamma = stacked_experiment(random_stack(np.random.default_rng(101), 10_000))
-    stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
+    stats = JointStatistics(joint_probability_table(det, sysm, gamma))
     povm = povm_pair(measurement_operators(det, gamma))
     p1, p2 = povm_expectation(povm, reduced_system_state(sysm))
     worst = float(max(np.max(np.abs(stats.p_detector(DetectorDrain.D1) - p1)),
@@ -75,7 +74,7 @@ def test_criterion_01_dual_pipeline_equality():
 
 def test_criterion_02_closed_form_probability_match():
     det, sysm, gamma = stacked_experiment(random_stack(np.random.default_rng(102), 10_000))
-    pipeline = joint_statistics(joint_amplitudes(det, sysm, gamma))
+    pipeline = JointStatistics(joint_probability_table(det, sysm, gamma))
     closed = JointStatistics(closed_form_table(det, sysm, gamma))
     worst = float(max(
         np.max(np.abs(pipeline.joint - closed.joint)),
@@ -96,7 +95,7 @@ def test_criterion_03_contextual_value_identity():
     povm = povm_pair(measurement_operators(det, gamma))
     alpha_d1, alpha_d2 = (a[:, np.newaxis, np.newaxis] for a in (cv.alpha_d1, cv.alpha_d2))
     worst_matrix = float(np.max(np.abs(alpha_d1 * povm.e_d1 + alpha_d2 * povm.e_d2 - SIGMA_3)))
-    stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
+    stats = JointStatistics(joint_probability_table(det, sysm, gamma))
     value = reconstruct_average(
         cv, stats.p_detector(DetectorDrain.D1), stats.p_detector(DetectorDrain.D2)
     )
@@ -154,7 +153,7 @@ def test_criterion_06_quantum_erasure_visibility():
         unconditioned = []
         for phi_s in phi_grid:
             sysm = balanced_mzi(float(phi_s))
-            stats = joint_statistics(joint_amplitudes(det, sysm, math.pi))
+            stats = JointStatistics(joint_probability_table(det, sysm, math.pi))
             values.append(stats.joint[0, 0] / stats.p_detector(DetectorDrain.D1))
             unconditioned.append(stats.p_system(SystemDrain.S1))
         values = np.array(values)
@@ -196,9 +195,8 @@ def test_criterion_08_fluctuation_damping():
         sigma = rng.uniform(0.1, math.pi - 0.05)
         if abs(math.cos(gamma + phi_d)) < 0.1:
             continue  # keep the oracle denominator well conditioned
-        model = CouplingModel(gamma=gamma, sigma=sigma)
         averaged, _ = quad(
-            lambda g: raised_cosine_pdf(g, model) * math.cos(g + phi_d),
+            lambda g: raised_cosine_pdf(g, gamma, sigma) * math.cos(g + phi_d),
             gamma - sigma,
             gamma + sigma,
             limit=400,
@@ -216,7 +214,7 @@ def test_criterion_09_estimator_statistics():
     det = balanced_mzi(math.pi / 2)
     sysm = balanced_mzi(0.4)
     gamma = math.pi / 2
-    stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
+    stats = JointStatistics(joint_probability_table(det, sysm, gamma))
     cv = contextual_values(OBS, detector_params(det, gamma))
     probs = (stats.p_detector(DetectorDrain.D1), stats.p_detector(DetectorDrain.D2))
     truth = cv.alpha_d1 * probs[0] + cv.alpha_d2 * probs[1]
@@ -289,7 +287,7 @@ def test_criterion_10_interaction_phase_consistency():
         amps = joint_amplitudes(det, sysm, g)
         phase = sequential_phase(1.6e-21, 0.0, rng.uniform(1e-12, 1e-9))
         rotated = JointAmplitudes(np.exp(-1j * phase) * amps.c)
-        diff = np.max(np.abs(joint_statistics(amps).joint - joint_statistics(rotated).joint))
+        diff = np.max(np.abs(squared_moduli(amps.c) - squared_moduli(rotated.c)))
         worst_shift = max(worst_shift, float(diff))
     ok = worst_linearity < 1e-12 and endpoint_equal and worst_shift < 1e-12
     report(10, "interaction-phase geometry consistency", ok,
@@ -364,8 +362,8 @@ def test_criterion_13_erasure_follows_ambiguity():
         rho = np.array([1.0 + sysm.qpc1.delta, 1.0 - sysm.qpc1.delta]) / 2.0
         fringe = []
         for phi_s in (0.0, math.pi / 2, math.pi):
-            stats = joint_statistics(
-                joint_amplitudes(det, InterferometerConfig(sysm.qpc1, sysm.qpc2, phi_s), gamma))
+            stats = JointStatistics(
+                joint_probability_table(det, InterferometerConfig(sysm.qpc1, sysm.qpc2, phi_s), gamma))
             fringe.append(stats.joint[:, 0] / stats.detector_marginals)
         at_0, at_half_pi, at_pi = fringe
         mean = (at_0 + at_pi) / 2.0

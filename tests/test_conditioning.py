@@ -10,6 +10,7 @@ from coupled_mzi import (
     CouplingModel,
     ExperimentConfig,
     InterferometerConfig,
+    JointStatistics,
     ObservableRangeError,
     PostSelectionImpossibleError,
     ScanSpec,
@@ -17,8 +18,7 @@ from coupled_mzi import (
     contextual_values,
     post_selected_average,
     detector_params,
-    joint_amplitudes,
-    joint_statistics,
+    joint_probability_table,
     qpc_from_transmission,
     semiweak_value,
     system_params,
@@ -158,7 +158,7 @@ class TestXiJointInterference:
             dp = detector_params(det, gamma)
             if abs(dp.visibility * dp.Gamma) < 1e-3:
                 continue
-            stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
+            stats = JointStatistics(joint_probability_table(det, sysm, gamma))
             if stats.system_marginals.min() < 1e-6:
                 continue
             cv = contextual_values(OBS, dp)
@@ -271,7 +271,7 @@ class TestConditionedAverage:
             dp = detector_params(det, gamma)
             if abs(dp.visibility * dp.Gamma) < 1e-3:
                 continue
-            stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
+            stats = JointStatistics(joint_probability_table(det, sysm, gamma))
             if stats.system_marginals.min() < 1e-6:
                 continue
             total = sum(
@@ -292,7 +292,7 @@ class TestConditionedAverage:
             dp = detector_params(det, gamma)
             if abs(dp.visibility * dp.Gamma) < 1e-3:
                 continue
-            stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
+            stats = JointStatistics(joint_probability_table(det, sysm, gamma))
             if stats.system_marginals.min() < 1e-6:
                 continue
             cv = contextual_values(OBS, dp)
@@ -317,7 +317,7 @@ class TestConditionedAverage:
         # gamma = 0 also collapses the contextual values, so use a detector
         # with finite Gamma and a dark system port instead
         sysm = InterferometerConfig(qpc_from_transmission(1.0), qpc_from_transmission(1.0), 0.0)
-        stats = joint_statistics(joint_amplitudes(det, sysm, 2.0))
+        stats = JointStatistics(joint_probability_table(det, sysm, 2.0))
         assert stats.p_system(SystemDrain.S2) == pytest.approx(0.0, abs=1e-15)
         with pytest.raises(PostSelectionImpossibleError) as excinfo:
             conditioned_average(det, sysm, 2.0, SystemDrain.S2)
@@ -336,7 +336,7 @@ class TestConditionedAverage:
                                 ObservableCoefficients(1.7976931348623157e308, 1e-300))
 
     def test_infinite_average_raises_and_nan_passes(self):
-        stats = joint_statistics(joint_amplitudes(balanced_mzi(0.3), SYSTEM_06, 1.0))
+        stats = JointStatistics(joint_probability_table(balanced_mzi(0.3), SYSTEM_06, 1.0))
         with pytest.raises(ObservableRangeError):
             post_selected_average(ContextualValues(math.inf, 0.0), stats, SystemDrain.S1)
         assert math.isnan(post_selected_average(ContextualValues(math.nan, 0.0), stats, SystemDrain.S1))

@@ -13,8 +13,7 @@ from coupled_mzi import (
     JointStatistics,
     MeasurementOperators,
     PovmPair,
-    joint_amplitudes,
-    joint_statistics,
+    joint_probability_table,
     measurement_operators,
     povm_pair,
 )
@@ -76,7 +75,7 @@ def test_matrix_views_carry_the_diagonals(rng):
                                  (povm.diag_d1, povm.e_d1), (povm.diag_d2, povm.e_d2)):
             assert np.array_equal(matrix, np.diag(diagonal))
         assert np.abs(np.subtract(povm.diag_d1, np.abs(m.diag_d1) ** 2)).max() <= 1e-15
-        stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
+        stats = JointStatistics(joint_probability_table(det, sysm, gamma))
         assert np.array_equal(stats.detector_marginals, stats.joint.sum(axis=1))
         assert np.array_equal(stats.system_marginals, stats.joint.sum(axis=0))
 

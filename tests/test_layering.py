@@ -1,10 +1,13 @@
-"""Layering of the package: which private names cross module boundaries, and
-the independence of the tests' closed-form oracle."""
+"""Layering of the package: which private names cross module boundaries, the
+independence of the tests' closed-form oracle, and a README line for every
+export."""
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coupled_mzi"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "coupled_mzi"
 
 ALLOWED_PRIVATE_IMPORTS = {
     ("scattering", "params", "_plain"),
@@ -37,3 +40,16 @@ def test_reference_imports_nothing_from_the_package():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not any(name.partition(".")[0] in ("coupled_mzi", "conftest") for name in imported), imported
+
+
+def test_every_export_is_named_in_the_readme():
+    """Each name that ``coupled_mzi/__init__.py`` imports appears in README
+    code, a fenced block or an inline span."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exports = {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+               for alias in node.names}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    fence = re.compile(r"^```.*?^```", re.S | re.M)
+    code = fence.findall(readme) + re.findall(r"`([^`\n]+)`", fence.sub("", readme))
+    missing = sorted(exports - set(re.findall(r"\w+", " ".join(code))))
+    assert not missing, missing

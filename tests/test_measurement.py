@@ -7,6 +7,7 @@ from coupled_mzi import (
     AmbiguousMeasurementError,
     ContextualValues,
     InterferometerConfig,
+    JointStatistics,
     MeasurementOperators,
     ObservableCoefficients,
     ObservableRangeError,
@@ -14,8 +15,7 @@ from coupled_mzi import (
     contextual_values,
     detector_params,
     efficient_factorization,
-    joint_amplitudes,
-    joint_statistics,
+    joint_probability_table,
     limit_contextual_values,
     measurement_operators,
     povm_expectation,
@@ -282,7 +282,7 @@ class TestDualPipeline:
         for _ in range(300):
             det, sysm = random_mzi(rng), random_mzi(rng)
             gamma = rng.uniform(0, 2 * math.pi)
-            stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
+            stats = JointStatistics(joint_probability_table(det, sysm, gamma))
             povm = povm_pair(measurement_operators(det, gamma))
             p1, p2 = povm_expectation(povm, reduced_system_state(sysm))
             assert stats.p_detector(DetectorDrain.D1) == pytest.approx(p1, abs=1e-12)
@@ -292,7 +292,7 @@ class TestDualPipeline:
         for _ in range(300):
             det, sysm = random_mzi(rng), random_mzi(rng)
             gamma = rng.uniform(0, 2 * math.pi)
-            stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
+            stats = JointStatistics(joint_probability_table(det, sysm, gamma))
             pd = detector_drain_probabilities(detector_params(det, gamma), sysm.qpc1.delta)
             ps = system_drain_probabilities(system_params(sysm, gamma), det.qpc1.delta)
             assert stats.p_detector(DetectorDrain.D1) == pytest.approx(pd[0], abs=1e-12)
@@ -303,7 +303,7 @@ class TestDualPipeline:
     def test_strong_efficient_measurement_removes_system_interference(self, rng):
         for _ in range(50):
             sysm = random_mzi(rng)
-            stats = joint_statistics(joint_amplitudes(balanced_mzi(0.8), sysm, math.pi))
+            stats = JointStatistics(joint_probability_table(balanced_mzi(0.8), sysm, math.pi))
             sp = system_params(sysm, math.pi)
             assert stats.p_system(SystemDrain.S1) == pytest.approx(sp.beta_plus / 2, abs=1e-12)
             assert stats.p_system(SystemDrain.S2) == pytest.approx(sp.beta_minus / 2, abs=1e-12)

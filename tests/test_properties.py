@@ -19,6 +19,7 @@ from coupled_mzi import (
     AmbiguousMeasurementError,
     CouplingModel,
     InterferometerConfig,
+    JointStatistics,
     ObservableCoefficients,
     ObservableRangeError,
     PostSelectionImpossibleError,
@@ -30,11 +31,11 @@ from coupled_mzi import (
     contextual_values_or_nan,
     cross_noise_power,
     damping_eta,
+    detector_drain_amplitudes,
     detector_params,
     joint_amplitudes,
     joint_interference_params,
     joint_probability_table,
-    joint_statistics,
     load_config,
     measurement_operators,
     povm_expectation,
@@ -53,7 +54,7 @@ from coupled_mzi.measurement import DIVERGENCE_THRESHOLD
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from coupled_mzi.scattering import ELEMENTARY_CHARGE, PLANCK_CONSTANT
 from conftest import SIGMA_0, SIGMA_3, mzi
-from reference import closed_form_table
+from reference import closed_form_table, detector_transfer
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "unbalanced.conf"
 TWO_PI = 2.0 * math.pi
@@ -101,6 +102,34 @@ def test_array_amplitude_table_matches_closed_form(det, sysm, points):
         point_det = InterferometerConfig(det.qpc1, det.qpc2, pd)
         closed = closed_form_table(point_det, point_sys, g)
         assert np.max(np.abs(np.abs(c[i]) ** 2 - closed)) <= 1e-12
+
+
+# detector_drain_amplitudes and reference.detector_transfer take the same
+# doubles: T and R = fl(1 - T) under sqrt, and the phase phi_d or fl(phi_d +
+# gamma).  With u = 2**-53, to first order, sqrt within u, cosine and sine
+# within one ulp (2u), and every row's products bounded by t1 t2 + r1 r2 <= 1
+# (D1) or t1 r2 + r1 t2 <= 1 (D2):
+# - the package: t1 t2 and r1 r2 are within 3u and t1 t2 cos(phi) within 6u,
+#   so the row's real part t1 t2 cos(phi) - r1 r2 is within 7u t1 t2 + 4u r1 r2
+#   <= 7u and its imaginary part within 6u: 9.2u in modulus.  The turn by
+#   e^{i chi} (or i e^{i xi}) adds 2u for its cosine and sine, u for its
+#   products and u for its sum: 13.2u per part, 18.7u in modulus.
+# - the reference: t1 e^{i phi}, e^{i chi} t2 and i e^{i chi} r2 are within 4u
+#   per part and i r1 within u.  Of M[0, D1] = t1 e^{i phi} e^{i chi} t2 +
+#   i r1 i e^{i chi} r2, a part of the first product is within 9u t1 t2 and of
+#   the second within 6u r1 r2, and two sums of parts at most 1 add 2u: 11u
+#   per part, 15.6u in modulus, and D2 alike.
+DETECTOR_ROW_BOUND = 35 * 2.0**-53
+
+
+@settings(max_examples=200, deadline=None)
+@given(det=interferometers(), gamma=couplings)
+def test_detector_rows_are_the_product_of_unitaries(det, gamma):
+    """Each detector row is row 0 of ``U1 diag(e^{i phi}, 1) U2``, built from
+    the QPC unitaries outside the package, on both arms of the system."""
+    c = detector_drain_amplitudes(det, gamma)
+    for arm in (0, 1):
+        assert np.max(np.abs(c[:, arm] - detector_transfer(det, gamma, arm)[0])) <= DETECTOR_ROW_BOUND
 
 
 NEAR_DARK = InterferometerConfig(qpc_from_transmission(0.5), qpc_from_transmission(0.5), 1e-9)
@@ -151,7 +180,6 @@ def _values(det, sysm, model) -> dict:
     povm = povm_pair(m)
     return {
         "joint_amplitudes": amps.c,
-        "joint_statistics": joint_statistics(amps).joint,
         "measurement_operators": np.moveaxis([m.diag_d1, m.diag_d2], (0, 1), (-2, -1)),
         "povm_pair": np.moveaxis([povm.diag_d1, povm.diag_d2], (0, 1), (-2, -1)),
         "povm_expectation": np.moveaxis(povm_expectation(povm, reduced_system_state(sysm)), 0, -1),
@@ -345,7 +373,7 @@ def test_grid_contextual_values_follow_the_pointwise_rule(det, obs, gammas):
 @given(det=interferometers(), sysm=interferometers(), gamma=couplings)
 def test_povm_expectation_matches_amplitude_marginals(det, sysm, gamma):
     povm = povm_pair(measurement_operators(det, gamma))
-    expected = joint_statistics(joint_amplitudes(det, sysm, gamma)).detector_marginals
+    expected = JointStatistics(joint_probability_table(det, sysm, gamma)).detector_marginals
     got = povm_expectation(povm, reduced_system_state(sysm))
     assert np.max(np.abs(np.array(got) - expected)) <= 1e-12
 
@@ -359,12 +387,12 @@ def _public_values(det, sysm, coupling, bias) -> dict:
     noise powers in units of ``2 e^3 V / h``."""
     raw = detector_params(det, coupling.gamma)
     amps = joint_amplitudes(det, sysm, coupling.gamma)
-    stats = joint_statistics(amps)
+    stats = JointStatistics(joint_probability_table(det, sysm, coupling.gamma))
     noise_unit = 2.0 * ELEMENTARY_CHARGE**3 * bias.bias_voltage / PLANCK_CONSTANT
     return {
         "joint_amplitudes": [amps.c],
-        "joint_statistics": [stats.joint, *map(stats.p_detector, DetectorDrain),
-                             *map(stats.p_system, SystemDrain)],
+        "JointStatistics": [stats.joint, *map(stats.p_detector, DetectorDrain),
+                            *map(stats.p_system, SystemDrain)],
         "cross_noise_power": [cross_noise_power(stats, d, s, bias) / noise_unit
                               for d in DetectorDrain for s in SystemDrain],
         "detector_params": astuple(raw),

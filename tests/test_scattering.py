@@ -6,7 +6,6 @@ import pytest
 
 from coupled_mzi import (
     InterferometerConfig,
-    JointAmplitudes,
     JointStatistics,
     PhysicalBias,
     average_current,
@@ -14,13 +13,11 @@ from coupled_mzi import (
     cross_noise_power,
     joint_amplitudes,
     joint_probability_table,
-    joint_statistics,
     qpc_from_transmission,
-    qpc_unitary,
 )
 from coupled_mzi.params import DetectorDrain, SystemDrain
-from conftest import amplitude_concurrence, balanced_mzi, random_mzi
-from reference import closed_form_table
+from conftest import amplitude_concurrence, balanced_mzi, random_mzi, squared_moduli
+from reference import closed_form_table, qpc_unitary
 
 
 def explicit_drain_amplitudes(det, sysm, gamma):
@@ -49,18 +46,17 @@ def explicit_drain_amplitudes(det, sysm, gamma):
 
 class TestQpcUnitary:
     def test_identity_for_full_transmission(self):
-        u = qpc_unitary(qpc_from_transmission(1.0))
+        u = qpc_unitary(1.0, 0.0, 0.0)
         assert np.allclose(u, np.eye(2), atol=1e-15)
 
     def test_balanced_splitter(self):
-        u = qpc_unitary(qpc_from_transmission(0.5))
+        u = qpc_unitary(0.5, 0.0, 0.0)
         expected = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2)
         assert np.allclose(u, expected, atol=1e-15)
 
     def test_unitarity_random(self, rng):
         for _ in range(200):
-            q = qpc_from_transmission(rng.uniform(0, 1), chi=rng.uniform(0, 7), xi=rng.uniform(0, 7))
-            u = qpc_unitary(q)
+            u = qpc_unitary(rng.uniform(0, 1), rng.uniform(0, 7), rng.uniform(0, 7))
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
 
@@ -127,26 +123,26 @@ class TestJointStatistics:
     def test_explicit_strong_point_matches_closed_form(self):
         det = balanced_mzi(0.0)
         sysm = balanced_mzi(0.0)
-        stats = joint_statistics(joint_amplitudes(det, sysm, math.pi))
+        stats = JointStatistics(joint_probability_table(det, sysm, math.pi))
         closed = JointStatistics(closed_form_table(det, sysm, math.pi))
         assert np.max(np.abs(stats.joint - closed.joint)) < 1e-12
 
     def test_dark_port(self):
         # balanced detector, zero tunings, zero coupling: P_D1 = 0
-        stats = joint_statistics(joint_amplitudes(balanced_mzi(0.0), balanced_mzi(0.3), 0.0))
+        stats = JointStatistics(joint_probability_table(balanced_mzi(0.0), balanced_mzi(0.3), 0.0))
         assert stats.p_detector(DetectorDrain.D1) == pytest.approx(0.0, abs=1e-15)
 
     def test_quarter_config_detector_marginals(self):
         det = balanced_mzi(math.pi / 2)
         sysm = balanced_mzi(0.4)  # delta_s1 = 0
-        stats = joint_statistics(joint_amplitudes(det, sysm, math.pi / 2))
+        stats = JointStatistics(joint_probability_table(det, sysm, math.pi / 2))
         assert stats.p_detector(DetectorDrain.D1) == pytest.approx(0.75, abs=1e-12)
         assert stats.p_detector(DetectorDrain.D2) == pytest.approx(0.25, abs=1e-12)
 
     def test_completeness_and_marginals(self, rng):
         for _ in range(300):
             det, sysm = random_mzi(rng), random_mzi(rng)
-            stats = joint_statistics(joint_amplitudes(det, sysm, rng.uniform(0, 2 * math.pi)))
+            stats = JointStatistics(joint_probability_table(det, sysm, rng.uniform(0, 2 * math.pi)))
             assert stats.joint.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(stats.joint.sum(axis=1), stats.detector_marginals, atol=1e-12)
             assert np.allclose(stats.joint.sum(axis=0), stats.system_marginals, atol=1e-12)
@@ -155,7 +151,7 @@ class TestJointStatistics:
         for _ in range(500):
             det, sysm = random_mzi(rng), random_mzi(rng)
             gamma = rng.uniform(0, 2 * math.pi)
-            stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
+            stats = JointStatistics(joint_probability_table(det, sysm, gamma))
             closed = JointStatistics(closed_form_table(det, sysm, gamma))
             assert np.max(np.abs(stats.joint - closed.joint)) < 1e-12
             assert np.max(np.abs(stats.detector_marginals - closed.detector_marginals)) < 1e-12
@@ -204,16 +200,11 @@ class TestJointStatistics:
         assert one == verdict(np.array([table]))
         assert one == (None if error is None else f"joint probabilities {error}")
 
-    def test_unnormalized_input_rejected(self):
-        bad = JointAmplitudes(np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex))
-        with pytest.raises(ValueError, match="not normalized"):
-            joint_statistics(bad)
-
     def test_second_qpc_phases_cancel(self, rng):
         for _ in range(100):
             det, sysm = random_mzi(rng), random_mzi(rng)
             gamma = rng.uniform(0, 2 * math.pi)
-            stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
+            p = squared_moduli(joint_amplitudes(det, sysm, gamma).c)
             det2 = InterferometerConfig(
                 det.qpc1,
                 qpc_from_transmission(det.qpc2.transmission, chi=0.0, xi=0.0),
@@ -224,8 +215,8 @@ class TestJointStatistics:
                 qpc_from_transmission(sysm.qpc2.transmission, chi=0.0, xi=0.0),
                 sysm.tuning_phase,
             )
-            stripped = joint_statistics(joint_amplitudes(det2, sys2, gamma))
-            assert np.max(np.abs(stats.joint - stripped.joint)) < 1e-12
+            stripped = squared_moduli(joint_amplitudes(det2, sys2, gamma).c)
+            assert np.max(np.abs(p - stripped)) < 1e-12
 
     def test_global_phase_immunity(self, rng):
         # adding a common phase to both rows of a second QPC shifts chi and xi together
@@ -233,13 +224,13 @@ class TestJointStatistics:
             det, sysm = random_mzi(rng), random_mzi(rng)
             gamma = rng.uniform(0, 2 * math.pi)
             theta = rng.uniform(0, 2 * math.pi)
-            stats = joint_statistics(joint_amplitudes(det, sysm, gamma))
+            p = squared_moduli(joint_amplitudes(det, sysm, gamma).c)
             shifted_qpc = qpc_from_transmission(
                 det.qpc2.transmission, chi=det.qpc2.chi + theta, xi=det.qpc2.xi + theta
             )
             shifted = InterferometerConfig(det.qpc1, shifted_qpc, det.tuning_phase)
-            stats2 = joint_statistics(joint_amplitudes(shifted, sysm, gamma))
-            assert np.max(np.abs(stats.joint - stats2.joint)) < 1e-12
+            p2 = squared_moduli(joint_amplitudes(shifted, sysm, gamma).c)
+            assert np.max(np.abs(p - p2)) < 1e-12
 
 
 class TestJointProbabilityTable:
@@ -330,7 +321,7 @@ class TestCurrentsAndNoise:
 
     def test_product_state_has_no_cross_noise(self, rng):
         det, sysm = random_mzi(rng), random_mzi(rng)
-        stats = joint_statistics(joint_amplitudes(det, sysm, 0.0))
+        stats = JointStatistics(joint_probability_table(det, sysm, 0.0))
         for d in DetectorDrain:
             for s in SystemDrain:
                 assert cross_noise_power(stats, d, s, BIAS) == pytest.approx(0.0, abs=1e-40)
@@ -339,7 +330,7 @@ class TestCurrentsAndNoise:
         q_open = qpc_from_transmission(1.0)
         sysm = InterferometerConfig(q_open, q_open, 0.0)  # excitation always reaches S1
         det = balanced_mzi(0.0)
-        stats = joint_statistics(joint_amplitudes(det, sysm, math.pi))
+        stats = JointStatistics(joint_probability_table(det, sysm, math.pi))
         for d in DetectorDrain:
             for s in SystemDrain:
                 assert cross_noise_power(stats, d, s, BIAS) == pytest.approx(0.0, abs=1e-40)
@@ -347,7 +338,7 @@ class TestCurrentsAndNoise:
     def test_correlated_table_antisymmetry(self, rng):
         det = balanced_mzi(0.0)
         sysm = balanced_mzi(0.9)
-        stats = joint_statistics(joint_amplitudes(det, sysm, math.pi))
+        stats = JointStatistics(joint_probability_table(det, sysm, math.pi))
         cov = np.array([
             [cross_noise_power(stats, d, s, BIAS) for s in SystemDrain] for d in DetectorDrain
         ])

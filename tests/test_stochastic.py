@@ -25,63 +25,60 @@ from coupled_mzi import (
     contextual_values,
     damping_eta,
     detector_params,
-    joint_amplitudes,
     joint_probability_table,
-    joint_statistics,
     measurement_operators,
     observation_time,
     povm_pair,
     qpc_from_transmission,
-    raised_cosine_pdf,
     sample_events,
 )
 from coupled_mzi import stochastic
 from coupled_mzi.params import DetectorDrain
 from conftest import (balanced_mzi, detector_drain_probabilities, random_mzi, random_stack,
                       stacked_experiment)
-from reference import closed_form_table
+from reference import closed_form_table, raised_cosine_pdf
 
 OBS = ObservableCoefficients()
 
 
 class TestRaisedCosine:
-    MODEL = CouplingModel(gamma=math.pi / 2, sigma=math.pi / 4)
+    GAMMA, SIGMA = math.pi / 2, math.pi / 4
 
     def test_peak_value(self):
-        assert raised_cosine_pdf(self.MODEL.gamma, self.MODEL) == pytest.approx(
-            1.0 / self.MODEL.sigma, abs=1e-15
+        assert raised_cosine_pdf(self.GAMMA, self.GAMMA, self.SIGMA) == pytest.approx(
+            1.0 / self.SIGMA, abs=1e-15
         )
 
     def test_support_edges(self):
-        assert raised_cosine_pdf(self.MODEL.gamma - self.MODEL.sigma, self.MODEL) == 0.0
-        assert raised_cosine_pdf(self.MODEL.gamma + self.MODEL.sigma, self.MODEL) == 0.0
-        assert raised_cosine_pdf(self.MODEL.gamma + 2.0, self.MODEL) == 0.0
+        assert raised_cosine_pdf(self.GAMMA - self.SIGMA, self.GAMMA, self.SIGMA) == 0.0
+        assert raised_cosine_pdf(self.GAMMA + self.SIGMA, self.GAMMA, self.SIGMA) == 0.0
+        assert raised_cosine_pdf(self.GAMMA + 2.0, self.GAMMA, self.SIGMA) == 0.0
 
     def test_normalization_quadrature(self):
         total, _ = quad(
-            lambda g: raised_cosine_pdf(g, self.MODEL),
-            self.MODEL.gamma - self.MODEL.sigma,
-            self.MODEL.gamma + self.MODEL.sigma,
+            lambda g: raised_cosine_pdf(g, self.GAMMA, self.SIGMA),
+            self.GAMMA - self.SIGMA,
+            self.GAMMA + self.SIGMA,
             limit=200,
         )
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_width_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            raised_cosine_pdf(1.0, CouplingModel(gamma=1.0, sigma=0.0))
+            raised_cosine_pdf(1.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="degenerate"):
-            raised_cosine_pdf(1.0, CouplingModel(gamma=1.0, sigma=np.array([0.5, 0.0])))
+            raised_cosine_pdf(1.0, 1.0, np.array([0.5, 0.0]))
 
     @pytest.mark.parametrize("model", [
-        CouplingModel(1.0, 0.5),
-        CouplingModel(np.array([0.4, 1.0, 1.5, 6.0]), 0.5),
-        CouplingModel(1.0, np.array([0.1, 0.5, 1.0, math.pi])),
+        (1.0, 0.5),
+        (np.array([0.4, 1.0, 1.5, 6.0]), 0.5),
+        (1.0, np.array([0.1, 0.5, 1.0, math.pi])),
     ])
     def test_stack_matches_scalar_calls(self, model):
         gamma_prime = np.array([1.0, 1.2, 2.0, 0.6])
-        density = raised_cosine_pdf(gamma_prime, model)
-        points = [raised_cosine_pdf(g, CouplingModel(*(np.broadcast_to(x, 4)[i].item() for x in (
-            model.gamma, model.sigma)))) for i, g in enumerate(gamma_prime.tolist())]
+        density = raised_cosine_pdf(gamma_prime, *model)
+        points = [raised_cosine_pdf(g, *(np.broadcast_to(x, 4)[i].item() for x in model))
+                  for i, g in enumerate(gamma_prime.tolist())]
         assert all(type(x) is float for x in points)
         assert density.shape == (4,) and np.array_equal(density, points)
         assert 0.0 in points and min(points) >= 0.0
@@ -115,11 +112,10 @@ class TestDampingEta:
 
     def test_near_pi_against_quadrature(self):
         sigma = math.pi - 1e-6
-        model = CouplingModel(gamma=math.pi, sigma=sigma)
         expected, _ = quad(
-            lambda g: raised_cosine_pdf(g, model) * math.cos(g - model.gamma),
-            model.gamma - sigma,
-            model.gamma + sigma,
+            lambda g: raised_cosine_pdf(g, math.pi, sigma) * math.cos(g - math.pi),
+            math.pi - sigma,
+            math.pi + sigma,
             limit=400,
         )
         assert damping_eta(sigma) == pytest.approx(expected, abs=1e-8)
@@ -164,9 +160,8 @@ class TestDampingEta:
             sigma = rng.uniform(0.1, math.pi - 0.05)
             if abs(math.cos(gamma + phi_d)) < 0.1:
                 continue
-            model = CouplingModel(gamma=gamma, sigma=sigma)
             averaged, _ = quad(
-                lambda g: raised_cosine_pdf(g, model) * math.cos(g + phi_d),
+                lambda g: raised_cosine_pdf(g, gamma, sigma) * math.cos(g + phi_d),
                 gamma - sigma,
                 gamma + sigma,
                 limit=400,
@@ -204,9 +199,8 @@ class TestAveragedDetectorParams:
         p = detector_params(det, gamma)
         averaged = averaged_detector_params(p, CouplingModel(gamma=gamma, sigma=sigma))
         assert averaged.Gamma == pytest.approx(8.0 / (3.0 * math.pi) * p.Gamma, abs=1e-12)
-        model = CouplingModel(gamma=gamma, sigma=sigma)
         expected, _ = quad(
-            lambda g: raised_cosine_pdf(g, model)
+            lambda g: raised_cosine_pdf(g, gamma, sigma)
             * math.sin(g / 2) * math.sin(g / 2 + det.tuning_phase),
             gamma - sigma,
             gamma + sigma,
@@ -255,7 +249,7 @@ def povm_oracle_weights(det, model: CouplingModel, obs: ObservableCoefficients):
 def averaged_table_oracle(det, sysm, model: CouplingModel) -> np.ndarray:
     """Oracle: the amplitude pipeline's joint table averaged by quadrature."""
     return np.array([[fluctuation_average(
-        lambda g, d=d, s=s: joint_statistics(joint_amplitudes(det, sysm, g)).joint[d, s], model)
+        lambda g, d=d, s=s: JointStatistics(joint_probability_table(det, sysm, g)).joint[d, s], model)
         for s in (0, 1)] for d in (0, 1)])
 
 
@@ -411,7 +405,7 @@ class TestAveragedJointTable:
 def quarter_stats():
     det = balanced_mzi(math.pi / 2)
     sysm = balanced_mzi(0.4)
-    return det, sysm, joint_statistics(joint_amplitudes(det, sysm, math.pi / 2))
+    return det, sysm, JointStatistics(joint_probability_table(det, sysm, math.pi / 2))
 
 
 def digest(codes):
@@ -507,13 +501,7 @@ def test_category_rule_matches_the_clamped_rule(probs, extra):
 
 class TestSampleEvents:
     def test_deterministic_distribution(self):
-        q_open_stats = joint_statistics(
-            joint_amplitudes(
-                balanced_mzi(0.0),
-                balanced_mzi(0.0),
-                0.0,
-            )
-        )
+        q_open_stats = JointStatistics(joint_probability_table(balanced_mzi(0.0), balanced_mzi(0.0), 0.0))
         # D1 is dark here; all mass sits on D2 rows
         codes = sample_events(q_open_stats, 500, seed=7)
         assert np.all(codes >= 2)
@@ -535,7 +523,7 @@ class TestSampleEvents:
         assert codes.max() <= 3
 
     def test_uniform_frequencies_within_binomial_bounds(self):
-        stats = joint_statistics(joint_amplitudes(balanced_mzi(0.0), balanced_mzi(0.0), math.pi))
+        stats = JointStatistics(joint_probability_table(balanced_mzi(0.0), balanced_mzi(0.0), math.pi))
         assert np.allclose(stats.joint, 0.25, atol=1e-12)
         n = 1_000_000
         codes = sample_events(stats, n, seed=20240817)
