@@ -16,7 +16,7 @@ from .conditioning import (
     weak_value,
     xi_joint_interference,
 )
-from .config import ExperimentConfig, ScanSpec, evaluate_number, load_config, load_config_text
+from .config import ExperimentConfig, evaluate_number, load_config, load_config_text
 from .errors import (
     AmbiguousMeasurementError,
     ConfigError,

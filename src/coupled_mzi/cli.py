@@ -32,14 +32,7 @@ from functools import cache, cached_property, partial
 import numpy as np
 
 from .conditioning import post_selected_average, require_post_selection
-from .config import (
-    ExperimentConfig,
-    ScanSpec,
-    check_sweep_domain,
-    evaluate_number,
-    load_config,
-    swept,
-)
+from .config import SWEEPS, ExperimentConfig, check_sweep_domain, evaluate_number, load_config, swept
 from .errors import (
     AmbiguousMeasurementError,
     ConfigError,
@@ -345,29 +338,58 @@ def _evaluate(config: ExperimentConfig, parameter: str, grid: np.ndarray,
     return _table_csv([parameter, *names], np.column_stack([grid, *columns]))
 
 
+# The most grid points or events that a request may ask for.  numpy counts a
+# grid in doubles, which hold every integer only up to 2**53, and 2**53 one-byte
+# event codes take 8 PiB already.  A smaller count that no allocation can hold
+# raises MemoryError, which ``main`` reports with the same words.
+_MAX_COUNT = 2**53
+
+
+def _require_fits(count: int, what: str) -> None:
+    if count > _MAX_COUNT:
+        raise ConfigError(f"the request does not fit in memory: {count} {what}")
+
+
 def _grid(minimum: float, maximum: float, count: int) -> np.ndarray:
+    _require_fits(count, "grid points")
     grid = np.linspace(minimum, maximum, count)
     # clamp endpoint rounding so domain-validated values stay in range
     grid[0], grid[-1] = minimum, maximum
     return grid
 
 
-def run_scan(spec: ScanSpec) -> str:
-    """CSV document for a one-parameter scan; rows follow grid order."""
-    for name in spec.quantities:
+def run_scan(config: ExperimentConfig, parameter: str, minimum: float, maximum: float, count: int,
+             quantities: tuple[str, ...]) -> str:
+    """CSV document for a one-parameter scan of ``count`` points from
+    ``minimum`` to ``maximum``; rows follow grid order.
+
+    Raises ``ConfigError``, in this order, for a parameter not in
+    ``SWEEPS``, fewer than 2 points, a minimum not below the maximum, a range
+    outside the parameter's domain, a quantity not in ``QUANTITIES`` and a
+    count too large to hold.
+    """
+    if parameter not in SWEEPS:
+        raise ConfigError(f"unknown sweep parameter {parameter!r}; choose from {', '.join(SWEEPS)}")
+    if count < 2:
+        raise ConfigError("sweep needs at least 2 grid points")
+    if not minimum < maximum:
+        raise ConfigError("sweep minimum must be below maximum")
+    check_sweep_domain(parameter, minimum, maximum)
+    for name in quantities:
         if name not in _QUANTITIES:
-            raise ConfigError(
-                f"unknown quantity {name!r}; choose from {', '.join(QUANTITIES)}"
-            )
-    grid = _grid(spec.minimum, spec.maximum, spec.count)
-    return _evaluate(spec.config, spec.parameter, grid, spec.quantities)
+            raise ConfigError(f"unknown quantity {name!r}; choose from {', '.join(QUANTITIES)}")
+    return _evaluate(config, parameter, _grid(minimum, maximum, count), quantities)
 
 
 def run_erasure(config: ExperimentConfig, minimum: float, maximum: float, count: int) -> str:
     """CSV of unconditioned and conditional system fringes over phi_s.
 
     The bounds may come in either order; both must lie in the phi_s domain.
+    Raises ``ConfigError`` for fewer than 2 points, bounds outside the
+    domain and a count too large to hold.
     """
+    if count < 2:
+        raise ConfigError("sweep needs at least 2 grid points")
     check_sweep_domain("phi_s", min(minimum, maximum), max(minimum, maximum))
     grid = _grid(minimum, maximum, count)
     return _evaluate(config, "phi_s", grid, ("P_S1", "P_S1_given_D1", "P_S1_given_D2"))
@@ -383,8 +405,14 @@ def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
     bundle, as ``scan``'s ``alpha_*`` columns do, so they invert the table's
     drain probabilities.  When the config carries a budget section the
     report includes the observation-time bound.  A report that is not finite
-    exits as a configuration error.
+    exits as a configuration error, and so do an ``n`` below 1 or too large
+    to hold and a ``seed`` outside ``[0, 2**64)``.
     """
+    if n < 1:
+        raise ConfigError("--n must be at least 1")
+    if not 0 <= seed < 2**64:
+        raise ConfigError("--seed must be a 64-bit unsigned integer in [0, 2**64)")
+    _require_fits(n, "events")
     det, coupling = config.detector, config.coupling
     cv = contextual_values(config.observable, averaged_detector_params(detector_params(det, coupling.gamma), coupling))
     stats = averaged_joint_table(det, config.system, coupling)
@@ -564,26 +592,19 @@ def main(argv: list[str] | None = None) -> int:
             quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
             if not quantities:
                 raise ConfigError("--quantities must name at least one quantity")
-            spec = ScanSpec(parameter=name, minimum=lo, maximum=hi, count=count,
-                            config=config, quantities=quantities)
-            _write_output(run_scan(spec), args.out)
+            text = run_scan(config, name, lo, hi, count, quantities)
         elif args.command == "montecarlo":
-            if args.n < 1:
-                raise ConfigError("--n must be at least 1")
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("--seed must be a 64-bit unsigned integer in [0, 2**64)")
-            _write_output(run_montecarlo(config, args.n, args.seed), args.out)
+            text = run_montecarlo(config, args.n, args.seed)
         elif args.command == "povm":
-            _write_output(run_povm(config), args.out)
+            text = run_povm(config)
         elif args.command == "erasure":
             name, lo, hi, count = _parse_sweep_flag(args.sweep)
             if name != "phi_s":
                 raise ConfigError("erasure sweeps phi_s only")
-            if count < 2:
-                raise ConfigError("sweep needs at least 2 grid points")
-            _write_output(run_erasure(config, lo, hi, count), args.out)
-        elif args.command == "interaction-phase":
-            _write_output(run_interaction_phase(config), args.out)
+            text = run_erasure(config, lo, hi, count)
+        else:
+            text = run_interaction_phase(config)
+        _write_output(text, args.out)
         return 0
     except CoupledMziError as exc:
         label, code = next(_EXITS[kind] for kind in type(exc).__mro__ if kind in _EXITS)

@@ -66,7 +66,7 @@ def post_selected_average(cv: ContextualValues, stats: JointStatistics, conditio
         average = cv.alpha_d1 * (joint[..., 0, s] / p_s) + cv.alpha_d2 * (joint[..., 1, s] / p_s)
     if np.isinf(average).any():
         raise ObservableRangeError()
-    return average
+    return _number(average)
 
 
 def xi_joint_interference(det: InterferometerConfig, sys: InterferometerConfig, gamma):
@@ -125,7 +125,7 @@ def conditioned_average(
     cv = contextual_values(obs, detector_params(det, gamma))
     stats = JointStatistics(joint_probability_table(det, sys, gamma))
     require_post_selection({condition: stats.p_system(condition)})
-    return _number(post_selected_average(cv, stats, condition))
+    return post_selected_average(cv, stats, condition)
 
 
 def _zero_coupling(sys: InterferometerConfig, condition: SystemDrain):

@@ -114,30 +114,6 @@ class ExperimentConfig:
     budget: ObservationBudget | None = None
 
 
-@dataclass(frozen=True)
-class ScanSpec:
-    """One-parameter scan request over a validated base configuration."""
-
-    parameter: str
-    minimum: float
-    maximum: float
-    count: int
-    config: ExperimentConfig
-    quantities: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.parameter not in SWEEPS:
-            raise ConfigError(
-                f"unknown sweep parameter {self.parameter!r}; "
-                f"choose from {', '.join(SWEEPS)}"
-            )
-        if self.count < 2:
-            raise ConfigError("sweep needs at least 2 grid points")
-        if not self.minimum < self.maximum:
-            raise ConfigError("sweep minimum must be below maximum")
-        check_sweep_domain(self.parameter, self.minimum, self.maximum)
-
-
 def check_sweep_domain(parameter: str, minimum: float, maximum: float) -> None:
     """Raise ``ConfigError`` unless ``[minimum, maximum]`` lies in the
     domain of the sweepable ``parameter``."""

@@ -85,7 +85,7 @@ def wavenumber_shift(separation: float, geom: InteractionGeometry) -> float:
     over the sum coordinate across the interaction region reproduces
     :func:`coupling_phase`.
     """
-    if separation <= 0:
+    if not separation > 0:  # NaN fails
         raise ValueError("separation must be positive")
     return _coulomb_rate(separation, geom) / geom.propagation_speed
 
@@ -96,9 +96,9 @@ def dynamical_phase(fermi_energy: float, length: float, fermi_velocity: float) -
     ``fermi_energy`` in joules.  A copropagating pair accumulates twice
     this value.
     """
-    if fermi_energy <= 0 or fermi_velocity <= 0:
+    if not (fermi_energy > 0 and fermi_velocity > 0):  # NaN fails
         raise ValueError("energy and velocity must be positive")
-    if length < 0:
+    if not length >= 0:
         raise ValueError("length must be non-negative")
     return 2.0 * fermi_energy * length / (HBAR * fermi_velocity)
 
@@ -109,7 +109,7 @@ def sequential_phase(energy: float, t1: float, t2: float) -> float:
     This is a global phase of the collapsed joint state: it must not (and
     does not) change any drain statistics.
     """
-    if t2 < t1:
+    if not t2 >= t1:  # NaN fails
         raise ValueError("second detection cannot precede the first")
     return energy * (t2 - t1) / HBAR
 

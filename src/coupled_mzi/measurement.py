@@ -20,12 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AmbiguousMeasurementError, ObservableRangeError
-from .params import (
-    DetectorParams,
-    InterferometerConfig,
-    ObservableCoefficients,
-    detector_params,
-)
+from .params import DetectorParams, InterferometerConfig, ObservableCoefficients, _plain, detector_params
 from .scattering import detector_drain_amplitudes
 
 DIVERGENCE_THRESHOLD = 1e-9
@@ -137,8 +132,9 @@ def povm_expectation(povm: PovmPair, state: np.ndarray) -> tuple:
     of POVMs and a stack of states ``(..., 2)`` broadcast together."""
     z = np.asarray(state, dtype=complex)
     weights = z.real * z.real + z.imag * z.imag
+    diagonals = np.asarray((povm.diag_d1, povm.diag_d2))
     # axis 0 of the diagonals is the drain, axis 1 the path: vecdot has np.dot's bits
-    return tuple(np.vecdot(np.asarray((povm.diag_d1, povm.diag_d2)), weights, axes=[(1,), (-1,), ()]))
+    return tuple(map(_plain, np.vecdot(diagonals, weights, axes=[(1,), (-1,), ()])))
 
 
 @dataclass(frozen=True)
@@ -192,7 +188,7 @@ def contextual_values_or_nan(obs: ObservableCoefficients, p: DetectorParams) -> 
     ambiguous = abs(v * g) <= DIVERGENCE_THRESHOLD
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         weights = _weights(obs, replace(p, visibility=v, Gamma=g), ambiguous)
-    return ContextualValues(*(np.where(ambiguous, np.nan, w) for w in weights))
+    return ContextualValues(*(_plain(np.where(ambiguous, np.nan, w)) for w in weights))
 
 
 def _weights(obs: ObservableCoefficients, p, ambiguous=False) -> tuple:

@@ -135,7 +135,7 @@ def concurrence(det_qpc1: QpcSetting, sys_qpc1: QpcSetting, gamma):
     balanced first QPCs at ``gamma = pi``, vanishing as ``gamma -> 0``.
     ``gamma`` and the contacts' fields may be arrays.
     """
-    return det_qpc1.epsilon * sys_qpc1.epsilon * np.abs(np.sin(gamma / 2.0))
+    return _plain(det_qpc1.epsilon * sys_qpc1.epsilon * np.abs(np.sin(gamma / 2.0)))
 
 
 @dataclass(frozen=True)
@@ -248,12 +248,12 @@ class PhysicalBias:
     fermi_energy: float  # electronvolts
     temperature: float  # kelvin
 
-    def __post_init__(self):
-        if self.bias_voltage <= 0.0:
+    def __post_init__(self):  # every comparison with NaN is false, so NaN fails
+        if not self.bias_voltage > 0.0:
             raise ValueError("bias voltage must be positive")
-        if self.fermi_energy <= 0.0:
+        if not self.fermi_energy > 0.0:
             raise ValueError("Fermi energy must be positive")
-        if self.temperature < 0.0:
+        if not self.temperature >= 0.0:
             raise ValueError("temperature must be non-negative")
 
 

@@ -2,7 +2,7 @@
 
 The tests' oracles for the amplitude pipeline: the closed-form joint drain
 table (acceptance criterion 02 and the closed-form checks), the detector's
-transfer matrix as a product of QPC unitaries (the detector rows), and the
+transfer matrix and the joint table as products of QPC unitaries, and the
 raised-cosine coupling density (the quadrature oracles of the fluctuation
 average).  It reads only the fields of the configs it is given
 (transmissions, reflections, scattering and tuning phases) and imports
@@ -53,6 +53,22 @@ def detector_transfer(det, gamma, arm) -> np.ndarray:
     u1 = qpc_unitary(det.qpc1.transmission, 0.0, 0.0)
     u2 = qpc_unitary(det.qpc2.transmission, det.qpc2.chi, det.qpc2.xi)
     return u1 @ np.diag([cmath.exp(1j * (det.tuning_phase + gamma * arm)), 1.0]) @ u2
+
+
+def unitary_table(det, sys, gamma) -> np.ndarray:
+    """The joint drain table ``|c|^2``, indexed ``[detector drain, system
+    drain]``, of the paper's product of unitaries: ``c[D, S] = sum_a psi[a]
+    M_a[0, D] U2[a, S]``.  ``psi`` is row 0 of ``U1 diag(e^{i phi_s}, 1)``,
+    the system's arms after its first QPC, ``M_a`` the detector's transfer
+    matrix while the system is on arm ``a`` (:func:`detector_transfer`) and
+    ``U2`` the system's second QPC.  Unlike the package's cells, these
+    amplitudes carry the second QPCs' phases, and the table is not divided
+    by its sum."""
+    u1 = qpc_unitary(sys.qpc1.transmission, 0.0, 0.0)
+    psi = (u1 @ np.diag([cmath.exp(1j * sys.tuning_phase), 1.0]))[0]
+    u2 = qpc_unitary(sys.qpc2.transmission, sys.qpc2.chi, sys.qpc2.xi)
+    c = sum(psi[a] * np.outer(detector_transfer(det, gamma, a)[0], u2[a]) for a in (0, 1))
+    return c.real * c.real + c.imag * c.imag
 
 
 def raised_cosine_pdf(g, gamma, sigma):

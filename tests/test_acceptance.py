@@ -45,12 +45,13 @@ from conftest import (
     SIGMA_3,
     amplitude_concurrence,
     balanced_mzi,
+    mzi,
     random_mzi,
     random_stack,
     squared_moduli,
     stacked_experiment,
 )
-from reference import closed_form_table, raised_cosine_pdf
+from reference import closed_form_table, raised_cosine_pdf, unitary_table
 
 OBS = ObservableCoefficients()
 
@@ -62,14 +63,19 @@ def report(criterion: int, label: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_dual_pipeline_equality():
-    det, sysm, gamma = stacked_experiment(random_stack(np.random.default_rng(101), 10_000))
+    draws = random_stack(np.random.default_rng(101), 10_000)
+    det, sysm, gamma = stacked_experiment(draws)
     stats = JointStatistics(joint_probability_table(det, sysm, gamma))
     povm = povm_pair(measurement_operators(det, gamma))
     p1, p2 = povm_expectation(povm, reduced_system_state(sysm))
     worst = float(max(np.max(np.abs(stats.p_detector(DetectorDrain.D1) - p1)),
                       np.max(np.abs(stats.p_detector(DetectorDrain.D2) - p2))))
-    report(1, "dual-pipeline drain probability equality", worst < 1e-12,
-           f"max |amplitude - POVM| = {worst:.3e} over 10^4 configs")
+    # the independent route: the paper's product of QPC unitaries, point by point
+    unitaries = np.array([unitary_table(mzi(*row[:7]), mzi(*row[7:14]), row[14]) for row in draws.tolist()])
+    worst_unitaries = float(np.max(np.abs(stats.joint - unitaries)))
+    report(1, "dual-pipeline drain probability equality", worst < 1e-12 and worst_unitaries < 1e-12,
+           f"max |amplitude - POVM| = {worst:.3e}, max |amplitude - unitaries| = {worst_unitaries:.3e} "
+           "over 10^4 configs")
 
 
 def test_criterion_02_closed_form_probability_match():

@@ -15,6 +15,7 @@ from test_config import GOLDEN, mutated_configs
 from coupled_mzi import cli, conditioning, measurement, params, scattering, stochastic
 from coupled_mzi.cli import main
 from coupled_mzi.config import SWEEPS, load_config, swept
+from coupled_mzi.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "unbalanced.conf"
@@ -743,6 +744,29 @@ class TestInteractionPhase:
         assert "dynamical phase" in err
 
 
+@pytest.mark.parametrize("command, line", [
+    (["scan", "--sweep", "voltage:0:1:3", "--quantities", "P_D1"],
+     "unknown sweep parameter 'voltage'; choose from gamma, phi_d, phi_s, delta_s1, sigma"),
+    (["scan", "--sweep", "gamma:0:1:1", "--quantities", "P_D1"], "sweep needs at least 2 grid points"),
+    (["erasure", "--sweep", "phi_s:0:1:1"], "sweep needs at least 2 grid points"),
+    (["scan", "--sweep", "gamma:1:1:3", "--quantities", "P_D1"], "sweep minimum must be below maximum"),
+    (["scan", "--sweep", "gamma:0:1", "--quantities", "P_D1"], "--sweep expects NAME:MIN:MAX:COUNT"),
+    (["scan", "--sweep", "gamma:0:1:2.5", "--quantities", "P_D1"], "sweep count '2.5' is not an integer"),
+    (["scan", "--sweep", "gamma:0:1:3", "--quantities", ","], "--quantities must name at least one quantity"),
+    (["scan", "--sweep", "gamma:0:1:3", "--quantities", "P_D1,P_D7"],
+     f"unknown quantity 'P_D7'; choose from {', '.join(cli.QUANTITIES)}"),
+    (["erasure", "--sweep", "gamma:0:1:5"], "erasure sweeps phi_s only"),
+    (["montecarlo", "--n", "0"], "--n must be at least 1"),
+    (["montecarlo", "--seed", "18446744073709551616"],
+     "--seed must be a 64-bit unsigned integer in [0, 2**64)"),
+], ids=["unknown-parameter", "scan-count-1", "erasure-count-1", "empty-range", "malformed-sweep",
+        "count-not-integer", "no-quantities", "unknown-quantity", "erasure-other-parameter", "n-0",
+        "seed-65-bits"])
+def test_request_error_is_one_config_error_line(config_path, capsys, command, line):
+    code, out, err = run_cli([*command, "--config", config_path], capsys)
+    assert (code, out, err) == (2, "", f"config error: {line}\n")
+
+
 UNALLOCATABLE = str(10**18)  # fails inside malloc at once; no count that really allocates
 
 
@@ -750,12 +774,40 @@ UNALLOCATABLE = str(10**18)  # fails inside malloc at once; no count that really
     ["scan", "--sweep", f"gamma:0:1:{UNALLOCATABLE}", "--quantities", "P_D1"],
     ["erasure", "--sweep", f"phi_s:0:1:{UNALLOCATABLE}"],
     ["montecarlo", "--n", UNALLOCATABLE],
-], ids=["scan", "erasure", "montecarlo"])
+    # counts past what numpy can index or count exactly in doubles
+    ["scan", "--sweep", f"gamma:0:1:{2**63 - 1}", "--quantities", "P_D1"],
+    ["scan", "--sweep", f"gamma:0:1:{'9' * 20}", "--quantities", "P_D1"],
+    ["erasure", "--sweep", f"phi_s:0:1:{'9' * 20}"],
+    ["montecarlo", "--n", str(2**63)],
+    ["montecarlo", "--n", str(2**63 - 1)],
+], ids=["scan", "erasure", "montecarlo", "scan-int64-max", "scan-20-digits", "erasure-20-digits",
+        "montecarlo-2**63", "montecarlo-int64-max"])
 def test_unallocatable_size_is_config_error(capsys, command):
-    code, out, err = run_cli([*command, "--config", str(GOLDEN_CONFIG)], capsys)
+    code, out, err = run_cli([*command, "--config", str(CONFIGS / "strong_measurement.conf")], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("config error:") and "memory" in err
+    assert err.startswith("config error: the request does not fit in memory: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda c: cli.run_scan(c, "voltage", 0.0, 1.0, 3, ("P_D1",)),
+     "unknown sweep parameter 'voltage'; choose from gamma, phi_d, phi_s, delta_s1, sigma"),
+    (lambda c: cli.run_scan(c, "gamma", 1.0, 0.0, 3, ("P_D1",)), "sweep minimum must be below maximum"),
+    (lambda c: cli.run_scan(c, "gamma", 0.0, 1.0, 3, ("P_D7",)),
+     f"unknown quantity 'P_D7'; choose from {', '.join(cli.QUANTITIES)}"),
+    (lambda c: cli.run_erasure(c, 0.0, 1.0, 0), "sweep needs at least 2 grid points"),
+    (lambda c: cli.run_erasure(c, 0.0, 1.0, 2**63),
+     "the request does not fit in memory: 9223372036854775808 grid points"),
+    (lambda c: cli.run_montecarlo(c, 0, 7), "--n must be at least 1"),
+    (lambda c: cli.run_montecarlo(c, 10, 2**64), "--seed must be a 64-bit unsigned integer in [0, 2**64)"),
+    (lambda c: cli.run_montecarlo(c, 2**63, 7), "the request does not fit in memory: 9223372036854775808 events"),
+], ids=["scan-parameter", "scan-range", "scan-quantity", "erasure-count", "erasure-size", "montecarlo-n",
+        "montecarlo-seed", "montecarlo-size"])
+def test_run_function_checks_its_request(call, message):
+    """A library call of a ``run_*`` function gets the CLI's check and message."""
+    with pytest.raises(ConfigError) as raised:
+        call(load_config(str(GOLDEN_CONFIG)))
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("command", [

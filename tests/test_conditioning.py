@@ -13,7 +13,6 @@ from coupled_mzi import (
     JointStatistics,
     ObservableRangeError,
     PostSelectionImpossibleError,
-    ScanSpec,
     conditioned_average,
     contextual_values,
     post_selected_average,
@@ -44,7 +43,7 @@ def scan_columns(det, sysm, gamma, sweep, quantities):
     """The ``scan`` table of ``quantities`` over ``sweep = (parameter, lo, hi,
     count)``, one column per quantity after the swept one."""
     config = ExperimentConfig(det, sysm, CouplingModel(gamma), OBS)
-    return read_table(run_scan(ScanSpec(*sweep, config, tuple(quantities))))
+    return read_table(run_scan(config, *sweep, tuple(quantities)))
 
 
 def read_table(text):

@@ -42,7 +42,6 @@ INIT_FIELDS = {
     "PhysicalBias": ("bias_voltage", "fermi_energy", "temperature"),
     "PovmPair": ("diag_d1", "diag_d2"),
     "QpcSetting": ("transmission", "reflection", "chi", "xi"),
-    "ScanSpec": ("parameter", "minimum", "maximum", "count", "config", "quantities"),
     "SystemParams": ("beta_plus", "beta_minus", "visibility", "Gamma", "Delta"),
 }
 """Constructor fields of every dataclass the package exports: the

@@ -122,6 +122,10 @@ class TestWavenumberShift:
         with pytest.raises(ValueError):
             wavenumber_shift(0.0, GEOM)
 
+    def test_nan_separation_rejected(self):
+        with pytest.raises(ValueError, match="^separation must be positive$"):
+            wavenumber_shift(math.nan, GEOM)
+
 
 class TestDynamicalPhase:
     FERMI_J = 10e-3 * ELEMENTARY_CHARGE  # 10 meV
@@ -144,6 +148,15 @@ class TestDynamicalPhase:
         with pytest.raises(ValueError):
             dynamical_phase(self.FERMI_J, -1e-6, 1e5)
 
+    @pytest.mark.parametrize("arguments, message", [
+        ((math.nan, 1.0, 1.0), "energy and velocity must be positive"),
+        ((1.0, 1.0, math.nan), "energy and velocity must be positive"),
+        ((1.0, math.nan, 1.0), "length must be non-negative"),
+    ], ids=["energy", "velocity", "length"])
+    def test_nan_rejected(self, arguments, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dynamical_phase(*arguments)
+
 
 class TestSequentialPhase:
     ENERGY = 10e-3 * ELEMENTARY_CHARGE
@@ -158,6 +171,11 @@ class TestSequentialPhase:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             sequential_phase(self.ENERGY, 2e-9, 1e-9)
+
+    @pytest.mark.parametrize("t1, t2", [(math.nan, 1e-9), (1e-9, math.nan)], ids=["t1", "t2"])
+    def test_nan_time_rejected(self, t1, t2):
+        with pytest.raises(ValueError, match="^second detection cannot precede the first$"):
+            sequential_phase(self.ENERGY, t1, t2)
 
     def test_global_phase_leaves_statistics_unchanged(self, rng):
         for _ in range(50):

@@ -10,6 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "coupled_mzi"
 
 ALLOWED_PRIVATE_IMPORTS = {
+    ("measurement", "params", "_plain"),
     ("scattering", "params", "_plain"),
 }
 """``(importer, module, name)`` of every private name one package module

@@ -22,7 +22,9 @@ from coupled_mzi import (
     JointStatistics,
     ObservableCoefficients,
     ObservableRangeError,
+    PhysicalBias,
     PostSelectionImpossibleError,
+    average_current,
     averaged_detector_params,
     averaged_joint_table,
     concurrence,
@@ -38,12 +40,15 @@ from coupled_mzi import (
     joint_probability_table,
     load_config,
     measurement_operators,
+    post_selected_average,
     povm_expectation,
     povm_pair,
     qpc_from_angle,
     qpc_from_transmission,
+    reconstruct_average,
     reduced_system_state,
     semiweak_value,
+    system_params,
     weak_value,
     xi_joint_interference,
 )
@@ -54,7 +59,7 @@ from coupled_mzi.measurement import DIVERGENCE_THRESHOLD
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from coupled_mzi.scattering import ELEMENTARY_CHARGE, PLANCK_CONSTANT
 from conftest import SIGMA_0, SIGMA_3, mzi
-from reference import closed_form_table, detector_transfer
+from reference import closed_form_table, detector_transfer, unitary_table
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "unbalanced.conf"
 TWO_PI = 2.0 * math.pi
@@ -130,6 +135,33 @@ def test_detector_rows_are_the_product_of_unitaries(det, gamma):
     c = detector_drain_amplitudes(det, gamma)
     for arm in (0, 1):
         assert np.max(np.abs(c[:, arm] - detector_transfer(det, gamma, arm)[0])) <= DETECTOR_ROW_BOUND
+
+
+# joint_probability_table and reference.unitary_table take the same doubles,
+# as the detector rows do.  To first order, in modulus, with every product of
+# moduli at most 1, since t_s T_2 + r_s R_2 <= 1 (S1) and t_s R_2 + r_s T_2 <= 1
+# (S2), and with the rows' bounds above:
+# - the package's cell c[D, S1] = X_L t_s T_2 e^{i phi_s} - X_U r_s R_2 (S2
+#   alike): the rows X within 9.2u, t_s T_2 and r_s R_2 within 3u, and t_s T_2
+#   e^{i phi_s} within 6u; the complex product adds 2.8u, the real one u and
+#   the last difference u: 19.1u.
+# - the reference's: psi = (t_s e^{i phi_s}, i r_s) within 4u and u, the rows
+#   M_a[0, D] within 15.6u and U2 within 4u; two complex products add 5.7u and
+#   the sum u: 30.3u.
+# - |c|^2 then differs by 2 |c| (19.1u + 30.3u) <= 98.8u, and each route's
+#   squares add 2u.  The package divides by the sum of its four squares, which
+#   is within 2 (19.1u) sum |c| + 5u <= 81.4u of 1 (sum |c| <= 2), and the
+#   division adds u: 82.4u.
+JOINT_TABLE_BOUND = 186 * 2.0**-53
+
+
+@settings(max_examples=200, deadline=None)
+@given(det=interferometers(), sysm=interferometers(), gamma=couplings)
+def test_joint_table_is_the_product_of_unitaries(det, sysm, gamma):
+    """The joint table is ``|c|^2`` of ``c[D, S] = sum_a psi[a] M_a[0, D]
+    U2[a, S]``, built from the QPC unitaries outside the package."""
+    table = joint_probability_table(det, sysm, gamma)
+    assert np.max(np.abs(table - unitary_table(det, sysm, gamma))) <= JOINT_TABLE_BOUND
 
 
 NEAR_DARK = InterferometerConfig(qpc_from_transmission(0.5), qpc_from_transmission(0.5), 1e-9)
@@ -254,6 +286,68 @@ def test_stacked_conditioning_matches_scalar_points_bit_for_bit(points, conditio
             for got, want in zip(stacked, values, strict=True):
                 assert got.shape == (len(rows),), name
                 assert np.array_equal(got[i], want), (name, point)
+
+
+BIAS = PhysicalBias(1e-4, 1e-2, 0.02)  # the shipped configs' bias point, inside the low-bias regime
+
+
+def _qpc_numbers(q) -> list:
+    return [*astuple(q), q.theta]
+
+
+def _one_configuration_calls(det, sysm, model, condition, n) -> dict:
+    """Every function that README lists as broadcasting, as a call that
+    returns a list of what it gives for one configuration, and the type of
+    those values: a Python number, or an ndarray where the value is a table
+    or a state.  ``require_post_selection`` returns nothing and is left out."""
+    gamma, q, obs = model.gamma, det.qpc1, ObservableCoefficients()
+    raw = detector_params(det, gamma)
+    stats = averaged_joint_table(det, sysm, model)
+    m = measurement_operators(det, gamma)
+    povm = povm_pair(m)
+    cv = contextual_values_or_nan(obs, raw)
+    p_d1, p_d2 = map(stats.p_detector, DetectorDrain)
+    return {
+        "qpc_from_transmission": (lambda: _qpc_numbers(qpc_from_transmission(q.transmission, q.chi, q.xi)),
+                                  float),
+        "qpc_from_angle": (lambda: _qpc_numbers(qpc_from_angle(q.theta, q.chi, q.xi)), float),
+        "detector_params": (lambda: list(astuple(raw)), float),
+        "system_params": (lambda: list(astuple(system_params(sysm, gamma))), float),
+        "averaged_detector_params": (lambda: list(astuple(averaged_detector_params(raw, model))), float),
+        "damping_eta": (lambda: [damping_eta(model.sigma)], float),
+        "concurrence": (lambda: [concurrence(det.qpc1, sysm.qpc1, gamma)], float),
+        "reduced_system_state": (lambda: [reduced_system_state(sysm)], np.ndarray),
+        "detector_drain_amplitudes": (lambda: [detector_drain_amplitudes(det, gamma)], np.ndarray),
+        "joint_amplitudes": (lambda: [joint_amplitudes(det, sysm, gamma).c], np.ndarray),
+        "cross_noise_power": (lambda: [cross_noise_power(stats, d, s, BIAS)
+                                       for d in DetectorDrain for s in SystemDrain], float),
+        "joint_probability_table": (lambda: [joint_probability_table(det, sysm, gamma)], np.ndarray),
+        "averaged_joint_table": (lambda: [stats.joint], np.ndarray),
+        "measurement_operators": (lambda: [*m.diag_d1, *m.diag_d2], complex),
+        "povm_pair": (lambda: [*povm.diag_d1, *povm.diag_d2], float),
+        "povm_expectation": (lambda: list(povm_expectation(povm, reduced_system_state(sysm))), float),
+        "contextual_values": (lambda: list(astuple(contextual_values(obs, raw))), float),
+        "contextual_values_or_nan": (lambda: list(astuple(cv)), float),
+        "reconstruct_average": (lambda: [reconstruct_average(cv, p_d1, p_d2)], float),
+        # a marginal can round an ulp past 1, which average_current rejects
+        "average_current": (lambda: [average_current(min(p_d1, 1.0), BIAS)], float),
+        "post_selected_average": (lambda: [post_selected_average(cv, stats, condition)], float),
+        **_conditioning_calls(det, sysm, gamma, condition, n),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields=experiment_fields, n=st.integers(-3, 3), condition=st.sampled_from(SystemDrain))
+def test_one_configuration_gives_python_numbers(fields, n, condition):
+    """Scalar inputs give Python numbers from every broadcasting function;
+    only a table or a state is an array."""
+    det, sysm, model = _experiment(fields)
+    for name, (call, kind) in _one_configuration_calls(det, sysm, model, condition, n).items():
+        try:
+            values = call()
+        except (AmbiguousMeasurementError, PostSelectionImpossibleError, ObservableRangeError):
+            continue
+        assert {type(x) for x in values} == {kind}, name
 
 
 @settings(max_examples=100, deadline=None)

@@ -314,6 +314,15 @@ class TestCurrentsAndNoise:
             PhysicalBias(bias_voltage=10e-6, fermi_energy=fermi_energy, temperature=temperature)
         PhysicalBias(bias_voltage=10e-6, fermi_energy=10e-3, temperature=0.0)
 
+    @pytest.mark.parametrize("fields, message", [
+        ((math.nan, 10e-3, 0.01), "bias voltage must be positive"),
+        ((10e-6, math.nan, 0.01), "Fermi energy must be positive"),
+        ((10e-6, 10e-3, math.nan), "temperature must be non-negative"),
+    ], ids=["voltage", "fermi-energy", "temperature"])
+    def test_nan_bias_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PhysicalBias(*fields)
+
     def test_regime_warning(self):
         hot = PhysicalBias(bias_voltage=10e-6, fermi_energy=10e-3, temperature=4.0)
         with pytest.warns(UserWarning, match="low-bias"):
