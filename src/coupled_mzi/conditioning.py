@@ -23,6 +23,7 @@ from .params import (
     InterferometerConfig,
     ObservableCoefficients,
     SystemDrain,
+    _plain,
     detector_params,
     joint_interference_params,
     system_params,
@@ -30,11 +31,6 @@ from .params import (
 from .scattering import JointStatistics, joint_probability_table
 
 _MARGINAL_THRESHOLD = 1e-12
-
-
-def _number(x, kind=float):
-    """``x`` made a Python ``kind`` when it is a scalar; arrays pass."""
-    return x if np.ndim(x) else kind(x)
 
 
 def require_post_selection(marginals: dict) -> None:
@@ -66,7 +62,7 @@ def post_selected_average(cv: ContextualValues, stats: JointStatistics, conditio
         average = cv.alpha_d1 * (joint[..., 0, s] / p_s) + cv.alpha_d2 * (joint[..., 1, s] / p_s)
     if np.isinf(average).any():
         raise ObservableRangeError()
-    return _number(average)
+    return _plain(average)
 
 
 def xi_joint_interference(det: InterferometerConfig, sys: InterferometerConfig, gamma):
@@ -158,7 +154,7 @@ def weak_value(sys: InterferometerConfig, condition: SystemDrain):
     ``Re A_w = 0.390113``, and 0.390114 with a balanced detector.
     """
     t, numerator, v, denom = _zero_coupling(sys, condition)
-    return _number(numerator / denom + 1j * (-t * v * np.sin(sys.tuning_phase) / denom), complex)
+    return _plain(numerator / denom + 1j * (-t * v * np.sin(sys.tuning_phase) / denom), complex)
 
 
 def semiweak_value(sys: InterferometerConfig, n, condition: SystemDrain):
@@ -181,4 +177,4 @@ def semiweak_value(sys: InterferometerConfig, n, condition: SystemDrain):
         raise ValueError(f"semiweak_value requires an integer n, got {n!r}")
     sign = 1.0 - 2.0 * (n % 2)
     t, numerator, v, denom = _zero_coupling(sys, condition)
-    return _number((numerator - t * sign * v * np.cos(sys.tuning_phase)) / denom)
+    return _plain((numerator - t * sign * v * np.cos(sys.tuning_phase)) / denom)

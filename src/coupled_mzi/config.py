@@ -14,12 +14,14 @@ float range and expressions nested too deeply for the parser.
 
 Sections and keys
 -----------------
-The table ``_SECTIONS`` lists every section with its constructor, every
-key with its default (or ``_REQUIRED``) and each exactly-one-of group
-(``T``/``theta``, ``coulomb_constant``/``target_gamma``); README.md
-explains each key.  The table becomes one build plan per section at
-import; the loader builds the sections in the table's order and reports
-the first fault it meets; the constructors check the domains.
+:func:`load_config_text` builds each section with one call of its
+constructor, in the order detector, system, coupling, observable, bias,
+geometry, budget, and reports the first fault it meets; README.md
+explains each key.  A QPC takes exactly one of ``T``/``theta``, and only
+a second QPC reads ``chi``/``xi``; ``geometry`` takes exactly one of
+``coulomb_constant``/``target_gamma``; the optional bias, geometry and
+budget are built only when a key under their prefix appears.  A key that
+no section asked for is unknown.  The constructors check the domains.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import ast
 import math
 import operator
 import re
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -38,6 +39,7 @@ from .params import (
     CouplingModel,
     InterferometerConfig,
     ObservableCoefficients,
+    QpcSetting,
     qpc_from_angle,
     qpc_from_transmission,
 )
@@ -133,103 +135,58 @@ def swept(config: ExperimentConfig, parameter: str, values) -> ExperimentConfig:
 
 _REQUIRED = object()
 
-# config key -> constructor argument, where the two differ
-_ARGUMENTS = {"T": "transmission", "phi": "tuning_phase", "voltage": "bias_voltage",
-              "interaction_length": "copropagation_length", "speed": "propagation_speed"}
+
+class _Reader:
+    """The parsed pairs as the sections read them; remembers every key asked
+    for, so that the keys never asked for are the unknown ones."""
+
+    def __init__(self, pairs: dict[str, tuple[float, int]]):
+        self.pairs, self.asked = pairs, set()
+
+    def __call__(self, key: str, default=_REQUIRED):
+        """The value of ``key``, or ``default`` when it is absent."""
+        self.asked.add(key)
+        if key in self.pairs:
+            return self.pairs[key][0]
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {key}")
+        return default
+
+    def one_of(self, path: str, *names: str) -> tuple[str, float]:
+        """The one of ``names`` under ``path`` that is given, and its value."""
+        given = {name: value for name in names if (value := self(f"{path}.{name}", None)) is not None}
+        if len(given) != 1:
+            raise ConfigError(f"{path}: specify exactly one of {' or '.join(names)}")
+        return given.popitem()
 
 
-@dataclass(frozen=True)
-class _Entry:
-    """How the keys under one dotted prefix build one object.
-
-    ``keys`` maps each key to its default: a value, ``_REQUIRED``, or the
-    entry that builds the argument from the key's own prefix.  ``build`` is
-    the constructor or, for a group of keys of which exactly one must
-    appear, maps each key of the group to the constructor it selects.  A
-    value the constructor rejects is reported under ``blame``; an
-    ``optional`` section is built only when a key under its prefix appears.
-    """
-
-    build: Callable | dict[str, Callable]
-    keys: dict[str, object]
-    blame: str = "{path}"
-    optional: bool = False
+def _built(blame: str, make, *args):
+    """``make(*args)``, with a ``ValueError`` reported under ``blame``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{blame}: {exc}") from None
 
 
-_QPC = _Entry({"T": qpc_from_transmission, "theta": qpc_from_angle}, {"chi": 0.0, "xi": 0.0},
-              blame="{path}.{choice}")
-# a first QPC's scattering phases enter only through phi, so it takes none
-_INTERFEROMETER = _Entry(InterferometerConfig, {"qpc1": replace(_QPC, keys={}), "qpc2": _QPC, "phi": _REQUIRED})
-_SECTIONS = {
-    "detector": _INTERFEROMETER,
-    "system": _INTERFEROMETER,
-    "coupling": _Entry(CouplingModel, {"gamma": _REQUIRED, "sigma": 0.0, "pair_probability": 1.0}),
-    "observable": _Entry(ObservableCoefficients, {"a0": 0.0, "a3": 1.0}),
-    "bias": _Entry(
-        PhysicalBias,
-        dict.fromkeys(["voltage", "fermi_energy", "temperature"], _REQUIRED),
-        optional=True,
-    ),
-    "geometry": _Entry(
-        {"coulomb_constant": InteractionGeometry, "target_gamma": geometry_for_phase},
-        dict.fromkeys(["interaction_length", "channel_separation", "screening_length", "speed"],
-                      _REQUIRED),
-        optional=True,
-    ),
-    "budget": _Entry(
-        ObservationBudget,
-        dict.fromkeys(["path_length", "fermi_velocity", "target_rms"], _REQUIRED) | {"tau_m": None},
-        optional=True,
-    ),
-}
+def _qpc(read: _Reader, path: str, *phases: str) -> QpcSetting:
+    name, value = read.one_of(path, "T", "theta")
+    make = qpc_from_transmission if name == "T" else qpc_from_angle
+    return _built(f"{path}.{name}", make, value, *(read(f"{path}.{phase}", 0.0) for phase in phases))
 
 
-def _plan(path: str, entry: _Entry) -> tuple[Callable[[dict], object], frozenset[str]]:
-    """``entry`` at ``path`` as a function of the parsed pairs that builds its
-    object and reports the first fault in the table's order, and the keys it
-    reads.  Names, nested entries and messages are resolved here, once."""
-    one_of = entry.build if isinstance(entry.build, dict) else {}
-    choices = [(f"{path}.{key}", _ARGUMENTS.get(key, key), build, entry.blame.format(path=path, choice=key))
-               for key, build in one_of.items()]
-    fault = f"{path}: specify exactly one of {' or '.join(one_of)}"
-    blame = entry.blame.format(path=path, choice=None)
-    fields, keys = [], {name for name, *_ in choices}
-    for key, default in entry.keys.items():
-        name, nested = f"{path}.{key}", None
-        if isinstance(default, _Entry):
-            nested, nested_keys = _plan(name, default)
-            keys |= nested_keys
-        else:
-            keys.add(name)
-        fields.append((name, _ARGUMENTS.get(key, key), default, nested))
-
-    def build(pairs: dict[str, tuple[float, int]]):
-        make, why, kwargs = entry.build, blame, {}
-        if choices:
-            given = [choice for choice in choices if choice[0] in pairs]
-            if len(given) != 1:
-                raise ConfigError(fault)
-            name, argument, make, why = given[0]
-            kwargs[argument] = pairs[name][0]
-        for name, argument, default, nested in fields:
-            if nested is not None:
-                kwargs[argument] = nested(pairs)
-            elif name in pairs:
-                kwargs[argument] = pairs[name][0]
-            elif default is _REQUIRED:
-                raise ConfigError(f"missing required key {name}")
-            else:
-                kwargs[argument] = default
-        try:
-            return make(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"{why}: {exc}") from None
-
-    return build, frozenset(keys)
+def _interferometer(read: _Reader, path: str) -> InterferometerConfig:
+    # a first QPC's scattering phases enter only through phi, so it reads none
+    qpc1, qpc2 = _qpc(read, f"{path}.qpc1"), _qpc(read, f"{path}.qpc2", "chi", "xi")
+    return _built(path, InterferometerConfig, qpc1, qpc2, read(f"{path}.phi"))
 
 
-_PLANS = {name: _plan(name, entry) for name, entry in _SECTIONS.items()}
-_KNOWN = frozenset().union(*(keys for _, keys in _PLANS.values()))
+def _geometry(read: _Reader) -> InteractionGeometry:
+    name, value = read.one_of("geometry", "coulomb_constant", "target_gamma")
+    lengths = [read(f"geometry.{key}") for key in
+               ("interaction_length", "channel_separation", "screening_length", "speed")]
+    if name == "target_gamma":
+        return _built("geometry", geometry_for_phase, value, *lengths)
+    return _built("geometry", InteractionGeometry, *lengths, value)
 
 
 def _parse_pairs(text: str) -> dict[str, tuple[float, int]]:
@@ -257,13 +214,24 @@ def _parse_pairs(text: str) -> dict[str, tuple[float, int]]:
 def load_config_text(text: str) -> ExperimentConfig:
     """Parse and validate a configuration from its text content."""
     pairs = _parse_pairs(text)
+    read = _Reader(pairs)
     present = {key.partition(".")[0] for key in pairs if "." in key}
-    sections = {name: build(pairs) for name, (build, _) in _PLANS.items()
-                if not _SECTIONS[name].optional or name in present}
-    unknown = sorted(set(pairs) - _KNOWN)
+    config = ExperimentConfig(
+        _interferometer(read, "detector"),
+        _interferometer(read, "system"),
+        _built("coupling", CouplingModel, read("coupling.gamma"), read("coupling.sigma", 0.0),
+               read("coupling.pair_probability", 1.0)),
+        ObservableCoefficients(read("observable.a0", 0.0), read("observable.a3", 1.0)),
+        _built("bias", PhysicalBias, read("bias.voltage"), read("bias.fermi_energy"),
+               read("bias.temperature")) if "bias" in present else None,
+        _geometry(read) if "geometry" in present else None,
+        _built("budget", ObservationBudget, read("budget.path_length"), read("budget.fermi_velocity"),
+               read("budget.target_rms"), read("budget.tau_m", None)) if "budget" in present else None,
+    )
+    unknown = sorted(set(pairs) - read.asked)
     if unknown:
         raise ConfigError(f"line {pairs[unknown[0]][1]}: unknown key {unknown[0]!r}")
-    return ExperimentConfig(**sections)
+    return config
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -124,7 +124,8 @@ def geometry_for_phase(
     """Geometry whose interaction constant realizes a target coupling phase.
 
     Raises ``ValueError`` when the solved constant does not reproduce the
-    target within 1e-9 relative, e.g. when it underflows.
+    target within 1e-9 relative, e.g. when it underflows, and when
+    ``e^2 * 2 * length`` underflows to zero.
     """
     if target_gamma <= 0:
         raise ValueError("target phase must be positive")
@@ -143,6 +144,9 @@ def geometry_for_phase(
         )
     except OverflowError:
         raise ValueError("exp(channel_separation / screening_length) overflows") from None
+    except ZeroDivisionError:
+        raise ValueError(f"interaction length {copropagation_length!r} is too small: "
+                         "e^2 * 2 * length underflows to zero") from None
     geom = InteractionGeometry(
         copropagation_length=copropagation_length,
         channel_separation=channel_separation,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AmbiguousMeasurementError, ObservableRangeError
-from .params import DetectorParams, InterferometerConfig, ObservableCoefficients, _plain, detector_params
+from .params import DetectorParams, InterferometerConfig, ObservableCoefficients, _all, _plain, detector_params
 from .scattering import detector_drain_amplitudes
 
 DIVERGENCE_THRESHOLD = 1e-9
@@ -28,11 +28,6 @@ DIVERGENCE_THRESHOLD = 1e-9
 treated as divergent and :class:`AmbiguousMeasurementError` is raised."""
 
 _EFFICIENCY_TOL = 1e-9
-
-
-def _all(ok) -> bool:
-    """``ok`` at every point; a Python bool (one table) returns at once."""
-    return ok if ok is True or ok is False else bool(ok.all())
 
 
 def _freeze(obj, kind) -> None:

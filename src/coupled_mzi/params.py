@@ -45,20 +45,22 @@ _TWO_PI = 2.0 * math.pi
 _PI_LOW = 1.2246467991473532e-16  # pi - math.pi, rounded
 
 
-def _require(ok, message: str, value=None) -> None:
-    """Raise ``ValueError(message.format(value))`` unless ``ok`` holds at
-    every point; every comparison with NaN is false, so NaN fails.
+def _all(ok) -> bool:
+    """``ok`` at every point: a Python bool (one configuration) as it is,
+    else every element of a numpy bool or array.  Every comparison with NaN
+    is false, so NaN fails."""
+    return ok if ok is True or ok is False else bool(ok.all())
 
-    A scalar ``True`` (Python's and numpy's are singletons) returns at once:
-    ``np.all`` of a scalar costs more than a whole scalar constructor.
-    """
-    if ok is not True and ok is not np.True_ and not np.all(ok):
+
+def _require(ok, message: str, value=None) -> None:
+    """Raise ``ValueError(message.format(value))`` unless ``ok`` holds at every point."""
+    if not _all(ok):
         raise ValueError(message.format(value))
 
 
-def _plain(x):
-    """A numpy result made a Python float when it is a scalar; arrays pass."""
-    return x if x.ndim else float(x)
+def _plain(x, kind=float):
+    """A numpy result made a Python ``kind`` when it is a scalar; arrays pass."""
+    return x if x.ndim else kind(x)
 
 
 class DetectorDrain(enum.Enum):

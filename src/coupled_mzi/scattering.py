@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import DetectorDrain, InterferometerConfig, QpcSetting, SystemDrain, _plain
+from .params import DetectorDrain, InterferometerConfig, QpcSetting, SystemDrain, _all, _plain
 
 # Exact SI values (2019 redefinition).
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
@@ -229,7 +229,7 @@ def joint_probability_table(det: InterferometerConfig, sys: InterferometerConfig
     p11, p12, p21, p22 = a * a + b * b, c * c + d * d, e * e + f * f, g * g + h * h
     total = p11 + p12 + p21 + p22
     ok = abs(total - 1.0) <= _NORMALIZATION_GATE  # false for NaN and inf
-    if not (ok if ok is True or ok is False else ok.all()):  # a Python bool for one table
+    if not _all(ok):
         if not np.all(np.isfinite(total)):
             raise ValueError("joint amplitudes need finite 2x2 complex tables")
         worst = float(np.ravel(total)[~np.ravel(ok)][0])
@@ -271,8 +271,9 @@ def _check_low_bias_regime(bias: PhysicalBias) -> None:
 
 def average_current(probability, bias: PhysicalBias):
     """Low-bias average drain current ``(e^2 V / h) * P`` in amperes;
-    ``probability`` may be an array."""
-    if not np.all((0.0 <= probability) & (probability <= 1.0)):
+    ``probability`` may be an array, and may lie up to 1e-12 outside [0, 1]
+    as the cells of a :class:`JointStatistics` may."""
+    if not _all((-1e-12 <= probability) & (probability <= 1.0 + 1e-12)):  # NaN fails
         raise ValueError(f"probability {probability} outside [0, 1]")
     _check_low_bias_regime(bias)
     return ELEMENTARY_CHARGE**2 * bias.bias_voltage / PLANCK_CONSTANT * probability

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coupled_mzi import ConfigError, coupling_phase, evaluate_number, load_config, load_config_text
-from coupled_mzi.config import _KNOWN
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED_TEXTS = [
@@ -21,6 +20,29 @@ README_BLOCK = re.search(
     r"## Configuration format.*?```ini\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
     re.DOTALL,
 ).group(1)
+
+# every key the loader reads; a first QPC takes no phases, so
+# detector.qpc1.chi and the like are unknown keys
+KEYS = (
+    "detector.qpc1.T", "detector.qpc1.theta", "detector.qpc2.T", "detector.qpc2.theta",
+    "detector.qpc2.chi", "detector.qpc2.xi", "detector.phi",
+    "system.qpc1.T", "system.qpc1.theta", "system.qpc2.T", "system.qpc2.theta",
+    "system.qpc2.chi", "system.qpc2.xi", "system.phi",
+    "coupling.gamma", "coupling.sigma", "coupling.pair_probability",
+    "observable.a0", "observable.a3",
+    "bias.voltage", "bias.fermi_energy", "bias.temperature",
+    "geometry.coulomb_constant", "geometry.target_gamma", "geometry.interaction_length",
+    "geometry.channel_separation", "geometry.screening_length", "geometry.speed",
+    "budget.path_length", "budget.fermi_velocity", "budget.target_rms", "budget.tau_m",
+)
+# a value inside the domain for each key's last name
+SAMPLE_VALUES = {
+    "T": "0.6", "theta": "pi/5", "chi": "0.1", "xi": "-0.2", "phi": "0.3", "gamma": "pi/2",
+    "sigma": "0.4", "pair_probability": "0.9", "a0": "0.25", "a3": "1.5", "voltage": "100e-6",
+    "fermi_energy": "10e-3", "temperature": "0.02", "coulomb_constant": "1e-3", "target_gamma": "2.2",
+    "interaction_length": "5e-6", "channel_separation": "50e-9", "screening_length": "100e-9",
+    "speed": "1e5", "path_length": "1e-5", "fermi_velocity": "1e5", "target_rms": "0.1", "tau_m": "1e-10",
+}
 
 MINIMAL = """
 # minimal symmetric configuration
@@ -207,9 +229,29 @@ class TestLoadConfig:
 
     def test_first_qpcs_take_no_phases(self):
         # they enter only through phi; the second QPCs keep theirs
-        assert len(_KNOWN) == 32
-        assert not {f"{side}.qpc1.{phase}" for side in ("detector", "system") for phase in ("chi", "xi")} & _KNOWN
-        assert {"detector.qpc2.chi", "detector.qpc2.xi", "system.qpc2.chi", "system.qpc2.xi"} <= _KNOWN
+        known = set(KEYS)
+        assert len(known) == 32
+        assert not {f"{side}.qpc1.{phase}" for side in ("detector", "system") for phase in ("chi", "xi")} & known
+        assert {"detector.qpc2.chi", "detector.qpc2.xi", "system.qpc2.chi", "system.qpc2.xi"} <= known
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_every_key_loads(self, key):
+        """``key`` added to a config with every section, and with neither
+        ``key`` nor the other key of its one-of group, loads, and its value
+        reaches the config."""
+        head, _, last = key.rpartition(".")
+        skip = {key, f"{head}.{PARTNERS.get(last)}"}
+        text = "".join(f"{k} = {SAMPLE_VALUES[k.rpartition('.')[2]]}\n" for k in KEYS
+                       if k.rpartition(".")[2] not in ("theta", "coulomb_constant") and k not in skip)
+        first, second = (load_config_text(text + f"{key} = {scale} * {SAMPLE_VALUES[last]}\n")
+                         for scale in ("1", "0.9"))
+        assert first.bias is not None and first.geometry is not None and first.budget is not None
+        assert first != second
+
+    @pytest.mark.parametrize("key", ["detector.qpc1.chi", "system.qpc1.xi"])
+    def test_first_qpc_phase_is_unknown(self, key):
+        with pytest.raises(ConfigError, match=rf"^line 10: unknown key '{re.escape(key)}'$"):
+            load_config_text(MINIMAL + f"{key} = 0.1\n")
 
     def test_coupling_range_checked(self):
         text = MINIMAL.replace("coupling.gamma = pi", "coupling.gamma = 7")
@@ -269,13 +311,57 @@ class TestLoadConfig:
         assert config.detector.qpc1.transmission == 0.5
 
 
+FIRST_FAULTS = {
+    "detector-before-coupling": (
+        [("detector.qpc2.T = 0.65", "detector.qpc2.T = 1.5"), ("coupling.gamma = 2.2", "coupling.gamma = 7")],
+        "detector.qpc2.T: transmission 1.5 and reflection -0.5 are not probabilities in [0, 1] with T + R = 1"),
+    "qpc1-before-qpc2": (
+        [("system.qpc1.T = 0.72", "system.qpc1.T = -0.1"), ("system.qpc2.T = 0.4", "system.qpc2.theta = 2")],
+        "system.qpc1.T: transmission -0.1 and reflection 1.1 are not probabilities in [0, 1] with T + R = 1"),
+    "qpc2-before-missing-phi": (
+        [("system.qpc2.T = 0.4", "system.qpc2.theta = 2"), ("system.phi = -1.3\n", "")],
+        "system.qpc2.theta: balance angle 2.0 outside [0, pi/2]"),
+    "T-and-theta": (
+        [("detector.qpc2.T = 0.65", "detector.qpc2.T = 0.65\ndetector.qpc2.theta = 0.3"),
+         ("detector.phi = 0.9\n", "")],
+        "detector.qpc2: specify exactly one of T or theta"),
+    "geometry-one-of-before-length": (
+        [("geometry.target_gamma = 2.2", "geometry.target_gamma = 2.2\ngeometry.coulomb_constant = 1"),
+         ("geometry.interaction_length = 5e-6\n", "")],
+        "geometry: specify exactly one of coulomb_constant or target_gamma"),
+    "partial-bias-before-budget": (
+        [("bias.temperature = 0.02\n", ""),
+         ("geometry.target_gamma = 2.2", "geometry.target_gamma = 2.2\nbudget.path_length = -1")],
+        "missing required key bias.temperature"),
+    "missing-before-unknown": (
+        [("coupling.gamma = 2.2\n", ""), ("detector.phi = 0.9", "detector.phi = 0.9\ndetector.qpc1.chi = 1")],
+        "missing required key coupling.gamma"),
+    "optional-range-before-unknown": (
+        [("bias.voltage = 100e-6", "bias.voltage = -1\nbias.current = 1")],
+        "bias: bias voltage must be positive"),
+}
+
+
+@pytest.mark.parametrize("edits, message", FIRST_FAULTS.values(), ids=FIRST_FAULTS)
+def test_first_fault_is_reported(edits, message):
+    """The golden config with two faults reports the one the loader meets
+    first: sections in order, fields in order, unknown keys last."""
+    text = GOLDEN
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    with pytest.raises(ConfigError) as caught:
+        load_config_text(text)
+    assert str(caught.value) == message
+
+
 class TestReadmeExample:
     def test_loads(self):
         config = load_config_text(README_BLOCK)
         assert config.bias is not None and config.geometry is not None and config.budget is not None
 
     def test_names_every_key(self):
-        for key in sorted(_KNOWN):
+        for key in sorted(KEYS):
             # system.* has the shape of detector.*, which the block spells out
             key = key.replace("system.", "detector.")
             assert key in README_BLOCK
@@ -293,7 +379,8 @@ value_texts = st.one_of(
     st.integers(-(10**400), 10**400).map(str),
     st.builds(lambda sign, depth: sign * depth + "1", st.sampled_from("-+"), st.integers(1, 3000)),
     st.builds(lambda op, terms: op.join("1" * terms), st.sampled_from("+-*/"), st.integers(1, 3000)),
-    st.sampled_from(["True", "False", "None", "pi/0", "1e999", "2*pi", "-0.0", "1j", "sin(1)"]),
+    st.sampled_from(["True", "False", "None", "pi/0", "1e999", "2*pi", "-0.0", "1j", "sin(1)",
+                     "1e-300", "5e-324", "1e300"]),
     st.text(max_size=12),
 )
 
@@ -313,7 +400,7 @@ def mutated_configs(draw):
         elif mutation == "duplicate":
             lines.insert(draw(st.integers(0, len(lines))), lines[i])
         elif mutation == "rename":
-            lines[i] = f"{draw(st.one_of(st.sampled_from(sorted(_KNOWN)), dotted_names))} ={value}"
+            lines[i] = f"{draw(st.one_of(st.sampled_from(sorted(KEYS)), dotted_names))} ={value}"
         elif mutation == "swap" and last in PARTNERS:
             lines[i] = f"{head}.{PARTNERS[last]} ={value}"
         elif mutation == "value":
@@ -334,6 +421,7 @@ def mutated_configs(draw):
          .replace("screening_length = 100e-9", "screening_length = 1e-300"))
 @example(text=GOLDEN.replace("separation = 50e-9", "separation = 1e-300")
          .replace("target_gamma = 2.2", "coulomb_constant = 1e300"))
+@example(text=GOLDEN.replace("interaction_length = 5e-6", "interaction_length = 1e-300"))  # e^2 * 2 L underflows
 @example(text=GOLDEN.replace("fermi_energy = 10e-3", "fermi_energy = -10e-3"))
 @example(text=GOLDEN.replace("temperature = 0.02", "temperature = -0.02"))
 def test_config_text_loads_or_raises_config_error(text):

@@ -204,6 +204,12 @@ class TestGeometryForPhase:
         with pytest.raises(ValueError, match="not the target"):
             geometry_for_phase(2.2, 1e300, 50e-9, 100e-9, 1e5)
 
+    @pytest.mark.parametrize("length", [1e-300, 5e-324])
+    def test_rejects_length_whose_charge_term_underflows(self, length):
+        # e^2 * 2 * length is 0.0, so the constant cannot be solved
+        with pytest.raises(ValueError, match="underflows to zero"):
+            geometry_for_phase(2.2, length, 50e-9, 100e-9, 1e5)
+
     @pytest.mark.parametrize("separation, screening", [(50e-9, 0.04e-9), (1e300, 1e-300), (50e-9, 0.0)])
     def test_rejects_unrealizable_geometry(self, separation, screening):
         with pytest.raises(ValueError):

@@ -10,7 +10,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "coupled_mzi"
 
 ALLOWED_PRIVATE_IMPORTS = {
+    ("conditioning", "params", "_plain"),
+    ("measurement", "params", "_all"),
     ("measurement", "params", "_plain"),
+    ("scattering", "params", "_all"),
     ("scattering", "params", "_plain"),
 }
 """``(importer, module, name)`` of every private name one package module

@@ -329,8 +329,7 @@ def _one_configuration_calls(det, sysm, model, condition, n) -> dict:
         "contextual_values": (lambda: list(astuple(contextual_values(obs, raw))), float),
         "contextual_values_or_nan": (lambda: list(astuple(cv)), float),
         "reconstruct_average": (lambda: [reconstruct_average(cv, p_d1, p_d2)], float),
-        # a marginal can round an ulp past 1, which average_current rejects
-        "average_current": (lambda: [average_current(min(p_d1, 1.0), BIAS)], float),
+        "average_current": (lambda: [average_current(p_d1, BIAS)], float),
         "post_selected_average": (lambda: [post_selected_average(cv, stats, condition)], float),
         **_conditioning_calls(det, sysm, gamma, condition, n),
     }

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from coupled_mzi import (
+    CouplingModel,
     InterferometerConfig,
     JointStatistics,
     PhysicalBias,
     average_current,
+    averaged_joint_table,
     concurrence,
     cross_noise_power,
     joint_amplitudes,
@@ -297,10 +299,19 @@ class TestCurrentsAndNoise:
         assert average_current(0.5, BIAS) == pytest.approx(average_current(1.0, BIAS) / 2, rel=1e-15)
 
     def test_probability_range(self):
-        with pytest.raises(ValueError):
-            average_current(1.5, BIAS)
+        for probability in (1.5, 1.0 + 2e-12, -2e-12, math.nan):  # past the 1e-12 tolerance, and NaN
+            with pytest.raises(ValueError):
+                average_current(probability, BIAS)
         with pytest.raises(ValueError):
             average_current(np.array([0.5, math.nan]), BIAS)
+
+    def test_marginal_rounded_past_one_accepted(self):
+        # the averaged table's detector marginal rounds two ulps past 1
+        det = InterferometerConfig(qpc_from_transmission(0.0), qpc_from_transmission(0.0), 0.0)
+        sysm = InterferometerConfig(qpc_from_transmission(0.75), qpc_from_transmission(0.0), 0.0)
+        p_d1 = averaged_joint_table(det, sysm, CouplingModel(0.0, 1.0, 1e-9)).p_detector(DetectorDrain.D1)
+        assert p_d1 == 1.0000000000000002
+        assert average_current(p_d1, BIAS) == average_current(1.0, BIAS) * p_d1
 
     def test_array_probability_broadcasts(self):
         probabilities = np.array([0.2, 0.5])
