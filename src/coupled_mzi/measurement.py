@@ -200,8 +200,11 @@ def reconstruct_average(cv: ContextualValues, p_d1, p_d2):
     """Observable average ``alpha_D1 P_D1 + alpha_D2 P_D2``, per point for arrays.
 
     With drain probabilities from the scattering pipeline this equals
-    ``a0 + a3 * delta1_s`` exactly.
+    ``a0 + a3 * delta1_s`` exactly.  Each probability may lie up to 1e-12
+    outside [0, 1], as the cells of a joint table may; NaN fails.
     """
+    if not _all((-1e-12 <= p_d1) & (p_d1 <= 1.0 + 1e-12) & (-1e-12 <= p_d2) & (p_d2 <= 1.0 + 1e-12)):
+        raise ValueError(f"drain probabilities ({p_d1}, {p_d2}) outside [0, 1]")
     if not _all(abs(p_d1 + p_d2 - 1.0) <= 1e-9):
         raise ValueError("drain probabilities must sum to 1")
     return cv.alpha_d1 * p_d1 + cv.alpha_d2 * p_d2

@@ -259,6 +259,19 @@ class TestReconstructAverage:
         with pytest.raises(ValueError):
             reconstruct_average(cv, 0.7, 0.7)
 
+    @pytest.mark.parametrize("p_d1, p_d2", [
+        (1.5, -0.5), (-0.5, 1.5), (1.0 + 2e-12, -2e-12), (math.nan, 0.5),
+        (np.array([0.5, 1.5]), np.array([0.5, -0.5])),
+    ], ids=["above-one", "below-zero", "just-past-the-tolerance", "nan", "stack"])
+    def test_probability_range_checked(self, p_d1, p_d2):
+        # (1.5, -0.5) sums to 1, so only the range check rejects it
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            reconstruct_average(ContextualValues(-1.0, 1.0), p_d1, p_d2)
+
+    def test_probability_rounded_past_the_range_accepted(self):
+        # the 1e-12 that a joint table's cells may lie outside [0, 1]
+        assert reconstruct_average(ContextualValues(-1.0, 1.0), 1.0 + 5e-13, -5e-13) == -1.0 - 1e-12
+
     def test_recovers_path_bias_random(self, rng):
         checked = 0
         while checked < 200:

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -412,6 +414,12 @@ def digest(codes):
     return hashlib.sha256(codes.tobytes()).hexdigest()
 
 
+def categories(u, probs):
+    """The sampler's category pass over ``u`` with the edges of one flat table."""
+    return stochastic._categories(u, stochastic._edges(probs), np.empty(u.shape, np.uint8),
+                                  np.empty(u.shape, np.bool_))
+
+
 class TestCategoryRule:
     ROWS = np.array([
         [0.0, 0.5, 0.5, 0.0],
@@ -431,7 +439,7 @@ class TestCategoryRule:
         assert np.cumsum(self.ROWS[4])[-1] == 1.0 - 2.0**-53
         for probs, last in zip(self.ROWS, [2, 3, 0, 2, 2, 3]):
             u = self.planted(probs)
-            codes = stochastic._categories(u, probs, np.empty(u.shape, np.uint8))
+            codes = categories(u, probs)
             assert codes.dtype == np.uint8
             assert np.all(probs[codes] > 0.0)
             # the largest uniform goes to the last category of nonzero probability
@@ -446,14 +454,14 @@ class TestCategoryRule:
         JointStatistics(probs.reshape(2, 2))  # the table check accepts it
         u = 0.3361579904370882
         u = np.array([np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)])
-        codes = stochastic._categories(u, probs, np.empty(u.shape, np.uint8))
+        codes = categories(u, probs)
         assert codes.tolist() == [1, 1, 3]
 
     def test_right_side_rule(self):
         probs = self.ROWS[5]
         edges = np.cumsum(probs)
         u = np.concatenate([[0.0], edges[:3], np.nextafter(edges[:3], 0.0)])
-        got = stochastic._categories(u, probs, np.empty(u.shape, np.uint8))
+        got = categories(u, probs)
         assert got.tolist() == [0, 1, 2, 3, 0, 1, 2]
 
 
@@ -493,7 +501,7 @@ def test_category_rule_matches_the_clamped_rule(probs, extra):
         edges.append(edge)
     planted = [[np.nextafter(e, -1.0), e, np.nextafter(e, 2.0)] for e in [0.0, *edges]]
     u = np.clip(np.array([*np.ravel(planted), *extra]), 0.0, 1.0 - 2.0**-53)
-    codes = stochastic._categories(u, probs, np.empty(u.shape, np.uint8))
+    codes = categories(u, probs)
     assert codes.dtype == np.uint8
     assert np.array_equal(codes, clamped_categories(u, probs))
     assert np.all(probs[codes] > 0.0)
@@ -535,7 +543,7 @@ class TestSampleEvents:
         # event i is decided by uniform double i of the seed's Philox stream
         _, _, stats = quarter_stats()
         uniforms = Generator(Philox(key=99)).random(10_001)
-        expected = stochastic._categories(uniforms, stats.joint.ravel(), np.empty(10_001, np.uint8))
+        expected = categories(uniforms, stats.joint.ravel())
         codes = sample_events(stats, 10_001, seed=99)
         assert np.array_equal(codes, expected)
         # codes drawn before the array-native sampler, over the same inputs
@@ -553,9 +561,10 @@ class TestSampleEvents:
         ([[0.6, 0.4], [0.0, 0.0]], "8bf36cd6fb75f615483a5a0e3b3e8775cc0fb677c01830947cd3eb41a9c91a41"),
     ], ids=["P_D2S2-zero", "D2-row-zero"])
     def test_tables_with_a_zero_last_cell_across_chunks(self, table, expected):
-        # the tables on which the category pass clamps, over three chunks
+        # the tables on which the category pass clamps, over several chunks;
+        # the length is fixed, so the digests do not follow the chunk size
         table = np.array(table)
-        codes = sample_events(JointStatistics(table), 2 * stochastic._CHUNK + 3, seed=2026)
+        codes = sample_events(JointStatistics(table), 2 * 65536 + 3, seed=2026)
         assert np.all(table.ravel()[codes] > 0.0)
         # codes drawn while the clamp ran for every table, over the same inputs
         assert digest(codes) == expected
@@ -579,6 +588,15 @@ class TestSampleEvents:
             sample_events(stats, 10, seed=2**64)
         with pytest.raises(ValueError):
             sample_events(stats, 0, seed=1)
+
+    def test_n_is_an_integer(self):
+        _, _, stats = quarter_stats()
+        for n in (10.0, 2.5, "7", np.float64(7.0), None):
+            with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+                sample_events(stats, n, seed=7)
+        codes = sample_events(stats, 10, seed=7)
+        assert np.array_equal(sample_events(stats, np.int64(10), seed=7), codes)
+        assert np.array_equal(sample_events(stats, np.array(10), seed=7), codes)
 
     def test_seed_is_an_integer(self):
         _, _, stats = quarter_stats()
@@ -687,6 +705,35 @@ class TestContextualEstimate:
         with pytest.raises(ValueError, match="empty"):
             contextual_estimate(np.empty(0, dtype=np.uint8), ContextualValues(-1.0, 1.0), (0.5, 0.5))
 
+    @pytest.mark.parametrize("codes", [
+        np.array([0.5, 2.5]), np.array([0.0, 2.0]), np.array([True, False]),
+        np.array([0, 4], dtype=np.uint8), np.array([-1, 2]), np.array([3, 255], dtype=np.uint8),
+    ], ids=["fractions", "whole-floats", "bools", "four", "negative", "wrapped-minus-one"])
+    def test_non_codes_rejected(self, codes):
+        with pytest.raises(ValueError, match="integer codes 2 d \\+ s in 0-3"):
+            contextual_estimate(codes, ContextualValues(-1.0, 1.0), (0.5, 0.5))
+
+    def test_other_integer_types_read(self):
+        codes, cv = np.array([0, 1, 2, 3, 3]), ContextualValues(-1.0, 1.0)
+        expected = contextual_estimate(codes.astype(np.uint8), cv, (0.5, 0.5))
+        for dtype in (np.int8, np.int64, np.uint64):
+            assert contextual_estimate(codes.astype(dtype), cv, (0.5, 0.5)) == expected
+
+    def test_probability_outside_the_range_rejected(self):
+        # (1.5, -0.5) sums to 1: the average would read -2 and predicted_mse clamp -3/n to 0
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            contextual_estimate(np.array([0, 2], dtype=np.uint8), ContextualValues(-1.0, 1.0), (1.5, -0.5))
+
+    C, K = stochastic._CHUNK, stochastic._COUNT_CHUNK  # the sampler's chunk and the count's
+
+    @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 3 * C + 5, K - 1, K, K + 1, 3 * K + 5])
+    def test_d2_count_across_chunks(self, n, rng):
+        # random codes, and all D2 so that every event counts
+        for codes in (rng.integers(0, 4, size=n).astype(np.uint8), np.full(n, 2, dtype=np.uint8)):
+            # with alpha = (0, n) the estimate is n n2 / n, which is n2 exactly
+            report = contextual_estimate(codes, ContextualValues(0.0, float(n)), (0.5, 0.5))
+            assert report.estimate == np.count_nonzero(codes >= 2)
+
     def test_unbiasedness_over_seeded_runs(self):
         det, sysm, stats = quarter_stats()
         cv = contextual_values(OBS, detector_params(det, math.pi / 2))
@@ -702,6 +749,23 @@ class TestContextualEstimate:
             predicted = report.predicted_mse
         standard_error = math.sqrt(predicted / runs)
         assert abs(np.mean(grand) - truth) < 4.0 * standard_error
+
+
+class TestPeakMemory:
+    def test_sampler_and_estimate_hold_about_one_byte_per_event(self):
+        # the returned codes are n bytes; the scratch of both calls is one chunk
+        _, _, stats = quarter_stats()
+        n = 2_000_000
+        sample_events(stats, 10, seed=1)  # first-call allocations stay out of the peak
+        gc.collect()
+        tracemalloc.start()
+        try:
+            codes = sample_events(stats, n, seed=3)
+            contextual_estimate(codes, ContextualValues(-1.0, 3.0), (0.5, 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * n + 0.5e6
 
 
 class TestObservationTime:
