@@ -84,6 +84,7 @@ from .stochastic import (
     contextual_estimate,
     observation_time,
     sample_events,
+    sample_events_tally,
 )
 
 __version__ = "0.1.0"

@@ -42,7 +42,7 @@ from .errors import (
 from .interaction import coupling_phase, dynamical_phase
 from .measurement import (ContextualValues, contextual_values, contextual_values_or_nan, measurement_operators,
                           povm_pair)
-from .params import DetectorDrain, SystemDrain, damping_eta, detector_params
+from .params import DetectorDrain, SystemDrain, _index, damping_eta, detector_params
 from .scattering import ELEMENTARY_CHARGE, JointStatistics, concurrence, cross_noise_power
 from .stochastic import (
     RNG_ALGORITHM,
@@ -50,7 +50,7 @@ from .stochastic import (
     averaged_joint_table,
     contextual_estimate,
     observation_time,
-    sample_events,
+    sample_events_tally,
 )
 
 AMBIGUOUS_TOKEN = "inf-ambiguous"
@@ -339,15 +339,21 @@ def _evaluate(config: ExperimentConfig, parameter: str, grid: np.ndarray,
 
 
 # The most grid points or events that a request may ask for.  numpy counts a
-# grid in doubles, which hold every integer only up to 2**53, and 2**53 one-byte
-# event codes take 8 PiB already.  A smaller count that no allocation can hold
-# raises MemoryError, which ``main`` reports with the same words.
+# grid in doubles, and the estimator's event counts enter doubles too: both
+# hold every integer only up to 2**53.  A smaller grid that no allocation can
+# hold raises MemoryError, which ``main`` reports with the same words.
 _MAX_COUNT = 2**53
 
 
 def _require_fits(count: int, what: str) -> None:
     if count > _MAX_COUNT:
         raise ConfigError(f"the request does not fit in memory: {count} {what}")
+
+
+def _integer(value, message: str) -> int:
+    if (index := _index(value)) is None:
+        raise ConfigError(f"{message}, got {value!r}")
+    return index
 
 
 def _grid(minimum: float, maximum: float, count: int) -> np.ndarray:
@@ -364,12 +370,13 @@ def run_scan(config: ExperimentConfig, parameter: str, minimum: float, maximum: 
     ``minimum`` to ``maximum``; rows follow grid order.
 
     Raises ``ConfigError``, in this order, for a parameter not in
-    ``SWEEPS``, fewer than 2 points, a minimum not below the maximum, a range
-    outside the parameter's domain, a quantity not in ``QUANTITIES`` and a
-    count too large to hold.
+    ``SWEEPS``, a count that is not an integer, fewer than 2 points, a
+    minimum not below the maximum, a range outside the parameter's domain, a
+    quantity not in ``QUANTITIES`` and a count too large to hold.
     """
     if parameter not in SWEEPS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}; choose from {', '.join(SWEEPS)}")
+    count = _integer(count, "sweep count must be an integer")
     if count < 2:
         raise ConfigError("sweep needs at least 2 grid points")
     if not minimum < maximum:
@@ -385,9 +392,10 @@ def run_erasure(config: ExperimentConfig, minimum: float, maximum: float, count:
     """CSV of unconditioned and conditional system fringes over phi_s.
 
     The bounds may come in either order; both must lie in the phi_s domain.
-    Raises ``ConfigError`` for fewer than 2 points, bounds outside the
-    domain and a count too large to hold.
+    Raises ``ConfigError`` for a count that is not an integer, fewer than 2
+    points, bounds outside the domain and a count too large to hold.
     """
+    count = _integer(count, "sweep count must be an integer")
     if count < 2:
         raise ConfigError("sweep needs at least 2 grid points")
     check_sweep_domain("phi_s", min(minimum, maximum), max(minimum, maximum))
@@ -398,16 +406,16 @@ def run_erasure(config: ExperimentConfig, minimum: float, maximum: float, count:
 def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
     """CSV report of one seeded estimator run.
 
-    Events are drawn with :func:`sample_events` from the exact joint drain
-    distribution averaged over the coupling model, :func:`averaged_joint_table`,
-    the table every ``scan`` column reads; its detector marginals give the
-    predicted MSE.  The contextual values come from the averaged detector
-    bundle, as ``scan``'s ``alpha_*`` columns do, so they invert the table's
-    drain probabilities.  When the config carries a budget section the
-    report includes the observation-time bound.  A report that is not finite
-    exits as a configuration error, and so do an ``n`` below 1 or too large
-    to hold and a ``seed`` outside ``[0, 2**64)``.
+    Event counts are drawn with :func:`sample_events_tally` from the exact joint drain
+    distribution averaged over the coupling model, :func:`averaged_joint_table`, the
+    table every ``scan`` column reads; its detector marginals give the predicted MSE.
+    The contextual values come from the averaged detector bundle, as ``scan``'s
+    ``alpha_*`` columns do, so they invert the table's drain probabilities.  With a
+    budget section the report includes the observation-time bound.  A report that is
+    not finite exits as a configuration error, and so do an ``n`` or ``seed`` not of an
+    integer type, an ``n`` below 1 or above ``2**53`` and a ``seed`` outside ``[0, 2**64)``.
     """
+    n, seed = _integer(n, "--n must be an integer"), _integer(seed, "--seed must be an integer")
     if n < 1:
         raise ConfigError("--n must be at least 1")
     if not 0 <= seed < 2**64:
@@ -416,9 +424,9 @@ def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
     det, coupling = config.detector, config.coupling
     cv = contextual_values(config.observable, averaged_detector_params(detector_params(det, coupling.gamma), coupling))
     stats = averaged_joint_table(det, config.system, coupling)
-    events = sample_events(stats, n, seed)
+    counts = sample_events_tally(stats, n, seed)
     (p11, p12), (p21, p22) = stats.joint.tolist()  # a row's float sum has numpy's bits
-    report = contextual_estimate(events, cv, probabilities=(p11 + p12, p21 + p22))
+    report = contextual_estimate(counts, cv, probabilities=(p11 + p12, p21 + p22))
     values = (report.estimate, report.empirical_variance, report.predicted_mse,
               report.mse_upper_bound)
     header = ["seed", "n", "estimate", "empirical_variance", "predicted_mse",
@@ -610,7 +618,7 @@ def main(argv: list[str] | None = None) -> int:
         label, code = next(_EXITS[kind] for kind in type(exc).__mro__ if kind in _EXITS)
         print(f"{label}: {exc}", file=sys.stderr)
         return code
-    except MemoryError as exc:  # a sweep count or --n too large to allocate
+    except MemoryError as exc:  # a sweep count too large to allocate
         print(f"config error: the request does not fit in memory: {exc}", file=sys.stderr)
         return 2
 

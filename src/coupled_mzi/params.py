@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,14 @@ def _all(ok) -> bool:
     else every element of a numpy bool or array.  Every comparison with NaN
     is false, so NaN fails."""
     return ok if ok is True or ok is False else bool(ok.all())
+
+
+def _index(x, otherwise=None):
+    """``operator.index(x)``, or ``otherwise`` for ``x`` not of an integer type: 10.0 is no count."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        return otherwise
 
 
 def _require(ok, message: str, value=None) -> None:

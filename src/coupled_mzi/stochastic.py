@@ -1,24 +1,23 @@
 """Coupling fluctuations, drain-event sampling, and estimator statistics.
 
-A sampled event sequence is a ``uint8`` array of category codes
-``2 d + s`` over the row-major joint drain table: 0 = (D1,S1),
-1 = (D1,S2), 2 = (D2,S1), 3 = (D2,S2).
+An event is a category code ``2 d + s`` over the row-major joint drain table:
+0 = (D1,S1), 1 = (D1,S2), 2 = (D2,S1), 3 = (D2,S2).  :func:`sample_events`
+returns the codes, :func:`sample_events_tally` only their four counts.
 
 Random numbers come from numpy's Philox counter-based generator
 (``philox4x64``), keyed directly by the caller's 64-bit seed, so event
-streams are bit-reproducible across platforms.  The sampler draws its
+streams are bit-reproducible across platforms.  Both samplers draw their
 uniforms in fixed-size chunks from one generator; event ``i`` always takes
-uniform ``i``, so the codes are the same for any chunk size.  Over a fluctuating
-coupling, ``montecarlo`` samples :func:`averaged_joint_table`, the exact average
-that every ``scan`` and ``erasure`` column reads.  Its tables all come from
-:func:`~coupled_mzi.scattering.joint_probability_table`, so the one table that
-``montecarlo`` samples has the bits of its point in a ``scan`` grid.
+uniform ``i``, so codes and counts are the same for any chunk size.  Over a
+fluctuating coupling, ``montecarlo`` samples :func:`averaged_joint_table`, the
+exact average that every ``scan`` and ``erasure`` column reads.  Its tables all
+come from :func:`~coupled_mzi.scattering.joint_probability_table`, so the one
+table that ``montecarlo`` samples has the bits of its point in a ``scan`` grid.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,24 +26,17 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ObservableRangeError
 from .measurement import ContextualValues, reconstruct_average
-from .params import CouplingModel, FringeParams, InterferometerConfig, damping_eta
+from .params import CouplingModel, FringeParams, InterferometerConfig, _index, damping_eta
 from .scattering import JointStatistics, joint_probability_table
 
 RNG_ALGORITHM = "philox4x64"
 
-# Events per streaming chunk of the sampler.  Its scratch is one chunk of
-# uniforms (8 bytes an event) and one of comparison flags (1 byte), beside the
-# n-byte codes it returns.  16384 keeps that scratch at 144 KiB, so a large run
-# holds about one byte per event, while a chunk's few numpy calls stay small
+# Events per streaming chunk of both samplers.  Their scratch is one chunk of
+# uniforms (8 bytes an event) and one of comparison flags (1 byte): 144 KiB at
+# 16384, whatever the event count, while a chunk's few numpy calls stay small
 # against Philox's ~5 ns per event: warm, on a 2-vCPU Xeon, 2e6 events take
 # 5.9 ns each at 16384 as at 65536, and 6.8 ns at 4096.
 _CHUNK = 1 << 14
-# Events per chunk of the estimator's count.  Its comparisons are one byte an
-# event, so eight sampler chunks of them fit in the 128 KiB that the sampler's
-# uniforms took, and the peak stays the sampler's.  200,000 events then take
-# two chunks, not thirteen: 111 µs against 164 µs after a gc.collect(), on a
-# 2-vCPU Xeon.
-_COUNT_CHUNK = 8 * _CHUNK
 
 
 @dataclass(frozen=True)
@@ -174,20 +166,11 @@ def _edges(probs: np.ndarray) -> list[float]:
 def _categories(u: np.ndarray, edges: list[float], codes: np.ndarray, flags: np.ndarray) -> np.ndarray:
     """Codes by the right-side rule ``edge[k-1] <= u < edge[k]`` over the
     :func:`_edges` of a table, written into and returned as ``codes``
-    (``uint8``, the shape of ``u``).
-
-    A code counts the edges at or below ``u``.  The first comparison goes
-    straight into the codes' bytes and each later one into ``flags``, a bool
-    buffer of ``u``'s shape, so no temporary array is allocated.
-    """
-    if not edges:
-        codes.fill(0)
-        return codes
-    np.less_equal(edges[0], u, out=codes.view(np.bool_))
-    counts = flags.view(np.uint8)  # the bools' bytes: no cast per element
-    for edge in edges[1:]:
-        np.less_equal(edge, u, out=flags)
-        codes += counts
+    (``uint8``, the shape of ``u``): a code counts the edges at or below
+    ``u``, each compared into ``flags``, a bool buffer of ``u``'s shape."""
+    codes.fill(0)
+    for edge in edges:
+        codes += np.less_equal(edge, u, out=flags).view(np.uint8)
     return codes
 
 
@@ -207,43 +190,53 @@ class _PhiloxKey(ISeedSequence):
         return np.array([self.seed, 0][:n_words], dtype=dtype)
 
 
+def _chunks(stats: JointStatistics, n: int, seed: int):
+    """The samplers' checks and one chunk loop: ``n`` as an int, the :func:`_edges`, and per chunk
+    ``(start, u, flags)``, the uniforms of events ``start`` on and a reused bool buffer of their shape."""
+    if stats.joint.shape != (2, 2):
+        raise ValueError(f"a sampler draws from one joint table, got a stack of shape {stats.joint.shape}")
+    n, seed = _index(n, 0), _index(seed, -1)  # 10.0, 1.9 and "7" are rejected below
+    if n < 1:
+        raise ValueError("n must be an integer of at least 1")
+    if not (0 <= seed < 2**64):
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    rng, size = Generator(Philox(_PhiloxKey(seed))), min(n, _CHUNK)
+    uniforms, flags = np.empty(size), np.empty(size, dtype=np.bool_)
+    chunks = ((start, rng.random(out=uniforms[:min(_CHUNK, n - start)]), flags[:min(_CHUNK, n - start)])
+              for start in range(0, n, _CHUNK))
+    return n, _edges(stats.joint.ravel()), chunks
+
+
 def sample_events(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
     """``n`` i.i.d. draws from the 4-category joint drain distribution.
 
     Returns ``uint8`` codes ``2 d + s``; event ``i`` uses uniform double
-    ``i`` of the seed's stream, so the sequence is a pure function of ``seed``.
-    """
-    if stats.joint.shape != (2, 2):
-        raise ValueError("sample_events draws from one joint table, "
-                         f"got a stack of shape {stats.joint.shape}")
-    try:
-        n = operator.index(n)  # integer types only: 10.0 and "7" are no event counts
-    except TypeError:
-        n = 0  # rejected below
-    if n < 1:
-        raise ValueError("n must be an integer of at least 1")
-    try:
-        seed = operator.index(seed)  # integer types only: 1.9 and "7" are no seeds
-    except TypeError:
-        seed = -1  # rejected below
-    if not (0 <= seed < 2**64):
-        raise ValueError("seed must be a 64-bit unsigned integer")
-    rng, edges = Generator(Philox(_PhiloxKey(seed))), _edges(stats.joint.ravel())
+    ``i`` of the seed's stream, so the sequence is a pure function of ``seed``."""
+    n, edges, chunks = _chunks(stats, n, seed)
     codes = np.empty(n, dtype=np.uint8)
-    size = min(n, _CHUNK)  # one chunk of uniforms and of flags, refilled for each chunk
-    uniforms, flags = np.empty(size), np.empty(size, dtype=np.bool_)
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        u = uniforms[:stop - start]
-        _categories(rng.random(out=u), edges, codes[start:stop], flags[:stop - start])
+    for start, u, flags in chunks:
+        _categories(u, edges, codes[start:start + u.size], flags)
     return codes
+
+
+def sample_events_tally(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
+    """``np.bincount(sample_events(stats, n, seed), minlength=4)`` in memory that does not grow
+    with ``n``: the events of code ``c`` or more are those at or above edge ``c - 1``, counted
+    per chunk, and each count is a difference of two such tallies."""
+    n, edges, chunks = _chunks(stats, n, seed)
+    above = [0] * len(edges)
+    for _, u, flags in chunks:
+        for k, edge in enumerate(edges):
+            above[k] += np.count_nonzero(np.less_equal(edge, u, out=flags))
+    at_least = [n, *above, 0, 0, 0, 0][:5]  # the events of code 0 or more, ..., 4 or more
+    return np.subtract(at_least[:4], at_least[1:])
 
 
 _FLOAT_MIN = np.finfo(float).tiny  # the least positive normal float
 
 
 def contextual_estimate(
-    codes: np.ndarray,
+    counts,
     cv: ContextualValues,
     probabilities: tuple[float, float],
 ) -> EstimateReport:
@@ -251,10 +244,10 @@ def contextual_estimate(
 
     Parameters
     ----------
-    codes : ndarray of uint8
-        Recorded drain absorptions as codes ``2 d + s``; only the detector
-        drain ``d`` enters.  An array of another integer type is read as
-        well; a non-integer type or a value outside 0-3 raises ValueError.
+    counts : four integers
+        Event counts per code ``2 d + s`` (:func:`sample_events_tally`, or
+        ``np.bincount(codes, minlength=4)``), each of an integer type and
+        non-negative, with a positive total; only the drain ``d`` enters.
     cv : ContextualValues
         Finite drain weights from :func:`~coupled_mzi.measurement.contextual_values`.
     probabilities : (P_D1, P_D2)
@@ -271,23 +264,13 @@ def contextual_estimate(
         ``predicted_mse = (a1^2 P1 + a2^2 P2 - mean^2) / n`` and the state-free
         bound ``(a1^2 + a2^2) / n``; one not finite raises ObservableRangeError.
     """
-    codes = np.asarray(codes).reshape(-1)  # a view of an array that sample_events returned
-    n = codes.size
-    if n == 0:
-        raise ValueError("event list is empty")
-    not_codes = "events must be integer codes 2 d + s in 0-3"
-    if codes.dtype.kind not in "iu" or (codes.dtype.kind == "i" and codes.min() < 0):
-        raise ValueError(not_codes)
+    counts = [_index(c, -1) for c in counts] if np.ndim(counts) == 1 else []  # 1.0 is rejected below
+    if len(counts) != 4 or min(counts) < 0 or sum(counts) == 0:
+        raise ValueError("counts must be four non-negative integers with a positive total")
+    n1, n2, n = counts[0] + counts[1], counts[2] + counts[3], sum(counts)
     a1, a2 = cv.alpha_d1, cv.alpha_d2
     if not (math.isfinite(a1) and math.isfinite(a2)):
         raise ValueError("contextual values must be finite numbers")
-    n2 = 0
-    for start in range(0, n, _COUNT_CHUNK):  # chunk-sized comparisons, never n bytes of them
-        chunk = codes[start:start + _COUNT_CHUNK]
-        if np.count_nonzero(chunk >= 4):  # `>=`, not `>`: the count's ufunc loop, already warm
-            raise ValueError(not_codes)
-        n2 += int(np.count_nonzero(chunk >= 2))
-    n1 = n - n2
     estimate = (a1 * n1 + a2 * n2) / n
     spread = a2 - a1  # products, not powers: an overflow is inf, not OverflowError
     empirical = n1 * n2 / (n * (n - 1)) * (spread * spread) / n if n > 1 else 0.0

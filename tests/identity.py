@@ -6,7 +6,9 @@ runs every invocation in process against the package under ``ROOT/src``
 (default: the checkout holding this script) and prints one line per
 invocation: the SHA-256 of its stdout, stderr and exit code, then its argv.
 Each ``montecarlo`` invocation gets a second line, ``codes`` before its argv:
-the SHA-256 of the event codes that ``sample_events`` returned in it.
+the SHA-256 of the event codes that ``sample_events`` returns for each call of
+the count sampler ``sample_events_tally`` in it, whose counts must be the
+codes' ``bincount``.
 Two checkouts print the same lines exactly when each invocation gives the
 same bytes, exit code and event codes in both.  ``tests/golden/identity.txt``
 holds the lines, and ``tests/test_identity.py`` checks them in the test
@@ -39,6 +41,7 @@ to how it generates a deck moves 448 of the lines.
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -48,6 +51,8 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 CONFIGS = ("configs/ambiguous_measurement.conf", "configs/erasure.conf",
            "configs/strong_measurement.conf", "tests/golden/unbalanced.conf")
@@ -94,17 +99,27 @@ def runs(cli, make_round, work: Path):
     """``(argv, output, codes)`` per invocation of the set, from the ``cli``
     module: the argv as a line shows it, :func:`output`, and for
     ``montecarlo`` the SHA-256 of the event codes that ``sample_events``
-    returned in it (else None).  Config paths are read from the current
-    directory, the root of the checkout; the benchmark rounds' configs are
-    written under ``work``."""
-    sampled, sample_events = [], cli.sample_events
+    gives for the arguments of each sampler call in it (else None).  A
+    checkout whose ``cli`` calls ``sample_events_tally`` has its counts
+    checked against those codes; an older one calls ``sample_events``.  Config
+    paths are read from the current directory, the root of the checkout; the
+    benchmark rounds' configs are written under ``work``."""
+    name = "sample_events_tally" if hasattr(cli, "sample_events_tally") else "sample_events"
+    sampled, sampler = [], getattr(cli, name)
+    sample_events = importlib.import_module(".stochastic", cli.__package__).sample_events
 
     def capture(*args, **kwargs):
+        result = sampler(*args, **kwargs)
+        if sampler is sample_events:
+            sampled.append(result)
+            return result
         sampled.append(sample_events(*args, **kwargs))
-        return sampled[-1]
+        if not np.array_equal(result, np.bincount(sampled[-1], minlength=4)):
+            raise AssertionError(f"the counts {result} are not the bincount of the codes")
+        return result
 
     tmp = str(work)
-    cli.sample_events = capture
+    setattr(cli, name, capture)
     try:
         for argv in argvs(make_round, work):
             sampled.clear()
@@ -113,7 +128,7 @@ def runs(cli, make_round, work: Path):
                 if argv[0] == "montecarlo" else None
             yield " ".join(argv).replace(tmp, "$WORK"), text, codes
     finally:
-        cli.sample_events = sample_events
+        setattr(cli, name, sampler)
 
 
 def lines(cli, make_round, work: Path) -> list[str]:

@@ -34,7 +34,7 @@ from coupled_mzi import (
     qpc_from_transmission,
     reconstruct_average,
     reduced_system_state,
-    sample_events,
+    sample_events_tally,
     semiweak_value,
     sequential_phase,
     weak_value,
@@ -229,8 +229,8 @@ def test_criterion_09_estimator_statistics():
     estimates = []
     predicted = None
     for seed in range(runs):
-        events = sample_events(stats, n, seed=900_000 + seed)
-        rep = contextual_estimate(events, cv, probabilities=probs)
+        counts = sample_events_tally(stats, n, seed=900_000 + seed)
+        rep = contextual_estimate(counts, cv, probabilities=probs)
         estimates.append(rep.estimate)
         predicted = rep.predicted_mse
     grand_bias = abs(float(np.mean(estimates)) - truth)
@@ -243,8 +243,8 @@ def test_criterion_09_estimator_statistics():
     for k, size in enumerate(sizes):
         sq = []
         for run in range(60):
-            events = sample_events(stats, size, seed=700_000 + 1000 * k + run)
-            rep = contextual_estimate(events, cv, probabilities=probs)
+            counts = sample_events_tally(stats, size, seed=700_000 + 1000 * k + run)
+            rep = contextual_estimate(counts, cv, probabilities=probs)
             sq.append((rep.estimate - truth) ** 2)
         rms.append(math.sqrt(np.mean(sq)))
     slope = float(np.polyfit(np.log(sizes), np.log(rms), 1)[0])

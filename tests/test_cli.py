@@ -801,8 +801,14 @@ def test_unallocatable_size_is_config_error(capsys, command):
     (lambda c: cli.run_montecarlo(c, 0, 7), "--n must be at least 1"),
     (lambda c: cli.run_montecarlo(c, 10, 2**64), "--seed must be a 64-bit unsigned integer in [0, 2**64)"),
     (lambda c: cli.run_montecarlo(c, 2**63, 7), "the request does not fit in memory: 9223372036854775808 events"),
+    # a float count or seed is no integer, even a whole one
+    (lambda c: cli.run_scan(c, "gamma", 0.1, 1.0, 10.0, ("P_D1",)), "sweep count must be an integer, got 10.0"),
+    (lambda c: cli.run_erasure(c, 0.0, 1.0, 10.0), "sweep count must be an integer, got 10.0"),
+    (lambda c: cli.run_montecarlo(c, 10.0, 7), "--n must be an integer, got 10.0"),
+    (lambda c: cli.run_montecarlo(c, 10, 7.0), "--seed must be an integer, got 7.0"),
 ], ids=["scan-parameter", "scan-range", "scan-quantity", "erasure-count", "erasure-size", "montecarlo-n",
-        "montecarlo-seed", "montecarlo-size"])
+        "montecarlo-seed", "montecarlo-size", "scan-float-count", "erasure-float-count", "montecarlo-float-n",
+        "montecarlo-float-seed"])
 def test_run_function_checks_its_request(call, message):
     """A library call of a ``run_*`` function gets the CLI's check and message."""
     with pytest.raises(ConfigError) as raised:

@@ -10,11 +10,13 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "coupled_mzi"
 
 ALLOWED_PRIVATE_IMPORTS = {
+    ("cli", "params", "_index"),
     ("conditioning", "params", "_plain"),
     ("measurement", "params", "_all"),
     ("measurement", "params", "_plain"),
     ("scattering", "params", "_all"),
     ("scattering", "params", "_plain"),
+    ("stochastic", "params", "_index"),
 }
 """``(importer, module, name)`` of every private name one package module
 imports from another."""

@@ -453,12 +453,12 @@ class TestLimitForms:
 
 NAN, INF = math.nan, math.inf
 CV = ContextualValues(-2.0, 2.0)
-CODES = np.array([0, 2, 3], dtype=np.uint8)
+COUNTS = np.bincount([0, 2, 3], minlength=4)
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda: contextual_estimate(CODES, CV, probabilities=(NAN, NAN)), id="estimate-nan"),
-    pytest.param(lambda: contextual_estimate(CODES, CV, probabilities=(INF, -INF)),
+    pytest.param(lambda: contextual_estimate(COUNTS, CV, probabilities=(NAN, NAN)), id="estimate-nan"),
+    pytest.param(lambda: contextual_estimate(COUNTS, CV, probabilities=(INF, -INF)),
                  id="estimate-opposite-infs"),
     pytest.param(lambda: reconstruct_average(CV, NAN, NAN), id="reconstruct-nan"),
     pytest.param(lambda: limit_contextual_values("strong", NAN, 0.3), id="strong-nan-gamma"),

@@ -3,6 +3,7 @@ import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -28,19 +29,22 @@ from coupled_mzi import (
     damping_eta,
     detector_params,
     joint_probability_table,
+    load_config,
     measurement_operators,
     observation_time,
     povm_pair,
     qpc_from_transmission,
     sample_events,
+    sample_events_tally,
 )
-from coupled_mzi import stochastic
+from coupled_mzi import cli, stochastic
 from coupled_mzi.params import DetectorDrain
 from conftest import (balanced_mzi, detector_drain_probabilities, random_mzi, random_stack,
                       stacked_experiment)
 from reference import closed_form_table, raised_cosine_pdf
 
 OBS = ObservableCoefficients()
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestRaisedCosine:
@@ -575,6 +579,7 @@ class TestSampleEvents:
         canonical = sample_events(stats, 10_001, seed=99)
         monkeypatch.setattr(stochastic, "_CHUNK", chunk)
         assert np.array_equal(sample_events(stats, 10_001, seed=99), canonical)
+        assert np.array_equal(sample_events_tally(stats, 10_001, seed=99), np.bincount(canonical, minlength=4))
 
     def test_stack_of_tables_rejected(self):
         with pytest.raises(ValueError, match=r"one joint table, got a stack of shape \(3, 2, 2\)"):
@@ -598,6 +603,18 @@ class TestSampleEvents:
         assert np.array_equal(sample_events(stats, np.int64(10), seed=7), codes)
         assert np.array_equal(sample_events(stats, np.array(10), seed=7), codes)
 
+    def test_tally_checks_its_request(self):
+        # the two samplers share their checks and messages
+        _, _, stats = quarter_stats()
+        for args, message in [((JointStatistics(np.full((3, 2, 2), 0.25)), 10, 1), "one joint table"),
+                              ((stats, 0, 1), "n must be an integer of at least 1"),
+                              ((stats, 10.0, 1), "n must be an integer of at least 1"),
+                              ((stats, 10, -1), "seed must be a 64-bit unsigned integer"),
+                              ((stats, 10, 2**64), "seed must be a 64-bit unsigned integer"),
+                              ((stats, 10, 1.9), "seed must be a 64-bit unsigned integer")]:
+            with pytest.raises(ValueError, match=message):
+                sample_events_tally(*args)
+
     def test_seed_is_an_integer(self):
         _, _, stats = quarter_stats()
         for seed in (1.9, "7", np.float64(7.0), np.array(7.5)):
@@ -611,7 +628,7 @@ class TestSampleEvents:
 class TestContextualEstimate:
     def test_single_drain_events(self):
         cv = ContextualValues(-1.0, 1.0)
-        report = contextual_estimate(np.full(8, 2, dtype=np.uint8), cv, probabilities=(0.0, 1.0))
+        report = contextual_estimate([0, 0, 8, 0], cv, probabilities=(0.0, 1.0))
         assert report.estimate == 1.0
         assert report.empirical_variance == 0.0
 
@@ -630,7 +647,8 @@ class TestContextualEstimate:
         codes = np.array(codes, dtype=np.uint8)
         n = codes.size
         values = np.where(codes >= 2, a2, a1)
-        report = contextual_estimate(codes, ContextualValues(a1, a2), probabilities=(0.5, 0.5))
+        report = contextual_estimate(np.bincount(codes, minlength=4), ContextualValues(a1, a2),
+                                     probabilities=(0.5, 0.5))
         assert report.n == n
         assert abs(report.estimate - values.mean()) <= 1e-12 * scale
         if n == 1:
@@ -646,9 +664,9 @@ class TestContextualEstimate:
         cv = contextual_values(OBS, detector_params(det, math.pi / 2))
         assert (cv.alpha_d1, cv.alpha_d2) == (pytest.approx(-1.0), pytest.approx(3.0))
         n = 100_000
-        events = sample_events(stats, n, seed=4242)
+        counts = sample_events_tally(stats, n, seed=4242)
         report = contextual_estimate(
-            events,
+            counts,
             cv,
             probabilities=(stats.p_detector(DetectorDrain.D1), stats.p_detector(DetectorDrain.D2)),
         )
@@ -664,8 +682,8 @@ class TestContextualEstimate:
         estimates = []
         predicted = None
         for seed in range(100):
-            events = sample_events(stats, n, seed=seed)
-            report = contextual_estimate(events, cv, probabilities=probs)
+            counts = sample_events_tally(stats, n, seed=seed)
+            report = contextual_estimate(counts, cv, probabilities=probs)
             estimates.append(report.estimate)
             predicted = report.predicted_mse
         empirical = float(np.var(estimates, ddof=1))
@@ -675,64 +693,74 @@ class TestContextualEstimate:
         det, sysm, stats = quarter_stats()
         cv = contextual_values(OBS, detector_params(det, math.pi / 2))
         probs = (stats.p_detector(DetectorDrain.D1), stats.p_detector(DetectorDrain.D2))
-        events = sample_events(stats, 50_000, seed=8)
-        report = contextual_estimate(events, cv, probabilities=probs)
+        counts = sample_events_tally(stats, 50_000, seed=8)
+        report = contextual_estimate(counts, cv, probabilities=probs)
         assert report.empirical_variance == pytest.approx(report.predicted_mse, rel=0.05)
         assert report.predicted_mse <= report.mse_upper_bound
 
     @pytest.mark.parametrize("cv", [ContextualValues(-math.inf, math.inf), ContextualValues(math.nan, 1.0)])
     def test_values_beyond_the_float_range_rejected(self, cv):
         with pytest.raises(ValueError, match="contextual values must be finite numbers"):
-            contextual_estimate(np.array([0, 2], dtype=np.uint8), cv, probabilities=(0.5, 0.5))
+            contextual_estimate([1, 0, 1, 0], cv, probabilities=(0.5, 0.5))
 
     def test_report_beyond_the_float_range_raises(self):
         # finite values whose squares overflow
         with pytest.raises(ObservableRangeError,
                            match="^observable: the estimator report is not a finite number$"):
-            contextual_estimate(np.array([0, 2], dtype=np.uint8), ContextualValues(-1e200, 1e200),
-                                probabilities=(0.5, 0.5))
+            contextual_estimate([1, 0, 1, 0], ContextualValues(-1e200, 1e200), probabilities=(0.5, 0.5))
 
     def test_upper_bound_dominates_random(self, rng):
         for _ in range(100):
             p1 = rng.uniform(0, 1)
             a1, a2 = rng.uniform(-5, 5, size=2)
             cv = ContextualValues(a1, a2)
-            events = np.zeros(1, dtype=np.uint8)
-            report = contextual_estimate(events, cv, probabilities=(p1, 1 - p1))
+            report = contextual_estimate([1, 0, 0, 0], cv, probabilities=(p1, 1 - p1))
             assert report.predicted_mse <= report.mse_upper_bound + 1e-15
 
     def test_empty_events_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            contextual_estimate(np.empty(0, dtype=np.uint8), ContextualValues(-1.0, 1.0), (0.5, 0.5))
+        for counts in ([0, 0, 0, 0], np.zeros(4, dtype=np.uint8)):
+            with pytest.raises(ValueError, match="^counts must be four non-negative integers with a positive total$"):
+                contextual_estimate(counts, ContextualValues(-1.0, 1.0), (0.5, 0.5))
 
-    @pytest.mark.parametrize("codes", [
-        np.array([0.5, 2.5]), np.array([0.0, 2.0]), np.array([True, False]),
-        np.array([0, 4], dtype=np.uint8), np.array([-1, 2]), np.array([3, 255], dtype=np.uint8),
-    ], ids=["fractions", "whole-floats", "bools", "four", "negative", "wrapped-minus-one"])
-    def test_non_codes_rejected(self, codes):
-        with pytest.raises(ValueError, match="integer codes 2 d \\+ s in 0-3"):
-            contextual_estimate(codes, ContextualValues(-1.0, 1.0), (0.5, 0.5))
+    @pytest.mark.parametrize("counts", [
+        [1, 0, 2], [1, 0, 2, 0, 0], np.array([[1, 0], [2, 0]]), 3, None,
+        [1, -1, 2, 0], np.array([3, 0, -2, 1]),
+        [1.0, 0, 2, 0], np.array([1.0, 0.0, 2.0, 0.0]), [0.5, 0, 2.5, 0], [1, 0, "2", 0],
+        np.array([True, False, True, False]),
+    ], ids=["three", "five", "table", "scalar", "none", "negative", "negative-array", "whole-float",
+            "whole-float-array", "fractions", "string", "bools"])
+    def test_non_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="^counts must be four non-negative integers with a positive total$"):
+            contextual_estimate(counts, ContextualValues(-1.0, 1.0), (0.5, 0.5))
 
     def test_other_integer_types_read(self):
-        codes, cv = np.array([0, 1, 2, 3, 3]), ContextualValues(-1.0, 1.0)
-        expected = contextual_estimate(codes.astype(np.uint8), cv, (0.5, 0.5))
-        for dtype in (np.int8, np.int64, np.uint64):
-            assert contextual_estimate(codes.astype(dtype), cv, (0.5, 0.5)) == expected
+        counts, cv = np.array([1, 1, 1, 2]), ContextualValues(-1.0, 1.0)
+        expected = contextual_estimate(counts, cv, (0.5, 0.5))
+        for other in (counts.astype(np.int8), counts.astype(np.uint64), counts.tolist(), (1, 1, 1, 2)):
+            assert contextual_estimate(other, cv, (0.5, 0.5)) == expected
 
     def test_probability_outside_the_range_rejected(self):
         # (1.5, -0.5) sums to 1: the average would read -2 and predicted_mse clamp -3/n to 0
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-            contextual_estimate(np.array([0, 2], dtype=np.uint8), ContextualValues(-1.0, 1.0), (1.5, -0.5))
+            contextual_estimate([1, 0, 1, 0], ContextualValues(-1.0, 1.0), (1.5, -0.5))
 
-    C, K = stochastic._CHUNK, stochastic._COUNT_CHUNK  # the sampler's chunk and the count's
+    C = stochastic._CHUNK  # the samplers' chunk
+    # zero cells inside a table, and trailing ones that leave two, one and no edges
+    TABLES = [[[0.1, 0.2], [0.3, 0.4]], [[0.0, 0.7], [0.0, 0.3]], [[0.3, 0.2], [0.5, 0.0]],
+              [[0.6, 0.4], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
 
-    @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 3 * C + 5, K - 1, K, K + 1, 3 * K + 5])
-    def test_d2_count_across_chunks(self, n, rng):
-        # random codes, and all D2 so that every event counts
-        for codes in (rng.integers(0, 4, size=n).astype(np.uint8), np.full(n, 2, dtype=np.uint8)):
-            # with alpha = (0, n) the estimate is n n2 / n, which is n2 exactly
-            report = contextual_estimate(codes, ContextualValues(0.0, float(n)), (0.5, 0.5))
-            assert report.estimate == np.count_nonzero(codes >= 2)
+    @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 3 * C + 5, 8 * C - 1, 8 * C, 8 * C + 1, 24 * C + 5,
+                                   200_000])
+    def test_d2_count_across_chunks(self, n):
+        # the tally is the codes' bincount, and its estimate at alpha = (0, n),
+        # n n2 / n, is the codes' D2 count n2 exactly
+        for table in [*self.TABLES, quarter_stats()[2].joint]:
+            stats = JointStatistics(np.array(table))
+            for seed in (0, 7, 2**64 - 1):
+                codes, counts = sample_events(stats, n, seed), sample_events_tally(stats, n, seed)
+                assert np.array_equal(counts, np.bincount(codes, minlength=4))
+                report = contextual_estimate(counts, ContextualValues(0.0, float(n)), (0.5, 0.5))
+                assert report.estimate == np.count_nonzero(codes >= 2)
 
     def test_unbiasedness_over_seeded_runs(self):
         det, sysm, stats = quarter_stats()
@@ -743,8 +771,8 @@ class TestContextualEstimate:
         grand = []
         predicted = None
         for seed in range(runs):
-            events = sample_events(stats, n, seed=1000 + seed)
-            report = contextual_estimate(events, cv, probabilities=probs)
+            counts = sample_events_tally(stats, n, seed=1000 + seed)
+            report = contextual_estimate(counts, cv, probabilities=probs)
             grand.append(report.estimate)
             predicted = report.predicted_mse
         standard_error = math.sqrt(predicted / runs)
@@ -752,20 +780,20 @@ class TestContextualEstimate:
 
 
 class TestPeakMemory:
-    def test_sampler_and_estimate_hold_about_one_byte_per_event(self):
-        # the returned codes are n bytes; the scratch of both calls is one chunk
-        _, _, stats = quarter_stats()
-        n = 2_000_000
-        sample_events(stats, 10, seed=1)  # first-call allocations stay out of the peak
-        gc.collect()
-        tracemalloc.start()
-        try:
-            codes = sample_events(stats, n, seed=3)
-            contextual_estimate(codes, ContextualValues(-1.0, 3.0), (0.5, 0.5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.2 * n + 0.5e6
+    def test_montecarlo_peak_does_not_grow_with_n(self):
+        # no montecarlo path holds an n-element array: ten times the events, the same peak
+        config = load_config(str(CONFIGS / "strong_measurement.conf"))
+        cli.run_montecarlo(config, 10, 1)  # first-call allocations stay out of the peaks
+        peaks = []
+        for n in (2_000_000, 20_000_000):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                cli.run_montecarlo(config, n, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 0.1e6
 
 
 class TestObservationTime:
@@ -811,8 +839,8 @@ class TestRmsScaling:
         for k, n in enumerate(sizes):
             errors = []
             for run in range(40):
-                events = sample_events(stats, n, seed=5_000 + 100 * k + run)
-                report = contextual_estimate(events, cv, probabilities=probs)
+                counts = sample_events_tally(stats, n, seed=5_000 + 100 * k + run)
+                report = contextual_estimate(counts, cv, probabilities=probs)
                 errors.append((report.estimate - truth) ** 2)
             rms.append(math.sqrt(np.mean(errors)))
         slope = np.polyfit(np.log(sizes), np.log(rms), 1)[0]
