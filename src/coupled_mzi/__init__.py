@@ -50,19 +50,15 @@ from .measurement import (
 from .params import (
     CouplingModel,
     DetectorDrain,
-    DetectorParams,
+    FringeParams,
     InterferometerConfig,
-    JointInterferenceParams,
     ObservableCoefficients,
     QpcSetting,
     SystemDrain,
-    SystemParams,
     damping_eta,
     detector_params,
-    joint_interference_params,
     qpc_from_angle,
     qpc_from_transmission,
-    system_params,
 )
 from .scattering import (
     JointAmplitudes,

@@ -3,10 +3,11 @@
 Conditioned which-path averages are computed by weighting conditional
 detector probabilities with the contextual values,
 ``<sigma_z>_S = sum_D alpha_D P_{D|S}``; that pipeline is the source of
-truth here, and the closed-form joint-interference term below is verified
-against it rather than the other way around.  Conditioned averages may
-leave the eigenvalue range [-1, 1] (a quantum-interference signature) but
-are always bounded by the contextual values themselves.
+truth here.  The closed-form joint-interference term below takes the
+detector bundle and forms the system and pair coupling terms itself; it is
+verified against the pipeline, not the other way around.  Conditioned
+averages may leave the eigenvalue range [-1, 1] (a quantum-interference
+signature) but are always bounded by the contextual values themselves.
 
 Every function takes one configuration or a stack: ``gamma`` and every
 field of the configurations may be arrays, which broadcast together, and
@@ -19,15 +20,7 @@ import numpy as np
 
 from .errors import AmbiguousMeasurementError, ObservableRangeError, PostSelectionImpossibleError
 from .measurement import DIVERGENCE_THRESHOLD, ContextualValues, contextual_values
-from .params import (
-    InterferometerConfig,
-    ObservableCoefficients,
-    SystemDrain,
-    _plain,
-    detector_params,
-    joint_interference_params,
-    system_params,
-)
+from .params import InterferometerConfig, ObservableCoefficients, SystemDrain, _coupling_term, _plain, detector_params
 from .scattering import JointStatistics, joint_probability_table
 
 _MARGINAL_THRESHOLD = 1e-12
@@ -82,16 +75,17 @@ def xi_joint_interference(det: InterferometerConfig, sys: InterferometerConfig, 
     there anyway.
     """
     dp = detector_params(det, gamma)
-    sp = system_params(sys, gamma)
-    jp = joint_interference_params(det.tuning_phase, sys.tuning_phase, gamma)
     v, g = np.broadcast_arrays(dp.visibility, dp.Gamma)
     dark = np.flatnonzero(v <= DIVERGENCE_THRESHOLD)
     if dark.size:
         raise AmbiguousMeasurementError(float(v.flat[dark[0]]), float(g.flat[dark[0]]), DIVERGENCE_THRESHOLD)
-    d1d, d2d = det.qpc1.delta, det.qpc2.delta
-    eps1d = det.qpc1.epsilon
-    correction = sp.Gamma * (d1d * dp.Delta + d2d * (eps1d * eps1d) / dp.visibility)
-    return jp.Delta_ds - dp.Delta * sp.Delta + correction
+    phi_d, phi_s = det.tuning_phase, sys.tuning_phase
+    gamma_s = _coupling_term(gamma, -phi_s)
+    delta_s = np.cos(phi_s) - gamma_s
+    delta_ds = np.cos(phi_d) * np.cos(phi_s) - _coupling_term(gamma, phi_d - phi_s)
+    d1d, d2d, eps1d = det.qpc1.delta, det.qpc2.delta, det.qpc1.epsilon
+    correction = gamma_s * (d1d * dp.Delta + d2d * (eps1d * eps1d) / dp.visibility)
+    return _plain(delta_ds - dp.Delta * delta_s + correction)
 
 
 def conditioned_average(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .params import _require_finite
 from .scattering import ELEMENTARY_CHARGE, PLANCK_CONSTANT
 
 HBAR = PLANCK_CONSTANT / (2.0 * math.pi)
@@ -94,12 +95,13 @@ def dynamical_phase(fermi_energy: float, length: float, fermi_velocity: float) -
     """Free single-particle dynamical phase ``2 E_F L / (hbar v_F)``.
 
     ``fermi_energy`` in joules.  A copropagating pair accumulates twice
-    this value.
+    this value.  A non-finite argument raises ``ValueError`` naming it.
     """
     if not (fermi_energy > 0 and fermi_velocity > 0):  # NaN fails
         raise ValueError("energy and velocity must be positive")
     if not length >= 0:
         raise ValueError("length must be non-negative")
+    _require_finite(fermi_energy=fermi_energy, length=length, fermi_velocity=fermi_velocity)
     return 2.0 * fermi_energy * length / (HBAR * fermi_velocity)
 
 
@@ -107,10 +109,12 @@ def sequential_phase(energy: float, t1: float, t2: float) -> float:
     """Relative phase ``E (t2 - t1) / hbar`` between staggered drain detections.
 
     This is a global phase of the collapsed joint state: it must not (and
-    does not) change any drain statistics.
+    does not) change any drain statistics.  A non-finite argument raises
+    ``ValueError`` naming it.
     """
     if not t2 >= t1:  # NaN fails
         raise ValueError("second detection cannot precede the first")
+    _require_finite(energy=energy, t1=t1, t2=t2)
     return energy * (t2 - t1) / HBAR
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AmbiguousMeasurementError, ObservableRangeError
-from .params import DetectorParams, InterferometerConfig, ObservableCoefficients, _all, _plain, detector_params
+from .params import FringeParams, InterferometerConfig, ObservableCoefficients, _all, _plain, detector_params
 from .scattering import detector_drain_amplitudes
 
 DIVERGENCE_THRESHOLD = 1e-9
@@ -145,7 +145,7 @@ class ContextualValues:
     alpha_d2: float
 
 
-def contextual_values(obs: ObservableCoefficients, p: DetectorParams) -> ContextualValues:
+def contextual_values(obs: ObservableCoefficients, p: FringeParams) -> ContextualValues:
     """Unique drain weights reconstructing ``a0 + a3 sigma_z`` on average.
 
     ``alpha_D1 = a0 - (a3/Gamma)(beta_minus/V + Delta)`` and
@@ -175,7 +175,7 @@ def contextual_values(obs: ObservableCoefficients, p: DetectorParams) -> Context
     return ContextualValues(*_weights(obs, p))
 
 
-def contextual_values_or_nan(obs: ObservableCoefficients, p: DetectorParams) -> ContextualValues:
+def contextual_values_or_nan(obs: ObservableCoefficients, p: FringeParams) -> ContextualValues:
     """:func:`contextual_values` at each point of the grid that the fields of
     ``p`` broadcast to, NaN where the point is ambiguous; out of range raises."""
     # arrays: a V = 0 point divides to inf, not ZeroDivisionError

@@ -67,6 +67,14 @@ def _require(ok, message: str, value=None) -> None:
         raise ValueError(message.format(value))
 
 
+def _require_finite(**values) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` that is not a finite
+    number at every point; one configuration stays on Python floats."""
+    for name, x in values.items():
+        _require(math.isfinite(x) if isinstance(x, (int, float)) else np.isfinite(x),
+                 name + " {} is not a finite number", x)
+
+
 def _plain(x, kind=float):
     """A numpy result made a Python ``kind`` when it is a scalar; arrays pass."""
     return x if x.ndim else kind(x)
@@ -202,7 +210,9 @@ def damping_eta(sigma):
 
 @dataclass(frozen=True)
 class FringeParams:
-    """Closed-form single-interferometer parameter bundle.
+    """Closed-form fringe bundle of the detector interferometer, from
+    :func:`detector_params` (sign convention ``gamma/2 + phi``) or averaged
+    over the coupling model (:func:`~coupled_mzi.stochastic.averaged_detector_params`).
 
     ``beta_plus``/``beta_minus`` are the particle-like background weights
     of the two drains, ``visibility`` the wave-like fringe visibility,
@@ -230,29 +240,6 @@ class FringeParams:
         _require(abs(d) <= 1.0 + IDENTITY_TOL, "Delta {} outside [-1, 1]", d)
 
 
-class DetectorParams(FringeParams):
-    """Detector-side parameter bundle (sign convention ``gamma/2 + phi``)."""
-
-
-class SystemParams(FringeParams):
-    """System-side parameter bundle (sign convention ``gamma/2 - phi``)."""
-
-
-@dataclass(frozen=True)
-class JointInterferenceParams:
-    """Joint two-interferometer interference parameters.
-
-    ``Delta_ds + Gamma_ds = cos(phi_d) cos(phi_s)`` by construction.
-    """
-
-    Delta_ds: float
-    Gamma_ds: float
-
-    def __post_init__(self):
-        _require(abs(self.Gamma_ds) <= 1.0 + IDENTITY_TOL, "Gamma_ds {} outside [-1, 1]", self.Gamma_ds)
-        _require(abs(self.Delta_ds) <= 1.0 + IDENTITY_TOL, "Delta_ds {} outside [-1, 1]", self.Delta_ds)
-
-
 @dataclass(frozen=True)
 class ObservableCoefficients:
     """Compatible observable ``a0 * identity + a3 * sigma_z``.
@@ -271,41 +258,18 @@ def _coupling_term(gamma, phase):
     return np.sin(half) * np.sin(half + phase)
 
 
-def _bundle(cls, ifm: InterferometerConfig, big_gamma):
-    """Fringe bundle of ``ifm`` with coupling-induced interference ``big_gamma``."""
-    background = ifm.qpc1.delta * ifm.qpc2.delta
-    return cls(1.0 + background, 1.0 - background, ifm.qpc1.epsilon * ifm.qpc2.epsilon,
-               _plain(big_gamma), _plain(np.cos(ifm.tuning_phase) - big_gamma))
-
-
-def detector_params(det: InterferometerConfig, gamma) -> DetectorParams:
+def detector_params(det: InterferometerConfig, gamma) -> FringeParams:
     """Closed-form detector parameter bundle for coupling phase ``gamma``.
 
     Returns
     -------
-    DetectorParams with ``beta_(+/-) = 1 +/- delta1*delta2``,
-    ``visibility = epsilon1*epsilon2``,
-    ``Gamma = sin(gamma/2) sin(gamma/2 + phi)`` and
+    FringeParams with ``beta_(+/-) = 1 +/- delta1*delta2``, ``visibility =
+    epsilon1*epsilon2``, ``Gamma = sin(gamma/2) sin(gamma/2 + phi)`` and
     ``Delta = cos(phi) - Gamma``.  ``gamma`` and the fields of ``det`` may
-    be arrays.
+    be arrays; a non-finite ``gamma`` raises ``ValueError`` naming it.
     """
-    return _bundle(DetectorParams, det, _coupling_term(gamma, det.tuning_phase))
-
-
-def system_params(sys: InterferometerConfig, gamma) -> SystemParams:
-    """Closed-form system parameter bundle; note the flipped phase sign
-    ``Gamma = sin(gamma/2) sin(gamma/2 - phi)``."""
-    return _bundle(SystemParams, sys, _coupling_term(gamma, -sys.tuning_phase))
-
-
-def joint_interference_params(phi_d, phi_s, gamma) -> JointInterferenceParams:
-    """Joint interference bundle for tuning phases ``phi_d``, ``phi_s``.
-
-    ``Gamma_ds = sin(gamma/2) sin(gamma/2 + phi_d - phi_s)`` is the
-    coupling-dependent part; at ``gamma = 0`` the joint interference
-    reduces to the decoupled product ``cos(phi_d) cos(phi_s)`` and at
-    ``gamma = pi`` it is maximally coupled,
-    ``Delta_ds = -sin(phi_d) sin(phi_s)``.  The arguments may be arrays.
-    """
-    big_gamma = _coupling_term(gamma, phi_d - phi_s)
-    return JointInterferenceParams(_plain(np.cos(phi_d) * np.cos(phi_s) - big_gamma), _plain(big_gamma))
+    _require_finite(gamma=gamma)
+    big_gamma = _coupling_term(gamma, det.tuning_phase)
+    background = det.qpc1.delta * det.qpc2.delta
+    return FringeParams(1.0 + background, 1.0 - background, det.qpc1.epsilon * det.qpc2.epsilon,
+                        _plain(big_gamma), _plain(np.cos(det.tuning_phase) - big_gamma))

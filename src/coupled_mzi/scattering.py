@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import DetectorDrain, InterferometerConfig, QpcSetting, SystemDrain, _all, _plain
+from .params import DetectorDrain, InterferometerConfig, QpcSetting, SystemDrain, _all, _plain, _require_finite
 
 # Exact SI values (2019 redefinition).
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
@@ -133,8 +133,10 @@ def concurrence(det_qpc1: QpcSetting, sys_qpc1: QpcSetting, gamma):
 
     Closed form ``epsilon1_d * epsilon1_s * |sin(gamma/2)|``: maximal for
     balanced first QPCs at ``gamma = pi``, vanishing as ``gamma -> 0``.
-    ``gamma`` and the contacts' fields may be arrays.
+    ``gamma`` and the contacts' fields may be arrays; a non-finite ``gamma``
+    raises ``ValueError``.
     """
+    _require_finite(gamma=gamma)
     return _plain(det_qpc1.epsilon * sys_qpc1.epsilon * np.abs(np.sin(gamma / 2.0)))
 
 

@@ -96,7 +96,7 @@ class ObservationBudget:
 
 
 def averaged_detector_params(p: FringeParams, model: CouplingModel) -> FringeParams:
-    """A detector (or system) bundle averaged over coupling fluctuations and
+    """A detector bundle averaged over coupling fluctuations and
     unpaired emission, the exact average of its drain probabilities.
 
     Only ``Gamma`` and ``Delta`` change.  ``Gamma = sin(g/2) sin(g/2 +

@@ -8,12 +8,16 @@ average).  It reads only the fields of the configs it is given
 (transmissions, reflections, scattering and tuning phases) and imports
 nothing from ``coupled_mzi``; ``tests/test_layering.py`` checks that.
 
-Each interferometer enters the closed form through its fringe bundle: the
-background weights ``beta_(+/-) = 1 +/- delta1 delta2``, the visibility ``V
-= epsilon1 epsilon2`` and the coupling term ``Gamma = sin(g/2) sin(g/2 +
-phase)``, with ``phase = phi_d`` for the detector and ``-phi_s`` for the
-system, and ``Delta = cos(phi) - Gamma``.  The pair enters through
-``Delta_ds = cos(phi_d) cos(phi_s) - Gamma_ds`` at ``phase = phi_d - phi_s``.
+Each interferometer enters the closed form through its fringe bundle
+(:func:`fringe`): the background weights ``beta_(+/-) = 1 +/- delta1
+delta2``, the visibility ``V = epsilon1 epsilon2`` and the coupling term
+``Gamma = sin(g/2) sin(g/2 + phase)`` (:func:`coupling`), with ``phase =
+phi_d`` for the detector and ``-phi_s`` for the system, and ``Delta =
+cos(phi) - Gamma``.  The pair enters through ``Delta_ds = cos(phi_d)
+cos(phi_s) - Gamma_ds`` at ``phase = phi_d - phi_s``.  The package
+exports only the detector's bundle (``detector_params``); the tests read the
+system and pair bundles, and the joint-interference term Xi
+(:func:`joint_interference`), from this module.
 """
 
 import cmath
@@ -90,6 +94,43 @@ def _balance(q):
     return q.transmission - q.reflection, 2.0 * np.sqrt(q.transmission * q.reflection)
 
 
+def coupling(gamma, phase, product, eta=1.0, p=1.0):
+    """``(Gamma_bar, Delta_bar)`` of the coupling term ``Gamma = sin(g/2)
+    sin(g/2 + phase)`` at ``g = gamma``, where ``Delta + Gamma = product``.
+
+    ``eta`` and ``p`` average it over the coupling model, ``Gamma_bar = p
+    (eta Gamma + (1 - eta) cos(phase) / 2)`` with ``Delta_bar + Gamma_bar =
+    product``; with the defaults ``Gamma_bar`` is ``Gamma`` and
+    ``Delta_bar`` is ``product - Gamma``, bit for bit.
+    """
+    half = gamma / 2.0
+    big = np.sin(half) * np.sin(half + phase)
+    bar = p * (eta * big + (1.0 - eta) * np.cos(phase) / 2.0)
+    return bar, (product - big) + (big - bar)
+
+
+def fringe(ifm, gamma, phase, eta=1.0, p=1.0):
+    """The fringe bundle ``(beta_plus, beta_minus, V, Gamma_bar,
+    Delta_bar)`` of one interferometer, its coupling term at ``phase``
+    (``phi_d`` for the detector, ``-phi_s`` for the system)."""
+    (d1, e1), (d2, e2) = _balance(ifm.qpc1), _balance(ifm.qpc2)
+    return (1.0 + d1 * d2, 1.0 - d1 * d2, e1 * e2,
+            *coupling(gamma, phase, np.cos(ifm.tuning_phase), eta, p))
+
+
+def joint_interference(det, sys, gamma):
+    """The joint-interference term of the conditioned averages, ``Xi =
+    Delta_ds - Delta_d Delta_s + Gamma_s (delta1_d Delta_d + delta2_d
+    epsilon1_d^2 / V_d)``, with ``Delta_ds`` the pair's term at ``phase =
+    phi_d - phi_s`` and product ``cos(phi_d) cos(phi_s)``."""
+    pd, ps = det.tuning_phase, sys.tuning_phase
+    (d1d, e1d), (d2d, _) = _balance(det.qpc1), _balance(det.qpc2)
+    _, _, vd, _, dd = fringe(det, gamma, pd)
+    *_, gs, ds = fringe(sys, gamma, -ps)
+    dds = coupling(gamma, pd - ps, np.cos(pd) * np.cos(ps))[1]
+    return dds - dd * ds + gs * (d1d * dd + d2d * e1d * e1d / vd)
+
+
 def closed_form_table(det, sys, gamma, sigma=0.0, pair_probability=1.0) -> np.ndarray:
     """Joint drain table ``broadcast + (2, 2)``, indexed ``[..., detector
     drain, system drain]``, at coupling phase ``gamma``; every argument and
@@ -102,22 +143,12 @@ def closed_form_table(det, sys, gamma, sigma=0.0, pair_probability=1.0) -> np.nd
     unpaired emission has ``Gamma = 0``), and ``Delta`` keeps ``Delta +
     Gamma``.  Without fluctuations ``Gamma_bar`` is ``Gamma``, bit for bit.
     """
-    eta, p, half = damping_eta(sigma), pair_probability, gamma / 2.0
-
-    def coupling(phase, product):
-        """``(Gamma_bar, Delta_bar)`` of the term at ``phase``, where ``Delta + Gamma = product``."""
-        big = np.sin(half) * np.sin(half + phase)
-        bar = p * (eta * big + (1.0 - eta) * np.cos(phase) / 2.0)
-        return bar, (product - big) + (big - bar)
-
+    eta, p = damping_eta(sigma), pair_probability
     pd, ps = det.tuning_phase, sys.tuning_phase
-    (d1d, e1d), (d2d, e2d) = _balance(det.qpc1), _balance(det.qpc2)
-    (d1s, e1s), (d2s, e2s) = _balance(sys.qpc1), _balance(sys.qpc2)
-    bpd, bmd, vd = 1.0 + d1d * d2d, 1.0 - d1d * d2d, e1d * e2d
-    bps, bms, vs = 1.0 + d1s * d2s, 1.0 - d1s * d2s, e1s * e2s
-    gd, dd = coupling(pd, np.cos(pd))
-    gs, ds = coupling(-ps, np.cos(ps))
-    joint = vd * vs * coupling(pd - ps, np.cos(pd) * np.cos(ps))[1]
+    d1d, d2d, d1s, d2s = (q.transmission - q.reflection for q in (det.qpc1, det.qpc2, sys.qpc1, sys.qpc2))
+    bpd, bmd, vd, gd, dd = fringe(det, gamma, pd, eta, p)
+    bps, bms, vs, gs, ds = fringe(sys, gamma, -ps, eta, p)
+    joint = vd * vs * coupling(gamma, pd - ps, np.cos(pd) * np.cos(ps), eta, p)[1]
     det_plus = dd * bps + gd * (d1s + d2s)
     det_minus = dd * bms + gd * (d1s - d2s)
     sys_plus = ds * bpd - gs * (d1d + d2d)

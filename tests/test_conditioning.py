@@ -20,13 +20,13 @@ from coupled_mzi import (
     joint_probability_table,
     qpc_from_transmission,
     semiweak_value,
-    system_params,
     weak_value,
     xi_joint_interference,
 )
 from coupled_mzi.cli import run_erasure, run_scan
 from coupled_mzi.params import DetectorDrain, ObservableCoefficients, SystemDrain
 from conftest import balanced_mzi, random_mzi
+from reference import coupling, fringe
 
 OBS = ObservableCoefficients()
 
@@ -161,14 +161,14 @@ class TestXiJointInterference:
             if stats.system_marginals.min() < 1e-6:
                 continue
             cv = contextual_values(OBS, dp)
-            sp = system_params(sysm, gamma)
+            v_s = fringe(sysm, gamma, -sysm.tuning_phase)[2]
             xi_ratio = xi_joint_interference(det, sysm, gamma) / dp.Gamma
             d1s, d2s = sysm.qpc1.delta, sysm.qpc2.delta
             for s, sign in ((SystemDrain.S1, 1.0), (SystemDrain.S2, -1.0)):
                 pipeline = (
                     cv.alpha_d1 * stats.joint[0, s.value] + cv.alpha_d2 * stats.joint[1, s.value]
                 ) / stats.p_system(s)
-                numerator = d1s + sign * d2s - sign * sp.visibility * xi_ratio
+                numerator = d1s + sign * d2s - sign * v_s * xi_ratio
                 closed = numerator / (2.0 * stats.p_system(s))
                 scale = max(1.0, abs(pipeline))
                 assert closed == pytest.approx(pipeline, abs=1e-10 * scale)
@@ -193,15 +193,15 @@ class TestXiJointInterference:
 
     def test_balanced_detector_reduces_to_interference_difference(self, rng):
         # both detector deltas zero: the correction term drops out
-        from coupled_mzi import joint_interference_params
         det = balanced_mzi(0.9)
         sysm = random_mzi(rng)
         gamma = 1.7
-        dp = detector_params(det, gamma)
-        sp = system_params(sysm, gamma)
-        jp = joint_interference_params(det.tuning_phase, sysm.tuning_phase, gamma)
+        phi_d, phi_s = det.tuning_phase, sysm.tuning_phase
+        delta_d = fringe(det, gamma, phi_d)[4]
+        delta_s = fringe(sysm, gamma, -phi_s)[4]
+        delta_ds = coupling(gamma, phi_d - phi_s, math.cos(phi_d) * math.cos(phi_s))[1]
         assert xi_joint_interference(det, sysm, gamma) == pytest.approx(
-            jp.Delta_ds - dp.Delta * sp.Delta, abs=1e-15
+            delta_ds - delta_d * delta_s, abs=1e-15
         )
 
     def test_vanishes_at_zero_coupling(self, rng):
@@ -213,6 +213,11 @@ class TestXiJointInterference:
         det = InterferometerConfig(qpc_from_transmission(1.0), qpc_from_transmission(0.5), 0.0)
         with pytest.raises(AmbiguousMeasurementError):
             xi_joint_interference(det, balanced_mzi(0.0), 1.0)
+
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_coupling_names_gamma(self, gamma):
+        with pytest.raises(ValueError, match="^gamma .* is not a finite number$"):
+            xi_joint_interference(balanced_mzi(0.9), balanced_mzi(0.2), gamma)
 
 
 class TestConditionedAverage:
@@ -245,13 +250,16 @@ class TestConditionedAverage:
                 qpc_from_transmission(rng.uniform(0.2, 0.8)),
                 phi_s,
             )
-            sp = system_params(sysm, math.pi)
+            beta_plus, _, v_s, *_ = fringe(sysm, math.pi, -phi_s)
             d1, d2 = sysm.qpc1.delta, sysm.qpc2.delta
             avg = conditioned_average(balanced_mzi(phi_d), sysm, math.pi, SystemDrain.S1)
-            expected = (d1 + d2) / sp.beta_plus + (
-                sp.visibility / sp.beta_plus
-            ) * math.tan(phi_d) * math.sin(phi_s)
+            expected = (d1 + d2) / beta_plus + (v_s / beta_plus) * math.tan(phi_d) * math.sin(phi_s)
             assert avg == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_coupling_names_gamma(self, gamma):
+        with pytest.raises(ValueError, match="^gamma .* is not a finite number$"):
+            conditioned_average(balanced_mzi(0.9), balanced_mzi(0.2), gamma, SystemDrain.S1)
 
     def test_near_ambiguous_erasure_divergence(self):
         det = balanced_mzi(math.pi / 2 - 0.01)

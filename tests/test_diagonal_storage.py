@@ -25,16 +25,15 @@ NAN, INF = math.nan, math.inf
 INIT_FIELDS = {
     "ContextualValues": ("alpha_d1", "alpha_d2"),
     "CouplingModel": ("gamma", "sigma", "pair_probability"),
-    "DetectorParams": ("beta_plus", "beta_minus", "visibility", "Gamma", "Delta"),
     "EfficientFactorization": ("disturbance_unitary", "root_d1", "root_d2", "dropped_phases"),
     "EstimateReport": ("estimate", "n", "empirical_variance", "predicted_mse", "mse_upper_bound"),
     "ExperimentConfig": ("detector", "system", "coupling", "observable", "bias", "geometry",
                          "budget"),
+    "FringeParams": ("beta_plus", "beta_minus", "visibility", "Gamma", "Delta"),
     "InteractionGeometry": ("copropagation_length", "channel_separation", "screening_length",
                             "propagation_speed", "coulomb_constant"),
     "InterferometerConfig": ("qpc1", "qpc2", "tuning_phase"),
     "JointAmplitudes": ("c",),
-    "JointInterferenceParams": ("Delta_ds", "Gamma_ds"),
     "JointStatistics": ("joint",),
     "MeasurementOperators": ("diag_d1", "diag_d2"),
     "ObservableCoefficients": ("a0", "a3"),
@@ -42,7 +41,6 @@ INIT_FIELDS = {
     "PhysicalBias": ("bias_voltage", "fermi_energy", "temperature"),
     "PovmPair": ("diag_d1", "diag_d2"),
     "QpcSetting": ("transmission", "reflection", "chi", "xi"),
-    "SystemParams": ("beta_plus", "beta_minus", "visibility", "Gamma", "Delta"),
 }
 """Constructor fields of every dataclass the package exports: the
 independent inputs, and results that a caller reads."""

@@ -157,6 +157,15 @@ class TestDynamicalPhase:
         with pytest.raises(ValueError, match=f"^{message}$"):
             dynamical_phase(*arguments)
 
+    @pytest.mark.parametrize("arguments, name", [
+        ((math.inf, 1.0, 1.0), "fermi_energy"),
+        ((1.0, math.inf, 1.0), "length"),
+        ((1.0, 1.0, math.inf), "fermi_velocity"),
+    ], ids=["energy", "length", "velocity"])
+    def test_infinite_argument_named(self, arguments, name):
+        with pytest.raises(ValueError, match=f"^{name} inf is not a finite number$"):
+            dynamical_phase(*arguments)
+
 
 class TestSequentialPhase:
     ENERGY = 10e-3 * ELEMENTARY_CHARGE
@@ -176,6 +185,16 @@ class TestSequentialPhase:
     def test_nan_time_rejected(self, t1, t2):
         with pytest.raises(ValueError, match="^second detection cannot precede the first$"):
             sequential_phase(self.ENERGY, t1, t2)
+
+    @pytest.mark.parametrize("arguments, name", [
+        ((math.nan, 0.0, 1.0), "energy"),
+        ((math.inf, 0.0, 1.0), "energy"),
+        ((ENERGY, -math.inf, 0.0), "t1"),
+        ((ENERGY, 0.0, math.inf), "t2"),
+    ], ids=["nan-energy", "inf-energy", "t1", "t2"])
+    def test_non_finite_argument_named(self, arguments, name):
+        with pytest.raises(ValueError, match=f"^{name} .* is not a finite number$"):
+            sequential_phase(*arguments)
 
     def test_global_phase_leaves_statistics_unchanged(self, rng):
         for _ in range(50):

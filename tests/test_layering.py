@@ -11,11 +11,14 @@ PACKAGE = ROOT / "src" / "coupled_mzi"
 
 ALLOWED_PRIVATE_IMPORTS = {
     ("cli", "params", "_index"),
+    ("conditioning", "params", "_coupling_term"),
     ("conditioning", "params", "_plain"),
+    ("interaction", "params", "_require_finite"),
     ("measurement", "params", "_all"),
     ("measurement", "params", "_plain"),
     ("scattering", "params", "_all"),
     ("scattering", "params", "_plain"),
+    ("scattering", "params", "_require_finite"),
     ("stochastic", "params", "_index"),
 }
 """``(importer, module, name)`` of every private name one package module

@@ -6,6 +6,7 @@ import pytest
 from coupled_mzi import (
     AmbiguousMeasurementError,
     ContextualValues,
+    FringeParams,
     InterferometerConfig,
     JointStatistics,
     MeasurementOperators,
@@ -23,7 +24,6 @@ from coupled_mzi import (
     qpc_from_transmission,
     reconstruct_average,
     reduced_system_state,
-    system_params,
 )
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from conftest import (
@@ -36,6 +36,7 @@ from conftest import (
     random_mzi,
     system_drain_probabilities,
 )
+from reference import fringe
 
 
 def solve_contextual_values_linear_system(povm, obs):
@@ -307,7 +308,8 @@ class TestDualPipeline:
             gamma = rng.uniform(0, 2 * math.pi)
             stats = JointStatistics(joint_probability_table(det, sysm, gamma))
             pd = detector_drain_probabilities(detector_params(det, gamma), sysm.qpc1.delta)
-            ps = system_drain_probabilities(system_params(sysm, gamma), det.qpc1.delta)
+            sp = FringeParams(*fringe(sysm, gamma, -sysm.tuning_phase))
+            ps = system_drain_probabilities(sp, det.qpc1.delta)
             assert stats.p_detector(DetectorDrain.D1) == pytest.approx(pd[0], abs=1e-12)
             assert stats.p_detector(DetectorDrain.D2) == pytest.approx(pd[1], abs=1e-12)
             assert stats.p_system(SystemDrain.S1) == pytest.approx(ps[0], abs=1e-12)
@@ -317,12 +319,17 @@ class TestDualPipeline:
         for _ in range(50):
             sysm = random_mzi(rng)
             stats = JointStatistics(joint_probability_table(balanced_mzi(0.8), sysm, math.pi))
-            sp = system_params(sysm, math.pi)
-            assert stats.p_system(SystemDrain.S1) == pytest.approx(sp.beta_plus / 2, abs=1e-12)
-            assert stats.p_system(SystemDrain.S2) == pytest.approx(sp.beta_minus / 2, abs=1e-12)
+            beta_plus, beta_minus, *_ = fringe(sysm, math.pi, -sysm.tuning_phase)
+            assert stats.p_system(SystemDrain.S1) == pytest.approx(beta_plus / 2, abs=1e-12)
+            assert stats.p_system(SystemDrain.S2) == pytest.approx(beta_minus / 2, abs=1e-12)
 
 
 class TestEfficientFactorization:
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_coupling_names_gamma(self, gamma):
+        with pytest.raises(ValueError, match="^gamma .* is not a finite number$"):
+            efficient_factorization(balanced_mzi(0.7), gamma)
+
     def test_identity_disturbance_at_zero_coupling(self):
         fact = efficient_factorization(balanced_mzi(0.7), 0.0)
         assert np.allclose(fact.disturbance_unitary, np.eye(2), atol=1e-15)

@@ -5,14 +5,12 @@ import pytest
 
 from coupled_mzi import (
     CouplingModel,
-    DetectorParams,
+    FringeParams,
     InterferometerConfig,
     damping_eta,
     detector_params,
-    joint_interference_params,
     qpc_from_angle,
     qpc_from_transmission,
-    system_params,
 )
 from conftest import balanced_mzi, random_mzi
 
@@ -104,65 +102,15 @@ class TestDetectorParams:
 
     def test_bundle_validation(self):
         with pytest.raises(ValueError):
-            DetectorParams(beta_plus=1.5, beta_minus=0.6, visibility=1.0, Gamma=0.0, Delta=0.0)
+            FringeParams(beta_plus=1.5, beta_minus=0.6, visibility=1.0, Gamma=0.0, Delta=0.0)
         with pytest.raises(ValueError):
-            DetectorParams(beta_plus=1.0, beta_minus=1.0, visibility=1.2, Gamma=0.0, Delta=0.0)
+            FringeParams(beta_plus=1.0, beta_minus=1.0, visibility=1.2, Gamma=0.0, Delta=0.0)
 
-
-class TestSystemParams:
-    def test_symmetric_point(self):
-        p = system_params(balanced_mzi(0.0), math.pi)
-        assert p.Gamma == pytest.approx(1.0, abs=1e-15)
-        assert p.Delta == pytest.approx(0.0, abs=1e-15)
-
-    def test_zero_coupling(self, rng):
-        sysm = random_mzi(rng)
-        p = system_params(sysm, 0.0)
-        assert p.Gamma == 0.0
-        assert p.Delta == pytest.approx(math.cos(sysm.tuning_phase), abs=1e-12)
-
-    def test_sign_convention_kills_interference(self):
-        # phi_s = pi/2 at gamma = pi: sin(pi/2) sin(pi/2 - pi/2) = 0
-        p = system_params(balanced_mzi(math.pi / 2), math.pi)
-        assert p.Gamma == pytest.approx(0.0, abs=1e-12)
-        assert p.Delta == pytest.approx(0.0, abs=1e-12)
-
-    def test_identities(self, rng):
-        for _ in range(300):
-            sysm = random_mzi(rng)
-            gamma = rng.uniform(0, 2 * math.pi)
-            p = system_params(sysm, gamma)
-            assert (p.beta_plus + p.beta_minus) / 2 == pytest.approx(1.0, abs=1e-12)
-            assert p.Delta + p.Gamma == pytest.approx(math.cos(sysm.tuning_phase), abs=1e-12)
-
-
-class TestJointInterferenceParams:
-    def test_decoupled_product_at_zero(self, rng):
-        for _ in range(50):
-            phi_d, phi_s = rng.uniform(-7, 7, size=2)
-            jp = joint_interference_params(phi_d, phi_s, 0.0)
-            assert jp.Gamma_ds == 0.0
-            assert jp.Delta_ds == pytest.approx(math.cos(phi_d) * math.cos(phi_s), abs=1e-12)
-
-    def test_maximally_coupled_at_pi(self, rng):
-        for _ in range(50):
-            phi_d, phi_s = rng.uniform(-7, 7, size=2)
-            jp = joint_interference_params(phi_d, phi_s, math.pi)
-            assert jp.Delta_ds == pytest.approx(-math.sin(phi_d) * math.sin(phi_s), abs=1e-12)
-
-    def test_quarter_tunings(self):
-        jp = joint_interference_params(math.pi / 2, math.pi / 2, math.pi)
-        assert jp.Gamma_ds == pytest.approx(1.0, abs=1e-12)
-        assert jp.Delta_ds == pytest.approx(-1.0, abs=1e-12)
-
-    def test_sum_identity(self, rng):
-        for _ in range(300):
-            phi_d, phi_s = rng.uniform(-7, 7, size=2)
-            gamma = rng.uniform(0, 2 * math.pi)
-            jp = joint_interference_params(phi_d, phi_s, gamma)
-            assert jp.Delta_ds + jp.Gamma_ds == pytest.approx(
-                math.cos(phi_d) * math.cos(phi_s), abs=1e-12
-            )
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, np.array([1.0, math.nan])],
+                             ids=["inf", "-inf", "nan", "stack-nan"])
+    def test_non_finite_coupling_names_gamma(self, gamma):
+        with pytest.raises(ValueError, match="^gamma .* is not a finite number$"):
+            detector_params(balanced_mzi(0.3), gamma)
 
 
 class TestCouplingModel:
@@ -199,7 +147,7 @@ class TestArrayFields:
     def test_nan_fails_every_bundle_check(self, field):
         fields = dict(beta_plus=1.0, beta_minus=1.0, visibility=0.5, Gamma=0.25, Delta=0.5)
         with pytest.raises(ValueError):
-            DetectorParams(**{**fields, field: math.nan})
+            FringeParams(**{**fields, field: math.nan})
 
     def test_every_point_is_checked(self):
         model = CouplingModel(gamma=np.array([0.0, 1.0, 2 * math.pi]),

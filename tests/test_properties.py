@@ -36,7 +36,6 @@ from coupled_mzi import (
     detector_drain_amplitudes,
     detector_params,
     joint_amplitudes,
-    joint_interference_params,
     joint_probability_table,
     load_config,
     measurement_operators,
@@ -48,7 +47,6 @@ from coupled_mzi import (
     reconstruct_average,
     reduced_system_state,
     semiweak_value,
-    system_params,
     weak_value,
     xi_joint_interference,
 )
@@ -59,7 +57,7 @@ from coupled_mzi.measurement import DIVERGENCE_THRESHOLD
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from coupled_mzi.scattering import ELEMENTARY_CHARGE, PLANCK_CONSTANT
 from conftest import SIGMA_0, SIGMA_3, mzi
-from reference import closed_form_table, detector_transfer, unitary_table
+from reference import closed_form_table, detector_transfer, fringe, joint_interference, unitary_table
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "unbalanced.conf"
 TWO_PI = 2.0 * math.pi
@@ -244,8 +242,6 @@ def _conditioning_calls(det, sysm, gamma, condition, n) -> dict:
         "xi_joint_interference": (lambda: [xi_joint_interference(det, sysm, gamma)], float),
         "weak_value": (lambda: [weak_value(sysm, condition)], complex),
         "semiweak_value": (lambda: [semiweak_value(sysm, n, condition)], float),
-        "joint_interference_params": (lambda: list(astuple(joint_interference_params(
-            det.tuning_phase, sysm.tuning_phase, gamma))), float),
     }
 
 
@@ -288,6 +284,49 @@ def test_stacked_conditioning_matches_scalar_points_bit_for_bit(points, conditio
                 assert np.array_equal(got[i], want), (name, point)
 
 
+# xi_joint_interference and reference.joint_interference take the same
+# doubles into every sine and cosine and form delta_d, epsilon1_d, V_d,
+# Delta_d, Gamma_s, Delta_s and Delta_ds with the same operations, so those
+# agree bit for bit.  They differ only in X = delta2_d epsilon1_d^2 / V_d,
+# where the package squares epsilon1_d first.  With u = 2**-53, to first
+# order: each route's X is within 3u |X| (two products and a division), so
+# the two are within 6u |X|; each sum A + X, with A = delta1_d Delta_d, adds
+# u |A + X|; each product with Gamma_s adds u |Gamma_s (A + X)|; and each last
+# sum adds u |Xi|.  In all 6u |Gamma_s X| + 4u |Gamma_s (A + X)| + 2u |Xi|,
+# at most 10u (|Gamma_s| (|A| + |X|) + |Xi|); 12u leaves room for the
+# second-order terms.
+XI_BOUND = 12 * 2.0**-53
+
+
+def _xi_scale(det, sysm, gamma):
+    """``|Gamma_s| (|A| + |X|) + |Xi|`` of the bound above, from the reference's terms."""
+    *_, v_d, _, delta_d = fringe(det, gamma, det.tuning_phase)
+    gamma_s = fringe(sysm, gamma, -sysm.tuning_phase)[3]
+    d1, d2, e1 = det.qpc1.delta, det.qpc2.delta, det.qpc1.epsilon
+    x = d2 * e1 * e1 / v_d
+    return np.abs(gamma_s) * (np.abs(d1 * delta_d) + np.abs(x)) + np.abs(joint_interference(det, sysm, gamma))
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(experiment_fields, min_size=1, max_size=8))
+def test_xi_joint_interference_matches_the_reference(points):
+    """``Xi = Delta_ds - Delta_d Delta_s + Gamma_s (delta1_d Delta_d + delta2_d
+    epsilon1_d^2 / V_d)``, built from ``tests/reference.py``'s fringe
+    bundles, on each point where the detector carries interference and on
+    the stack of those points."""
+    kept = []
+    for fields in points:
+        det = mzi(*fields[:7])
+        if det.qpc1.epsilon * det.qpc2.epsilon > DIVERGENCE_THRESHOLD:
+            kept.append(fields)
+    assume(kept)
+    for det, sysm, model in [_experiment(fields) for fields in kept] + [
+            _experiment([np.array(column) for column in zip(*kept)])]:
+        gamma = model.gamma
+        gap = np.abs(xi_joint_interference(det, sysm, gamma) - joint_interference(det, sysm, gamma))
+        assert np.all(gap <= XI_BOUND * _xi_scale(det, sysm, gamma)), (det, sysm, gamma)
+
+
 BIAS = PhysicalBias(1e-4, 1e-2, 0.02)  # the shipped configs' bias point, inside the low-bias regime
 
 
@@ -312,7 +351,6 @@ def _one_configuration_calls(det, sysm, model, condition, n) -> dict:
                                   float),
         "qpc_from_angle": (lambda: _qpc_numbers(qpc_from_angle(q.theta, q.chi, q.xi)), float),
         "detector_params": (lambda: list(astuple(raw)), float),
-        "system_params": (lambda: list(astuple(system_params(sysm, gamma))), float),
         "averaged_detector_params": (lambda: list(astuple(averaged_detector_params(raw, model))), float),
         "damping_eta": (lambda: [damping_eta(model.sigma)], float),
         "concurrence": (lambda: [concurrence(det.qpc1, sysm.qpc1, gamma)], float),

@@ -63,6 +63,13 @@ class TestQpcUnitary:
 
 
 class TestConcurrence:
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, np.array([0.5, math.inf])],
+                             ids=["inf", "nan", "stack-inf"])
+    def test_non_finite_coupling_names_gamma(self, gamma):
+        q = qpc_from_transmission(0.5)
+        with pytest.raises(ValueError, match="^gamma .* is not a finite number$"):
+            concurrence(q, q, gamma)
+
     def test_vanishes_without_coupling(self, rng):
         det, sysm = random_mzi(rng), random_mzi(rng)
         assert concurrence(det.qpc1, sysm.qpc1, 0.0) == 0.0
