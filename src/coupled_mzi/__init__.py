@@ -61,7 +61,6 @@ from .params import (
     qpc_from_transmission,
 )
 from .scattering import (
-    JointAmplitudes,
     JointStatistics,
     PhysicalBias,
     average_current,

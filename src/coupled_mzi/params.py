@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,9 +70,9 @@ def _require(ok, message: str, value=None) -> None:
 
 def _require_finite(**values) -> None:
     """Raise ``ValueError`` naming the first of ``values`` that is not a finite
-    number at every point; one configuration stays on Python floats."""
+    double at every point (a huge Python int fails); one configuration stays on Python numbers."""
     for name, x in values.items():
-        _require(math.isfinite(x) if isinstance(x, (int, float)) else np.isfinite(x),
+        _require(abs(x) <= sys.float_info.max if isinstance(x, (int, float)) else np.isfinite(x),
                  name + " {} is not a finite number", x)
 
 
@@ -101,9 +102,9 @@ class QpcSetting:
     The inputs are ``transmission``, ``reflection`` and the scattering
     phases ``chi`` and ``xi`` of the two outgoing rows; a first QPC's
     phases enter only through the composite tuning phase, so the amplitudes
-    and the config read them on second QPCs only.  ``delta`` and
-    ``epsilon`` are derived once from ``T`` and ``R``, ``theta`` on access.
-    Every field may be an array (one contact per sweep point).
+    and the config read them on second QPCs only; a non-finite phase raises
+    ``ValueError`` naming it.  ``delta`` and ``epsilon`` are derived once from
+    ``T`` and ``R``, ``theta`` on access.  Every field may be an array.
     """
 
     transmission: float
@@ -118,6 +119,7 @@ class QpcSetting:
         _require((0.0 <= T) & (T <= 1.0) & (R >= 0.0) & (abs(T + R - 1.0) <= IDENTITY_TOL),
                  "transmission {0.transmission} and reflection {0.reflection} are not "
                  "probabilities in [0, 1] with T + R = 1", self)
+        _require_finite(chi=self.chi, xi=self.xi)
         object.__setattr__(self, "delta", T - R)
         object.__setattr__(self, "epsilon", _plain(2.0 * np.sqrt(T * R)))
 

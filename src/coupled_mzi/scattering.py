@@ -1,9 +1,9 @@
 """Exact two-excitation scattering: amplitudes, probabilities, currents, noise.
 
-Basis convention (fixed; tests match terms against it): ``JointAmplitudes``
-and ``JointStatistics`` hold 2x2 tables indexed ``[..., detector drain,
-system drain]`` with drain order ``(D1, D2)`` x ``(S1, S2)``; leading axes,
-if any, are sweep axes.
+Basis convention (fixed; tests match terms against it): the joint
+amplitudes and ``JointStatistics`` are 2x2 tables indexed ``[..., detector
+drain, system drain]`` with drain order ``(D1, D2)`` x ``(S1, S2)``; leading
+axes, if any, are sweep axes.
 
 Every amplitude comes from one core written once in real arithmetic
 (:func:`_cells`): a complex number is an ``(re, im)`` pair, and the only
@@ -13,8 +13,9 @@ numpy's float64 ``sqrt``, ``cos`` and ``sin`` give ``math``'s bits, so a
 point, its one-point stack and its place in any stack give the same bits.
 A sweep is one experiment with array-valued fields: ``gamma`` and every
 field of both interferometers broadcast together through every function
-here.  The closed form of the same statistics is kept outside the package,
-as the tests' independent oracle.
+here, each checked once where it enters: ``gamma`` in :func:`_rows`, every
+config field by its constructor.  The closed form of the same statistics is
+kept outside the package, as the tests' independent oracle.
 
 The first-QPC scattering phases enter only through the composite tuning
 phases, so the amplitudes carry bare ``t1``/``r1`` moduli.  The second-QPC
@@ -80,8 +81,10 @@ def _rows(det: InterferometerConfig, gamma) -> tuple:
 
     ``A = t1 t2 e^{i phi} - r1 r2`` and ``B = t1 r2 e^{i phi} + r1 t2``, with
     ``phi = phi_d`` where the system is on its lower arm and ``phi_d + gamma``
-    where it is on its upper arm.
+    where it is on its upper arm.  A ``gamma`` that is not a finite number at
+    every point raises ``ValueError`` naming it.
     """
+    _require_finite(gamma=gamma)
     (t1, r1), (t2, r2) = _roots(det.qpc1), _roots(det.qpc2)
     tt, rr, tr, rt = t1 * t2, r1 * r2, t1 * r2, r1 * t2
     (cl, sl), (cu, su) = _unit(det.tuning_phase), _unit(det.tuning_phase + gamma)
@@ -140,27 +143,8 @@ def concurrence(det_qpc1: QpcSetting, sys_qpc1: QpcSetting, gamma):
     return _plain(det_qpc1.epsilon * sys_qpc1.epsilon * np.abs(np.sin(gamma / 2.0)))
 
 
-@dataclass(frozen=True)
-class JointAmplitudes:
-    """Drain-basis amplitude tables ``c[..., detector drain, system drain]``:
-    one 2x2 table, or a stack of them with the sweep axes in front."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.c, dtype=complex)
-        if c.shape[-2:] != (2, 2) or not np.isfinite(c).all():
-            raise ValueError("joint amplitudes need finite 2x2 complex tables")
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
-
-    @property
-    def norm_squared(self):
-        return _plain(np.sum(self.c.real * self.c.real + self.c.imag * self.c.imag, axis=(-2, -1)))
-
-
-def joint_amplitudes(det: InterferometerConfig, sys: InterferometerConfig, gamma) -> JointAmplitudes:
-    """Joint drain amplitudes ``c[..., detector drain, system drain]``.
+def joint_amplitudes(det: InterferometerConfig, sys: InterferometerConfig, gamma) -> np.ndarray:
+    """Read-only joint drain amplitudes ``c[..., detector drain, system drain]``.
 
     The cells of :func:`_cells` times the phases of both second QPCs,
     ``e^{i chi}`` on D1 and S1 and ``i e^{i xi}`` on D2 and S2.  ``gamma``
@@ -170,7 +154,7 @@ def joint_amplitudes(det: InterferometerConfig, sys: InterferometerConfig, gamma
     (d1, d2), (s1, s2) = _drain_phases(det.qpc2), _drain_phases(sys.qpc2)
     phases = [_times(d, s) for d in (d1, d2) for s in (s1, s2)]
     c = _complex([_times(cell, phase) for cell, phase in zip(_cells(det, sys, gamma), phases)])
-    return JointAmplitudes(c.reshape(c.shape[:-1] + (2, 2)))
+    return _read_only(c.reshape(c.shape[:-1] + (2, 2)))
 
 
 @dataclass(frozen=True)
@@ -224,16 +208,14 @@ def joint_probability_table(det: InterferometerConfig, sys: InterferometerConfig
     """Joint drain table ``broadcast + (2, 2)`` at coupling phase ``gamma``:
     ``|c|^2`` of the cells of :func:`_cells` over their sum, without the
     second QPCs' unit phases.  ``gamma`` and every config field may be
-    arrays.  Raises ``ValueError`` for cells that are not finite, and if
-    any table's normalization is off by more than 1e-9.
+    arrays.  Raises ``ValueError`` if any table's normalization is off by
+    more than 1e-9.
     """
     (a, b), (c, d), (e, f), (g, h) = _cells(det, sys, gamma)
     p11, p12, p21, p22 = a * a + b * b, c * c + d * d, e * e + f * f, g * g + h * h
     total = p11 + p12 + p21 + p22
     ok = abs(total - 1.0) <= _NORMALIZATION_GATE  # false for NaN and inf
     if not _all(ok):
-        if not np.all(np.isfinite(total)):
-            raise ValueError("joint amplitudes need finite 2x2 complex tables")
         worst = float(np.ravel(total)[~np.ravel(ok)][0])
         raise ValueError(f"joint amplitudes not normalized: sum |c|^2 = {worst!r}")
     joint = np.array([[p11 / total, p12 / total], [p21 / total, p22 / total]])

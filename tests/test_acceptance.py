@@ -13,7 +13,6 @@ from coupled_mzi import (
     ContextualValues,
     InteractionGeometry,
     InterferometerConfig,
-    JointAmplitudes,
     JointStatistics,
     ObservableCoefficients,
     ObservationBudget,
@@ -181,7 +180,7 @@ def test_criterion_07_concurrence_oracle():
     draws = random_stack(np.random.default_rng(107), 1000, t_lo=0.0, t_hi=1.0)
     det, sysm, gamma = stacked_experiment(draws)
     closed = concurrence(det.qpc1, sysm.qpc1, gamma)
-    brute = amplitude_concurrence(joint_amplitudes(det, sysm, gamma).c)
+    brute = amplitude_concurrence(joint_amplitudes(det, sysm, gamma))
     worst = float(np.max(np.abs(closed - brute)))
     q = qpc_from_transmission(0.5)
     maximal = concurrence(q, q, math.pi)
@@ -292,8 +291,8 @@ def test_criterion_10_interaction_phase_consistency():
         g = rng.uniform(0.0, 2.0 * math.pi)
         amps = joint_amplitudes(det, sysm, g)
         phase = sequential_phase(1.6e-21, 0.0, rng.uniform(1e-12, 1e-9))
-        rotated = JointAmplitudes(np.exp(-1j * phase) * amps.c)
-        diff = np.max(np.abs(squared_moduli(amps.c) - squared_moduli(rotated.c)))
+        rotated = np.exp(-1j * phase) * amps
+        diff = np.max(np.abs(squared_moduli(amps) - squared_moduli(rotated)))
         worst_shift = max(worst_shift, float(diff))
     ok = worst_linearity < 1e-12 and endpoint_equal and worst_shift < 1e-12
     report(10, "interaction-phase geometry consistency", ok,

@@ -33,7 +33,6 @@ INIT_FIELDS = {
     "InteractionGeometry": ("copropagation_length", "channel_separation", "screening_length",
                             "propagation_speed", "coulomb_constant"),
     "InterferometerConfig": ("qpc1", "qpc2", "tuning_phase"),
-    "JointAmplitudes": ("c",),
     "JointStatistics": ("joint",),
     "MeasurementOperators": ("diag_d1", "diag_d2"),
     "ObservableCoefficients": ("a0", "a3"),

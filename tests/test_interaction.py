@@ -15,7 +15,7 @@ from coupled_mzi import (
     wavenumber_shift,
 )
 from coupled_mzi.interaction import HBAR
-from coupled_mzi.scattering import ELEMENTARY_CHARGE, JointAmplitudes
+from coupled_mzi.scattering import ELEMENTARY_CHARGE
 from conftest import random_mzi, squared_moduli
 
 GEOM = InteractionGeometry(
@@ -166,6 +166,10 @@ class TestDynamicalPhase:
         with pytest.raises(ValueError, match=f"^{name} inf is not a finite number$"):
             dynamical_phase(*arguments)
 
+    def test_int_beyond_the_double_range_named(self):
+        with pytest.raises(ValueError, match=f"^length {10**400} is not a finite number$"):
+            dynamical_phase(1.0, 10**400, 1.0)
+
 
 class TestSequentialPhase:
     ENERGY = 10e-3 * ELEMENTARY_CHARGE
@@ -191,7 +195,8 @@ class TestSequentialPhase:
         ((math.inf, 0.0, 1.0), "energy"),
         ((ENERGY, -math.inf, 0.0), "t1"),
         ((ENERGY, 0.0, math.inf), "t2"),
-    ], ids=["nan-energy", "inf-energy", "t1", "t2"])
+        ((ENERGY, 0.0, 10**400), "t2"),
+    ], ids=["nan-energy", "inf-energy", "t1", "t2", "huge-int-t2"])
     def test_non_finite_argument_named(self, arguments, name):
         with pytest.raises(ValueError, match=f"^{name} .* is not a finite number$"):
             sequential_phase(*arguments)
@@ -202,8 +207,8 @@ class TestSequentialPhase:
             gamma = rng.uniform(0, 2 * math.pi)
             amps = joint_amplitudes(det, sysm, gamma)
             phase = sequential_phase(self.ENERGY, 1e-12, rng.uniform(2e-12, 5e-9))
-            rotated = JointAmplitudes(np.exp(-1j * phase) * amps.c)
-            assert np.max(np.abs(squared_moduli(amps.c) - squared_moduli(rotated.c))) < 1e-12
+            rotated = np.exp(-1j * phase) * amps
+            assert np.max(np.abs(squared_moduli(amps) - squared_moduli(rotated))) < 1e-12
 
 
 class TestGeometryForPhase:

@@ -1,8 +1,9 @@
 """Layering of the package: which private names cross module boundaries, the
-independence of the tests' closed-form oracle, and a README line for every
-export."""
+independence of the tests' closed-form oracle, a README line for every
+export, and every package name that the benchmark in ``bench/`` reads."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -61,4 +62,47 @@ def test_every_export_is_named_in_the_readme():
     fence = re.compile(r"^```.*?^```", re.S | re.M)
     code = fence.findall(readme) + re.findall(r"`([^`\n]+)`", fence.sub("", readme))
     missing = sorted(exports - set(re.findall(r"\w+", " ".join(code))))
+    assert not missing, missing
+
+
+def bench_package_names() -> set[tuple[str, str, str]]:
+    """``(bench file, package module, name)`` of every ``coupled_mzi`` name
+    that a file under ``bench/`` imports, or reads as an attribute of a name
+    it binds to a package module (``cli.run_scan``), in any scope."""
+    found = set()
+    for path in sorted((ROOT / "bench").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        where = path.relative_to(ROOT).as_posix()
+        modules = {}  # local name -> the package module bound to it
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {alias.asname or PACKAGE.name: alias.name if alias.asname else PACKAGE.name
+                            for alias in node.names if alias.name.partition(".")[0] == PACKAGE.name}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and (node.module or "").partition(".")[0] == PACKAGE.name:
+                for alias in node.names:
+                    found.add((where, node.module, alias.name))
+                    if node.module == PACKAGE.name and (PACKAGE / f"{alias.name}.py").is_file():
+                        modules[alias.asname or alias.name] = f"{PACKAGE.name}.{alias.name}"
+        found |= {(where, modules[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules}
+    return found
+
+
+def _importable(module: str, name: str) -> bool:
+    """Whether ``from module import name`` finds ``name``, a submodule or an attribute."""
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return hasattr(importlib.import_module(module), name)
+    return True
+
+
+def test_every_package_name_the_bench_reads_exists():
+    """The bench suite runs on its own (its ``conftest`` clashes with this
+    one's), so a deletion that breaks ``bench/`` is caught here."""
+    names = bench_package_names()
+    assert ("bench/tests/test_bench.py", "coupled_mzi.cli", "main") in names
+    missing = sorted(entry for entry in names if not _importable(*entry[1:]))
     assert not missing, missing

@@ -58,6 +58,14 @@ class TestQpcSetting:
             assert q.delta**2 + q.epsilon**2 == pytest.approx(1.0, abs=1e-12)
             assert 0.0 <= q.theta <= math.pi / 2
 
+    @pytest.mark.parametrize("build", [qpc_from_transmission, qpc_from_angle])
+    @pytest.mark.parametrize("name", ["chi", "xi"])
+    @pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan, np.array([0.5, math.nan]), 10**400],
+                             ids=["inf", "-inf", "nan", "stack-nan", "huge-int"])
+    def test_non_finite_phase_named(self, build, name, phase):
+        with pytest.raises(ValueError, match=f"^{name} .* is not a finite number$"):
+            build(0.5, **{name: phase})
+
     def test_inconsistent_fields_rejected(self):
         with pytest.raises(ValueError):
             from coupled_mzi import QpcSetting
@@ -106,8 +114,8 @@ class TestDetectorParams:
         with pytest.raises(ValueError):
             FringeParams(beta_plus=1.0, beta_minus=1.0, visibility=1.2, Gamma=0.0, Delta=0.0)
 
-    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, np.array([1.0, math.nan])],
-                             ids=["inf", "-inf", "nan", "stack-nan"])
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, np.array([1.0, math.nan]), 10**400],
+                             ids=["inf", "-inf", "nan", "stack-nan", "huge-int"])
     def test_non_finite_coupling_names_gamma(self, gamma):
         with pytest.raises(ValueError, match="^gamma .* is not a finite number$"):
             detector_params(balanced_mzi(0.3), gamma)

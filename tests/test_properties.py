@@ -4,6 +4,7 @@ and of the CLI grid writer against its per-cell rule."""
 import math
 import struct
 import sys
+import warnings
 from dataclasses import astuple, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -84,9 +85,9 @@ def sweep_points(draw):
 @settings(max_examples=200, deadline=None)
 @given(det=interferometers(), sysm=interferometers(), gamma=couplings)
 def test_scalar_amplitude_table_matches_closed_form(det, sysm, gamma):
-    c = joint_amplitudes(det, sysm, gamma).c
+    c = joint_amplitudes(det, sysm, gamma)
     assert c.shape == (2, 2)
-    assert np.array_equal(c, joint_amplitudes(det, sysm, gamma).c)
+    assert np.array_equal(c, joint_amplitudes(det, sysm, gamma))
     assert np.max(np.abs(np.abs(c) ** 2 - closed_form_table(det, sysm, gamma))) <= 1e-12
 
 
@@ -97,7 +98,7 @@ def test_array_amplitude_table_matches_closed_form(det, sysm, points):
     q1 = sysm.qpc1
     array_det = InterferometerConfig(det.qpc1, det.qpc2, phi_d)
     array_sys = InterferometerConfig(qpc_from_transmission(t_s1, q1.chi, q1.xi), sysm.qpc2, phi_s)
-    c = joint_amplitudes(array_det, array_sys, gamma).c
+    c = joint_amplitudes(array_det, array_sys, gamma)
     assert c.shape == (len(points), 2, 2)
     for i, (g, pd, ps, t) in enumerate(points):
         q1 = sysm.qpc1
@@ -189,7 +190,7 @@ def test_table_leaves_out_the_second_qpc_phases(det, sysm, gamma, chi, xi, on_de
     assert np.array_equal(joint_probability_table(det2, sys2, gamma), joint_probability_table(det, sysm, gamma))
     turn = np.exp(1j * (np.array([chi, xi]) - [side.qpc2.chi, side.qpc2.xi]))
     turn = turn[:, np.newaxis] if on_detector else turn[np.newaxis, :]
-    c, c2 = joint_amplitudes(det, sysm, gamma).c, joint_amplitudes(det2, sys2, gamma).c
+    c, c2 = joint_amplitudes(det, sysm, gamma), joint_amplitudes(det2, sys2, gamma)
     assert np.max(np.abs(c2 - c * turn)) <= 1e-12
 
 
@@ -209,7 +210,7 @@ def _values(det, sysm, model) -> dict:
     m = measurement_operators(det, model.gamma)
     povm = povm_pair(m)
     return {
-        "joint_amplitudes": amps.c,
+        "joint_amplitudes": amps,
         "measurement_operators": np.moveaxis([m.diag_d1, m.diag_d2], (0, 1), (-2, -1)),
         "povm_pair": np.moveaxis([povm.diag_d1, povm.diag_d2], (0, 1), (-2, -1)),
         "povm_expectation": np.moveaxis(povm_expectation(povm, reduced_system_state(sysm)), 0, -1),
@@ -356,7 +357,7 @@ def _one_configuration_calls(det, sysm, model, condition, n) -> dict:
         "concurrence": (lambda: [concurrence(det.qpc1, sysm.qpc1, gamma)], float),
         "reduced_system_state": (lambda: [reduced_system_state(sysm)], np.ndarray),
         "detector_drain_amplitudes": (lambda: [detector_drain_amplitudes(det, gamma)], np.ndarray),
-        "joint_amplitudes": (lambda: [joint_amplitudes(det, sysm, gamma).c], np.ndarray),
+        "joint_amplitudes": (lambda: [joint_amplitudes(det, sysm, gamma)], np.ndarray),
         "cross_noise_power": (lambda: [cross_noise_power(stats, d, s, BIAS)
                                        for d in DetectorDrain for s in SystemDrain], float),
         "joint_probability_table": (lambda: [joint_probability_table(det, sysm, gamma)], np.ndarray),
@@ -393,11 +394,11 @@ def test_one_configuration_gives_python_numbers(fields, n, condition):
 def test_array_detector_first_qpc_matches_scalar_points(det, sysm, gamma, t_d1):
     q1 = det.qpc1
     array_det = replace(det, qpc1=qpc_from_transmission(np.array(t_d1), q1.chi, q1.xi))
-    c = joint_amplitudes(array_det, sysm, gamma).c
+    c = joint_amplitudes(array_det, sysm, gamma)
     assert c.shape == (len(t_d1), 2, 2)
     for i, t in enumerate(t_d1):
         point_det = replace(det, qpc1=qpc_from_transmission(t, q1.chi, q1.xi))
-        assert np.max(np.abs(c[i] - joint_amplitudes(point_det, sysm, gamma).c)) <= 1e-15
+        assert np.max(np.abs(c[i] - joint_amplitudes(point_det, sysm, gamma))) <= 1e-15
 
 
 @settings(max_examples=200, deadline=None)
@@ -436,7 +437,7 @@ def test_gamma_array_broadcasts_against_config_phases():
     det = InterferometerConfig(qpc_from_transmission(0.3), qpc_from_transmission(0.6), 0.4)
     sysm = InterferometerConfig(qpc_from_transmission(0.8), qpc_from_transmission(0.45), -1.1)
     gammas = np.linspace(0.0, TWO_PI, 7)
-    c = joint_amplitudes(det, sysm, gammas).c
+    c = joint_amplitudes(det, sysm, gammas)
     assert c.shape == (7, 2, 2)
     expected = closed_form_table(det, sysm, gammas)
     assert np.abs(c) ** 2 == pytest.approx(expected, abs=1e-12)
@@ -509,6 +510,72 @@ def test_povm_expectation_matches_amplitude_marginals(det, sysm, gamma):
     assert np.max(np.abs(np.array(got) - expected)) <= 1e-12
 
 
+# the input contract's draws: finite doubles (st.floats() includes subnormals,
+# both infinities and NaN, and the list pins each), small Python ints, and
+# Python ints beyond the double range, which no float array can hold, so an
+# array holds one drawn double among finite ones
+beyond_double = st.integers(2**1024, 10**400) | st.integers(-(10**400), -(2**1024))
+contract_doubles = st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072e-308])
+contract_inputs = (contract_doubles | st.integers(-10, 10) | beyond_double
+                   | st.builds(lambda x, i: np.insert([0.4, 1.1], i, x), contract_doubles, st.integers(0, 2)))
+
+
+def _finite(x) -> bool:
+    try:
+        return bool(np.isfinite(np.asarray(x, dtype=float)).all())
+    except OverflowError:
+        return False
+
+
+def _amplitude_layer_calls(det, sysm, gamma, sigma) -> dict:
+    """Every public function that reaches the amplitude core, as a call that
+    returns a list of what it gives; ``averaged_joint_table`` takes ``gamma``
+    through ``CouplingModel``, which calls it the coupling phase."""
+    def operators():
+        m = measurement_operators(det, gamma)
+        return [*m.diag_d1, *m.diag_d2]
+    return {
+        "joint_probability_table": lambda: [joint_probability_table(det, sysm, gamma)],
+        "joint_amplitudes": lambda: [joint_amplitudes(det, sysm, gamma)],
+        "detector_drain_amplitudes": lambda: [detector_drain_amplitudes(det, gamma)],
+        "measurement_operators": operators,
+        "averaged_joint_table": lambda: [averaged_joint_table(det, sysm, CouplingModel(gamma, sigma)).joint],
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(gamma=contract_inputs, chi=contract_inputs, xi=contract_inputs, on_detector=st.booleans(),
+       sigma=st.sampled_from([0.0, 0.5]))
+@example(gamma=10**400, chi=0.0, xi=0.0, on_detector=True, sigma=0.0)
+@example(gamma=1.0, chi=math.nan, xi=0.0, on_detector=False, sigma=0.5)
+def test_amplitude_layer_gives_finite_values_or_names_the_bad_input(gamma, chi, xi, on_detector, sigma):
+    """With warnings as errors, a second QPC's ``chi``/``xi`` and ``gamma``
+    give finite values, or a ``ValueError`` whose message names an input
+    that is not a finite number (or, for ``CouplingModel``, outside [0, 2 pi])."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            q2 = qpc_from_transmission(0.6, chi=chi, xi=xi)
+        except ValueError as error:
+            assert any(str(error).startswith(f"{name} ") and not _finite(value)
+                       for name, value in (("chi", chi), ("xi", xi))), error
+            return
+        assert _finite(chi) and _finite(xi)
+        ifm = InterferometerConfig(qpc_from_transmission(0.3), q2, 0.4)
+        other = InterferometerConfig(qpc_from_transmission(0.8), qpc_from_transmission(0.45), -1.1)
+        det, sysm = (ifm, other) if on_detector else (other, ifm)
+        bad = {"gamma": not _finite(gamma)}
+        bad["coupling phase"] = bad["gamma"] or not 0.0 <= np.min(gamma) <= np.max(gamma) <= TWO_PI
+        for name, call in _amplitude_layer_calls(det, sysm, gamma, sigma).items():
+            coupling = "coupling phase" if name == "averaged_joint_table" else "gamma"
+            try:
+                values = call()
+            except ValueError as error:
+                assert str(error).startswith(f"{coupling} ") and bad[coupling], (name, error)
+                continue
+            assert all(np.isfinite(v).all() for v in values), name
+
+
 SWEEP_RANGES = {"gamma": (0.0, TWO_PI), "phi_d": (-math.pi, math.pi), "phi_s": (0.0, TWO_PI),
                 "delta_s1": (-1.0, 1.0), "sigma": (0.0, math.pi)}
 
@@ -521,7 +588,7 @@ def _public_values(det, sysm, coupling, bias) -> dict:
     stats = JointStatistics(joint_probability_table(det, sysm, coupling.gamma))
     noise_unit = 2.0 * ELEMENTARY_CHARGE**3 * bias.bias_voltage / PLANCK_CONSTANT
     return {
-        "joint_amplitudes": [amps.c],
+        "joint_amplitudes": [amps],
         "JointStatistics": [stats.joint, *map(stats.p_detector, DetectorDrain),
                             *map(stats.p_system, SystemDrain)],
         "cross_noise_power": [cross_noise_power(stats, d, s, bias) / noise_unit

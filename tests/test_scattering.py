@@ -13,8 +13,10 @@ from coupled_mzi import (
     averaged_joint_table,
     concurrence,
     cross_noise_power,
+    detector_drain_amplitudes,
     joint_amplitudes,
     joint_probability_table,
+    measurement_operators,
     qpc_from_transmission,
 )
 from coupled_mzi.params import DetectorDrain, SystemDrain
@@ -63,8 +65,8 @@ class TestQpcUnitary:
 
 
 class TestConcurrence:
-    @pytest.mark.parametrize("gamma", [math.inf, math.nan, np.array([0.5, math.inf])],
-                             ids=["inf", "nan", "stack-inf"])
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, np.array([0.5, math.inf]), 10**400],
+                             ids=["inf", "nan", "stack-inf", "huge-int"])
     def test_non_finite_coupling_names_gamma(self, gamma):
         q = qpc_from_transmission(0.5)
         with pytest.raises(ValueError, match="^gamma .* is not a finite number$"):
@@ -90,7 +92,7 @@ class TestConcurrence:
             det, sysm = random_mzi(rng), random_mzi(rng)
             gamma = rng.uniform(0, 2 * math.pi)
             closed = concurrence(det.qpc1, sysm.qpc1, gamma)
-            brute = amplitude_concurrence(joint_amplitudes(det, sysm, gamma).c)
+            brute = amplitude_concurrence(joint_amplitudes(det, sysm, gamma))
             assert closed == pytest.approx(brute, abs=1e-10)
 
 
@@ -99,7 +101,7 @@ class TestJointAmplitudes:
         for _ in range(300):
             det, sysm = random_mzi(rng), random_mzi(rng)
             gamma = rng.uniform(0, 2 * math.pi)
-            c = joint_amplitudes(det, sysm, gamma).c
+            c = joint_amplitudes(det, sysm, gamma)
             oracle = explicit_drain_amplitudes(det, sysm, gamma)
             assert np.max(np.abs(c - oracle)) < 1e-12
 
@@ -108,7 +110,7 @@ class TestJointAmplitudes:
         sysm = InterferometerConfig(q_open, qpc_from_transmission(0.3), 0.7)
         det = random_mzi(rng)
         gamma = 1.1
-        c = joint_amplitudes(det, sysm, gamma).c
+        c = joint_amplitudes(det, sysm, gamma)
         # the excitation is pinned to Ls: S1 couples through t2s, S2 through r2s
         t2s = math.sqrt(sysm.qpc2.transmission)
         r2s = math.sqrt(sysm.qpc2.reflection)
@@ -118,14 +120,40 @@ class TestJointAmplitudes:
     def test_zero_coupling_factorizes(self, rng):
         for _ in range(50):
             det, sysm = random_mzi(rng), random_mzi(rng)
-            c = joint_amplitudes(det, sysm, 0.0).c
+            c = joint_amplitudes(det, sysm, 0.0)
             # rank-1 table: determinant of the 2x2 amplitude matrix vanishes
             assert abs(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]) < 1e-12
 
     def test_normalization(self, rng):
         for _ in range(200):
             amps = joint_amplitudes(random_mzi(rng), random_mzi(rng), rng.uniform(0, 2 * math.pi))
-            assert amps.norm_squared == pytest.approx(1.0, abs=1e-12)
+            assert squared_moduli(amps).sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.4, np.array([0.3, 0.4, 0.5])], ids=["point", "stack"])
+    def test_a_read_only_complex_array(self, gamma):
+        c = joint_amplitudes(balanced_mzi(0.3), balanced_mzi(1.1), gamma)
+        assert type(c) is np.ndarray and c.dtype == complex and c.shape == np.shape(gamma) + (2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            c[..., 0, 0] = 0.0
+
+
+AMPLITUDE_CORE_CALLS = {
+    "joint_probability_table": lambda det, gamma: joint_probability_table(det, det, gamma),
+    "joint_amplitudes": lambda det, gamma: joint_amplitudes(det, det, gamma),
+    "detector_drain_amplitudes": detector_drain_amplitudes,
+    "measurement_operators": measurement_operators,
+}
+"""Every public function that reaches the amplitude core, as a call on one
+detector (the system too, where it takes one) and ``gamma``."""
+
+
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, np.array([0.5, math.inf]),
+                                   np.array([0.5, math.nan]), 10**400],
+                         ids=["inf", "-inf", "nan", "stack-inf", "stack-nan", "huge-int"])
+@pytest.mark.parametrize("name", sorted(AMPLITUDE_CORE_CALLS))
+def test_amplitude_core_names_a_non_finite_gamma(name, gamma):
+    with pytest.raises(ValueError, match="^gamma .* is not a finite number$"):
+        AMPLITUDE_CORE_CALLS[name](balanced_mzi(0.3), gamma)
 
 
 class TestJointStatistics:
@@ -213,7 +241,7 @@ class TestJointStatistics:
         for _ in range(100):
             det, sysm = random_mzi(rng), random_mzi(rng)
             gamma = rng.uniform(0, 2 * math.pi)
-            p = squared_moduli(joint_amplitudes(det, sysm, gamma).c)
+            p = squared_moduli(joint_amplitudes(det, sysm, gamma))
             det2 = InterferometerConfig(
                 det.qpc1,
                 qpc_from_transmission(det.qpc2.transmission, chi=0.0, xi=0.0),
@@ -224,7 +252,7 @@ class TestJointStatistics:
                 qpc_from_transmission(sysm.qpc2.transmission, chi=0.0, xi=0.0),
                 sysm.tuning_phase,
             )
-            stripped = squared_moduli(joint_amplitudes(det2, sys2, gamma).c)
+            stripped = squared_moduli(joint_amplitudes(det2, sys2, gamma))
             assert np.max(np.abs(p - stripped)) < 1e-12
 
     def test_global_phase_immunity(self, rng):
@@ -233,12 +261,12 @@ class TestJointStatistics:
             det, sysm = random_mzi(rng), random_mzi(rng)
             gamma = rng.uniform(0, 2 * math.pi)
             theta = rng.uniform(0, 2 * math.pi)
-            p = squared_moduli(joint_amplitudes(det, sysm, gamma).c)
+            p = squared_moduli(joint_amplitudes(det, sysm, gamma))
             shifted_qpc = qpc_from_transmission(
                 det.qpc2.transmission, chi=det.qpc2.chi + theta, xi=det.qpc2.xi + theta
             )
             shifted = InterferometerConfig(det.qpc1, shifted_qpc, det.tuning_phase)
-            p2 = squared_moduli(joint_amplitudes(shifted, sysm, gamma).c)
+            p2 = squared_moduli(joint_amplitudes(shifted, sysm, gamma))
             assert np.max(np.abs(p - p2)) < 1e-12
 
 
@@ -246,7 +274,7 @@ class TestJointProbabilityTable:
     @pytest.mark.parametrize("gamma", [0.4, np.array([0.3, 0.4])], ids=["point", "stack"])
     def test_rejects_non_finite_and_unnormalized_cells(self, gamma):
         det = balanced_mzi(0.3)
-        with pytest.raises(ValueError, match="need finite 2x2 complex tables"):
+        with pytest.raises(ValueError, match="^gamma .*nan.* is not a finite number$"):
             joint_probability_table(det, det, gamma * math.nan)
         leaky = qpc_from_transmission(0.5)
         object.__setattr__(leaky, "reflection", 0.6)  # past the constructor's check
@@ -273,7 +301,7 @@ class TestHarmonicForm:
         for _ in range(200):
             det, sysm = random_mzi(rng), random_mzi(rng)
             a, b, c = self.harmonics(*closed_form_table(det, sysm, self.POINTS))
-            expected = self.harmonics(*np.abs(joint_amplitudes(det, sysm, self.POINTS).c) ** 2)
+            expected = self.harmonics(*np.abs(joint_amplitudes(det, sysm, self.POINTS)) ** 2)
             for closed, amplitude in zip((a, b, c), expected):
                 assert np.max(np.abs(closed - amplitude)) <= 1e-12
             assert (a.sum(), b.sum(), c.sum()) == (
@@ -289,7 +317,7 @@ class TestHarmonicForm:
             closed = closed_form_table(det, sysm, gammas)
             assert closed.shape == (64, 2, 2)
             assert np.max(np.abs(closed - (a + b * cos + c * sin))) <= 1e-12
-            amplitudes = np.abs(joint_amplitudes(det, sysm, gammas).c) ** 2
+            amplitudes = np.abs(joint_amplitudes(det, sysm, gammas)) ** 2
             assert np.max(np.abs(closed - amplitudes)) <= 1e-12
             assert closed_form_table(det, sysm, gammas[0]).shape == (2, 2)
 
