@@ -26,8 +26,7 @@ import math
 import struct
 import sys
 from collections.abc import Callable
-from dataclasses import replace
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -258,15 +257,13 @@ def _vector_block(table: np.ndarray) -> bytes:
 class _Grid:
     """One experiment over a whole sweep grid: the config with the swept
     field set to the grid, built as one point of a sweep is, and the
-    coupling phase and width broadcast to the grid's shape, which every
-    column then has; plus the statistics derived from it.  ``required``
-    collects, per drain, where a column divides by that drain's marginal."""
+    statistics derived from it; a column has the shape of the fields it reads.
+    ``required`` collects, per drain, where a column divides by that drain's marginal."""
 
     def __init__(self, config: ExperimentConfig, parameter: str, grid: np.ndarray):
         self.config, self.required = config, {}
-        at, full = swept(config, parameter, grid), partial(np.broadcast_to, shape=grid.shape)
-        self.det, self.sys = at.detector, at.system
-        self.coupling = replace(at.coupling, gamma=full(at.coupling.gamma), sigma=full(at.coupling.sigma))
+        at = swept(config, parameter, grid)
+        self.det, self.sys, self.coupling = at.detector, at.system, at.coupling
 
     @cached_property
     def stats(self) -> JointStatistics:
@@ -335,7 +332,7 @@ def _evaluate(config: ExperimentConfig, parameter: str, grid: np.ndarray,
         drain: np.where(g.required[drain], g.marginal(drain), np.inf)
         for drain in (*_D, *_S) if drain in g.required
     })
-    return _table_csv([parameter, *names], np.column_stack([grid, *columns]))
+    return _table_csv([parameter, *names], np.column_stack(np.broadcast_arrays(grid, *columns)))
 
 
 # The most grid points or events that a request may ask for.  numpy counts a

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,24 +172,25 @@ def contextual_values(obs: ObservableCoefficients, p: FringeParams) -> Contextua
         raise AmbiguousMeasurementError(v, g, DIVERGENCE_THRESHOLD)
     if isinstance(informative, np.ndarray):  # a stack: the grid's arithmetic, without numpy's warnings
         return contextual_values_or_nan(obs, p)
-    return ContextualValues(*_weights(obs, p))
+    return ContextualValues(*_weights(obs, p, v, g))
 
 
 def contextual_values_or_nan(obs: ObservableCoefficients, p: FringeParams) -> ContextualValues:
     """:func:`contextual_values` at each point of the grid that the fields of
-    ``p`` broadcast to, NaN where the point is ambiguous; out of range raises."""
+    ``p`` broadcast to, NaN where the point is ambiguous; out of range raises.
+    ``p`` is read as checked, not rebuilt; a bundle of numbers gives Python floats."""
     # arrays: a V = 0 point divides to inf, not ZeroDivisionError
     v, g = np.broadcast_arrays(p.visibility, p.Gamma)
     ambiguous = abs(v * g) <= DIVERGENCE_THRESHOLD
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        weights = _weights(obs, replace(p, visibility=v, Gamma=g), ambiguous)
+        weights = _weights(obs, p, v, g, ambiguous)
     return ContextualValues(*(_plain(np.where(ambiguous, np.nan, w)) for w in weights))
 
 
-def _weights(obs: ObservableCoefficients, p, ambiguous=False) -> tuple:
-    """``(alpha_D1, alpha_D2)`` of ``p``, each finite wherever not ``ambiguous``."""
-    a1 = obs.a0 - (obs.a3 / p.Gamma) * (p.beta_minus / p.visibility + p.Delta)
-    a2 = obs.a0 + (obs.a3 / p.Gamma) * (p.beta_plus / p.visibility - p.Delta)
+def _weights(obs: ObservableCoefficients, p: FringeParams, v, g, ambiguous=False) -> tuple:
+    """``(alpha_D1, alpha_D2)`` of ``p`` at visibility ``v``, ``Gamma = g``; finite wherever not ``ambiguous``."""
+    a1 = obs.a0 - (obs.a3 / g) * (p.beta_minus / v + p.Delta)
+    a2 = obs.a0 + (obs.a3 / g) * (p.beta_plus / v - p.Delta)
     # comparisons, not np.isfinite: one configuration stays in Python floats
     if not _all(((abs(a1) < math.inf) & (abs(a2) < math.inf)) | ambiguous):
         raise ObservableRangeError()

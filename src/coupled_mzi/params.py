@@ -38,10 +38,10 @@ IDENTITY_TOL = 1e-12
 """Absolute tolerance for closed-form identities evaluated in doubles."""
 
 MAX_TUNING_PHASE = 2.0**30
-"""Largest magnitude of a tuning phase, radians.  ``gamma/2 + phi`` rounds
-by up to half an ulp of ``phi``; below this bound that moves the fringe
-parameters by less than 1e-14, so ``|Delta| <= 1`` holds within
-``IDENTITY_TOL`` at any coupling."""
+"""Largest magnitude of a tuning phase, radians, and of half the coupling
+phase that :func:`detector_params` takes.  ``gamma/2 + phi`` then rounds by
+at most 2**-22; near ``|Delta| = 1`` that moves ``Delta`` by less than
+1e-13, so ``|Delta| <= 1`` holds within ``IDENTITY_TOL``."""
 
 _TWO_PI = 2.0 * math.pi
 _PI_LOW = 1.2246467991473532e-16  # pi - math.pi, rounded
@@ -62,10 +62,33 @@ def _index(x, otherwise=None):
         return otherwise
 
 
+class _Shown:
+    """A value as a message formats it: as the value itself, and its attributes
+    so too, except that an int too long for ``str`` shows its digit count."""
+
+    def __init__(self, value):
+        self._value = value
+
+    def __getattr__(self, name: str):
+        return _Shown(getattr(self._value, name))
+
+    def __format__(self, spec: str) -> str:
+        try:
+            return format(self._value, spec)
+        except ValueError:  # str(int) stops at sys.get_int_max_str_digits() digits
+            if not isinstance(self._value, int):
+                raise
+        n = abs(self._value)
+        digits = int(math.log10(n)) - 1  # log10 may round up by one
+        while 10**digits <= n:
+            digits += 1
+        return f"<{'negative ' * (self._value < 0)}integer of {digits} digits>"
+
+
 def _require(ok, message: str, value=None) -> None:
-    """Raise ``ValueError(message.format(value))`` unless ``ok`` holds at every point."""
+    """Raise ``ValueError(message.format(value))`` unless ``ok`` holds at every point; see :class:`_Shown`."""
     if not _all(ok):
-        raise ValueError(message.format(value))
+        raise ValueError(message.format(_Shown(value)))
 
 
 def _require_finite(**values) -> None:
@@ -268,9 +291,11 @@ def detector_params(det: InterferometerConfig, gamma) -> FringeParams:
     FringeParams with ``beta_(+/-) = 1 +/- delta1*delta2``, ``visibility =
     epsilon1*epsilon2``, ``Gamma = sin(gamma/2) sin(gamma/2 + phi)`` and
     ``Delta = cos(phi) - Gamma``.  ``gamma`` and the fields of ``det`` may
-    be arrays; a non-finite ``gamma`` raises ``ValueError`` naming it.
+    be arrays; a ``gamma`` that is not a finite number, or beyond
+    ``2 MAX_TUNING_PHASE`` in magnitude, raises ``ValueError`` naming it.
     """
     _require_finite(gamma=gamma)
+    _require(abs(gamma) <= 2.0 * MAX_TUNING_PHASE, "gamma {} outside [-2**31, 2**31] rad", gamma)
     big_gamma = _coupling_term(gamma, det.tuning_phase)
     background = det.qpc1.delta * det.qpc2.delta
     return FringeParams(1.0 + background, 1.0 - background, det.qpc1.epsilon * det.qpc2.epsilon,

@@ -136,7 +136,7 @@ def averaged_joint_table(
     if not (np.any(fluctuating) if stack else fluctuating):
         return JointStatistics(joint_probability_table(det, sys, gamma))
     eta = damping_eta(sigma)
-    if stack:  # weights broadcast over each table's cells
+    if stack:  # array weights broadcast over each table's cells; numbers weight them alike, bit for bit
         p, eta = np.expand_dims(p, (-2, -1)), np.expand_dims(eta, (-2, -1))
     tables = [joint_probability_table(det, sys, g) for g in (gamma, math.pi, 0.0)]
     paired, spread = p * eta, p * (1.0 - eta) / 2.0

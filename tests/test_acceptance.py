@@ -40,7 +40,7 @@ from coupled_mzi import (
 )
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from coupled_mzi.scattering import concurrence
-from conftest import (
+from helpers import (
     SIGMA_3,
     amplitude_concurrence,
     balanced_mzi,

@@ -25,7 +25,7 @@ from coupled_mzi import (
 )
 from coupled_mzi.cli import run_erasure, run_scan
 from coupled_mzi.params import DetectorDrain, ObservableCoefficients, SystemDrain
-from conftest import balanced_mzi, random_mzi
+from helpers import balanced_mzi, random_mzi
 from reference import coupling, fringe
 
 OBS = ObservableCoefficients()

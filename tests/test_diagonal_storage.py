@@ -17,7 +17,7 @@ from coupled_mzi import (
     measurement_operators,
     povm_pair,
 )
-from conftest import random_mzi
+from helpers import random_mzi
 
 NAN, INF = math.nan, math.inf
 

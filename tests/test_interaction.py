@@ -16,7 +16,7 @@ from coupled_mzi import (
 )
 from coupled_mzi.interaction import HBAR
 from coupled_mzi.scattering import ELEMENTARY_CHARGE
-from conftest import random_mzi, squared_moduli
+from helpers import random_mzi, squared_moduli
 
 GEOM = InteractionGeometry(
     copropagation_length=5e-6,

@@ -49,7 +49,7 @@ def test_reference_imports_nothing_from_the_package():
     tree = ast.parse((Path(__file__).resolve().parent / "reference.py").read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert not any(name.partition(".")[0] in ("coupled_mzi", "conftest") for name in imported), imported
+    assert not any(name.partition(".")[0] in ("coupled_mzi", "conftest", "helpers") for name in imported), imported
 
 
 def test_every_export_is_named_in_the_readme():
@@ -100,8 +100,8 @@ def _importable(module: str, name: str) -> bool:
 
 
 def test_every_package_name_the_bench_reads_exists():
-    """The bench suite runs on its own (its ``conftest`` clashes with this
-    one's), so a deletion that breaks ``bench/`` is caught here."""
+    """The bench suite is outside ``testpaths``, so a deletion that breaks
+    ``bench/`` is caught here too."""
     names = bench_package_names()
     assert ("bench/tests/test_bench.py", "coupled_mzi.cli", "main") in names
     missing = sorted(entry for entry in names if not _importable(*entry[1:]))

@@ -26,7 +26,7 @@ from coupled_mzi import (
     reduced_system_state,
 )
 from coupled_mzi.params import DetectorDrain, SystemDrain
-from conftest import (
+from helpers import (
     PAULI_BASIS,
     SIGMA_0,
     SIGMA_3,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from coupled_mzi import (
     InterferometerConfig,
     damping_eta,
     detector_params,
+    joint_probability_table,
     qpc_from_angle,
     qpc_from_transmission,
 )
-from conftest import balanced_mzi, random_mzi
+from helpers import balanced_mzi, random_mzi
 
 
 class TestQpcSetting:
@@ -120,6 +122,15 @@ class TestDetectorParams:
         with pytest.raises(ValueError, match="^gamma .* is not a finite number$"):
             detector_params(balanced_mzi(0.3), gamma)
 
+    # beyond the bound the rounding of gamma/2 + phi no longer keeps |Delta| <= 1:
+    # from about 1e13 on, at phi = pi, the bundle's check named Delta, not gamma
+    @pytest.mark.parametrize("gamma", [2.0**31 + 256.0, -(2.0**40), np.array([1.0, 4.5e16])],
+                             ids=["just-beyond", "-2**40", "stack"])
+    @pytest.mark.parametrize("phi", [math.pi, 0.4])
+    def test_coupling_beyond_the_rounding_bound_names_gamma(self, gamma, phi):
+        with pytest.raises(ValueError, match=r"^gamma .* outside \[-2\*\*31, 2\*\*31\] rad$"):
+            detector_params(balanced_mzi(phi), gamma)
+
 
 class TestCouplingModel:
     def test_defaults(self):
@@ -148,6 +159,23 @@ def test_interferometer_config_holds_fields():
     mzi = InterferometerConfig(q1, q2, 1.25)
     assert mzi.qpc1 is q1 and mzi.qpc2 is q2
     assert mzi.tuning_phase == 1.25
+
+
+# str() of an int stops at 4300 digits: a message shows a longer one by its digit count
+@pytest.mark.parametrize("call, message", [
+    (lambda: detector_params(balanced_mzi(0.3), 10**5000), "gamma <integer of 5001 digits> is not a finite number"),
+    (lambda: joint_probability_table(balanced_mzi(0.3), balanced_mzi(1.0), -(10**5000)),
+     "gamma <negative integer of 5001 digits> is not a finite number"),
+    (lambda: qpc_from_transmission(0.5, chi=10**5000), "chi <integer of 5001 digits> is not a finite number"),
+    (lambda: CouplingModel(10**5000), "coupling phase <integer of 5001 digits>, fluctuation half-width 0.0 and "
+                                      "pair probability 1.0 not all inside [0, 2*pi], [0, pi] and [0, 1]"),
+    (lambda: damping_eta(10**5000), "sigma <integer of 5001 digits> outside [0, pi]"),
+    (lambda: damping_eta(10**5000 - 1), "sigma <integer of 5000 digits> outside [0, pi]"),
+], ids=["detector_params", "joint_probability_table", "qpc_from_transmission", "CouplingModel", "damping_eta",
+        "damping_eta-all-nines"])
+def test_int_too_long_for_str_shows_its_digit_count(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestArrayFields:

@@ -52,12 +52,12 @@ from coupled_mzi import (
     xi_joint_interference,
 )
 from coupled_mzi import cli
-from coupled_mzi.cli import _MAX_EXPONENT, _VECTOR_CELLS, _Grid, _table_csv, _vector_rows
+from coupled_mzi.cli import _MAX_EXPONENT, _VECTOR_CELLS, _table_csv, _vector_rows
 from coupled_mzi.config import swept
 from coupled_mzi.measurement import DIVERGENCE_THRESHOLD
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from coupled_mzi.scattering import ELEMENTARY_CHARGE, PLANCK_CONSTANT
-from conftest import SIGMA_0, SIGMA_3, mzi
+from helpers import SIGMA_0, SIGMA_3, mzi
 from reference import closed_form_table, detector_transfer, fringe, joint_interference, unitary_table
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "unbalanced.conf"
@@ -513,8 +513,9 @@ def test_povm_expectation_matches_amplitude_marginals(det, sysm, gamma):
 # the input contract's draws: finite doubles (st.floats() includes subnormals,
 # both infinities and NaN, and the list pins each), small Python ints, and
 # Python ints beyond the double range, which no float array can hold, so an
-# array holds one drawn double among finite ones
-beyond_double = st.integers(2**1024, 10**400) | st.integers(-(10**400), -(2**1024))
+# array holds one drawn double among finite ones; most have more digits than
+# str() of an int gives (4300), which an error message must still show
+beyond_double = st.integers(2**1024, 10**5000) | st.integers(-(10**5000), -(2**1024))
 contract_doubles = st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072e-308])
 contract_inputs = (contract_doubles | st.integers(-10, 10) | beyond_double
                    | st.builds(lambda x, i: np.insert([0.4, 1.1], i, x), contract_doubles, st.integers(0, 2)))
@@ -576,6 +577,47 @@ def test_amplitude_layer_gives_finite_values_or_names_the_bad_input(gamma, chi, 
             assert all(np.isfinite(v).all() for v in values), name
 
 
+def _inside(x, lo: float, hi: float) -> bool:
+    return _finite(x) and lo <= np.min(x) and np.max(x) <= hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(gamma=contract_inputs, sigma=contract_inputs, p=contract_inputs, phi=contract_inputs)
+@example(gamma=10**5000, sigma=0.5, p=1.0, phi=0.4)
+@example(gamma=1.0, sigma=-(10**5000), p=1.0, phi=-(10**5000))
+@example(gamma=1.0, sigma=0.5, p=10**5000, phi=0.4)
+def test_fringe_layer_gives_finite_values_or_names_the_bad_input(gamma, sigma, p, phi):
+    """With warnings as errors, the detector's tuning phase, ``gamma``,
+    ``sigma`` and the pair probability give finite values from the fringe
+    bundle and the coupling model, or a ``ValueError`` whose message names
+    an input that is not a finite number or lies outside its domain."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            det = InterferometerConfig(qpc_from_transmission(0.3), qpc_from_transmission(0.6), phi)
+        except ValueError as error:
+            assert str(error).startswith("tuning phase ") and not _inside(phi, -(2.0**30), 2.0**30), error
+            return
+        bad = {"gamma": not _inside(gamma, -(2.0**31), 2.0**31), "sigma": not _inside(sigma, 0.0, math.pi)}
+        bad["coupling phase"] = not (_inside(gamma, 0.0, TWO_PI) and _inside(sigma, 0.0, math.pi)
+                                     and _inside(p, 0.0, 1.0))
+        calls = {  # each call, and the inputs its errors may name
+            "detector_params": (("gamma",), lambda: astuple(detector_params(det, gamma))),
+            "concurrence": (("gamma",), lambda: [concurrence(det.qpc1, det.qpc2, gamma)]),
+            "damping_eta": (("sigma",), lambda: [damping_eta(sigma)]),
+            "CouplingModel": (("coupling phase",), lambda: astuple(CouplingModel(gamma, sigma, p))),
+            "averaged_detector_params": (("gamma", "coupling phase"), lambda: astuple(averaged_detector_params(
+                detector_params(det, gamma), CouplingModel(gamma, sigma, p)))),
+        }
+        for name, (inputs, call) in calls.items():
+            try:
+                values = call()
+            except ValueError as error:
+                assert any(str(error).startswith(f"{x} ") and bad[x] for x in inputs), (name, error)
+                continue
+            assert all(np.isfinite(v).all() for v in values), name
+
+
 SWEEP_RANGES = {"gamma": (0.0, TWO_PI), "phi_d": (-math.pi, math.pi), "phi_s": (0.0, TWO_PI),
                 "delta_s1": (-1.0, 1.0), "sigma": (0.0, math.pi)}
 
@@ -603,11 +645,15 @@ def _public_values(det, sysm, coupling, bias) -> dict:
 @pytest.mark.parametrize("parameter", sorted(SWEEP_RANGES))
 def test_array_experiment_matches_scalar_points(parameter):
     """A sweep is the config with the swept field an array: every public
-    function gives, point for point, what the scalar experiment gives."""
+    function gives, point for point, what the scalar experiment gives.  The
+    coupling phase and width are broadcast to the grid, so that every value
+    has the grid's axis first."""
     config = load_config(str(GOLDEN_CONFIG))
     grid = np.linspace(*SWEEP_RANGES[parameter], 13)
-    g = _Grid(config, parameter, grid)
-    arrays = _public_values(g.det, g.sys, g.coupling, config.bias)
+    at = swept(config, parameter, grid)
+    coupling = replace(at.coupling, gamma=np.broadcast_to(at.coupling.gamma, grid.shape),
+                       sigma=np.broadcast_to(at.coupling.sigma, grid.shape))
+    arrays = _public_values(at.detector, at.system, coupling, config.bias)
     for i, value in enumerate(grid.tolist()):
         point = swept(config, parameter, value)
         scalar_values = _public_values(point.detector, point.system, point.coupling, point.bias)
@@ -615,6 +661,32 @@ def test_array_experiment_matches_scalar_points(parameter):
             for array, scalar in zip(arrays[name], scalars, strict=True):
                 got = array[i] if np.ndim(array) else array  # a scalar holds at every point
                 assert np.max(np.abs(got - scalar)) <= 1e-15, (name, value)
+
+
+# the least grid count whose table, a column per quantity and the grid's, takes the vector writer
+VECTOR_COUNT = _VECTOR_CELLS // (len(cli.QUANTITIES) + 1) + 1
+
+
+@pytest.mark.parametrize("count", [3, VECTOR_COUNT])
+@pytest.mark.parametrize("fluctuating", [False, True], ids=["steady", "fluctuating"])
+@pytest.mark.parametrize("parameter", sorted(SWEEP_RANGES))
+def test_scan_row_is_the_two_point_scan_at_its_point(parameter, fluctuating, count):
+    """Every row of a scan of every quantity has the bytes of the row for the
+    same point in the 2-point scan that starts there (for the last row, that
+    ends there): each column reads its own point, whatever shape it is
+    computed at, and the two writers agree.  The golden config fluctuates
+    (``sigma > 0``, ``p < 1``); the steady one keeps only its ``gamma``."""
+    config = load_config(str(GOLDEN_CONFIG))
+    if not fluctuating:
+        config = replace(config, coupling=CouplingModel(config.coupling.gamma))
+
+    def rows(lo, hi, n):
+        return cli.run_scan(config, parameter, lo, hi, n, cli.QUANTITIES).splitlines()[1:]
+
+    grid = cli._grid(*SWEEP_RANGES[parameter], count).tolist()
+    for i, row in enumerate(rows(grid[0], grid[-1], count)):
+        start = min(i, count - 2)
+        assert row == rows(grid[start], grid[start + 1], 2)[i - start], (parameter, i)
 
 
 def _bits(word: int) -> float:

@@ -20,7 +20,7 @@ from coupled_mzi import (
     qpc_from_transmission,
 )
 from coupled_mzi.params import DetectorDrain, SystemDrain
-from conftest import amplitude_concurrence, balanced_mzi, random_mzi, squared_moduli
+from helpers import amplitude_concurrence, balanced_mzi, random_mzi, squared_moduli
 from reference import closed_form_table, qpc_unitary
 
 

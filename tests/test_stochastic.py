@@ -39,7 +39,7 @@ from coupled_mzi import (
 )
 from coupled_mzi import cli, stochastic
 from coupled_mzi.params import DetectorDrain
-from conftest import (balanced_mzi, detector_drain_probabilities, random_mzi, random_stack,
+from helpers import (balanced_mzi, detector_drain_probabilities, random_mzi, random_stack,
                       stacked_experiment)
 from reference import closed_form_table, raised_cosine_pdf
 
