@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousMeasurementError, ObservableRangeError
-from .params import FringeParams, InterferometerConfig, ObservableCoefficients, _all, _plain, detector_params
+from .params import (FringeParams, InterferometerConfig, ObservableCoefficients, _all, _plain, _require_finite,
+                     detector_params)
 from .scattering import detector_drain_amplitudes
 
 DIVERGENCE_THRESHOLD = 1e-9
@@ -299,6 +300,7 @@ def limit_contextual_values(
                          "gamma and phi_d must be scalars")
     if n is not None and regime in ("strong", "weak"):
         raise ValueError("n is only meaningful for the semiweak regime")
+    _require_finite(gamma=gamma, phi_d=phi_d)
     if regime == "strong":
         if not abs(gamma - math.pi) <= 1e-9:
             raise ValueError("strong regime requires gamma = pi")
@@ -322,6 +324,7 @@ def limit_contextual_values(
     if regime == "semiweak":
         if not isinstance(n, (int, np.integer)):
             raise ValueError("semiweak regime requires the integer n with phi_d = n pi")
+        _require_finite(n=n)
         if not abs(phi_d - n * math.pi) <= 1e-9:
             raise ValueError(f"semiweak regime requires phi_d = n*pi, got {phi_d!r}")
         if not gamma > 0.0:

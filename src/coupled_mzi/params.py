@@ -269,12 +269,15 @@ class FringeParams:
 class ObservableCoefficients:
     """Compatible observable ``a0 * identity + a3 * sigma_z``.
 
-    ``a0`` sets the reference point of the average and ``a3`` its scale;
-    the defaults target the bare which-path operator.
+    ``a0`` sets the reference point of the average and ``a3`` its scale,
+    each a finite double; the defaults target the bare which-path operator.
     """
 
     a0: float = 0.0
     a3: float = 1.0
+
+    def __post_init__(self):
+        _require_finite(a0=self.a0, a3=self.a3)
 
 
 def _coupling_term(gamma, phase):

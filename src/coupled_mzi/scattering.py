@@ -34,7 +34,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import DetectorDrain, InterferometerConfig, QpcSetting, SystemDrain, _all, _plain, _require_finite
+from .params import (DetectorDrain, InterferometerConfig, QpcSetting, SystemDrain, _all, _plain, _require,
+                     _require_finite)
 
 # Exact SI values (2019 redefinition).
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
@@ -257,8 +258,8 @@ def average_current(probability, bias: PhysicalBias):
     """Low-bias average drain current ``(e^2 V / h) * P`` in amperes;
     ``probability`` may be an array, and may lie up to 1e-12 outside [0, 1]
     as the cells of a :class:`JointStatistics` may."""
-    if not _all((-1e-12 <= probability) & (probability <= 1.0 + 1e-12)):  # NaN fails
-        raise ValueError(f"probability {probability} outside [0, 1]")
+    _require((-1e-12 <= probability) & (probability <= 1.0 + 1e-12),  # NaN fails
+             "probability {} outside [0, 1]", probability)
     _check_low_bias_regime(bias)
     return ELEMENTARY_CHARGE**2 * bias.bias_voltage / PLANCK_CONSTANT * probability
 

@@ -5,20 +5,22 @@ An event is a category code ``2 d + s`` over the row-major joint drain table:
 returns the codes, :func:`sample_events_tally` only their four counts.
 
 Random numbers come from numpy's Philox counter-based generator
-(``philox4x64``), keyed directly by the caller's 64-bit seed, so event
-streams are bit-reproducible across platforms.  Both samplers draw their
-uniforms in fixed-size chunks from one generator; event ``i`` always takes
-uniform ``i``, so codes and counts are the same for any chunk size.  Over a
-fluctuating coupling, ``montecarlo`` samples :func:`averaged_joint_table`, the
-exact average that every ``scan`` and ``erasure`` column reads.  Its tables all
-come from :func:`~coupled_mzi.scattering.joint_probability_table`, so the one
-table that ``montecarlo`` samples has the bits of its point in a ``scan`` grid.
+(``philox4x64``), keyed directly by the caller's 64-bit seed.  Event ``i``
+of :func:`sample_events` takes uniform double ``i`` of the raw Philox
+stream, for any chunk size; :func:`sample_events_tally` draws the counts in
+constant time as a chain of binomials from the same generator, a stream that
+numpy keeps only within a version (NEP 19).  Over a fluctuating coupling,
+``montecarlo`` samples :func:`averaged_joint_table`, the exact average that
+every ``scan`` and ``erasure`` column reads.  Its tables all come from
+:func:`~coupled_mzi.scattering.joint_probability_table`, so the one table
+that ``montecarlo`` samples has the bits of its point in a ``scan`` grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -31,7 +33,7 @@ from .scattering import JointStatistics, joint_probability_table
 
 RNG_ALGORITHM = "philox4x64"
 
-# Events per streaming chunk of both samplers.  Their scratch is one chunk of
+# Events per streaming chunk of ``sample_events``.  Its scratch is one chunk of
 # uniforms (8 bytes an event) and one of comparison flags (1 byte): 144 KiB at
 # 16384, whatever the event count, while a chunk's few numpy calls stay small
 # against Philox's ~5 ns per event: warm, on a 2-vCPU Xeon, 2e6 events take
@@ -143,31 +145,24 @@ def averaged_joint_table(
     return JointStatistics(paired * tables[0] + spread * tables[1] + (spread + (1.0 - p)) * tables[2])
 
 
-def _edges(probs: np.ndarray) -> list[float]:
-    """The category edges of one flat joint table ``(4,)`` with a positive cell.
+def _cells(probs: np.ndarray) -> list[float]:
+    """The cells ``max(p, 0)`` of one flat joint table ``(4,)`` with a positive
+    cell, in code order up to its last category of positive probability.
 
-    An edge is the cumulative sum of ``max(p, 0)``, one entry at a time.
-    Only the edges below the last category of positive probability are
-    kept, so a ``u`` past them goes to that category, also when rounding
-    leaves the last edge below 1.  A zero or negative (down to -1e-12) cell
-    adds nothing to its edge, so its interval is empty and no such category
-    is returned.
+    A zero or negative (down to -1e-12) cell is 0 here, and the cells past
+    the last positive one are dropped, so no such category is ever drawn.
     """
-    cells, last = probs.tolist(), 3
-    while not cells[last] > 0.0:
-        last -= 1
-    edges, edge = [], 0.0
-    for p in cells[:last]:
-        edge = edge + max(p, 0.0)
-        edges.append(edge)
-    return edges
+    cells = [max(p, 0.0) for p in probs.tolist()]
+    while not cells[-1] > 0.0:
+        cells.pop()
+    return cells
 
 
 def _categories(u: np.ndarray, edges: list[float], codes: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """Codes by the right-side rule ``edge[k-1] <= u < edge[k]`` over the
-    :func:`_edges` of a table, written into and returned as ``codes``
-    (``uint8``, the shape of ``u``): a code counts the edges at or below
-    ``u``, each compared into ``flags``, a bool buffer of ``u``'s shape."""
+    """Codes by the right-side rule ``edge[k-1] <= u < edge[k]`` over the running sums of a table's
+    :func:`_cells` but the last (a ``u`` past them goes to the last positive category, also when
+    rounding leaves the last edge below 1), written into and returned as ``codes`` (``uint8``, the
+    shape of ``u``): a code counts the edges at or below ``u``, each compared into the bool buffer ``flags``."""
     codes.fill(0)
     for edge in edges:
         codes += np.less_equal(edge, u, out=flags).view(np.uint8)
@@ -190,9 +185,8 @@ class _PhiloxKey(ISeedSequence):
         return np.array([self.seed, 0][:n_words], dtype=dtype)
 
 
-def _chunks(stats: JointStatistics, n: int, seed: int):
-    """The samplers' checks and one chunk loop: ``n`` as an int, the :func:`_edges`, and per chunk
-    ``(start, u, flags)``, the uniforms of events ``start`` on and a reused bool buffer of their shape."""
+def _sampler(stats: JointStatistics, n: int, seed: int):
+    """The samplers' checks: ``n`` as an int, the table's :func:`_cells` and the seed's generator."""
     if stats.joint.shape != (2, 2):
         raise ValueError(f"a sampler draws from one joint table, got a stack of shape {stats.joint.shape}")
     n, seed = _index(n, 0), _index(seed, -1)  # 10.0, 1.9 and "7" are rejected below
@@ -200,11 +194,7 @@ def _chunks(stats: JointStatistics, n: int, seed: int):
         raise ValueError("n must be an integer of at least 1")
     if not (0 <= seed < 2**64):
         raise ValueError("seed must be a 64-bit unsigned integer")
-    rng, size = Generator(Philox(_PhiloxKey(seed))), min(n, _CHUNK)
-    uniforms, flags = np.empty(size), np.empty(size, dtype=np.bool_)
-    chunks = ((start, rng.random(out=uniforms[:min(_CHUNK, n - start)]), flags[:min(_CHUNK, n - start)])
-              for start in range(0, n, _CHUNK))
-    return n, _edges(stats.joint.ravel()), chunks
+    return n, _cells(stats.joint.ravel()), Generator(Philox(_PhiloxKey(seed)))
 
 
 def sample_events(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
@@ -212,24 +202,27 @@ def sample_events(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
 
     Returns ``uint8`` codes ``2 d + s``; event ``i`` uses uniform double
     ``i`` of the seed's stream, so the sequence is a pure function of ``seed``."""
-    n, edges, chunks = _chunks(stats, n, seed)
-    codes = np.empty(n, dtype=np.uint8)
-    for start, u, flags in chunks:
-        _categories(u, edges, codes[start:start + u.size], flags)
+    n, cells, rng = _sampler(stats, n, seed)
+    edges, size = list(accumulate(cells[:-1])), min(n, _CHUNK)
+    uniforms, flags, codes = np.empty(size), np.empty(size, dtype=np.bool_), np.empty(n, dtype=np.uint8)
+    for start in range(0, n, _CHUNK):
+        u = rng.random(out=uniforms[:min(_CHUNK, n - start)])
+        _categories(u, edges, codes[start:start + u.size], flags[:u.size])
     return codes
 
 
 def sample_events_tally(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
-    """``np.bincount(sample_events(stats, n, seed), minlength=4)`` in memory that does not grow
-    with ``n``: the events of code ``c`` or more are those at or above edge ``c - 1``, counted
-    per chunk, and each count is a difference of two such tallies."""
-    n, edges, chunks = _chunks(stats, n, seed)
-    above = [0] * len(edges)
-    for _, u, flags in chunks:
-        for k, edge in enumerate(edges):
-            above[k] += np.count_nonzero(np.less_equal(edge, u, out=flags))
-    at_least = [n, *above, 0, 0, 0, 0][:5]  # the events of code 0 or more, ..., 4 or more
-    return np.subtract(at_least[:4], at_least[1:])
+    """The four category counts of ``n`` i.i.d. draws in constant time, from the multinomial law of
+    ``np.bincount(sample_events(stats, n, seed), minlength=4)``: over the :func:`_cells`, cell ``k``
+    takes ``binomial(left, c_k / (c_k + ... + c_last))`` of the ``left`` events, and the last
+    positive cell the rest, so the counts sum to ``n``."""
+    n, cells, rng = _sampler(stats, n, seed)
+    counts, left = [0, 0, 0, 0], n
+    for k in range(len(cells) - 1):
+        counts[k] = int(rng.binomial(left, min(1.0, cells[k] / sum(cells[k:]))))
+        left -= counts[k]
+    counts[len(cells) - 1] = left
+    return np.array(counts)
 
 
 _FLOAT_MIN = np.finfo(float).tiny  # the least positive normal float

@@ -6,9 +6,10 @@ runs every invocation in process against the package under ``ROOT/src``
 (default: the checkout holding this script) and prints one line per
 invocation: the SHA-256 of its stdout, stderr and exit code, then its argv.
 Each ``montecarlo`` invocation gets a second line, ``codes`` before its argv:
-the SHA-256 of the event codes that ``sample_events`` returns for each call of
-the count sampler ``sample_events_tally`` in it, whose counts must be the
-codes' ``bincount``.
+the SHA-256 of the event codes that ``sample_events`` returns for the
+arguments of each call of the count sampler ``sample_events_tally`` in it.
+The counts are drawn from the law of those codes, not counted from them, so
+this line guards the Philox event codes and the first line the counts.
 Two checkouts print the same lines exactly when each invocation gives the
 same bytes, exit code and event codes in both.  ``tests/golden/identity.txt``
 holds the lines, and ``tests/test_identity.py`` checks them in the test
@@ -51,8 +52,6 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
-
-import numpy as np
 
 CONFIGS = ("configs/ambiguous_measurement.conf", "configs/erasure.conf",
            "configs/strong_measurement.conf", "tests/golden/unbalanced.conf")
@@ -99,24 +98,18 @@ def runs(cli, make_round, work: Path):
     """``(argv, output, codes)`` per invocation of the set, from the ``cli``
     module: the argv as a line shows it, :func:`output`, and for
     ``montecarlo`` the SHA-256 of the event codes that ``sample_events``
-    gives for the arguments of each sampler call in it (else None).  A
-    checkout whose ``cli`` calls ``sample_events_tally`` has its counts
-    checked against those codes; an older one calls ``sample_events``.  Config
-    paths are read from the current directory, the root of the checkout; the
-    benchmark rounds' configs are written under ``work``."""
+    gives for the arguments of each sampler call in it (else None), whether
+    the checkout's ``cli`` calls ``sample_events_tally`` or, older,
+    ``sample_events``.  Config paths are read from the current directory,
+    the root of the checkout; the benchmark rounds' configs are written
+    under ``work``."""
     name = "sample_events_tally" if hasattr(cli, "sample_events_tally") else "sample_events"
     sampled, sampler = [], getattr(cli, name)
     sample_events = importlib.import_module(".stochastic", cli.__package__).sample_events
 
     def capture(*args, **kwargs):
-        result = sampler(*args, **kwargs)
-        if sampler is sample_events:
-            sampled.append(result)
-            return result
         sampled.append(sample_events(*args, **kwargs))
-        if not np.array_equal(result, np.bincount(sampled[-1], minlength=4)):
-            raise AssertionError(f"the counts {result} are not the bincount of the codes")
-        return result
+        return sampler(*args, **kwargs)
 
     tmp = str(work)
     setattr(cli, name, capture)

@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -385,6 +386,21 @@ class TestMontecarlo:
         # no fluctuations: the table at gamma alone
         assert self.counted_calls(CONFIGS / "strong_measurement.conf", capsys) == {
             "detector_params": 1, "damping_eta": 1, "joint_probability_table": 1}
+
+    def test_event_cap_runs_in_constant_time(self, capsys):
+        # the tally draws four counts, so 2**53 events cost what 1000 do; 2 s leaves a wide margin
+        argv = ["montecarlo", "--config", str(CONFIGS / "strong_measurement.conf"), "--seed", "7"]
+        start = time.perf_counter()
+        code, out, err = run_cli([*argv, "--n", str(2**53)], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert (code, err) == (0, "")
+        header, rows = read_csv(out)
+        assert rows[0][header.index("n")] == str(2**53)
+        assert all(math.isfinite(float(rows[0][header.index(name)]))
+                   for name in ("estimate", "empirical_variance", "predicted_mse", "mse_upper_bound"))
+        code, out, err = run_cli([*argv, "--n", str(2**53 + 1)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"config error: the request does not fit in memory: {2**53 + 1} events\n"
 
     def test_single_event_is_one_contextual_value(self, tmp_path, capsys):
         path = tmp_path / "exp.conf"

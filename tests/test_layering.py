@@ -17,8 +17,10 @@ ALLOWED_PRIVATE_IMPORTS = {
     ("interaction", "params", "_require_finite"),
     ("measurement", "params", "_all"),
     ("measurement", "params", "_plain"),
+    ("measurement", "params", "_require_finite"),
     ("scattering", "params", "_all"),
     ("scattering", "params", "_plain"),
+    ("scattering", "params", "_require"),
     ("scattering", "params", "_require_finite"),
     ("stochastic", "params", "_index"),
 }

@@ -234,6 +234,14 @@ class TestContextualValues:
         with pytest.raises(ObservableRangeError):
             contextual_values(ObservableCoefficients(a0=1.7976931348623157e308, a3=1e308), p)
 
+    @pytest.mark.parametrize("fields, name", [
+        ((math.nan, 1.0), "a0"), ((10**400, 1.0), "a0"), ((0.0, math.inf), "a3"), ((0.0, -(10**400)), "a3"),
+    ], ids=["nan-a0", "huge-a0", "inf-a3", "huge-a3"])
+    def test_observable_coefficients_are_finite(self, fields, name):
+        # unchecked, such a field ends in OverflowError or a NaN contextual value far from its cause
+        with pytest.raises(ValueError, match=f"^{name} .* is not a finite number$"):
+            ObservableCoefficients(*fields)
+
     def test_stack_beyond_the_float_range_raises_without_a_warning(self):
         # the suite turns numpy's overflow warning into an error, which would come first
         p = detector_params(balanced_mzi(0.0), np.array([0.5, 1.0]))
@@ -434,13 +442,27 @@ class TestLimitForms:
         with pytest.raises(ValueError, match="^n is only meaningful for the semiweak regime$"):
             limit_contextual_values(regime, gamma, phi_d, n=5)
 
-    @pytest.mark.parametrize("regime, gamma, phi_d, n", [
-        ("weak", -0.1, 0.3, None), ("weak", math.nan, 0.3, None),
-        ("semiweak", -0.1, 0.0, 0), ("semiweak", math.nan, 0.0, 0),
-    ])
-    def test_weak_forms_require_positive_gamma(self, regime, gamma, phi_d, n):
-        with pytest.raises(ValueError, match="require gamma > 0"):
+    @pytest.mark.parametrize("regime, gamma, phi_d, n, message", [
+        ("weak", -0.1, 0.3, None, "^weak regime forms require gamma > 0$"),
+        ("weak", math.nan, 0.3, None, "^gamma nan is not a finite number$"),
+        ("semiweak", -0.1, 0.0, 0, "^semiweak regime forms require gamma > 0$"),
+        ("semiweak", math.nan, 0.0, 0, "^gamma nan is not a finite number$"),
+    ], ids=["weak--0.1-0.3-None", "weak-nan-0.3-None", "semiweak--0.1-0.0-0", "semiweak-nan-0.0-0"])
+    def test_weak_forms_require_positive_gamma(self, regime, gamma, phi_d, n, message):
+        with pytest.raises(ValueError, match=message):
             limit_contextual_values(regime, gamma, phi_d, n=n)
+
+    @pytest.mark.parametrize("args, name", [
+        (("weak", 10**400, 1.0), "gamma"),
+        (("weak", math.inf, 1.0), "gamma"),
+        (("weak", 0.1, math.inf), "phi_d"),
+        (("strong", math.pi, math.nan), "phi_d"),
+        (("semiweak", 0.1, 0.0, 10**400), "n"),
+    ], ids=["weak-huge-gamma", "weak-inf-gamma", "weak-inf-phi", "strong-nan-phi", "semiweak-huge-n"])
+    def test_numbers_checked_where_they_enter(self, args, name):
+        # unchecked, these end in OverflowError, a math domain error or another check's message
+        with pytest.raises(ValueError, match=f"^{name} .* is not a finite number$"):
+            limit_contextual_values(*args)
 
     @pytest.mark.parametrize("n", [0.5, 1.0])
     def test_semiweak_requires_an_integer_n(self, n):

@@ -340,6 +340,13 @@ class TestCurrentsAndNoise:
         with pytest.raises(ValueError):
             average_current(np.array([0.5, math.nan]), BIAS)
 
+    def test_probability_too_long_for_str_shows_its_digit_count(self):
+        # formatting the int itself would raise Python's int-to-str digit limit error
+        with pytest.raises(ValueError, match=r"^probability <integer of 5001 digits> outside \[0, 1\]$"):
+            average_current(10**5000, BIAS)
+        with pytest.raises(ValueError, match=r"^probability 1\.5 outside \[0, 1\]$"):
+            average_current(1.5, BIAS)
+
     def test_marginal_rounded_past_one_accepted(self):
         # the averaged table's detector marginal rounds two ulps past 1
         det = InterferometerConfig(qpc_from_transmission(0.0), qpc_from_transmission(0.0), 0.0)

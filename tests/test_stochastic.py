@@ -2,16 +2,19 @@ import gc
 import hashlib
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy.integrate import quad
+from scipy.stats import chi2
 
 from coupled_mzi import (
     AmbiguousMeasurementError,
@@ -420,8 +423,8 @@ def digest(codes):
 
 def categories(u, probs):
     """The sampler's category pass over ``u`` with the edges of one flat table."""
-    return stochastic._categories(u, stochastic._edges(probs), np.empty(u.shape, np.uint8),
-                                  np.empty(u.shape, np.bool_))
+    edges = list(accumulate(stochastic._cells(probs)[:-1]))
+    return stochastic._categories(u, edges, np.empty(u.shape, np.uint8), np.empty(u.shape, np.bool_))
 
 
 class TestCategoryRule:
@@ -579,7 +582,6 @@ class TestSampleEvents:
         canonical = sample_events(stats, 10_001, seed=99)
         monkeypatch.setattr(stochastic, "_CHUNK", chunk)
         assert np.array_equal(sample_events(stats, 10_001, seed=99), canonical)
-        assert np.array_equal(sample_events_tally(stats, 10_001, seed=99), np.bincount(canonical, minlength=4))
 
     def test_stack_of_tables_rejected(self):
         with pytest.raises(ValueError, match=r"one joint table, got a stack of shape \(3, 2, 2\)"):
@@ -604,9 +606,18 @@ class TestSampleEvents:
         assert np.array_equal(sample_events(stats, np.array(10), seed=7), codes)
 
     def test_tally_checks_its_request(self):
-        # the two samplers share their checks and messages
+        # the two samplers share their checks and messages: whatever sample_events rejects, so does the tally
         _, _, stats = quarter_stats()
-        for args, message in [((JointStatistics(np.full((3, 2, 2), 0.25)), 10, 1), "one joint table"),
+        stack = JointStatistics(np.full((3, 2, 2), 0.25))
+        rejected = [(stack, 10, 1), *((stats, n, 1) for n in (0, -3, 10.0, 2.5, "7", np.float64(7.0), None)),
+                    *((stats, 10, seed) for seed in (-1, 2**64, 1.9, "7", np.float64(7.0), np.array(7.5)))]
+        for args in rejected:
+            with pytest.raises(ValueError) as codes_error:
+                sample_events(*args)
+            with pytest.raises(ValueError) as tally_error:
+                sample_events_tally(*args)
+            assert str(tally_error.value) == str(codes_error.value)
+        for args, message in [((stack, 10, 1), "one joint table"),
                               ((stats, 0, 1), "n must be an integer of at least 1"),
                               ((stats, 10.0, 1), "n must be an integer of at least 1"),
                               ((stats, 10, -1), "seed must be a 64-bit unsigned integer"),
@@ -623,6 +634,84 @@ class TestSampleEvents:
         codes = sample_events(stats, 1000, seed=7)
         assert np.array_equal(sample_events(stats, 1000, seed=np.uint64(7)), codes)
         assert np.array_equal(sample_events(stats, 1000, seed=np.array(7)), codes)
+
+
+def multinomial_pmf(counts, cells):
+    """The exact multinomial probability of ``counts`` over cell probabilities ``cells``."""
+    ways = Fraction(math.factorial(sum(counts)))
+    for c, p in zip(counts, cells):
+        ways *= Fraction(p) ** c / math.factorial(c)
+    return float(ways)
+
+
+def compositions(n, parts=4):
+    """Every vector of ``parts`` non-negative integers that sums to ``n``."""
+    if parts == 1:
+        return [(n,)]
+    return [(k, *rest) for k in range(n + 1) for rest in compositions(n - k, parts - 1)]
+
+
+class TestSampleEventsTally:
+    # Each chi-square test rejects at chi2's upper 1e-6 quantile for its degrees of freedom, a level
+    # fixed before any statistic was read: a correct sampler fails it on one seed block in a million.
+    FALSE_ALARM = 1e-6
+    SEEDS = range(10_000)  # the expected count of the rarest vector below is 16
+
+    @settings(max_examples=200, deadline=None)
+    @given(probs=category_tables(), n=st.integers(1, 2**53), seed=st.integers(0, 2**64 - 1))
+    @example(probs=np.array([0.6, 0.4, 0.0, 0.0]), n=2**53, seed=0)
+    @example(probs=np.array([0.0, 0.33615799043708827, -5.551115123125783e-17, 0.6638420095629118]),
+             n=1000, seed=2**64 - 1)
+    @example(probs=np.array([0.5, 0.5, 0.0, -1e-13]), n=1, seed=7)
+    def test_counts_part_n_over_the_positive_cells(self, probs, n, seed):
+        try:
+            stats = JointStatistics(probs.reshape(2, 2))
+        except ValueError:  # the cells do not sum to 1 within the table check's 1e-12
+            reject()
+        counts = sample_events_tally(stats, n, seed)
+        assert counts.shape == (4,) and counts.dtype.kind == "i"
+        assert counts.min() >= 0 and sum(counts.tolist()) == n
+        assert not np.any(counts[probs <= 0.0])  # the last cell included
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("n", [1, 12_345, 2**53])
+    def test_one_positive_cell_takes_every_event(self, position, n):
+        cells = np.array([0.0, -1e-13, -0.0, 0.0])
+        cells[position] = 1.0
+        for seed in (0, 2**64 - 1):
+            counts = sample_events_tally(JointStatistics(cells.reshape(2, 2)), n, seed)
+            assert counts.tolist() == [n * (k == position) for k in range(4)]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_counts_at_the_event_cap(self, seed):
+        # one draw at 2**53 events lies within six standard deviations of n p per cell
+        _, _, stats = quarter_stats()
+        n, cells = 2**53, stats.joint.ravel()
+        counts = sample_events_tally(stats, n, seed)
+        assert np.all(np.abs(counts - n * cells) <= 6.0 * np.sqrt(n * cells * (1.0 - cells)))
+
+    @pytest.mark.parametrize("table", [[[0.2, 0.3], [0.25, 0.25]], [[0.5, 0.0], [0.3, 0.2]],
+                                       [[0.25, 0.0], [0.75, -1e-13]]], ids=["four-cells", "zero-cell", "zero-last"])
+    def test_law_of_four_events(self, table):
+        # the count vectors of n = 4 events over 10,000 seeds against the exact multinomial pmf,
+        # for the tally and, as the control, for the codes' bincount; then the two against each other
+        stats, n = JointStatistics(np.array(table)), 4
+        cells = [max(p, 0.0) for p in np.ravel(table).tolist()]
+        support = [c for c in compositions(n) if multinomial_pmf(c, cells) > 0.0]
+        expected = np.array([multinomial_pmf(c, cells) for c in support]) * len(self.SEEDS)
+        threshold = chi2.isf(self.FALSE_ALARM, len(support) - 1)
+        seen = {}
+        for name, draw in (("tally", sample_events_tally),
+                           ("codes", lambda *args: np.bincount(sample_events(*args), minlength=4))):
+            vectors = Counter(tuple(draw(stats, n, seed).tolist()) for seed in self.SEEDS)
+            assert set(vectors) <= set(support), name
+            seen[name] = np.array([vectors[c] for c in support])
+            statistic = float(np.sum((seen[name] - expected) ** 2 / expected))
+            assert statistic < threshold, f"{name}: chi-square {statistic:.1f} against {threshold:.1f}"
+        both = seen["tally"] + seen["codes"]
+        pooled = both > 0
+        statistic = float(np.sum((seen["tally"] - seen["codes"])[pooled] ** 2 / both[pooled]))
+        assert statistic < chi2.isf(self.FALSE_ALARM, np.count_nonzero(pooled) - 1)
 
 
 class TestContextualEstimate:
@@ -752,15 +841,18 @@ class TestContextualEstimate:
     @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 3 * C + 5, 8 * C - 1, 8 * C, 8 * C + 1, 24 * C + 5,
                                    200_000])
     def test_d2_count_across_chunks(self, n):
-        # the tally is the codes' bincount, and its estimate at alpha = (0, n),
-        # n n2 / n, is the codes' D2 count n2 exactly
+        # the estimate at alpha = (0, n), n n2 / n, is the D2 count n2 exactly: of the tally, which
+        # parts n with no event in a cell of zero probability, and of the codes, across their chunks
         for table in [*self.TABLES, quarter_stats()[2].joint]:
             stats = JointStatistics(np.array(table))
             for seed in (0, 7, 2**64 - 1):
                 codes, counts = sample_events(stats, n, seed), sample_events_tally(stats, n, seed)
-                assert np.array_equal(counts, np.bincount(codes, minlength=4))
-                report = contextual_estimate(counts, ContextualValues(0.0, float(n)), (0.5, 0.5))
-                assert report.estimate == np.count_nonzero(codes >= 2)
+                assert counts.sum() == n and counts.min() >= 0
+                assert not np.any(counts[np.ravel(table) <= 0.0])
+                for tally, d2 in ((counts, counts[2] + counts[3]),
+                                  (np.bincount(codes, minlength=4), np.count_nonzero(codes >= 2))):
+                    report = contextual_estimate(tally, ContextualValues(0.0, float(n)), (0.5, 0.5))
+                    assert report.estimate == d2
 
     def test_unbiasedness_over_seeded_runs(self):
         det, sysm, stats = quarter_stats()
