@@ -9,6 +9,7 @@ reproduces parameter sweeps and quantum-erasure fringes as CSV.
 """
 
 from .conditioning import (
+    AveragedExperiment,
     conditioned_average,
     post_selected_average,
     require_post_selection,

@@ -26,11 +26,11 @@ import math
 import struct
 import sys
 from collections.abc import Callable
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
-from .conditioning import post_selected_average, require_post_selection
+from .conditioning import AveragedExperiment, require_post_selection
 from .config import SWEEPS, ExperimentConfig, check_sweep_domain, evaluate_number, load_config, swept
 from .errors import (
     AmbiguousMeasurementError,
@@ -39,18 +39,10 @@ from .errors import (
     PostSelectionImpossibleError,
 )
 from .interaction import coupling_phase, dynamical_phase
-from .measurement import (ContextualValues, contextual_values, contextual_values_or_nan, measurement_operators,
-                          povm_pair)
-from .params import DetectorDrain, SystemDrain, _index, damping_eta, detector_params
-from .scattering import ELEMENTARY_CHARGE, JointStatistics, concurrence, cross_noise_power
-from .stochastic import (
-    RNG_ALGORITHM,
-    averaged_detector_params,
-    averaged_joint_table,
-    contextual_estimate,
-    observation_time,
-    sample_events_tally,
-)
+from .measurement import contextual_values, measurement_operators, povm_pair
+from .params import DetectorDrain, SystemDrain, _index, damping_eta
+from .scattering import ELEMENTARY_CHARGE, concurrence, cross_noise_power
+from .stochastic import RNG_ALGORITHM, contextual_estimate, observation_time, sample_events_tally
 
 AMBIGUOUS_TOKEN = "inf-ambiguous"
 
@@ -254,64 +246,40 @@ def _vector_block(table: np.ndarray) -> bytes:
     return words.tobytes().translate(None, b"\0 ")
 
 
-class _Grid:
-    """One experiment over a whole sweep grid: the config with the swept
-    field set to the grid, built as one point of a sweep is, and the
-    statistics derived from it; a column has the shape of the fields it reads.
-    ``required`` collects, per drain, where a column divides by that drain's marginal."""
+def _marginal(e: AveragedExperiment, drain: DetectorDrain | SystemDrain) -> np.ndarray:
+    return (e.stats.p_detector if isinstance(drain, DetectorDrain) else e.stats.p_system)(drain)
 
-    def __init__(self, config: ExperimentConfig, parameter: str, grid: np.ndarray):
-        self.config, self.required = config, {}
-        at = swept(config, parameter, grid)
-        self.det, self.sys, self.coupling = at.detector, at.system, at.coupling
 
-    @cached_property
-    def stats(self) -> JointStatistics:
-        return averaged_joint_table(self.det, self.sys, self.coupling)
-
-    def marginal(self, drain: DetectorDrain | SystemDrain) -> np.ndarray:
-        return (self.stats.p_detector if isinstance(drain, DetectorDrain) else self.stats.p_system)(drain)
-
-    def given(self, drain: DetectorDrain | SystemDrain, where=True) -> np.ndarray:
-        """The marginal a column divides by, required above 1e-12 ``where``."""
-        self.required[drain] = self.required.get(drain, False) | where
-        return self.marginal(drain)
-
-    @cached_property
-    def alphas(self) -> ContextualValues:
-        """Contextual values of the averaged detector bundle: they invert the marginals of :attr:`stats`."""
-        bundle = averaged_detector_params(detector_params(self.det, self.coupling.gamma), self.coupling)
-        return contextual_values_or_nan(self.config.observable, bundle)
-
-    def conditioned(self, s: SystemDrain) -> np.ndarray:
-        # ambiguity first: an inf-ambiguous point needs no post-selection
-        self.given(s, where=~np.isnan(self.alphas.alpha_d1))
-        return post_selected_average(self.alphas, self.stats, s)
+def _conditioned(e: AveragedExperiment, given, s: SystemDrain) -> np.ndarray:
+    # ambiguity first: an inf-ambiguous point needs no post-selection
+    given(s, where=~np.isnan(e.alphas.alpha_d1))
+    return e.conditioned_average(s)
 
 
 _D, _S = tuple(DetectorDrain), tuple(SystemDrain)
 _PAIRS = tuple((d, s) for d in _D for s in _S)
 
-_QUANTITIES: dict[str, Callable[[_Grid], np.ndarray]] = {
-    **{f"P_{x.name}": (lambda g, x=x: g.marginal(x)) for x in (*_D, *_S)},
-    **{f"P_{d.name}{s.name}": (lambda g, d=d, s=s: g.stats.joint[:, d.value, s.value])
+_QUANTITIES: dict[str, Callable] = {
+    **{f"P_{x.name}": (lambda e, given, bias, x=x: _marginal(e, x)) for x in (*_D, *_S)},
+    **{f"P_{d.name}{s.name}": (lambda e, given, bias, d=d, s=s: e.stats.joint[:, d.value, s.value])
        for d, s in _PAIRS},
     **{f"P_{d.name}_given_{s.name}":
-       (lambda g, d=d, s=s: g.stats.joint[:, d.value, s.value] / g.given(s)) for s in _S for d in _D},
+       (lambda e, given, bias, d=d, s=s: e.stats.joint[:, d.value, s.value] / given(s)) for s in _S for d in _D},
     **{f"P_{s.name}_given_{d.name}":
-       (lambda g, d=d, s=s: g.stats.joint[:, d.value, s.value] / g.given(d)) for d, s in _PAIRS},
-    "alpha_D1": lambda g: g.alphas.alpha_d1,
-    "alpha_D2": lambda g: g.alphas.alpha_d2,
-    **{f"cond_avg_{s.name}": (lambda g, s=s: g.conditioned(s)) for s in _S},
-    "concurrence": lambda g: concurrence(g.det.qpc1, g.sys.qpc1, g.coupling.gamma),
-    "eta": lambda g: damping_eta(g.coupling.sigma),
-    **{f"S_{d.name}{s.name}": (lambda g, d=d, s=s: cross_noise_power(g.stats, d, s, g.config.bias))
+       (lambda e, given, bias, d=d, s=s: e.stats.joint[:, d.value, s.value] / given(d)) for d, s in _PAIRS},
+    "alpha_D1": lambda e, given, bias: e.alphas.alpha_d1,
+    "alpha_D2": lambda e, given, bias: e.alphas.alpha_d2,
+    **{f"cond_avg_{s.name}": (lambda e, given, bias, s=s: _conditioned(e, given, s)) for s in _S},
+    "concurrence": lambda e, given, bias: concurrence(e.detector.qpc1, e.system.qpc1, e.coupling.gamma),
+    "eta": lambda e, given, bias: damping_eta(e.coupling.sigma),
+    **{f"S_{d.name}{s.name}": (lambda e, given, bias, d=d, s=s: cross_noise_power(e.stats, d, s, bias))
        for d, s in _PAIRS},
 }
-"""Scan columns by name, all of one experiment: the joint drain table averaged over
-the coupling model (:func:`averaged_joint_table`), whose detector marginals ``alpha``
-inverts; ``cond_avg`` is ``inf-ambiguous`` exactly where ``alpha`` is, and ``eta``
-is the damping factor."""
+"""Scan columns by name, all of one experiment, the sweep's :class:`AveragedExperiment`:
+the joint drain table averaged over the coupling model (its ``stats``), whose detector
+marginals ``alpha`` inverts; ``cond_avg`` is ``inf-ambiguous`` exactly where ``alpha``
+is, and ``eta`` is the damping factor.  A column reads the experiment, ``given(drain,
+where)``, which returns the marginal it divides by, and the bias, at its own shape."""
 
 QUANTITIES = tuple(_QUANTITIES)
 
@@ -325,12 +293,20 @@ def _evaluate(config: ExperimentConfig, parameter: str, grid: np.ndarray,
     """
     if any(name.startswith("S_") for name in names) and config.bias is None:
         raise ConfigError("noise quantities need a bias section in the config")
-    g = _Grid(config, parameter, grid)
+    at = swept(config, parameter, grid)
+    e = AveragedExperiment(at.detector, at.system, at.coupling, config.observable)
+    required = {}  # per drain, where a column divides by its marginal
+
+    def given(drain: DetectorDrain | SystemDrain, where=True) -> np.ndarray:
+        """The marginal a column divides by, required above 1e-12 ``where``."""
+        required[drain] = required.get(drain, False) | where
+        return _marginal(e, drain)
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        columns = [_QUANTITIES[name](g) for name in names]
+        columns = [_QUANTITIES[name](e, given, config.bias) for name in names]
     require_post_selection({
-        drain: np.where(g.required[drain], g.marginal(drain), np.inf)
-        for drain in (*_D, *_S) if drain in g.required
+        drain: np.where(required[drain], _marginal(e, drain), np.inf)
+        for drain in (*_D, *_S) if drain in required
     })
     return _table_csv([parameter, *names], np.column_stack(np.broadcast_arrays(grid, *columns)))
 
@@ -345,6 +321,12 @@ _MAX_COUNT = 2**53
 def _require_fits(count: int, what: str) -> None:
     if count > _MAX_COUNT:
         raise ConfigError(f"the request does not fit in memory: {count} {what}")
+
+
+# The most events that ``sample_events_tally``'s legacy binomial draws: it takes
+# its count as a C ``long``, 2**63 - 1 on 64-bit Linux and macOS (above
+# ``_MAX_COUNT``) but 2**31 - 1 where a ``long`` is 32 bits, as on Windows.
+_MAX_BINOMIAL = int(np.iinfo(np.long).max)
 
 
 def _integer(value, message: str) -> int:
@@ -404,13 +386,15 @@ def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
     """CSV report of one seeded estimator run.
 
     Event counts are drawn with :func:`sample_events_tally` from the exact joint drain
-    distribution averaged over the coupling model, :func:`averaged_joint_table`, the
-    table every ``scan`` column reads; its detector marginals give the predicted MSE.
-    The contextual values come from the averaged detector bundle, as ``scan``'s
-    ``alpha_*`` columns do, so they invert the table's drain probabilities.  With a
-    budget section the report includes the observation-time bound.  A report that is
-    not finite exits as a configuration error, and so do an ``n`` or ``seed`` not of an
-    integer type, an ``n`` below 1 or above ``2**53`` and a ``seed`` outside ``[0, 2**64)``.
+    distribution averaged over the coupling model, the ``stats`` of the config's
+    :class:`AveragedExperiment`, the table every ``scan`` column reads; its detector
+    marginals give the predicted MSE.  The contextual values come from the experiment's
+    averaged detector bundle, as ``scan``'s ``alpha_*`` columns do, so they invert the
+    table's drain probabilities.  With a budget section the report includes the
+    observation-time bound.  A report that is not finite exits as a configuration error,
+    and so do an ``n`` or ``seed`` not of an integer type, an ``n`` below 1 or above
+    ``2**53`` (or above a C ``long``, where that is smaller) and a ``seed`` outside
+    ``[0, 2**64)``.
     """
     n, seed = _integer(n, "--n must be an integer"), _integer(seed, "--seed must be an integer")
     if n < 1:
@@ -418,11 +402,12 @@ def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
     if not 0 <= seed < 2**64:
         raise ConfigError("--seed must be a 64-bit unsigned integer in [0, 2**64)")
     _require_fits(n, "events")
-    det, coupling = config.detector, config.coupling
-    cv = contextual_values(config.observable, averaged_detector_params(detector_params(det, coupling.gamma), coupling))
-    stats = averaged_joint_table(det, config.system, coupling)
-    counts = sample_events_tally(stats, n, seed)
-    (p11, p12), (p21, p22) = stats.joint.tolist()  # a row's float sum has numpy's bits
+    if n > _MAX_BINOMIAL:
+        raise ConfigError(f"--n must be at most {_MAX_BINOMIAL}, numpy's C long on this platform")
+    e = AveragedExperiment(config.detector, config.system, config.coupling, config.observable)
+    cv = contextual_values(config.observable, e.bundle)
+    counts = sample_events_tally(e.stats, n, seed)
+    (p11, p12), (p21, p22) = e.stats.joint.tolist()  # a row's float sum has numpy's bits
     report = contextual_estimate(counts, cv, probabilities=(p11 + p12, p21 + p22))
     values = (report.estimate, report.empirical_variance, report.predicted_mse,
               report.mse_upper_bound)
@@ -442,12 +427,11 @@ def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
 
 def run_povm(config: ExperimentConfig) -> str:
     """Name,value CSV of the measurement layer for one configuration."""
-    det, coupling = config.detector, config.coupling
-    raw = detector_params(det, coupling.gamma)
-    damped = averaged_detector_params(raw, coupling)
-    povm = povm_pair(measurement_operators(det, coupling.gamma))
+    e = AveragedExperiment(config.detector, config.system, config.coupling, config.observable)
+    raw, damped, coupling = e.fringes, e.bundle, e.coupling
+    povm = povm_pair(measurement_operators(e.detector, coupling.gamma))
     eta = damping_eta(coupling.sigma)
-    cv = contextual_values_or_nan(config.observable, damped)  # NaN where ambiguous
+    cv = e.alphas  # NaN where ambiguous
     rows = [(name, _fmt(value)) for name, value in [
         ("beta_plus", raw.beta_plus), ("beta_minus", raw.beta_minus),
         ("visibility", raw.visibility), ("Gamma", raw.Gamma), ("Delta", raw.Delta),

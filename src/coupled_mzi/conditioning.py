@@ -1,8 +1,9 @@
 """Conditional statistics: post-selection, conditioned averages, weak values.
 
-Conditioned which-path averages are computed by weighting conditional
-detector probabilities with the contextual values,
-``<sigma_z>_S = sum_D alpha_D P_{D|S}``; that pipeline is the source of
+:class:`AveragedExperiment` is the one averaged experiment that the library
+and every CLI subcommand read: the joint table and detector bundle averaged
+over the coupling model, their contextual values, and the conditioned
+averages ``<sigma_z>_S = sum_D alpha_D P_{D|S}`` they give, the source of
 truth here.  The closed-form joint-interference term below takes the
 detector bundle and forms the system and pair coupling terms itself; it is
 verified against the pipeline, not the other way around.  Conditioned
@@ -16,12 +17,17 @@ one configuration gives Python numbers.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .errors import AmbiguousMeasurementError, ObservableRangeError, PostSelectionImpossibleError
-from .measurement import DIVERGENCE_THRESHOLD, ContextualValues, contextual_values
-from .params import InterferometerConfig, ObservableCoefficients, SystemDrain, _coupling_term, _plain, detector_params
-from .scattering import JointStatistics, joint_probability_table
+from .measurement import DIVERGENCE_THRESHOLD, ContextualValues, contextual_values, contextual_values_or_nan
+from .params import (CouplingModel, FringeParams, InterferometerConfig, ObservableCoefficients, SystemDrain,
+                     _coupling_term, _plain, detector_params)
+from .scattering import JointStatistics
+from .stochastic import averaged_detector_params, averaged_joint_table
 
 _MARGINAL_THRESHOLD = 1e-12
 
@@ -31,16 +37,19 @@ def require_post_selection(marginals: dict) -> None:
     where unchecked) keyed by drain in checking order, to exceed 1e-12.
 
     Raises :class:`PostSelectionImpossibleError` naming the first failing
-    drain at the first failing point.
+    drain at the first failing point, or ``ValueError`` naming it where
+    that marginal is NaN.
     """
     drains = list(marginals)
     if not drains:
         return
     p = np.stack(np.broadcast_arrays(*(np.atleast_1d(marginals[d]) for d in drains)), axis=-1)
-    vanishing = p <= _MARGINAL_THRESHOLD
-    if vanishing.any():
-        point = int(np.argmax(vanishing.any(axis=-1)))
-        k = int(np.argmax(vanishing[point]))
+    failing = ~(p > _MARGINAL_THRESHOLD)  # NaN fails too
+    if failing.any():
+        point = int(np.argmax(failing.any(axis=-1)))
+        k = int(np.argmax(failing[point]))
+        if np.isnan(p[point, k]):
+            raise ValueError(f"the marginal of drain {drains[k].name} is not a number")
         raise PostSelectionImpossibleError(drains[k].name, float(p[point, k]))
 
 
@@ -88,6 +97,41 @@ def xi_joint_interference(det: InterferometerConfig, sys: InterferometerConfig, 
     return _plain(delta_ds - dp.Delta * delta_s + correction)
 
 
+@dataclass(frozen=True, eq=False)
+class AveragedExperiment:
+    """An experiment averaged over its coupling model, each part built on
+    first access: the joint table (:func:`~coupled_mzi.stochastic.averaged_joint_table`),
+    the detector bundle at ``gamma`` (``fringes``) and averaged alike
+    (``bundle``), whose contextual values (``alphas``, NaN where ambiguous)
+    invert the table's detector marginals.  A point gives Python numbers, and
+    array fields give each quantity the shape its inputs broadcast to."""
+
+    detector: InterferometerConfig
+    system: InterferometerConfig
+    coupling: CouplingModel
+    observable: ObservableCoefficients = ObservableCoefficients()
+
+    @cached_property
+    def stats(self) -> JointStatistics:
+        return averaged_joint_table(self.detector, self.system, self.coupling)
+
+    @cached_property
+    def fringes(self) -> FringeParams:
+        return detector_params(self.detector, self.coupling.gamma)
+
+    @cached_property
+    def bundle(self) -> FringeParams:
+        return averaged_detector_params(self.fringes, self.coupling)
+
+    @cached_property
+    def alphas(self) -> ContextualValues:
+        return contextual_values_or_nan(self.observable, self.bundle)
+
+    def conditioned_average(self, condition: SystemDrain):
+        """:func:`post_selected_average` of :attr:`alphas`, which leaves the post-selection unchecked."""
+        return post_selected_average(self.alphas, self.stats, condition)
+
+
 def conditioned_average(
     det: InterferometerConfig,
     sys: InterferometerConfig,
@@ -97,7 +141,8 @@ def conditioned_average(
 ):
     """Conditioned average ``sum_D alpha_D P(D | condition)``.
 
-    Computed from the amplitude table,
+    Computed by the :class:`AveragedExperiment` at a steady coupling ``gamma``
+    in [0, 2 pi] from the amplitude table,
     :func:`~coupled_mzi.scattering.joint_probability_table`; the closed
     form with the joint-interference term (:func:`xi_joint_interference`)
     agrees to 1e-10.  The value may lie outside [-1, 1] but never outside the
@@ -109,13 +154,15 @@ def conditioned_average(
         If the conditioning drain has vanishing probability.
     AmbiguousMeasurementError
         Propagated when the contextual values diverge.
+    ValueError
+        If ``gamma`` lies outside [0, 2 pi] or is not finite.
     """
+    experiment = AveragedExperiment(det, sys, CouplingModel(gamma), obs)
     # ambiguity first: a divergent measurement is undefined regardless of
     # the post-selection, and scans map it to a sentinel rather than a failure
-    cv = contextual_values(obs, detector_params(det, gamma))
-    stats = JointStatistics(joint_probability_table(det, sys, gamma))
-    require_post_selection({condition: stats.p_system(condition)})
-    return post_selected_average(cv, stats, condition)
+    contextual_values(obs, experiment.bundle)
+    require_post_selection({condition: experiment.stats.p_system(condition)})
+    return experiment.conditioned_average(condition)
 
 
 def _zero_coupling(sys: InterferometerConfig, condition: SystemDrain):

@@ -139,11 +139,15 @@ class ContextualValues:
 
     Built by :func:`contextual_values`, they satisfy ``alpha_d1 E_D1 +
     alpha_d2 E_D2 = a0 identity + a3 sigma_z`` as a matrix identity for the
-    observable they were built for.
+    observable they were built for.  Each is a finite number or NaN, the
+    ambiguity marker, at every point.
     """
 
     alpha_d1: float
     alpha_d2: float
+
+    def __post_init__(self):  # NaN, which contextual_values_or_nan writes where ambiguous, passes
+        _require_finite(nan_ok=True, alpha_d1=self.alpha_d1, alpha_d2=self.alpha_d2)
 
 
 def contextual_values(obs: ObservableCoefficients, p: FringeParams) -> ContextualValues:

@@ -91,12 +91,13 @@ def _require(ok, message: str, value=None) -> None:
         raise ValueError(message.format(_Shown(value)))
 
 
-def _require_finite(**values) -> None:
+def _require_finite(nan_ok: bool = False, **values) -> None:
     """Raise ``ValueError`` naming the first of ``values`` that is not a finite
-    double at every point (a huge Python int fails); one configuration stays on Python numbers."""
+    double at every point (a huge Python int fails; NaN passes if ``nan_ok``);
+    one configuration stays on Python numbers."""
     for name, x in values.items():
-        _require(abs(x) <= sys.float_info.max if isinstance(x, (int, float)) else np.isfinite(x),
-                 name + " {} is not a finite number", x)
+        finite = abs(x) <= sys.float_info.max if isinstance(x, (int, float)) else np.isfinite(x)
+        _require(finite | (x != x) if nan_ok else finite, name + " {} is not a finite number", x)
 
 
 def _plain(x, kind=float):

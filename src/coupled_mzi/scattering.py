@@ -227,7 +227,7 @@ def joint_probability_table(det: InterferometerConfig, sys: InterferometerConfig
 class PhysicalBias:
     """Source bias point; temperature and Fermi energy are recorded for
     regime validation only (the low-bias current formula needs just V).
-    Voltage and Fermi energy must be positive, temperature non-negative."""
+    Each is a finite number: voltage and Fermi energy positive, temperature non-negative."""
 
     bias_voltage: float  # volts
     fermi_energy: float  # electronvolts
@@ -240,6 +240,8 @@ class PhysicalBias:
             raise ValueError("Fermi energy must be positive")
         if not self.temperature >= 0.0:
             raise ValueError("temperature must be non-negative")
+        _require_finite(bias_voltage=self.bias_voltage, fermi_energy=self.fermi_energy,
+                        temperature=self.temperature)
 
 
 def _check_low_bias_regime(bias: PhysicalBias) -> None:

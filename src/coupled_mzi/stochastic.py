@@ -5,13 +5,16 @@ An event is a category code ``2 d + s`` over the row-major joint drain table:
 returns the codes, :func:`sample_events_tally` only their four counts.
 
 Random numbers come from numpy's Philox counter-based generator
-(``philox4x64``), keyed directly by the caller's 64-bit seed.  Event ``i``
-of :func:`sample_events` takes uniform double ``i`` of the raw Philox
-stream, for any chunk size; :func:`sample_events_tally` draws the counts in
-constant time as a chain of binomials from the same generator, a stream that
-numpy keeps only within a version (NEP 19).  Over a fluctuating coupling,
-``montecarlo`` samples :func:`averaged_joint_table`, the exact average that
-every ``scan`` and ``erasure`` column reads.  Its tables all come from
+(``philox4x64``), keyed directly by the caller's 64-bit seed, through the
+legacy ``RandomState``, whose streams NEP 19 freezes across numpy versions.
+Event ``i`` of :func:`sample_events` takes uniform double ``i`` of the raw
+Philox stream, for any chunk size; :func:`sample_events_tally` draws the
+counts in constant time as a chain of binomials from the same generator.
+The legacy binomial takes its count as a C ``long``, so it raises
+``OverflowError`` above ``2**63 - 1``, or above ``2**31 - 1`` where a
+``long`` is 32 bits (Windows).  Over a fluctuating coupling, ``montecarlo``
+samples :func:`averaged_joint_table`, the exact average that every ``scan``
+and ``erasure`` column reads.  Its tables all come from
 :func:`~coupled_mzi.scattering.joint_probability_table`, so the one table
 that ``montecarlo`` samples has the bits of its point in a ``scan`` grid.
 """
@@ -23,21 +26,22 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox, RandomState
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ObservableRangeError
 from .measurement import ContextualValues, reconstruct_average
-from .params import CouplingModel, FringeParams, InterferometerConfig, _index, damping_eta
+from .params import CouplingModel, FringeParams, InterferometerConfig, _index, _require_finite, damping_eta
 from .scattering import JointStatistics, joint_probability_table
 
 RNG_ALGORITHM = "philox4x64"
 
 # Events per streaming chunk of ``sample_events``.  Its scratch is one chunk of
-# uniforms (8 bytes an event) and one of comparison flags (1 byte): 144 KiB at
-# 16384, whatever the event count, while a chunk's few numpy calls stay small
-# against Philox's ~5 ns per event: warm, on a 2-vCPU Xeon, 2e6 events take
-# 5.9 ns each at 16384 as at 65536, and 6.8 ns at 4096.
+# uniforms (8 bytes an event, freed before the next chunk's are drawn) and one
+# of comparison flags (1 byte): 144 KiB at 16384, whatever the event count,
+# while a chunk's few numpy calls stay small against Philox's ~5 ns per event:
+# warm, on a 2-vCPU Xeon, 2e6 events take 5.8-6.4 ns each at 16384, 5.8-6.1 ns
+# at 65536 and 7.0-7.4 ns at 4096.
 _CHUNK = 1 << 14
 
 
@@ -80,6 +84,8 @@ class ObservationBudget:
     tau_m: float | None = None
 
     def __post_init__(self):
+        _require_finite(path_length=self.path_length, fermi_velocity=self.fermi_velocity,
+                        target_rms=self.target_rms, tau_m=1.0 if self.tau_m is None else self.tau_m)
         if self.path_length <= 0 or self.fermi_velocity <= 0 or self.target_rms <= 0:
             raise ValueError("budget parameters must be positive")
         if self.tau_m is not None and self.tau_m <= 0:
@@ -194,7 +200,7 @@ def _sampler(stats: JointStatistics, n: int, seed: int):
         raise ValueError("n must be an integer of at least 1")
     if not (0 <= seed < 2**64):
         raise ValueError("seed must be a 64-bit unsigned integer")
-    return n, _cells(stats.joint.ravel()), Generator(Philox(_PhiloxKey(seed)))
+    return n, _cells(stats.joint.ravel()), RandomState(Philox(_PhiloxKey(seed)))
 
 
 def sample_events(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
@@ -204,10 +210,10 @@ def sample_events(stats: JointStatistics, n: int, seed: int) -> np.ndarray:
     ``i`` of the seed's stream, so the sequence is a pure function of ``seed``."""
     n, cells, rng = _sampler(stats, n, seed)
     edges, size = list(accumulate(cells[:-1])), min(n, _CHUNK)
-    uniforms, flags, codes = np.empty(size), np.empty(size, dtype=np.bool_), np.empty(n, dtype=np.uint8)
+    flags, codes = np.empty(size, dtype=np.bool_), np.empty(n, dtype=np.uint8)
     for start in range(0, n, _CHUNK):
-        u = rng.random(out=uniforms[:min(_CHUNK, n - start)])
-        _categories(u, edges, codes[start:start + u.size], flags[:u.size])
+        stop = min(start + _CHUNK, n)  # a chunk's uniforms are freed before the next are drawn
+        _categories(rng.random_sample(stop - start), edges, codes[start:stop], flags[:stop - start])
     return codes
 
 

@@ -117,8 +117,8 @@ class TestScan:
                 "--sweep", "gamma:0.1:3:11",
                 "--quantities", "alpha_D1,alpha_D2,cond_avg_S1,cond_avg_S2"]
         expected = run_cli(argv, capsys)
-        calls, original = [], cli.detector_params
-        monkeypatch.setattr(cli, "detector_params", lambda *a: calls.append(a) or original(*a))
+        calls, original = [], conditioning.detector_params
+        monkeypatch.setattr(conditioning, "detector_params", lambda *a: calls.append(a) or original(*a))
         assert run_cli(argv, capsys) == expected
         assert expected[0] == 0 and len(calls) == 1
 
@@ -401,6 +401,18 @@ class TestMontecarlo:
         code, out, err = run_cli([*argv, "--n", str(2**53 + 1)], capsys)
         assert (code, out) == (2, "")
         assert err == f"config error: the request does not fit in memory: {2**53 + 1} events\n"
+
+    def test_count_beyond_a_c_long_is_config_error(self, capsys, monkeypatch):
+        # the legacy binomial takes a C long; where that is 32 bits (Windows), 2**31 events
+        # would end in numpy's OverflowError, so the bound is set to that platform's here
+        monkeypatch.setattr(cli, "_MAX_BINOMIAL", 2**31 - 1)
+        argv = ["montecarlo", "--config", str(CONFIGS / "strong_measurement.conf"), "--seed", "7"]
+        code, out, err = run_cli([*argv, "--n", str(2**31 - 1)], capsys)
+        assert (code, err) == (0, "")
+        header, rows = read_csv(out)
+        assert rows[0][header.index("n")] == str(2**31 - 1)
+        assert run_cli([*argv, "--n", str(2**31)], capsys) == (
+            2, "", f"config error: --n must be at most {2**31 - 1}, numpy's C long on this platform\n")
 
     def test_single_event_is_one_contextual_value(self, tmp_path, capsys):
         path = tmp_path / "exp.conf"

@@ -19,6 +19,7 @@ from coupled_mzi import (
     detector_params,
     joint_probability_table,
     qpc_from_transmission,
+    require_post_selection,
     semiweak_value,
     weak_value,
     xi_joint_interference,
@@ -258,7 +259,22 @@ class TestConditionedAverage:
 
     @pytest.mark.parametrize("gamma", [math.inf, math.nan], ids=["inf", "nan"])
     def test_non_finite_coupling_names_gamma(self, gamma):
-        with pytest.raises(ValueError, match="^gamma .* is not a finite number$"):
+        # gamma is named by its role, the coupling phase, and by its value
+        with pytest.raises(ValueError, match=rf"^coupling phase {gamma!r}, .* not all inside \[0, 2\*pi\]"):
+            conditioned_average(balanced_mzi(0.9), balanced_mzi(0.2), gamma, SystemDrain.S1)
+
+    @pytest.mark.parametrize("gamma", [-1e-300, -0.1, 2.0 * math.pi + 1e-15, 7.0, 2.0**31],
+                             ids=["below-0", "-0.1", "above-2pi", "7", "2**31"])
+    def test_coupling_outside_0_to_2pi_names_the_coupling_phase(self, gamma):
+        # gamma enters through a steady CouplingModel: the domain is [0, 2 pi],
+        # narrower than the [-2**31, 2**31] that detector_params takes
+        with pytest.raises(ValueError, match=r"^coupling phase .* not all inside \[0, 2\*pi\]"):
+            conditioned_average(balanced_mzi(0.9), balanced_mzi(0.2), gamma, SystemDrain.S1)
+
+    @pytest.mark.parametrize("gamma", [0.0, 2.0 * math.pi], ids=["0", "2pi"])
+    def test_coupling_domain_edges_are_inside(self, gamma):
+        # both edges pass the domain check and reach the ambiguity rule: no net coupling
+        with pytest.raises(AmbiguousMeasurementError):
             conditioned_average(balanced_mzi(0.9), balanced_mzi(0.2), gamma, SystemDrain.S1)
 
     def test_near_ambiguous_erasure_divergence(self):
@@ -343,9 +359,11 @@ class TestConditionedAverage:
                                 ObservableCoefficients(1.7976931348623157e308, 1e-300))
 
     def test_infinite_average_raises_and_nan_passes(self):
-        stats = JointStatistics(joint_probability_table(balanced_mzi(0.3), SYSTEM_06, 1.0))
+        # finite values overflow where a cell of -1e-12 makes P(D | S1) = (-1, 2)
+        edge = JointStatistics(np.array([[-1e-12, 0.5], [2e-12, 0.5 - 1e-12]]))
         with pytest.raises(ObservableRangeError):
-            post_selected_average(ContextualValues(math.inf, 0.0), stats, SystemDrain.S1)
+            post_selected_average(ContextualValues(1e308, 1e308), edge, SystemDrain.S1)
+        stats = JointStatistics(joint_probability_table(balanced_mzi(0.3), SYSTEM_06, 1.0))
         assert math.isnan(post_selected_average(ContextualValues(math.nan, 0.0), stats, SystemDrain.S1))
 
     def test_ambiguous_measurement_propagates(self):
@@ -411,6 +429,17 @@ class TestWeakValue:
                 call()
             assert excinfo.value.drain == "S1"
             assert excinfo.value.probability == pytest.approx(8.0e-13, rel=2e-2)
+
+    @pytest.mark.parametrize("marginals", [
+        {SystemDrain.S1: math.nan},
+        {SystemDrain.S1: np.array([0.5, math.nan])},
+        {DetectorDrain.D1: np.array([0.5, np.inf]), SystemDrain.S2: np.array([0.5, math.nan])},
+    ], ids=["point", "stack", "beside-unchecked"])
+    def test_nan_marginal_names_its_drain(self, marginals):
+        # every comparison with NaN is false, so `nan <= 1e-12` alone let it pass
+        drain = list(marginals)[-1].name
+        with pytest.raises(ValueError, match=f"^the marginal of drain {drain} is not a number$"):
+            require_post_selection(marginals)
 
 
 class TestSemiWeakValue:

@@ -23,6 +23,7 @@ NAN, INF = math.nan, math.inf
 
 
 INIT_FIELDS = {
+    "AveragedExperiment": ("detector", "system", "coupling", "observable"),
     "ContextualValues": ("alpha_d1", "alpha_d2"),
     "CouplingModel": ("gamma", "sigma", "pair_probability"),
     "EfficientFactorization": ("disturbance_unitary", "root_d1", "root_d2", "dropped_phases"),

@@ -23,6 +23,7 @@ ALLOWED_PRIVATE_IMPORTS = {
     ("scattering", "params", "_require"),
     ("scattering", "params", "_require_finite"),
     ("stochastic", "params", "_index"),
+    ("stochastic", "params", "_require_finite"),
 }
 """``(importer, module, name)`` of every private name one package module
 imports from another."""

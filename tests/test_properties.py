@@ -18,11 +18,14 @@ from hypothesis.extra import numpy as hnp
 
 from coupled_mzi import (
     AmbiguousMeasurementError,
+    AveragedExperiment,
+    ContextualValues,
     CouplingModel,
     InterferometerConfig,
     JointStatistics,
     ObservableCoefficients,
     ObservableRangeError,
+    ObservationBudget,
     PhysicalBias,
     PostSelectionImpossibleError,
     average_current,
@@ -47,6 +50,7 @@ from coupled_mzi import (
     qpc_from_transmission,
     reconstruct_average,
     reduced_system_state,
+    require_post_selection,
     semiweak_value,
     weak_value,
     xi_joint_interference,
@@ -618,6 +622,49 @@ def test_fringe_layer_gives_finite_values_or_names_the_bad_input(gamma, sigma, p
             assert all(np.isfinite(v).all() for v in values), name
 
 
+def _constructor_calls(x) -> dict:
+    """Each constructor that takes ``x`` in one field at a time, with finite
+    values elsewhere, and the inputs its errors may name."""
+    return {
+        "ContextualValues": (("alpha_d1", "alpha_d2"),
+                             lambda: [ContextualValues(x, 1.0), ContextualValues(1.0, x)]),
+        "PhysicalBias": (("bias_voltage", "fermi_energy", "temperature"),
+                         lambda: [PhysicalBias(x, 1e-2, 0.02), PhysicalBias(1e-4, x, 0.02), PhysicalBias(1e-4, 1e-2, x)]),
+        "ObservationBudget": (("path_length", "fermi_velocity", "target_rms", "tau_m"),
+                              lambda: [ObservationBudget(x, 1e5, 0.1), ObservationBudget(1e-6, x, 0.1),
+                                       ObservationBudget(1e-6, 1e5, x), ObservationBudget(1e-6, 1e5, 0.1, x)]),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=contract_doubles | st.integers(-10, 10) | beyond_double)
+@example(x=10**400)
+@example(x=math.inf)
+@example(x=math.nan)
+def test_constructors_take_finite_numbers_or_name_the_bad_input(x):
+    """With warnings as errors, ``ContextualValues``, ``PhysicalBias`` and
+    ``ObservationBudget`` hold finite numbers or raise ``ValueError``: an
+    infinity or an int beyond the double range that passes every sign rule
+    is named by its field, not met by ``OverflowError`` or kept.
+    ``ContextualValues`` has no sign rule, takes every finite number and
+    keeps NaN, the ambiguity marker of ``contextual_values_or_nan``."""
+    finite = _finite(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, (fields, call) in _constructor_calls(x).items():
+            signed = name != "ContextualValues"
+            try:
+                built = call()
+            except ValueError as error:
+                if not finite and x == x and (x > 0 or not signed):
+                    assert any(str(error).startswith(f"{field} ") for field in fields), (name, error)
+                else:
+                    assert signed, (name, error)
+                continue
+            assert finite or (not signed and x != x), name
+            assert all(v is None or _finite(v) or v != v for b in built for v in astuple(b)), name
+
+
 SWEEP_RANGES = {"gamma": (0.0, TWO_PI), "phi_d": (-math.pi, math.pi), "phi_s": (0.0, TWO_PI),
                 "delta_s1": (-1.0, 1.0), "sigma": (0.0, math.pi)}
 
@@ -687,6 +734,52 @@ def test_scan_row_is_the_two_point_scan_at_its_point(parameter, fluctuating, cou
     for i, row in enumerate(rows(grid[0], grid[-1], count)):
         start = min(i, count - 2)
         assert row == rows(grid[start], grid[start + 1], 2)[i - start], (parameter, i)
+
+
+def _conditioned_average_before(det, sysm, gamma, condition, obs):
+    """``conditioned_average`` as it was before :class:`AveragedExperiment` held
+    it: the raw detector bundle's contextual values and the amplitude table."""
+    cv = contextual_values(obs, detector_params(det, gamma))
+    stats = JointStatistics(joint_probability_table(det, sysm, gamma))
+    require_post_selection({condition: stats.p_system(condition)})
+    return post_selected_average(cv, stats, condition)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (AmbiguousMeasurementError, PostSelectionImpossibleError) as error:
+        return type(error)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields=experiment_fields, obs=observables)
+@example(fields=(0.7, 0.0, 0.0, 0.4, 0.0, 0.0, 1.0, 0.6, 0.0, 0.0, 0.5, 0.3, -0.2, 1.1, 0.8, 0.5, 0.7),
+         obs=ObservableCoefficients())
+@example(fields=(0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.8, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+         obs=ObservableCoefficients())  # no coupling: ambiguous
+def test_experiment_gives_the_scan_row_and_conditioned_average_its_bits(fields, obs):
+    """At a random point, fluctuating or not, ``AveragedExperiment``'s
+    conditioned averages have the bits of ``scan``'s ``cond_avg_*`` row at that
+    point, NaN where it prints ``inf-ambiguous``; and ``conditioned_average``
+    gives the bits, or the error, of its route before the object held it."""
+    det, sysm, model = _experiment(fields)
+    experiment = AveragedExperiment(det, sysm, model, obs)
+    config = replace(load_config(str(GOLDEN_CONFIG)), detector=det, system=sysm, coupling=model, observable=obs)
+    phi_s = sysm.tuning_phase  # the first row of a scan from phi_s is the point itself
+    try:
+        text = cli.run_scan(config, "phi_s", phi_s, phi_s + 1.0, 2, ("cond_avg_S1", "cond_avg_S2"))
+    except PostSelectionImpossibleError:
+        assume(False)
+    row = text.splitlines()[1].split(",")
+    assert float(row[0]) == phi_s
+    for cell, condition in zip(row[1:], SystemDrain, strict=True):
+        got = experiment.conditioned_average(condition)
+        want = math.nan if cell == "inf-ambiguous" else float(cell)
+        assert got == want or (got != got and want != want), (condition, got, cell)
+        args = (det, sysm, model.gamma, condition, obs)  # the point's steady coupling
+        new, old = _outcome(lambda: conditioned_average(*args)), _outcome(lambda: _conditioned_average_before(*args))
+        assert new == old and type(new) is type(old), (condition, new, old)
 
 
 def _bits(word: int) -> float:

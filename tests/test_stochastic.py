@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -728,6 +729,7 @@ class TestContextualEstimate:
         a2=st.floats(-1e3, 1e3),
     )
     @example(codes=[0, 2], a1=0.0, a2=9.480051124763486e-158)  # a variance below the normal range
+    @example(codes=[0, 2, 2], a1=0.0, a2=9.480051124763486e-158)  # and n (n - 1) != n / (n - 1)
     def test_counts_match_per_event_values(self, codes, a1, a2):
         # the oracle is the per-event sample variance in exact rationals,
         # rounded once: numpy's two-pass variance loses relative precision when
@@ -787,7 +789,9 @@ class TestContextualEstimate:
         assert report.empirical_variance == pytest.approx(report.predicted_mse, rel=0.05)
         assert report.predicted_mse <= report.mse_upper_bound
 
-    @pytest.mark.parametrize("cv", [ContextualValues(-math.inf, math.inf), ContextualValues(math.nan, 1.0)])
+    # ContextualValues rejects an infinity itself, so a duck-typed pair carries one here
+    @pytest.mark.parametrize("cv", [SimpleNamespace(alpha_d1=-math.inf, alpha_d2=math.inf),
+                                    ContextualValues(math.nan, 1.0)])
     def test_values_beyond_the_float_range_rejected(self, cv):
         with pytest.raises(ValueError, match="contextual values must be finite numbers"):
             contextual_estimate([1, 0, 1, 0], cv, probabilities=(0.5, 0.5))
@@ -937,3 +941,38 @@ class TestRmsScaling:
             rms.append(math.sqrt(np.mean(errors)))
         slope = np.polyfit(np.log(sizes), np.log(rms), 1)[0]
         assert -0.55 <= slope <= -0.45
+
+
+class TestLegacyStream:
+    """Seeded counts pinned as literals, apart from ``tests/golden/identity.txt``.
+
+    Both samplers draw from ``RandomState(Philox(key))``.  numpy's RNG policy,
+    NEP 19 (https://numpy.org/neps/nep-0019-rng-policy.html), freezes the
+    legacy ``RandomState`` streams across numpy versions, while a
+    ``Generator`` method's stream may change; so these counts, made with numpy
+    2.4.6, hold on any numpy that the package accepts.  They also equal the
+    counts of ``Generator(Philox(key))`` on 2.4.6, which drew them before.
+    """
+
+    TABLES = {"quarters": [[0.25, 0.25], [0.25, 0.25]], "skewed": [[0.5, 0.3], [0.15, 0.05]],
+              "zero-last": [[0.3, 0.2], [0.5, 0.0]]}
+
+    @pytest.mark.parametrize("table, n, seed, counts", [
+        ("quarters", 1000, 0, [244, 242, 268, 246]),
+        ("quarters", 2**53, 7, [2251799827349101, 2251799821943599, 2251799759491888, 2251799845956404]),
+        ("quarters", 12345, 2**64 - 1, [3045, 3084, 3083, 3133]),
+        ("skewed", 1000, 0, [493, 312, 152, 43]),
+        ("skewed", 2**53, 7, [4503599643148153, 2702159756083540, 1351079915311256, 450359940198043]),
+        ("skewed", 12345, 2**64 - 1, [6125, 3745, 1868, 607]),
+        ("zero-last", 1000, 0, [294, 193, 513, 0]),
+        ("zero-last", 2**53, 7, [2702159790882761, 1801439858679142, 4503599605179089, 0]),
+        ("zero-last", 12345, 2**64 - 1, [3659, 2467, 6219, 0]),
+    ])
+    def test_counts_are_the_frozen_streams(self, table, n, seed, counts):
+        stats = JointStatistics(np.array(self.TABLES[table]))
+        assert sample_events_tally(stats, n, seed).tolist() == counts
+
+    def test_samplers_build_the_legacy_generator(self):
+        _, _, rng = stochastic._sampler(JointStatistics(np.array(self.TABLES["quarters"])), 10, 99)
+        assert type(rng) is np.random.RandomState
+        assert np.array_equal(rng.random_sample(9), Generator(Philox(key=99)).random(9))
