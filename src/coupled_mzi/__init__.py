@@ -75,8 +75,6 @@ from .scattering import (
 from .stochastic import (
     EstimateReport,
     ObservationBudget,
-    averaged_detector_params,
-    averaged_joint_table,
     contextual_estimate,
     observation_time,
     sample_events,

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .interaction import coupling_phase, dynamical_phase
 from .measurement import contextual_values, measurement_operators, povm_pair
-from .params import DetectorDrain, SystemDrain, _index, damping_eta
+from .params import DetectorDrain, SystemDrain, _index
 from .scattering import ELEMENTARY_CHARGE, concurrence, cross_noise_power
 from .stochastic import RNG_ALGORITHM, contextual_estimate, observation_time, sample_events_tally
 
@@ -271,7 +271,7 @@ _QUANTITIES: dict[str, Callable] = {
     "alpha_D2": lambda e, given, bias: e.alphas.alpha_d2,
     **{f"cond_avg_{s.name}": (lambda e, given, bias, s=s: _conditioned(e, given, s)) for s in _S},
     "concurrence": lambda e, given, bias: concurrence(e.detector.qpc1, e.system.qpc1, e.coupling.gamma),
-    "eta": lambda e, given, bias: damping_eta(e.coupling.sigma),
+    "eta": lambda e, given, bias: e.eta,
     **{f"S_{d.name}{s.name}": (lambda e, given, bias, d=d, s=s: cross_noise_power(e.stats, d, s, bias))
        for d, s in _PAIRS},
 }
@@ -430,12 +430,11 @@ def run_povm(config: ExperimentConfig) -> str:
     e = AveragedExperiment(config.detector, config.system, config.coupling, config.observable)
     raw, damped, coupling = e.fringes, e.bundle, e.coupling
     povm = povm_pair(measurement_operators(e.detector, coupling.gamma))
-    eta = damping_eta(coupling.sigma)
     cv = e.alphas  # NaN where ambiguous
     rows = [(name, _fmt(value)) for name, value in [
         ("beta_plus", raw.beta_plus), ("beta_minus", raw.beta_minus),
         ("visibility", raw.visibility), ("Gamma", raw.Gamma), ("Delta", raw.Delta),
-        ("eta", eta), ("eta_prime", coupling.pair_probability * eta),
+        ("eta", e.eta), ("eta_prime", coupling.pair_probability * e.eta),
         ("Gamma_damped", damped.Gamma), ("Delta_damped", damped.Delta),
         ("E_D1_LL", povm.diag_d1[0]), ("E_D1_UU", povm.diag_d1[1]),
         ("E_D2_LL", povm.diag_d2[0]), ("E_D2_UU", povm.diag_d2[1]),

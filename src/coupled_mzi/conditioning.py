@@ -1,14 +1,15 @@
-"""Conditional statistics: post-selection, conditioned averages, weak values.
+"""The coupling average and conditional statistics: post-selection, weak values.
 
 :class:`AveragedExperiment` is the one averaged experiment that the library
-and every CLI subcommand read: the joint table and detector bundle averaged
-over the coupling model, their contextual values, and the conditioned
-averages ``<sigma_z>_S = sum_D alpha_D P_{D|S}`` they give, the source of
-truth here.  The closed-form joint-interference term below takes the
-detector bundle and forms the system and pair coupling terms itself; it is
-verified against the pipeline, not the other way around.  Conditioned
-averages may leave the eigenvalue range [-1, 1] (a quantum-interference
-signature) but are always bounded by the contextual values themselves.
+and every CLI subcommand read, and the one home of the coupling average: the
+joint table and detector bundle averaged over the coupling model, their
+contextual values, and the conditioned averages ``<sigma_z>_S = sum_D
+alpha_D P_{D|S}`` they give, the source of truth here.  The closed-form
+joint-interference term below takes the detector bundle and forms the
+system and pair coupling terms itself; it is verified against the pipeline,
+not the other way around.  Conditioned averages may leave the eigenvalue
+range [-1, 1] (a quantum-interference signature) but are always bounded by
+the contextual values themselves.
 
 Every function takes one configuration or a stack: ``gamma`` and every
 field of the configurations may be arrays, which broadcast together, and
@@ -17,7 +18,8 @@ one configuration gives Python numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -25,9 +27,8 @@ import numpy as np
 from .errors import AmbiguousMeasurementError, ObservableRangeError, PostSelectionImpossibleError
 from .measurement import DIVERGENCE_THRESHOLD, ContextualValues, contextual_values, contextual_values_or_nan
 from .params import (CouplingModel, FringeParams, InterferometerConfig, ObservableCoefficients, SystemDrain,
-                     _coupling_term, _plain, detector_params)
-from .scattering import JointStatistics
-from .stochastic import averaged_detector_params, averaged_joint_table
+                     _coupling_term, _plain, damping_eta, detector_params)
+from .scattering import JointStatistics, joint_probability_table
 
 _MARGINAL_THRESHOLD = 1e-12
 
@@ -100,11 +101,13 @@ def xi_joint_interference(det: InterferometerConfig, sys: InterferometerConfig, 
 @dataclass(frozen=True, eq=False)
 class AveragedExperiment:
     """An experiment averaged over its coupling model, each part built on
-    first access: the joint table (:func:`~coupled_mzi.stochastic.averaged_joint_table`),
-    the detector bundle at ``gamma`` (``fringes``) and averaged alike
-    (``bundle``), whose contextual values (``alphas``, NaN where ambiguous)
-    invert the table's detector marginals.  A point gives Python numbers, and
-    array fields give each quantity the shape its inputs broadcast to."""
+    first access: the damping factor of its raised cosine (``eta``), the
+    joint table (``stats``), the detector bundle at ``gamma`` (``fringes``)
+    and averaged alike (``bundle``), whose contextual values (``alphas``, NaN
+    where ambiguous) invert the table's detector marginals; ``bundle``,
+    ``alphas`` and ``eta`` read no field of the system.  A point gives Python
+    numbers, and array fields give each quantity the shape its inputs
+    broadcast to."""
 
     detector: InterferometerConfig
     system: InterferometerConfig
@@ -112,8 +115,34 @@ class AveragedExperiment:
     observable: ObservableCoefficients = ObservableCoefficients()
 
     @cached_property
+    def eta(self):
+        return damping_eta(self.coupling.sigma)
+
+    @cached_property
     def stats(self) -> JointStatistics:
-        return averaged_joint_table(self.detector, self.system, self.coupling)
+        """Joint drain statistics, one table or a stack, averaged over the
+        coupling model, from the tables ``P(g)`` of :func:`~coupled_mzi.scattering.joint_probability_table`.
+
+        Where ``sigma = 0`` and ``p = 1`` at every point, this is the one table
+        ``P(gamma)``.  Otherwise a cell is ``A + B cos g + C sin g``, the raised
+        cosine damps the harmonics by ``eta(sigma)``, and an unpaired emission
+        has ``g = 0``: the average is the mixture of non-negative weights ``p eta
+        P(gamma) + p (1 - eta) / 2 P(pi) + (p (1 - eta) / 2 + 1 - p) P(0)``.
+        Every table comes from ``joint_probability_table``, so a point, its
+        one-point stack and its place in any stack give the same bits; the
+        average is checked once.  Every field may be an array.
+        """
+        gamma, sigma, p = self.coupling.gamma, self.coupling.sigma, self.coupling.pair_probability
+        stack = isinstance(sigma, np.ndarray) or isinstance(p, np.ndarray)
+        fluctuating = (sigma != 0.0) | (p != 1.0)
+        if not (np.any(fluctuating) if stack else fluctuating):
+            return JointStatistics(joint_probability_table(self.detector, self.system, gamma))
+        eta = self.eta
+        if stack:  # array weights broadcast over each table's cells; numbers weight them alike, bit for bit
+            p, eta = np.expand_dims(p, (-2, -1)), np.expand_dims(eta, (-2, -1))
+        tables = [joint_probability_table(self.detector, self.system, g) for g in (gamma, math.pi, 0.0)]
+        paired, spread = p * eta, p * (1.0 - eta) / 2.0
+        return JointStatistics(paired * tables[0] + spread * tables[1] + (spread + (1.0 - p)) * tables[2])
 
     @cached_property
     def fringes(self) -> FringeParams:
@@ -121,7 +150,22 @@ class AveragedExperiment:
 
     @cached_property
     def bundle(self) -> FringeParams:
-        return averaged_detector_params(self.fringes, self.coupling)
+        """The detector bundle averaged over coupling fluctuations and
+        unpaired emission, the exact average of its drain probabilities.
+
+        Only ``Gamma`` and ``Delta`` change.  ``Gamma = sin(g/2) sin(g/2 +
+        phase) = (cos(phase) - cos(g + phase)) / 2``, with ``cos(phase) = Delta
+        + Gamma``; the raised cosine damps ``cos(g + phase)`` by ``eta =
+        eta(sigma)`` and an unpaired emission has ``Gamma = 0``, so ``Gamma_bar
+        = p (eta Gamma + (1 - eta) cos(phase) / 2)``, and ``Delta_bar`` keeps
+        ``Delta_bar + Gamma_bar = cos(phase)``.  At ``sigma = 0, p = 1`` the
+        bundle comes back bit for bit.  Contextual values built from the result
+        invert the averaged drain probabilities, with the ``1/Gamma_bar``
+        amplification of an inefficient measurement.
+        """
+        f, eta = self.fringes, self.eta
+        gamma_bar = self.coupling.pair_probability * (eta * f.Gamma + (1.0 - eta) * (f.Delta + f.Gamma) / 2.0)
+        return replace(f, Gamma=gamma_bar, Delta=f.Delta + (f.Gamma - gamma_bar))
 
     @cached_property
     def alphas(self) -> ContextualValues:
@@ -160,9 +204,9 @@ def conditioned_average(
     experiment = AveragedExperiment(det, sys, CouplingModel(gamma), obs)
     # ambiguity first: a divergent measurement is undefined regardless of
     # the post-selection, and scans map it to a sentinel rather than a failure
-    contextual_values(obs, experiment.bundle)
+    cv = contextual_values(obs, experiment.bundle)
     require_post_selection({condition: experiment.stats.p_system(condition)})
-    return experiment.conditioned_average(condition)
+    return post_selected_average(cv, experiment.stats, condition)
 
 
 def _zero_coupling(sys: InterferometerConfig, condition: SystemDrain):

@@ -29,9 +29,9 @@ HBAR = PLANCK_CONSTANT / (2.0 * math.pi)
 class InteractionGeometry:
     """Geometry of the copropagation region.
 
-    ``copropagation_length`` may be zero (no interaction region); the
-    remaining lengths, the speed, and the interaction constant must be
-    strictly positive, and the coupling phase they give must be finite.
+    ``copropagation_length`` may be zero (no interaction region) and must be
+    finite; the remaining lengths, the speed, and the interaction constant
+    must be strictly positive, and the coupling phase they give must be finite.
     """
 
     copropagation_length: float  # m
@@ -43,6 +43,7 @@ class InteractionGeometry:
     def __post_init__(self):
         if self.copropagation_length < 0:
             raise ValueError("copropagation length must be non-negative")
+        _require_finite(copropagation_length=self.copropagation_length)
         for name in ("channel_separation", "screening_length", "propagation_speed", "coulomb_constant"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -68,8 +69,10 @@ def position_phase(x1: float, x2: float, geom: InteractionGeometry) -> float:
     """Position-dependent joint phase ``gamma(x1, x2)``.
 
     ``(alpha e^2 / (hbar r)) exp(-r/lambda) (x1 + x2) / v`` with the
-    interaction distance ``r = sqrt(d^2 + (x2 - x1)^2)``.
+    interaction distance ``r = sqrt(d^2 + (x2 - x1)^2)``.  A position that is
+    not a finite number raises ``ValueError`` naming ``x1`` or ``x2``.
     """
+    _require_finite(x1=x1, x2=x2)
     r = math.hypot(geom.channel_separation, x2 - x1)
     return _coulomb_rate(r, geom) * (x1 + x2) / geom.propagation_speed
 
@@ -84,11 +87,20 @@ def wavenumber_shift(separation: float, geom: InteractionGeometry) -> float:
 
     ``delta k = (alpha e^2 / (hbar v r)) exp(-r/lambda)``; integrating it
     over the sum coordinate across the interaction region reproduces
-    :func:`coupling_phase`.
+    :func:`coupling_phase`.  A ``separation`` that is not a finite number, or
+    so small that the shift is not (``hbar * separation`` may underflow to
+    zero), raises ``ValueError`` naming it.
     """
     if not separation > 0:  # NaN fails
         raise ValueError("separation must be positive")
-    return _coulomb_rate(separation, geom) / geom.propagation_speed
+    _require_finite(separation=separation)
+    try:
+        shift = _coulomb_rate(separation, geom) / geom.propagation_speed
+    except ZeroDivisionError:  # hbar * separation underflows to zero
+        shift = math.inf
+    if not math.isfinite(shift):
+        raise ValueError(f"separation {separation} is too small: the wave-number shift is not a finite number")
+    return shift
 
 
 def dynamical_phase(fermi_energy: float, length: float, fermi_velocity: float) -> float:

@@ -238,7 +238,7 @@ def damping_eta(sigma):
 class FringeParams:
     """Closed-form fringe bundle of the detector interferometer, from
     :func:`detector_params` (sign convention ``gamma/2 + phi``) or averaged
-    over the coupling model (:func:`~coupled_mzi.stochastic.averaged_detector_params`).
+    over the coupling model (``AveragedExperiment.bundle``).
 
     ``beta_plus``/``beta_minus`` are the particle-like background weights
     of the two drains, ``visibility`` the wave-like fringe visibility,

@@ -1,4 +1,4 @@
-"""Coupling fluctuations, drain-event sampling, and estimator statistics.
+"""Drain-event sampling, estimator statistics and the observation budget.
 
 An event is a category code ``2 d + s`` over the row-major joint drain table:
 0 = (D1,S1), 1 = (D1,S2), 2 = (D2,S1), 3 = (D2,S2).  :func:`sample_events`
@@ -13,7 +13,7 @@ counts in constant time as a chain of binomials from the same generator.
 The legacy binomial takes its count as a C ``long``, so it raises
 ``OverflowError`` above ``2**63 - 1``, or above ``2**31 - 1`` where a
 ``long`` is 32 bits (Windows).  Over a fluctuating coupling, ``montecarlo``
-samples :func:`averaged_joint_table`, the exact average that every ``scan``
+samples ``AveragedExperiment.stats``, the exact average that every ``scan``
 and ``erasure`` column reads.  Its tables all come from
 :func:`~coupled_mzi.scattering.joint_probability_table`, so the one table
 that ``montecarlo`` samples has the bits of its point in a ``scan`` grid.
@@ -22,7 +22,7 @@ that ``montecarlo`` samples has the bits of its point in a ``scan`` grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -31,8 +31,8 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ObservableRangeError
 from .measurement import ContextualValues, reconstruct_average
-from .params import CouplingModel, FringeParams, InterferometerConfig, _index, _require_finite, damping_eta
-from .scattering import JointStatistics, joint_probability_table
+from .params import _index, _require_finite
+from .scattering import JointStatistics
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -52,7 +52,8 @@ class EstimateReport:
     ``predicted_mse`` is the contextual-value variance over the event
     count, evaluated with the exact drain probabilities;
     ``empirical_variance`` is the unbiased sample variance of the
-    per-event values divided by ``n`` (zero when ``n == 1``).
+    per-event values divided by ``n`` (zero when ``n == 1``).  Every field
+    is a finite number; a field that is not raises ``ValueError`` naming it.
     """
 
     estimate: float
@@ -66,6 +67,8 @@ class EstimateReport:
             raise ValueError("n must be at least 1")
         if self.empirical_variance < 0.0 or self.predicted_mse < 0.0:
             raise ValueError("variances must be non-negative")
+        _require_finite(estimate=self.estimate, empirical_variance=self.empirical_variance,
+                        predicted_mse=self.predicted_mse, mse_upper_bound=self.mse_upper_bound)
 
 
 @dataclass(frozen=True)
@@ -101,54 +104,6 @@ class ObservationBudget:
         if self.tau_m is not None:
             return self.tau_m
         return self.path_length / self.fermi_velocity
-
-
-def averaged_detector_params(p: FringeParams, model: CouplingModel) -> FringeParams:
-    """A detector bundle averaged over coupling fluctuations and
-    unpaired emission, the exact average of its drain probabilities.
-
-    Only ``Gamma`` and ``Delta`` change.  ``Gamma = sin(g/2) sin(g/2 +
-    phase) = (cos(phase) - cos(g + phase)) / 2``, with ``cos(phase) = Delta
-    + Gamma``; the raised cosine damps ``cos(g + phase)`` by ``eta =
-    eta(sigma)`` and an unpaired emission has ``Gamma = 0``, so ``Gamma_bar
-    = p (eta Gamma + (1 - eta) cos(phase) / 2)``, and ``Delta_bar`` keeps
-    ``Delta_bar + Gamma_bar = cos(phase)``.  At ``sigma = 0, p = 1`` the
-    bundle comes back bit for bit.  Contextual values built from the result
-    invert the averaged drain probabilities, with the ``1/Gamma_bar``
-    amplification of an inefficient measurement.  The fields of ``p`` and
-    ``model`` may be arrays.
-    """
-    eta = damping_eta(model.sigma)
-    gamma_bar = model.pair_probability * (eta * p.Gamma + (1.0 - eta) * (p.Delta + p.Gamma) / 2.0)
-    return replace(p, Gamma=gamma_bar, Delta=p.Delta + (p.Gamma - gamma_bar))
-
-
-def averaged_joint_table(
-    det: InterferometerConfig, sys: InterferometerConfig, model: CouplingModel
-) -> JointStatistics:
-    """Joint drain statistics, one table or a stack, averaged over the
-    coupling model, from the tables ``P(g)`` of :func:`joint_probability_table`.
-
-    Where ``sigma = 0`` and ``p = 1`` at every point, this is the one table
-    ``P(gamma)``.  Otherwise a cell is ``A + B cos g + C sin g``, the raised
-    cosine damps the harmonics by ``eta(sigma)``, and an unpaired emission
-    has ``g = 0``: the average is the mixture of non-negative weights ``p eta
-    P(gamma) + p (1 - eta) / 2 P(pi) + (p (1 - eta) / 2 + 1 - p) P(0)``.
-    Every table comes from :func:`joint_probability_table`, so a point, its
-    one-point stack and its place in any stack give the same bits; the
-    average is checked once.  Every field may be an array.
-    """
-    gamma, sigma, p = model.gamma, model.sigma, model.pair_probability
-    stack = isinstance(sigma, np.ndarray) or isinstance(p, np.ndarray)
-    fluctuating = (sigma != 0.0) | (p != 1.0)
-    if not (np.any(fluctuating) if stack else fluctuating):
-        return JointStatistics(joint_probability_table(det, sys, gamma))
-    eta = damping_eta(sigma)
-    if stack:  # array weights broadcast over each table's cells; numbers weight them alike, bit for bit
-        p, eta = np.expand_dims(p, (-2, -1)), np.expand_dims(eta, (-2, -1))
-    tables = [joint_probability_table(det, sys, g) for g in (gamma, math.pi, 0.0)]
-    paired, spread = p * eta, p * (1.0 - eta) / 2.0
-    return JointStatistics(paired * tables[0] + spread * tables[1] + (spread + (1.0 - p)) * tables[2])
 
 
 def _cells(probs: np.ndarray) -> list[float]:
@@ -293,8 +248,11 @@ def observation_time(cv: ContextualValues, budget: ObservationBudget) -> float:
     ``T = tau_m (alpha_D1^2 + alpha_D2^2) / epsilon^2``: amplified
     contextual values (ambiguous measurements) lengthen the observation
     proportionally.  For an unambiguous measurement this is
-    ``2 tau_m / epsilon^2``.
+    ``2 tau_m / epsilon^2``.  A weight that is not a finite number (NaN, the
+    ambiguity marker of ``contextual_values_or_nan``) raises ``ValueError``
+    naming it.
     """
+    _require_finite(alpha_d1=cv.alpha_d1, alpha_d2=cv.alpha_d2)
     return (
         budget.mean_absorption_time
         * (cv.alpha_d1 * cv.alpha_d1 + cv.alpha_d2 * cv.alpha_d2)

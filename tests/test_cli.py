@@ -358,10 +358,10 @@ def test_drain_data_give_the_which_path_average(text, sweep):
 
 class TestMontecarlo:
     @staticmethod
-    def counted_calls(config: Path, capsys) -> dict:
-        """How often one ``montecarlo`` run on ``config`` calls the bundle, the
-        damping factor and the table; counting leaves its output as it was."""
-        argv = ["montecarlo", "--config", str(config), "--n", "1000", "--seed", "3"]
+    def counted_calls(config: Path, capsys, subcommand=("montecarlo", "--n", "1000", "--seed", "3")) -> dict:
+        """How often one run of ``subcommand`` on ``config`` calls the bundle,
+        the damping factor and the table; counting leaves its output as it was."""
+        argv = [subcommand[0], "--config", str(config), *subcommand[1:]]
         expected = run_cli(argv, capsys)
         calls = dict.fromkeys(("detector_params", "damping_eta", "joint_probability_table"), 0)
         with pytest.MonkeyPatch.context() as monkeypatch:
@@ -380,9 +380,13 @@ class TestMontecarlo:
         return calls
 
     def test_run_builds_the_averaged_bundles_once(self, capsys):
-        # the averaged detector bundle, and the mixture of the tables at gamma, pi and 0
+        # the averaged detector bundle, and the mixture of the tables at gamma, pi and 0,
+        # which read one damping factor
         assert self.counted_calls(GOLDEN_CONFIG, capsys) == {
-            "detector_params": 1, "damping_eta": 2, "joint_probability_table": 3}
+            "detector_params": 1, "damping_eta": 1, "joint_probability_table": 3}
+        # povm prints the damping factor and reads the averaged bundle: one eta for both
+        assert self.counted_calls(GOLDEN_CONFIG, capsys, ("povm",)) == {
+            "detector_params": 1, "damping_eta": 1, "joint_probability_table": 0}
         # no fluctuations: the table at gamma alone
         assert self.counted_calls(CONFIGS / "strong_measurement.conf", capsys) == {
             "detector_params": 1, "damping_eta": 1, "joint_probability_table": 1}

@@ -69,6 +69,17 @@ def test_beta_plus_range_is_inclusive(beta_plus):
         FringeParams(math.nextafter(beta_plus, 2 * beta_plus - 1), 2.0 - beta_plus, 0.5, 0.1, 0.2)
 
 
+@pytest.mark.parametrize("field, edge", [
+    ("visibility", -IDENTITY_TOL), ("visibility", 1.0 + IDENTITY_TOL), ("Gamma", 1.0 + IDENTITY_TOL),
+    ("Gamma", -1.0 - IDENTITY_TOL), ("Delta", 1.0 + IDENTITY_TOL), ("Delta", -1.0 - IDENTITY_TOL),
+])
+def test_fringe_ranges_are_inclusive(field, edge):
+    fields = {"beta_plus": 1.0, "beta_minus": 1.0, "visibility": 0.5, "Gamma": 0.1, "Delta": 0.2, field: edge}
+    assert getattr(FringeParams(**fields), field) == edge
+    with pytest.raises(ValueError, match=f"^{field} .* outside"):
+        FringeParams(**{**fields, field: math.nextafter(edge, 2 * edge)})
+
+
 @pytest.mark.parametrize("gamma", [2.0 * MAX_TUNING_PHASE, -2.0 * MAX_TUNING_PHASE])
 def test_detector_params_gamma_bound_is_inclusive(gamma):
     det = balanced_mzi(0.3)

@@ -39,10 +39,8 @@ import pytest
 
 from coupled_mzi import (
     AmbiguousMeasurementError,
-    averaged_detector_params,
-    averaged_joint_table,
+    AveragedExperiment,
     contextual_values,
-    detector_params,
     load_config,
 )
 from coupled_mzi.cli import main
@@ -140,7 +138,7 @@ def recapture(argv: list[str] | None = None) -> None:
 
 def _alpha_scale(point) -> float:
     """``max(1, |alpha|) / min(1, |V Gamma_bar|)`` of the damped detector bundle."""
-    p = averaged_detector_params(detector_params(point.detector, point.coupling.gamma), point.coupling)
+    p = AveragedExperiment(point.detector, point.system, point.coupling).bundle
     try:
         cv = contextual_values(point.observable, p)
     except AmbiguousMeasurementError:
@@ -153,7 +151,7 @@ def scale(name: str, point) -> float:
     if name.startswith(("alpha_", "cond_avg_")):
         return _alpha_scale(point)
     if "_given_" in name:
-        table = averaged_joint_table(point.detector, point.system, point.coupling).joint
+        table = AveragedExperiment(point.detector, point.system, point.coupling).stats.joint
         drain = name[-2:]
         marginal = table.sum(axis=1 if drain[0] == "D" else 0)[int(drain[1]) - 1]
         return 1.0 / marginal

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,6 +81,11 @@ class TestCouplingPhase:
         with pytest.raises(ValueError, match="coupling phase"):
             InteractionGeometry(5e-6, separation, screening, 1e5, constant)
 
+    @pytest.mark.parametrize("length", [math.inf, math.nan, 10**400], ids=["inf", "nan", "beyond"])
+    def test_non_finite_length_is_named(self, length):
+        with pytest.raises(ValueError, match=f"^copropagation_length {length} is not a finite number$"):
+            InteractionGeometry(length, 50e-9, 100e-9, 1e5, 8.9875e9)
+
 
 class TestPositionPhase:
     def test_matches_coupling_phase_at_region_end(self):
@@ -94,6 +100,13 @@ class TestPositionPhase:
         offsets = np.linspace(0.0, 20 * GEOM.screening_length, 25)
         values = [position_phase(x, x + off, GEOM) for off in offsets]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 10**400], ids=["inf", "-inf", "nan", "beyond"])
+    def test_non_finite_position_is_named(self, x):
+        with pytest.raises(ValueError, match=f"^x1 {x} is not a finite number$"):
+            position_phase(x, 0.0, GEOM)
+        with pytest.raises(ValueError, match=f"^x2 {x} is not a finite number$"):
+            position_phase(0.0, x, GEOM)
 
     def test_interaction_distance(self):
         # separation grows with |x2 - x1|; the phase tracks the closed form
@@ -125,6 +138,21 @@ class TestWavenumberShift:
     def test_nan_separation_rejected(self):
         with pytest.raises(ValueError, match="^separation must be positive$"):
             wavenumber_shift(math.nan, GEOM)
+
+    @pytest.mark.parametrize("separation", [math.inf, 10**400], ids=["inf", "beyond"])
+    def test_non_finite_separation_is_named(self, separation):
+        with pytest.raises(ValueError, match=f"^separation {separation} is not a finite number$"):
+            wavenumber_shift(separation, GEOM)
+
+    @pytest.mark.parametrize("separation, constant", [
+        (1e-320, GEOM.coulomb_constant),  # hbar * separation underflows to zero
+        (5e-324, GEOM.coulomb_constant),
+        (1e-280, 1e250),  # the rate overflows
+    ])
+    def test_separation_too_small_for_a_finite_shift_is_named(self, separation, constant):
+        geom = replace(GEOM, coulomb_constant=constant)
+        with pytest.raises(ValueError, match=f"^separation {separation} is too small: "):
+            wavenumber_shift(separation, geom)
 
 
 class TestDynamicalPhase:

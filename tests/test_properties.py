@@ -5,7 +5,7 @@ import math
 import struct
 import sys
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import astuple, is_dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +21,7 @@ from coupled_mzi import (
     AveragedExperiment,
     ContextualValues,
     CouplingModel,
+    InteractionGeometry,
     InterferometerConfig,
     JointStatistics,
     ObservableCoefficients,
@@ -29,8 +30,6 @@ from coupled_mzi import (
     PhysicalBias,
     PostSelectionImpossibleError,
     average_current,
-    averaged_detector_params,
-    averaged_joint_table,
     concurrence,
     conditioned_average,
     contextual_values,
@@ -43,6 +42,7 @@ from coupled_mzi import (
     joint_probability_table,
     load_config,
     measurement_operators,
+    position_phase,
     post_selected_average,
     povm_expectation,
     povm_pair,
@@ -52,6 +52,7 @@ from coupled_mzi import (
     reduced_system_state,
     require_post_selection,
     semiweak_value,
+    wavenumber_shift,
     weak_value,
     xi_joint_interference,
 )
@@ -219,7 +220,7 @@ def _values(det, sysm, model) -> dict:
         "povm_pair": np.moveaxis([povm.diag_d1, povm.diag_d2], (0, 1), (-2, -1)),
         "povm_expectation": np.moveaxis(povm_expectation(povm, reduced_system_state(sysm)), 0, -1),
         "joint_probability_table": joint_probability_table(det, sysm, model.gamma),
-        "averaged_joint_table": averaged_joint_table(det, sysm, model).joint,
+        "AveragedExperiment.stats": AveragedExperiment(det, sysm, model).stats.joint,
     }
 
 
@@ -346,7 +347,8 @@ def _one_configuration_calls(det, sysm, model, condition, n) -> dict:
     or a state.  ``require_post_selection`` returns nothing and is left out."""
     gamma, q, obs = model.gamma, det.qpc1, ObservableCoefficients()
     raw = detector_params(det, gamma)
-    stats = averaged_joint_table(det, sysm, model)
+    experiment = AveragedExperiment(det, sysm, model, obs)
+    stats = experiment.stats
     m = measurement_operators(det, gamma)
     povm = povm_pair(m)
     cv = contextual_values_or_nan(obs, raw)
@@ -356,7 +358,9 @@ def _one_configuration_calls(det, sysm, model, condition, n) -> dict:
                                   float),
         "qpc_from_angle": (lambda: _qpc_numbers(qpc_from_angle(q.theta, q.chi, q.xi)), float),
         "detector_params": (lambda: list(astuple(raw)), float),
-        "averaged_detector_params": (lambda: list(astuple(averaged_detector_params(raw, model))), float),
+        "AveragedExperiment.bundle": (lambda: list(astuple(experiment.bundle)), float),
+        "AveragedExperiment.eta": (lambda: [experiment.eta], float),
+        "AveragedExperiment.alphas": (lambda: list(astuple(experiment.alphas)), float),
         "damping_eta": (lambda: [damping_eta(model.sigma)], float),
         "concurrence": (lambda: [concurrence(det.qpc1, sysm.qpc1, gamma)], float),
         "reduced_system_state": (lambda: [reduced_system_state(sysm)], np.ndarray),
@@ -365,7 +369,7 @@ def _one_configuration_calls(det, sysm, model, condition, n) -> dict:
         "cross_noise_power": (lambda: [cross_noise_power(stats, d, s, BIAS)
                                        for d in DetectorDrain for s in SystemDrain], float),
         "joint_probability_table": (lambda: [joint_probability_table(det, sysm, gamma)], np.ndarray),
-        "averaged_joint_table": (lambda: [stats.joint], np.ndarray),
+        "AveragedExperiment.stats": (lambda: [stats.joint], np.ndarray),
         "measurement_operators": (lambda: [*m.diag_d1, *m.diag_d2], complex),
         "povm_pair": (lambda: [*povm.diag_d1, *povm.diag_d2], float),
         "povm_expectation": (lambda: list(povm_expectation(povm, reduced_system_state(sysm))), float),
@@ -534,8 +538,8 @@ def _finite(x) -> bool:
 
 def _amplitude_layer_calls(det, sysm, gamma, sigma) -> dict:
     """Every public function that reaches the amplitude core, as a call that
-    returns a list of what it gives; ``averaged_joint_table`` takes ``gamma``
-    through ``CouplingModel``, which calls it the coupling phase."""
+    returns a list of what it gives; ``AveragedExperiment.stats`` takes
+    ``gamma`` through ``CouplingModel``, which calls it the coupling phase."""
     def operators():
         m = measurement_operators(det, gamma)
         return [*m.diag_d1, *m.diag_d2]
@@ -544,7 +548,7 @@ def _amplitude_layer_calls(det, sysm, gamma, sigma) -> dict:
         "joint_amplitudes": lambda: [joint_amplitudes(det, sysm, gamma)],
         "detector_drain_amplitudes": lambda: [detector_drain_amplitudes(det, gamma)],
         "measurement_operators": operators,
-        "averaged_joint_table": lambda: [averaged_joint_table(det, sysm, CouplingModel(gamma, sigma)).joint],
+        "AveragedExperiment.stats": lambda: [AveragedExperiment(det, sysm, CouplingModel(gamma, sigma)).stats.joint],
     }
 
 
@@ -572,7 +576,7 @@ def test_amplitude_layer_gives_finite_values_or_names_the_bad_input(gamma, chi, 
         bad = {"gamma": not _finite(gamma)}
         bad["coupling phase"] = bad["gamma"] or not 0.0 <= np.min(gamma) <= np.max(gamma) <= TWO_PI
         for name, call in _amplitude_layer_calls(det, sysm, gamma, sigma).items():
-            coupling = "coupling phase" if name == "averaged_joint_table" else "gamma"
+            coupling = "coupling phase" if name == "AveragedExperiment.stats" else "gamma"
             try:
                 values = call()
             except ValueError as error:
@@ -605,13 +609,16 @@ def test_fringe_layer_gives_finite_values_or_names_the_bad_input(gamma, sigma, p
         bad = {"gamma": not _inside(gamma, -(2.0**31), 2.0**31), "sigma": not _inside(sigma, 0.0, math.pi)}
         bad["coupling phase"] = not (_inside(gamma, 0.0, TWO_PI) and _inside(sigma, 0.0, math.pi)
                                      and _inside(p, 0.0, 1.0))
+        def averaged():  # the bundle and eta read no field of the system
+            experiment = AveragedExperiment(det, None, CouplingModel(gamma, sigma, p))
+            return [*astuple(experiment.bundle), experiment.eta]
+
         calls = {  # each call, and the inputs its errors may name
             "detector_params": (("gamma",), lambda: astuple(detector_params(det, gamma))),
             "concurrence": (("gamma",), lambda: [concurrence(det.qpc1, det.qpc2, gamma)]),
             "damping_eta": (("sigma",), lambda: [damping_eta(sigma)]),
             "CouplingModel": (("coupling phase",), lambda: astuple(CouplingModel(gamma, sigma, p))),
-            "averaged_detector_params": (("gamma", "coupling phase"), lambda: astuple(averaged_detector_params(
-                detector_params(det, gamma), CouplingModel(gamma, sigma, p)))),
+            "AveragedExperiment": (("coupling phase",), averaged),
         }
         for name, (inputs, call) in calls.items():
             try:
@@ -622,17 +629,25 @@ def test_fringe_layer_gives_finite_values_or_names_the_bad_input(gamma, sigma, p
             assert all(np.isfinite(v).all() for v in values), name
 
 
-def _constructor_calls(x) -> dict:
-    """Each constructor that takes ``x`` in one field at a time, with finite
-    values elsewhere, and the inputs its errors may name."""
+GEOMETRY = InteractionGeometry(5e-6, 50e-9, 100e-9, 1e5, 8.9875e9)
+
+
+def _input_calls(x) -> dict:
+    """Each constructor or function that takes ``x`` in one argument at a
+    time, with finite values elsewhere: the inputs its errors may name,
+    whether it has a sign rule, and a call that returns its values or the
+    dataclasses it builds."""
     return {
-        "ContextualValues": (("alpha_d1", "alpha_d2"),
+        "ContextualValues": (("alpha_d1", "alpha_d2"), False,
                              lambda: [ContextualValues(x, 1.0), ContextualValues(1.0, x)]),
-        "PhysicalBias": (("bias_voltage", "fermi_energy", "temperature"),
+        "PhysicalBias": (("bias_voltage", "fermi_energy", "temperature"), True,
                          lambda: [PhysicalBias(x, 1e-2, 0.02), PhysicalBias(1e-4, x, 0.02), PhysicalBias(1e-4, 1e-2, x)]),
-        "ObservationBudget": (("path_length", "fermi_velocity", "target_rms", "tau_m"),
+        "ObservationBudget": (("path_length", "fermi_velocity", "target_rms", "tau_m"), True,
                               lambda: [ObservationBudget(x, 1e5, 0.1), ObservationBudget(1e-6, x, 0.1),
                                        ObservationBudget(1e-6, 1e5, x), ObservationBudget(1e-6, 1e5, 0.1, x)]),
+        "position_phase": (("x1", "x2"), False,
+                           lambda: [position_phase(x, 0.0, GEOMETRY), position_phase(0.0, x, GEOMETRY)]),
+        "wavenumber_shift": (("separation",), True, lambda: [wavenumber_shift(x, GEOMETRY)]),
     }
 
 
@@ -642,27 +657,30 @@ def _constructor_calls(x) -> dict:
 @example(x=math.inf)
 @example(x=math.nan)
 def test_constructors_take_finite_numbers_or_name_the_bad_input(x):
-    """With warnings as errors, ``ContextualValues``, ``PhysicalBias`` and
-    ``ObservationBudget`` hold finite numbers or raise ``ValueError``: an
-    infinity or an int beyond the double range that passes every sign rule
-    is named by its field, not met by ``OverflowError`` or kept.
-    ``ContextualValues`` has no sign rule, takes every finite number and
-    keeps NaN, the ambiguity marker of ``contextual_values_or_nan``."""
+    """With warnings as errors, ``ContextualValues``, ``PhysicalBias``,
+    ``ObservationBudget``, ``position_phase`` and ``wavenumber_shift`` give
+    finite numbers or raise ``ValueError``: an infinity or an int beyond the
+    double range that passes every sign rule is named by its argument, not
+    met by ``OverflowError`` or kept.  ``ContextualValues`` and
+    ``position_phase`` have no sign rule and take every finite number;
+    ``ContextualValues`` keeps NaN, the ambiguity marker of
+    ``contextual_values_or_nan``, and ``position_phase`` names it."""
     finite = _finite(x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for name, (fields, call) in _constructor_calls(x).items():
-            signed = name != "ContextualValues"
+        for name, (fields, signed, call) in _input_calls(x).items():
+            keeps_nan = name == "ContextualValues"
             try:
                 built = call()
             except ValueError as error:
-                if not finite and x == x and (x > 0 or not signed):
+                if not finite and (x == x or not keeps_nan) and (x > 0 or not signed):
                     assert any(str(error).startswith(f"{field} ") for field in fields), (name, error)
                 else:
                     assert signed, (name, error)
                 continue
-            assert finite or (not signed and x != x), name
-            assert all(v is None or _finite(v) or v != v for b in built for v in astuple(b)), name
+            assert finite or (keeps_nan and x != x), name
+            values = [v for b in built for v in (astuple(b) if is_dataclass(b) else [b])]
+            assert all(v is None or _finite(v) or (keeps_nan and v != v) for v in values), name
 
 
 SWEEP_RANGES = {"gamma": (0.0, TWO_PI), "phi_d": (-math.pi, math.pi), "phi_s": (0.0, TWO_PI),
@@ -683,7 +701,7 @@ def _public_values(det, sysm, coupling, bias) -> dict:
         "cross_noise_power": [cross_noise_power(stats, d, s, bias) / noise_unit
                               for d in DetectorDrain for s in SystemDrain],
         "detector_params": astuple(raw),
-        "averaged_detector_params": astuple(averaged_detector_params(raw, coupling)),
+        "AveragedExperiment.bundle": astuple(AveragedExperiment(det, sysm, coupling).bundle),
         "concurrence": [concurrence(det.qpc1, sysm.qpc1, coupling.gamma)],
         "damping_eta": [damping_eta(coupling.sigma)],
     }

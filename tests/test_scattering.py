@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from coupled_mzi import (
+    AveragedExperiment,
     CouplingModel,
     InterferometerConfig,
     JointStatistics,
     PhysicalBias,
     average_current,
-    averaged_joint_table,
     concurrence,
     cross_noise_power,
     detector_drain_amplitudes,
@@ -351,7 +351,7 @@ class TestCurrentsAndNoise:
         # the averaged table's detector marginal rounds two ulps past 1
         det = InterferometerConfig(qpc_from_transmission(0.0), qpc_from_transmission(0.0), 0.0)
         sysm = InterferometerConfig(qpc_from_transmission(0.75), qpc_from_transmission(0.0), 0.0)
-        p_d1 = averaged_joint_table(det, sysm, CouplingModel(0.0, 1.0, 1e-9)).p_detector(DetectorDrain.D1)
+        p_d1 = AveragedExperiment(det, sysm, CouplingModel(0.0, 1.0, 1e-9)).stats.p_detector(DetectorDrain.D1)
         assert p_d1 == 1.0000000000000002
         assert average_current(p_d1, BIAS) == average_current(1.0, BIAS) * p_d1
 

@@ -19,15 +19,15 @@ from scipy.stats import chi2
 
 from coupled_mzi import (
     AmbiguousMeasurementError,
+    AveragedExperiment,
     ContextualValues,
     CouplingModel,
+    EstimateReport,
     InterferometerConfig,
     JointStatistics,
     ObservableCoefficients,
     ObservableRangeError,
     ObservationBudget,
-    averaged_detector_params,
-    averaged_joint_table,
     contextual_estimate,
     contextual_values,
     damping_eta,
@@ -185,15 +185,20 @@ class TestDampingEta:
 class TestAveragedDetectorParams:
     def test_identity_when_deterministic(self):
         p = detector_params(balanced_mzi(0.7), 1.1)
-        averaged = averaged_detector_params(p, CouplingModel(gamma=1.1))
+        averaged = AveragedExperiment(balanced_mzi(0.7), balanced_mzi(0.3), CouplingModel(gamma=1.1)).bundle
         assert averaged == p
+
+    def test_bundle_alphas_and_eta_read_no_system_field(self):
+        det, model = balanced_mzi(0.7), CouplingModel(gamma=1.1, sigma=0.5, pair_probability=0.9)
+        blind, full = AveragedExperiment(det, None, model), AveragedExperiment(det, balanced_mzi(0.3), model)
+        assert (blind.eta, blind.bundle, blind.alphas) == (full.eta, full.bundle, full.alphas)
 
     def test_pair_probability_scales_gamma(self):
         # unpaired emissions see no coupling: Gamma(0) = 0, Delta(0) = cos(phi_d)
         det = balanced_mzi(0.7)
         model = CouplingModel(gamma=1.1, pair_probability=0.5)
         p = detector_params(det, 1.1)
-        averaged = averaged_detector_params(p, model)
+        averaged = AveragedExperiment(det, balanced_mzi(0.3), model).bundle
         assert averaged.Gamma == pytest.approx(
             fluctuation_average(lambda g: detector_params(det, g).Gamma, model), abs=1e-15)
         assert averaged.Gamma == pytest.approx(0.5 * p.Gamma, abs=1e-15)
@@ -207,7 +212,7 @@ class TestAveragedDetectorParams:
         gamma, sigma = 1.3, math.pi / 2
         det = balanced_mzi(math.pi / 2)
         p = detector_params(det, gamma)
-        averaged = averaged_detector_params(p, CouplingModel(gamma=gamma, sigma=sigma))
+        averaged = AveragedExperiment(det, balanced_mzi(0.3), CouplingModel(gamma=gamma, sigma=sigma)).bundle
         assert averaged.Gamma == pytest.approx(8.0 / (3.0 * math.pi) * p.Gamma, abs=1e-12)
         expected, _ = quad(
             lambda g: raised_cosine_pdf(g, gamma, sigma)
@@ -223,7 +228,7 @@ class TestAveragedDetectorParams:
         # sigma_z = alpha_D1 E_D1 + alpha_D2 E_D2 needs (-3, 1)
         det = balanced_mzi(0.0)
         model = CouplingModel(gamma=math.pi, pair_probability=0.5)
-        damped = averaged_detector_params(detector_params(det, math.pi), model)
+        damped = AveragedExperiment(det, balanced_mzi(0.3), model).bundle
         cv = contextual_values(OBS, damped)
         expected = povm_oracle_weights(det, model, OBS)
         assert cv.alpha_d1 == pytest.approx(expected[0], abs=1e-12)
@@ -316,7 +321,7 @@ class TestAveragedJointTable:
     def test_matches_quadrature(self, model, rng):
         for _ in range(3):
             det, sysm = random_mzi(rng), random_mzi(rng)
-            table = averaged_joint_table(det, sysm, model).joint
+            table = AveragedExperiment(det, sysm, model).stats.joint
             assert table.shape == (2, 2)
             assert np.max(np.abs(table - averaged_table_oracle(det, sysm, model))) <= 1e-12
 
@@ -324,13 +329,14 @@ class TestAveragedJointTable:
     def test_bundle_matches_quadrature(self, model, rng):
         for _ in range(3):
             det, sysm = random_mzi(rng), random_mzi(rng)
-            averaged = averaged_detector_params(detector_params(det, model.gamma), model)
+            experiment = AveragedExperiment(det, sysm, model)
+            averaged = experiment.bundle
             for field in ("Gamma", "Delta"):
                 expected = fluctuation_average(
                     lambda g: getattr(detector_params(det, g), field), model)
                 assert getattr(averaged, field) == pytest.approx(expected, abs=1e-12)
             # the bundle's drain probabilities are the averaged table's marginals
-            marginals = averaged_joint_table(det, sysm, model).detector_marginals
+            marginals = experiment.stats.detector_marginals
             assert detector_drain_probabilities(averaged, sysm.qpc1.delta) == (
                 pytest.approx(marginals[0], abs=1e-12), pytest.approx(marginals[1], abs=1e-12))
 
@@ -339,7 +345,7 @@ class TestAveragedJointTable:
         obs = ObservableCoefficients(a0=0.25, a3=1.5)
         for _ in range(3):
             det = random_mzi(rng)
-            averaged = averaged_detector_params(detector_params(det, model.gamma), model)
+            averaged = AveragedExperiment(det, det, model).bundle  # the bundle reads no system field
             if model.pair_probability == 0.0:  # no pair, no which-path information
                 assert abs(averaged.Gamma) <= 1e-15
                 with pytest.raises(AmbiguousMeasurementError):
@@ -357,12 +363,12 @@ class TestAveragedJointTable:
     @given(det=MZIS, sysm=MZIS, gamma=st.floats(0.0, 2 * math.pi))
     def test_is_the_pipeline_table_without_fluctuations(self, det, sysm, gamma):
         # one configuration at sigma = 0, p = 1: the one table montecarlo samples
-        stats = averaged_joint_table(det, sysm, CouplingModel(gamma=gamma))
+        stats = AveragedExperiment(det, sysm, CouplingModel(gamma=gamma)).stats
         assert np.array_equal(stats.joint, joint_probability_table(det, sysm, gamma))
 
     def test_is_the_pipeline_stack_without_fluctuations(self):
         det, sysm, gamma = stacked_experiment(random_stack(np.random.default_rng(29), 200, 0.0, 1.0))
-        table = averaged_joint_table(det, sysm, CouplingModel(gamma=gamma)).joint
+        table = AveragedExperiment(det, sysm, CouplingModel(gamma=gamma)).stats.joint
         assert table.shape == (200, 2, 2)
         assert np.array_equal(table, joint_probability_table(det, sysm, gamma))
 
@@ -373,7 +379,7 @@ class TestAveragedJointTable:
         expected = joint_probability_table(det, sysm, 1.0)
         check, checked = JointStatistics.__post_init__, []
         monkeypatch.setattr(JointStatistics, "__post_init__", lambda stats: checked.append(check(stats)))
-        table = averaged_joint_table(det, sysm, CouplingModel(gamma=1.0)).joint
+        table = AveragedExperiment(det, sysm, CouplingModel(gamma=1.0)).stats.joint
         assert len(checked) == 1
         assert table.shape == (100, 2, 2) and np.array_equal(table, expected)
 
@@ -388,13 +394,13 @@ class TestAveragedJointTable:
         # the amplitude mixture and the closed form at the averaged coupling terms are one average
         model = CouplingModel(gamma=gamma, sigma=sigma, pair_probability=p)
         closed = closed_form_table(det, sysm, gamma, sigma, p)
-        assert np.max(np.abs(averaged_joint_table(det, sysm, model).joint - closed)) <= MIXTURE_BOUND
+        assert np.max(np.abs(AveragedExperiment(det, sysm, model).stats.joint - closed)) <= MIXTURE_BOUND
 
     def test_dark_drain_stays_dark(self):
         # D1 is dark at zero coupling, the one coupling phase of an unpaired
         # emission; no sampled event falls there
         model = CouplingModel(gamma=math.pi, sigma=1.0, pair_probability=0.0)
-        stats = averaged_joint_table(balanced_mzi(0.0), balanced_mzi(0.3), model)
+        stats = AveragedExperiment(balanced_mzi(0.0), balanced_mzi(0.3), model).stats
         assert np.max(np.abs(stats.joint[0])) <= 1e-15
         codes = sample_events(stats, 50_000, seed=13)
         assert np.all(codes >= 2)
@@ -409,7 +415,7 @@ class TestAveragedJointTable:
         expected = [[fluctuation_average(
             lambda g, d=d, s=s: closed_form_table(det, sysm, g)[d, s], model)
             for s in (0, 1)] for d in (0, 1)]
-        assert np.max(np.abs(averaged_joint_table(det, sysm, model).joint - expected)) <= 1e-12
+        assert np.max(np.abs(AveragedExperiment(det, sysm, model).stats.joint - expected)) <= 1e-12
 
 
 def quarter_stats():
@@ -832,6 +838,17 @@ class TestContextualEstimate:
         for other in (counts.astype(np.int8), counts.astype(np.uint64), counts.tolist(), (1, 1, 1, 2)):
             assert contextual_estimate(other, cv, (0.5, 0.5)) == expected
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "beyond"])
+    @pytest.mark.parametrize("field", ["estimate", "empirical_variance", "predicted_mse", "mse_upper_bound"])
+    def test_report_fields_are_finite(self, field, value):
+        # a variance of -inf meets the sign rule first
+        fields = {"estimate": 0.0, "n": 1, "empirical_variance": 0.0, "predicted_mse": 0.0,
+                  "mse_upper_bound": 0.0, field: value}
+        signed = field in ("empirical_variance", "predicted_mse") and value < 0
+        message = "^variances must be non-negative$" if signed else f"^{field} .+ is not a finite number$"
+        with pytest.raises(ValueError, match=message):
+            EstimateReport(**fields)
+
     def test_probability_outside_the_range_rejected(self):
         # (1.5, -0.5) sums to 1: the average would read -2 and predicted_mse clamp -3/n to 0
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
@@ -912,6 +929,13 @@ class TestObservationTime:
         assert observation_time(cv, loose) == pytest.approx(
             observation_time(cv, self.BUDGET) / 4.0, rel=1e-12
         )
+
+    @pytest.mark.parametrize("name", ["alpha_d1", "alpha_d2"])
+    def test_nan_weight_is_named(self, name):
+        # NaN is the ambiguity marker of contextual_values_or_nan, not a weight to budget with
+        cv = ContextualValues(**{"alpha_d1": 1.0, "alpha_d2": 1.0, name: math.nan})
+        with pytest.raises(ValueError, match=f"^{name} nan is not a finite number$"):
+            observation_time(cv, self.BUDGET)
 
     def test_explicit_tau_override(self):
         budget = ObservationBudget(path_length=1e-5, fermi_velocity=1e5, target_rms=0.1, tau_m=2e-9)
