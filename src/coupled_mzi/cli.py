@@ -30,7 +30,7 @@ from functools import cache
 
 import numpy as np
 
-from .conditioning import AveragedExperiment, require_post_selection
+from .conditioning import require_post_selection
 from .config import SWEEPS, ExperimentConfig, check_sweep_domain, evaluate_number, load_config, swept
 from .errors import (
     AmbiguousMeasurementError,
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .interaction import coupling_phase, dynamical_phase
 from .measurement import contextual_values, measurement_operators, povm_pair
-from .params import DetectorDrain, SystemDrain, _index
+from .params import DetectorDrain, SystemDrain, _index, _require_finite
 from .scattering import ELEMENTARY_CHARGE, concurrence, cross_noise_power
 from .stochastic import RNG_ALGORITHM, contextual_estimate, observation_time, sample_events_tally
 
@@ -246,11 +246,11 @@ def _vector_block(table: np.ndarray) -> bytes:
     return words.tobytes().translate(None, b"\0 ")
 
 
-def _marginal(e: AveragedExperiment, drain: DetectorDrain | SystemDrain) -> np.ndarray:
+def _marginal(e: ExperimentConfig, drain: DetectorDrain | SystemDrain) -> np.ndarray:
     return (e.stats.p_detector if isinstance(drain, DetectorDrain) else e.stats.p_system)(drain)
 
 
-def _conditioned(e: AveragedExperiment, given, s: SystemDrain) -> np.ndarray:
+def _conditioned(e: ExperimentConfig, given, s: SystemDrain) -> np.ndarray:
     # ambiguity first: an inf-ambiguous point needs no post-selection
     given(s, where=~np.isnan(e.alphas.alpha_d1))
     return e.conditioned_average(s)
@@ -260,26 +260,26 @@ _D, _S = tuple(DetectorDrain), tuple(SystemDrain)
 _PAIRS = tuple((d, s) for d in _D for s in _S)
 
 _QUANTITIES: dict[str, Callable] = {
-    **{f"P_{x.name}": (lambda e, given, bias, x=x: _marginal(e, x)) for x in (*_D, *_S)},
-    **{f"P_{d.name}{s.name}": (lambda e, given, bias, d=d, s=s: e.stats.joint[:, d.value, s.value])
+    **{f"P_{x.name}": (lambda e, given, x=x: _marginal(e, x)) for x in (*_D, *_S)},
+    **{f"P_{d.name}{s.name}": (lambda e, given, d=d, s=s: e.stats.joint[:, d.value, s.value])
        for d, s in _PAIRS},
     **{f"P_{d.name}_given_{s.name}":
-       (lambda e, given, bias, d=d, s=s: e.stats.joint[:, d.value, s.value] / given(s)) for s in _S for d in _D},
+       (lambda e, given, d=d, s=s: e.stats.joint[:, d.value, s.value] / given(s)) for s in _S for d in _D},
     **{f"P_{s.name}_given_{d.name}":
-       (lambda e, given, bias, d=d, s=s: e.stats.joint[:, d.value, s.value] / given(d)) for d, s in _PAIRS},
-    "alpha_D1": lambda e, given, bias: e.alphas.alpha_d1,
-    "alpha_D2": lambda e, given, bias: e.alphas.alpha_d2,
-    **{f"cond_avg_{s.name}": (lambda e, given, bias, s=s: _conditioned(e, given, s)) for s in _S},
-    "concurrence": lambda e, given, bias: concurrence(e.detector.qpc1, e.system.qpc1, e.coupling.gamma),
-    "eta": lambda e, given, bias: e.eta,
-    **{f"S_{d.name}{s.name}": (lambda e, given, bias, d=d, s=s: cross_noise_power(e.stats, d, s, bias))
+       (lambda e, given, d=d, s=s: e.stats.joint[:, d.value, s.value] / given(d)) for d, s in _PAIRS},
+    "alpha_D1": lambda e, given: e.alphas.alpha_d1,
+    "alpha_D2": lambda e, given: e.alphas.alpha_d2,
+    **{f"cond_avg_{s.name}": (lambda e, given, s=s: _conditioned(e, given, s)) for s in _S},
+    "concurrence": lambda e, given: concurrence(e.detector.qpc1, e.system.qpc1, e.coupling.gamma),
+    "eta": lambda e, given: e.eta,
+    **{f"S_{d.name}{s.name}": (lambda e, given, d=d, s=s: cross_noise_power(e.stats, d, s, e.bias))
        for d, s in _PAIRS},
 }
-"""Scan columns by name, all of one experiment, the sweep's :class:`AveragedExperiment`:
+"""Scan columns by name, all of one experiment, the swept config, an :class:`AveragedExperiment`:
 the joint drain table averaged over the coupling model (its ``stats``), whose detector
 marginals ``alpha`` inverts; ``cond_avg`` is ``inf-ambiguous`` exactly where ``alpha``
-is, and ``eta`` is the damping factor.  A column reads the experiment, ``given(drain,
-where)``, which returns the marginal it divides by, and the bias, at its own shape."""
+is, and ``eta`` is the damping factor.  A column reads the experiment and ``given(drain,
+where)``, which returns the marginal it divides by, at its own shape."""
 
 QUANTITIES = tuple(_QUANTITIES)
 
@@ -293,8 +293,7 @@ def _evaluate(config: ExperimentConfig, parameter: str, grid: np.ndarray,
     """
     if any(name.startswith("S_") for name in names) and config.bias is None:
         raise ConfigError("noise quantities need a bias section in the config")
-    at = swept(config, parameter, grid)
-    e = AveragedExperiment(at.detector, at.system, at.coupling, config.observable)
+    e = swept(config, parameter, grid)
     required = {}  # per drain, where a column divides by its marginal
 
     def given(drain: DetectorDrain | SystemDrain, where=True) -> np.ndarray:
@@ -303,7 +302,7 @@ def _evaluate(config: ExperimentConfig, parameter: str, grid: np.ndarray,
         return _marginal(e, drain)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        columns = [_QUANTITIES[name](e, given, config.bias) for name in names]
+        columns = [_QUANTITIES[name](e, given) for name in names]
     require_post_selection({
         drain: np.where(required[drain], _marginal(e, drain), np.inf)
         for drain in (*_D, *_S) if drain in required
@@ -335,6 +334,15 @@ def _integer(value, message: str) -> int:
     return index
 
 
+def _require_bounds(minimum: float, maximum: float) -> None:
+    """Raise ``ConfigError`` naming a sweep bound that is not a finite number,
+    which ``<``, ``min`` and ``max`` would let through as NaN."""
+    try:
+        _require_finite(minimum=minimum, maximum=maximum)
+    except ValueError as exc:
+        raise ConfigError(f"sweep {exc}") from None
+
+
 def _grid(minimum: float, maximum: float, count: int) -> np.ndarray:
     _require_fits(count, "grid points")
     grid = np.linspace(minimum, maximum, count)
@@ -349,15 +357,17 @@ def run_scan(config: ExperimentConfig, parameter: str, minimum: float, maximum: 
     ``minimum`` to ``maximum``; rows follow grid order.
 
     Raises ``ConfigError``, in this order, for a parameter not in
-    ``SWEEPS``, a count that is not an integer, fewer than 2 points, a
-    minimum not below the maximum, a range outside the parameter's domain, a
-    quantity not in ``QUANTITIES`` and a count too large to hold.
+    ``SWEEPS``, a count that is not an integer, fewer than 2 points, a bound
+    that is not a finite number, a minimum not below the maximum, a range
+    outside the parameter's domain, a quantity not in ``QUANTITIES`` and a
+    count too large to hold.
     """
     if parameter not in SWEEPS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}; choose from {', '.join(SWEEPS)}")
     count = _integer(count, "sweep count must be an integer")
     if count < 2:
         raise ConfigError("sweep needs at least 2 grid points")
+    _require_bounds(minimum, maximum)
     if not minimum < maximum:
         raise ConfigError("sweep minimum must be below maximum")
     check_sweep_domain(parameter, minimum, maximum)
@@ -372,11 +382,13 @@ def run_erasure(config: ExperimentConfig, minimum: float, maximum: float, count:
 
     The bounds may come in either order; both must lie in the phi_s domain.
     Raises ``ConfigError`` for a count that is not an integer, fewer than 2
-    points, bounds outside the domain and a count too large to hold.
+    points, a bound that is not a finite number, bounds outside the domain
+    and a count too large to hold.
     """
     count = _integer(count, "sweep count must be an integer")
     if count < 2:
         raise ConfigError("sweep needs at least 2 grid points")
+    _require_bounds(minimum, maximum)
     check_sweep_domain("phi_s", min(minimum, maximum), max(minimum, maximum))
     grid = _grid(minimum, maximum, count)
     return _evaluate(config, "phi_s", grid, ("P_S1", "P_S1_given_D1", "P_S1_given_D2"))
@@ -386,9 +398,9 @@ def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
     """CSV report of one seeded estimator run.
 
     Event counts are drawn with :func:`sample_events_tally` from the exact joint drain
-    distribution averaged over the coupling model, the ``stats`` of the config's
+    distribution averaged over the coupling model, the ``stats`` of the config, an
     :class:`AveragedExperiment`, the table every ``scan`` column reads; its detector
-    marginals give the predicted MSE.  The contextual values come from the experiment's
+    marginals give the predicted MSE.  The contextual values come from the config's
     averaged detector bundle, as ``scan``'s ``alpha_*`` columns do, so they invert the
     table's drain probabilities.  With a budget section the report includes the
     observation-time bound.  A report that is not finite exits as a configuration error,
@@ -404,10 +416,9 @@ def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
     _require_fits(n, "events")
     if n > _MAX_BINOMIAL:
         raise ConfigError(f"--n must be at most {_MAX_BINOMIAL}, numpy's C long on this platform")
-    e = AveragedExperiment(config.detector, config.system, config.coupling, config.observable)
-    cv = contextual_values(config.observable, e.bundle)
-    counts = sample_events_tally(e.stats, n, seed)
-    (p11, p12), (p21, p22) = e.stats.joint.tolist()  # a row's float sum has numpy's bits
+    cv = contextual_values(config.observable, config.bundle)
+    counts = sample_events_tally(config.stats, n, seed)
+    (p11, p12), (p21, p22) = config.stats.joint.tolist()  # a row's float sum has numpy's bits
     report = contextual_estimate(counts, cv, probabilities=(p11 + p12, p21 + p22))
     values = (report.estimate, report.empirical_variance, report.predicted_mse,
               report.mse_upper_bound)
@@ -427,14 +438,13 @@ def run_montecarlo(config: ExperimentConfig, n: int, seed: int) -> str:
 
 def run_povm(config: ExperimentConfig) -> str:
     """Name,value CSV of the measurement layer for one configuration."""
-    e = AveragedExperiment(config.detector, config.system, config.coupling, config.observable)
-    raw, damped, coupling = e.fringes, e.bundle, e.coupling
-    povm = povm_pair(measurement_operators(e.detector, coupling.gamma))
-    cv = e.alphas  # NaN where ambiguous
+    raw, damped, coupling = config.fringes, config.bundle, config.coupling
+    povm = povm_pair(measurement_operators(config.detector, coupling.gamma))
+    cv = config.alphas  # NaN where ambiguous
     rows = [(name, _fmt(value)) for name, value in [
         ("beta_plus", raw.beta_plus), ("beta_minus", raw.beta_minus),
         ("visibility", raw.visibility), ("Gamma", raw.Gamma), ("Delta", raw.Delta),
-        ("eta", e.eta), ("eta_prime", coupling.pair_probability * e.eta),
+        ("eta", config.eta), ("eta_prime", coupling.pair_probability * config.eta),
         ("Gamma_damped", damped.Gamma), ("Delta_damped", damped.Delta),
         ("E_D1_LL", povm.diag_d1[0]), ("E_D1_UU", povm.diag_d1[1]),
         ("E_D2_LL", povm.diag_d2[0]), ("E_D2_UU", povm.diag_d2[1]),
@@ -456,8 +466,8 @@ def run_interaction_phase(config: ExperimentConfig) -> str:
         fermi_j = ELEMENTARY_CHARGE * config.bias.fermi_energy
         try:
             single = dynamical_phase(fermi_j, geom.copropagation_length, geom.propagation_speed)
-        except ZeroDivisionError:  # hbar * speed underflows to zero
-            single = math.inf
+        except ValueError as exc:  # a phase that is not finite, or fermi_j underflows to zero
+            raise ConfigError(f"bias and geometry: {exc}") from None
         if not math.isfinite(2.0 * single):
             raise ConfigError("bias and geometry: the dynamical phase is not a finite number")
         rows += [

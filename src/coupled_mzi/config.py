@@ -32,6 +32,7 @@ import operator
 import re
 from dataclasses import dataclass, replace
 
+from .conditioning import AveragedExperiment
 from .errors import ConfigError
 from .interaction import InteractionGeometry, geometry_for_phase
 from .params import (
@@ -104,13 +105,10 @@ def _eval_node(node: ast.AST, text: str) -> float:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully validated two-interferometer experiment description."""
+class ExperimentConfig(AveragedExperiment):
+    """Fully validated two-interferometer experiment description: the
+    :class:`AveragedExperiment` of its first four fields, with its optional sections."""
 
-    detector: InterferometerConfig
-    system: InterferometerConfig
-    coupling: CouplingModel
-    observable: ObservableCoefficients
     bias: PhysicalBias | None = None
     geometry: InteractionGeometry | None = None
     budget: ObservationBudget | None = None

@@ -48,11 +48,9 @@ class InteractionGeometry:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         try:
-            phase = coupling_phase(self)
-        except ZeroDivisionError:  # hbar * channel_separation underflows to zero
-            phase = math.nan
-        if not math.isfinite(phase):
-            raise ValueError("coupling phase is not a finite number")
+            coupling_phase(self)
+        except ValueError:  # the phase overflows, or hbar * channel_separation underflows to zero
+            raise ValueError("coupling phase is not a finite number") from None
 
 
 def coupling_phase(geom: InteractionGeometry) -> float:
@@ -70,11 +68,19 @@ def position_phase(x1: float, x2: float, geom: InteractionGeometry) -> float:
 
     ``(alpha e^2 / (hbar r)) exp(-r/lambda) (x1 + x2) / v`` with the
     interaction distance ``r = sqrt(d^2 + (x2 - x1)^2)``.  A position that is
-    not a finite number raises ``ValueError`` naming ``x1`` or ``x2``.
+    not a finite number raises ``ValueError`` naming ``x1`` or ``x2``, and so
+    does a phase that is not (``x1 + x2`` may overflow, or ``hbar * r``
+    underflow to zero), naming the phase.
     """
     _require_finite(x1=x1, x2=x2)
     r = math.hypot(geom.channel_separation, x2 - x1)
-    return _coulomb_rate(r, geom) * (x1 + x2) / geom.propagation_speed
+    try:
+        phase = _coulomb_rate(r, geom) * (x1 + x2) / geom.propagation_speed
+    except ZeroDivisionError:  # hbar * r underflows to zero
+        phase = math.inf
+    if not math.isfinite(phase):
+        raise ValueError("the joint phase is not a finite number")
+    return phase
 
 
 def _coulomb_rate(r: float, geom: InteractionGeometry) -> float:
@@ -107,14 +113,22 @@ def dynamical_phase(fermi_energy: float, length: float, fermi_velocity: float) -
     """Free single-particle dynamical phase ``2 E_F L / (hbar v_F)``.
 
     ``fermi_energy`` in joules.  A copropagating pair accumulates twice
-    this value.  A non-finite argument raises ``ValueError`` naming it.
+    this value.  A non-finite argument raises ``ValueError`` naming it, and
+    so does a phase that is not a finite number (``hbar * fermi_velocity``
+    may underflow to zero), naming the phase.
     """
     if not (fermi_energy > 0 and fermi_velocity > 0):  # NaN fails
         raise ValueError("energy and velocity must be positive")
     if not length >= 0:
         raise ValueError("length must be non-negative")
     _require_finite(fermi_energy=fermi_energy, length=length, fermi_velocity=fermi_velocity)
-    return 2.0 * fermi_energy * length / (HBAR * fermi_velocity)
+    try:
+        phase = 2.0 * fermi_energy * length / (HBAR * fermi_velocity)
+    except ZeroDivisionError:  # hbar * fermi_velocity underflows to zero
+        phase = math.inf
+    if not math.isfinite(phase):
+        raise ValueError("the dynamical phase is not a finite number")
+    return phase
 
 
 def sequential_phase(energy: float, t1: float, t2: float) -> float:
@@ -122,12 +136,16 @@ def sequential_phase(energy: float, t1: float, t2: float) -> float:
 
     This is a global phase of the collapsed joint state: it must not (and
     does not) change any drain statistics.  A non-finite argument raises
-    ``ValueError`` naming it.
+    ``ValueError`` naming it, and so does a phase that is not a finite
+    number, naming the phase.
     """
     if not t2 >= t1:  # NaN fails
         raise ValueError("second detection cannot precede the first")
     _require_finite(energy=energy, t1=t1, t2=t2)
-    return energy * (t2 - t1) / HBAR
+    phase = energy * (t2 - t1) / HBAR
+    if not math.isfinite(phase):
+        raise ValueError("the relative phase is not a finite number")
+    return phase
 
 
 def geometry_for_phase(

@@ -125,12 +125,22 @@ def povm_pair(m: MeasurementOperators) -> PovmPair:
 
 def povm_expectation(povm: PovmPair, state: np.ndarray) -> tuple:
     """Drain probabilities ``<state| E_D |state> = E_D . |state|^2``; a stack
-    of POVMs and a stack of states ``(..., 2)`` broadcast together."""
-    z = np.asarray(state, dtype=complex)
-    weights = z.real * z.real + z.imag * z.imag
+    of POVMs and a stack of states ``(..., 2)`` broadcast together.  A state
+    that gives a probability that is not a finite number (an entry that is
+    not, or whose squared modulus overflows) raises ``ValueError`` naming
+    the state."""
     diagonals = np.asarray((povm.diag_d1, povm.diag_d2))
-    # axis 0 of the diagonals is the drain, axis 1 the path: vecdot has np.dot's bits
-    return tuple(map(_plain, np.vecdot(diagonals, weights, axes=[(1,), (-1,), ()])))
+    try:
+        z = np.asarray(state, dtype=complex)
+    except OverflowError:  # an int beyond the double range, an infinite entry here
+        z = np.full(2, math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = z.real * z.real + z.imag * z.imag
+        # axis 0 of the diagonals is the drain, axis 1 the path: vecdot has np.dot's bits
+        probabilities = np.vecdot(diagonals, weights, axes=[(1,), (-1,), ()])
+    if not _all(np.isfinite(probabilities)):
+        raise ValueError("state gives a drain probability that is not a finite number")
+    return tuple(map(_plain, probabilities))
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,16 @@ order.  Each mutant changes one operator in the source text of the tree that
 ``git archive REV`` gives (a commit, or a tree such as ``git write-tree``
 makes of the index), in one of ``COPIES`` copies run side by side, and runs
 ``python -m pytest -x -q tests`` there; it survives when the suite passes.
-A run that fails, errors or exceeds ``TIMEOUT`` seconds kills it.  The
-script prints each survivor with its source line, then the counts of sites,
-killed and survived and the wall time.  It uses the standard library only and
-is not a test module, so pytest does not collect it.
+A run that fails, errors or exceeds ``TIMEOUT`` seconds is a kill only once
+it is confirmed: the first failing test of the run (the first ``FAILED`` or
+``ERROR`` line of its summary) is run again alone on the same mutant, or the
+whole suite where the run named none, and must fail again.  A kill that does
+not repeat is unconfirmed: a failure that was not the mutant's, such as one
+from the load of the copies running side by side.  The script prints each
+survivor and each unconfirmed kill with its source line, then the counts of
+sites, confirmed kills, unconfirmed kills and survivors and the wall time.
+It uses the standard library only and is not a test module, so pytest does
+not collect it.
 """
 
 from __future__ import annotations
@@ -91,15 +97,28 @@ def _archive(rev: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
-def _run(copy: Path) -> bool:
-    """Whether the suite passes in ``copy``."""
+def _run(copy: Path, target: str = "tests") -> tuple[bool, str | None]:
+    """Whether ``target`` (the suite, or one test id) passes in ``copy``, and
+    the id of its first failing test, or None where the run named none."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     try:
-        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
-                              cwd=copy, env=env, capture_output=True, timeout=TIMEOUT)
+        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", target],
+                              cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        return False
-    return done.returncode == 0
+        return False, None
+    failed = (line.split(" ", 1)[1].split(" - ", 1)[0] for line in done.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR ")))
+    return done.returncode == 0, next(failed, None)
+
+
+def _outcome(copy: Path) -> tuple[str, str | None]:
+    """``survived``, ``killed`` or ``unconfirmed`` for the mutant in ``copy``,
+    and the failing test that decided it."""
+    passed, failing = _run(copy)
+    if passed:
+        return "survived", None
+    repeated, _ = _run(copy, failing or "tests")
+    return ("unconfirmed" if repeated else "killed"), failing
 
 
 def main(argv=None) -> int:
@@ -117,7 +136,7 @@ def main(argv=None) -> int:
         for module in modules:
             source = (copies[0] / "src" / "coupled_mzi" / f"{module}.py").read_text(encoding="utf-8")
             plan += [(module, source, *site) for site in sites(module, source)]
-        work, survivors, lock = queue.Queue(), [], threading.Lock()
+        work, outcomes, lock = queue.Queue(), {"killed": 0, "unconfirmed": 0, "survived": 0}, threading.Lock()
         for item in plan:
             work.put(item)
 
@@ -130,14 +149,15 @@ def main(argv=None) -> int:
                 path = copy / "src" / "coupled_mzi" / f"{module}.py"
                 path.write_text(source[:offset] + replacement + source[offset + len(symbol):], encoding="utf-8")
                 try:
-                    survived = _run(copy)
+                    outcome, failing = _outcome(copy)
                 finally:
                     path.write_text(source, encoding="utf-8")
-                if survived:
-                    text = source.splitlines()[line - 1].strip()
-                    with lock:
-                        survivors.append((module, line, symbol, replacement, text))
-                        print(f"survived {module}.py:{line} {symbol} -> {replacement}: {text}", flush=True)
+                with lock:
+                    outcomes[outcome] += 1
+                    if outcome != "killed":
+                        text = source.splitlines()[line - 1].strip()
+                        after = f" (failed first: {failing or 'the suite'})" if outcome == "unconfirmed" else ""
+                        print(f"{outcome} {module}.py:{line} {symbol} -> {replacement}: {text}{after}", flush=True)
 
         threads = [threading.Thread(target=worker, args=(copy,)) for copy in copies]
         for thread in threads:
@@ -145,8 +165,9 @@ def main(argv=None) -> int:
         for thread in threads:
             thread.join()
     wall = time.monotonic() - began
-    print(f"modules {' '.join(modules)}: {len(plan)} sites, {len(plan) - len(survivors)} killed, "
-          f"{len(survivors)} survived, {wall:.0f} s wall with {COPIES} copies")
+    print(f"modules {' '.join(modules)}: {len(plan)} sites, {outcomes['killed']} confirmed kills, "
+          f"{outcomes['unconfirmed']} unconfirmed kills, {outcomes['survived']} survived, "
+          f"{wall:.0f} s wall with {COPIES} copies")
     return 0
 
 

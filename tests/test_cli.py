@@ -391,6 +391,16 @@ class TestMontecarlo:
         assert self.counted_calls(CONFIGS / "strong_measurement.conf", capsys) == {
             "detector_params": 1, "damping_eta": 1, "joint_probability_table": 1}
 
+    def test_runs_read_the_loaded_config_as_the_experiment(self):
+        config = load_config(str(GOLDEN_CONFIG))
+        assert isinstance(config, conditioning.AveragedExperiment)
+        cli.run_montecarlo(config, 100, 1)
+        cli.run_povm(config)
+        # the parts each run read were built on the config itself, once for both runs
+        assert {"stats", "bundle", "eta", "fringes", "alphas"} <= vars(config).keys()
+        # and they take no part in equality
+        assert config == load_config(str(GOLDEN_CONFIG))
+
     def test_event_cap_runs_in_constant_time(self, capsys):
         # the tally draws four counts, so 2**53 events cost what 1000 do; 2 s leaves a wide margin
         argv = ["montecarlo", "--config", str(CONFIGS / "strong_measurement.conf"), "--seed", "7"]
@@ -775,6 +785,21 @@ class TestInteractionPhase:
         assert out == ""
         assert "dynamical phase" in err
 
+    def test_overflowing_dynamical_phase_keeps_its_message(self, tmp_path, capsys):
+        path = tmp_path / "erasure.conf"
+        text = (CONFIGS / "erasure.conf").read_text(encoding="utf-8")
+        path.write_text(text.replace("bias.fermi_energy = 10e-3", "bias.fermi_energy = 1e308"), encoding="utf-8")
+        assert run_cli(["interaction-phase", "--config", str(path)], capsys) == (
+            2, "", "config error: bias and geometry: the dynamical phase is not a finite number\n")
+
+    def test_fermi_energy_whose_joules_underflow_is_config_error(self, tmp_path, capsys):
+        # e * 1e-310 eV is zero joules: the dynamical phase names its rule, not a traceback
+        path = tmp_path / "erasure.conf"
+        text = (CONFIGS / "erasure.conf").read_text(encoding="utf-8")
+        path.write_text(text.replace("bias.fermi_energy = 10e-3", "bias.fermi_energy = 1e-310"), encoding="utf-8")
+        assert run_cli(["interaction-phase", "--config", str(path)], capsys) == (
+            2, "", "config error: bias and geometry: energy and velocity must be positive\n")
+
 
 @pytest.mark.parametrize("command, line", [
     (["scan", "--sweep", "voltage:0:1:3", "--quantities", "P_D1"],
@@ -838,9 +863,16 @@ def test_unallocatable_size_is_config_error(capsys, command):
     (lambda c: cli.run_erasure(c, 0.0, 1.0, 10.0), "sweep count must be an integer, got 10.0"),
     (lambda c: cli.run_montecarlo(c, 10.0, 7), "--n must be an integer, got 10.0"),
     (lambda c: cli.run_montecarlo(c, 10, 7.0), "--seed must be an integer, got 7.0"),
+    # min, max and < let a NaN bound through to the domain check or the grid
+    (lambda c: cli.run_scan(c, "gamma", math.nan, 1.0, 5, ("P_D1",)), "sweep minimum nan is not a finite number"),
+    (lambda c: cli.run_scan(c, "gamma", 0.0, math.nan, 5, ("P_D1",)), "sweep maximum nan is not a finite number"),
+    (lambda c: cli.run_erasure(c, 0.0, math.nan, 5), "sweep maximum nan is not a finite number"),
+    (lambda c: cli.run_erasure(c, math.nan, 1.0, 5), "sweep minimum nan is not a finite number"),
+    (lambda c: cli.run_erasure(c, -math.inf, 1.0, 5), "sweep minimum -inf is not a finite number"),
 ], ids=["scan-parameter", "scan-range", "scan-quantity", "erasure-count", "erasure-size", "montecarlo-n",
         "montecarlo-seed", "montecarlo-size", "scan-float-count", "erasure-float-count", "montecarlo-float-n",
-        "montecarlo-float-seed"])
+        "montecarlo-float-seed", "scan-nan-minimum", "scan-nan-maximum", "erasure-nan-maximum",
+        "erasure-nan-minimum", "erasure-infinite-minimum"])
 def test_run_function_checks_its_request(call, message):
     """A library call of a ``run_*`` function gets the CLI's check and message."""
     with pytest.raises(ConfigError) as raised:

@@ -13,19 +13,25 @@ import pytest
 
 from coupled_mzi import (
     AmbiguousMeasurementError,
+    ContextualValues,
     FringeParams,
     InterferometerConfig,
+    JointStatistics,
     ObservableCoefficients,
+    ObservableRangeError,
     ObservationBudget,
     PhysicalBias,
     PostSelectionImpossibleError,
+    PovmPair,
     average_current,
     contextual_values,
+    contextual_values_or_nan,
     detector_params,
     limit_contextual_values,
     measurement_operators,
     povm_pair,
     qpc_from_transmission,
+    reconstruct_average,
     require_post_selection,
     semiweak_value,
     xi_joint_interference,
@@ -96,6 +102,14 @@ def test_semiweak_tuning_tolerance_is_inclusive():
         limit_contextual_values("semiweak", 0.01, math.nextafter(1e-9, 1.0), n=0)
 
 
+def test_weak_tuning_tolerance_is_exclusive():
+    # sin(1e-9) rounds to 1e-9, the tolerance: the weak form still holds there
+    cv, _ = limit_contextual_values("weak", 0.01, 1e-9)
+    assert math.isfinite(cv.alpha_d1)
+    with pytest.raises(ValueError, match="weak regime requires phi_d away from multiples of pi"):
+        limit_contextual_values("weak", 0.01, math.nextafter(1e-9, 0.0))
+
+
 # eV = 1e-4 eV: k_B T equals eV / 10 exactly at this temperature, and
 # eV equals E_F / 10 exactly at E_F = 1e-3 eV (both checked in doubles below)
 EDGE_VOLTAGE, EDGE_TEMPERATURE, EDGE_FERMI = 1e-4, 0.11604518121550082, 1e-3
@@ -118,6 +132,49 @@ def test_average_current_range_is_inclusive(probability):
         assert math.isfinite(average_current(probability, bias))
     with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
         average_current(math.nextafter(probability, 2 * probability - 0.5), bias)
+
+
+def test_bias_voltage_of_zero_is_not_positive():
+    with pytest.raises(ValueError, match="^bias voltage must be positive$"):
+        PhysicalBias(0.0, 1e-2, 0.02)
+
+
+LOW, HIGH = -1e-12, 1.0 + 1e-12  # the tolerance edges of a probability
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["table", "stack"])
+def test_joint_table_range_is_inclusive(stacked):
+    # a cell at each edge, and cells that still sum to 1 within 1e-12
+    edges = np.array([[HIGH, LOW], [0.0, 0.0]])
+    shape = (2, 2, 2) if stacked else (2, 2)
+    assert np.array_equal(JointStatistics(np.broadcast_to(edges, shape)).joint, np.broadcast_to(edges, shape))
+    for beyond in ([[math.nextafter(HIGH, 2.0), LOW], [0.0, 0.0]], [[HIGH, math.nextafter(LOW, -1.0)], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+            JointStatistics(np.broadcast_to(beyond, shape))
+
+
+def test_povm_positivity_tolerance_is_inclusive():
+    assert PovmPair((LOW, 0.5), (HIGH, 0.5)).diag_d1 == (LOW, 0.5)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        PovmPair((math.nextafter(LOW, -1.0), 0.5), (HIGH, 0.5))
+
+
+@pytest.mark.parametrize("p_d1, p_d2", [(LOW, HIGH), (HIGH, LOW)])
+def test_drain_probability_range_is_inclusive(p_d1, p_d2):
+    cv = ContextualValues(1.0, 2.0)
+    assert reconstruct_average(cv, p_d1, p_d2) == p_d1 + 2.0 * p_d2
+    for beyond in ((math.nextafter(p_d1, 2 * p_d1 - 0.5), p_d2), (p_d1, math.nextafter(p_d2, 2 * p_d2 - 0.5))):
+        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+            reconstruct_average(cv, *beyond)
+
+
+@pytest.mark.parametrize("delta", [0.9, -0.9], ids=["alpha_D1", "alpha_D2"])
+def test_one_contextual_value_beyond_the_float_range_raises(delta):
+    # a3 / Gamma = 1e308 is finite: only 1 + Delta (alpha_D1) or 1 - Delta (alpha_D2) overflows
+    p = FringeParams(1.0, 1.0, 1.0, 1.0, delta)
+    for build in (contextual_values, contextual_values_or_nan):
+        with pytest.raises(ObservableRangeError):
+            build(ObservableCoefficients(0.0, 1e308), p)
 
 
 def test_post_selection_threshold_is_exclusive():

@@ -78,8 +78,13 @@ class TestCouplingPhase:
         (1e300, 1e-300, math.inf),  # inf * exp(-inf)
     ])
     def test_rejects_non_finite_phase(self, separation, screening, constant):
-        with pytest.raises(ValueError, match="coupling phase"):
+        with pytest.raises(ValueError, match="^coupling phase is not a finite number$"):
             InteractionGeometry(5e-6, separation, screening, 1e5, constant)
+
+    def test_length_whose_phase_overflows_keeps_the_message(self):
+        # position_phase names its own overflow of 2 L; the geometry keeps its message
+        with pytest.raises(ValueError, match="^coupling phase is not a finite number$"):
+            InteractionGeometry(1e308, 50e-9, 100e-9, 1e5, 8.9875e9)
 
     @pytest.mark.parametrize("length", [math.inf, math.nan, 10**400], ids=["inf", "nan", "beyond"])
     def test_non_finite_length_is_named(self, length):
@@ -107,6 +112,11 @@ class TestPositionPhase:
             position_phase(x, 0.0, GEOM)
         with pytest.raises(ValueError, match=f"^x2 {x} is not a finite number$"):
             position_phase(0.0, x, GEOM)
+
+    @pytest.mark.parametrize("x1, x2", [(1e308, 1e308), (-1e308, -1e308), (1e300, 1e300)])
+    def test_overflowing_phase_is_named(self, x1, x2):
+        with pytest.raises(ValueError, match="^the joint phase is not a finite number$"):
+            position_phase(x1, x2, GEOM)
 
     def test_interaction_distance(self):
         # separation grows with |x2 - x1|; the phase tracks the closed form
@@ -198,6 +208,15 @@ class TestDynamicalPhase:
         with pytest.raises(ValueError, match=f"^length {10**400} is not a finite number$"):
             dynamical_phase(1.0, 10**400, 1.0)
 
+    @pytest.mark.parametrize("arguments", [
+        (1e308, 1e-6, 1e5),  # 2 E overflows
+        (1e300, 1e-6, 1e5),  # the quotient overflows
+        (1.0, 1.0, 1e-320),  # hbar * v underflows to zero
+    ], ids=["product", "quotient", "underflow"])
+    def test_non_finite_phase_is_named(self, arguments):
+        with pytest.raises(ValueError, match="^the dynamical phase is not a finite number$"):
+            dynamical_phase(*arguments)
+
 
 class TestSequentialPhase:
     ENERGY = 10e-3 * ELEMENTARY_CHARGE
@@ -227,6 +246,11 @@ class TestSequentialPhase:
     ], ids=["nan-energy", "inf-energy", "t1", "t2", "huge-int-t2"])
     def test_non_finite_argument_named(self, arguments, name):
         with pytest.raises(ValueError, match=f"^{name} .* is not a finite number$"):
+            sequential_phase(*arguments)
+
+    @pytest.mark.parametrize("arguments", [(1e308, 0.0, 1.0), (1.0, -1e308, 1e308)], ids=["energy", "delay"])
+    def test_non_finite_phase_is_named(self, arguments):
+        with pytest.raises(ValueError, match="^the relative phase is not a finite number$"):
             sequential_phase(*arguments)
 
     def test_global_phase_leaves_statistics_unchanged(self, rng):

@@ -12,6 +12,7 @@ PACKAGE = ROOT / "src" / "coupled_mzi"
 
 ALLOWED_PRIVATE_IMPORTS = {
     ("cli", "params", "_index"),
+    ("cli", "params", "_require_finite"),
     ("conditioning", "params", "_coupling_term"),
     ("conditioning", "params", "_plain"),
     ("interaction", "params", "_require_finite"),

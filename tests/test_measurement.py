@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,15 @@ class TestDualPipeline:
             assert stats.p_detector(DetectorDrain.D1) == pytest.approx(p1, abs=1e-12)
             assert stats.p_detector(DetectorDrain.D2) == pytest.approx(p2, abs=1e-12)
 
+    @pytest.mark.parametrize("state", [[math.inf, 0.0], [0.0, math.nan], [1e308, 0.0], [0.0, 1e155j], [10**400, 0.0]],
+                             ids=["inf", "nan", "square-overflows", "imaginary-square-overflows", "beyond-double"])
+    def test_non_finite_probabilities_name_the_state(self, state):
+        povm = povm_pair(measurement_operators(balanced_mzi(0.4), 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^state gives a drain probability that is not a finite number$"):
+                povm_expectation(povm, state)
+
     def test_closed_form_drain_probabilities(self, rng):
         for _ in range(300):
             det, sysm = random_mzi(rng), random_mzi(rng)
@@ -447,7 +457,10 @@ class TestLimitForms:
         ("weak", math.nan, 0.3, None, "^gamma nan is not a finite number$"),
         ("semiweak", -0.1, 0.0, 0, "^semiweak regime forms require gamma > 0$"),
         ("semiweak", math.nan, 0.0, 0, "^gamma nan is not a finite number$"),
-    ], ids=["weak--0.1-0.3-None", "weak-nan-0.3-None", "semiweak--0.1-0.0-0", "semiweak-nan-0.0-0"])
+        ("weak", 0.0, 0.3, None, "^weak regime forms require gamma > 0$"),
+        ("semiweak", 0.0, 0.0, 0, "^semiweak regime forms require gamma > 0$"),
+    ], ids=["weak--0.1-0.3-None", "weak-nan-0.3-None", "semiweak--0.1-0.0-0", "semiweak-nan-0.0-0",
+            "weak-0.0-0.3-None", "semiweak-0.0-0.0-0"])
     def test_weak_forms_require_positive_gamma(self, regime, gamma, phi_d, n, message):
         with pytest.raises(ValueError, match=message):
             limit_contextual_values(regime, gamma, phi_d, n=n)

@@ -38,6 +38,7 @@ from coupled_mzi import (
     damping_eta,
     detector_drain_amplitudes,
     detector_params,
+    dynamical_phase,
     joint_amplitudes,
     joint_probability_table,
     load_config,
@@ -52,6 +53,7 @@ from coupled_mzi import (
     reduced_system_state,
     require_post_selection,
     semiweak_value,
+    sequential_phase,
     wavenumber_shift,
     weak_value,
     xi_joint_interference,
@@ -59,6 +61,7 @@ from coupled_mzi import (
 from coupled_mzi import cli
 from coupled_mzi.cli import _MAX_EXPONENT, _VECTOR_CELLS, _table_csv, _vector_rows
 from coupled_mzi.config import swept
+from coupled_mzi.interaction import HBAR
 from coupled_mzi.measurement import DIVERGENCE_THRESHOLD
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from coupled_mzi.scattering import ELEMENTARY_CHARGE, PLANCK_CONSTANT
@@ -630,24 +633,44 @@ def test_fringe_layer_gives_finite_values_or_names_the_bad_input(gamma, sigma, p
 
 
 GEOMETRY = InteractionGeometry(5e-6, 50e-9, 100e-9, 1e5, 8.9875e9)
+POVM = povm_pair(measurement_operators(
+    InterferometerConfig(qpc_from_transmission(0.3), qpc_from_transmission(0.6), 0.4), 1.0))
+HUGE = sys.float_info.max
+# the Coulomb rate at the channel separation, which position_phase(x, x) multiplies by 2x
+RATE = wavenumber_shift(GEOMETRY.channel_separation, GEOMETRY) * GEOMETRY.propagation_speed
 
 
 def _input_calls(x) -> dict:
     """Each constructor or function that takes ``x`` in one argument at a
     time, with finite values elsewhere: the inputs its errors may name,
-    whether it has a sign rule, and a call that returns its values or the
-    dataclasses it builds."""
+    whether it has a sign rule, a call that returns its values or the
+    dataclasses it builds, and whether a finite ``x`` is, within 0.1 %, far
+    enough out that a result, or a product on the way to it, leaves the
+    double range."""
+    a = abs(x) if _finite(x) else math.inf
     return {
         "ContextualValues": (("alpha_d1", "alpha_d2"), False,
-                             lambda: [ContextualValues(x, 1.0), ContextualValues(1.0, x)]),
+                             lambda: [ContextualValues(x, 1.0), ContextualValues(1.0, x)], False),
         "PhysicalBias": (("bias_voltage", "fermi_energy", "temperature"), True,
-                         lambda: [PhysicalBias(x, 1e-2, 0.02), PhysicalBias(1e-4, x, 0.02), PhysicalBias(1e-4, 1e-2, x)]),
+                         lambda: [PhysicalBias(x, 1e-2, 0.02), PhysicalBias(1e-4, x, 0.02), PhysicalBias(1e-4, 1e-2, x)],
+                         False),
         "ObservationBudget": (("path_length", "fermi_velocity", "target_rms", "tau_m"), True,
                               lambda: [ObservationBudget(x, 1e5, 0.1), ObservationBudget(1e-6, x, 0.1),
-                                       ObservationBudget(1e-6, 1e5, x), ObservationBudget(1e-6, 1e5, 0.1, x)]),
+                                       ObservationBudget(1e-6, 1e5, x), ObservationBudget(1e-6, 1e5, 0.1, x)], False),
         "position_phase": (("x1", "x2"), False,
-                           lambda: [position_phase(x, 0.0, GEOMETRY), position_phase(0.0, x, GEOMETRY)]),
-        "wavenumber_shift": (("separation",), True, lambda: [wavenumber_shift(x, GEOMETRY)]),
+                           lambda: [position_phase(x, 0.0, GEOMETRY), position_phase(0.0, x, GEOMETRY),
+                                    position_phase(x, x, GEOMETRY)], a > 0.999 * HUGE / (2.0 * RATE)),
+        "wavenumber_shift": (("separation",), True, lambda: [wavenumber_shift(x, GEOMETRY)], False),
+        "sequential_phase": (("energy", "t1", "t2"), True,
+                             lambda: [sequential_phase(x, 0.0, 1.0), sequential_phase(1.0, 0.0, x),
+                                      sequential_phase(1.0, -x, 0.0)], a > 0.999 * HUGE * HBAR),
+        "dynamical_phase": (("fermi_energy", "length", "fermi_velocity"), True,
+                            lambda: [dynamical_phase(x, 1.0, 1.0), dynamical_phase(1.0, x, 1.0),
+                                     dynamical_phase(1.0, 1.0, x)],
+                            not 1.001 * 2.0 / (HBAR * HUGE) <= a <= 0.999 * HUGE * HBAR / 2.0),
+        "povm_expectation": (("state",), False,
+                             lambda: [*povm_expectation(POVM, [x, 0.0]), *povm_expectation(POVM, [0.0, x])],
+                             a > 0.999 * math.sqrt(HUGE)),
     }
 
 
@@ -656,19 +679,25 @@ def _input_calls(x) -> dict:
 @example(x=10**400)
 @example(x=math.inf)
 @example(x=math.nan)
+@example(x=1e308)
+@example(x=-1e300)
+@example(x=1e-320)
 def test_constructors_take_finite_numbers_or_name_the_bad_input(x):
     """With warnings as errors, ``ContextualValues``, ``PhysicalBias``,
-    ``ObservationBudget``, ``position_phase`` and ``wavenumber_shift`` give
+    ``ObservationBudget``, ``position_phase``, ``wavenumber_shift``,
+    ``sequential_phase``, ``dynamical_phase`` and ``povm_expectation`` give
     finite numbers or raise ``ValueError``: an infinity or an int beyond the
     double range that passes every sign rule is named by its argument, not
-    met by ``OverflowError`` or kept.  ``ContextualValues`` and
-    ``position_phase`` have no sign rule and take every finite number;
-    ``ContextualValues`` keeps NaN, the ambiguity marker of
-    ``contextual_values_or_nan``, and ``position_phase`` names it."""
+    met by ``OverflowError`` or kept, and a finite input whose result leaves
+    the double range gets an error that names the result.
+    ``ContextualValues``, ``position_phase`` and ``povm_expectation`` have no
+    sign rule and take every other finite number; ``ContextualValues`` keeps
+    NaN, the ambiguity marker of ``contextual_values_or_nan``, and the others
+    name it."""
     finite = _finite(x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for name, (fields, signed, call) in _input_calls(x).items():
+        for name, (fields, signed, call, beyond) in _input_calls(x).items():
             keeps_nan = name == "ContextualValues"
             try:
                 built = call()
@@ -676,7 +705,7 @@ def test_constructors_take_finite_numbers_or_name_the_bad_input(x):
                 if not finite and (x == x or not keeps_nan) and (x > 0 or not signed):
                     assert any(str(error).startswith(f"{field} ") for field in fields), (name, error)
                 else:
-                    assert signed, (name, error)
+                    assert signed or (beyond and str(error).endswith(" is not a finite number")), (name, error)
                 continue
             assert finite or (keeps_nan and x != x), name
             values = [v for b in built for v in (astuple(b) if is_dataclass(b) else [b])]
