@@ -42,11 +42,13 @@ from .measurement import (
     contextual_values,
     contextual_values_or_nan,
     efficient_factorization,
-    limit_contextual_values,
     measurement_operators,
     povm_expectation,
     povm_pair,
     reconstruct_average,
+    semiweak_contextual_values,
+    strong_contextual_values,
+    weak_contextual_values,
 )
 from .params import (
     CouplingModel,

@@ -34,17 +34,18 @@ _MARGINAL_THRESHOLD = 1e-12
 
 
 def require_post_selection(marginals: dict) -> None:
-    """Require every marginal, a scalar or an array over a grid (``inf``
-    where unchecked) keyed by drain in checking order, to exceed 1e-12.
+    """Require every marginal, a scalar or an array over a grid of any
+    number of axes (``inf`` where unchecked) keyed by drain in checking
+    order, to exceed 1e-12.
 
     Raises :class:`PostSelectionImpossibleError` naming the first failing
-    drain at the first failing point, or ``ValueError`` naming it where
-    that marginal is NaN.
+    drain at the first failing point in C order, or ``ValueError`` naming it
+    where that marginal is NaN.
     """
     drains = list(marginals)
     if not drains:
         return
-    p = np.stack(np.broadcast_arrays(*(np.atleast_1d(marginals[d]) for d in drains)), axis=-1)
+    p = np.stack(np.broadcast_arrays(*(marginals[d] for d in drains)), axis=-1).reshape(-1, len(drains))
     failing = ~(p > _MARGINAL_THRESHOLD)  # NaN fails too
     if failing.any():
         point = int(np.argmax(failing.any(axis=-1)))

@@ -125,19 +125,17 @@ def povm_pair(m: MeasurementOperators) -> PovmPair:
 
 def povm_expectation(povm: PovmPair, state: np.ndarray) -> tuple:
     """Drain probabilities ``<state| E_D |state> = E_D . |state|^2``; a stack
-    of POVMs and a stack of states ``(..., 2)`` broadcast together.  A state
-    that gives a probability that is not a finite number (an entry that is
-    not, or whose squared modulus overflows) raises ``ValueError`` naming
-    the state."""
-    diagonals = np.asarray((povm.diag_d1, povm.diag_d2))
+    of POVMs and a stack of states ``(..., 2)`` broadcast together, and so do
+    one POVM and a stack of states.  A state that gives a probability that is
+    not a finite number (an entry that is not, or whose squared modulus
+    overflows) raises ``ValueError`` naming the state."""
     try:
         z = np.asarray(state, dtype=complex)
     except OverflowError:  # an int beyond the double range, an infinite entry here
         z = np.full(2, math.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         weights = z.real * z.real + z.imag * z.imag
-        # axis 0 of the diagonals is the drain, axis 1 the path: vecdot has np.dot's bits
-        probabilities = np.vecdot(diagonals, weights, axes=[(1,), (-1,), ()])
+        probabilities = [np.vecdot(np.stack(d, axis=-1), weights) for d in (povm.diag_d1, povm.diag_d2)]
     if not _all(np.isfinite(probabilities)):
         raise ValueError("state gives a drain probability that is not a finite number")
     return tuple(map(_plain, probabilities))
@@ -285,68 +283,54 @@ def efficient_factorization(det: InterferometerConfig, gamma: float) -> Efficien
     )
 
 
-def limit_contextual_values(
-    regime: str, gamma: float, phi_d: float, n: int | None = None
-) -> tuple[ContextualValues, PovmPair]:
-    """Closed-form limiting contextual values and POVM for V = 1 detectors.
+def _one_number(**values) -> None:
+    """Require each of ``values`` to be one finite number: an array or a
+    number that is not finite raises ``ValueError`` naming it."""
+    for name, x in values.items():
+        if getattr(x, "ndim", 0):
+            raise ValueError(f"the limit forms take one configuration: {name} must be a scalar")
+    _require_finite(**values)
 
-    Parameters
-    ----------
-    regime : {"strong", "weak", "semiweak"}
-        ``strong`` is the gamma = pi limit (requires ``gamma == pi``);
-        ``weak`` the small-gamma form at a tuning away from multiples of
-        pi; ``semiweak`` the small-gamma form exactly at ``phi_d = n pi``
-        (pass the integer ``n``, which no other regime takes), where one
-        drain stays projective.  ``weak`` and ``semiweak`` require
-        ``gamma > 0``.
-    gamma, phi_d : float
-        Coupling phase and detector tuning phase, radians: one
-        configuration, so arrays raise ``ValueError``.
 
-    Returns
-    -------
-    (ContextualValues, PovmPair) of the limiting closed forms; the weak
-    and semi-weak expressions are first-order forms whose error against
-    the exact values vanishes as O(gamma) and O(gamma^2) respectively.
-    """
-    if getattr(gamma, "ndim", 0) or getattr(phi_d, "ndim", 0):
-        raise ValueError("limit_contextual_values takes one configuration: "
-                         "gamma and phi_d must be scalars")
-    if n is not None and regime in ("strong", "weak"):
-        raise ValueError("n is only meaningful for the semiweak regime")
-    _require_finite(gamma=gamma, phi_d=phi_d)
-    if regime == "strong":
-        if not abs(gamma - math.pi) <= 1e-9:
-            raise ValueError("strong regime requires gamma = pi")
-        cos_phi = math.cos(phi_d)
-        if abs(cos_phi) <= DIVERGENCE_THRESHOLD:
-            raise AmbiguousMeasurementError(1.0, cos_phi, DIVERGENCE_THRESHOLD)
-        cv = ContextualValues(-1.0 / cos_phi, 1.0 / cos_phi)
-        low, high = 0.5 * (1.0 - cos_phi), 0.5 * (1.0 + cos_phi)
-        return cv, PovmPair((low, high), (high, low))
-    if regime == "weak":
-        sin_phi = math.sin(phi_d)
-        if abs(sin_phi) < 1e-9:
-            raise ValueError("weak regime requires phi_d away from multiples of pi")
-        if not gamma > 0.0:
-            raise ValueError("weak regime forms require gamma > 0")
-        cos_phi = math.cos(phi_d)
-        cv = ContextualValues(1.0 - (2.0 / gamma) * (1.0 + cos_phi) / sin_phi,
-                              1.0 + (2.0 / gamma) * (1.0 - cos_phi) / sin_phi)
-        low, high, shift = 0.5 * (1.0 - cos_phi), 0.5 * (1.0 + cos_phi), (gamma / 2.0) * sin_phi
-        return cv, PovmPair((low, low + shift), (high, high - shift))
-    if regime == "semiweak":
-        if not isinstance(n, (int, np.integer)):
-            raise ValueError("semiweak regime requires the integer n with phi_d = n pi")
-        _require_finite(n=n)
-        if not abs(phi_d - n * math.pi) <= 1e-9:
-            raise ValueError(f"semiweak regime requires phi_d = n*pi, got {phi_d!r}")
-        if not gamma > 0.0:
-            raise ValueError("semiweak regime forms require gamma > 0")
-        sign = -1.0 if n % 2 else 1.0
-        s2 = math.sin(gamma / 2.0) ** 2
-        c2 = math.cos(gamma / 2.0) ** 2
-        cv = ContextualValues(-(sign + c2) / s2, (sign - c2) / s2)
-        low, high = 0.5 * (1.0 - sign), 0.5 * (1.0 + sign)
-        return cv, PovmPair((low, low + sign * s2), (high, high - sign * s2))
-    raise ValueError(f"unknown regime {regime!r}")
+def strong_contextual_values(phi_d) -> tuple[ContextualValues, PovmPair]:
+    """Contextual values and POVM of a V = 1 detector at tuning ``phi_d`` in
+    the strong limit ``gamma = pi``: ``alpha_D = -+1 / cos(phi_d)``.  Raises
+    :class:`AmbiguousMeasurementError` where ``|cos(phi_d)| <= DIVERGENCE_THRESHOLD``."""
+    _one_number(phi_d=phi_d)
+    cos_phi = math.cos(phi_d)
+    if abs(cos_phi) <= DIVERGENCE_THRESHOLD:
+        raise AmbiguousMeasurementError(1.0, cos_phi, DIVERGENCE_THRESHOLD)
+    low, high = 0.5 * (1.0 - cos_phi), 0.5 * (1.0 + cos_phi)
+    return ContextualValues(-1.0 / cos_phi, 1.0 / cos_phi), PovmPair((low, high), (high, low))
+
+
+def weak_contextual_values(gamma, phi_d) -> tuple[ContextualValues, PovmPair]:
+    """First-order contextual values and POVM of a V = 1 detector at a small
+    coupling ``gamma > 0`` and a tuning ``phi_d`` with ``|sin(phi_d)| >= 1e-9``,
+    away from multiples of pi; their error against the exact values is O(gamma)."""
+    _one_number(gamma=gamma, phi_d=phi_d)
+    sin_phi, cos_phi = math.sin(phi_d), math.cos(phi_d)
+    if abs(sin_phi) < 1e-9:
+        raise ValueError("weak regime requires phi_d away from multiples of pi")
+    if not gamma > 0.0:
+        raise ValueError("weak regime forms require gamma > 0")
+    cv = ContextualValues(1.0 - (2.0 / gamma) * (1.0 + cos_phi) / sin_phi,
+                          1.0 + (2.0 / gamma) * (1.0 - cos_phi) / sin_phi)
+    low, high, shift = 0.5 * (1.0 - cos_phi), 0.5 * (1.0 + cos_phi), (gamma / 2.0) * sin_phi
+    return cv, PovmPair((low, low + shift), (high, high - shift))
+
+
+def semiweak_contextual_values(gamma, n) -> tuple[ContextualValues, PovmPair]:
+    """Contextual values and POVM of a V = 1 detector at a small coupling
+    ``gamma > 0`` and the tuning ``phi_d = n pi``, for the integer ``n``,
+    where one drain stays projective; their error is O(gamma^2)."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError("semiweak regime requires the integer n with phi_d = n pi")
+    _one_number(gamma=gamma, n=n)
+    if not gamma > 0.0:
+        raise ValueError("semiweak regime forms require gamma > 0")
+    sign = -1.0 if n % 2 else 1.0
+    s2, c2 = math.sin(gamma / 2.0) ** 2, math.cos(gamma / 2.0) ** 2
+    low, high = 0.5 * (1.0 - sign), 0.5 * (1.0 + sign)
+    cv = ContextualValues(-(sign + c2) / s2, (sign - c2) / s2)
+    return cv, PovmPair((low, low + sign * s2), (high, high - sign * s2))

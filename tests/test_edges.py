@@ -1,4 +1,4 @@
-"""Tests that pin what a mutation of the core showed unpinned: the ``"weak"``
+"""Tests that pin what a mutation of the core showed unpinned: the weak
 limit forms at tunings other than ``pi/2``, where ``cos phi_d = 0`` hides a
 swapped ``*``/``/`` or ``+``/``-``; ``semiweak_value`` away from ``V_s = 1``
 and ``cos phi_s = +-1``; and the exact edges of tolerance checks, where a
@@ -27,13 +27,13 @@ from coupled_mzi import (
     contextual_values,
     contextual_values_or_nan,
     detector_params,
-    limit_contextual_values,
     measurement_operators,
     povm_pair,
     qpc_from_transmission,
     reconstruct_average,
     require_post_selection,
     semiweak_value,
+    weak_contextual_values,
     xi_joint_interference,
 )
 from coupled_mzi.measurement import DIVERGENCE_THRESHOLD
@@ -49,7 +49,7 @@ def test_weak_forms_away_from_a_quarter_turn(phi_d, gamma):
     relative error is at most ``gamma`` (0.32-0.60 ``gamma`` at these
     tunings), and a POVM diagonal's error, ``|cos phi_d| gamma^2 / 8`` to
     leading order, at most ``gamma^2 / 4``."""
-    cv, povm = limit_contextual_values("weak", gamma, phi_d)
+    cv, povm = weak_contextual_values(gamma, phi_d)
     exact = contextual_values(ObservableCoefficients(), detector_params(balanced_mzi(phi_d), gamma))
     for limit, value in ((cv.alpha_d1, exact.alpha_d1), (cv.alpha_d2, exact.alpha_d2)):
         assert abs(limit - value) <= gamma * abs(value)
@@ -94,20 +94,12 @@ def test_detector_params_gamma_bound_is_inclusive(gamma):
         detector_params(det, math.nextafter(gamma, 2 * gamma))
 
 
-def test_semiweak_tuning_tolerance_is_inclusive():
-    # phi_d - 0 * pi is exactly 1e-9, the tolerance
-    cv, _ = limit_contextual_values("semiweak", 0.01, 1e-9, n=0)
-    assert math.isfinite(cv.alpha_d1)
-    with pytest.raises(ValueError, match="semiweak regime requires phi_d = n\\*pi"):
-        limit_contextual_values("semiweak", 0.01, math.nextafter(1e-9, 1.0), n=0)
-
-
 def test_weak_tuning_tolerance_is_exclusive():
     # sin(1e-9) rounds to 1e-9, the tolerance: the weak form still holds there
-    cv, _ = limit_contextual_values("weak", 0.01, 1e-9)
+    cv, _ = weak_contextual_values(0.01, 1e-9)
     assert math.isfinite(cv.alpha_d1)
     with pytest.raises(ValueError, match="weak regime requires phi_d away from multiples of pi"):
-        limit_contextual_values("weak", 0.01, math.nextafter(1e-9, 0.0))
+        weak_contextual_values(0.01, math.nextafter(1e-9, 0.0))
 
 
 # eV = 1e-4 eV: k_B T equals eV / 10 exactly at this temperature, and

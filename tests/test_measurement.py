@@ -18,13 +18,15 @@ from coupled_mzi import (
     detector_params,
     efficient_factorization,
     joint_probability_table,
-    limit_contextual_values,
     measurement_operators,
     povm_expectation,
     povm_pair,
     qpc_from_transmission,
     reconstruct_average,
     reduced_system_state,
+    semiweak_contextual_values,
+    strong_contextual_values,
+    weak_contextual_values,
 )
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from helpers import (
@@ -320,6 +322,17 @@ class TestDualPipeline:
             with pytest.raises(ValueError, match="^state gives a drain probability that is not a finite number$"):
                 povm_expectation(povm, state)
 
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_one_povm_takes_a_stack_of_states(self, count, rng):
+        povm = povm_pair(measurement_operators(InterferometerConfig(
+            qpc_from_transmission(0.6), qpc_from_transmission(0.5), 0.0), 1.0))
+        states = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+        states /= np.linalg.norm(states, axis=-1, keepdims=True)
+        p1, p2 = povm_expectation(povm, states)
+        assert p1.shape == p2.shape == (count,)
+        for i, state in enumerate(states):
+            assert (p1[i], p2[i]) == povm_expectation(povm, state)
+
     def test_closed_form_drain_probabilities(self, rng):
         for _ in range(300):
             det, sysm = random_mzi(rng), random_mzi(rng)
@@ -385,7 +398,7 @@ class TestEfficientFactorization:
 
 class TestLimitForms:
     def test_strong_values(self):
-        cv, povm = limit_contextual_values("strong", math.pi, 3 * math.pi / 4)
+        cv, povm = strong_contextual_values(3 * math.pi / 4)
         assert cv.alpha_d1 == pytest.approx(math.sqrt(2), abs=1e-12)
         assert cv.alpha_d2 == pytest.approx(-math.sqrt(2), abs=1e-12)
         exact = contextual_values(OBS, detector_params(balanced_mzi(3 * math.pi / 4), math.pi))
@@ -394,36 +407,32 @@ class TestLimitForms:
             povm.e_d1 - povm_pair(measurement_operators(balanced_mzi(3 * math.pi / 4), math.pi)).e_d1
         )) < 1e-12
 
-    def test_strong_requires_pi_coupling(self):
-        with pytest.raises(ValueError, match="gamma"):
-            limit_contextual_values("strong", 3.0, 0.0)
-
     def test_strong_completely_ambiguous_tuning(self):
         with pytest.raises(AmbiguousMeasurementError):
-            limit_contextual_values("strong", math.pi, math.pi / 2)
+            strong_contextual_values(math.pi / 2)
 
     def test_weak_values(self):
-        cv, _ = limit_contextual_values("weak", 0.01, math.pi / 2)
+        cv, _ = weak_contextual_values(0.01, math.pi / 2)
         assert cv.alpha_d1 == pytest.approx(1.0 - 200.0, abs=1e-9)
         assert cv.alpha_d2 == pytest.approx(1.0 + 200.0, abs=1e-9)
 
     def test_weak_rejects_critical_tuning(self):
         with pytest.raises(ValueError, match="phi_d"):
-            limit_contextual_values("weak", 0.01, 0.0)
+            weak_contextual_values(0.01, 0.0)
 
     def test_weak_convergence_is_first_order(self):
         gammas = np.array([0.1, 0.05, 0.025])
         errors = []
         for gamma in gammas:
             exact = contextual_values(OBS, detector_params(balanced_mzi(math.pi / 2), gamma))
-            approx, _ = limit_contextual_values("weak", gamma, math.pi / 2)
+            approx, _ = weak_contextual_values(gamma, math.pi / 2)
             errors.append(abs(exact.alpha_d1 - approx.alpha_d1))
         slope = np.polyfit(np.log(gammas), np.log(errors), 1)[0]
         assert slope >= 0.9
 
     def test_semiweak_eigenvalue_drain(self):
         gamma = 0.02
-        cv, _ = limit_contextual_values("semiweak", gamma, 0.0, n=0)
+        cv, _ = semiweak_contextual_values(gamma, 0)
         assert cv.alpha_d2 == pytest.approx(1.0, abs=1e-12)
         assert cv.alpha_d1 == pytest.approx(1.0 - 2.0 / math.sin(gamma / 2) ** 2, rel=1e-12)
         exact = contextual_values(OBS, detector_params(balanced_mzi(0.0), gamma))
@@ -435,62 +444,56 @@ class TestLimitForms:
         exact = contextual_values(OBS, detector_params(balanced_mzi(0.0), gamma))
         assert exact.alpha_d1 * math.sin(gamma / 2) ** 2 == pytest.approx(-2.0, abs=1e-3)
 
-    def test_semiweak_needs_matching_tuning(self):
-        with pytest.raises(ValueError, match="n"):
-            limit_contextual_values("semiweak", 0.01, math.pi / 2)
-        with pytest.raises(ValueError):
-            limit_contextual_values("semiweak", 0.01, math.pi, n=2)
-
     def test_semiweak_povm_matches_exact(self):
         gamma = 0.05
-        _, povm = limit_contextual_values("semiweak", gamma, math.pi, n=1)
+        _, povm = semiweak_contextual_values(gamma, 1)
         exact = povm_pair(measurement_operators(balanced_mzi(math.pi), gamma))
         assert np.max(np.abs(povm.e_d1 - exact.e_d1)) < 1e-12
 
-    @pytest.mark.parametrize("regime, gamma, phi_d", [("strong", math.pi, 0.3), ("weak", 0.1, 0.3)])
-    def test_n_only_in_the_semiweak_regime(self, regime, gamma, phi_d):
-        with pytest.raises(ValueError, match="^n is only meaningful for the semiweak regime$"):
-            limit_contextual_values(regime, gamma, phi_d, n=5)
-
-    @pytest.mark.parametrize("regime, gamma, phi_d, n, message", [
-        ("weak", -0.1, 0.3, None, "^weak regime forms require gamma > 0$"),
-        ("weak", math.nan, 0.3, None, "^gamma nan is not a finite number$"),
-        ("semiweak", -0.1, 0.0, 0, "^semiweak regime forms require gamma > 0$"),
-        ("semiweak", math.nan, 0.0, 0, "^gamma nan is not a finite number$"),
-        ("weak", 0.0, 0.3, None, "^weak regime forms require gamma > 0$"),
-        ("semiweak", 0.0, 0.0, 0, "^semiweak regime forms require gamma > 0$"),
+    # ids as (form, gamma, phi_d, n): the semi-weak cases sit at phi_d = n pi = 0
+    @pytest.mark.parametrize("call, message", [
+        (lambda: weak_contextual_values(-0.1, 0.3), "^weak regime forms require gamma > 0$"),
+        (lambda: weak_contextual_values(math.nan, 0.3), "^gamma nan is not a finite number$"),
+        (lambda: semiweak_contextual_values(-0.1, 0), "^semiweak regime forms require gamma > 0$"),
+        (lambda: semiweak_contextual_values(math.nan, 0), "^gamma nan is not a finite number$"),
+        (lambda: weak_contextual_values(0.0, 0.3), "^weak regime forms require gamma > 0$"),
+        (lambda: semiweak_contextual_values(0.0, 0), "^semiweak regime forms require gamma > 0$"),
     ], ids=["weak--0.1-0.3-None", "weak-nan-0.3-None", "semiweak--0.1-0.0-0", "semiweak-nan-0.0-0",
             "weak-0.0-0.3-None", "semiweak-0.0-0.0-0"])
-    def test_weak_forms_require_positive_gamma(self, regime, gamma, phi_d, n, message):
+    def test_weak_forms_require_positive_gamma(self, call, message):
         with pytest.raises(ValueError, match=message):
-            limit_contextual_values(regime, gamma, phi_d, n=n)
+            call()
 
-    @pytest.mark.parametrize("args, name", [
-        (("weak", 10**400, 1.0), "gamma"),
-        (("weak", math.inf, 1.0), "gamma"),
-        (("weak", 0.1, math.inf), "phi_d"),
-        (("strong", math.pi, math.nan), "phi_d"),
-        (("semiweak", 0.1, 0.0, 10**400), "n"),
+    @pytest.mark.parametrize("call, name", [
+        (lambda: weak_contextual_values(10**400, 1.0), "gamma"),
+        (lambda: weak_contextual_values(math.inf, 1.0), "gamma"),
+        (lambda: weak_contextual_values(0.1, math.inf), "phi_d"),
+        (lambda: strong_contextual_values(math.nan), "phi_d"),
+        (lambda: semiweak_contextual_values(0.1, 10**400), "n"),
     ], ids=["weak-huge-gamma", "weak-inf-gamma", "weak-inf-phi", "strong-nan-phi", "semiweak-huge-n"])
-    def test_numbers_checked_where_they_enter(self, args, name):
+    def test_numbers_checked_where_they_enter(self, call, name):
         # unchecked, these end in OverflowError, a math domain error or another check's message
         with pytest.raises(ValueError, match=f"^{name} .* is not a finite number$"):
-            limit_contextual_values(*args)
+            call()
 
     @pytest.mark.parametrize("n", [0.5, 1.0])
     def test_semiweak_requires_an_integer_n(self, n):
         # n = 0.5 would put a semiweak tuning at phi_d = pi/2
         with pytest.raises(ValueError, match="integer n"):
-            limit_contextual_values("semiweak", 0.1, n * math.pi, n=n)
-
-    def test_unknown_regime(self):
-        with pytest.raises(ValueError, match="regime"):
-            limit_contextual_values("medium", 1.0, 1.0)
+            semiweak_contextual_values(0.1, n)
 
     @pytest.mark.parametrize("gamma, phi_d", [(np.array([0.1, 0.2]), 0.3), (0.1, np.array([0.3, 0.4]))])
     def test_one_configuration(self, gamma, phi_d):
+        name = "gamma" if isinstance(gamma, np.ndarray) else "phi_d"
+        with pytest.raises(ValueError, match=f"^the limit forms take one configuration: {name} must be a scalar$"):
+            weak_contextual_values(gamma, phi_d)
+
+    @pytest.mark.parametrize("call", [lambda: strong_contextual_values(np.array([0.3, 0.4])),
+                                      lambda: semiweak_contextual_values(np.array([0.1, 0.2]), 0)],
+                             ids=["strong", "semiweak"])
+    def test_one_configuration_in_the_other_forms(self, call):
         with pytest.raises(ValueError, match="one configuration"):
-            limit_contextual_values("weak", gamma, phi_d)
+            call()
 
 
 NAN, INF = math.nan, math.inf
@@ -503,8 +506,6 @@ COUNTS = np.bincount([0, 2, 3], minlength=4)
     pytest.param(lambda: contextual_estimate(COUNTS, CV, probabilities=(INF, -INF)),
                  id="estimate-opposite-infs"),
     pytest.param(lambda: reconstruct_average(CV, NAN, NAN), id="reconstruct-nan"),
-    pytest.param(lambda: limit_contextual_values("strong", NAN, 0.3), id="strong-nan-gamma"),
-    pytest.param(lambda: limit_contextual_values("semiweak", 0.1, NAN, n=0), id="semiweak-nan-phi"),
     pytest.param(lambda: decompose_observable(np.array([[1.0, NAN], [NAN, 0.0]])), id="observable-nan"),
 ])
 def test_guards_reject_nan(call):

@@ -227,19 +227,30 @@ def _values(det, sysm, model) -> dict:
     }
 
 
+def _two_axes(count: int) -> tuple:
+    """A stack shape of two axes for ``count`` points: two rows where ``count``
+    is even, else one column."""
+    return (2, count // 2) if count % 2 == 0 else (count, 1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(points=st.lists(experiment_fields, min_size=1, max_size=8))
 # a POVM modulus whose multiplied square and C pow square differ in the last bit
 @example(points=[(0.0, 0.0, 0.0, 3.282977360150768e-123, 0.0, 1.0593358918616982, 0.0) + (0.0,) * 10])
 def test_stacked_experiment_matches_scalar_points_bit_for_bit(points):
-    """Every field an array: one stacked evaluation gives, point for point,
-    the bits of the scalar calls and of one-point stacks."""
+    """Every field an array: one stacked evaluation, on one axis and on two,
+    gives point for point (in C order) the bits of the scalar calls and of
+    one-point stacks."""
+    shape = _two_axes(len(points))
     stacked = _values(*_experiment([np.array(column) for column in zip(*points)]))
+    two_axes = _values(*_experiment([np.reshape(column, shape) for column in zip(*points)]))
     for i, fields in enumerate(points):
         one_point = _values(*_experiment([np.array([x]) for x in fields]))
         for name, value in _values(*_experiment(fields)).items():
             assert stacked[name].shape == (len(points), *value.shape), name
+            assert two_axes[name].shape == (*shape, *value.shape), name
             assert np.array_equal(stacked[name][i], value), (name, fields)
+            assert np.array_equal(two_axes[name].reshape(stacked[name].shape)[i], value), (name, fields)
             assert np.array_equal(one_point[name][0], value), (name, fields)
 
 
@@ -254,11 +265,19 @@ def _conditioning_calls(det, sysm, gamma, condition, n) -> dict:
     }
 
 
-def _conditioning_stack(points, name, condition):
-    """The values of the conditioning function ``name`` on a stack of ``(fields, n)``."""
+def _conditioning_stack(points, name, condition, shape):
+    """The values of the conditioning function ``name`` on a stack of
+    ``(fields, n)``, of the given shape, each flattened to one axis."""
     fields, n = zip(*points)
-    det, sysm, model = _experiment([np.array(column) for column in zip(*fields)])
-    return _conditioning_calls(det, sysm, model.gamma, condition, np.array(n))[name][0]()
+    det, sysm, model = _experiment([np.reshape(column, shape) for column in zip(*fields)])
+    values = _conditioning_calls(det, sysm, model.gamma, condition, np.reshape(n, shape))[name][0]()
+    assert {np.shape(x) for x in values} == {shape}, name
+    return [np.ravel(x) for x in values]
+
+
+# a balanced detector at gamma = 1 and a system whose QPCs both transmit fully, so
+# that no electron reaches the system drain S2
+BLOCKED_S2 = (0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.3, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -267,10 +286,14 @@ def _conditioning_stack(points, name, condition):
 # a detector epsilon whose C pow square and multiplied square differ in the last bit
 @example(points=[((0.6655874415571335, 0.0, 0.0, 0.3, 0.0, 0.0, 1.0, 0.6, 0.0, 0.0, 0.4, 0.0, 0.0, 0.5,
                    2.0, 0.0, 1.0), 0)], condition=SystemDrain.S1)
+# a post-selection that fails only at the last point, on the second row of two
+@example(points=[(BLOCKED_S2[:7] + (0.7, 0.0, 0.0, 0.4, 0.0, 0.0, 1.1) + BLOCKED_S2[14:], n) for n in range(3)]
+         + [(BLOCKED_S2, 3)], condition=SystemDrain.S2)
 def test_stacked_conditioning_matches_scalar_points_bit_for_bit(points, condition):
-    """A stack of the points where a conditioning function is defined gives,
-    point for point, the bits of the scalar calls, which return Python
-    numbers; a stack that holds a point where the function raises raises."""
+    """A stack of the points where a conditioning function is defined, on one
+    axis and on two, gives point for point (in C order) the bits of the
+    scalar calls, which return Python numbers; a stack that holds a point
+    where the function raises raises one of the errors of its points."""
     kept, errors = {}, {}
     for fields, n in points:
         det, sysm, model = _experiment(fields)
@@ -283,14 +306,15 @@ def test_stacked_conditioning_matches_scalar_points_bit_for_bit(points, conditio
             assert {type(x) for x in values} == {kind}, name
             kept.setdefault(name, []).append(((fields, n), values))
     for name, raised in errors.items():
-        with pytest.raises(tuple(raised)):
-            _conditioning_stack(points, name, condition)
+        for shape in ((len(points),), _two_axes(len(points))):
+            with pytest.raises(tuple(raised)):
+                _conditioning_stack(points, name, condition, shape)
     for name, rows in kept.items():
-        stacked = _conditioning_stack([point for point, _ in rows], name, condition)
-        for i, (point, values) in enumerate(rows):
-            for got, want in zip(stacked, values, strict=True):
-                assert got.shape == (len(rows),), name
-                assert np.array_equal(got[i], want), (name, point)
+        for shape in ((len(rows),), _two_axes(len(rows))):
+            stacked = _conditioning_stack([point for point, _ in rows], name, condition, shape)
+            for i, (point, values) in enumerate(rows):
+                for got, want in zip(stacked, values, strict=True):
+                    assert np.array_equal(got[i], want), (name, point, shape)
 
 
 # xi_joint_interference and reference.joint_interference take the same
