@@ -10,7 +10,6 @@ reproduces parameter sweeps and quantum-erasure fringes as CSV.
 
 from .conditioning import (
     AveragedExperiment,
-    conditioned_average,
     post_selected_average,
     require_post_selection,
     semiweak_value,

@@ -30,7 +30,7 @@ from functools import cache
 
 import numpy as np
 
-from .conditioning import require_post_selection
+from .conditioning import post_selected_average, require_post_selection
 from .config import SWEEPS, ExperimentConfig, check_sweep_domain, evaluate_number, load_config, swept
 from .errors import (
     AmbiguousMeasurementError,
@@ -253,7 +253,7 @@ def _marginal(e: ExperimentConfig, drain: DetectorDrain | SystemDrain) -> np.nda
 def _conditioned(e: ExperimentConfig, given, s: SystemDrain) -> np.ndarray:
     # ambiguity first: an inf-ambiguous point needs no post-selection
     given(s, where=~np.isnan(e.alphas.alpha_d1))
-    return e.conditioned_average(s)
+    return post_selected_average(e.alphas, e.stats, s)
 
 
 _D, _S = tuple(DetectorDrain), tuple(SystemDrain)
@@ -304,7 +304,7 @@ def _evaluate(config: ExperimentConfig, parameter: str, grid: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         columns = [_QUANTITIES[name](e, given) for name in names]
     require_post_selection({
-        drain: np.where(required[drain], _marginal(e, drain), np.inf)
+        drain: np.where(required[drain], _marginal(e, drain), 1.0)
         for drain in (*_D, *_S) if drain in required
     })
     return _table_csv([parameter, *names], np.column_stack(np.broadcast_arrays(grid, *columns)))

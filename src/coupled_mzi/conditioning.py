@@ -3,10 +3,11 @@
 :class:`AveragedExperiment` is the one averaged experiment that the library
 and every CLI subcommand read, and the one home of the coupling average: the
 joint table and detector bundle averaged over the coupling model, their
-contextual values, and the conditioned averages ``<sigma_z>_S = sum_D
-alpha_D P_{D|S}`` they give, the source of truth here.  The closed-form
-joint-interference term below takes the detector bundle and forms the
-system and pair coupling terms itself; it is verified against the pipeline,
+contextual values, and the conditioned average ``<sigma_z>_S = sum_D
+alpha_D P_{D|S}``, the source of truth here, checked for ambiguity and then
+for the post-selection on any coupling model.  ``scan`` reads its unchecked
+core, :func:`post_selected_average`, and checks each column itself.  The
+closed-form joint-interference term below is verified against the pipeline,
 not the other way around.  Conditioned averages may leave the eigenvalue
 range [-1, 1] (a quantum-interference signature) but are always bounded by
 the contextual values themselves.
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import AmbiguousMeasurementError, ObservableRangeError, PostSelectionImpossibleError
 from .measurement import DIVERGENCE_THRESHOLD, ContextualValues, contextual_values, contextual_values_or_nan
 from .params import (CouplingModel, FringeParams, InterferometerConfig, ObservableCoefficients, SystemDrain,
-                     _coupling_term, _plain, damping_eta, detector_params)
+                     _coupling_term, _plain, _require, damping_eta, detector_params)
 from .scattering import JointStatistics, joint_probability_table
 
 _MARGINAL_THRESHOLD = 1e-12
@@ -35,24 +36,26 @@ _MARGINAL_THRESHOLD = 1e-12
 
 def require_post_selection(marginals: dict) -> None:
     """Require every marginal, a scalar or an array over a grid of any
-    number of axes (``inf`` where unchecked) keyed by drain in checking
-    order, to exceed 1e-12.
+    number of axes keyed by drain in checking order, to exceed 1e-12.
 
-    Raises :class:`PostSelectionImpossibleError` naming the first failing
-    drain at the first failing point in C order, or ``ValueError`` naming it
-    where that marginal is NaN.
+    At the first failing drain of the first failing point in C order, raises
+    :class:`PostSelectionImpossibleError` where the marginal lies within
+    1e-12 of zero, and ``ValueError`` naming the drain where it is NaN or
+    outside the [-1e-12, 1 + 1e-12] that a probability may take.
     """
     drains = list(marginals)
     if not drains:
         return
     p = np.stack(np.broadcast_arrays(*(marginals[d] for d in drains)), axis=-1).reshape(-1, len(drains))
-    failing = ~(p > _MARGINAL_THRESHOLD)  # NaN fails too
+    failing = ~((p > _MARGINAL_THRESHOLD) & (p <= 1.0 + _MARGINAL_THRESHOLD))  # NaN fails too
     if failing.any():
         point = int(np.argmax(failing.any(axis=-1)))
         k = int(np.argmax(failing[point]))
-        if np.isnan(p[point, k]):
-            raise ValueError(f"the marginal of drain {drains[k].name} is not a number")
-        raise PostSelectionImpossibleError(drains[k].name, float(p[point, k]))
+        x, name = p[point, k], drains[k].name
+        if x != x:
+            raise ValueError(f"the marginal of drain {name} is not a number")
+        _require(abs(x) <= _MARGINAL_THRESHOLD, f"the marginal of drain {name} is {{}}, outside [0, 1]", x)
+        raise PostSelectionImpossibleError(name, float(x))
 
 
 def post_selected_average(cv: ContextualValues, stats: JointStatistics, condition: SystemDrain):
@@ -173,41 +176,15 @@ class AveragedExperiment:
         return contextual_values_or_nan(self.observable, self.bundle)
 
     def conditioned_average(self, condition: SystemDrain):
-        """:func:`post_selected_average` of :attr:`alphas`, which leaves the post-selection unchecked."""
-        return post_selected_average(self.alphas, self.stats, condition)
-
-
-def conditioned_average(
-    det: InterferometerConfig,
-    sys: InterferometerConfig,
-    gamma,
-    condition: SystemDrain,
-    obs: ObservableCoefficients = ObservableCoefficients(),
-):
-    """Conditioned average ``sum_D alpha_D P(D | condition)``.
-
-    Computed by the :class:`AveragedExperiment` at a steady coupling ``gamma``
-    in [0, 2 pi] from the amplitude table,
-    :func:`~coupled_mzi.scattering.joint_probability_table`; the closed
-    form with the joint-interference term (:func:`xi_joint_interference`)
-    agrees to 1e-10.  The value may lie outside [-1, 1] but never outside the
-    contextual values.
-
-    Raises
-    ------
-    PostSelectionImpossibleError
-        If the conditioning drain has vanishing probability.
-    AmbiguousMeasurementError
-        Propagated when the contextual values diverge.
-    ValueError
-        If ``gamma`` lies outside [0, 2 pi] or is not finite.
-    """
-    experiment = AveragedExperiment(det, sys, CouplingModel(gamma), obs)
-    # ambiguity first: a divergent measurement is undefined regardless of
-    # the post-selection, and scans map it to a sentinel rather than a failure
-    cv = contextual_values(obs, experiment.bundle)
-    require_post_selection({condition: experiment.stats.p_system(condition)})
-    return post_selected_average(cv, experiment.stats, condition)
+        """``sum_D alpha_D P(D | condition)``, :func:`post_selected_average` of
+        the contextual values, for any coupling model, on a point or a stack.
+        Raises :class:`AmbiguousMeasurementError` for the first ambiguous
+        point, and only then :class:`PostSelectionImpossibleError` for the
+        first point where ``condition`` has vanishing probability: a divergent
+        measurement is undefined whatever the post-selection."""
+        cv = contextual_values(self.observable, self.bundle)
+        require_post_selection({condition: self.stats.p_system(condition)})
+        return post_selected_average(cv, self.stats, condition)
 
 
 def _zero_coupling(sys: InterferometerConfig, condition: SystemDrain):

@@ -201,7 +201,8 @@ def contextual_estimate(
     counts : four integers
         Event counts per code ``2 d + s`` (:func:`sample_events_tally`, or
         ``np.bincount(codes, minlength=4)``), each of an integer type and
-        non-negative, with a positive total; only the drain ``d`` enters.
+        non-negative, with a positive total of at most ``2**53``, the most
+        events a double counts exactly; only the drain ``d`` enters.
     cv : ContextualValues
         Finite drain weights from :func:`~coupled_mzi.measurement.contextual_values`.
     probabilities : (P_D1, P_D2)
@@ -222,6 +223,8 @@ def contextual_estimate(
     if len(counts) != 4 or min(counts) < 0 or sum(counts) == 0:
         raise ValueError("counts must be four non-negative integers with a positive total")
     n1, n2, n = counts[0] + counts[1], counts[2] + counts[3], sum(counts)
+    if n > 2**53:
+        raise ValueError("counts total more than 2**53 events")
     a1, a2 = cv.alpha_d1, cv.alpha_d2
     if not (math.isfinite(a1) and math.isfinite(a2)):
         raise ValueError("contextual values must be finite numbers")

@@ -3,7 +3,7 @@ and closed-form drain probabilities.  Fixtures live in ``conftest.py``."""
 
 import numpy as np
 
-from coupled_mzi import InterferometerConfig, qpc_from_transmission
+from coupled_mzi import AveragedExperiment, CouplingModel, InterferometerConfig, ObservableCoefficients, qpc_from_transmission
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -28,6 +28,12 @@ def mzi(t1, chi1, xi1, t2, chi2, xi2, phi) -> InterferometerConfig:
     """An interferometer from its seven fields, each a number or an array."""
     return InterferometerConfig(qpc_from_transmission(t1, chi1, xi1),
                                 qpc_from_transmission(t2, chi2, xi2), phi)
+
+
+def steady(det: InterferometerConfig, sysm: InterferometerConfig, gamma,
+           obs: ObservableCoefficients = ObservableCoefficients()) -> AveragedExperiment:
+    """The experiment at a steady coupling phase ``gamma``, in [0, 2 pi]."""
+    return AveragedExperiment(det, sysm, CouplingModel(gamma), obs)
 
 
 def random_stack(rng: np.random.Generator, n: int, t_lo: float = 0.02, t_hi: float = 0.98) -> np.ndarray:

@@ -16,7 +16,6 @@ from coupled_mzi import (
     JointStatistics,
     ObservableCoefficients,
     ObservationBudget,
-    conditioned_average,
     contextual_estimate,
     contextual_values,
     coupling_phase,
@@ -49,6 +48,7 @@ from helpers import (
     random_stack,
     squared_moduli,
     stacked_experiment,
+    steady,
 )
 from reference import closed_form_table, raised_cosine_pdf, unitary_table
 
@@ -132,8 +132,8 @@ def test_criterion_05_weak_semiweak_competition():
     gamma = 1e-4
     weak_limit = weak_value(sysm, SystemDrain.S1).real
     semi_limit = semiweak_value(sysm, 0, SystemDrain.S1)
-    weak_avg = conditioned_average(balanced_mzi(math.pi / 2), sysm, gamma, SystemDrain.S1)
-    semi_avg = conditioned_average(balanced_mzi(0.0), sysm, gamma, SystemDrain.S1)
+    weak_avg = steady(balanced_mzi(math.pi / 2), sysm, gamma).conditioned_average(SystemDrain.S1)
+    semi_avg = steady(balanced_mzi(0.0), sysm, gamma).conditioned_average(SystemDrain.S1)
     err_weak = abs(weak_avg - 3.0)
     err_semi = abs(semi_avg - (-1.0))
     ok = (

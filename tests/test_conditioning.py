@@ -1,11 +1,14 @@
 import io
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from coupled_mzi import (
     AmbiguousMeasurementError,
+    AveragedExperiment,
     ContextualValues,
     CouplingModel,
     ExperimentConfig,
@@ -13,7 +16,6 @@ from coupled_mzi import (
     JointStatistics,
     ObservableRangeError,
     PostSelectionImpossibleError,
-    conditioned_average,
     contextual_values,
     post_selected_average,
     detector_params,
@@ -25,8 +27,9 @@ from coupled_mzi import (
     xi_joint_interference,
 )
 from coupled_mzi.cli import run_erasure, run_scan
+from coupled_mzi.config import swept
 from coupled_mzi.params import DetectorDrain, ObservableCoefficients, SystemDrain
-from helpers import balanced_mzi, random_mzi
+from helpers import balanced_mzi, random_mzi, steady
 from reference import coupling, fringe
 
 OBS = ObservableCoefficients()
@@ -108,6 +111,12 @@ class TestErasure:
         table = read_table(run_erasure(config, 0.0, cls.PHI_GRID[-1], len(cls.PHI_GRID)))
         assert table[:, 0] == pytest.approx(cls.PHI_GRID, abs=1e-15)
         return table.T
+
+    def test_two_points_are_the_bounds(self):
+        # the fewest points a sweep takes, in the order the bounds come
+        config = ExperimentConfig(balanced_mzi(0.3), balanced_mzi(0.0), CouplingModel(math.pi), OBS)
+        for bounds in ((0.5, 2.5), (2.5, 0.5)):
+            assert read_table(run_erasure(config, *bounds, 2))[:, 0].tolist() == list(bounds)
 
     @staticmethod
     def fringe_fit(values):
@@ -228,16 +237,16 @@ class TestConditionedAverage:
         for gamma in (0.3, 1.0, math.pi):
             det = balanced_mzi(0.4)
             for s in SystemDrain:
-                assert conditioned_average(det, lower, gamma, s) == pytest.approx(1.0, abs=1e-10)
-                assert conditioned_average(det, upper, gamma, s) == pytest.approx(-1.0, abs=1e-10)
+                assert steady(det, lower, gamma).conditioned_average(s) == pytest.approx(1.0, abs=1e-10)
+                assert steady(det, upper, gamma).conditioned_average(s) == pytest.approx(-1.0, abs=1e-10)
 
     def test_strong_unambiguous_detector_independent(self, rng):
         for _ in range(50):
             sysm = random_mzi(rng, t_lo=0.15, t_hi=0.85)
             det = balanced_mzi(0.0)
             d1, d2 = sysm.qpc1.delta, sysm.qpc2.delta
-            avg1 = conditioned_average(det, sysm, math.pi, SystemDrain.S1)
-            avg2 = conditioned_average(det, sysm, math.pi, SystemDrain.S2)
+            avg1 = steady(det, sysm, math.pi).conditioned_average(SystemDrain.S1)
+            avg2 = steady(det, sysm, math.pi).conditioned_average(SystemDrain.S2)
             assert avg1 == pytest.approx((d1 + d2) / (1 + d1 * d2), abs=1e-10)
             assert avg2 == pytest.approx((d1 - d2) / (1 - d1 * d2), abs=1e-10)
             assert -1.0 - 1e-12 <= avg1 <= 1.0 + 1e-12
@@ -253,7 +262,7 @@ class TestConditionedAverage:
             )
             beta_plus, _, v_s, *_ = fringe(sysm, math.pi, -phi_s)
             d1, d2 = sysm.qpc1.delta, sysm.qpc2.delta
-            avg = conditioned_average(balanced_mzi(phi_d), sysm, math.pi, SystemDrain.S1)
+            avg = steady(balanced_mzi(phi_d), sysm, math.pi).conditioned_average(SystemDrain.S1)
             expected = (d1 + d2) / beta_plus + (v_s / beta_plus) * math.tan(phi_d) * math.sin(phi_s)
             assert avg == pytest.approx(expected, abs=1e-10)
 
@@ -261,7 +270,7 @@ class TestConditionedAverage:
     def test_non_finite_coupling_names_gamma(self, gamma):
         # gamma is named by its role, the coupling phase, and by its value
         with pytest.raises(ValueError, match=rf"^coupling phase {gamma!r}, .* not all inside \[0, 2\*pi\]"):
-            conditioned_average(balanced_mzi(0.9), balanced_mzi(0.2), gamma, SystemDrain.S1)
+            steady(balanced_mzi(0.9), balanced_mzi(0.2), gamma).conditioned_average(SystemDrain.S1)
 
     @pytest.mark.parametrize("gamma", [-1e-300, -0.1, 2.0 * math.pi + 1e-15, 7.0, 2.0**31],
                              ids=["below-0", "-0.1", "above-2pi", "7", "2**31"])
@@ -269,18 +278,18 @@ class TestConditionedAverage:
         # gamma enters through a steady CouplingModel: the domain is [0, 2 pi],
         # narrower than the [-2**31, 2**31] that detector_params takes
         with pytest.raises(ValueError, match=r"^coupling phase .* not all inside \[0, 2\*pi\]"):
-            conditioned_average(balanced_mzi(0.9), balanced_mzi(0.2), gamma, SystemDrain.S1)
+            steady(balanced_mzi(0.9), balanced_mzi(0.2), gamma).conditioned_average(SystemDrain.S1)
 
     @pytest.mark.parametrize("gamma", [0.0, 2.0 * math.pi], ids=["0", "2pi"])
     def test_coupling_domain_edges_are_inside(self, gamma):
         # both edges pass the domain check and reach the ambiguity rule: no net coupling
         with pytest.raises(AmbiguousMeasurementError):
-            conditioned_average(balanced_mzi(0.9), balanced_mzi(0.2), gamma, SystemDrain.S1)
+            steady(balanced_mzi(0.9), balanced_mzi(0.2), gamma).conditioned_average(SystemDrain.S1)
 
     def test_near_ambiguous_erasure_divergence(self):
         det = balanced_mzi(math.pi / 2 - 0.01)
         sysm = balanced_mzi(math.pi / 2)
-        avg = conditioned_average(det, sysm, math.pi, SystemDrain.S1)
+        avg = steady(det, sysm, math.pi).conditioned_average(SystemDrain.S1)
         assert abs(avg) > 50.0
         cv = contextual_values(OBS, detector_params(det, math.pi))
         assert abs(avg) <= max(abs(cv.alpha_d1), abs(cv.alpha_d2)) + 1e-9
@@ -298,7 +307,7 @@ class TestConditionedAverage:
             if stats.system_marginals.min() < 1e-6:
                 continue
             total = sum(
-                conditioned_average(det, sysm, gamma, s) * stats.p_system(s)
+                steady(det, sysm, gamma).conditioned_average(s) * stats.p_system(s)
                 for s in SystemDrain
             )
             cv = contextual_values(OBS, dp)
@@ -321,17 +330,15 @@ class TestConditionedAverage:
             cv = contextual_values(OBS, dp)
             lo, hi = sorted((cv.alpha_d1, cv.alpha_d2))
             for s in SystemDrain:
-                value = conditioned_average(det, sysm, gamma, s)
+                value = steady(det, sysm, gamma).conditioned_average(s)
                 assert lo - 1e-9 <= value <= hi + 1e-9
             checked += 1
 
     def test_observable_offset_is_affine(self):
         det = balanced_mzi(0.7)
         sysm = SYSTEM_06
-        base = conditioned_average(det, sysm, 1.3, SystemDrain.S1)
-        shifted = conditioned_average(
-            det, sysm, 1.3, SystemDrain.S1, ObservableCoefficients(a0=0.5, a3=2.0)
-        )
+        base = steady(det, sysm, 1.3).conditioned_average(SystemDrain.S1)
+        shifted = steady(det, sysm, 1.3, ObservableCoefficients(a0=0.5, a3=2.0)).conditioned_average(SystemDrain.S1)
         assert shifted == pytest.approx(0.5 + 2.0 * base, abs=1e-10)
 
     def test_impossible_post_selection(self):
@@ -343,20 +350,19 @@ class TestConditionedAverage:
         stats = JointStatistics(joint_probability_table(det, sysm, 2.0))
         assert stats.p_system(SystemDrain.S2) == pytest.approx(0.0, abs=1e-15)
         with pytest.raises(PostSelectionImpossibleError) as excinfo:
-            conditioned_average(det, sysm, 2.0, SystemDrain.S2)
+            steady(det, sysm, 2.0).conditioned_average(SystemDrain.S2)
         assert excinfo.value.drain == "S2"
 
     def test_contextual_value_beyond_the_float_range_raises(self):
         det = balanced_mzi(0.0)
         with pytest.raises(ObservableRangeError, match="^observable: a contextual value is not a finite number$"):
-            conditioned_average(det, det, 0.5, SystemDrain.S1, ObservableCoefficients(a3=1e308))
+            steady(det, det, 0.5, ObservableCoefficients(a3=1e308)).conditioned_average(SystemDrain.S1)
 
     def test_stacked_average_beyond_the_float_range_raises_without_a_warning(self):
         # the system of configs/strong_measurement.conf over phi_s; the drain sum overflows
         sysm = InterferometerConfig(qpc_from_transmission(0.8), qpc_from_transmission(0.5), np.linspace(0, 6, 200))
         with pytest.raises(ObservableRangeError, match="^observable: a contextual value is not a finite number$"):
-            conditioned_average(balanced_mzi(0.0), sysm, 0.5, SystemDrain.S1,
-                                ObservableCoefficients(1.7976931348623157e308, 1e-300))
+            steady(balanced_mzi(0.0), sysm, 0.5, ObservableCoefficients(1.7976931348623157e308, 1e-300)).conditioned_average(SystemDrain.S1)
 
     def test_infinite_average_raises_and_nan_passes(self):
         # finite values overflow where a cell of -1e-12 makes P(D | S1) = (-1, 2)
@@ -366,9 +372,32 @@ class TestConditionedAverage:
         stats = JointStatistics(joint_probability_table(balanced_mzi(0.3), SYSTEM_06, 1.0))
         assert math.isnan(post_selected_average(ContextualValues(math.nan, 0.0), stats, SystemDrain.S1))
 
+    @pytest.mark.parametrize("coupling", [CouplingModel(1.0), CouplingModel(1.0, 0.5, 0.9)],
+                             ids=["steady", "fluctuating"])
+    def test_ambiguity_is_checked_before_the_post_selection(self, coupling):
+        # a detector with V = 0 carries no which-path information, and a system
+        # whose QPCs both transmit fully never reaches S2, at any coupling
+        blind = InterferometerConfig(qpc_from_transmission(1.0), qpc_from_transmission(0.5), 0.4)
+        # a stack whose first point fails only the post-selection and whose second fails both
+        stack = InterferometerConfig(qpc_from_transmission(np.array([0.5, 1.0])), qpc_from_transmission(0.5), 0.4)
+        dark_s2 = make_system(1.0, 1.0, 0.0)
+        for det, error in ((blind, AmbiguousMeasurementError), (balanced_mzi(0.4), PostSelectionImpossibleError),
+                           (stack, AmbiguousMeasurementError)):
+            with pytest.raises(error):
+                AveragedExperiment(det, dark_s2, coupling).conditioned_average(SystemDrain.S2)
+
+    def test_fluctuating_deck_gives_the_scan_cells_bits(self):
+        config = ExperimentConfig(balanced_mzi(1.0), SYSTEM_06, CouplingModel(math.pi / 2, 0.5, 0.9), OBS)
+        table = read_table(run_scan(config, "phi_s", 0.0, 6.0, 7, ("cond_avg_S1", "cond_avg_S2")))
+        for column, s in enumerate(SystemDrain, start=1):
+            assert np.array_equal(swept(config, "phi_s", table[:, 0]).conditioned_average(s), table[:, column])
+            for phi_s, cell in table[:, [0, column]]:
+                point = replace(config, system=replace(SYSTEM_06, tuning_phase=float(phi_s)))
+                assert point.conditioned_average(s) == cell, (s, phi_s)
+
     def test_ambiguous_measurement_propagates(self):
         with pytest.raises(AmbiguousMeasurementError):
-            conditioned_average(balanced_mzi(0.4), SYSTEM_06, 0.0, SystemDrain.S1)
+            steady(balanced_mzi(0.4), SYSTEM_06, 0.0).conditioned_average(SystemDrain.S1)
 
 
 class TestWeakValue:
@@ -408,12 +437,12 @@ class TestWeakValue:
                 assert wv.imag == pytest.approx(oracle.imag, abs=1e-10)
 
     def test_weak_coupling_oracle(self):
-        avg = conditioned_average(balanced_mzi(math.pi / 2), SYSTEM_06, 1e-4, SystemDrain.S1)
+        avg = steady(balanced_mzi(math.pi / 2), SYSTEM_06, 1e-4).conditioned_average(SystemDrain.S1)
         assert avg == pytest.approx(3.0, abs=1e-2)
         # a balanced detector away from phi_d = pi/2 has the weak value as its limit too
         for phi_d, sysm in ((math.pi / 2, SYSTEM_06), (1.0, make_system(0.7, 0.4, 1.1))):
             for s in SystemDrain:
-                avg = conditioned_average(balanced_mzi(phi_d), sysm, 1e-4, s)
+                avg = steady(balanced_mzi(phi_d), sysm, 1e-4).conditioned_average(s)
                 assert avg == pytest.approx(weak_value(sysm, s).real, abs=1e-2)
 
     def test_vanishing_overlap_rejected(self):
@@ -433,13 +462,25 @@ class TestWeakValue:
     @pytest.mark.parametrize("marginals", [
         {SystemDrain.S1: math.nan},
         {SystemDrain.S1: np.array([0.5, math.nan])},
-        {DetectorDrain.D1: np.array([0.5, np.inf]), SystemDrain.S2: np.array([0.5, math.nan])},
+        {DetectorDrain.D1: np.array([0.5, 1.0]), SystemDrain.S2: np.array([0.5, math.nan])},
     ], ids=["point", "stack", "beside-unchecked"])
     def test_nan_marginal_names_its_drain(self, marginals):
         # every comparison with NaN is false, so `nan <= 1e-12` alone let it pass
         drain = list(marginals)[-1].name
         with pytest.raises(ValueError, match=f"^the marginal of drain {drain} is not a number$"):
             require_post_selection(marginals)
+
+
+    @pytest.mark.parametrize("marginal, shown", [
+        (10**400, str(10**400)), (math.inf, "inf"), (2.0, "2.0"), (1.0 + 2e-12, str(1.0 + 2e-12)),
+        (-(10**400), str(-(10**400))), (-math.inf, "-inf"), (-1.0, "-1.0"), (-2e-12, "-2e-12"),
+        (np.array([[0.5, 2.0], [0.0, 0.5]]), "2.0"),
+    ], ids=["beyond", "inf", "2", "above-1", "-beyond", "-inf", "-1", "below-0", "stack"])
+    def test_marginal_outside_the_probability_range_names_its_drain(self, marginal, shown):
+        # not a probability: neither passed nor reported as a vanishing post-selection,
+        # also where a later point of the stack has one
+        with pytest.raises(ValueError, match=rf"^the marginal of drain S1 is {re.escape(shown)}, outside \[0, 1\]$"):
+            require_post_selection({SystemDrain.S1: marginal})
 
 
 class TestSemiWeakValue:
@@ -463,9 +504,9 @@ class TestSemiWeakValue:
             semiweak_value(SYSTEM_06, n, SystemDrain.S1)
 
     def test_weak_coupling_oracle_even_parity(self):
-        avg = conditioned_average(balanced_mzi(0.0), SYSTEM_06, 1e-4, SystemDrain.S1)
+        avg = steady(balanced_mzi(0.0), SYSTEM_06, 1e-4).conditioned_average(SystemDrain.S1)
         assert avg == pytest.approx(-1.0, abs=1e-2)
-        avg = conditioned_average(balanced_mzi(0.0), SYSTEM_06, 1e-4, SystemDrain.S2)
+        avg = steady(balanced_mzi(0.0), SYSTEM_06, 1e-4).conditioned_average(SystemDrain.S2)
         assert avg == pytest.approx(semiweak_value(SYSTEM_06, 0, SystemDrain.S2), abs=1e-2)
 
 
@@ -481,7 +522,7 @@ class TestWeakLimitCompetition:
         wv = weak_value(self.SYSTEM_GENERIC, SystemDrain.S1).real
         gammas = np.array([0.1, 0.05, 0.025])
         errors = [
-            abs(conditioned_average(balanced_mzi(math.pi / 2), self.SYSTEM_GENERIC, g, SystemDrain.S1) - wv)
+            abs(steady(balanced_mzi(math.pi / 2), self.SYSTEM_GENERIC, g).conditioned_average(SystemDrain.S1) - wv)
             for g in gammas
         ]
         slope = np.polyfit(np.log(gammas), np.log(errors), 1)[0]
@@ -491,7 +532,7 @@ class TestWeakLimitCompetition:
         sw = semiweak_value(self.SYSTEM_EXTREMUM, 0, SystemDrain.S1)
         gammas = np.array([0.1, 0.05, 0.025])
         errors = [
-            abs(conditioned_average(balanced_mzi(0.0), self.SYSTEM_EXTREMUM, g, SystemDrain.S1) - sw)
+            abs(steady(balanced_mzi(0.0), self.SYSTEM_EXTREMUM, g).conditioned_average(SystemDrain.S1) - sw)
             for g in gammas
         ]
         slope = np.polyfit(np.log(gammas), np.log(errors), 1)[0]

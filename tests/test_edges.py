@@ -176,6 +176,17 @@ def test_post_selection_threshold_is_exclusive():
     require_post_selection({SystemDrain.S1: math.nextafter(1e-12, 1.0)})
 
 
+def test_post_selection_range_edges_are_inclusive():
+    # -1e-12 is a vanishing post-selection and 1 + 1e-12 a probability; the doubles beyond are neither
+    with pytest.raises(PostSelectionImpossibleError) as excinfo:
+        require_post_selection({SystemDrain.S1: -1e-12})
+    assert excinfo.value.probability == -1e-12
+    require_post_selection({SystemDrain.S1: 1.0 + 1e-12})
+    for beyond in (math.nextafter(-1e-12, -1.0), math.nextafter(1.0 + 1e-12, 2.0)):
+        with pytest.raises(ValueError, match="^the marginal of drain S1 is .*, outside"):
+            require_post_selection({SystemDrain.S1: beyond})
+
+
 def test_joint_interference_darkness_threshold_is_inclusive():
     # epsilon of T = 2.5e-19 is 1e-9 exactly, and a balanced second QPC's is 1
     dark = InterferometerConfig(qpc_from_transmission(2.5e-19), qpc_from_transmission(0.5), 0.3)

@@ -15,6 +15,7 @@ ALLOWED_PRIVATE_IMPORTS = {
     ("cli", "params", "_require_finite"),
     ("conditioning", "params", "_coupling_term"),
     ("conditioning", "params", "_plain"),
+    ("conditioning", "params", "_require"),
     ("interaction", "params", "_require_finite"),
     ("measurement", "params", "_all"),
     ("measurement", "params", "_plain"),

@@ -31,7 +31,7 @@ from coupled_mzi import (
     PostSelectionImpossibleError,
     average_current,
     concurrence,
-    conditioned_average,
+    contextual_estimate,
     contextual_values,
     contextual_values_or_nan,
     cross_noise_power,
@@ -65,7 +65,7 @@ from coupled_mzi.interaction import HBAR
 from coupled_mzi.measurement import DIVERGENCE_THRESHOLD
 from coupled_mzi.params import DetectorDrain, SystemDrain
 from coupled_mzi.scattering import ELEMENTARY_CHARGE, PLANCK_CONSTANT
-from helpers import SIGMA_0, SIGMA_3, mzi
+from helpers import SIGMA_0, SIGMA_3, mzi, steady
 from reference import closed_form_table, detector_transfer, fringe, joint_interference, unitary_table
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "unbalanced.conf"
@@ -254,12 +254,13 @@ def test_stacked_experiment_matches_scalar_points_bit_for_bit(points):
             assert np.array_equal(one_point[name][0], value), (name, fields)
 
 
-def _conditioning_calls(det, sysm, gamma, condition, n) -> dict:
+def _conditioning_calls(det, sysm, model, condition, n) -> dict:
     """Every broadcasting conditioning function, as a call that returns a
     list of its values and the Python type of one configuration's values."""
     return {
-        "conditioned_average": (lambda: [conditioned_average(det, sysm, gamma, condition)], float),
-        "xi_joint_interference": (lambda: [xi_joint_interference(det, sysm, gamma)], float),
+        "AveragedExperiment.conditioned_average":
+            (lambda: [AveragedExperiment(det, sysm, model).conditioned_average(condition)], float),
+        "xi_joint_interference": (lambda: [xi_joint_interference(det, sysm, model.gamma)], float),
         "weak_value": (lambda: [weak_value(sysm, condition)], complex),
         "semiweak_value": (lambda: [semiweak_value(sysm, n, condition)], float),
     }
@@ -270,7 +271,7 @@ def _conditioning_stack(points, name, condition, shape):
     ``(fields, n)``, of the given shape, each flattened to one axis."""
     fields, n = zip(*points)
     det, sysm, model = _experiment([np.reshape(column, shape) for column in zip(*fields)])
-    values = _conditioning_calls(det, sysm, model.gamma, condition, np.reshape(n, shape))[name][0]()
+    values = _conditioning_calls(det, sysm, model, condition, np.reshape(n, shape))[name][0]()
     assert {np.shape(x) for x in values} == {shape}, name
     return [np.ravel(x) for x in values]
 
@@ -297,7 +298,7 @@ def test_stacked_conditioning_matches_scalar_points_bit_for_bit(points, conditio
     kept, errors = {}, {}
     for fields, n in points:
         det, sysm, model = _experiment(fields)
-        for name, (call, kind) in _conditioning_calls(det, sysm, model.gamma, condition, n).items():
+        for name, (call, kind) in _conditioning_calls(det, sysm, model, condition, n).items():
             try:
                 values = call()
             except (AmbiguousMeasurementError, PostSelectionImpossibleError) as exc:
@@ -405,7 +406,7 @@ def _one_configuration_calls(det, sysm, model, condition, n) -> dict:
         "reconstruct_average": (lambda: [reconstruct_average(cv, p_d1, p_d2)], float),
         "average_current": (lambda: [average_current(p_d1, BIAS)], float),
         "post_selected_average": (lambda: [post_selected_average(cv, stats, condition)], float),
-        **_conditioning_calls(det, sysm, gamma, condition, n),
+        **_conditioning_calls(det, sysm, model, condition, n),
     }
 
 
@@ -460,7 +461,7 @@ def test_angle_path_matches_transmission_path(thetas):
 def test_conditioned_average_between_contextual_values(det, sysm, gamma, condition):
     try:
         cv = contextual_values(ObservableCoefficients(), detector_params(det, gamma))
-        value = conditioned_average(det, sysm, gamma, condition)
+        value = steady(det, sysm, gamma).conditioned_average(condition)
     except (AmbiguousMeasurementError, PostSelectionImpossibleError):
         assume(False)
     low, high = sorted((cv.alpha_d1, cv.alpha_d2))
@@ -695,7 +696,21 @@ def _input_calls(x) -> dict:
         "povm_expectation": (("state",), False,
                              lambda: [*povm_expectation(POVM, [x, 0.0]), *povm_expectation(POVM, [0.0, x])],
                              a > 0.999 * math.sqrt(HUGE)),
+        "require_post_selection": (("the marginal",), True, lambda: [_post_selection(x)], False),
+        "contextual_estimate": (("counts",), True,
+                                lambda: [contextual_estimate([x, 0, 1, 0], ContextualValues(-1.0, 1.0), (0.5, 0.5))],
+                                False),
     }
+
+
+def _post_selection(x):
+    """``x`` where ``require_post_selection`` takes it as a marginal, or the
+    probability of the vanishing post-selection that it reports."""
+    try:
+        require_post_selection({SystemDrain.S1: x})
+    except PostSelectionImpossibleError as error:
+        return error.probability
+    return x
 
 
 @settings(max_examples=150, deadline=None)
@@ -709,8 +724,9 @@ def _input_calls(x) -> dict:
 def test_constructors_take_finite_numbers_or_name_the_bad_input(x):
     """With warnings as errors, ``ContextualValues``, ``PhysicalBias``,
     ``ObservationBudget``, ``position_phase``, ``wavenumber_shift``,
-    ``sequential_phase``, ``dynamical_phase`` and ``povm_expectation`` give
-    finite numbers or raise ``ValueError``: an infinity or an int beyond the
+    ``sequential_phase``, ``dynamical_phase``, ``povm_expectation``,
+    ``require_post_selection`` (of a marginal) and ``contextual_estimate``
+    (of a count) give finite numbers or raise ``ValueError``: an infinity or an int beyond the
     double range that passes every sign rule is named by its argument, not
     met by ``OverflowError`` or kept, and a finite input whose result leaves
     the double range gets an error that names the result.
@@ -808,8 +824,9 @@ def test_scan_row_is_the_two_point_scan_at_its_point(parameter, fluctuating, cou
 
 
 def _conditioned_average_before(det, sysm, gamma, condition, obs):
-    """``conditioned_average`` as it was before :class:`AveragedExperiment` held
-    it: the raw detector bundle's contextual values and the amplitude table."""
+    """The checked conditioned average as it was before
+    :class:`AveragedExperiment` held it: the raw detector bundle's contextual
+    values and the amplitude table."""
     cv = contextual_values(obs, detector_params(det, gamma))
     stats = JointStatistics(joint_probability_table(det, sysm, gamma))
     require_post_selection({condition: stats.p_system(condition)})
@@ -829,28 +846,42 @@ def _outcome(call):
          obs=ObservableCoefficients())
 @example(fields=(0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.8, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
          obs=ObservableCoefficients())  # no coupling: ambiguous
+@example(fields=BLOCKED_S2, obs=ObservableCoefficients())  # no post-selection on S2
+@example(fields=BLOCKED_S2[:15] + (0.5, 0.9), obs=ObservableCoefficients())  # the same, fluctuating
 def test_experiment_gives_the_scan_row_and_conditioned_average_its_bits(fields, obs):
     """At a random point, fluctuating or not, ``AveragedExperiment``'s
-    conditioned averages have the bits of ``scan``'s ``cond_avg_*`` row at that
-    point, NaN where it prints ``inf-ambiguous``; and ``conditioned_average``
-    gives the bits, or the error, of its route before the object held it."""
+    checked conditioned average raises ``AmbiguousMeasurementError`` where
+    its contextual values are NaN, else ``PostSelectionImpossibleError``
+    where ``P_S <= 1e-12``, else gives a float; it has the bits of ``scan``'s
+    ``cond_avg_*`` cell at that point, and raises the ambiguity error where
+    the cell is ``inf-ambiguous``.  At the point's steady coupling it gives
+    the bits, or the error, of its route before the object held it."""
     det, sysm, model = _experiment(fields)
     experiment = AveragedExperiment(det, sysm, model, obs)
     config = replace(load_config(str(GOLDEN_CONFIG)), detector=det, system=sysm, coupling=model, observable=obs)
     phi_s = sysm.tuning_phase  # the first row of a scan from phi_s is the point itself
-    try:
-        text = cli.run_scan(config, "phi_s", phi_s, phi_s + 1.0, 2, ("cond_avg_S1", "cond_avg_S2"))
-    except PostSelectionImpossibleError:
-        assume(False)
-    row = text.splitlines()[1].split(",")
-    assert float(row[0]) == phi_s
-    for cell, condition in zip(row[1:], SystemDrain, strict=True):
-        got = experiment.conditioned_average(condition)
-        want = math.nan if cell == "inf-ambiguous" else float(cell)
-        assert got == want or (got != got and want != want), (condition, got, cell)
-        args = (det, sysm, model.gamma, condition, obs)  # the point's steady coupling
-        new, old = _outcome(lambda: conditioned_average(*args)), _outcome(lambda: _conditioned_average_before(*args))
+    for condition in SystemDrain:
+        got = _outcome(lambda: experiment.conditioned_average(condition))
+        if math.isnan(experiment.alphas.alpha_d1):
+            assert got is AmbiguousMeasurementError, (condition, got)
+        elif experiment.stats.p_system(condition) <= 1e-12:
+            assert got is PostSelectionImpossibleError, (condition, got)
+        else:
+            assert type(got) is float, (condition, got)
+        # at the point's steady coupling
+        new = _outcome(lambda: steady(det, sysm, model.gamma, obs).conditioned_average(condition))
+        old = _outcome(lambda: _conditioned_average_before(det, sysm, model.gamma, condition, obs))
         assert new == old and type(new) is type(old), (condition, new, old)
+        column = f"cond_avg_{condition.name}"
+        try:
+            row = cli.run_scan(config, "phi_s", phi_s, phi_s + 1.0, 2, (column,)).splitlines()[1].split(",")
+        except PostSelectionImpossibleError:
+            continue  # at this point, or at the scan's second one
+        assert float(row[0]) == phi_s
+        if row[1] == "inf-ambiguous":
+            assert got is AmbiguousMeasurementError, (condition, got)
+        else:
+            assert got == float(row[1]), (condition, got, row[1])
 
 
 def _bits(word: int) -> float:

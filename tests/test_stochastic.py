@@ -832,6 +832,15 @@ class TestContextualEstimate:
         with pytest.raises(ValueError, match="^counts must be four non-negative integers with a positive total$"):
             contextual_estimate(counts, ContextualValues(-1.0, 1.0), (0.5, 0.5))
 
+    @pytest.mark.parametrize("counts", [[10**400, 0, 0, 0], [2**53, 0, 1, 0], np.full(4, 2**62, np.uint64)],
+                             ids=["beyond-double", "2**53+1", "uint64"])
+    def test_counts_beyond_2_53_rejected(self, counts):
+        # a double holds every count only up to 2**53, which the run_* functions cap too
+        with pytest.raises(ValueError, match=r"^counts total more than 2\*\*53 events$"):
+            contextual_estimate(counts, ContextualValues(-1.0, 1.0), (0.5, 0.5))
+        report = contextual_estimate([2**53 - 1, 0, 1, 0], ContextualValues(-1.0, 1.0), (0.5, 0.5))
+        assert report.n == 2**53
+
     def test_other_integer_types_read(self):
         counts, cv = np.array([1, 1, 1, 2]), ContextualValues(-1.0, 1.0)
         expected = contextual_estimate(counts, cv, (0.5, 0.5))
