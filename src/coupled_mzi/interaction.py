@@ -12,6 +12,13 @@ phase, which never reaches the drain statistics.
 (Coulomb's-constant-like), chosen so phases come out in radians; use
 :func:`geometry_for_phase` to solve for the constant that realizes a
 target phase in a given geometry.
+
+Each entry point checks its sign rules first, then raises ``ValueError``
+naming an input that is not a finite number (NaN, an infinity or a Python
+int beyond the double range).  Every phase returns through one guard,
+:func:`_finite`: a phase that is not a finite number, counting ``hbar``
+times a length or speed that underflows to zero as infinite, raises
+``ValueError`` naming the phase (``the joint phase is not a finite number``).
 """
 
 from __future__ import annotations
@@ -29,9 +36,9 @@ HBAR = PLANCK_CONSTANT / (2.0 * math.pi)
 class InteractionGeometry:
     """Geometry of the copropagation region.
 
-    ``copropagation_length`` may be zero (no interaction region) and must be
-    finite; the remaining lengths, the speed, and the interaction constant
-    must be strictly positive, and the coupling phase they give must be finite.
+    ``copropagation_length`` may be zero (no interaction region); the
+    remaining lengths, the speed, and the interaction constant must be
+    strictly positive.  All five, and the coupling phase they give, must be finite.
     """
 
     copropagation_length: float  # m
@@ -43,10 +50,10 @@ class InteractionGeometry:
     def __post_init__(self):
         if self.copropagation_length < 0:
             raise ValueError("copropagation length must be non-negative")
-        _require_finite(copropagation_length=self.copropagation_length)
         for name in ("channel_separation", "screening_length", "propagation_speed", "coulomb_constant"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        _require_finite(**vars(self))
         try:
             coupling_phase(self)
         except ValueError:  # the phase overflows, or hbar * channel_separation underflows to zero
@@ -67,19 +74,24 @@ def position_phase(x1: float, x2: float, geom: InteractionGeometry) -> float:
     """Position-dependent joint phase ``gamma(x1, x2)``.
 
     ``(alpha e^2 / (hbar r)) exp(-r/lambda) (x1 + x2) / v`` with the
-    interaction distance ``r = sqrt(d^2 + (x2 - x1)^2)``.  A position that is
-    not a finite number raises ``ValueError`` naming ``x1`` or ``x2``, and so
-    does a phase that is not (``x1 + x2`` may overflow, or ``hbar * r``
-    underflow to zero), naming the phase.
+    interaction distance ``r = sqrt(d^2 + (x2 - x1)^2)``.
     """
     _require_finite(x1=x1, x2=x2)
     r = math.hypot(geom.channel_separation, x2 - x1)
+    return _finite(lambda: _coulomb_rate(r, geom) * (x1 + x2) / geom.propagation_speed,
+                   "the joint phase is not a finite number")
+
+
+def _finite(compute, message: str) -> float:
+    """The phase that ``compute()`` gives, a ``ZeroDivisionError`` (``hbar``
+    times a length or speed underflows to zero) counting as infinite; raises
+    ``ValueError(message)`` unless it is a finite number."""
     try:
-        phase = _coulomb_rate(r, geom) * (x1 + x2) / geom.propagation_speed
-    except ZeroDivisionError:  # hbar * r underflows to zero
+        phase = compute()
+    except ZeroDivisionError:
         phase = math.inf
     if not math.isfinite(phase):
-        raise ValueError("the joint phase is not a finite number")
+        raise ValueError(message)
     return phase
 
 
@@ -93,59 +105,41 @@ def wavenumber_shift(separation: float, geom: InteractionGeometry) -> float:
 
     ``delta k = (alpha e^2 / (hbar v r)) exp(-r/lambda)``; integrating it
     over the sum coordinate across the interaction region reproduces
-    :func:`coupling_phase`.  A ``separation`` that is not a finite number, or
-    so small that the shift is not (``hbar * separation`` may underflow to
-    zero), raises ``ValueError`` naming it.
+    :func:`coupling_phase`.  A shift that is not a finite number is named by
+    its ``separation``, as too small.
     """
     if not separation > 0:  # NaN fails
         raise ValueError("separation must be positive")
     _require_finite(separation=separation)
-    try:
-        shift = _coulomb_rate(separation, geom) / geom.propagation_speed
-    except ZeroDivisionError:  # hbar * separation underflows to zero
-        shift = math.inf
-    if not math.isfinite(shift):
-        raise ValueError(f"separation {separation} is too small: the wave-number shift is not a finite number")
-    return shift
+    return _finite(lambda: _coulomb_rate(separation, geom) / geom.propagation_speed,
+                   f"separation {separation} is too small: the wave-number shift is not a finite number")
 
 
 def dynamical_phase(fermi_energy: float, length: float, fermi_velocity: float) -> float:
     """Free single-particle dynamical phase ``2 E_F L / (hbar v_F)``.
 
     ``fermi_energy`` in joules.  A copropagating pair accumulates twice
-    this value.  A non-finite argument raises ``ValueError`` naming it, and
-    so does a phase that is not a finite number (``hbar * fermi_velocity``
-    may underflow to zero), naming the phase.
+    this value.
     """
     if not (fermi_energy > 0 and fermi_velocity > 0):  # NaN fails
         raise ValueError("energy and velocity must be positive")
     if not length >= 0:
         raise ValueError("length must be non-negative")
     _require_finite(fermi_energy=fermi_energy, length=length, fermi_velocity=fermi_velocity)
-    try:
-        phase = 2.0 * fermi_energy * length / (HBAR * fermi_velocity)
-    except ZeroDivisionError:  # hbar * fermi_velocity underflows to zero
-        phase = math.inf
-    if not math.isfinite(phase):
-        raise ValueError("the dynamical phase is not a finite number")
-    return phase
+    return _finite(lambda: 2.0 * fermi_energy * length / (HBAR * fermi_velocity),
+                   "the dynamical phase is not a finite number")
 
 
 def sequential_phase(energy: float, t1: float, t2: float) -> float:
     """Relative phase ``E (t2 - t1) / hbar`` between staggered drain detections.
 
     This is a global phase of the collapsed joint state: it must not (and
-    does not) change any drain statistics.  A non-finite argument raises
-    ``ValueError`` naming it, and so does a phase that is not a finite
-    number, naming the phase.
+    does not) change any drain statistics.
     """
     if not t2 >= t1:  # NaN fails
         raise ValueError("second detection cannot precede the first")
     _require_finite(energy=energy, t1=t1, t2=t2)
-    phase = energy * (t2 - t1) / HBAR
-    if not math.isfinite(phase):
-        raise ValueError("the relative phase is not a finite number")
-    return phase
+    return _finite(lambda: energy * (t2 - t1) / HBAR, "the relative phase is not a finite number")
 
 
 def geometry_for_phase(
@@ -158,8 +152,8 @@ def geometry_for_phase(
     """Geometry whose interaction constant realizes a target coupling phase.
 
     Raises ``ValueError`` when the solved constant does not reproduce the
-    target within 1e-9 relative, e.g. when it underflows, and when
-    ``e^2 * 2 * length`` underflows to zero.
+    target within 1e-9 relative, e.g. when it underflows, when it overflows
+    (naming ``coulomb_constant``), and when ``e^2 * 2 * length`` underflows to zero.
     """
     if target_gamma <= 0:
         raise ValueError("target phase must be positive")
@@ -167,6 +161,9 @@ def geometry_for_phase(
         raise ValueError("target phase requires a positive interaction length")
     if screening_length <= 0:
         raise ValueError("screening_length must be positive")
+    _require_finite(target_gamma=target_gamma, copropagation_length=copropagation_length,
+                    channel_separation=channel_separation, screening_length=screening_length,
+                    propagation_speed=propagation_speed)
     try:
         alpha = (
             target_gamma

@@ -4,13 +4,15 @@
 
 A site is a binary ``+``/``-`` (swapped), ``*``/``/`` (swapped), ``**``
 (made ``*``), or a comparison ``<``/``<=``, ``>``/``>=`` or ``==``/``!=``
-(flipped to its partner), inside a function or method of the five core
-modules ``scattering``, ``measurement``, ``conditioning``, ``stochastic`` and
-``params``.  Sites are taken module by module in that order, then in source
-order.  Each mutant changes one operator in the source text of the tree that
-``git archive REV`` gives (a commit, or a tree such as ``git write-tree``
-makes of the index), in one of ``COPIES`` copies run side by side, and runs
-``python -m pytest -x -q tests`` there; it survives when the suite passes.
+(flipped to its partner), inside a function or method of the eight modules
+of the package that hold code: the core ``scattering``, ``measurement``,
+``conditioning``, ``stochastic`` and ``params``, then ``interaction``,
+``config`` and ``cli``.  Sites are taken module by module in that order, then
+in source order; ``--modules`` picks a subset.  Each mutant changes one
+operator in the source text of the tree that ``git archive REV`` gives (a
+commit, or a tree such as ``git write-tree`` makes of the index), in one of
+``COPIES`` copies run side by side, and runs ``python -m pytest -x -q tests``
+there; it survives when the suite passes.
 A run that fails, errors or exceeds ``TIMEOUT`` seconds is a kill only once
 it is confirmed: the first failing test of the run (the first ``FAILED`` or
 ``ERROR`` line of its summary) is run again alone on the same mutant, or the
@@ -41,16 +43,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIES = min(os.cpu_count() or 1, 4)  # one suite run per CPU, at most 4 at once to bound memory
 TIMEOUT = 300.0  # seconds; the whole suite takes under a minute
-MODULES = ("scattering", "measurement", "conditioning", "stochastic", "params")
+MODULES = ("scattering", "measurement", "conditioning", "stochastic", "params", "interaction", "config", "cli")
 SWAPS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*"),
          ast.Pow: ("**", "*"), ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
          ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
 
 
 def _offset(lines: list[str], line: int, col: int) -> int:
-    """The character offset of a 1-based line and a 0-based column (UTF-8 bytes
-    in the AST, characters here: the core modules are ASCII)."""
-    return sum(len(text) for text in lines[:line - 1]) + col
+    """The character offset of a 1-based line and a 0-based column, which the
+    AST counts in UTF-8 bytes."""
+    return sum(len(text) for text in lines[:line - 1]) + len(lines[line - 1].encode()[:col].decode())
 
 
 def _operator_at(source: str, lines: list[str], left: ast.AST, right: ast.AST, symbol: str) -> int:

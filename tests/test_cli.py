@@ -792,6 +792,14 @@ class TestInteractionPhase:
         assert run_cli(["interaction-phase", "--config", str(path)], capsys) == (
             2, "", "config error: bias and geometry: the dynamical phase is not a finite number\n")
 
+    def test_finite_single_phase_whose_pair_overflows_is_config_error(self, tmp_path, capsys):
+        # 1e303 eV gives a single-particle phase of 1.5e308 rad, finite, and a pair phase that is not
+        path = tmp_path / "erasure.conf"
+        text = (CONFIGS / "erasure.conf").read_text(encoding="utf-8")
+        path.write_text(text.replace("bias.fermi_energy = 10e-3", "bias.fermi_energy = 1e303"), encoding="utf-8")
+        assert run_cli(["interaction-phase", "--config", str(path)], capsys) == (
+            2, "", "config error: bias and geometry: the dynamical phase is not a finite number\n")
+
     def test_fermi_energy_whose_joules_underflow_is_config_error(self, tmp_path, capsys):
         # e * 1e-310 eV is zero joules: the dynamical phase names its rule, not a traceback
         path = tmp_path / "erasure.conf"

@@ -472,8 +472,8 @@ class TestWeakValue:
 
 
     @pytest.mark.parametrize("marginal, shown", [
-        (10**400, str(10**400)), (math.inf, "inf"), (2.0, "2.0"), (1.0 + 2e-12, str(1.0 + 2e-12)),
-        (-(10**400), str(-(10**400))), (-math.inf, "-inf"), (-1.0, "-1.0"), (-2e-12, "-2e-12"),
+        (10**400, str(10**400)), (math.inf, "inf"), (2.0, "2.0"), (1.0 + 4e-12, str(1.0 + 4e-12)),
+        (-(10**400), str(-(10**400))), (-math.inf, "-inf"), (-1.0, "-1.0"), (-3e-12, "-3e-12"),
         (np.array([[0.5, 2.0], [0.0, 0.5]]), "2.0"),
     ], ids=["beyond", "inf", "2", "above-1", "-beyond", "-inf", "-1", "below-0", "stack"])
     def test_marginal_outside_the_probability_range_names_its_drain(self, marginal, shown):
@@ -481,6 +481,18 @@ class TestWeakValue:
         # also where a later point of the stack has one
         with pytest.raises(ValueError, match=rf"^the marginal of drain S1 is {re.escape(shown)}, outside \[0, 1\]$"):
             require_post_selection({SystemDrain.S1: marginal})
+
+    @pytest.mark.parametrize("d2s1", [1e-12, 2e-12], ids=["two-cell", "normalization"])
+    def test_marginals_of_an_accepted_table_are_marginals(self, d2s1):
+        # cells up to 1e-12 outside [0, 1] and a total within 1e-12 of 1 put P_S1 at
+        # 1.0000000000020002 or 1.000000000003 and P_S2 at -2e-12
+        stats = JointStatistics(np.array([[1.0 + 1e-12, -1e-12], [d2s1, -1e-12]]))
+        require_post_selection({SystemDrain.S1: stats.p_system(SystemDrain.S1)})
+        cv = ContextualValues(-1.0, 1.0)
+        assert post_selected_average(cv, stats, SystemDrain.S1) == pytest.approx(-1.0, abs=1e-11)
+        with pytest.raises(PostSelectionImpossibleError) as excinfo:
+            require_post_selection({SystemDrain.S2: stats.p_system(SystemDrain.S2)})
+        assert excinfo.value.probability == -2e-12
 
 
 class TestSemiWeakValue:

@@ -177,12 +177,12 @@ def test_post_selection_threshold_is_exclusive():
 
 
 def test_post_selection_range_edges_are_inclusive():
-    # -1e-12 is a vanishing post-selection and 1 + 1e-12 a probability; the doubles beyond are neither
+    # -2e-12 is a vanishing post-selection and 1 + 3e-12 a marginal; the doubles beyond are neither
     with pytest.raises(PostSelectionImpossibleError) as excinfo:
-        require_post_selection({SystemDrain.S1: -1e-12})
-    assert excinfo.value.probability == -1e-12
-    require_post_selection({SystemDrain.S1: 1.0 + 1e-12})
-    for beyond in (math.nextafter(-1e-12, -1.0), math.nextafter(1.0 + 1e-12, 2.0)):
+        require_post_selection({SystemDrain.S1: -2e-12})
+    assert excinfo.value.probability == -2e-12
+    require_post_selection({SystemDrain.S1: 1.0 + 3e-12})
+    for beyond in (math.nextafter(-2e-12, -1.0), math.nextafter(1.0 + 3e-12, 2.0)):
         with pytest.raises(ValueError, match="^the marginal of drain S1 is .*, outside"):
             require_post_selection({SystemDrain.S1: beyond})
 

@@ -28,6 +28,24 @@ GEOM = InteractionGeometry(
 )
 
 
+POSITIVE_FIELDS = ["channel_separation", "screening_length", "propagation_speed", "coulomb_constant"]
+
+
+@pytest.mark.parametrize("call, message", [
+    *[(lambda field=field: replace(GEOM, **{field: 0.0}), f"{field} must be positive") for field in POSITIVE_FIELDS],
+    (lambda: wavenumber_shift(0.0, GEOM), "separation must be positive"),
+    (lambda: dynamical_phase(0.0, 1.0, 1.0), "energy and velocity must be positive"),
+    (lambda: dynamical_phase(1.0, 1.0, 0.0), "energy and velocity must be positive"),
+    (lambda: geometry_for_phase(0.0, 5e-6, 50e-9, 100e-9, 1e5), "target phase must be positive"),
+    (lambda: geometry_for_phase(2.2, 0.0, 50e-9, 100e-9, 1e5), "target phase requires a positive interaction length"),
+    (lambda: geometry_for_phase(2.2, 5e-6, 50e-9, 0.0, 1e5), "screening_length must be positive"),
+], ids=[*POSITIVE_FIELDS, "separation", "fermi_energy", "fermi_velocity", "target_gamma", "length", "screening"])
+def test_zero_fails_the_sign_rule_by_its_message(call, message):
+    # a zero that passed its sign rule would fail a later check with another message
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestCouplingPhase:
     def test_zero_length(self):
         geom = InteractionGeometry(0.0, 50e-9, 100e-9, 1e5, 8.9875e9)
@@ -75,7 +93,7 @@ class TestCouplingPhase:
 
     @pytest.mark.parametrize("separation, screening, constant", [
         (1e-300, 100e-9, 1e300),  # hbar * d underflows to zero
-        (1e300, 1e-300, math.inf),  # inf * exp(-inf)
+        (1e-30, 100e-9, 1e308),  # the rate overflows
     ])
     def test_rejects_non_finite_phase(self, separation, screening, constant):
         with pytest.raises(ValueError, match="^coupling phase is not a finite number$"):
@@ -90,6 +108,17 @@ class TestCouplingPhase:
     def test_non_finite_length_is_named(self, length):
         with pytest.raises(ValueError, match=f"^copropagation_length {length} is not a finite number$"):
             InteractionGeometry(length, 50e-9, 100e-9, 1e5, 8.9875e9)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 10**400], ids=["inf", "nan", "beyond"])
+    @pytest.mark.parametrize("field", POSITIVE_FIELDS)
+    def test_non_finite_field_is_named(self, field, value):
+        # an infinite separation, screening length or speed gives a finite phase: only this check rejects it
+        with pytest.raises(ValueError, match=f"^{field} {value} is not a finite number$"):
+            replace(GEOM, **{field: value})
+
+    def test_sign_rules_come_before_finiteness(self):
+        with pytest.raises(ValueError, match="^propagation_speed must be positive$"):
+            replace(GEOM, copropagation_length=math.inf, channel_separation=math.inf, propagation_speed=-1.0)
 
 
 class TestPositionPhase:
@@ -268,6 +297,22 @@ class TestGeometryForPhase:
         for target in (0.1, math.pi / 2, math.pi, 5.0):
             geom = geometry_for_phase(target, 5e-6, 50e-9, 100e-9, 1e5)
             assert coupling_phase(geom) == pytest.approx(target, rel=1e-12)
+
+    def test_round_trip_of_a_large_target_is_within_the_relative_bound(self):
+        # 1e6 comes back a few ulps off, so the 1e-9 bound is relative to the target, not absolute
+        geom = geometry_for_phase(1e6, 5e-6, 50e-9, 100e-9, 1e5)
+        assert coupling_phase(geom) != 1e6
+        assert coupling_phase(geom) == pytest.approx(1e6, rel=1e-12)
+
+    @pytest.mark.parametrize("index", range(5))
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 10**400], ids=["inf", "nan", "beyond"])
+    def test_non_finite_argument_is_named(self, index, value):
+        names = ["target_gamma", "copropagation_length", "channel_separation", "screening_length",
+                 "propagation_speed"]
+        arguments = [2.2, 5e-6, 50e-9, 100e-9, 1e5]
+        arguments[index] = value
+        with pytest.raises(ValueError, match=f"^{names[index]} {value} is not a finite number$"):
+            geometry_for_phase(*arguments)
 
     def test_rejects_degenerate_targets(self):
         with pytest.raises(ValueError):
