@@ -29,7 +29,7 @@ from .errors import AmbiguousMeasurementError, ObservableRangeError, PostSelecti
 from .measurement import DIVERGENCE_THRESHOLD, ContextualValues, contextual_values, contextual_values_or_nan
 from .params import (CouplingModel, FringeParams, InterferometerConfig, ObservableCoefficients, SystemDrain,
                      _coupling_term, _plain, _require, damping_eta, detector_params)
-from .scattering import JointStatistics, joint_probability_table
+from .scattering import JointStatistics, _is_marginal, joint_probability_table
 
 _MARGINAL_THRESHOLD = 1e-12
 
@@ -39,24 +39,20 @@ def require_post_selection(marginals: dict) -> None:
     number of axes keyed by drain in checking order, to exceed 1e-12.
 
     At the first failing drain of the first failing point in C order, raises
-    :class:`PostSelectionImpossibleError` where the marginal lies in
-    [-2e-12, 1e-12], and ``ValueError`` naming the drain where it is NaN or
-    outside [-2e-12, 1 + 3e-12]: the marginals of a :class:`JointStatistics`
-    table, two cells of at least -1e-12 each in a total within 1e-12 of 1.
-    """
+    ``ValueError`` naming the drain where the marginal is NaN or not in the
+    range of a :class:`JointStatistics` marginal, else :class:`PostSelectionImpossibleError`."""
     drains = list(marginals)
     if not drains:
         return
     p = np.stack(np.broadcast_arrays(*(marginals[d] for d in drains)), axis=-1).reshape(-1, len(drains))
-    failing = ~((p > _MARGINAL_THRESHOLD) & (p <= 1.0 + 3 * _MARGINAL_THRESHOLD))  # NaN fails too
+    failing = ~((p > _MARGINAL_THRESHOLD) & _is_marginal(p))  # NaN fails too
     if failing.any():
         point = int(np.argmax(failing.any(axis=-1)))
         k = int(np.argmax(failing[point]))
         x, name = p[point, k], drains[k].name
         if x != x:
             raise ValueError(f"the marginal of drain {name} is not a number")
-        _require(-2 * _MARGINAL_THRESHOLD <= x <= _MARGINAL_THRESHOLD,
-                 f"the marginal of drain {name} is {{}}, outside [0, 1]", x)
+        _require(_is_marginal(x), f"the marginal of drain {name} is {{}}, outside [0, 1]", x)
         raise PostSelectionImpossibleError(name, float(x))
 
 

@@ -83,16 +83,16 @@ def position_phase(x1: float, x2: float, geom: InteractionGeometry) -> float:
 
 
 def _finite(compute, message: str) -> float:
-    """The phase that ``compute()`` gives, a ``ZeroDivisionError`` (``hbar``
-    times a length or speed underflows to zero) counting as infinite; raises
-    ``ValueError(message)`` unless it is a finite number."""
+    """The number that ``compute()`` gives, a ``ZeroDivisionError`` (``hbar``
+    times a length or speed underflows to zero) or an ``OverflowError``
+    counting as infinite; raises ``ValueError(message)`` unless it is finite."""
     try:
-        phase = compute()
-    except ZeroDivisionError:
-        phase = math.inf
-    if not math.isfinite(phase):
+        value = compute()
+    except (ZeroDivisionError, OverflowError):
+        value = math.inf
+    if not math.isfinite(value):
         raise ValueError(message)
-    return phase
+    return value
 
 
 def _coulomb_rate(r: float, geom: InteractionGeometry) -> float:
@@ -164,17 +164,17 @@ def geometry_for_phase(
     _require_finite(target_gamma=target_gamma, copropagation_length=copropagation_length,
                     channel_separation=channel_separation, screening_length=screening_length,
                     propagation_speed=propagation_speed)
+    growth = _finite(lambda: math.exp(channel_separation / screening_length),  # also for an infinite quotient
+                     "exp(channel_separation / screening_length) overflows")
     try:
         alpha = (
             target_gamma
             * HBAR
             * channel_separation
             * propagation_speed
-            * math.exp(channel_separation / screening_length)
+            * growth
             / (ELEMENTARY_CHARGE**2 * 2.0 * copropagation_length)
         )
-    except OverflowError:
-        raise ValueError("exp(channel_separation / screening_length) overflows") from None
     except ZeroDivisionError:
         raise ValueError(f"interaction length {copropagation_length!r} is too small: "
                          "e^2 * 2 * length underflows to zero") from None

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import AmbiguousMeasurementError, ObservableRangeError
 from .params import (FringeParams, InterferometerConfig, ObservableCoefficients, _all, _plain, _require_finite,
                      detector_params)
-from .scattering import detector_drain_amplitudes
+from .scattering import _is_marginal, detector_drain_amplitudes
 
 DIVERGENCE_THRESHOLD = 1e-9
 """Below this value of |visibility * Gamma| the contextual values are
@@ -214,10 +214,10 @@ def reconstruct_average(cv: ContextualValues, p_d1, p_d2):
     """Observable average ``alpha_D1 P_D1 + alpha_D2 P_D2``, per point for arrays.
 
     With drain probabilities from the scattering pipeline this equals
-    ``a0 + a3 * delta1_s`` exactly.  Each probability may lie up to 1e-12
-    outside [0, 1], as the cells of a joint table may; NaN fails.
+    ``a0 + a3 * delta1_s`` exactly.  Each probability may lie as far outside
+    [0, 1] as a ``JointStatistics`` marginal may; NaN fails.
     """
-    if not _all((-1e-12 <= p_d1) & (p_d1 <= 1.0 + 1e-12) & (-1e-12 <= p_d2) & (p_d2 <= 1.0 + 1e-12)):
+    if not _all(_is_marginal(p_d1) & _is_marginal(p_d2)):
         raise ValueError(f"drain probabilities ({p_d1}, {p_d2}) outside [0, 1]")
     if not _all(abs(p_d1 + p_d2 - 1.0) <= 1e-9):
         raise ValueError("drain probabilities must sum to 1")

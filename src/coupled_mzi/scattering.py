@@ -158,12 +158,22 @@ def joint_amplitudes(det: InterferometerConfig, sys: InterferometerConfig, gamma
     return _read_only(c.reshape(c.shape[:-1] + (2, 2)))
 
 
+_CELL_TOL = 1e-12  # how far a cell may lie outside [0, 1], and a table's total off 1
+# a marginal is two cells of at least -tol each, in a total within tol of 1: [-2 tol, 1 + 3 tol]
+_MARGINAL_LOW, _MARGINAL_HIGH = -2 * _CELL_TOL, 1.0 + 3 * _CELL_TOL
+
+
+def _is_marginal(p):
+    """``p`` in the range of a :class:`JointStatistics` marginal: a Python bool for a number; NaN fails."""
+    return (_MARGINAL_LOW <= p) & (p <= _MARGINAL_HIGH)
+
+
 @dataclass(frozen=True)
 class JointStatistics:
     """Joint drain probabilities ``joint[..., detector drain, system drain]``,
     one table or a stack; the detector and system marginals sum over the
     last and the second-to-last axis, once per table, and are read-only.
-    Every table lies in [0, 1] and sums to 1 within 1e-12."""
+    Every table lies in [0, 1] and sums to 1 within 1e-12, a marginal in [-2e-12, 1 + 3e-12]."""
 
     joint: np.ndarray
 
@@ -173,14 +183,14 @@ class JointStatistics:
             raise ValueError("joint probabilities need 2x2 tables")
         if joint.ndim == 2:  # one table: four Python floats cost less than numpy's reductions
             cells = joint.ravel().tolist()
-            in_range = all([-1e-12 <= p <= 1.0 + 1e-12 for p in cells])  # a chained comparison fails on NaN
+            in_range = all([-_CELL_TOL <= p <= 1.0 + _CELL_TOL for p in cells])  # a chained comparison fails on NaN
             off = abs(sum(cells) - 1.0) if in_range else None  # added in order, as numpy adds them
         else:  # extrema, not elementwise masks: NaN fails them too
-            in_range = joint.min() >= -1e-12 and joint.max() <= 1.0 + 1e-12
+            in_range = joint.min() >= -_CELL_TOL and joint.max() <= 1.0 + _CELL_TOL
             off = abs(joint.sum(axis=(-2, -1)) - 1.0).max() if in_range else None
         if not in_range:
             raise ValueError("joint probabilities outside [0, 1]")
-        if not off <= 1e-12:
+        if not off <= _CELL_TOL:
             raise ValueError("joint probabilities do not sum to 1")
         joint.setflags(write=False)
         object.__setattr__(self, "joint", joint)
@@ -257,11 +267,9 @@ def _check_low_bias_regime(bias: PhysicalBias) -> None:
 
 
 def average_current(probability, bias: PhysicalBias):
-    """Low-bias average drain current ``(e^2 V / h) * P`` in amperes;
-    ``probability`` may be an array, and may lie up to 1e-12 outside [0, 1]
-    as the cells of a :class:`JointStatistics` may."""
-    _require((-1e-12 <= probability) & (probability <= 1.0 + 1e-12),  # NaN fails
-             "probability {} outside [0, 1]", probability)
+    """Low-bias average drain current ``(e^2 V / h) * P`` in amperes; ``probability``,
+    a number or an array, lies in the range of a :class:`JointStatistics` marginal; NaN fails."""
+    _require(_is_marginal(probability), "probability {} outside [0, 1]", probability)
     _check_low_bias_regime(bias)
     return ELEMENTARY_CHARGE**2 * bias.bias_voltage / PLANCK_CONSTANT * probability
 

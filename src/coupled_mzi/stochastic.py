@@ -110,8 +110,8 @@ def _cells(probs: np.ndarray) -> list[float]:
     """The cells ``max(p, 0)`` of one flat joint table ``(4,)`` with a positive
     cell, in code order up to its last category of positive probability.
 
-    A zero or negative (down to -1e-12) cell is 0 here, and the cells past
-    the last positive one are dropped, so no such category is ever drawn.
+    A zero or negative cell (down to ``-scattering._CELL_TOL``) is 0 here, and the
+    cells past the last positive one are dropped, so no such category is ever drawn.
     """
     cells = [max(p, 0.0) for p in probs.tolist()]
     while not cells[-1] > 0.0:

@@ -15,10 +15,14 @@ from coupled_mzi import (
     InterferometerConfig,
     JointStatistics,
     ObservableRangeError,
+    PhysicalBias,
     PostSelectionImpossibleError,
+    average_current,
+    contextual_estimate,
     contextual_values,
     post_selected_average,
     detector_params,
+    reconstruct_average,
     joint_probability_table,
     qpc_from_transmission,
     require_post_selection,
@@ -493,6 +497,15 @@ class TestWeakValue:
         with pytest.raises(PostSelectionImpossibleError) as excinfo:
             require_post_selection({SystemDrain.S2: stats.p_system(SystemDrain.S2)})
         assert excinfo.value.probability == -2e-12
+        # the transposed table puts the same edges on the detector marginals, which
+        # average_current, reconstruct_average and contextual_estimate take
+        detector = JointStatistics(stats.joint.T)
+        p_d = (detector.p_detector(DetectorDrain.D1), detector.p_detector(DetectorDrain.D2))
+        assert p_d == (stats.p_system(SystemDrain.S1), -2e-12)
+        assert average_current(p_d[0], PhysicalBias(100e-6, 10e-3, 0.02)) > 0.0
+        assert average_current(p_d[1], PhysicalBias(100e-6, 10e-3, 0.02)) < 0.0
+        assert reconstruct_average(cv, *p_d) == pytest.approx(-1.0, abs=1e-11)
+        assert contextual_estimate([3, 1, 0, 0], cv, p_d).estimate == -1.0
 
 
 class TestSemiWeakValue:

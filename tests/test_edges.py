@@ -116,7 +116,7 @@ def test_low_bias_warning_includes_its_edge(bias):
         average_current(0.5, bias)
 
 
-@pytest.mark.parametrize("probability", [-1e-12, 1.0 + 1e-12])
+@pytest.mark.parametrize("probability", [-2e-12, 1.0 + 3e-12])  # the edges of a JointStatistics marginal
 def test_average_current_range_is_inclusive(probability):
     bias = PhysicalBias(1e-4, 1e-2, 0.02)
     with warnings.catch_warnings():
@@ -151,8 +151,9 @@ def test_povm_positivity_tolerance_is_inclusive():
         PovmPair((math.nextafter(LOW, -1.0), 0.5), (HIGH, 0.5))
 
 
-@pytest.mark.parametrize("p_d1, p_d2", [(LOW, HIGH), (HIGH, LOW)])
+@pytest.mark.parametrize("p_d1, p_d2", [(-2e-12, 1.0 + 3e-12), (1.0 + 3e-12, -2e-12)])
 def test_drain_probability_range_is_inclusive(p_d1, p_d2):
+    # the edges of a JointStatistics marginal, as for average_current
     cv = ContextualValues(1.0, 2.0)
     assert reconstruct_average(cv, p_d1, p_d2) == p_d1 + 2.0 * p_d2
     for beyond in ((math.nextafter(p_d1, 2 * p_d1 - 0.5), p_d2), (p_d1, math.nextafter(p_d2, 2 * p_d2 - 0.5))):

@@ -331,7 +331,11 @@ class TestGeometryForPhase:
         with pytest.raises(ValueError, match="underflows to zero"):
             geometry_for_phase(2.2, length, 50e-9, 100e-9, 1e5)
 
-    @pytest.mark.parametrize("separation, screening", [(50e-9, 0.04e-9), (1e300, 1e-300), (50e-9, 0.0)])
+    @pytest.mark.parametrize("separation, screening", [(50e-9, 0.04e-9), (1e300, 1e-300), (50e-9, 0.0),
+                                                       (50e-9, 1e-320)])
     def test_rejects_unrealizable_geometry(self, separation, screening):
-        with pytest.raises(ValueError):
+        # past a zero screening length, the quotient overflows exp: finite above about 709.8, or infinite
+        overflow = r"exp\(channel_separation / screening_length\) overflows"
+        message = "screening_length must be positive" if screening == 0.0 else overflow
+        with pytest.raises(ValueError, match=f"^{message}$"):
             geometry_for_phase(2.2, 5e-6, separation, screening, 1e5)

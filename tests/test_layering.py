@@ -16,10 +16,12 @@ ALLOWED_PRIVATE_IMPORTS = {
     ("conditioning", "params", "_coupling_term"),
     ("conditioning", "params", "_plain"),
     ("conditioning", "params", "_require"),
+    ("conditioning", "scattering", "_is_marginal"),
     ("interaction", "params", "_require_finite"),
     ("measurement", "params", "_all"),
     ("measurement", "params", "_plain"),
     ("measurement", "params", "_require_finite"),
+    ("measurement", "scattering", "_is_marginal"),
     ("scattering", "params", "_all"),
     ("scattering", "params", "_plain"),
     ("scattering", "params", "_require"),

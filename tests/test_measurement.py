@@ -272,7 +272,7 @@ class TestReconstructAverage:
             reconstruct_average(cv, 0.7, 0.7)
 
     @pytest.mark.parametrize("p_d1, p_d2", [
-        (1.5, -0.5), (-0.5, 1.5), (1.0 + 2e-12, -2e-12), (math.nan, 0.5),
+        (1.5, -0.5), (-0.5, 1.5), (math.nextafter(1.0 + 3e-12, 2.0), math.nextafter(-2e-12, -1.0)), (math.nan, 0.5),
         (np.array([0.5, 1.5]), np.array([0.5, -0.5])),
     ], ids=["above-one", "below-zero", "just-past-the-tolerance", "nan", "stack"])
     def test_probability_range_checked(self, p_d1, p_d2):

@@ -334,7 +334,8 @@ class TestCurrentsAndNoise:
         assert average_current(0.5, BIAS) == pytest.approx(average_current(1.0, BIAS) / 2, rel=1e-15)
 
     def test_probability_range(self):
-        for probability in (1.5, 1.0 + 2e-12, -2e-12, math.nan):  # past the 1e-12 tolerance, and NaN
+        # past the range of a JointStatistics marginal, [-2e-12, 1 + 3e-12], and NaN
+        for probability in (1.5, math.nextafter(1.0 + 3e-12, 2.0), math.nextafter(-2e-12, -1.0), math.nan):
             with pytest.raises(ValueError):
                 average_current(probability, BIAS)
         with pytest.raises(ValueError):
